@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Fingerprint the simulator's observable behaviour over randomized worlds.
+
+    PYTHONPATH=src python3 scripts/behaviour_sweep.py [worlds]   # default 104
+
+Each world cycles through the four generators, the five adversary kinds and
+three audit settings (off, forced, probability 0.5), runs four rounds, and
+half of them carry a second forger.  The script prints one sha256 each over
+the reports, the metrics.csv text, the attestation transcripts and the
+registry statuses, plus a combined hash.  Run it against two source trees to
+check that a refactor left behaviour unchanged: the hashes must match.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+import sys
+
+from concealed_agg.adversary import KINDS, CompromiseSpec
+from concealed_agg.errors import ProtocolError
+from concealed_agg.simulator import GENERATORS, Scenario, World
+
+AUDITS = ({}, {"force_attest": True}, {"audit_prob": 0.5})
+
+
+def compromises(rng: random.Random, n: int, kind: str, tree) -> list[CompromiseSpec]:
+    victim = rng.randint(1, n)
+    if kind == "forge_own":
+        args = (rng.randint(-40, 40),)
+    elif kind == "forge_children":
+        args = (rng.getrandbits(64) | 1, True) if rng.random() < 0.25 else (rng.getrandbits(64) | 1,)
+    elif kind == "noncommit":
+        args = (rng.getrandbits(64),) if rng.random() < 0.5 else ()
+    elif kind == "replay":
+        args = (1,)
+    else:  # drop_child needs an interior node
+        interior = [v for v in tree.sensor_ids if tree.children[v]]
+        if interior:
+            victim = rng.choice(interior)
+            args = (rng.choice(tree.children[victim]),)
+        else:
+            kind, args = "forge_children", (12345,)
+    specs = [CompromiseSpec(victim, kind, args)]
+    if rng.random() < 0.5:
+        other = rng.randint(1, n)
+        if other != victim:
+            specs.append(CompromiseSpec(other, "forge_children", (rng.getrandbits(64) | 1,)))
+    return specs
+
+
+def main(worlds: int) -> None:
+    parts = {name: hashlib.sha256() for name in ("reports", "metrics", "transcripts", "statuses")}
+    outcomes: dict[str, int] = {}
+    for i in range(worlds):
+        rng = random.Random(7919 * i + 17)
+        gen, kind, audit = GENERATORS[i % 4], KINDS[(i // 4) % 5], AUDITS[i % 3]
+        n = rng.randint(6, 48)
+        tree = World(Scenario(seed=1000 + i, rounds=4, n=n, generator=gen, **audit)).tree
+        trigger = 2 if kind == "replay" else rng.randint(1, 2)
+        scenario = Scenario(
+            seed=1000 + i, rounds=4, n=n, generator=gen,
+            compromises=tuple(compromises(rng, n, kind, tree)), trigger_round=trigger, **audit,
+        )
+        world = None
+        try:
+            world = World(scenario)
+            world.run()
+            outcome = "ok"
+        except ProtocolError as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        key = outcome.split(":")[0]
+        outcomes[key] = outcomes.get(key, 0) + 1
+        if world is None:
+            parts["reports"].update(f"{i}|{outcome}".encode())
+            continue
+        parts["reports"].update(f"{i}|{outcome}|{world.report_text()}".encode())
+        parts["metrics"].update(f"{i}|{world.metrics.to_csv()}".encode())
+        for r in world.results:
+            rep = r.report
+            audit_text = "-" if rep is None else (
+                f"{sorted(rep.outliers)}|{sorted(rep.non_committed)}|{rep.probes}|{rep.transcript}"
+            )
+            line = f"{i}|{r.round}|{r.integrity}|{sorted(r.participants)}|{r.raw_sum}|" + audit_text
+            parts["transcripts"].update(line.encode())
+            outcomes[r.integrity] = outcomes.get(r.integrity, 0) + 1
+        statuses = sorted((nid, rec.status) for nid, rec in world.bs.registry.items())
+        parts["statuses"].update(f"{i}|{statuses}".encode())
+
+    total = hashlib.sha256()
+    for name, h in parts.items():
+        print(f"{name:12s} {h.hexdigest()}")
+        total.update(h.digest())
+    print(f"{'combined':12s} {total.hexdigest()}")
+    print("worlds", worlds, "outcomes", dict(sorted(outcomes.items())))
+
+
+if __name__ == "__main__":
+    main(int(sys.argv[1]) if len(sys.argv) > 1 else 104)

@@ -47,7 +47,6 @@ class Behavior:
     probe_delta: int = 0
     dropped: frozenset[int] = frozenset()
     replay_source: int | None = None
-    silent_on_probe: bool = False
     _captured: dict[int, bytes] = field(default_factory=dict, repr=False)
 
     def active(self, round_no: int) -> bool:
@@ -76,9 +75,6 @@ class Behavior:
 
     def drops_child(self, child: int, round_no: int) -> bool:
         return self.kind == "drop_child" and self.active(round_no) and child in self.dropped
-
-    def is_silent(self, round_no: int) -> bool:
-        return self.silent_on_probe and self.active(round_no)
 
     def emit_payload(self, round_no: int, payload: bytes) -> bytes:
         if self.kind != "replay":

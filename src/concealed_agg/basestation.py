@@ -15,6 +15,11 @@ children's tags must reproduce it) and its resent pair must pass IPET over
 its own participant list.  Failing nodes have their children enqueued.
 Committed nodes that failed only IPET get one chance to exonerate themselves
 by re-aggregating with the current outlier set excluded.
+
+The station is the root of the aggregation tree and folds its children's
+packets with the same ``wire.fold_packets`` step every sensor runs; the
+final re-aggregation is that fold again with the outliers excluded, and
+re-aggregation replies are opened by ``wire.open_reagg_reply``.
 """
 
 from __future__ import annotations
@@ -217,17 +222,10 @@ class BaseStation:
 
     def finalize(self, round_no: int) -> tuple[int, int, frozenset[int]]:
         """Fold children packets into the final pair and participant union."""
-        dsum = dsum_prime = 0
-        seen: set[int] = set()
-        for cid in sorted(self._round_packets):
-            pkt = self._round_packets[cid]
-            overlap = seen.intersection(pkt.participants)
-            if overlap:
-                raise DuplicateParticipant(f"round {round_no}: ids {sorted(overlap)[:4]} in two sibling lists")
-            seen.update(pkt.participants)
-            dsum = crypto.add_mod(dsum, pkt.dsum)
-            dsum_prime = crypto.add_mod(dsum_prime, pkt.dsum_prime)
-        return dsum, dsum_prime, frozenset(seen)
+        fold = wire.fold_packets(self._round_packets)
+        if fold.overlap:
+            raise DuplicateParticipant(f"round {round_no}: a node id appears in two sibling lists")
+        return fold.dsum, fold.dsum_prime, frozenset(fold.participants)
 
     def ipet_check(
         self,
@@ -274,9 +272,7 @@ class BaseStation:
         node stays silent.
         """
         packets = self._round_packets
-        all_participants: set[int] = set()
-        for pkt in packets.values():
-            all_participants.update(pkt.participants)
+        all_participants = wire.fold_packets(packets).participants
         expected_tag: dict[int, bytes | None] = {cid: packets[cid].tag for cid in packets}
         queue: deque[int] = deque(sorted(packets))
         enqueued: set[int] = set(queue)
@@ -334,10 +330,9 @@ class BaseStation:
             if nid not in list_l or nid in list_c:
                 continue
             exclusions = frozenset(list_l - {nid})
-            fresh = self._open_reagg_response(nid, exchange, round_no, exclusions, via_bs=True)
-            if fresh is None:
+            pkt = self._open_reagg_response(nid, exchange, round_no, exclusions)
+            if pkt is None:
                 continue
-            pkt, _ = fresh
             verdict = self.ipet_check(
                 (pkt.dsum, pkt.dsum_prime), frozenset(pkt.participants), round_no, count_ops=False
             )
@@ -354,23 +349,10 @@ class BaseStation:
         )
 
     def _open_reagg_response(
-        self, nid: int, exchange, round_no: int, exclusions: frozenset[int], via_bs: bool
-    ) -> tuple[wire.AggPacket, bytes] | None:
+        self, nid: int, exchange, round_no: int, exclusions: frozenset[int]
+    ) -> wire.AggPacket | None:
         raw = exchange(nid, wire.encode_reagg(round_no, tuple(sorted(exclusions))))
-        if raw is None:
-            return None
-        try:
-            msg_type, body = wire.parse_frame(raw)
-            if msg_type != wire.REAGG_RESP:
-                return None
-            _, ok, agg_body = wire.decode_reagg_resp(body)
-            if not ok:
-                return None
-            channel = self._bs_channels[nid] if via_bs else self._child_channels[nid]
-            return wire.open_packet(channel, agg_body), agg_body
-        except (ReplayDetected, AuthFailure, ValueError) as exc:
-            log.info("base station: re-aggregation from %d rejected: %s", nid, exc)
-            return None
+        return wire.open_reagg_reply(self._bs_channels[nid], raw)
 
     def reaggregate_final(
         self, round_no: int, exclusions: frozenset[int], exchange
@@ -381,21 +363,12 @@ class BaseStation:
         children containing exclusions are asked to re-aggregate; excluded or
         unresponsive children are dropped wholesale.
         """
-        dsum = dsum_prime = 0
-        participants: set[int] = set()
-        for cid in sorted(self._round_packets):
-            pkt = self._round_packets[cid]
-            if cid in exclusions:
-                continue
-            if exclusions.intersection(pkt.participants):
-                fresh = self._open_reagg_response(cid, exchange, round_no, exclusions, via_bs=True)
-                if fresh is None:
-                    continue
-                pkt = fresh[0]
-            dsum = crypto.add_mod(dsum, pkt.dsum)
-            dsum_prime = crypto.add_mod(dsum_prime, pkt.dsum_prime)
-            participants.update(pkt.participants)
-        return (dsum, dsum_prime), frozenset(participants)
+        fold = wire.fold_packets(
+            self._round_packets,
+            exclusions,
+            lambda cid: self._open_reagg_response(cid, exchange, round_no, exclusions),
+        )
+        return (fold.dsum, fold.dsum_prime), frozenset(fold.participants)
 
     # === Liveness and decoding ==============================================
 
@@ -423,10 +396,3 @@ class BaseStation:
         if function == "mean":
             return self.codec.decode_mean(raw_sum, len(participants))
         return self.codec.decode_sum(raw_sum, len(participants))
-
-    def mean(self, result: QueryResult) -> float:
-        if result.integrity == "rejected" or result.raw_sum is None:
-            raise ValueError("mean requires a non-rejected result")
-        if not result.participants:
-            raise EmptyParticipants("mean over empty participant set")
-        return self.codec.decode_mean(result.raw_sum, len(result.participants))

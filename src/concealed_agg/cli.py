@@ -37,6 +37,7 @@ from .adversary import KINDS, CompromiseSpec
 from .basestation import format_report_line
 from .errors import ProtocolError, ScenarioInvalid
 from .simulator import GENERATORS, Metrics, Scenario, World, measure_scaling
+from .topology import parse_edge
 
 ENV_SEED = "CONCEALED_AGG_SEED"
 
@@ -66,12 +67,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
             elif key == "edge" and len(args) == 2:
                 if generator is not None:
                     fail(lineno, "edge lines cannot be mixed with a generator")
-                if n is None:
-                    fail(lineno, "edge before nodes line")
-                a, b = int(args[0]), int(args[1])
-                if not (0 <= a <= n and 0 <= b <= n) or a == b:
-                    fail(lineno, f"edge {a} {b} out of range for {n} sensors")
-                edges.append((a, b))
+                edges.append(parse_edge(args, n))
             elif key == "generator" and len(args) == 1:
                 if edges:
                     fail(lineno, "generator cannot be mixed with edge lines")

@@ -55,10 +55,6 @@ class ExclusionNotResolvable(ProtocolError):
     """An excluded interior descendant's subtree cannot be separated."""
 
 
-class ProbeTimeout(ProtocolError):
-    """A probed node stayed silent."""
-
-
 class ReadingOutOfRange(ProtocolError):
     """A (possibly forged) reading falls outside the sensor domain."""
 

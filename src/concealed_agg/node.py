@@ -1,17 +1,19 @@
 """The sensor/aggregator state machine.
 
 Per round a node: receives the query exactly once, relays it to its children,
-senses one reading and diffuses it under both seed chains, folds each child's
-packet into its running dual sum (component-wise, mod M), unions participant
-lists, XOR-folds child tags, and emits exactly one packet upward.  The
-emitted tag is its own MAC over the final aggregated pair XORed with all
-child tags, so the tag of any subtree equals the XOR of the own-MACs of every
-node inside it.
+senses one reading and diffuses it under both seed chains, and stores each
+child's authenticated packet.  When every child has reported or timed out it
+folds them with ``wire.fold_packets`` (the dual sums component-wise mod M,
+the participant lists by union, the child tags by XOR), adds its own pair,
+and emits exactly one packet upward.  The emitted tag is its own MAC over the
+final aggregated pair XORed with all child tags, so the tag of any subtree
+equals the XOR of the own-MACs of every node inside it.
 
 The node also answers attestation probes (resending what it committed to on
 a direct logical channel to the base station) and re-aggregates on request
-with a set of nodes excluded.  Compromised behavior is injected through an
-optional behavior object consulted at sensing, emission, and probe time.
+with a set of nodes excluded, through the same fold as emission.
+Compromised behavior is injected through an optional behavior object
+consulted at sensing, emission, and probe time.
 """
 
 from __future__ import annotations
@@ -46,10 +48,6 @@ class RoundState:
     pending: set[int]
     child_packets: dict[int, wire.AggPacket] = field(default_factory=dict)
     unresponsive: set[int] = field(default_factory=set)
-    acc_d: int = 0
-    acc_dp: int = 0
-    child_tag_xor: bytes = crypto.ZERO_TAG
-    participants: set[int] = field(default_factory=set)
     emitted: wire.AggPacket | None = None
 
 
@@ -59,7 +57,6 @@ class SensorNode:
         node_id: int,
         parent_id: int,
         children: tuple[int, ...],
-        depth: int,
         key: bytes,
         key_prime: bytes,
         edge_key: bytes,
@@ -72,7 +69,6 @@ class SensorNode:
         self.node_id = node_id
         self.parent_id = parent_id
         self.children = tuple(sorted(children))
-        self.depth = depth
         self.key = key
         self.key_prime = key_prime
         self.codec = codec
@@ -121,15 +117,12 @@ class SensorNode:
             own_dp=dp,
             own_mac=own_mac,
             pending=set(self.children),
-            acc_d=d,
-            acc_dp=dp,
-            participants={self.node_id},
         )
         query = wire.encode_query(round_no, function)
         return [(cid, query) for cid in self.children]
 
     def aggregate_child(self, body: bytes) -> None:
-        """Fold one child packet into the round state.
+        """Authenticate one child packet and keep it for the fold at emission.
 
         Raises UnknownChild / ReplayDetected / AuthFailure; on channel errors
         the child is marked unresponsive and excluded from this round.
@@ -151,10 +144,6 @@ class SensorNode:
             raise
         state.pending.discard(sender)
         state.child_packets[sender] = pkt
-        state.acc_d = crypto.add_mod(state.acc_d, pkt.dsum)
-        state.acc_dp = crypto.add_mod(state.acc_dp, pkt.dsum_prime)
-        state.child_tag_xor = crypto.xor_tags(state.child_tag_xor, pkt.tag)
-        state.participants.update(pkt.participants)
 
     def ready_to_emit(self) -> bool:
         return self.state is not None and not self.state.pending and self.state.emitted is None
@@ -170,33 +159,37 @@ class SensorNode:
         state = self._require_state()
         if state.emitted is not None:
             raise AlreadyEmitted(f"node {self.node_id}: round {state.round}")
-        dsum, dsum_prime = state.acc_d, state.acc_dp
-        if self.behavior is not None:
-            dsum, dsum_prime = self.behavior.forge_pair(dsum, dsum_prime, state.round)
-        tag = crypto.combine_macs(crypto.mac_pair(self.key, dsum, dsum_prime), [state.child_tag_xor])
-        participants = tuple(sorted(state.participants))
-        pkt, body = wire.seal_packet(self.up_channel, self.node_id, participants, dsum, dsum_prime, tag)
+        pkt, body = self._seal_aggregate(state, wire.fold_packets(state.child_packets), self.up_channel)
         state.emitted = pkt
         payload = wire.frame(wire.AGG, body)
         if self.behavior is not None:
             payload = self.behavior.emit_payload(state.round, payload)
         return self.parent_id, payload
 
+    def _seal_aggregate(
+        self, state: RoundState, fold: wire.Fold, channel: crypto.SecureChannel
+    ) -> tuple[wire.AggPacket, bytes]:
+        """Add the own pair to the children's fold, tag the result, and seal it."""
+        dsum = crypto.add_mod(state.own_d, fold.dsum)
+        dsum_prime = crypto.add_mod(state.own_dp, fold.dsum_prime)
+        if self.behavior is not None:
+            dsum, dsum_prime = self.behavior.forge_pair(dsum, dsum_prime, state.round)
+        tag = crypto.combine_macs(crypto.mac_pair(self.key, dsum, dsum_prime), fold.tags)
+        fold.participants.add(self.node_id)
+        return wire.seal_packet(channel, self.node_id, tuple(sorted(fold.participants)), dsum, dsum_prime, tag)
+
     # === Attestation ========================================================
 
-    def respond_attestation(self, round_no: int) -> bytes | None:
+    def respond_attestation(self, round_no: int) -> bytes:
         """Resend the committed packet on the direct base-station channel."""
         state = self.state
         if state is None or state.round != round_no or state.emitted is None:
             raise NoSuchRound(f"node {self.node_id}: no emitted packet for round {round_no}")
-        if self.behavior is not None and self.behavior.is_silent(round_no):
-            return None
         pkt = state.emitted
         dsum, dsum_prime = pkt.dsum, pkt.dsum_prime
         if self.behavior is not None:
             dsum, dsum_prime = self.behavior.probe_pair(dsum, dsum_prime, round_no)
-        counter, sealed = self.bs_channel.seal_next(crypto.pair_bytes(dsum, dsum_prime))
-        body = wire.encode_agg_body(self.node_id, counter, pkt.participants, sealed, pkt.tag)
+        _, body = wire.seal_packet(self.bs_channel, self.node_id, pkt.participants, dsum, dsum_prime, pkt.tag)
         child_tags = {cid: p.tag for cid, p in state.child_packets.items()}
         return wire.encode_probe_resp(round_no, body, child_tags)
 
@@ -211,47 +204,22 @@ class SensorNode:
         state = self.state
         if state is None or state.round != round_no or state.emitted is None:
             raise NoSuchRound(f"node {self.node_id}: no round {round_no} to re-aggregate")
-        dsum, dsum_prime = state.own_d, state.own_dp
-        participants = {self.node_id}
-        child_tags = []
-        for cid in sorted(state.child_packets):
-            pkt = state.child_packets[cid]
-            if cid in exclusions:
-                continue
-            if exclusions.intersection(pkt.participants):
-                fresh = self._delegate_reaggregation(cid, exclusions, round_no, ask_child)
-                dsum = crypto.add_mod(dsum, fresh.dsum)
-                dsum_prime = crypto.add_mod(dsum_prime, fresh.dsum_prime)
-                participants.update(fresh.participants)
-                child_tags.append(fresh.tag)
-            else:
-                dsum = crypto.add_mod(dsum, pkt.dsum)
-                dsum_prime = crypto.add_mod(dsum_prime, pkt.dsum_prime)
-                participants.update(pkt.participants)
-                child_tags.append(pkt.tag)
-        if self.behavior is not None:
-            dsum, dsum_prime = self.behavior.forge_pair(dsum, dsum_prime, round_no)
-        tag = crypto.combine_macs(crypto.mac_pair(self.key, dsum, dsum_prime), child_tags)
-        channel = self.bs_channel if to_bs else self.up_channel
-        _, body = wire.seal_packet(channel, self.node_id, tuple(sorted(participants)), dsum, dsum_prime, tag)
+        fold = wire.fold_packets(
+            state.child_packets,
+            exclusions,
+            lambda cid: self._delegate_reaggregation(cid, exclusions, round_no, ask_child),
+        )
+        _, body = self._seal_aggregate(state, fold, self.bs_channel if to_bs else self.up_channel)
         return wire.encode_reagg_resp(round_no, True, body)
 
     def _delegate_reaggregation(self, cid: int, exclusions: frozenset[int], round_no: int, ask_child) -> wire.AggPacket:
         if ask_child is None:
             raise ExclusionNotResolvable(f"node {self.node_id}: cannot reach below child {cid}")
         reply = ask_child(cid, wire.encode_reagg(round_no, tuple(sorted(exclusions))))
-        if reply is None:
-            raise ExclusionNotResolvable(f"node {self.node_id}: child {cid} silent")
-        msg_type, resp_body = wire.parse_frame(reply)
-        if msg_type != wire.REAGG_RESP:
-            raise ExclusionNotResolvable(f"node {self.node_id}: child {cid} sent type {msg_type}")
-        _, ok, agg_body = wire.decode_reagg_resp(resp_body)
-        if not ok:
+        pkt = wire.open_reagg_reply(self.child_channels[cid], reply)
+        if pkt is None:
             raise ExclusionNotResolvable(f"node {self.node_id}: child {cid} could not re-aggregate")
-        try:
-            return wire.open_packet(self.child_channels[cid], agg_body)
-        except (ReplayDetected, AuthFailure) as exc:
-            raise ExclusionNotResolvable(f"node {self.node_id}: child {cid}: {exc}") from exc
+        return pkt
 
     # === Fabric dispatch ====================================================
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from . import crypto, wire
 from .adversary import AttackPlan, CompromiseSpec, apply_plan
 from .basestation import BaseStation, QueryResult, format_report_line
-from .errors import DisconnectedGraph, DuplicateParticipant, ScenarioInvalid, StaleRound
+from .errors import DisconnectedGraph, DuplicateParticipant, ProtocolError, ScenarioInvalid, StaleRound
 from .node import SensorNode
 from .topology import (
     BS_ID,
@@ -175,7 +175,6 @@ class World:
                 node_id=nid,
                 parent_id=self.tree.parent[nid],
                 children=children,
-                depth=self.tree.depth[nid],
                 key=key,
                 key_prime=key_prime,
                 edge_key=prov.edge_keys[nid],
@@ -240,7 +239,7 @@ class World:
         if msg_type == wire.PROBE:
             try:
                 resp = node.respond_attestation(wire.decode_probe(body))
-            except Exception:
+            except ProtocolError:
                 resp = None
         elif msg_type == wire.REAGG:
             resp = node.handle_reagg_request(body, ask_child=self._make_ask(nid), to_bs=True)
@@ -282,13 +281,8 @@ class World:
         except DuplicateParticipant:
             # Fold leniently so attestation has a pair to chase.
             duplicate = True
-            dsum = dsum_prime = 0
-            seen: set[int] = set()
-            for pkt in self.bs.packets().values():
-                dsum = crypto.add_mod(dsum, pkt.dsum)
-                dsum_prime = crypto.add_mod(dsum_prime, pkt.dsum_prime)
-                seen.update(pkt.participants)
-            participants = frozenset(seen)
+            fold = wire.fold_packets(self.bs.packets())
+            dsum, dsum_prime, participants = fold.dsum, fold.dsum_prime, frozenset(fold.participants)
 
         result: QueryResult
         if not participants:

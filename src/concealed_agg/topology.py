@@ -167,6 +167,19 @@ def star_graph(n: int) -> dict[int, set[int]]:
 # === Topology files =========================================================
 
 
+def parse_edge(args: list[str], n: int | None) -> tuple[int, int]:
+    """Validate the two ids of an `edge <a> <b>` line against the `nodes` count
+    read before it; raises ValueError."""
+    if n is None:
+        raise ValueError("edge before nodes line")
+    a, b = int(args[0]), int(args[1])
+    if a == b:
+        raise ValueError(f"edge {a} {b} is a self-loop")
+    if not (0 <= a <= n and 0 <= b <= n):
+        raise ValueError(f"edge {a} {b} out of range for {n} sensors")
+    return a, b
+
+
 def parse_topology(text: str, source: str = "<topology>") -> tuple[int, list[tuple[int, int]]]:
     """Line-oriented format: `nodes <n>` header, then `edge <a> <b>` lines."""
     n: int | None = None
@@ -183,12 +196,10 @@ def parse_topology(text: str, source: str = "<topology>") -> tuple[int, list[tup
             if n < 1:
                 raise ValueError(f"{source}:{lineno}: node count must be positive")
         elif fields[0] == "edge" and len(fields) == 3:
-            if n is None:
-                raise ValueError(f"{source}:{lineno}: edge before nodes header")
-            a, b = int(fields[1]), int(fields[2])
-            if not (0 <= a <= n and 0 <= b <= n) or a == b:
-                raise ValueError(f"{source}:{lineno}: edge {a} {b} out of range for {n} sensors")
-            edges.append((a, b))
+            try:
+                edges.append(parse_edge(fields[1:], n))
+            except ValueError as exc:
+                raise ValueError(f"{source}:{lineno}: {exc}") from None
         else:
             raise ValueError(f"{source}:{lineno}: unrecognized line {raw.strip()!r}")
     if n is None:

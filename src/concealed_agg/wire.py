@@ -1,4 +1,4 @@
-"""Wire formats: the aggregation packet and the message frames.
+"""Wire formats: the aggregation packet, the message frames, and the fold.
 
 Aggregation packet layout (fixed, cross-implementation stable):
 
@@ -9,14 +9,23 @@ The sealed payload is the dual diffused pair (two 8-byte big-endian words, K
 chain first) sealed under the link's channel key, so it has a fixed length of
 16 + 16 bytes.  Every payload on the simulator fabric is a one-byte message
 type followed by the body.
+
+``fold_packets`` is the one aggregation step every parent runs, the station
+included: ring-add the children's pairs, union their participant lists and
+collect their tags.  ``open_reagg_reply`` is the one parser of re-aggregation
+replies, used by sensors and station alike.
 """
 
 from __future__ import annotations
 
+import logging
 import struct
 from dataclasses import dataclass
 
 from . import crypto
+from .errors import AuthFailure, ReplayDetected
+
+log = logging.getLogger(__name__)
 
 # Message types on the fabric.
 QUERY = 0x01
@@ -44,8 +53,46 @@ class AggPacket:
     dsum_prime: int
     tag: bytes
 
-    def pair_bytes(self) -> bytes:
-        return crypto.pair_bytes(self.dsum, self.dsum_prime)
+
+@dataclass
+class Fold:
+    """One layer of packets folded together: the ring sum of their pairs, the
+    union of their participants, their tags, and whether two lists overlapped."""
+
+    dsum: int
+    dsum_prime: int
+    participants: set[int]
+    tags: list[bytes]
+    overlap: bool
+
+
+def fold_packets(packets: dict[int, AggPacket], exclusions: frozenset[int] = frozenset(), refresh=None) -> Fold:
+    """Fold packets keyed by sender, in sender order.
+
+    An excluded sender is dropped.  A packet whose participants meet the
+    exclusions is replaced by refresh(sender), and dropped if that returns
+    None; whatever refresh raises propagates.
+    """
+    dsum = dsum_prime = 0
+    participants: set[int] = set()
+    tags: list[bytes] = []
+    overlap = False
+    for sender in sorted(packets):
+        if sender in exclusions:
+            continue
+        pkt = packets[sender]
+        if exclusions and not exclusions.isdisjoint(pkt.participants):
+            pkt = refresh(sender)
+            if pkt is None:
+                continue
+        # A length check rather than an intersection keeps the fold linear.
+        expected = len(participants) + len(pkt.participants)
+        participants.update(pkt.participants)
+        overlap = overlap or len(participants) != expected
+        dsum = crypto.add_mod(dsum, pkt.dsum)
+        dsum_prime = crypto.add_mod(dsum_prime, pkt.dsum_prime)
+        tags.append(pkt.tag)
+    return Fold(dsum, dsum_prime, participants, tags, overlap)
 
 
 def frame(msg_type: int, body: bytes = b"") -> bytes:
@@ -167,3 +214,20 @@ def encode_reagg_resp(round_no: int, ok: bool, agg_body: bytes = b"") -> bytes:
 def decode_reagg_resp(body: bytes) -> tuple[int, bool, bytes]:
     round_no, ok = struct.unpack_from(">QB", body, 0)
     return round_no, bool(ok), body[9:]
+
+
+def open_reagg_reply(channel: crypto.SecureChannel, reply: bytes | None) -> AggPacket | None:
+    """The re-aggregated packet in a REAGG_RESP frame, opened on the channel it
+    was sealed for; None for silence, a refusal, or a frame that does not parse
+    or authenticate."""
+    if reply is None:
+        return None
+    try:
+        msg_type, body = parse_frame(reply)
+        if msg_type != REAGG_RESP:
+            return None
+        _, ok, agg_body = decode_reagg_resp(body)
+        return open_packet(channel, agg_body) if ok else None
+    except (ReplayDetected, AuthFailure, ValueError) as exc:
+        log.info("re-aggregation reply rejected: %s", exc)
+        return None

@@ -36,3 +36,13 @@ def honest_world(n: int = 6, seed: int = 1, rounds: int = 1, generator: str = "r
 
 def rng(seed: int = 0) -> random.Random:
     return random.Random(seed)
+
+
+# Edge lines both the topology and the scenario parser must reject:
+# (file text, offending line number, reason in the diagnostic).
+BAD_EDGE_LINES = (
+    ("nodes 3\nedge 0 9\n", 2, "out of range"),
+    ("nodes 3\nedge -1 2\n", 2, "out of range"),
+    ("nodes 3\nedge 0 1\nedge 2 2\n", 3, "self-loop"),
+    ("edge 0 1\nnodes 3\n", 1, "before nodes"),
+)

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file outputs, determinism, selftest."""
 
 import pytest
+from conftest import BAD_EDGE_LINES
 
 from concealed_agg import cli, crypto
 from concealed_agg.errors import ScenarioInvalid
@@ -56,9 +57,11 @@ def test_run_malformed_names_offending_line(tmp_path, capsys):
 
 
 def test_run_edge_out_of_range_diagnostic(tmp_path, capsys):
-    scn = write(tmp_path, "bad2.scn", "nodes 2\nedge 0 1\nedge 1 9\n")
-    assert cli.main(["run", scn, "--out", str(tmp_path / "o")]) == 2
-    assert "bad2.scn:3" in capsys.readouterr().err
+    for text, line, reason in BAD_EDGE_LINES:
+        scn = write(tmp_path, "bad2.scn", text)
+        assert cli.main(["run", scn, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"bad2.scn:{line}:" in err and reason in err
 
 
 def test_run_missing_file_exit_two(tmp_path, capsys):

@@ -190,7 +190,7 @@ def test_timeout_expires_pending_children():
     out = agg.handle_message(wire.frame(wire.TIMEOUT, (1).to_bytes(8, "big")))
     assert len(out) == 1 and out[0][0] == 0
     assert agg.state.unresponsive == {4}
-    assert 4 not in agg.state.participants
+    assert 4 not in agg.state.emitted.participants
 
 
 # === Attestation responses ==================================================

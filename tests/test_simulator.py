@@ -101,6 +101,18 @@ def test_audit_probability_draws_are_seeded():
     assert any(audited) and not all(audited)  # holds for this seed
 
 
+def test_programming_error_in_probe_answer_is_not_silence(monkeypatch):
+    # Only protocol errors count as a silent node; a bug must surface.
+    world = World(Scenario(seed=109, n=4, generator="star", force_attest=True))
+
+    def broken(round_no):
+        raise RuntimeError("bug in the probe answer")
+
+    monkeypatch.setattr(world.nodes[2], "respond_attestation", broken)
+    with pytest.raises(RuntimeError, match="bug in the probe answer"):
+        world.run_round(1)
+
+
 def test_rejected_when_everything_is_compromised():
     world = World(Scenario(seed=108, n=1, generator="star",
                            compromises=(CompromiseSpec(1, "forge_children", (9,)),)))

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from conftest import BAD_EDGE_LINES
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -115,10 +116,9 @@ def test_topology_roundtrip():
 
 
 def test_topology_diagnostics_name_the_line():
-    with pytest.raises(ValueError, match=r"t\.txt:2"):
-        parse_topology("nodes 3\nedge 0 9\n", source="t.txt")
-    with pytest.raises(ValueError, match=r"t\.txt:1"):
-        parse_topology("edge 0 1\nnodes 3\n", source="t.txt")
+    for text, line, reason in BAD_EDGE_LINES:
+        with pytest.raises(ValueError, match=rf"t\.txt:{line}: .*{reason}"):
+            parse_topology(text, source="t.txt")
     with pytest.raises(ValueError, match="missing nodes"):
         parse_topology("# empty\n")
     with pytest.raises(ValueError, match=r":3"):
