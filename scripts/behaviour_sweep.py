@@ -6,9 +6,13 @@
 Each world cycles through the four generators, the five adversary kinds and
 three audit settings (off, forced, probability 0.5), runs four rounds, and
 half of them carry a second forger.  The script prints one sha256 each over
-the reports, the metrics.csv text, the attestation transcripts and the
-registry statuses, plus a combined hash.  Run it against two source trees to
-check that a refactor left behaviour unchanged: the hashes must match.
+the reports, the per-round metrics other than bytes (messages, seed
+regenerations, probes), the attestation transcripts and the registry
+statuses, plus a combined hash of those four.  Bytes per round get a hash of
+their own, outside the combined one, so that a wire-format change can be
+checked for unchanged behaviour too.  Run it against two source trees to
+check that a refactor left behaviour unchanged: the hashes must match.  Any
+exception other than a ProtocolError ends the script with a traceback.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ def compromises(rng: random.Random, n: int, kind: str, tree) -> list[CompromiseS
 
 def main(worlds: int) -> None:
     parts = {name: hashlib.sha256() for name in ("reports", "metrics", "transcripts", "statuses")}
+    wire_bytes = hashlib.sha256()
     outcomes: dict[str, int] = {}
     for i in range(worlds):
         rng = random.Random(7919 * i + 17)
@@ -75,7 +80,9 @@ def main(worlds: int) -> None:
             parts["reports"].update(f"{i}|{outcome}".encode())
             continue
         parts["reports"].update(f"{i}|{outcome}|{world.report_text()}".encode())
-        parts["metrics"].update(f"{i}|{world.metrics.to_csv()}".encode())
+        for rm in world.metrics.rounds:
+            parts["metrics"].update(f"{i}|{rm.round},{rm.messages},{rm.seed_regens},{rm.probes}".encode())
+            wire_bytes.update(f"{i}|{rm.round},{rm.bytes}".encode())
         for r in world.results:
             rep = r.report
             audit_text = "-" if rep is None else (
@@ -92,6 +99,7 @@ def main(worlds: int) -> None:
         print(f"{name:12s} {h.hexdigest()}")
         total.update(h.digest())
     print(f"{'combined':12s} {total.hexdigest()}")
+    print(f"{'bytes':12s} {wire_bytes.hexdigest()}")
     print("worlds", worlds, "outcomes", dict(sorted(outcomes.items())))
 
 

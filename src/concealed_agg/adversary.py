@@ -178,6 +178,6 @@ def open_captured(edge_key: bytes, agg_body: bytes) -> tuple[int, int]:
     the diffused pair, nothing else."""
     from . import wire
 
-    _, counter, _, sealed, _ = wire.decode_agg_body(agg_body)
-    pair = crypto.open_sealed(edge_key, counter, sealed)
+    sender, counter, absent, sealed, tag = wire.decode_agg_body(agg_body)
+    pair = crypto.open_sealed(edge_key, counter, sealed, wire.header_ad(sender, absent, tag))
     return int.from_bytes(pair[:8], "big"), int.from_bytes(pair[8:16], "big")

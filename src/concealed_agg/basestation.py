@@ -1,20 +1,27 @@
 """Base-station logic: query dissemination, final aggregation, IPET, ComAtt.
 
 The station owns a registry of every provisioned node (both long-term keys,
-the seed-chain origin, liveness status) and maintains each node's current
-seed pair incrementally as rounds advance, together with registry-wide seed
-sums.  The per-round integrity verdict is then a pair of ring subtractions
-and one comparison, plus one subtraction per absent node; the seed ledger
-maintenance is what makes the verdict itself O(1).
+the seed-chain origin, liveness status) and advances each node's seed pair
+as rounds advance, keeping prefix sums of both chains in the tree's Euler-tour
+order, so the seed sum of any subtree is a difference of two prefix sums.
+
+Packets name only the roots of the subtrees missing from them.  Every
+pair-equality test (IPET), the round's verdict and each probe's, therefore
+checks a claim: a root's subtree less its absent roots' subtrees.  Once the
+absent roots are confirmed to be disjoint strict descendants of the root, the
+claim's seed sums cost O(|absent|) ring operations, constant on an honest
+round; a malformed claim fails the test.  The station derives a round's
+participant set once, from its final absent roots; ledger maintenance is
+the only per-round work linear in n.
 
 When the final pair fails the identical-pair equality test (or an operator
 forces an audit), the station walks the tree top-down: each probed node must
 recommit to the packet it emitted (its resent tag must match the tag pinned
 by the parent-side XOR chain, and the XOR of its own recomputed MAC with its
 children's tags must reproduce it) and its resent pair must pass IPET over
-its own participant list.  Failing nodes have their children enqueued.
-Committed nodes that failed only IPET get one chance to exonerate themselves
-by re-aggregating with the current outlier set excluded.
+its own claim.  Failing nodes have their children enqueued.  Committed nodes
+that failed only IPET get one chance to exonerate themselves by
+re-aggregating with the current outlier set excluded.
 
 The station is the root of the aggregation tree and folds its children's
 packets with the same ``wire.fold_packets`` step every sensor runs; the
@@ -26,17 +33,12 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate, chain
+from typing import NamedTuple
 
 from . import crypto, wire
-from .errors import (
-    AuthFailure,
-    DuplicateParticipant,
-    EmptyParticipants,
-    ReplayDetected,
-    StaleRound,
-    UnknownParticipant,
-)
+from .errors import AuthFailure, EmptyParticipants, ReplayDetected, StaleRound
 from .topology import Tree, Provisioning
 
 log = logging.getLogger(__name__)
@@ -55,6 +57,14 @@ class NodeRecord:
     key_prime: bytes
     origin: int
     status: str = ALIVE
+
+
+class Claim(NamedTuple):
+    """What an aggregate covers: the subtree of ``root`` less the subtrees of
+    the ``absent`` roots."""
+
+    root: int
+    absent: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -104,7 +114,7 @@ class _Probe:
 
     node: int
     pair: tuple[int, int]
-    participants: tuple[int, ...]
+    absent: tuple[int, ...]
     resent_tag: bytes
     child_tags: dict[int, bytes]
 
@@ -127,18 +137,18 @@ class BaseStation:
         self._child_channels = {
             cid: crypto.SecureChannel(prov.edge_keys[cid]) for cid in tree.children[tree.root]
         }
-        self._bs_channels = {
-            nid: crypto.SecureChannel(crypto.derive_bs_channel_key(rec.key, nid))
-            for nid, rec in self.registry.items()
-        }
-        # Seed ledger: each node's (D_j, D'_j) at the current ledger round,
-        # plus registry-wide sums of both components.
-        self._seeds: dict[int, tuple[int, int]] = {
-            nid: (rec.origin, rec.origin) for nid, rec in self.registry.items()
-        }
+        self._child_spans = {cid: tree.span(cid) for cid in tree.children[tree.root]}
+        # Direct channels are opened on a node's first probe: most rounds
+        # probe no one, and key derivation for every node dominated set-up.
+        self._bs_channels: dict[int, crypto.SecureChannel] = {}
+        # Seed ledger in tour order: each sensor's (D_j, D'_j) at the ledger
+        # round, and both chains' prefix sums, where entry i sums the seeds at
+        # tour positions below i (the station, at position 0, has none).
+        self._tour = [self.registry[nid] for nid in tree.order[1:]]
+        origins = [rec.origin for rec in self._tour]
+        self._seeds = list(zip(origins, origins))
+        self._prefix_d = self._prefix_dp = [0, 0, *accumulate(origins)]
         self._ledger_round = 0
-        self._total_d = sum(d for d, _ in self._seeds.values()) & crypto.MASK
-        self._total_dp = sum(dp for _, dp in self._seeds.values()) & crypto.MASK
         self._absent_streak: dict[int, int] = {nid: 0 for nid in self.registry}
         self._round_packets: dict[int, wire.AggPacket] = {}
         self._last_round = 0
@@ -151,46 +161,46 @@ class BaseStation:
         """Advance every registry seed chain to round_no (maintenance work)."""
         if round_no < self._ledger_round:
             raise ValueError(f"seed ledger cannot rewind to round {round_no}")
+        next_seed = crypto.next_seed
         while self._ledger_round < round_no:
             self._ledger_round += 1
-            total_d = 0
-            total_dp = 0
-            for nid, (d, dp) in self._seeds.items():
-                rec = self.registry[nid]
-                d = crypto.next_seed(rec.key, d, self._ledger_round)
-                dp = crypto.next_seed(rec.key_prime, dp, self._ledger_round)
-                self._seeds[nid] = (d, dp)
-                total_d += d
-                total_dp += dp
-            self._total_d = total_d & crypto.MASK
-            self._total_dp = total_dp & crypto.MASK
-            self.counters["seed_regens"] += 2 * len(self._seeds)
+            r = self._ledger_round
+            seeds = []
+            prefix_d = [0, 0]
+            prefix_dp = [0, 0]
+            acc_d = acc_dp = 0
+            for rec, (d, dp) in zip(self._tour, self._seeds):
+                d = next_seed(rec.key, d, r)
+                dp = next_seed(rec.key_prime, dp, r)
+                seeds.append((d, dp))
+                acc_d += d
+                acc_dp += dp
+                prefix_d.append(acc_d)
+                prefix_dp.append(acc_dp)
+            self._seeds, self._prefix_d, self._prefix_dp = seeds, prefix_d, prefix_dp
+            self.counters["seed_regens"] += 2 * len(seeds)
 
-    def seed_sums(self, participants: frozenset[int], count_ops: bool = True) -> tuple[int, int]:
-        """Seed sums over the participant set at the ledger round.
-
-        Uses registry totals minus absentees when that is cheaper, which is
-        what keeps the honest-path verdict constant-time.
-        """
-        absent = [nid for nid in self._seeds if nid not in participants]
-        ops = 0
-        if len(absent) <= len(participants):
-            sd, sdp = self._total_d, self._total_dp
-            for nid in absent:
-                d, dp = self._seeds[nid]
-                sd = crypto.sub_mod(sd, d)
-                sdp = crypto.sub_mod(sdp, dp)
-            ops = 2 * len(absent)
-        else:
-            sd = sdp = 0
-            for nid in participants:
-                d, dp = self._seeds[nid]
-                sd = crypto.add_mod(sd, d)
-                sdp = crypto.add_mod(sdp, dp)
-            ops = 2 * len(participants)
-        if count_ops:
-            self.counters["verify_ops"] += ops
-        return sd, sdp
+    def _claim_seed_sums(self, root: int, absent: tuple[int, ...]) -> tuple[int, int] | None:
+        """Both chains' seed sums over a claim at the ledger round, or None if
+        the claim is malformed: an absent root that is no node, not a strict
+        descendant of the claim's root, or repeated or nested in another."""
+        pos, size = self.tree.pos, self.tree.size
+        start = pos[root]
+        end = start + size[root]
+        pd, pdp = self._prefix_d, self._prefix_dp
+        sd = pd[end] - pd[start]
+        sdp = pdp[end] - pdp[start]
+        spans = sorted((pos[a], pos[a] + size[a]) for a in absent if a in pos)
+        if len(spans) != len(absent):
+            return None
+        floor = start + 1
+        for s, e in spans:
+            if s < floor or e > end:
+                return None
+            sd -= pd[e] - pd[s]
+            sdp -= pdp[e] - pdp[s]
+            floor = e
+        return sd & crypto.MASK, sdp & crypto.MASK
 
     # === Round flow =========================================================
 
@@ -217,38 +227,62 @@ class BaseStation:
         except (ReplayDetected, AuthFailure) as exc:
             log.info("base station: rejected packet from child %d: %s", sender, exc)
 
-    def packets(self) -> dict[int, wire.AggPacket]:
-        return dict(self._round_packets)
+    def finalize(self, round_no: int) -> tuple[int, int, Claim]:
+        """Fold the children's packets into the final pair and the round's
+        claim: the whole tree less the silent children and every absent root
+        the packets name."""
+        fold = wire.fold_packets(self._round_packets, self._child_spans)
+        return fold.dsum, fold.dsum_prime, Claim(self.tree.root, fold.absent)
 
-    def finalize(self, round_no: int) -> tuple[int, int, frozenset[int]]:
-        """Fold children packets into the final pair and participant union."""
-        fold = wire.fold_packets(self._round_packets)
-        if fold.overlap:
-            raise DuplicateParticipant(f"round {round_no}: a node id appears in two sibling lists")
-        return fold.dsum, fold.dsum_prime, frozenset(fold.participants)
+    def participants(self, claim: Claim) -> frozenset[int]:
+        """The sensors a station-level claim covers: all but those in the
+        absent roots' subtrees.  Ids that name no sensor are skipped here;
+        they fail the claim's IPET."""
+        order = self.tree.order
+        runs = []
+        cur = 1  # tour position 0 is the station
+        for s, e in sorted(self.tree.span(a) for a in claim.absent if a in self.registry):
+            if s > cur:
+                runs.append(order[cur:s])
+            cur = max(cur, e)
+        runs.append(order[cur:])
+        return frozenset(chain.from_iterable(runs))
 
     def ipet_check(
         self,
         pair: tuple[int, int],
-        participants: frozenset[int],
+        claim: Claim,
         round_no: int,
         count_ops: bool = True,
     ) -> IpetVerdict:
-        """Revert both components over the participants' seed sums and compare."""
-        unknown = set(participants) - set(self.registry)
-        if unknown:
-            raise UnknownParticipant(f"no registry record for {sorted(unknown)[:4]}")
+        """Revert both components over the claim's seed sums and compare.
+
+        A malformed claim fails, with both raw sums reported as 0.
+        """
         self.advance_ledger(round_no)
         if round_no != self._ledger_round:
             raise ValueError(f"seed ledger at round {self._ledger_round}, not {round_no}")
-        sd, sdp = self.seed_sums(participants, count_ops=count_ops)
-        sum_raw = crypto.undiffuse(pair[0], sd)
-        sum_prime_raw = crypto.undiffuse(pair[1], sdp)
+        root, absent = claim
+        sums = self._claim_seed_sums(root, absent)
+        if sums is None:
+            log.info("base station: malformed absent list %s under %d", absent[:8], root)
+            return IpetVerdict(False, 0, 0)
+        sum_raw = crypto.undiffuse(pair[0], sums[0])
+        sum_prime_raw = crypto.undiffuse(pair[1], sums[1])
         if count_ops:
-            self.counters["verify_ops"] += 3  # two reversions plus the comparison
+            # A range sum and a subtraction per absent root on each chain,
+            # the root's range sum, two reversions and the comparison.
+            self.counters["verify_ops"] += 4 * len(absent) + 2 + 3
         return IpetVerdict(sum_raw == sum_prime_raw, sum_raw, sum_prime_raw)
 
     # === Attestation ========================================================
+
+    def _bs_channel(self, nid: int) -> crypto.SecureChannel:
+        channel = self._bs_channels.get(nid)
+        if channel is None:
+            key = crypto.derive_bs_channel_key(self.registry[nid].key, nid)
+            channel = self._bs_channels[nid] = crypto.SecureChannel(key)
+        return channel
 
     def _open_probe_response(self, nid: int, raw: bytes | None) -> _Probe | None:
         if raw is None:
@@ -258,21 +292,27 @@ class BaseStation:
             if msg_type != wire.PROBE_RESP:
                 return None
             _, child_tags, agg_body = wire.decode_probe_resp(body)
-            pkt = wire.open_packet(self._bs_channels[nid], agg_body)
+            pkt = wire.open_packet(self._bs_channel(nid), agg_body, wire.encode_child_tags(child_tags))
         except (ReplayDetected, AuthFailure, ValueError) as exc:
             log.info("base station: probe response from %d rejected: %s", nid, exc)
             return None
-        return _Probe(nid, (pkt.dsum, pkt.dsum_prime), pkt.participants, pkt.tag, child_tags)
+        return _Probe(nid, (pkt.dsum, pkt.dsum_prime), pkt.absent, pkt.tag, child_tags)
 
-    def com_att(self, round_no: int, exchange) -> AttestationReport:
+    def _positions(self, ids, below: int) -> tuple[int, ...]:
+        """Ascending tour positions of those ids strictly below a node."""
+        start, end = self.tree.span(below)
+        pos = self.tree.pos
+        return tuple(sorted(p for p in (pos[i] for i in ids) if start < p < end))
+
+    def com_att(self, round_no: int, exchange, participants: frozenset[int]) -> AttestationReport:
         """Walk the tree localizing outliers (the divide-and-conquer audit).
 
         exchange(node_id, payload) must deliver a probe or re-aggregation
         request to the node and return its response bytes, or None if the
-        node stays silent.
+        node stays silent.  Only the round's participants are probed below
+        the station's children.
         """
         packets = self._round_packets
-        all_participants = wire.fold_packets(packets).participants
         expected_tag: dict[int, bytes | None] = {cid: packets[cid].tag for cid in packets}
         queue: deque[int] = deque(sorted(packets))
         enqueued: set[int] = set(queue)
@@ -285,7 +325,7 @@ class BaseStation:
             tags = vouched if vouched is not None else {}
             candidates = tags.keys() if vouched is not None else self.tree.children.get(parent, ())
             for cid in sorted(candidates):
-                if cid in all_participants and cid not in enqueued:
+                if cid in participants and cid not in enqueued:
                     expected_tag[cid] = tags.get(cid)
                     enqueued.add(cid)
                     queue.append(cid)
@@ -309,12 +349,8 @@ class BaseStation:
             pinned = expected_tag.get(nid)
             if pinned is not None:
                 committed = committed and probe.resent_tag == pinned
-            try:
-                ipet_ok = self.ipet_check(
-                    probe.pair, frozenset(probe.participants), round_no, count_ops=False
-                ).equal
-            except UnknownParticipant:
-                ipet_ok = False
+            claim = Claim(nid, probe.absent)
+            ipet_ok = self.ipet_check(probe.pair, claim, round_no, count_ops=False).equal
             transcript.append((nid, committed, ipet_ok))
             if committed and ipet_ok:
                 continue
@@ -329,12 +365,12 @@ class BaseStation:
         for nid in probe_order:
             if nid not in list_l or nid in list_c:
                 continue
-            exclusions = frozenset(list_l - {nid})
+            exclusions = self._positions(list_l, nid)
             pkt = self._open_reagg_response(nid, exchange, round_no, exclusions)
             if pkt is None:
                 continue
             verdict = self.ipet_check(
-                (pkt.dsum, pkt.dsum_prime), frozenset(pkt.participants), round_no, count_ops=False
+                (pkt.dsum, pkt.dsum_prime), Claim(nid, pkt.absent), round_no, count_ops=False
             )
             if verdict.equal:
                 list_l.discard(nid)
@@ -349,15 +385,15 @@ class BaseStation:
         )
 
     def _open_reagg_response(
-        self, nid: int, exchange, round_no: int, exclusions: frozenset[int]
+        self, nid: int, exchange, round_no: int, exclusions: tuple[int, ...]
     ) -> wire.AggPacket | None:
-        raw = exchange(nid, wire.encode_reagg(round_no, tuple(sorted(exclusions))))
-        return wire.open_reagg_reply(self._bs_channels[nid], raw)
+        raw = exchange(nid, wire.encode_reagg(round_no, exclusions))
+        return wire.open_reagg_reply(self._bs_channel(nid), raw)
 
     def reaggregate_final(
         self, round_no: int, exclusions: frozenset[int], exchange
-    ) -> tuple[tuple[int, int], frozenset[int]]:
-        """Rebuild the final pair with the outlier subtrees removed.
+    ) -> tuple[tuple[int, int], Claim]:
+        """Rebuild the final pair and claim with the outlier subtrees removed.
 
         Children whose subtrees are clean contribute their original packets;
         children containing exclusions are asked to re-aggregate; excluded or
@@ -365,10 +401,11 @@ class BaseStation:
         """
         fold = wire.fold_packets(
             self._round_packets,
-            exclusions,
-            lambda cid: self._open_reagg_response(cid, exchange, round_no, exclusions),
+            self._child_spans,
+            self._positions(exclusions, self.tree.root),
+            lambda cid, below: self._open_reagg_response(cid, exchange, round_no, below),
         )
-        return (fold.dsum, fold.dsum_prime), frozenset(fold.participants)
+        return (fold.dsum, fold.dsum_prime), Claim(self.tree.root, fold.absent)
 
     # === Liveness and decoding ==============================================
 

@@ -202,22 +202,28 @@ def _keystream(key: bytes, counter: int, length: int) -> bytes:
     return b"".join(blocks)[:length]
 
 
-def seal(channel_key: bytes, counter: int, plaintext: bytes) -> bytes:
-    """Encrypt-then-MAC under the channel key; the counter is authenticated."""
+def _channel_tag(channel_key: bytes, counter: int, ad: bytes, ct: bytes) -> bytes:
+    data = counter.to_bytes(8, "big") + len(ad).to_bytes(4, "big") + ad + ct
+    return _prf(channel_key, _PERSON_CHANTAG, data, CHANNEL_TAG_LEN)
+
+
+def seal(channel_key: bytes, counter: int, plaintext: bytes, ad: bytes = b"") -> bytes:
+    """Encrypt-then-MAC under the channel key.  The tag covers the counter and
+    the length-prefixed associated data ``ad``, which travels in the clear
+    (the RFC 5116 AEAD pattern)."""
     _check_key(channel_key)
     ct = bytes(p ^ k for p, k in zip(plaintext, _keystream(channel_key, counter, len(plaintext))))
-    tag = _prf(channel_key, _PERSON_CHANTAG, counter.to_bytes(8, "big") + ct, CHANNEL_TAG_LEN)
-    return ct + tag
+    return ct + _channel_tag(channel_key, counter, ad, ct)
 
 
-def open_sealed(channel_key: bytes, counter: int, blob: bytes) -> bytes:
-    """Inverse of seal; raises AuthFailure on any bit of tampering."""
+def open_sealed(channel_key: bytes, counter: int, blob: bytes, ad: bytes = b"") -> bytes:
+    """Inverse of seal; raises AuthFailure on any bit of tampering with the
+    blob, the counter or the associated data."""
     _check_key(channel_key)
     if len(blob) < CHANNEL_TAG_LEN:
         raise AuthFailure("sealed blob shorter than its tag")
     ct, tag = blob[:-CHANNEL_TAG_LEN], blob[-CHANNEL_TAG_LEN:]
-    want = _prf(channel_key, _PERSON_CHANTAG, counter.to_bytes(8, "big") + ct, CHANNEL_TAG_LEN)
-    if not hmac.compare_digest(tag, want):
+    if not hmac.compare_digest(tag, _channel_tag(channel_key, counter, ad, ct)):
         raise AuthFailure("channel tag mismatch")
     return bytes(c ^ k for c, k in zip(ct, _keystream(channel_key, counter, len(ct))))
 
@@ -241,14 +247,14 @@ class SecureChannel:
     def last_accepted(self) -> int:
         return self._recv_last
 
-    def seal_next(self, plaintext: bytes) -> tuple[int, bytes]:
+    def seal_next(self, plaintext: bytes, ad: bytes = b"") -> tuple[int, bytes]:
         self._send_counter += 1
-        return self._send_counter, seal(self.key, self._send_counter, plaintext)
+        return self._send_counter, seal(self.key, self._send_counter, plaintext, ad)
 
-    def open(self, counter: int, blob: bytes) -> bytes:
+    def open(self, counter: int, blob: bytes, ad: bytes = b"") -> bytes:
         if counter <= self._recv_last:
             raise ReplayDetected(f"counter {counter} <= last accepted {self._recv_last}")
-        plaintext = open_sealed(self.key, counter, blob)
+        plaintext = open_sealed(self.key, counter, blob, ad)
         self._recv_last = counter
         return plaintext
 

@@ -39,14 +39,6 @@ class DisconnectedGraph(ProtocolError):
     """Spanning-tree construction found unreachable nodes."""
 
 
-class DuplicateParticipant(ProtocolError):
-    """The same node id appeared in two sibling participant lists."""
-
-
-class UnknownParticipant(ProtocolError):
-    """A participant id has no registry record."""
-
-
 class EmptyParticipants(ProtocolError):
     """Mean requested over an empty participant set."""
 

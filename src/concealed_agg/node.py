@@ -4,14 +4,19 @@ Per round a node: receives the query exactly once, relays it to its children,
 senses one reading and diffuses it under both seed chains, and stores each
 child's authenticated packet.  When every child has reported or timed out it
 folds them with ``wire.fold_packets`` (the dual sums component-wise mod M,
-the participant lists by union, the child tags by XOR), adds its own pair,
-and emits exactly one packet upward.  The emitted tag is its own MAC over the
+the child tags by XOR, and an absent list: the children that did not report
+plus the absent lists of those that did), adds its own pair, and emits
+exactly one packet upward.  An honest round's packets name no one, so they
+have the same size at every depth.  The emitted tag is its own MAC over the
 final aggregated pair XORed with all child tags, so the tag of any subtree
 equals the XOR of the own-MACs of every node inside it.
 
 The node also answers attestation probes (resending what it committed to on
 a direct logical channel to the base station) and re-aggregates on request
-with a set of nodes excluded, through the same fold as emission.
+with a set of nodes excluded, through the same fold as emission.  Exclusions
+arrive as Euler-tour positions; the node is given its children's tour spans
+at construction, which is all it needs to route each one to the child whose
+subtree holds it.
 Compromised behavior is injected through an optional behavior object
 consulted at sensing, emission, and probe time.
 """
@@ -41,10 +46,8 @@ Send = tuple[int, bytes]  # (destination node id, fabric payload)
 class RoundState:
     round: int
     function: str
-    own_reading: int
     own_d: int
     own_dp: int
-    own_mac: bytes
     pending: set[int]
     child_packets: dict[int, wire.AggPacket] = field(default_factory=dict)
     unresponsive: set[int] = field(default_factory=set)
@@ -56,7 +59,7 @@ class SensorNode:
         self,
         node_id: int,
         parent_id: int,
-        children: tuple[int, ...],
+        child_spans: dict[int, tuple[int, int]],
         key: bytes,
         key_prime: bytes,
         edge_key: bytes,
@@ -68,7 +71,9 @@ class SensorNode:
     ):
         self.node_id = node_id
         self.parent_id = parent_id
-        self.children = tuple(sorted(children))
+        # Keyed by child id in ascending order, which is also tour order.
+        self.child_spans = child_spans
+        self.children = tuple(child_spans)
         self.key = key
         self.key_prime = key_prime
         self.codec = codec
@@ -92,14 +97,12 @@ class SensorNode:
             raw = self.behavior.forge_reading(raw, round_no, self.codec)
         return raw
 
-    def sense_and_diffuse(self, round_no: int) -> tuple[int, int, bytes]:
-        """Diffuse one reading under both chains plus the MAC over the pair."""
+    def sense_and_diffuse(self, round_no: int) -> tuple[int, int]:
+        """Diffuse one reading under both chains."""
         if self.chain.round != round_no or self.chain_prime.round != round_no:
             raise ValueError("seed chains not advanced to this round")
         m = self.sense_raw(round_no)
-        d = crypto.diffuse(self.chain.seed, m)
-        dp = crypto.diffuse(self.chain_prime.seed, m)
-        return d, dp, crypto.mac_pair(self.key, d, dp)
+        return crypto.diffuse(self.chain.seed, m), crypto.diffuse(self.chain_prime.seed, m)
 
     def handle_query(self, round_no: int, function: str) -> list[Send]:
         if round_no <= self._last_round:
@@ -107,16 +110,9 @@ class SensorNode:
         self._last_round = round_no
         self.chain.advance_to(self.key, round_no)
         self.chain_prime.advance_to(self.key_prime, round_no)
-        d, dp, own_mac = self.sense_and_diffuse(round_no)
-        m = crypto.undiffuse(d, self.chain.seed)  # the (possibly forged) raw actually diffused
+        d, dp = self.sense_and_diffuse(round_no)
         self.state = RoundState(
-            round=round_no,
-            function=function,
-            own_reading=m,
-            own_d=d,
-            own_dp=dp,
-            own_mac=own_mac,
-            pending=set(self.children),
+            round=round_no, function=function, own_d=d, own_dp=dp, pending=set(self.children)
         )
         query = wire.encode_query(round_no, function)
         return [(cid, query) for cid in self.children]
@@ -159,7 +155,8 @@ class SensorNode:
         state = self._require_state()
         if state.emitted is not None:
             raise AlreadyEmitted(f"node {self.node_id}: round {state.round}")
-        pkt, body = self._seal_aggregate(state, wire.fold_packets(state.child_packets), self.up_channel)
+        fold = wire.fold_packets(state.child_packets, self.child_spans)
+        pkt, body = self._seal_aggregate(state, fold, self.up_channel)
         state.emitted = pkt
         payload = wire.frame(wire.AGG, body)
         if self.behavior is not None:
@@ -175,13 +172,13 @@ class SensorNode:
         if self.behavior is not None:
             dsum, dsum_prime = self.behavior.forge_pair(dsum, dsum_prime, state.round)
         tag = crypto.combine_macs(crypto.mac_pair(self.key, dsum, dsum_prime), fold.tags)
-        fold.participants.add(self.node_id)
-        return wire.seal_packet(channel, self.node_id, tuple(sorted(fold.participants)), dsum, dsum_prime, tag)
+        return wire.seal_packet(channel, self.node_id, fold.absent, dsum, dsum_prime, tag)
 
     # === Attestation ========================================================
 
     def respond_attestation(self, round_no: int) -> bytes:
-        """Resend the committed packet on the direct base-station channel."""
+        """Resend the committed packet on the direct base-station channel,
+        with the child tags it folded bound into the channel tag."""
         state = self.state
         if state is None or state.round != round_no or state.emitted is None:
             raise NoSuchRound(f"node {self.node_id}: no emitted packet for round {round_no}")
@@ -189,33 +186,43 @@ class SensorNode:
         dsum, dsum_prime = pkt.dsum, pkt.dsum_prime
         if self.behavior is not None:
             dsum, dsum_prime = self.behavior.probe_pair(dsum, dsum_prime, round_no)
-        _, body = wire.seal_packet(self.bs_channel, self.node_id, pkt.participants, dsum, dsum_prime, pkt.tag)
         child_tags = {cid: p.tag for cid, p in state.child_packets.items()}
+        _, body = wire.seal_packet(
+            self.bs_channel, self.node_id, pkt.absent, dsum, dsum_prime, pkt.tag,
+            wire.encode_child_tags(child_tags),
+        )
         return wire.encode_probe_resp(round_no, body, child_tags)
 
-    def reaggregate_excluding(self, exclusions: frozenset[int], round_no: int, ask_child=None, to_bs: bool = False) -> bytes:
-        """Recompute the dual sums with the excluded nodes' data removed.
+    def reaggregate_excluding(
+        self, exclusions: tuple[int, ...], round_no: int, ask_child=None, to_bs: bool = False
+    ) -> bytes:
+        """Recompute the dual sums with the nodes at the given ascending tour
+        positions removed.
 
         An excluded direct child costs one ring subtraction (its whole subtree
         contribution is dropped); an excluded deeper descendant is resolved by
         asking the child on its path to re-aggregate, which recurses down the
-        tree.  Raises ExclusionNotResolvable when that delegation fails.
+        tree.  Positions outside the children's spans are ignored.  Raises
+        ExclusionNotResolvable when that delegation fails.
         """
         state = self.state
         if state is None or state.round != round_no or state.emitted is None:
             raise NoSuchRound(f"node {self.node_id}: no round {round_no} to re-aggregate")
         fold = wire.fold_packets(
             state.child_packets,
+            self.child_spans,
             exclusions,
-            lambda cid: self._delegate_reaggregation(cid, exclusions, round_no, ask_child),
+            lambda cid, below: self._delegate_reaggregation(cid, below, round_no, ask_child),
         )
         _, body = self._seal_aggregate(state, fold, self.bs_channel if to_bs else self.up_channel)
         return wire.encode_reagg_resp(round_no, True, body)
 
-    def _delegate_reaggregation(self, cid: int, exclusions: frozenset[int], round_no: int, ask_child) -> wire.AggPacket:
+    def _delegate_reaggregation(
+        self, cid: int, exclusions: tuple[int, ...], round_no: int, ask_child
+    ) -> wire.AggPacket:
         if ask_child is None:
             raise ExclusionNotResolvable(f"node {self.node_id}: cannot reach below child {cid}")
-        reply = ask_child(cid, wire.encode_reagg(round_no, tuple(sorted(exclusions))))
+        reply = ask_child(cid, wire.encode_reagg(round_no, exclusions))
         pkt = wire.open_reagg_reply(self.child_channels[cid], reply)
         if pkt is None:
             raise ExclusionNotResolvable(f"node {self.node_id}: child {cid} could not re-aggregate")
@@ -253,7 +260,7 @@ class SensorNode:
         """Request/response entry for re-aggregation; never raises."""
         round_no, exclusions = wire.decode_reagg(body)
         try:
-            return self.reaggregate_excluding(frozenset(exclusions), round_no, ask_child, to_bs=to_bs)
+            return self.reaggregate_excluding(tuple(sorted(exclusions)), round_no, ask_child, to_bs=to_bs)
         except (NoSuchRound, ExclusionNotResolvable) as exc:
             log.info("node %d: re-aggregation failed: %s", self.node_id, exc)
             return wire.encode_reagg_resp(round_no, False)

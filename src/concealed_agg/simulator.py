@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from . import crypto, wire
 from .adversary import AttackPlan, CompromiseSpec, apply_plan
 from .basestation import BaseStation, QueryResult, format_report_line
-from .errors import DisconnectedGraph, DuplicateParticipant, ProtocolError, ScenarioInvalid, StaleRound
+from .errors import DisconnectedGraph, ProtocolError, ScenarioInvalid, StaleRound
 from .node import SensorNode
 from .topology import (
     BS_ID,
@@ -174,7 +174,7 @@ class World:
             self.nodes[nid] = SensorNode(
                 node_id=nid,
                 parent_id=self.tree.parent[nid],
-                children=children,
+                child_spans={cid: self.tree.span(cid) for cid in children},
                 key=key,
                 key_prime=key_prime,
                 edge_key=prov.edge_keys[nid],
@@ -275,36 +275,30 @@ class World:
         self.bs.counters["verify_ops"] = 0
         self._run_data_phase(round_no)
 
-        duplicate = False
-        try:
-            dsum, dsum_prime, participants = self.bs.finalize(round_no)
-        except DuplicateParticipant:
-            # Fold leniently so attestation has a pair to chase.
-            duplicate = True
-            fold = wire.fold_packets(self.bs.packets())
-            dsum, dsum_prime, participants = fold.dsum, fold.dsum_prime, frozenset(fold.participants)
-
+        dsum, dsum_prime, claim = self.bs.finalize(round_no)
+        participants = self.bs.participants(claim)
         result: QueryResult
         if not participants:
             result = QueryResult(round_no, self.scenario.function, None, participants, "rejected")
         else:
-            verdict = self.bs.ipet_check((dsum, dsum_prime), participants, round_no)
+            verdict = self.bs.ipet_check((dsum, dsum_prime), claim, round_no)
             audited = self.scenario.force_attest or (
                 self.scenario.audit_prob > 0 and self._audit_rng.random() < self.scenario.audit_prob
             )
-            if verdict.equal and not duplicate:
+            if verdict.equal:
                 value = self.bs.decode_value(self.scenario.function, verdict.sum_raw, participants)
-                report = self.bs.com_att(round_no, self._exchange) if audited else None
+                report = self.bs.com_att(round_no, self._exchange, participants) if audited else None
                 result = QueryResult(
                     round_no, self.scenario.function, value, participants,
                     "passed", report, verdict.sum_raw,
                 )
             else:
-                report = self.bs.com_att(round_no, self._exchange)
-                pair, kept = self.bs.reaggregate_final(round_no, report.outliers, self._exchange)
+                report = self.bs.com_att(round_no, self._exchange, participants)
+                pair, kept_claim = self.bs.reaggregate_final(round_no, report.outliers, self._exchange)
+                kept = self.bs.participants(kept_claim)
                 result = QueryResult(round_no, self.scenario.function, None, kept, "rejected", report)
                 if kept:
-                    fresh = self.bs.ipet_check(pair, kept, round_no, count_ops=False)
+                    fresh = self.bs.ipet_check(pair, kept_claim, round_no, count_ops=False)
                     if fresh.equal:
                         value = self.bs.decode_value(self.scenario.function, fresh.sum_raw, kept)
                         result = QueryResult(

@@ -2,9 +2,13 @@
 
 The base station is always node 0.  Trees are built breadth-first from the
 station with smallest-id tie-breaking so every run over the same graph yields
-the same tree.  Provisioning hands each sensor two long-term keys shared with
-the station, one channel key per tree edge, a random initial reading (the
-seed-chain origin), and a private sense key for synthetic per-round readings.
+the same tree.  Each tree also records a pre-order Euler tour (children in id
+order): every subtree is one contiguous slice of the tour, its span, so
+subtree membership is two comparisons and a subtree's seed sum is a
+difference of two prefix sums.  Provisioning hands each sensor two long-term
+keys shared with the station, one channel key per tree edge, a random initial
+reading (the seed-chain origin), and a private sense key for synthetic
+per-round readings.
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ class Tree:
     parent: dict[int, int]
     children: dict[int, tuple[int, ...]]
     depth: dict[int, int]
+    order: tuple[int, ...]  # the Euler tour: node ids in pre-order
+    pos: dict[int, int]  # node id -> its index in the tour
+    size: dict[int, int]  # node id -> node count of its subtree
     root: int = BS_ID
 
     @property
@@ -44,14 +51,14 @@ class Tree:
     def edges(self) -> list[tuple[int, int]]:
         return [(p, c) for c, p in sorted(self.parent.items())]
 
+    def span(self, node: int) -> tuple[int, int]:
+        """The half-open slice of the tour that holds the node's subtree."""
+        start = self.pos[node]
+        return start, start + self.size[node]
+
     def subtree(self, node: int) -> set[int]:
-        out = {node}
-        stack = [node]
-        while stack:
-            for c in self.children.get(stack.pop(), ()):
-                out.add(c)
-                stack.append(c)
-        return out
+        start, end = self.span(node)
+        return set(self.order[start:end])
 
 
 def adjacency_from_edges(edges: Iterable[tuple[int, int]]) -> dict[int, set[int]]:
@@ -87,10 +94,26 @@ def build_tree(adjacency: Mapping[int, Iterable[int]], root: int = BS_ID) -> Tre
     missing = set(adjacency) - set(depth)
     if missing:
         raise DisconnectedGraph(f"unreachable nodes: {sorted(missing)[:8]}")
+    kids = {u: tuple(sorted(c)) for u, c in children.items()}
+    # Iterative pre-order walk: a path of thousands of nodes is deeper than
+    # Python's recursion limit.
+    order: list[int] = []
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        stack.extend(reversed(kids[u]))
+    size = dict.fromkeys(order, 1)
+    for u in reversed(order):
+        if u != root:
+            size[parent[u]] += size[u]
     return Tree(
         parent=parent,
-        children={u: tuple(sorted(c)) for u, c in children.items()},
+        children=kids,
         depth=depth,
+        order=tuple(order),
+        pos=dict(zip(order, range(len(order)))),
+        size=size,
         root=root,
     )
 

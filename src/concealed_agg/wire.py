@@ -1,25 +1,35 @@
 """Wire formats: the aggregation packet, the message frames, and the fold.
 
-Aggregation packet layout (fixed, cross-implementation stable):
+Aggregation packet layout:
 
-    sender (4B BE) || counter (8B BE) || participant-count (4B BE)
-    || sorted participant ids (4B BE each) || sealed payload || tag (8B)
+    sender (4B BE) || counter (8B BE) || absent-count (4B BE)
+    || absent ids (4B BE each, ascending) || sealed payload || tag (8B)
+
+The absent ids are the roots of the subtrees missing from the sender's
+aggregate: its children that did not report, plus every id its reporting
+children listed.  The station knows the tree, so it derives the
+participants itself; an honest packet carries no ids, so its AGG frame is
+57 bytes at any depth.
 
 The sealed payload is the dual diffused pair (two 8-byte big-endian words, K
-chain first) sealed under the link's channel key, so it has a fixed length of
-16 + 16 bytes.  Every payload on the simulator fabric is a one-byte message
-type followed by the body.
+chain first) sealed under a channel key, so it has a fixed length of 16 + 16
+bytes.  The channel tag also covers, as associated data, every clear field
+but the counter (which it covers anyway): sender, absent list and tag, and
+in a probe response the child tags too.  A keyless attacker on a link who
+rewrites any of them makes the packet fail authentication.  Every payload on
+the simulator fabric is a one-byte message type followed by the body.
 
 ``fold_packets`` is the one aggregation step every parent runs, the station
-included: ring-add the children's pairs, union their participant lists and
-collect their tags.  ``open_reagg_reply`` is the one parser of re-aggregation
-replies, used by sensors and station alike.
+included: ring-add the children's pairs, gather their absent lists and
+collect their tags.  ``open_reagg_reply`` is the one parser of
+re-aggregation replies, used by sensors and station alike.
 """
 
 from __future__ import annotations
 
 import logging
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import crypto
@@ -48,7 +58,7 @@ class AggPacket:
 
     sender: int
     counter: int
-    participants: tuple[int, ...]
+    absent: tuple[int, ...]
     dsum: int
     dsum_prime: int
     tag: bytes
@@ -57,42 +67,47 @@ class AggPacket:
 @dataclass
 class Fold:
     """One layer of packets folded together: the ring sum of their pairs, the
-    union of their participants, their tags, and whether two lists overlapped."""
+    ids of the absent subtree roots below the folding node, and their tags."""
 
     dsum: int
     dsum_prime: int
-    participants: set[int]
+    absent: tuple[int, ...]
     tags: list[bytes]
-    overlap: bool
 
 
-def fold_packets(packets: dict[int, AggPacket], exclusions: frozenset[int] = frozenset(), refresh=None) -> Fold:
-    """Fold packets keyed by sender, in sender order.
+def fold_packets(
+    packets: dict[int, AggPacket],
+    spans: dict[int, tuple[int, int]],
+    exclusions: tuple[int, ...] = (),
+    refresh=None,
+) -> Fold:
+    """Fold the packets of the children whose Euler spans are given, in the
+    spans' (ascending id) order.
 
-    An excluded sender is dropped.  A packet whose participants meet the
-    exclusions is replaced by refresh(sender), and dropped if that returns
-    None; whatever refresh raises propagates.
+    A child without a packet is an absent root.  exclusions are ascending
+    tour positions: a child whose own position is excluded is dropped and
+    becomes an absent root; a child whose span holds excluded positions
+    below it is replaced by refresh(child, those positions), and is an absent
+    root if that returns None; whatever refresh raises propagates.
     """
     dsum = dsum_prime = 0
-    participants: set[int] = set()
+    absent: list[int] = []
     tags: list[bytes] = []
-    overlap = False
-    for sender in sorted(packets):
-        if sender in exclusions:
+    for child, (start, end) in spans.items():
+        pkt = packets.get(child)
+        if pkt is not None and exclusions:
+            lo = bisect_left(exclusions, start)
+            hi = bisect_left(exclusions, end, lo)
+            if lo < hi:
+                pkt = None if exclusions[lo] == start else refresh(child, exclusions[lo:hi])
+        if pkt is None:
+            absent.append(child)
             continue
-        pkt = packets[sender]
-        if exclusions and not exclusions.isdisjoint(pkt.participants):
-            pkt = refresh(sender)
-            if pkt is None:
-                continue
-        # A length check rather than an intersection keeps the fold linear.
-        expected = len(participants) + len(pkt.participants)
-        participants.update(pkt.participants)
-        overlap = overlap or len(participants) != expected
+        absent.extend(pkt.absent)
         dsum = crypto.add_mod(dsum, pkt.dsum)
         dsum_prime = crypto.add_mod(dsum_prime, pkt.dsum_prime)
         tags.append(pkt.tag)
-    return Fold(dsum, dsum_prime, participants, tags, overlap)
+    return Fold(dsum, dsum_prime, tuple(sorted(absent)), tags)
 
 
 def frame(msg_type: int, body: bytes = b"") -> bytes:
@@ -108,10 +123,13 @@ def parse_frame(payload: bytes) -> tuple[int, bytes]:
 # === Aggregation packet =====================================================
 
 
-def encode_agg_body(sender: int, counter: int, participants: tuple[int, ...], sealed: bytes, tag: bytes) -> bytes:
-    head = struct.pack(">IQI", sender, counter, len(participants))
-    ids = struct.pack(f">{len(participants)}I", *participants) if participants else b""
-    return head + ids + sealed + tag
+def header_ad(sender: int, absent: tuple[int, ...], tag: bytes) -> bytes:
+    """Associated data of an aggregation packet: its clear header fields."""
+    return struct.pack(f">II{len(absent)}I", sender, len(absent), *absent) + tag
+
+
+def encode_agg_body(sender: int, counter: int, absent: tuple[int, ...], sealed: bytes, tag: bytes) -> bytes:
+    return struct.pack(f">IQI{len(absent)}I", sender, counter, len(absent), *absent) + sealed + tag
 
 
 def decode_agg_body(body: bytes) -> tuple[int, int, tuple[int, ...], bytes, bytes]:
@@ -121,38 +139,44 @@ def decode_agg_body(body: bytes) -> tuple[int, int, tuple[int, ...], bytes, byte
     offset = 16
     if len(body) < offset + 4 * count + SEALED_PAIR_LEN + crypto.TAG_LEN:
         raise ValueError("truncated aggregation packet")
-    participants = struct.unpack_from(f">{count}I", body, offset) if count else ()
+    absent = struct.unpack_from(f">{count}I", body, offset) if count else ()
     offset += 4 * count
     sealed = body[offset : offset + SEALED_PAIR_LEN]
     offset += SEALED_PAIR_LEN
     tag = body[offset : offset + crypto.TAG_LEN]
-    return sender, counter, participants, sealed, tag
+    return sender, counter, absent, sealed, tag
 
 
 def seal_packet(
     channel: crypto.SecureChannel,
     sender: int,
-    participants: tuple[int, ...],
+    absent: tuple[int, ...],
     dsum: int,
     dsum_prime: int,
     tag: bytes,
+    bound: bytes = b"",
 ) -> tuple[AggPacket, bytes]:
-    """Seal a pair on the given channel; returns the plaintext view and frame."""
-    counter, sealed = channel.seal_next(crypto.pair_bytes(dsum, dsum_prime))
-    pkt = AggPacket(sender, counter, tuple(participants), dsum, dsum_prime, tag)
-    return pkt, encode_agg_body(sender, counter, pkt.participants, sealed, tag)
+    """Seal a pair on the given channel, binding the header and any extra
+    ``bound`` bytes into the channel tag; returns the plaintext view and body."""
+    absent = tuple(absent)
+    counter, sealed = channel.seal_next(
+        crypto.pair_bytes(dsum, dsum_prime), header_ad(sender, absent, tag) + bound
+    )
+    pkt = AggPacket(sender, counter, absent, dsum, dsum_prime, tag)
+    return pkt, encode_agg_body(sender, counter, absent, sealed, tag)
 
 
-def open_packet(channel: crypto.SecureChannel, body: bytes) -> AggPacket:
+def open_packet(channel: crypto.SecureChannel, body: bytes, bound: bytes = b"") -> AggPacket:
     """Parse and unseal an aggregation packet received on a channel.
 
-    Raises ReplayDetected / AuthFailure from the channel on bad traffic.
+    Raises ReplayDetected / AuthFailure from the channel on bad traffic,
+    including a header or ``bound`` bytes other than those sealed.
     """
-    sender, counter, participants, sealed, tag = decode_agg_body(body)
-    pair = channel.open(counter, sealed)
+    sender, counter, absent, sealed, tag = decode_agg_body(body)
+    pair = channel.open(counter, sealed, header_ad(sender, absent, tag) + bound)
     dsum = int.from_bytes(pair[:8], "big")
     dsum_prime = int.from_bytes(pair[8:16], "big")
-    return AggPacket(sender, counter, participants, dsum, dsum_prime, tag)
+    return AggPacket(sender, counter, absent, dsum, dsum_prime, tag)
 
 
 # === Queries, probes, reaggregation requests ================================
@@ -175,13 +199,16 @@ def decode_probe(body: bytes) -> int:
     return struct.unpack(">Q", body)[0]
 
 
+def encode_child_tags(child_tags: dict[int, bytes]) -> bytes:
+    """Child tags in ascending id order; a probe response binds these bytes
+    into its packet's channel tag."""
+    return b"".join(struct.pack(">I", cid) + tag for cid, tag in sorted(child_tags.items()))
+
+
 def encode_probe_resp(round_no: int, agg_body: bytes, child_tags: dict[int, bytes]) -> bytes:
-    tags = b"".join(
-        struct.pack(">I", cid) + tag for cid, tag in sorted(child_tags.items())
-    )
     return frame(
         PROBE_RESP,
-        struct.pack(">QI", round_no, len(child_tags)) + tags + agg_body,
+        struct.pack(">QI", round_no, len(child_tags)) + encode_child_tags(child_tags) + agg_body,
     )
 
 
@@ -197,8 +224,8 @@ def decode_probe_resp(body: bytes) -> tuple[int, dict[int, bytes], bytes]:
 
 
 def encode_reagg(round_no: int, exclusions: tuple[int, ...]) -> bytes:
-    ids = struct.pack(f">{len(exclusions)}I", *exclusions) if exclusions else b""
-    return frame(REAGG, struct.pack(">QI", round_no, len(exclusions)) + ids)
+    """A re-aggregation request; exclusions are ascending Euler-tour positions."""
+    return frame(REAGG, struct.pack(f">QI{len(exclusions)}I", round_no, len(exclusions), *exclusions))
 
 
 def decode_reagg(body: bytes) -> tuple[int, tuple[int, ...]]:

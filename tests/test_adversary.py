@@ -164,6 +164,33 @@ def test_stale_payload_under_fresh_counter_fails_auth():
     assert 2 in w1.nodes[1].state.unresponsive
 
 
+def test_keyless_header_tamper_blames_no_honest_node():
+    # A keyless attacker on link 3->1 rewrites one clear header field of
+    # node 3's packet: the list of ids, or the aggregate tag.  The channel
+    # tag binds both, so node 1 rejects the packet and node 3's subtree is
+    # reported absent; nobody honest is blamed.
+    for field in ("ids", "tag"):
+        world = World(Scenario(seed=3, n=20, generator="recursive", force_attest=True))
+        assert world.tree.parent[3] == 1
+        node = world.nodes[3]
+
+        def tampered(honest=node.emit, field=field):
+            dst, payload = honest()
+            sender, counter, ids, sealed, tag = wire.decode_agg_body(wire.parse_frame(payload)[1])
+            if field == "ids":
+                ids = tuple(sorted(set(ids) ^ {3}))
+            else:
+                tag = bytes([tag[0] ^ 1]) + tag[1:]
+            return dst, wire.frame(wire.AGG, wire.encode_agg_body(sender, counter, ids, sealed, tag))
+
+        node.emit = tampered
+        result = world.run_round(1)
+        assert result.report.outliers == frozenset(), field
+        assert result.integrity == "passed", field
+        assert result.participants == frozenset(world.tree.sensor_ids) - world.tree.subtree(3)
+        assert result.raw_sum == plaintext_sum(world, 1, result.participants)
+
+
 # === drop_child =============================================================
 
 

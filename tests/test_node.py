@@ -8,7 +8,14 @@ import pytest
 from conftest import plaintext_sum, seed_of, sensed_raw
 
 from concealed_agg import crypto, wire
-from concealed_agg.errors import AlreadyEmitted, NoSuchRound, ReplayDetected, StaleRound, UnknownChild
+from concealed_agg.errors import (
+    AlreadyEmitted,
+    AuthFailure,
+    NoSuchRound,
+    ReplayDetected,
+    StaleRound,
+    UnknownChild,
+)
 from concealed_agg.simulator import Scenario, World
 
 # Station 0 over aggregator 1 with leaf children 2, 3, 4 (the four-node
@@ -71,7 +78,7 @@ def test_sense_and_diffuse_definition():
     world = cluster_world()
     node = world.nodes[3]
     node.handle_query(1, "sum")
-    d, dp, tag = node.sense_and_diffuse(1)
+    d, dp = node.sense_and_diffuse(1)
     m = sensed_raw(world, 3, 1)
     assert d == (seed_of(world, 3, 1) + m) % crypto.MODULUS
     assert dp == (seed_of(world, 3, 1, prime=True) + m) % crypto.MODULUS
@@ -79,26 +86,30 @@ def test_sense_and_diffuse_definition():
     assert crypto.undiffuse(d, seed_of(world, 3, 1)) == crypto.undiffuse(dp, seed_of(world, 3, 1, prime=True)) == m
 
 
-def test_sense_and_diffuse_tag_matches_independent_mac():
-    # Oracle holding the node key recomputes the tag over the serialized pair.
+def test_leaf_emitted_tag_matches_independent_mac():
+    # Oracle holding the node key recomputes a leaf's emitted tag over the
+    # serialized pair it diffused.
     world = cluster_world()
     node = world.nodes[3]
     node.handle_query(1, "sum")
-    d, dp, tag = node.sense_and_diffuse(1)
+    d, dp = node.sense_and_diffuse(1)
+    _, payload = node.emit()
+    pkt = wire.open_packet(crypto.SecureChannel(world.prov.edge_keys[3]), wire.parse_frame(payload)[1])
     key = world.prov.node_keys[3][0]
-    assert tag == crypto.mac(key, d.to_bytes(8, "big") + dp.to_bytes(8, "big"))
+    assert (pkt.dsum, pkt.dsum_prime) == (d, dp)
+    assert pkt.tag == crypto.mac(key, d.to_bytes(8, "big") + dp.to_bytes(8, "big"))
 
 
 # === Aggregation ============================================================
 
 
 def test_cluster_participants_and_tag_composition():
-    # Interior node over three leaves: participants are the whole cluster and
-    # the emitted tag is the XOR of all four own MACs (own MAC taken over the
+    # Interior node over three leaves: no one is absent, so the whole cluster
+    # participates, and the emitted tag is the XOR of all four own MACs (own MAC taken over the
     # final aggregated pair, leaves over their singleton pairs).
     world = cluster_world()
     pkt = drive_cluster(world)
-    assert pkt.participants == (1, 2, 3, 4)
+    assert pkt.absent == ()
     own = crypto.mac_pair(world.prov.node_keys[1][0], pkt.dsum, pkt.dsum_prime)
     leaf_tags = []
     for cid in (2, 3, 4):
@@ -114,11 +125,11 @@ def test_arrival_order_permutation_invariant():
     canonical = drive_cluster(cluster_world(), order=(2, 3, 4))
     for order in itertools.permutations((2, 3, 4)):
         pkt = drive_cluster(cluster_world(), order=order)
-        assert (pkt.dsum, pkt.dsum_prime, pkt.tag, pkt.participants) == (
+        assert (pkt.dsum, pkt.dsum_prime, pkt.tag, pkt.absent) == (
             canonical.dsum,
             canonical.dsum_prime,
             canonical.tag,
-            canonical.participants,
+            canonical.absent,
         )
 
 
@@ -159,7 +170,7 @@ def test_leaf_emits_single_diffused_reading():
     _, payload = leaf.emit()
     pkt = wire.open_packet(crypto.SecureChannel(world.prov.edge_keys[4]), wire.parse_frame(payload)[1])
     assert pkt.dsum == crypto.diffuse(seed_of(world, 4, 1), sensed_raw(world, 4, 1))
-    assert pkt.participants == (4,)
+    assert pkt.absent == ()
 
 
 def test_subtree_sum_matches_plaintext_plus_seed_oracle():
@@ -190,7 +201,7 @@ def test_timeout_expires_pending_children():
     out = agg.handle_message(wire.frame(wire.TIMEOUT, (1).to_bytes(8, "big")))
     assert len(out) == 1 and out[0][0] == 0
     assert agg.state.unresponsive == {4}
-    assert 4 not in agg.state.emitted.participants
+    assert agg.state.emitted.absent == (4,)
 
 
 # === Attestation responses ==================================================
@@ -202,12 +213,12 @@ def test_attestation_resends_committed_fields():
     resp = world.nodes[1].respond_attestation(1)
     _, child_tags, agg_body = wire.decode_probe_resp(wire.parse_frame(resp)[1])
     bs_channel = crypto.SecureChannel(crypto.derive_bs_channel_key(world.prov.node_keys[1][0], 1))
-    pkt = wire.open_packet(bs_channel, agg_body)
-    assert (pkt.dsum, pkt.dsum_prime, pkt.tag, pkt.participants) == (
+    pkt = wire.open_packet(bs_channel, agg_body, wire.encode_child_tags(child_tags))
+    assert (pkt.dsum, pkt.dsum_prime, pkt.tag, pkt.absent) == (
         emitted.dsum,
         emitted.dsum_prime,
         emitted.tag,
-        emitted.participants,
+        emitted.absent,
     )
     assert set(child_tags) == {2, 3, 4}
 
@@ -238,22 +249,22 @@ def test_reaggregate_excluding_direct_child_is_subtraction():
     world = cluster_world()
     emitted = drive_cluster(world)
     child_pkt = world.nodes[1].state.child_packets[3]
-    resp = world.nodes[1].reaggregate_excluding(frozenset({3}), 1, to_bs=True)
+    resp = world.nodes[1].reaggregate_excluding((world.tree.pos[3],), 1, to_bs=True)
     fresh = _open_reagg(world, 1, resp, to_bs=True)
     assert fresh.dsum == crypto.sub_mod(emitted.dsum, child_pkt.dsum)
     assert fresh.dsum_prime == crypto.sub_mod(emitted.dsum_prime, child_pkt.dsum_prime)
-    assert fresh.participants == (1, 2, 4)
+    assert fresh.absent == (3,)
 
 
 def test_reaggregate_excluding_nothing_reproduces_emission():
     world = cluster_world()
     emitted = drive_cluster(world)
-    resp = world.nodes[1].reaggregate_excluding(frozenset(), 1, to_bs=True)
+    resp = world.nodes[1].reaggregate_excluding((), 1, to_bs=True)
     fresh = _open_reagg(world, 1, resp, to_bs=True)
-    assert (fresh.dsum, fresh.dsum_prime, fresh.participants) == (
+    assert (fresh.dsum, fresh.dsum_prime, fresh.absent) == (
         emitted.dsum,
         emitted.dsum_prime,
-        emitted.participants,
+        emitted.absent,
     )
 
 
@@ -262,7 +273,7 @@ def test_reaggregated_pair_reverts_cleanly():
     # the plaintext sum of the survivors under both chains.
     world = cluster_world()
     drive_cluster(world)
-    resp = world.nodes[1].reaggregate_excluding(frozenset({2}), 1, to_bs=True)
+    resp = world.nodes[1].reaggregate_excluding((world.tree.pos[2],), 1, to_bs=True)
     fresh = _open_reagg(world, 1, resp, to_bs=True)
     keep = (1, 3, 4)
     s = sum(seed_of(world, v, 1) for v in keep) % crypto.MODULUS
@@ -300,14 +311,19 @@ def test_emitted_tag_equals_subtree_own_mac_xor():
 
 
 def test_sibling_participant_sets_disjoint():
+    # Participants are derived from subtrees, so siblings cannot share one:
+    # the children's Euler spans tile the span below their parent.
     world = World(Scenario(seed=34, n=30, generator="recursive"))
-    world.run_round(1)
-    for nid in (0,) + world.tree.sensor_ids:
-        seen = set()
-        for cid in world.tree.children[nid]:
-            mine = set(world.nodes[cid].state.emitted.participants)
-            assert not (seen & mine)
-            seen |= mine
+    tree = world.tree
+    for nid in (0,) + tree.sensor_ids:
+        start, end = tree.span(nid)
+        cursor = start + 1
+        for cid in tree.children[nid]:
+            child_start, child_end = tree.span(cid)
+            assert child_start == cursor
+            assert tree.subtree(cid) == set(tree.order[child_start:child_end])
+            cursor = child_end
+        assert cursor == end
 
 
 # === Wire layout =============================================================
@@ -325,6 +341,55 @@ def test_agg_body_layout_golden():
     assert body[60:68] == tag
     assert len(body) == 68
     assert wire.decode_agg_body(body) == (7, 1234, (2, 5, 9), sealed, tag)
+
+
+def test_agg_packet_roundtrip_binds_header():
+    # Sealed and opened on a fresh channel pair: the plaintext view survives,
+    # and rewriting any clear header field (sender, absent list, tag) or the
+    # bound bytes fails authentication.
+    key = bytes(range(16))
+    pkt, body = wire.seal_packet(crypto.SecureChannel(key), 7, (9, 12), 5, 6, b"\x11" * 8, b"bound")
+    assert wire.open_packet(crypto.SecureChannel(key), body, b"bound") == pkt
+    assert pkt.absent == (9, 12)
+    sender, counter, absent, sealed, tag = wire.decode_agg_body(body)
+    tampered = (
+        wire.encode_agg_body(8, counter, absent, sealed, tag),
+        wire.encode_agg_body(sender, counter, (9,), sealed, tag),
+        wire.encode_agg_body(sender, counter, absent, sealed, b"\x12" + tag[1:]),
+    )
+    for bad in tampered:
+        with pytest.raises(AuthFailure):
+            wire.open_packet(crypto.SecureChannel(key), bad, b"bound")
+    with pytest.raises(AuthFailure):
+        wire.open_packet(crypto.SecureChannel(key), body, b"other")
+
+
+def test_honest_agg_frame_is_57_bytes_at_any_depth():
+    world = World(Scenario(seed=35, n=64, generator="path"))
+    sizes = {}
+    for nid in (1, 64):  # the station's child and the leaf 64 hops down
+        node = world.nodes[nid]
+
+        def recording(node=node, honest=node.emit):
+            dst, payload = honest()
+            sizes[node.node_id] = len(payload)
+            return dst, payload
+
+        node.emit = recording
+    world.run_round(1)
+    assert sizes == {1: 57, 64: 57}
+    assert world.metrics.rounds[0].bytes == 64 * (10 + 57)
+
+
+def test_reagg_request_carries_euler_positions():
+    world = World(Scenario(seed=36, n=12, generator="recursive"))
+    tree = world.tree
+    positions = tuple(sorted(tree.pos[nid] for nid in (3, 7, 11)))
+    payload = wire.encode_reagg(5, positions)
+    assert len(payload) == 1 + 12 + 4 * 3
+    round_no, decoded = wire.decode_reagg(wire.parse_frame(payload)[1])
+    assert (round_no, decoded) == (5, positions)
+    assert sorted(tree.order[p] for p in decoded) == [3, 7, 11]
 
 
 def test_frame_types_distinct_and_parseable():

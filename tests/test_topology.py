@@ -80,6 +80,17 @@ def test_subtree_members():
     assert tree.subtree(0) == {0, 1, 2, 3}
 
 
+def test_euler_tour_spans_subtrees_on_deep_paths():
+    # Far deeper than the recursion limit: the tour is built iteratively.
+    n = 5000
+    tree = build_tree(path_graph(n))
+    assert tree.order == tuple(range(n + 1))
+    assert tree.span(0) == (0, n + 1)
+    assert tree.span(1) == (1, n + 1)
+    assert tree.span(n) == (n, n + 1)
+    assert tree.subtree(n - 1) == {n - 1, n}
+
+
 def test_recursive_tree_depth_is_logarithmic():
     # Grounding for the averaging assumption: mean depth ~ ln n.
     rng = random.Random(2)
