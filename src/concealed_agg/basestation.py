@@ -214,10 +214,10 @@ class BaseStation:
         return [(cid, query) for cid in self.tree.children[self.tree.root]]
 
     def receive_packet(self, body: bytes) -> None:
-        sender = wire.decode_agg_body(body)[0]
+        sender = wire.packet_sender(body)
         channel = self._child_channels.get(sender)
         if channel is None:
-            log.info("base station: packet from non-child %d ignored", sender)
+            log.info("base station: packet from non-child %s ignored", sender)
             return
         if sender in self._round_packets:
             log.info("base station: duplicate packet from child %d ignored", sender)

@@ -121,10 +121,11 @@ class SensorNode:
         """Authenticate one child packet and keep it for the fold at emission.
 
         Raises UnknownChild / ReplayDetected / AuthFailure; on channel errors
-        the child is marked unresponsive and excluded from this round.
+        the child is marked unresponsive and excluded from this round.  A
+        packet that does not parse fails authentication like a tampered one.
         """
         state = self._require_state()
-        sender = wire.decode_agg_body(body)[0]
+        sender = wire.packet_sender(body)
         if sender not in self.child_channels or sender not in state.pending:
             raise UnknownChild(f"node {self.node_id}: unexpected packet from {sender}")
         if self.behavior is not None and self.behavior.drops_child(sender, state.round):

@@ -9,6 +9,14 @@ difference of two prefix sums.  Provisioning hands each sensor two long-term
 keys shared with the station, one channel key per tree edge, a random initial
 reading (the seed-chain origin), and a private sense key for synthetic
 per-round readings.
+
+The geometric generator finds its edges on a fixed-radius near-neighbour
+grid (Bentley, Stanat & Williams, IPL 1977): points are bucketed into square
+cells at least one radius wide, and each point is tested only against the
+points of its own cell and the neighbouring cells east and north of it, so
+every candidate pair is tested once.  The edge test itself is the all-pairs
+one, so the graph is identical; the expected cost is O(n + |E|) instead of
+O(n^2).
 """
 
 from __future__ import annotations
@@ -138,22 +146,39 @@ def random_geometric_graph(
 ) -> dict[int, set[int]]:
     """n sensors plus the station scattered in the unit square, linked within
     a radius.  Components are stitched together by their closest cross pairs
-    so the result is always connected."""
+    so the result is always connected.  Edges come from the cell grid
+    described in the module docstring."""
     if n < 1:
         raise ValueError("need at least one sensor")
     count = n + 1
     if radius is None:
         radius = 1.4 * math.sqrt(math.log(count + 1) / count)
-    pts = {i: (rng.random(), rng.random()) for i in range(count)}
+    pts = [(rng.random(), rng.random()) for _ in range(count)]
     adj: dict[int, set[int]] = {i: set() for i in range(count)}
-    ids = sorted(pts)
-    for i in ids:
-        for j in ids:
-            if j <= i:
-                continue
-            if math.dist(pts[i], pts[j]) <= radius:
-                adj[i].add(j)
-                adj[j].add(i)
+    dist = math.dist
+
+    # Cells a hair wider than the radius, so float rounding in the cell index
+    # can never put two linked points two cells apart.
+    per_axis = max(1, int(1.0 / (radius * (1.0 + 1e-9)))) if radius > 0 else 1
+    cells: dict[tuple[int, int], list[int]] = {}
+    for i, (x, y) in enumerate(pts):
+        key = (min(int(x * per_axis), per_axis - 1), min(int(y * per_axis), per_axis - 1))
+        cells.setdefault(key, []).append(i)
+    for (cx, cy), members in cells.items():
+        # Own cell, then the half-neighbourhood east and north: each pair of
+        # neighbouring cells is scanned from exactly one side.
+        scans = [(members[k], members[k + 1 :]) for k in range(len(members) - 1)]
+        for dx, dy in ((1, -1), (1, 0), (1, 1), (0, 1)):
+            other = cells.get((cx + dx, cy + dy))
+            if other:
+                scans.extend((i, other) for i in members)
+        for i, others in scans:
+            p = pts[i]
+            near = adj[i]
+            for j in others:
+                if dist(p, pts[j]) <= radius:
+                    near.add(j)
+                    adj[j].add(i)
 
     def component(start: int) -> set[int]:
         seen = {start}
@@ -167,11 +192,8 @@ def random_geometric_graph(
 
     main = component(0)
     while len(main) < count:
-        rest = set(ids) - main
-        a, b = min(
-            ((i, j) for i in sorted(main) for j in sorted(rest)),
-            key=lambda e: (math.dist(pts[e[0]], pts[e[1]]), e),
-        )
+        rest = [j for j in range(count) if j not in main]
+        _, a, b = min((dist(pts[i], pts[j]), i, j) for i in main for j in rest)
         adj[a].add(b)
         adj[b].add(a)
         main |= component(b)

@@ -22,7 +22,8 @@ the simulator fabric is a one-byte message type followed by the body.
 ``fold_packets`` is the one aggregation step every parent runs, the station
 included: ring-add the children's pairs, gather their absent lists and
 collect their tags.  ``open_reagg_reply`` is the one parser of
-re-aggregation replies, used by sensors and station alike.
+re-aggregation replies, used by sensors and station alike.  Every decoder
+raises ValueError, and nothing else, on a frame that does not parse.
 """
 
 from __future__ import annotations
@@ -110,6 +111,12 @@ def fold_packets(
     return Fold(dsum, dsum_prime, tuple(sorted(absent)), tags)
 
 
+def _need(body: bytes, length: int, what: str) -> None:
+    """Every decoder reports a short frame as ValueError, never struct.error."""
+    if len(body) < length:
+        raise ValueError(f"truncated {what}")
+
+
 def frame(msg_type: int, body: bytes = b"") -> bytes:
     return bytes([msg_type]) + body
 
@@ -133,18 +140,22 @@ def encode_agg_body(sender: int, counter: int, absent: tuple[int, ...], sealed: 
 
 
 def decode_agg_body(body: bytes) -> tuple[int, int, tuple[int, ...], bytes, bytes]:
-    if len(body) < 16:
-        raise ValueError("truncated aggregation packet")
+    _need(body, 16, "aggregation packet")
     sender, counter, count = struct.unpack_from(">IQI", body, 0)
     offset = 16
-    if len(body) < offset + 4 * count + SEALED_PAIR_LEN + crypto.TAG_LEN:
-        raise ValueError("truncated aggregation packet")
+    _need(body, offset + 4 * count + SEALED_PAIR_LEN + crypto.TAG_LEN, "aggregation packet")
     absent = struct.unpack_from(f">{count}I", body, offset) if count else ()
     offset += 4 * count
     sealed = body[offset : offset + SEALED_PAIR_LEN]
     offset += SEALED_PAIR_LEN
     tag = body[offset : offset + crypto.TAG_LEN]
     return sender, counter, absent, sealed, tag
+
+
+def packet_sender(body: bytes) -> int | None:
+    """The sender id an aggregation packet's first four bytes claim; None if
+    it is shorter than that."""
+    return int.from_bytes(body[:4], "big") if len(body) >= 4 else None
 
 
 def seal_packet(
@@ -170,9 +181,13 @@ def open_packet(channel: crypto.SecureChannel, body: bytes, bound: bytes = b"") 
     """Parse and unseal an aggregation packet received on a channel.
 
     Raises ReplayDetected / AuthFailure from the channel on bad traffic,
-    including a header or ``bound`` bytes other than those sealed.
+    including a header or ``bound`` bytes other than those sealed, and
+    AuthFailure on a body that does not parse.
     """
-    sender, counter, absent, sealed, tag = decode_agg_body(body)
+    try:
+        sender, counter, absent, sealed, tag = decode_agg_body(body)
+    except ValueError as exc:
+        raise AuthFailure(f"malformed aggregation packet: {exc}") from exc
     pair = channel.open(counter, sealed, header_ad(sender, absent, tag) + bound)
     dsum = int.from_bytes(pair[:8], "big")
     dsum_prime = int.from_bytes(pair[8:16], "big")
@@ -187,7 +202,11 @@ def encode_query(round_no: int, function: str) -> bytes:
 
 
 def decode_query(body: bytes) -> tuple[int, str]:
+    if len(body) != 9:
+        raise ValueError(f"query body of {len(body)} bytes, not 9")
     round_no, code = struct.unpack(">QB", body)
+    if code not in FUNC_NAMES:
+        raise ValueError(f"unknown function code {code}")
     return round_no, FUNC_NAMES[code]
 
 
@@ -196,6 +215,8 @@ def encode_probe(round_no: int) -> bytes:
 
 
 def decode_probe(body: bytes) -> int:
+    if len(body) != 8:
+        raise ValueError(f"probe body of {len(body)} bytes, not 8")
     return struct.unpack(">Q", body)[0]
 
 
@@ -213,8 +234,10 @@ def encode_probe_resp(round_no: int, agg_body: bytes, child_tags: dict[int, byte
 
 
 def decode_probe_resp(body: bytes) -> tuple[int, dict[int, bytes], bytes]:
+    _need(body, 12, "probe response")
     round_no, count = struct.unpack_from(">QI", body, 0)
     offset = 12
+    _need(body, offset + count * (4 + crypto.TAG_LEN), "probe response")
     child_tags: dict[int, bytes] = {}
     for _ in range(count):
         (cid,) = struct.unpack_from(">I", body, offset)
@@ -229,7 +252,9 @@ def encode_reagg(round_no: int, exclusions: tuple[int, ...]) -> bytes:
 
 
 def decode_reagg(body: bytes) -> tuple[int, tuple[int, ...]]:
+    _need(body, 12, "re-aggregation request")
     round_no, count = struct.unpack_from(">QI", body, 0)
+    _need(body, 12 + 4 * count, "re-aggregation request")
     exclusions = struct.unpack_from(f">{count}I", body, 12) if count else ()
     return round_no, exclusions
 
@@ -239,6 +264,7 @@ def encode_reagg_resp(round_no: int, ok: bool, agg_body: bytes = b"") -> bytes:
 
 
 def decode_reagg_resp(body: bytes) -> tuple[int, bool, bytes]:
+    _need(body, 9, "re-aggregation response")
     round_no, ok = struct.unpack_from(">QB", body, 0)
     return round_no, bool(ok), body[9:]
 

@@ -191,6 +191,29 @@ def test_keyless_header_tamper_blames_no_honest_node():
         assert result.raw_sum == plaintext_sum(world, 1, result.participants)
 
 
+def test_malformed_agg_frame_blames_no_honest_node():
+    # A keyless attacker overstates the absent count (body bytes 12..16) of
+    # an AGG frame, so it no longer parses.  On link 3->1 node 1 treats it as
+    # a packet that fails authentication and reports node 3's subtree absent;
+    # on link 1->0 the station ignores it.  The round reaches a verdict.
+    for nid in (3, 1):
+        world = World(Scenario(seed=3, n=20, generator="recursive", force_attest=True))
+        node = world.nodes[nid]
+
+        def overstated(honest=node.emit):
+            dst, payload = honest()
+            body = bytearray(wire.parse_frame(payload)[1])
+            body[12:16] = (1000).to_bytes(4, "big")
+            return dst, wire.frame(wire.AGG, bytes(body))
+
+        node.emit = overstated
+        result = world.run_round(1)
+        assert result.integrity == "passed", nid
+        assert result.report.outliers == frozenset(), nid
+        assert result.participants == frozenset(world.tree.sensor_ids) - world.tree.subtree(nid)
+        assert result.raw_sum == plaintext_sum(world, 1, result.participants)
+
+
 # === drop_child =============================================================
 
 

@@ -160,6 +160,23 @@ def test_aggregate_replayed_packet_marks_unresponsive():
     assert 2 in w1.nodes[1].state.unresponsive
 
 
+def test_aggregate_malformed_packet_marks_unresponsive():
+    # A body that does not parse fails authentication like a tampered one;
+    # one too short to name its sender is an unknown child's.
+    world = cluster_world()
+    agg = world.nodes[1]
+    agg.handle_query(1, "sum")
+    world.nodes[2].handle_query(1, "sum")
+    body = bytearray(wire.parse_frame(world.nodes[2].emit()[1])[1])
+    body[12:16] = struct.pack(">I", 1000)  # overstated absent count
+    with pytest.raises(AuthFailure):
+        agg.aggregate_child(bytes(body))
+    assert 2 in agg.state.unresponsive and 2 not in agg.state.pending
+    with pytest.raises(UnknownChild):
+        agg.aggregate_child(bytes(body[:3]))
+    assert agg.state.pending == {3, 4}
+
+
 # === Emission ===============================================================
 
 
@@ -403,3 +420,40 @@ def test_query_probe_reagg_roundtrip():
     assert wire.decode_reagg(wire.parse_frame(wire.encode_reagg(3, (4, 8)))[1]) == (3, (4, 8))
     r, ok, rest = wire.decode_reagg_resp(wire.parse_frame(wire.encode_reagg_resp(3, False))[1])
     assert (r, ok, rest) == (3, False, b"")
+
+
+def test_every_cut_frame_raises_value_error():
+    # Every frame type that crosses a link, cut at every shorter length or
+    # with its count field overstated, fails to decode with ValueError and
+    # nothing else: callers catch ValueError, never struct.error.
+    _, agg_body = wire.seal_packet(crypto.SecureChannel(bytes(16)), 7, (9, 12), 5, 6, b"\x11" * 8)
+    child_tags = {9: b"\x22" * 8, 12: b"\x33" * 8}
+    cases = (  # (payload, decoder of its body, offset of its count field)
+        (wire.encode_query(3, "mean"), wire.decode_query, None),
+        (wire.frame(wire.AGG, agg_body), wire.decode_agg_body, 12),
+        (wire.encode_probe(3), wire.decode_probe, None),
+        (
+            wire.encode_probe_resp(3, agg_body, child_tags),
+            lambda body: wire.decode_agg_body(wire.decode_probe_resp(body)[2]),
+            8,
+        ),
+        (wire.encode_reagg(3, (4, 8)), wire.decode_reagg, 8),
+        (
+            wire.encode_reagg_resp(3, True, agg_body),
+            lambda body: wire.decode_agg_body(wire.decode_reagg_resp(body)[2]),
+            None,
+        ),
+        (wire.encode_reagg_resp(3, False), wire.decode_reagg_resp, None),
+    )
+    for payload, decode, count_at in cases:
+        decode(wire.parse_frame(payload)[1])
+        for cut in range(len(payload)):
+            with pytest.raises(ValueError):
+                decode(wire.parse_frame(payload[:cut])[1])
+        if count_at is not None:
+            body = bytearray(wire.parse_frame(payload)[1])
+            body[count_at : count_at + 4] = b"\xff" * 4
+            with pytest.raises(ValueError):
+                decode(bytes(body))
+    with pytest.raises(ValueError, match="function code"):
+        wire.decode_query(struct.pack(">QB", 3, 99))

@@ -3,7 +3,7 @@
 import pytest
 from conftest import plaintext_sum
 
-from concealed_agg import crypto
+from concealed_agg import crypto, wire
 from concealed_agg.adversary import CompromiseSpec
 from concealed_agg.errors import ScenarioInvalid
 from concealed_agg.simulator import (
@@ -111,6 +111,25 @@ def test_programming_error_in_probe_answer_is_not_silence(monkeypatch):
     monkeypatch.setattr(world.nodes[2], "respond_attestation", broken)
     with pytest.raises(RuntimeError, match="bug in the probe answer"):
         world.run_round(1)
+
+
+def test_truncated_probe_response_counts_as_silence(monkeypatch):
+    # A probe response cut to 12 bytes on its way up does not parse: the
+    # probe counts as silent, and the round still reaches its verdict.
+    world = World(Scenario(seed=3, n=20, generator="recursive", force_attest=True))
+    honest = world._exchange
+
+    def cutting(nid, payload):
+        resp = honest(nid, payload)
+        if nid == 1 and payload[0] == wire.PROBE:
+            return resp[:12]
+        return resp
+
+    monkeypatch.setattr(world, "_exchange", cutting)
+    result = world.run_round(1)
+    assert result.integrity == "passed"
+    assert (1, False, False) in result.report.transcript
+    assert 1 in result.report.non_committed
 
 
 def test_rejected_when_everything_is_compromised():

@@ -109,6 +109,95 @@ def test_geometric_graph_connected_and_deterministic():
     assert tree.n_sensors == 40
 
 
+def pairwise_geometric_graph(n, rng, radius=None):
+    """Reference for random_geometric_graph: the direct O(n^2) builder it
+    replaced, testing every pair of points.  Also returns the stitch count."""
+    count = n + 1
+    if radius is None:
+        radius = 1.4 * math.sqrt(math.log(count + 1) / count)
+    pts = {i: (rng.random(), rng.random()) for i in range(count)}
+    adj = {i: set() for i in range(count)}
+    ids = sorted(pts)
+    for i in ids:
+        for j in ids:
+            if j > i and math.dist(pts[i], pts[j]) <= radius:
+                adj[i].add(j)
+                adj[j].add(i)
+
+    def component(start):
+        seen, stack = {start}, [start]
+        while stack:
+            for v in adj[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return seen
+
+    main = component(0)
+    stitches = 0
+    while len(main) < count:
+        rest = set(ids) - main
+        a, b = min(
+            ((i, j) for i in sorted(main) for j in sorted(rest)),
+            key=lambda e: (math.dist(pts[e[0]], pts[e[1]]), e),
+        )
+        adj[a].add(b)
+        adj[b].add(a)
+        main |= component(b)
+        stitches += 1
+    return adj, stitches
+
+
+@pytest.mark.parametrize("n", [1, 2, 14, 64, 500, 2048])
+def test_geometric_graph_matches_pairwise_reference(n):
+    # The cell grid finds exactly the pairs the all-pairs scan finds, at the
+    # default radius and at 0.4 of it, where components must be stitched.
+    default = 1.4 * math.sqrt(math.log(n + 2) / (n + 1))
+    stitches = 0
+    for seed in (1, 2, 3):
+        for radius in (None, 0.4 * default):
+            expected, stitched = pairwise_geometric_graph(n, random.Random(seed), radius)
+            assert random_geometric_graph(n, random.Random(seed), radius) == expected, (seed, radius)
+            stitches += stitched
+    if n >= 14:
+        assert stitches >= 3
+
+
+class _Replay:
+    """An rng stand-in that returns fixed coordinates in order."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+@pytest.mark.parametrize("radius", [1 / 4, 1 / 5, 1 / 8, 1 / 9, 0.1, 1 / 7, 1.0, 3.0])
+def test_geometric_graph_links_points_on_cell_boundaries(radius):
+    # Points on the multiples of the radius and a few ulps either side.  A
+    # pair such as 0.25 - 2**-55 and 0.5 is exactly one radius 1/4 apart in
+    # float arithmetic, yet its cell indices at side 1/4 are 0 and 2: the
+    # grid's cells must be wide enough that rounding never splits such pairs.
+    coords = set()
+    for k in range(int(1 / radius) + 1):
+        below = above = k * radius
+        coords.add(below)
+        for _ in range(3):
+            below, above = math.nextafter(below, -1), math.nextafter(above, 2)
+            coords |= {below, above}
+    points = [c for x in sorted(coords) if 0 <= x < 1 for c in (x, 0.5)]
+    n = len(points) // 2 - 1
+    expected, _ = pairwise_geometric_graph(n, _Replay(points), radius)
+    assert random_geometric_graph(n, _Replay(points), radius) == expected
+
+
+def test_geometric_graph_of_16384_sensors_builds():
+    tree = build_tree(random_geometric_graph(16384, random.Random(4)))
+    assert tree.n_sensors == 16384
+    assert len(tree.order) == 16385
+
+
 @settings(max_examples=40)
 @given(st.integers(1, 60), st.integers(0, 2**32))
 def test_random_tree_always_buildable(n, seed):
