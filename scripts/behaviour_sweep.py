@@ -53,7 +53,8 @@ def compromises(rng: random.Random, n: int, kind: str, tree) -> list[CompromiseS
     return specs
 
 
-def main(worlds: int) -> None:
+def fingerprint(worlds: int) -> tuple[dict[str, str], dict[str, int]]:
+    """The sweep's hashes (the four parts, combined, bytes) and its outcome counts."""
     parts = {name: hashlib.sha256() for name in ("reports", "metrics", "transcripts", "statuses")}
     wire_bytes = hashlib.sha256()
     outcomes: dict[str, int] = {}
@@ -95,12 +96,19 @@ def main(worlds: int) -> None:
         parts["statuses"].update(f"{i}|{statuses}".encode())
 
     total = hashlib.sha256()
-    for name, h in parts.items():
-        print(f"{name:12s} {h.hexdigest()}")
+    for h in parts.values():
         total.update(h.digest())
-    print(f"{'combined':12s} {total.hexdigest()}")
-    print(f"{'bytes':12s} {wire_bytes.hexdigest()}")
-    print("worlds", worlds, "outcomes", dict(sorted(outcomes.items())))
+    hashes = {name: h.hexdigest() for name, h in parts.items()}
+    hashes["combined"] = total.hexdigest()
+    hashes["bytes"] = wire_bytes.hexdigest()
+    return hashes, dict(sorted(outcomes.items()))
+
+
+def main(worlds: int) -> None:
+    hashes, outcomes = fingerprint(worlds)
+    for name, digest in hashes.items():
+        print(f"{name:12s} {digest}")
+    print("worlds", worlds, "outcomes", outcomes)
 
 
 if __name__ == "__main__":

@@ -138,6 +138,9 @@ class BaseStation:
             cid: crypto.SecureChannel(prov.edge_keys[cid]) for cid in tree.children[tree.root]
         }
         self._child_spans = {cid: tree.span(cid) for cid in tree.children[tree.root]}
+        # Every round's result keeps its participant set; a claim with no
+        # absent roots, the honest round, shares this one.
+        self._all_sensors = frozenset(tree.order[1:])
         # Direct channels are opened on a node's first probe: most rounds
         # probe no one, and key derivation for every node dominated set-up.
         self._bs_channels: dict[int, crypto.SecureChannel] = {}
@@ -238,6 +241,8 @@ class BaseStation:
         """The sensors a station-level claim covers: all but those in the
         absent roots' subtrees.  Ids that name no sensor are skipped here;
         they fail the claim's IPET."""
+        if not claim.absent:
+            return self._all_sensors
         order = self.tree.order
         runs = []
         cur = 1  # tour position 0 is the station

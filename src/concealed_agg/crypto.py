@@ -7,6 +7,9 @@ to the sum of readings once the matching seed sum is subtracted.  Every node
 keeps two independent seed chains (keys K and K') over the same origin, so an
 aggregate travels as a pair of independently masked copies of the same sum.
 
+Tag folding and the keystream XOR work on integers (read big-endian, XORed
+once, written back at the same length): the bytes a per-byte loop gives.
+
 All primitives here are pure functions of their inputs and safe to call from
 any number of threads.
 """
@@ -35,6 +38,7 @@ _PERSON_MAC = b"diff.mac"
 _PERSON_STREAM = b"diff.chan.ks"
 _PERSON_CHANTAG = b"diff.chan.tag"
 _PERSON_SENSE = b"diff.sense"
+_BLOCK_0 = bytes(4)  # keystream block number 0, 4-byte big-endian
 
 
 def add_mod(a: int, b: int) -> int:
@@ -106,9 +110,10 @@ def _prf(key: bytes, person: bytes, data: bytes, out_len: int) -> bytes:
 
 
 def next_seed(key: bytes, prev: int, round_no: int) -> int:
-    """Advance a seed chain one step: keyed PRF over (prev || round || label)."""
+    """Advance a seed chain one step: keyed PRF over (prev || round || label),
+    both 8-byte big-endian words; round_no must fit in 64 bits."""
     _check_key(key)
-    data = (prev & MASK).to_bytes(8, "big") + round_no.to_bytes(8, "big")
+    data = ((prev & MASK) << 64 | round_no).to_bytes(16, "big")
     return int.from_bytes(_prf(key, _PERSON_SEED, data, 8), "big")
 
 
@@ -167,7 +172,7 @@ def sense_raw(sense_key: bytes, round_no: int, max_raw: int) -> int:
 
 def pair_bytes(dsum: int, dsum_prime: int) -> bytes:
     """Wire form of a diffused pair: two 8-byte big-endian words, K then K'."""
-    return (dsum & MASK).to_bytes(8, "big") + (dsum_prime & MASK).to_bytes(8, "big")
+    return ((dsum & MASK) << 64 | (dsum_prime & MASK)).to_bytes(16, "big")
 
 
 def mac(key: bytes, payload: bytes) -> bytes:
@@ -180,7 +185,8 @@ def mac_pair(key: bytes, dsum: int, dsum_prime: int) -> bytes:
 
 
 def xor_tags(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
+    """XOR of two equal-length tags."""
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 def combine_macs(own: bytes, children: list[bytes]) -> bytes:
@@ -194,16 +200,24 @@ def combine_macs(own: bytes, children: list[bytes]) -> bytes:
 # === Sealed pairwise channels ===============================================
 
 
-def _keystream(key: bytes, counter: int, length: int) -> bytes:
-    blocks = []
-    counter_be = counter.to_bytes(8, "big")
-    for block_no in range((length + 31) // 32):
-        blocks.append(_prf(key, _PERSON_STREAM, counter_be + block_no.to_bytes(4, "big"), 32))
-    return b"".join(blocks)[:length]
+def _xor_keystream(key: bytes, counter: int, data: bytes) -> bytes:
+    """data XOR the keystream: 32-byte PRF blocks over (counter || block number)."""
+    length = len(data)
+    if length <= 32:  # a sealed pair: one block, no joining
+        stream = _prf(key, _PERSON_STREAM, counter.to_bytes(8, "big") + _BLOCK_0, 32)
+    else:
+        counter_be = counter.to_bytes(8, "big")
+        stream = b"".join(
+            _prf(key, _PERSON_STREAM, counter_be + block_no.to_bytes(4, "big"), 32)
+            for block_no in range((length + 31) // 32)
+        )
+    # The stream's first `length` bytes, as an integer, without slicing.
+    ks = int.from_bytes(stream, "big") >> (8 * (len(stream) - length))
+    return (int.from_bytes(data, "big") ^ ks).to_bytes(length, "big")
 
 
 def _channel_tag(channel_key: bytes, counter: int, ad: bytes, ct: bytes) -> bytes:
-    data = counter.to_bytes(8, "big") + len(ad).to_bytes(4, "big") + ad + ct
+    data = (counter << 32 | len(ad)).to_bytes(12, "big") + ad + ct
     return _prf(channel_key, _PERSON_CHANTAG, data, CHANNEL_TAG_LEN)
 
 
@@ -212,7 +226,7 @@ def seal(channel_key: bytes, counter: int, plaintext: bytes, ad: bytes = b"") ->
     the length-prefixed associated data ``ad``, which travels in the clear
     (the RFC 5116 AEAD pattern)."""
     _check_key(channel_key)
-    ct = bytes(p ^ k for p, k in zip(plaintext, _keystream(channel_key, counter, len(plaintext))))
+    ct = _xor_keystream(channel_key, counter, plaintext)
     return ct + _channel_tag(channel_key, counter, ad, ct)
 
 
@@ -225,7 +239,7 @@ def open_sealed(channel_key: bytes, counter: int, blob: bytes, ad: bytes = b"") 
     ct, tag = blob[:-CHANNEL_TAG_LEN], blob[-CHANNEL_TAG_LEN:]
     if not hmac.compare_digest(tag, _channel_tag(channel_key, counter, ad, ct)):
         raise AuthFailure("channel tag mismatch")
-    return bytes(c ^ k for c, k in zip(ct, _keystream(channel_key, counter, len(ct))))
+    return _xor_keystream(channel_key, counter, ct)
 
 
 class SecureChannel:

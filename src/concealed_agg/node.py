@@ -104,7 +104,9 @@ class SensorNode:
         m = self.sense_raw(round_no)
         return crypto.diffuse(self.chain.seed, m), crypto.diffuse(self.chain_prime.seed, m)
 
-    def handle_query(self, round_no: int, function: str) -> list[Send]:
+    def handle_query(self, round_no: int, function: str, query: bytes | None = None) -> list[Send]:
+        """Start the round and fan the query out to the children: the QUERY
+        frame received (``query``) is relayed as is, or encoded afresh."""
         if round_no <= self._last_round:
             raise StaleRound(f"node {self.node_id}: round {round_no} <= {self._last_round}")
         self._last_round = round_no
@@ -114,7 +116,8 @@ class SensorNode:
         self.state = RoundState(
             round=round_no, function=function, own_d=d, own_dp=dp, pending=set(self.children)
         )
-        query = wire.encode_query(round_no, function)
+        if query is None:
+            query = wire.encode_query(round_no, function)
         return [(cid, query) for cid in self.children]
 
     def aggregate_child(self, body: bytes) -> None:
@@ -231,12 +234,23 @@ class SensorNode:
 
     # === Fabric dispatch ====================================================
 
+    def awaits_children(self, round_no: int) -> bool:
+        """True while the node holds round round_no open for late children."""
+        state = self.state
+        return state is not None and state.round == round_no and state.emitted is None
+
     def handle_message(self, payload: bytes) -> list[Send]:
-        """Process one fabric message; returns messages to send."""
+        """Process one fabric message; returns messages to send.  A QUERY that
+        does not parse and a message of unknown type are ignored, so the
+        parent times this node out as silent."""
         msg_type, body = wire.parse_frame(payload)
         if msg_type == wire.QUERY:
-            round_no, function = wire.decode_query(body)
-            out = self.handle_query(round_no, function)
+            try:
+                round_no, function = wire.decode_query(body)
+            except ValueError as exc:
+                log.info("node %d: ignored query: %s", self.node_id, exc)
+                return []
+            out = self.handle_query(round_no, function, payload)
             if self.ready_to_emit():
                 out.append(self.emit())
             return out
@@ -249,17 +263,22 @@ class SensorNode:
                 return [self.emit()]
             return []
         if msg_type == wire.TIMEOUT:
-            state = self.state
-            round_no = int.from_bytes(body, "big")
-            if state is not None and state.round == round_no and state.emitted is None:
+            if self.awaits_children(int.from_bytes(body, "big")):
                 self.expire_pending()
                 return [self.emit()]
             return []
-        raise ValueError(f"node {self.node_id}: unhandled message type {msg_type}")
+        log.info("node %d: ignored message of type %s", self.node_id, msg_type)
+        return []
 
-    def handle_reagg_request(self, body: bytes, ask_child=None, to_bs: bool = False) -> bytes:
-        """Request/response entry for re-aggregation; never raises."""
-        round_no, exclusions = wire.decode_reagg(body)
+    def handle_reagg_request(self, body: bytes, ask_child=None, to_bs: bool = False) -> bytes | None:
+        """Request/response entry for re-aggregation; never raises.  A request
+        that does not parse gets no reply (None), which the requester treats
+        like a refusal."""
+        try:
+            round_no, exclusions = wire.decode_reagg(body)
+        except ValueError as exc:
+            log.info("node %d: ignored re-aggregation request: %s", self.node_id, exc)
+            return None
         try:
             return self.reaggregate_excluding(tuple(sorted(exclusions)), round_no, ask_child, to_bs=to_bs)
         except (NoSuchRound, ExclusionNotResolvable) as exc:

@@ -8,10 +8,12 @@ synchronous request/response exchange on top of the same tree: it happens
 strictly after the round's data traffic has drained, and its cost is charged
 as one message per tree hop in each direction.
 
-Timeouts: a node that received the query at depth d gives up on silent
-children after TIMEOUT_BUDGET * (height - d + 1) ticks.  Deadlines shrink
-with depth, so a late subtree report still beats its ancestors' alarms and a
-single silent node costs only its own subtree, never the whole branch.
+Timeouts: a node that received the query at depth d and still waits for
+children once it has handled it gives up on the silent ones after
+TIMEOUT_BUDGET * (height - d + 1) ticks; a leaf, which emits at once, gets
+no alarm.  Deadlines shrink with depth, so a late subtree report still beats
+its ancestors' alarms and a single silent node costs only its own subtree,
+never the whole branch.
 """
 
 from __future__ import annotations
@@ -197,36 +199,42 @@ class World:
     # --- fabric -------------------------------------------------------------
 
     def _run_data_phase(self, round_no: int) -> None:
-        rm = self._rm
+        heappush, heappop = heapq.heappush, heapq.heappop
         heap: list[tuple[int, int, int, int, bytes]] = []
-
-        def push(tick: int, src: int, dst: int, payload: bytes) -> None:
-            heapq.heappush(heap, (tick, src, dst, self._seq, payload))
-            self._seq += 1
-
+        seq = self._seq
         for dst, payload in self.bs.disseminate(round_no, self.scenario.function):
-            push(1, BS_ID, dst, payload)
+            heappush(heap, (1, BS_ID, dst, seq, payload))
+            seq += 1
+        nodes, depth = self.nodes, self.tree.depth
         height = max(self.tree.height, 1)
+        timeout = wire.frame(wire.TIMEOUT, round_no.to_bytes(8, "big"))
+        query_type = bytes([wire.QUERY])
+        messages = sent_bytes = 0
         while heap:
-            tick, src, dst, _, payload = heapq.heappop(heap)
+            tick, src, dst, _, payload = heappop(heap)
             if src != dst:
-                rm.messages += 1
-                rm.bytes += len(payload)
+                messages += 1
+                sent_bytes += len(payload)
             if dst == BS_ID:
                 msg_type, body = wire.parse_frame(payload)
                 if msg_type == wire.AGG:
                     self.bs.receive_packet(body)
                 continue
-            node = self.nodes[dst]
-            if payload[0] == wire.QUERY:
-                expiry = TIMEOUT_BUDGET * (height - self.tree.depth[dst] + 1)
-                push(tick + expiry, dst, dst, wire.frame(wire.TIMEOUT, round_no.to_bytes(8, "big")))
+            node = nodes[dst]
             try:
                 outs = node.handle_message(payload)
             except StaleRound:
                 continue
             for ndst, npayload in outs:
-                push(tick + 1, dst, ndst, npayload)
+                heappush(heap, (tick + 1, dst, ndst, seq, npayload))
+                seq += 1
+            if payload[:1] == query_type and node.awaits_children(round_no):
+                expiry = TIMEOUT_BUDGET * (height - depth[dst] + 1)
+                heappush(heap, (tick + expiry, dst, dst, seq, timeout))
+                seq += 1
+        self._seq = seq
+        self._rm.messages += messages
+        self._rm.bytes += sent_bytes
 
     def _exchange(self, nid: int, payload: bytes) -> bytes | None:
         """Synchronous attestation-phase request/response, charged per hop."""
@@ -238,7 +246,11 @@ class World:
         msg_type, body = wire.parse_frame(payload)
         if msg_type == wire.PROBE:
             try:
-                resp = node.respond_attestation(wire.decode_probe(body))
+                round_no = wire.decode_probe(body)
+            except ValueError:  # a probe that does not parse gets no answer
+                return None
+            try:
+                resp = node.respond_attestation(round_no)
             except ProtocolError:
                 resp = None
         elif msg_type == wire.REAGG:
@@ -258,8 +270,9 @@ class World:
             rm.bytes += len(payload)
             _, body = wire.parse_frame(payload)
             resp = self.nodes[cid].handle_reagg_request(body, ask_child=self._make_ask(cid), to_bs=False)
-            rm.messages += 1
-            rm.bytes += len(resp)
+            if resp is not None:
+                rm.messages += 1
+                rm.bytes += len(resp)
             return resp
 
         return ask

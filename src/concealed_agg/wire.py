@@ -31,7 +31,7 @@ from __future__ import annotations
 import logging
 import struct
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import crypto
 from .errors import AuthFailure, ReplayDetected
@@ -53,8 +53,7 @@ FUNC_CODES = {"sum": 0, "mean": 1}
 FUNC_NAMES = {code: name for name, code in FUNC_CODES.items()}
 
 
-@dataclass(frozen=True)
-class AggPacket:
+class AggPacket(NamedTuple):
     """Plaintext view of one aggregation packet."""
 
     sender: int
@@ -65,8 +64,7 @@ class AggPacket:
     tag: bytes
 
 
-@dataclass
-class Fold:
+class Fold(NamedTuple):
     """One layer of packets folded together: the ring sum of their pairs, the
     ids of the absent subtree roots below the folding node, and their tags."""
 
@@ -121,9 +119,11 @@ def frame(msg_type: int, body: bytes = b"") -> bytes:
     return bytes([msg_type]) + body
 
 
-def parse_frame(payload: bytes) -> tuple[int, bytes]:
+def parse_frame(payload: bytes) -> tuple[int | None, bytes]:
+    """Message type and body; an empty payload has no type (None), which
+    every receiver ignores like any other type it does not expect."""
     if not payload:
-        raise ValueError("empty payload")
+        return None, b""
     return payload[0], payload[1:]
 
 

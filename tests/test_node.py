@@ -308,6 +308,33 @@ def test_reagg_request_for_unknown_round_answers_not_ok():
     assert not ok
 
 
+def test_malformed_reagg_request_gets_no_reply():
+    world = cluster_world()
+    drive_cluster(world)
+    assert world.nodes[1].handle_reagg_request(b"\x00\x01") is None
+    cut = wire.parse_frame(wire.encode_reagg(1, (world.tree.pos[2],)))[1][:-1]
+    assert world.nodes[1].handle_reagg_request(cut) is None
+
+
+def test_delegation_answered_by_garbled_frames_is_refused():
+    # Node 1 of the path 0-1-2-3 must delegate an exclusion of node 3 to
+    # child 2.  Whatever garbled reply comes back (none, one that does not
+    # parse), node 1 refuses instead of raising.
+    world = World(Scenario(seed=1, n=3, generator="path"))
+    world.run_round(1)
+    request = wire.parse_frame(wire.encode_reagg(1, (world.tree.pos[3],)))[1]
+    for reply in (None, b"", b"\x06\x00", b"\x7f" + bytes(40)):
+        resp = world.nodes[1].handle_reagg_request(request, ask_child=lambda cid, p, r=reply: r)
+        assert wire.decode_reagg_resp(wire.parse_frame(resp)[1])[:2] == (1, False)
+
+
+def test_unknown_message_type_is_ignored():
+    world = cluster_world()
+    assert world.nodes[1].handle_message(b"\x7f\x00") == []
+    assert world.nodes[1].handle_message(b"") == []
+    assert world.nodes[1].state is None
+
+
 # === Subtree tag invariant ===================================================
 
 

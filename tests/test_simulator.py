@@ -1,11 +1,15 @@
 """Deterministic simulator: event scheduling, round flow, metrics, scaling."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 from conftest import plaintext_sum
 
 from concealed_agg import crypto, wire
 from concealed_agg.adversary import CompromiseSpec
 from concealed_agg.errors import ScenarioInvalid
+from concealed_agg.node import SensorNode
 from concealed_agg.simulator import (
     CSV_COLUMNS,
     Metrics,
@@ -114,22 +118,144 @@ def test_programming_error_in_probe_answer_is_not_silence(monkeypatch):
 
 
 def test_truncated_probe_response_counts_as_silence(monkeypatch):
-    # A probe response cut to 12 bytes on its way up does not parse: the
-    # probe counts as silent, and the round still reaches its verdict.
-    world = World(Scenario(seed=3, n=20, generator="recursive", force_attest=True))
+    # A probe response cut to 12 bytes on its way up, or a probe cut to 5
+    # bytes on its way down, does not parse: the probe counts as silent,
+    # and the round still reaches its verdict.
+    cuts = (
+        lambda exchange, payload: exchange(1, payload)[:12],
+        lambda exchange, payload: exchange(1, payload[:5]),
+    )
+    for cut in cuts:
+        world = World(Scenario(seed=3, n=20, generator="recursive", force_attest=True))
+        honest = world._exchange
+
+        def cutting(nid, payload, honest=honest, cut=cut):
+            if nid == 1 and payload[0] == wire.PROBE:
+                return cut(honest, payload)
+            return honest(nid, payload)
+
+        monkeypatch.setattr(world, "_exchange", cutting)
+        result = world.run_round(1)
+        assert result.integrity == "passed"
+        assert (1, False, False) in result.report.transcript
+        assert 1 in result.report.non_committed
+
+
+def test_malformed_query_is_ignored_and_timed_out():
+    # A QUERY cut on link 1->3, emptied, or retyped does not parse at node 3:
+    # node 3 ignores it, node 1 times it out as silent (absent root 3), and
+    # the round reaches a verdict that blames no one.
+    for garble in (lambda p: p[:5], lambda p: b"", lambda p: b"\x7f" + p[1:]):
+        world = World(Scenario(seed=3, n=20, generator="recursive", force_attest=True))
+        honest = world.nodes[1].handle_message
+
+        def garbling(payload, honest=honest, garble=garble):
+            return [(dst, garble(p) if dst == 3 and p[0] == wire.QUERY else p) for dst, p in honest(payload)]
+
+        world.nodes[1].handle_message = garbling
+        result = world.run_round(1)
+        assert result.integrity == "passed"
+        assert world.nodes[1].state.emitted.absent == (3,)
+        assert 3 not in result.participants
+        assert result.report.outliers == frozenset()
+
+
+def test_malformed_reaggregation_request_is_a_refusal():
+    # Forger 6 sits below 4 and 1.  The REAGG frames to the forger and the
+    # station's final REAGG to its child 1 are cut to 2 bytes: each gets no
+    # reply, which counts as a refusal, so 6 stays an outlier, child 1's
+    # subtree leaves the final aggregate, and no honest node is blamed.
+    world = World(Scenario(seed=3, n=20, generator="recursive",
+                           compromises=(CompromiseSpec(6, "forge_children", (12345,)),)))
     honest = world._exchange
+    sent = []
 
     def cutting(nid, payload):
-        resp = honest(nid, payload)
-        if nid == 1 and payload[0] == wire.PROBE:
-            return resp[:12]
-        return resp
+        if payload[0] == wire.REAGG:
+            sent.append(nid)
+            if nid == 6 or sent.count(1) == 2:  # to the forger; the final one to 1
+                payload = payload[:2]
+        return honest(nid, payload)
 
-    monkeypatch.setattr(world, "_exchange", cutting)
+    world._exchange = cutting
     result = world.run_round(1)
-    assert result.integrity == "passed"
-    assert (1, False, False) in result.report.transcript
-    assert 1 in result.report.non_committed
+    assert result.integrity == "attested"
+    assert result.report.outliers == frozenset({6})
+    assert result.participants == frozenset(world.tree.subtree(2))
+    assert result.raw_sum == plaintext_sum(world, 1, result.participants)
+
+
+def test_honest_rounds_share_one_participant_set():
+    # Results are kept for every round, so a participant set per honest
+    # round would grow memory with the number of rounds run.
+    world = World(Scenario(seed=7, n=30, generator="recursive", rounds=3))
+    first, *rest = world.run()
+    assert first.participants == frozenset(world.tree.sensor_ids)
+    assert all(r.participants is first.participants for r in rest)
+
+
+def test_silent_child_is_timed_out_at_the_deadline():
+    # Node 4 of a path never answers: node 3 still emits, on its TIMEOUT,
+    # with 4 as an absent root.  Message count pinned from the simulator
+    # that armed a timeout for every node.
+    world = World(Scenario(seed=1, n=6, generator="path", force_attest=True))
+    seen = []
+    honest = world.nodes[3].handle_message
+
+    def recording(payload):
+        seen.append(payload[0])
+        return honest(payload)
+
+    world.nodes[3].handle_message = recording
+    world.nodes[4].handle_message = lambda payload: []
+    result = world.run_round(1)
+    assert seen == [wire.QUERY, wire.TIMEOUT]
+    assert world.nodes[3].state.emitted.absent == (4,)
+    assert result.integrity == "passed" and result.participants == frozenset({1, 2, 3})
+    assert (world.metrics.rounds[0].messages, world.metrics.rounds[0].bytes) == (9, 317)
+
+
+def test_dropped_child_of_a_path_becomes_an_absent_root():
+    world = World(Scenario(seed=1, n=6, generator="path",
+                           compromises=(CompromiseSpec(2, "drop_child", (3,)),)))
+    result = world.run_round(1)
+    assert world.nodes[2].state.emitted.absent == (3,)
+    assert result.participants == frozenset({1, 2})
+    assert (world.metrics.rounds[0].messages, world.metrics.rounds[0].bytes) == (12, 410)
+
+
+def test_leaves_get_no_timeout(monkeypatch):
+    # Every node of a star is a leaf and emits as soon as it is queried.
+    seen = []
+    honest = SensorNode.handle_message
+
+    def recording(self, payload):
+        seen.append(payload[0])
+        return honest(self, payload)
+
+    monkeypatch.setattr(SensorNode, "handle_message", recording)
+    world = World(Scenario(seed=5, n=12, generator="star"))
+    assert world.run_round(1).integrity == "passed"
+    assert seen == [wire.QUERY] * 12
+
+
+# Hashes of scripts/behaviour_sweep.py over its first 40 worlds (every
+# generator and adversary kind), pinned from the simulator before its data
+# phase was streamlined.  A change meant to keep behaviour must keep them; a
+# deliberate behaviour change updates them and says so.
+SWEEP_WORLDS = 40
+SWEEP_COMBINED = "a2cb7d0e6710c1e8f1d6eb7e18c50d3eddab980022a100561e50f94a519919d5"
+SWEEP_BYTES = "0a921d154a0c301b2704a0589371d3f0ffa33cc6786a7290665612ef62a31c96"
+
+
+def test_behaviour_sweep_fingerprint_is_pinned():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "behaviour_sweep.py"
+    spec = importlib.util.spec_from_file_location("behaviour_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    hashes, outcomes = sweep.fingerprint(SWEEP_WORLDS)
+    assert outcomes["ok"] == SWEEP_WORLDS
+    assert (hashes["combined"], hashes["bytes"]) == (SWEEP_COMBINED, SWEEP_BYTES)
 
 
 def test_rejected_when_everything_is_compromised():
