@@ -38,7 +38,6 @@ _PERSON_MAC = b"diff.mac"
 _PERSON_STREAM = b"diff.chan.ks"
 _PERSON_CHANTAG = b"diff.chan.tag"
 _PERSON_SENSE = b"diff.sense"
-_BLOCK_0 = bytes(4)  # keystream block number 0, 4-byte big-endian
 
 
 def add_mod(a: int, b: int) -> int:
@@ -203,14 +202,11 @@ def combine_macs(own: bytes, children: list[bytes]) -> bytes:
 def _xor_keystream(key: bytes, counter: int, data: bytes) -> bytes:
     """data XOR the keystream: 32-byte PRF blocks over (counter || block number)."""
     length = len(data)
-    if length <= 32:  # a sealed pair: one block, no joining
-        stream = _prf(key, _PERSON_STREAM, counter.to_bytes(8, "big") + _BLOCK_0, 32)
-    else:
-        counter_be = counter.to_bytes(8, "big")
-        stream = b"".join(
-            _prf(key, _PERSON_STREAM, counter_be + block_no.to_bytes(4, "big"), 32)
-            for block_no in range((length + 31) // 32)
-        )
+    stream = b""
+    block = counter << 32  # (counter || block number) as one 12-byte integer
+    while len(stream) < length:
+        stream += _prf(key, _PERSON_STREAM, block.to_bytes(12, "big"), 32)
+        block += 1
     # The stream's first `length` bytes, as an integer, without slicing.
     ks = int.from_bytes(stream, "big") >> (8 * (len(stream) - length))
     return (int.from_bytes(data, "big") ^ ks).to_bytes(length, "big")

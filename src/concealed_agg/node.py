@@ -104,9 +104,8 @@ class SensorNode:
         m = self.sense_raw(round_no)
         return crypto.diffuse(self.chain.seed, m), crypto.diffuse(self.chain_prime.seed, m)
 
-    def handle_query(self, round_no: int, function: str, query: bytes | None = None) -> list[Send]:
-        """Start the round and fan the query out to the children: the QUERY
-        frame received (``query``) is relayed as is, or encoded afresh."""
+    def handle_query(self, round_no: int, function: str) -> list[Send]:
+        """Start the round and fan the query out to the children."""
         if round_no <= self._last_round:
             raise StaleRound(f"node {self.node_id}: round {round_no} <= {self._last_round}")
         self._last_round = round_no
@@ -116,8 +115,9 @@ class SensorNode:
         self.state = RoundState(
             round=round_no, function=function, own_d=d, own_dp=dp, pending=set(self.children)
         )
-        if query is None:
-            query = wire.encode_query(round_no, function)
+        if not self.children:
+            return []
+        query = wire.encode_query(round_no, function)
         return [(cid, query) for cid in self.children]
 
     def aggregate_child(self, body: bytes) -> None:
@@ -250,7 +250,7 @@ class SensorNode:
             except ValueError as exc:
                 log.info("node %d: ignored query: %s", self.node_id, exc)
                 return []
-            out = self.handle_query(round_no, function, payload)
+            out = self.handle_query(round_no, function)
             if self.ready_to_emit():
                 out.append(self.emit())
             return out

@@ -19,6 +19,7 @@ never the whole branch.
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
 import statistics
 import time
@@ -194,17 +195,15 @@ class World:
         self.metrics = Metrics()
         self.results: list[QueryResult] = []
         self._rm: RoundMetrics | None = None
-        self._seq = 0
 
     # --- fabric -------------------------------------------------------------
 
     def _run_data_phase(self, round_no: int) -> None:
         heappush, heappop = heapq.heappush, heapq.heappop
         heap: list[tuple[int, int, int, int, bytes]] = []
-        seq = self._seq
+        seq = itertools.count()  # breaks ties in send order
         for dst, payload in self.bs.disseminate(round_no, self.scenario.function):
-            heappush(heap, (1, BS_ID, dst, seq, payload))
-            seq += 1
+            heappush(heap, (1, BS_ID, dst, next(seq), payload))
         nodes, depth = self.nodes, self.tree.depth
         height = max(self.tree.height, 1)
         timeout = wire.frame(wire.TIMEOUT, round_no.to_bytes(8, "big"))
@@ -226,13 +225,10 @@ class World:
             except StaleRound:
                 continue
             for ndst, npayload in outs:
-                heappush(heap, (tick + 1, dst, ndst, seq, npayload))
-                seq += 1
+                heappush(heap, (tick + 1, dst, ndst, next(seq), npayload))
             if payload[:1] == query_type and node.awaits_children(round_no):
                 expiry = TIMEOUT_BUDGET * (height - depth[dst] + 1)
-                heappush(heap, (tick + expiry, dst, dst, seq, timeout))
-                seq += 1
-        self._seq = seq
+                heappush(heap, (tick + expiry, dst, dst, next(seq), timeout))
         self._rm.messages += messages
         self._rm.bytes += sent_bytes
 
