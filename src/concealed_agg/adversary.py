@@ -168,16 +168,3 @@ def apply_plan(nodes: dict, plan: AttackPlan) -> None:
             drop_child(node, int(spec.args[0]), trigger_round=trigger)
         else:
             raise ScenarioInvalid(f"unknown behavior kind {spec.kind!r}")
-
-
-# === Passive eavesdropping ===================================================
-
-
-def open_captured(edge_key: bytes, agg_body: bytes) -> tuple[int, int]:
-    """What a passive adversary holding an edge key learns from one packet:
-    the diffused pair, nothing else."""
-    from . import wire
-
-    sender, counter, absent, sealed, tag = wire.decode_agg_body(agg_body)
-    pair = crypto.open_sealed(edge_key, counter, sealed, wire.header_ad(sender, absent, tag))
-    return int.from_bytes(pair[:8], "big"), int.from_bytes(pair[8:16], "big")

@@ -19,9 +19,11 @@ forces an audit), the station walks the tree top-down: each probed node must
 recommit to the packet it emitted (its resent tag must match the tag pinned
 by the parent-side XOR chain, and the XOR of its own recomputed MAC with its
 children's tags must reproduce it) and its resent pair must pass IPET over
-its own claim.  Failing nodes have their children enqueued.  Committed nodes
-that failed only IPET get one chance to exonerate themselves by
-re-aggregating with the current outlier set excluded.
+its own claim.  Failing nodes have their children enqueued.  The walk probes
+siblings as a group, with one request through their parent and one bundle
+of their answers back, each answer still sealed on its own node's direct
+channel.  Committed nodes that failed only IPET get one chance to exonerate
+themselves by re-aggregating with the current outlier set excluded.
 
 The station is the root of the aggregation tree and folds its children's
 packets with the same ``wire.fold_packets`` step every sensor runs; the
@@ -34,7 +36,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, groupby
 from typing import NamedTuple
 
 from . import crypto, wire
@@ -289,19 +291,38 @@ class BaseStation:
             channel = self._bs_channels[nid] = crypto.SecureChannel(key)
         return channel
 
-    def _open_probe_response(self, nid: int, raw: bytes | None) -> _Probe | None:
+    def _probe_group(
+        self, round_no: int, parent: int, targets: tuple[int, ...], exchange
+    ) -> dict[int, _Probe]:
+        """Probe sibling targets through their parent; the answered probes by
+        node.  Entries are matched to targets by the sender each names, and a
+        node's entry opens only on its own direct channel, so whoever relays
+        the bundle can drop an entry but not forge one."""
+        raw = exchange(parent, wire.encode_probe(round_no, targets))
         if raw is None:
-            return None
+            return {}
         try:
             msg_type, body = wire.parse_frame(raw)
             if msg_type != wire.PROBE_RESP:
-                return None
-            _, child_tags, agg_body = wire.decode_probe_resp(body)
-            pkt = wire.open_packet(self._bs_channel(nid), agg_body, wire.encode_child_tags(child_tags))
-        except (ReplayDetected, AuthFailure, ValueError) as exc:
-            log.info("base station: probe response from %d rejected: %s", nid, exc)
-            return None
-        return _Probe(nid, (pkt.dsum, pkt.dsum_prime), pkt.absent, pkt.tag, child_tags)
+                return {}
+            _, entries = wire.decode_probe_resp(body)
+        except ValueError as exc:
+            log.info("base station: probe response via %d rejected: %s", parent, exc)
+            return {}
+        wanted = set(targets)
+        probes: dict[int, _Probe] = {}
+        for entry in entries:
+            child_tags, bound, agg_body = wire.decode_probe_entry(entry)
+            nid = wire.packet_sender(agg_body)
+            if nid not in wanted or nid in probes:
+                continue
+            try:
+                pkt = wire.open_packet(self._bs_channel(nid), agg_body, bound)
+            except (ReplayDetected, AuthFailure) as exc:
+                log.info("base station: probe response from %d rejected: %s", nid, exc)
+                continue
+            probes[nid] = _Probe(nid, (pkt.dsum, pkt.dsum_prime), pkt.absent, pkt.tag, child_tags)
+        return probes
 
     def _positions(self, ids, below: int) -> tuple[int, ...]:
         """Ascending tour positions of those ids strictly below a node."""
@@ -312,15 +333,21 @@ class BaseStation:
     def com_att(self, round_no: int, exchange, participants: frozenset[int]) -> AttestationReport:
         """Walk the tree localizing outliers (the divide-and-conquer audit).
 
-        exchange(node_id, payload) must deliver a probe or re-aggregation
-        request to the node and return its response bytes, or None if the
-        node stays silent.  Only the round's participants are probed below
-        the station's children.
+        exchange(node_id, payload) must deliver a request to the node and
+        return its response bytes, or None if nothing comes back: a probe
+        naming a sibling group goes to the group's parent (the station for its
+        own children) and returns the bundle of their answers, a
+        re-aggregation request goes to the node itself.  Groups are probed in
+        the order they are found, and only the round's participants are probed
+        below the station's children.
         """
         packets = self._round_packets
         expected_tag: dict[int, bytes | None] = {cid: packets[cid].tag for cid in packets}
-        queue: deque[int] = deque(sorted(packets))
-        enqueued: set[int] = set(queue)
+        # Sibling groups in probe order: (parent, ascending target ids).
+        queue: deque[tuple[int, tuple[int, ...]]] = deque()
+        if packets:
+            queue.append((self.tree.root, tuple(sorted(packets))))
+        enqueued: set[int] = set(packets)
         transcript: list[tuple[int, bool, bool]] = []
         probe_order: list[int] = []
         list_l: set[int] = set()
@@ -329,40 +356,47 @@ class BaseStation:
         def enqueue_children(parent: int, vouched: dict[int, bytes] | None) -> None:
             tags = vouched if vouched is not None else {}
             candidates = tags.keys() if vouched is not None else self.tree.children.get(parent, ())
+            group = []
             for cid in sorted(candidates):
                 if cid in participants and cid not in enqueued:
                     expected_tag[cid] = tags.get(cid)
                     enqueued.add(cid)
-                    queue.append(cid)
+                    group.append(cid)
+            # A vouched id is probed through its parent in the tree, whoever
+            # vouched for it.
+            for tree_parent, siblings in groupby(group, self.tree.parent.__getitem__):
+                queue.append((tree_parent, tuple(siblings)))
 
         while queue:
-            nid = queue.popleft()
-            probe_order.append(nid)
-            probe = self._open_probe_response(nid, exchange(nid, wire.encode_probe(round_no)))
-            if probe is None:
-                # Silent (or unopenable) probe: the node cannot commit.
-                transcript.append((nid, False, False))
+            parent, group = queue.popleft()
+            answers = self._probe_group(round_no, parent, group, exchange)
+            for nid in group:
+                probe_order.append(nid)
+                probe = answers.get(nid)
+                if probe is None:
+                    # Silent (or unopenable) probe: the node cannot commit.
+                    transcript.append((nid, False, False))
+                    list_l.add(nid)
+                    list_c.add(nid)
+                    enqueue_children(nid, None)
+                    continue
+                mac_calc = crypto.combine_macs(
+                    crypto.mac_pair(self.registry[nid].key, *probe.pair),
+                    list(probe.child_tags.values()),
+                )
+                committed = mac_calc == probe.resent_tag
+                pinned = expected_tag.get(nid)
+                if pinned is not None:
+                    committed = committed and probe.resent_tag == pinned
+                claim = Claim(nid, probe.absent)
+                ipet_ok = self.ipet_check(probe.pair, claim, round_no, count_ops=False).equal
+                transcript.append((nid, committed, ipet_ok))
+                if committed and ipet_ok:
+                    continue
                 list_l.add(nid)
-                list_c.add(nid)
-                enqueue_children(nid, None)
-                continue
-            mac_calc = crypto.combine_macs(
-                crypto.mac_pair(self.registry[nid].key, *probe.pair),
-                list(probe.child_tags.values()),
-            )
-            committed = mac_calc == probe.resent_tag
-            pinned = expected_tag.get(nid)
-            if pinned is not None:
-                committed = committed and probe.resent_tag == pinned
-            claim = Claim(nid, probe.absent)
-            ipet_ok = self.ipet_check(probe.pair, claim, round_no, count_ops=False).equal
-            transcript.append((nid, committed, ipet_ok))
-            if committed and ipet_ok:
-                continue
-            list_l.add(nid)
-            if not committed:
-                list_c.add(nid)
-            enqueue_children(nid, probe.child_tags)
+                if not committed:
+                    list_c.add(nid)
+                enqueue_children(nid, probe.child_tags)
 
         # Exoneration pass: committed nodes that failed only IPET re-aggregate
         # with the current outlier set excluded; non-committed nodes are

@@ -44,10 +44,6 @@ def add_mod(a: int, b: int) -> int:
     return (a + b) & MASK
 
 
-def sub_mod(a: int, b: int) -> int:
-    return (a - b) & MASK
-
-
 # === Fixed-point reading codec ==============================================
 
 
@@ -114,14 +110,6 @@ def next_seed(key: bytes, prev: int, round_no: int) -> int:
     _check_key(key)
     data = ((prev & MASK) << 64 | round_no).to_bytes(16, "big")
     return int.from_bytes(_prf(key, _PERSON_SEED, data, 8), "big")
-
-
-def seed_at(key: bytes, origin: int, round_no: int) -> int:
-    """Seed value after round_no applications of next_seed to the origin."""
-    seed = origin & MASK
-    for j in range(1, round_no + 1):
-        seed = next_seed(key, seed, j)
-    return seed
 
 
 @dataclass

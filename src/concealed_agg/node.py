@@ -191,11 +191,10 @@ class SensorNode:
         if self.behavior is not None:
             dsum, dsum_prime = self.behavior.probe_pair(dsum, dsum_prime, round_no)
         child_tags = {cid: p.tag for cid, p in state.child_packets.items()}
-        _, body = wire.seal_packet(
-            self.bs_channel, self.node_id, pkt.absent, dsum, dsum_prime, pkt.tag,
-            wire.encode_child_tags(child_tags),
+        entry = wire.seal_probe_entry(
+            self.bs_channel, self.node_id, pkt.absent, dsum, dsum_prime, pkt.tag, child_tags
         )
-        return wire.encode_probe_resp(round_no, body, child_tags)
+        return wire.encode_probe_resp(round_no, [entry])
 
     def reaggregate_excluding(
         self, exclusions: tuple[int, ...], round_no: int, ask_child=None, to_bs: bool = False

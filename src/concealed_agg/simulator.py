@@ -5,8 +5,14 @@ hop costs one tick and seq breaks remaining ties in submission order, so a
 scenario replays identically for a given seed.  Data rounds run through the
 event loop.  Attestation traffic (probes and re-aggregation requests) is a
 synchronous request/response exchange on top of the same tree: it happens
-strictly after the round's data traffic has drained, and its cost is charged
-as one message per tree hop in each direction.
+strictly after the round's data traffic has drained, and each frame is
+charged one message per link it crosses.  A re-aggregation request and its
+reply cross every link between the station and the node.  Probes go to
+sibling groups: the request crosses the links down to the group's parent
+once, the parent sends each target a probe over one link and gets its
+answer back over that link, and the answers cross the links up from the
+parent as one bundle.  For the station's own children the parent is the
+station, so each costs one link each way.
 
 Timeouts: a node that received the query at depth d and still waits for
 children once it has handled it gives up on the silent ones after
@@ -22,7 +28,6 @@ import heapq
 import itertools
 import random
 import statistics
-import time
 from dataclasses import dataclass, field
 
 from . import crypto, wire
@@ -68,7 +73,6 @@ class RoundMetrics:
     seed_regens: int = 0
     probes: int = 0
     verify_ops: int = 0
-    wall_ms: float = 0.0
 
 
 CSV_COLUMNS = ("round", "messages", "bytes", "seed_regens", "probes")
@@ -232,25 +236,36 @@ class World:
         self._rm.messages += messages
         self._rm.bytes += sent_bytes
 
-    def _exchange(self, nid: int, payload: bytes) -> bytes | None:
-        """Synchronous attestation-phase request/response, charged per hop."""
+    def _exchange(self, nid: int, payload: bytes, hops: int | None = None) -> bytes | None:
+        """Synchronous attestation-phase request/response with nid, over hops
+        links (nid's depth unless given), charged one message per link each
+        way.  A probe and its answer pass through here on every leg.
+
+        A probe that names targets is addressed to their parent: there it
+        fans out as a targetless probe over one more link to each target that
+        is a child, and the entries of the answers that parse go back up as
+        one bundle, or nothing if none does.
+        """
         rm = self._rm
-        hops = self.tree.depth[nid]
+        if hops is None:
+            hops = self.tree.depth[nid]
         rm.messages += hops
         rm.bytes += len(payload) * hops
-        node = self.nodes[nid]
         msg_type, body = wire.parse_frame(payload)
         if msg_type == wire.PROBE:
             try:
-                round_no = wire.decode_probe(body)
+                round_no, targets = wire.decode_probe(body)
             except ValueError:  # a probe that does not parse gets no answer
                 return None
-            try:
-                resp = node.respond_attestation(round_no)
-            except ProtocolError:
-                resp = None
+            if targets:
+                resp = self._relay_probe(nid, round_no, targets)
+            else:
+                try:
+                    resp = self.nodes[nid].respond_attestation(round_no)
+                except ProtocolError:
+                    resp = None
         elif msg_type == wire.REAGG:
-            resp = node.handle_reagg_request(body, ask_child=self._make_ask(nid), to_bs=True)
+            resp = self.nodes[nid].handle_reagg_request(body, ask_child=self._make_ask(nid), to_bs=True)
         else:
             resp = None
         if resp is None:
@@ -258,6 +273,24 @@ class World:
         rm.messages += hops
         rm.bytes += len(resp) * hops
         return resp
+
+    def _relay_probe(self, parent: int, round_no: int, targets: tuple[int, ...]) -> bytes | None:
+        probe = wire.encode_probe(round_no)
+        tree_parent = self.tree.parent
+        entries: list[bytes] = []
+        for target in targets:
+            if tree_parent.get(target) != parent:
+                continue
+            answer = self._exchange(target, probe, hops=1)
+            if answer is None:
+                continue
+            msg_type, body = wire.parse_frame(answer)
+            try:
+                if msg_type == wire.PROBE_RESP:
+                    entries += wire.decode_probe_resp(body)[1]
+            except ValueError:
+                pass  # an answer that does not parse is not relayed
+        return wire.encode_probe_resp(round_no, entries) if entries else None
 
     def _make_ask(self, parent: int):
         def ask(cid: int, payload: bytes) -> bytes | None:
@@ -276,7 +309,6 @@ class World:
     # --- rounds --------------------------------------------------------------
 
     def run_round(self, round_no: int) -> QueryResult:
-        t0 = time.perf_counter()
         rm = RoundMetrics(round=round_no)
         self.metrics.rounds.append(rm)
         self._rm = rm
@@ -318,7 +350,6 @@ class World:
         rm.seed_regens = self.bs.counters["seed_regens"]
         rm.verify_ops = self.bs.counters["verify_ops"]
         rm.probes = result.report.probes if result.report is not None else 0
-        rm.wall_ms = (time.perf_counter() - t0) * 1000.0
         self.results.append(result)
         return result
 

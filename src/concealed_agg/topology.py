@@ -257,11 +257,6 @@ def load_topology(path: str) -> tuple[int, list[tuple[int, int]]]:
         return parse_topology(fh.read(), source=path)
 
 
-def format_topology(n: int, edges: Iterable[tuple[int, int]]) -> str:
-    lines = [f"nodes {n}"] + [f"edge {a} {b}" for a, b in edges]
-    return "\n".join(lines) + "\n"
-
-
 # === Provisioning ===========================================================
 
 

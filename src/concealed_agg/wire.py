@@ -19,6 +19,20 @@ in a probe response the child tags too.  A keyless attacker on a link who
 rewrites any of them makes the packet fail authentication.  Every payload on
 the simulator fabric is a one-byte message type followed by the body.
 
+Attestation probes travel to a group of siblings through their parent:
+
+    PROBE       round (8B BE) || target ids (4B BE each, ascending)
+    PROBE_RESP  round (8B BE) || entry || entry || ...
+    entry       child-tag count (4B BE) || (child id (4B BE) || tag (8B))*
+                || aggregation packet
+
+A probe without targets asks its addressee to answer for itself; that is
+what the parent sends each target.  A response carries one entry per node
+that answered, each that node's own packet sealed on its direct channel to
+the station.  Entries have no length prefix: each ends where its packet's
+absent count says, so a one-entry response is a node's own answer and a
+bundle is the answers' entries back to back.
+
 ``fold_packets`` is the one aggregation step every parent runs, the station
 included: ring-add the children's pairs, gather their absent lists and
 collect their tags.  ``open_reagg_reply`` is the one parser of
@@ -31,6 +45,7 @@ from __future__ import annotations
 import logging
 import struct
 from bisect import bisect_left
+from operator import ge
 from typing import NamedTuple
 
 from . import crypto
@@ -210,40 +225,82 @@ def decode_query(body: bytes) -> tuple[int, str]:
     return round_no, FUNC_NAMES[code]
 
 
-def encode_probe(round_no: int) -> bytes:
-    return frame(PROBE, struct.pack(">Q", round_no))
+def encode_probe(round_no: int, targets: tuple[int, ...] = ()) -> bytes:
+    """A probe; with targets (ascending ids) it is addressed to their parent,
+    which fans it out, and without them its addressee answers for itself."""
+    return frame(PROBE, struct.pack(f">Q{len(targets)}I", round_no, *targets))
 
 
-def decode_probe(body: bytes) -> int:
-    if len(body) != 8:
-        raise ValueError(f"probe body of {len(body)} bytes, not 8")
-    return struct.unpack(">Q", body)[0]
+def decode_probe(body: bytes) -> tuple[int, tuple[int, ...]]:
+    count, odd = divmod(len(body) - 8, 4)
+    if count < 0 or odd:
+        raise ValueError(f"probe body of {len(body)} bytes, not 8 plus 4 per target")
+    round_no = int.from_bytes(body[:8], "big")
+    if not count:
+        return round_no, ()
+    targets = struct.unpack_from(f">{count}I", body, 8)
+    if any(map(ge, targets, targets[1:])):
+        raise ValueError("probe targets not strictly ascending")
+    return round_no, targets
 
 
-def encode_child_tags(child_tags: dict[int, bytes]) -> bytes:
-    """Child tags in ascending id order; a probe response binds these bytes
-    into its packet's channel tag."""
-    return b"".join(struct.pack(">I", cid) + tag for cid, tag in sorted(child_tags.items()))
+def seal_probe_entry(
+    channel: crypto.SecureChannel,
+    sender: int,
+    absent: tuple[int, ...],
+    dsum: int,
+    dsum_prime: int,
+    tag: bytes,
+    child_tags: dict[int, bytes],
+) -> bytes:
+    """A node's probe answer as one response entry: its packet sealed on the
+    channel, with the child tags it folded, in ascending id order, bound into
+    the channel tag."""
+    tag_bytes = b"".join(struct.pack(">I", cid) + t for cid, t in sorted(child_tags.items()))
+    _, body = seal_packet(channel, sender, absent, dsum, dsum_prime, tag, tag_bytes)
+    return struct.pack(">I", len(child_tags)) + tag_bytes + body
 
 
-def encode_probe_resp(round_no: int, agg_body: bytes, child_tags: dict[int, bytes]) -> bytes:
-    return frame(
-        PROBE_RESP,
-        struct.pack(">QI", round_no, len(child_tags)) + encode_child_tags(child_tags) + agg_body,
-    )
-
-
-def decode_probe_resp(body: bytes) -> tuple[int, dict[int, bytes], bytes]:
-    _need(body, 12, "probe response")
-    round_no, count = struct.unpack_from(">QI", body, 0)
-    offset = 12
-    _need(body, offset + count * (4 + crypto.TAG_LEN), "probe response")
+def decode_probe_entry(entry: bytes) -> tuple[dict[int, bytes], bytes, bytes]:
+    """The child tags of one probe-response entry, the bytes they came as
+    (what its packet binds) and the packet body."""
+    _need(entry, 4, "probe response entry")
+    start = 4 + int.from_bytes(entry[:4], "big") * (4 + crypto.TAG_LEN)
+    _need(entry, start, "probe response entry")
     child_tags: dict[int, bytes] = {}
-    for _ in range(count):
-        (cid,) = struct.unpack_from(">I", body, offset)
-        child_tags[cid] = body[offset + 4 : offset + 4 + crypto.TAG_LEN]
-        offset += 4 + crypto.TAG_LEN
-    return round_no, child_tags, body[offset:]
+    for at in range(4, start, 4 + crypto.TAG_LEN):
+        child_tags[int.from_bytes(entry[at : at + 4], "big")] = entry[at + 4 : at + 4 + crypto.TAG_LEN]
+    return child_tags, entry[4:start], entry[start:]
+
+
+def encode_probe_resp(round_no: int, entries: list[bytes]) -> bytes:
+    return frame(PROBE_RESP, struct.pack(">Q", round_no) + b"".join(entries))
+
+
+def decode_probe_resp(body: bytes) -> tuple[int, list[bytes]]:
+    """The round and the entries that parse, in order.  Entries carry no
+    length: each ends where its packet's absent count says.  So parsing stops
+    at the first entry that does not parse, and it and the rest are lost, as
+    if dropped on the way.  Raises ValueError when not even one entry parses."""
+    _need(body, 8, "probe response")
+    round_no = struct.unpack_from(">Q", body, 0)[0]
+    entries: list[bytes] = []
+    offset = 8
+    end = len(body)
+    while offset + 4 <= end:
+        (count,) = struct.unpack_from(">I", body, offset)
+        start = offset + 4 + count * (4 + crypto.TAG_LEN)  # the entry's packet
+        if start + 16 > end:
+            break
+        absent_count = struct.unpack_from(">I", body, start + 12)[0]
+        stop = start + 16 + 4 * absent_count + SEALED_PAIR_LEN + crypto.TAG_LEN
+        if stop > end:
+            break
+        entries.append(body[offset:stop])
+        offset = stop
+    if not entries:
+        raise ValueError("truncated probe response")
+    return round_no, entries
 
 
 def encode_reagg(round_no: int, exclusions: tuple[int, ...]) -> bytes:

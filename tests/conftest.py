@@ -25,9 +25,17 @@ def plaintext_sum(world: World, round_no: int, participants=None) -> int:
     return sum(sensed_raw(world, nid, round_no) for nid in ids) & crypto.MASK
 
 
+def seed_at(key: bytes, origin: int, round_no: int) -> int:
+    """Seed value after round_no applications of next_seed to the origin."""
+    seed = origin & crypto.MASK
+    for j in range(1, round_no + 1):
+        seed = crypto.next_seed(key, seed, j)
+    return seed
+
+
 def seed_of(world: World, nid: int, round_no: int, prime: bool = False) -> int:
     key, key_prime = world.prov.node_keys[nid]
-    return crypto.seed_at(key_prime if prime else key, world.prov.origins[nid], round_no)
+    return seed_at(key_prime if prime else key, world.prov.origins[nid], round_no)
 
 
 def honest_world(n: int = 6, seed: int = 1, rounds: int = 1, generator: str = "recursive", **kw) -> World:

@@ -10,7 +10,7 @@ import math
 import random
 import time
 
-from conftest import plaintext_sum, sensed_raw
+from conftest import plaintext_sum, seed_at, sensed_raw
 
 from concealed_agg import crypto
 from concealed_agg.adversary import CompromiseSpec
@@ -266,7 +266,7 @@ def test_criterion_8_secrecy_distinguisher_at_chance(capsys):
         secret = rng.getrandbits(1)
         key = rng.randbytes(crypto.KEY_LEN)
         origin = rng.getrandbits(32)
-        seed = crypto.seed_at(key, origin, 1)
+        seed = seed_at(key, origin, 1)
         observed = crypto.diffuse(seed, m1 if secret else m0)
         guesses = {
             "parity": observed & 1,

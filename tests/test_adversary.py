@@ -4,10 +4,10 @@ the influence bound, and what a passive eavesdropper actually learns."""
 import dataclasses
 
 import pytest
-from conftest import plaintext_sum, seed_of, sensed_raw
+from conftest import plaintext_sum, seed_at, seed_of, sensed_raw
 
 from concealed_agg import crypto, wire
-from concealed_agg.adversary import CompromiseSpec, open_captured
+from concealed_agg.adversary import CompromiseSpec
 from concealed_agg.errors import AuthFailure, ReadingOutOfRange, ScenarioInvalid
 from concealed_agg.simulator import Scenario, World
 
@@ -214,6 +214,41 @@ def test_malformed_agg_frame_blames_no_honest_node():
         assert result.raw_sum == plaintext_sum(world, 1, result.participants)
 
 
+def test_keyless_tamper_of_a_bundle_spares_the_entries_before_it():
+    # Station 0 -> 1 -> {2, 3}, 2 -> {4, 5}; leaf 3 forges, so the walk
+    # probes the group (2, 3) through node 1.  A keyless attacker on the
+    # shared link 1->0 flips a bit of, or cuts, the second entry of the
+    # bundle (node 3's).  Node 2's entry still opens and commits, and the
+    # round reaches its verdict.
+    edges = ((0, 1), (1, 2), (1, 3), (2, 4), (2, 5))
+    scenario = Scenario(seed=5, edges=edges, compromises=(CompromiseSpec(3, "forge_children", (12345,)),))
+    clean = World(scenario)
+    assert clean.run_round(1).report.transcript[1:3] == ((2, True, True), (3, True, False))
+    first_end = 1 + 8 + 4 + 2 * 12 + 56  # type, round, node 2's entry with two child tags
+    second_end = first_end + 4 + 56  # node 3's entry: a leaf
+    tampers = [lambda b, i=i: b[:i] + bytes([b[i] ^ 0x01]) + b[i + 1 :] for i in range(first_end, second_end)]
+    tampers += [lambda b, i=i: b[:i] + bytes([b[i] ^ 0x80]) + b[i + 1 :] for i in range(first_end, second_end)]
+    tampers += [lambda b, cut=cut: b[:cut] for cut in range(first_end, second_end)]
+    for tamper in tampers:
+        world = World(scenario)
+        honest = world._exchange
+        bundles = []
+
+        def on_shared_link(nid, payload, hops=None, honest=honest, tamper=tamper):
+            resp = honest(nid, payload, hops)
+            if nid == 1 and payload == wire.encode_probe(1, (2, 3)):
+                bundles.append(resp)
+                return tamper(resp)
+            return resp
+
+        world._exchange = on_shared_link
+        result = world.run_round(1)
+        assert len(bundles) == 1 and len(bundles[0]) == second_end
+        assert result.integrity == "attested"
+        assert result.report.transcript[1:3] == ((2, True, True), (3, False, False))
+        assert 2 not in result.report.outliers
+
+
 # === drop_child =============================================================
 
 
@@ -272,6 +307,14 @@ def test_undetected_deviation_attributable_to_forge_own_only():
 # === Eavesdropping ==========================================================
 
 
+def open_captured(edge_key: bytes, agg_body: bytes) -> tuple[int, int]:
+    """What a passive adversary holding an edge key learns from one packet:
+    the diffused pair, nothing else."""
+    sender, counter, absent, sealed, tag = wire.decode_agg_body(agg_body)
+    pair = crypto.open_sealed(edge_key, counter, sealed, wire.header_ad(sender, absent, tag))
+    return int.from_bytes(pair[:8], "big"), int.from_bytes(pair[8:16], "big")
+
+
 def test_edge_key_holder_sees_only_diffused_values():
     world = World(Scenario(seed=90, n=2, generator="path"))
     world.nodes[1].handle_query(1, "sum")
@@ -290,6 +333,6 @@ def test_same_reading_different_rounds_looks_unrelated():
     key = bytes(range(16))
     origin = 12345
     m = 777
-    d1 = crypto.diffuse(crypto.seed_at(key, origin, 1), m)
-    d2 = crypto.diffuse(crypto.seed_at(key, origin, 2), m)
+    d1 = crypto.diffuse(seed_at(key, origin, 1), m)
+    d2 = crypto.diffuse(seed_at(key, origin, 2), m)
     assert d1 != d2

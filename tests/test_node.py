@@ -228,9 +228,10 @@ def test_attestation_resends_committed_fields():
     world = cluster_world()
     emitted = drive_cluster(world)
     resp = world.nodes[1].respond_attestation(1)
-    _, child_tags, agg_body = wire.decode_probe_resp(wire.parse_frame(resp)[1])
+    _, [entry] = wire.decode_probe_resp(wire.parse_frame(resp)[1])
+    child_tags, bound, agg_body = wire.decode_probe_entry(entry)
     bs_channel = crypto.SecureChannel(crypto.derive_bs_channel_key(world.prov.node_keys[1][0], 1))
-    pkt = wire.open_packet(bs_channel, agg_body, wire.encode_child_tags(child_tags))
+    pkt = wire.open_packet(bs_channel, agg_body, bound)
     assert (pkt.dsum, pkt.dsum_prime, pkt.tag, pkt.absent) == (
         emitted.dsum,
         emitted.dsum_prime,
@@ -238,6 +239,24 @@ def test_attestation_resends_committed_fields():
         emitted.absent,
     )
     assert set(child_tags) == {2, 3, 4}
+
+
+# Node 1's answer in the four-node cluster, taken from the simulator before
+# probes went to sibling groups: a one-entry response keeps that layout.
+CLUSTER_PROBE_RESP = (
+    "0400000000000000010000000300000002ccd49038617cca74000000030645bc7daad31ee4"
+    "000000045762e9b3b844c0c700000001000000000000000100000000c34611c569d4234c7f"
+    "bee2389008f1aacd06c991254a9a53437b218832ca53b1059af3865b8c427f"
+)
+
+
+def test_one_entry_probe_response_keeps_its_layout():
+    world = cluster_world()
+    drive_cluster(world)
+    resp = world.nodes[1].respond_attestation(1)
+    assert resp.hex() == CLUSTER_PROBE_RESP
+    _, entries = wire.decode_probe_resp(wire.parse_frame(resp)[1])
+    assert wire.encode_probe_resp(1, entries) == resp
 
 
 def test_attestation_unknown_round_raises():
@@ -268,8 +287,8 @@ def test_reaggregate_excluding_direct_child_is_subtraction():
     child_pkt = world.nodes[1].state.child_packets[3]
     resp = world.nodes[1].reaggregate_excluding((world.tree.pos[3],), 1, to_bs=True)
     fresh = _open_reagg(world, 1, resp, to_bs=True)
-    assert fresh.dsum == crypto.sub_mod(emitted.dsum, child_pkt.dsum)
-    assert fresh.dsum_prime == crypto.sub_mod(emitted.dsum_prime, child_pkt.dsum_prime)
+    assert fresh.dsum == (emitted.dsum - child_pkt.dsum) & crypto.MASK
+    assert fresh.dsum_prime == (emitted.dsum_prime - child_pkt.dsum_prime) & crypto.MASK
     assert fresh.absent == (3,)
 
 
@@ -443,7 +462,14 @@ def test_frame_types_distinct_and_parseable():
 
 def test_query_probe_reagg_roundtrip():
     assert wire.decode_query(wire.parse_frame(wire.encode_query(42, "mean"))[1]) == (42, "mean")
-    assert wire.decode_probe(wire.parse_frame(wire.encode_probe(9))[1]) == 9
+    assert wire.encode_probe(9).hex() == "030000000000000009"  # one node's own probe
+    assert wire.decode_probe(wire.parse_frame(wire.encode_probe(9))[1]) == (9, ())
+    probe = wire.encode_probe(9, (2, 5, 70000))
+    assert len(probe) == 1 + 8 + 3 * 4
+    assert wire.decode_probe(wire.parse_frame(probe)[1]) == (9, (2, 5, 70000))
+    for unordered in ((5, 2), (2, 2)):
+        with pytest.raises(ValueError, match="ascending"):
+            wire.decode_probe(wire.parse_frame(wire.encode_probe(9, unordered))[1])
     assert wire.decode_reagg(wire.parse_frame(wire.encode_reagg(3, (4, 8)))[1]) == (3, (4, 8))
     r, ok, rest = wire.decode_reagg_resp(wire.parse_frame(wire.encode_reagg_resp(3, False))[1])
     assert (r, ok, rest) == (3, False, b"")
@@ -455,13 +481,14 @@ def test_every_cut_frame_raises_value_error():
     # nothing else: callers catch ValueError, never struct.error.
     _, agg_body = wire.seal_packet(crypto.SecureChannel(bytes(16)), 7, (9, 12), 5, 6, b"\x11" * 8)
     child_tags = {9: b"\x22" * 8, 12: b"\x33" * 8}
+    entry = wire.seal_probe_entry(crypto.SecureChannel(bytes(16)), 7, (9, 12), 5, 6, b"\x11" * 8, child_tags)
     cases = (  # (payload, decoder of its body, offset of its count field)
         (wire.encode_query(3, "mean"), wire.decode_query, None),
         (wire.frame(wire.AGG, agg_body), wire.decode_agg_body, 12),
         (wire.encode_probe(3), wire.decode_probe, None),
         (
-            wire.encode_probe_resp(3, agg_body, child_tags),
-            lambda body: wire.decode_agg_body(wire.decode_probe_resp(body)[2]),
+            wire.encode_probe_resp(3, [entry]),
+            lambda body: wire.decode_agg_body(wire.decode_probe_entry(wire.decode_probe_resp(body)[1][0])[2]),
             8,
         ),
         (wire.encode_reagg(3, (4, 8)), wire.decode_reagg, 8),
@@ -484,3 +511,42 @@ def test_every_cut_frame_raises_value_error():
                 decode(bytes(body))
     with pytest.raises(ValueError, match="function code"):
         wire.decode_query(struct.pack(">QB", 3, 99))
+    # A probe's target list has no count: cut after a whole id it names the
+    # targets before the cut (after the round alone, none), and cut anywhere
+    # else it raises ValueError.
+    targets = (4, 8, 9)
+    probe = wire.encode_probe(3, targets)
+    for cut in range(len(probe)):
+        body = wire.parse_frame(probe[:cut])[1]
+        if len(body) >= 8 and len(body) % 4 == 0:
+            assert wire.decode_probe(body) == (3, targets[: (len(body) - 8) // 4])
+        else:
+            with pytest.raises(ValueError):
+                wire.decode_probe(body)
+    # An entry cut inside its child tags raises ValueError too.
+    for cut in range(4 + 2 * 12):
+        with pytest.raises(ValueError):
+            wire.decode_probe_entry(entry[:cut])
+
+
+def test_cut_probe_bundle_keeps_the_entries_before_the_cut():
+    # Bundle entries carry no length of their own: a two-entry response cut
+    # inside its first entry raises ValueError, and one cut anywhere in its
+    # second entry decodes as the first entry alone, as if the second had
+    # been dropped on the way.
+    channel = crypto.SecureChannel(bytes(16))
+    entries = [
+        wire.seal_probe_entry(channel, 7, (9, 12), 5, 6, b"\x11" * 8, {9: b"\x22" * 8, 12: b"\x33" * 8}),
+        wire.seal_probe_entry(channel, 8, (), 1, 2, b"\x44" * 8, {}),
+    ]
+    bundle = wire.encode_probe_resp(3, entries)
+    one = wire.encode_probe_resp(3, entries[:1])
+    assert bundle == one + entries[1]
+    assert wire.decode_probe_resp(wire.parse_frame(bundle)[1]) == (3, entries)
+    for cut in range(len(bundle)):
+        body = wire.parse_frame(bundle[:cut])[1]
+        if cut < len(one):
+            with pytest.raises(ValueError):
+                wire.decode_probe_resp(body)
+        else:
+            assert wire.decode_probe_resp(body) == (3, entries[:1])

@@ -118,27 +118,66 @@ def test_programming_error_in_probe_answer_is_not_silence(monkeypatch):
 
 
 def test_truncated_probe_response_counts_as_silence(monkeypatch):
-    # A probe response cut to 12 bytes on its way up, or a probe cut to 5
-    # bytes on its way down, does not parse: the probe counts as silent,
-    # and the round still reaches its verdict.
+    # Node 1 is probed in the station's group, with node 2.  Its own answer
+    # cut to 12 bytes on the link up from it, or its own probe cut to 5 bytes
+    # on the link down to it, does not parse: the probe counts as silent, the
+    # round still reaches its verdict, and node 2's answer is not lost.
     cuts = (
-        lambda exchange, payload: exchange(1, payload)[:12],
-        lambda exchange, payload: exchange(1, payload[:5]),
+        lambda exchange, payload: exchange(1, payload, hops=1)[:12],
+        lambda exchange, payload: exchange(1, payload[:5], hops=1),
     )
     for cut in cuts:
         world = World(Scenario(seed=3, n=20, generator="recursive", force_attest=True))
         honest = world._exchange
 
-        def cutting(nid, payload, honest=honest, cut=cut):
-            if nid == 1 and payload[0] == wire.PROBE:
+        def cutting(nid, payload, hops=None, honest=honest, cut=cut):
+            if nid == 1 and payload == wire.encode_probe(1):  # node 1's own probe
                 return cut(honest, payload)
-            return honest(nid, payload)
+            return honest(nid, payload, hops)
 
         monkeypatch.setattr(world, "_exchange", cutting)
         result = world.run_round(1)
         assert result.integrity == "passed"
         assert (1, False, False) in result.report.transcript
         assert 1 in result.report.non_committed
+        assert (2, True, True) in result.report.transcript  # node 1's sibling in the group
+
+
+def test_attested_round_charges_each_sibling_group_once():
+    # Station 0 -> 1 -> {2, 3}, 2 -> {4, 5}; 2 forges.  A sibling group
+    # under parent p costs the request (9 B + 4 B per target) over depth(p)
+    # links, each target's 9 B probe and its answer over one link, and the
+    # bundle of the answers over depth(p) links.  A leaf answers in 69 B, a
+    # node with two children in 93 B; a bundle is 9 B plus its answers less
+    # their 9 B headers.
+    world = World(Scenario(seed=5, edges=((0, 1), (1, 2), (1, 3), (2, 4), (2, 5)),
+                           compromises=(CompromiseSpec(2, "forge_children", (12345,)),)))
+    result = world.run_round(1)
+    assert result.integrity == "attested" and result.report.outliers == frozenset({2})
+    assert [nid for nid, _, _ in result.report.transcript] == [1, 2, 3, 4, 5]
+    data = (10, 5 * (10 + 57))  # a query down and a 57 B packet up per node
+    groups = (  # (messages, bytes): request, probes, answers, bundle
+        (0 + 1 + 1 + 0, 0 + 9 + 93 + 0),  # (1,) under the station, depth 0
+        (1 + 2 + 2 + 1, 17 + 2 * 9 + (93 + 69) + 153),  # (2, 3) under 1
+        (2 + 2 + 2 + 2, 2 * 17 + 2 * 9 + 2 * 69 + 2 * 129),  # (4, 5) under 2
+    )
+    # Exoneration asks 1 (excluding 2, at depth 1) and 2 (at depth 2); the
+    # final re-aggregation asks 1 again.
+    reagg = (2 + 4 + 2, (17 + 70) + 2 * (13 + 66) + (17 + 70))
+    messages = data[0] + sum(g[0] for g in groups) + reagg[0]
+    sent = data[1] + sum(g[1] for g in groups) + reagg[1]
+    assert (messages, sent) == (34, 1567)
+    rm = world.metrics.rounds[0]
+    assert (rm.messages, rm.bytes, rm.probes) == (messages, sent, 5)
+    # A group none of whose targets answers sends nothing back up, and a
+    # target that is not the addressee's child gets no probe.
+    world.nodes[4].state = world.nodes[5].state = None
+    world._rm = rm = RoundMetrics(round=1)
+    assert world._exchange(2, wire.encode_probe(1, (4, 5))) is None
+    assert (rm.messages, rm.bytes) == (2 + 2, 2 * 17 + 2 * 9)
+    world._rm = rm = RoundMetrics(round=1)
+    assert world._exchange(2, wire.encode_probe(1, (3,))) is None
+    assert (rm.messages, rm.bytes) == (2, 2 * 13)
 
 
 def test_malformed_query_is_ignored_and_timed_out():
@@ -170,12 +209,12 @@ def test_malformed_reaggregation_request_is_a_refusal():
     honest = world._exchange
     sent = []
 
-    def cutting(nid, payload):
+    def cutting(nid, payload, hops=None):
         if payload[0] == wire.REAGG:
             sent.append(nid)
             if nid == 6 or sent.count(1) == 2:  # to the forger; the final one to 1
                 payload = payload[:2]
-        return honest(nid, payload)
+        return honest(nid, payload, hops)
 
     world._exchange = cutting
     result = world.run_round(1)
@@ -240,12 +279,20 @@ def test_leaves_get_no_timeout(monkeypatch):
 
 
 # Hashes of scripts/behaviour_sweep.py over its first 40 worlds (every
-# generator and adversary kind), pinned from the simulator before its data
-# phase was streamlined.  A change meant to keep behaviour must keep them; a
-# deliberate behaviour change updates them and says so.
+# generator and adversary kind).  The reports, transcripts and statuses are
+# pinned from the simulator before its data phase was streamlined; the
+# combined hash (which also covers message counts) and the bytes are pinned
+# from the simulator that probes sibling groups through their parent.  A
+# change meant to keep behaviour must keep them all; a deliberate behaviour
+# or traffic change updates them and says so.
 SWEEP_WORLDS = 40
-SWEEP_COMBINED = "a2cb7d0e6710c1e8f1d6eb7e18c50d3eddab980022a100561e50f94a519919d5"
-SWEEP_BYTES = "0a921d154a0c301b2704a0589371d3f0ffa33cc6786a7290665612ef62a31c96"
+SWEEP_PARTS = {
+    "reports": "171b744f36a45b5e17f8d370e413fa210aeebd8886e76ee4eab4eac027fc7d07",
+    "transcripts": "aac052d4611929553ff223a89121c66f9218e46b9b992e66b37e1a863102985e",
+    "statuses": "981370f5351c805e6fe98554ea66a75cf1548e5839080896f33b30c5698de10d",
+}
+SWEEP_COMBINED = "ca0a0413b2437f788bd480724514b1b4da6164ac60b606e1f123e0769ff2963e"
+SWEEP_BYTES = "1156ff6fa4ae2ad363c6d329e4522f277352b4d511422241611e311cce4d24f2"
 
 
 def test_behaviour_sweep_fingerprint_is_pinned():
@@ -255,6 +302,7 @@ def test_behaviour_sweep_fingerprint_is_pinned():
     spec.loader.exec_module(sweep)
     hashes, outcomes = sweep.fingerprint(SWEEP_WORLDS)
     assert outcomes["ok"] == SWEEP_WORLDS
+    assert {part: hashes[part] for part in SWEEP_PARTS} == SWEEP_PARTS
     assert (hashes["combined"], hashes["bytes"]) == (SWEEP_COMBINED, SWEEP_BYTES)
 
 

@@ -14,7 +14,6 @@ from concealed_agg.topology import (
     BS_ID,
     adjacency_from_edges,
     build_tree,
-    format_topology,
     parse_topology,
     path_graph,
     provision,
@@ -211,7 +210,7 @@ def test_random_tree_always_buildable(n, seed):
 
 def test_topology_roundtrip():
     n, edges = 3, [(0, 1), (1, 2), (1, 3)]
-    text = format_topology(n, edges)
+    text = "".join([f"nodes {n}\n"] + [f"edge {a} {b}\n" for a, b in edges])
     assert parse_topology(text) == (n, edges)
 
 
