@@ -22,13 +22,16 @@ children's tags must reproduce it) and its resent pair must pass IPET over
 its own claim.  Failing nodes have their children enqueued.  The walk probes
 siblings as a group, with one request through their parent and one bundle
 of their answers back, each answer still sealed on its own node's direct
-channel.  Committed nodes that failed only IPET get one chance to exonerate
-themselves by re-aggregating with the current outlier set excluded.
+channel.  Only tree children of a failing node are probed, so every probed
+node's parent is the station or a failing probed node.  A committed node
+that failed only IPET, and has failing children, gets one chance to
+exonerate itself by re-aggregating without them.
 
 The station is the root of the aggregation tree and folds its children's
-packets with the same ``wire.fold_packets`` step every sensor runs; the
-final re-aggregation is that fold again with the outliers excluded, and
-re-aggregation replies are opened by ``wire.open_reagg_reply``.
+packets with the same ``wire.fold_packets`` step every sensor runs.  The
+attested value costs no further exchange: the station folds its children
+that did not fail, then adds back, top-down, each exonerated node whose
+parent was added, using the re-aggregate that cleared it.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, chain, groupby
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 from . import crypto, wire
@@ -139,7 +142,6 @@ class BaseStation:
         self._child_channels = {
             cid: crypto.SecureChannel(prov.edge_keys[cid]) for cid in tree.children[tree.root]
         }
-        self._child_spans = {cid: tree.span(cid) for cid in tree.children[tree.root]}
         # Every round's result keeps its participant set; a claim with no
         # absent roots, the honest round, shares this one.
         self._all_sensors = frozenset(tree.order[1:])
@@ -156,6 +158,8 @@ class BaseStation:
         self._ledger_round = 0
         self._absent_streak: dict[int, int] = {nid: 0 for nid in self.registry}
         self._round_packets: dict[int, wire.AggPacket] = {}
+        # The re-aggregates that exonerated nodes in this round's walk.
+        self._cleared: dict[int, wire.AggPacket] = {}
         self._last_round = 0
         # Cost counters, reset by the caller as it sees fit.
         self.counters: dict[str, int] = {"seed_regens": 0, "verify_ops": 0}
@@ -215,6 +219,7 @@ class BaseStation:
         self._last_round = round_no
         self.advance_ledger(round_no)
         self._round_packets = {}
+        self._cleared = {}
         query = wire.encode_query(round_no, function)
         return [(cid, query) for cid in self.tree.children[self.tree.root]]
 
@@ -236,7 +241,7 @@ class BaseStation:
         """Fold the children's packets into the final pair and the round's
         claim: the whole tree less the silent children and every absent root
         the packets name."""
-        fold = wire.fold_packets(self._round_packets, self._child_spans)
+        fold = wire.fold_packets(self._round_packets, self.tree.children[self.tree.root])
         return fold.dsum, fold.dsum_prime, Claim(self.tree.root, fold.absent)
 
     def participants(self, claim: Claim) -> frozenset[int]:
@@ -324,12 +329,6 @@ class BaseStation:
             probes[nid] = _Probe(nid, (pkt.dsum, pkt.dsum_prime), pkt.absent, pkt.tag, child_tags)
         return probes
 
-    def _positions(self, ids, below: int) -> tuple[int, ...]:
-        """Ascending tour positions of those ids strictly below a node."""
-        start, end = self.tree.span(below)
-        pos = self.tree.pos
-        return tuple(sorted(p for p in (pos[i] for i in ids) if start < p < end))
-
     def com_att(self, round_no: int, exchange, participants: frozenset[int]) -> AttestationReport:
         """Walk the tree localizing outliers (the divide-and-conquer audit).
 
@@ -347,31 +346,29 @@ class BaseStation:
         queue: deque[tuple[int, tuple[int, ...]]] = deque()
         if packets:
             queue.append((self.tree.root, tuple(sorted(packets))))
-        enqueued: set[int] = set(packets)
         transcript: list[tuple[int, bool, bool]] = []
-        probe_order: list[int] = []
         list_l: set[int] = set()
         list_c: set[int] = set()
 
         def enqueue_children(parent: int, vouched: dict[int, bytes] | None) -> None:
+            # A silent node's children are all probed; otherwise only the
+            # children it vouches for (an id it vouches for that is not its
+            # child still enters its MAC check, but is not probed).  Each node
+            # is enqueued once, by its parent, so probes go top-down.
             tags = vouched if vouched is not None else {}
-            candidates = tags.keys() if vouched is not None else self.tree.children.get(parent, ())
-            group = []
-            for cid in sorted(candidates):
-                if cid in participants and cid not in enqueued:
-                    expected_tag[cid] = tags.get(cid)
-                    enqueued.add(cid)
-                    group.append(cid)
-            # A vouched id is probed through its parent in the tree, whoever
-            # vouched for it.
-            for tree_parent, siblings in groupby(group, self.tree.parent.__getitem__):
-                queue.append((tree_parent, tuple(siblings)))
+            group = tuple(
+                cid for cid in self.tree.children[parent]
+                if (vouched is None or cid in tags) and cid in participants
+            )
+            for cid in group:
+                expected_tag[cid] = tags.get(cid)
+            if group:
+                queue.append((parent, group))
 
         while queue:
             parent, group = queue.popleft()
             answers = self._probe_group(round_no, parent, group, exchange)
             for nid in group:
-                probe_order.append(nid)
                 probe = answers.get(nid)
                 if probe is None:
                     # Silent (or unopenable) probe: the node cannot commit.
@@ -398,14 +395,18 @@ class BaseStation:
                     list_c.add(nid)
                 enqueue_children(nid, probe.child_tags)
 
-        # Exoneration pass: committed nodes that failed only IPET re-aggregate
-        # with the current outlier set excluded; non-committed nodes are
-        # dishonest outright and get no second chance.
-        for nid in probe_order:
-            if nid not in list_l or nid in list_c:
+        # Exoneration pass, top-down: a committed node that failed only IPET
+        # re-aggregates without its failing children.  Non-committed nodes are
+        # dishonest outright and get no second chance, and a node with no
+        # failing child would only reproduce the pair that just failed.
+        for nid, committed, ipet_ok in transcript:
+            if not committed or ipet_ok:
                 continue
-            exclusions = self._positions(list_l, nid)
-            pkt = self._open_reagg_response(nid, exchange, round_no, exclusions)
+            failing = tuple(cid for cid in self.tree.children[nid] if cid in list_l)
+            if not failing:
+                continue
+            raw = exchange(nid, wire.encode_reagg(round_no, failing))
+            pkt = wire.open_reagg_reply(self._bs_channel(nid), raw)
             if pkt is None:
                 continue
             verdict = self.ipet_check(
@@ -413,38 +414,47 @@ class BaseStation:
             )
             if verdict.equal:
                 list_l.discard(nid)
+                self._cleared[nid] = pkt
 
         for nid in list_l:
             self.registry[nid].status = OUTLIER
         return AttestationReport(
             outliers=frozenset(list_l),
-            non_committed=frozenset(list_c & list_l),
+            non_committed=frozenset(list_c),
             probes=len(transcript),
             transcript=tuple(transcript),
         )
 
-    def _open_reagg_response(
-        self, nid: int, exchange, round_no: int, exclusions: tuple[int, ...]
-    ) -> wire.AggPacket | None:
-        raw = exchange(nid, wire.encode_reagg(round_no, exclusions))
-        return wire.open_reagg_reply(self._bs_channel(nid), raw)
-
-    def reaggregate_final(
-        self, round_no: int, exclusions: frozenset[int], exchange
-    ) -> tuple[tuple[int, int], Claim]:
-        """Rebuild the final pair and claim with the outlier subtrees removed.
-
-        Children whose subtrees are clean contribute their original packets;
-        children containing exclusions are asked to re-aggregate; excluded or
-        unresponsive children are dropped wholesale.
-        """
-        fold = wire.fold_packets(
-            self._round_packets,
-            self._child_spans,
-            self._positions(exclusions, self.tree.root),
-            lambda cid, below: self._open_reagg_response(cid, exchange, round_no, below),
-        )
-        return (fold.dsum, fold.dsum_prime), Claim(self.tree.root, fold.absent)
+    def reaggregate_final(self, outliers: frozenset[int]) -> tuple[tuple[int, int], Claim]:
+        """The final pair and claim less the outlier subtrees, from what the
+        walk holds, with no further exchange.  The station's children that did
+        not fail keep their packets; then each exonerated node whose parent
+        was added, in tour order, is added through its re-aggregate (which
+        left out its failing children): its pair, and its absent roots in
+        place of its own id."""
+        root = self.tree.root
+        cleared = self._cleared
+        kept = {
+            cid: pkt for cid, pkt in self._round_packets.items()
+            if cid not in outliers and cid not in cleared
+        }
+        fold = wire.fold_packets(kept, self.tree.children[root])
+        dsum, dsum_prime = fold.dsum, fold.dsum_prime
+        absent = list(fold.absent)
+        added = {root}
+        parent = self.tree.parent
+        for nid in sorted(cleared, key=self.tree.pos.__getitem__):
+            # A parent's re-aggregate that did not list nid as absent already
+            # holds nid's subtree; adding it again would count it twice.
+            if parent[nid] not in added or nid not in absent:
+                continue
+            pkt = cleared[nid]
+            added.add(nid)
+            dsum = crypto.add_mod(dsum, pkt.dsum)
+            dsum_prime = crypto.add_mod(dsum_prime, pkt.dsum_prime)
+            absent.remove(nid)
+            absent.extend(pkt.absent)
+        return (dsum, dsum_prime), Claim(root, tuple(sorted(absent)))
 
     # === Liveness and decoding ==============================================
 

@@ -43,10 +43,6 @@ class EmptyParticipants(ProtocolError):
     """Mean requested over an empty participant set."""
 
 
-class ExclusionNotResolvable(ProtocolError):
-    """An excluded interior descendant's subtree cannot be separated."""
-
-
 class ReadingOutOfRange(ProtocolError):
     """A (possibly forged) reading falls outside the sensor domain."""
 

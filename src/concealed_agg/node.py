@@ -13,10 +13,9 @@ equals the XOR of the own-MACs of every node inside it.
 
 The node also answers attestation probes (resending what it committed to on
 a direct logical channel to the base station) and re-aggregates on request
-with a set of nodes excluded, through the same fold as emission.  Exclusions
-arrive as Euler-tour positions; the node is given its children's tour spans
-at construction, which is all it needs to route each one to the child whose
-subtree holds it.
+with some of its children left out, through the same fold as emission, and
+seals the result on that direct channel.
+
 Compromised behavior is injected through an optional behavior object
 consulted at sensing, emission, and probe time.
 """
@@ -30,7 +29,6 @@ from . import crypto, wire
 from .errors import (
     AlreadyEmitted,
     AuthFailure,
-    ExclusionNotResolvable,
     NoSuchRound,
     ReplayDetected,
     StaleRound,
@@ -59,7 +57,7 @@ class SensorNode:
         self,
         node_id: int,
         parent_id: int,
-        child_spans: dict[int, tuple[int, int]],
+        children: tuple[int, ...],
         key: bytes,
         key_prime: bytes,
         edge_key: bytes,
@@ -71,9 +69,7 @@ class SensorNode:
     ):
         self.node_id = node_id
         self.parent_id = parent_id
-        # Keyed by child id in ascending order, which is also tour order.
-        self.child_spans = child_spans
-        self.children = tuple(child_spans)
+        self.children = tuple(children)  # ascending ids
         self.key = key
         self.key_prime = key_prime
         self.codec = codec
@@ -159,7 +155,7 @@ class SensorNode:
         state = self._require_state()
         if state.emitted is not None:
             raise AlreadyEmitted(f"node {self.node_id}: round {state.round}")
-        fold = wire.fold_packets(state.child_packets, self.child_spans)
+        fold = wire.fold_packets(state.child_packets, self.children)
         pkt, body = self._seal_aggregate(state, fold, self.up_channel)
         state.emitted = pkt
         payload = wire.frame(wire.AGG, body)
@@ -196,40 +192,18 @@ class SensorNode:
         )
         return wire.encode_probe_resp(round_no, [entry])
 
-    def reaggregate_excluding(
-        self, exclusions: tuple[int, ...], round_no: int, ask_child=None, to_bs: bool = False
-    ) -> bytes:
-        """Recompute the dual sums with the nodes at the given ascending tour
-        positions removed.
-
-        An excluded direct child costs one ring subtraction (its whole subtree
-        contribution is dropped); an excluded deeper descendant is resolved by
-        asking the child on its path to re-aggregate, which recurses down the
-        tree.  Positions outside the children's spans are ignored.  Raises
-        ExclusionNotResolvable when that delegation fails.
-        """
+    def reaggregate_excluding(self, children: tuple[int, ...], round_no: int) -> bytes:
+        """Recompute the dual sums without the named children, each dropped
+        with its whole subtree contribution and listed as an absent root, and
+        seal the result on the direct base-station channel.  Ids that are not
+        this node's children are ignored."""
         state = self.state
         if state is None or state.round != round_no or state.emitted is None:
             raise NoSuchRound(f"node {self.node_id}: no round {round_no} to re-aggregate")
-        fold = wire.fold_packets(
-            state.child_packets,
-            self.child_spans,
-            exclusions,
-            lambda cid, below: self._delegate_reaggregation(cid, below, round_no, ask_child),
-        )
-        _, body = self._seal_aggregate(state, fold, self.bs_channel if to_bs else self.up_channel)
+        kept = {cid: pkt for cid, pkt in state.child_packets.items() if cid not in children}
+        fold = wire.fold_packets(kept, self.children)
+        _, body = self._seal_aggregate(state, fold, self.bs_channel)
         return wire.encode_reagg_resp(round_no, True, body)
-
-    def _delegate_reaggregation(
-        self, cid: int, exclusions: tuple[int, ...], round_no: int, ask_child
-    ) -> wire.AggPacket:
-        if ask_child is None:
-            raise ExclusionNotResolvable(f"node {self.node_id}: cannot reach below child {cid}")
-        reply = ask_child(cid, wire.encode_reagg(round_no, exclusions))
-        pkt = wire.open_reagg_reply(self.child_channels[cid], reply)
-        if pkt is None:
-            raise ExclusionNotResolvable(f"node {self.node_id}: child {cid} could not re-aggregate")
-        return pkt
 
     # === Fabric dispatch ====================================================
 
@@ -269,7 +243,7 @@ class SensorNode:
         log.info("node %d: ignored message of type %s", self.node_id, msg_type)
         return []
 
-    def handle_reagg_request(self, body: bytes, ask_child=None, to_bs: bool = False) -> bytes | None:
+    def handle_reagg_request(self, body: bytes) -> bytes | None:
         """Request/response entry for re-aggregation; never raises.  A request
         that does not parse gets no reply (None), which the requester treats
         like a refusal."""
@@ -279,8 +253,8 @@ class SensorNode:
             log.info("node %d: ignored re-aggregation request: %s", self.node_id, exc)
             return None
         try:
-            return self.reaggregate_excluding(tuple(sorted(exclusions)), round_no, ask_child, to_bs=to_bs)
-        except (NoSuchRound, ExclusionNotResolvable) as exc:
+            return self.reaggregate_excluding(exclusions, round_no)
+        except NoSuchRound as exc:
             log.info("node %d: re-aggregation failed: %s", self.node_id, exc)
             return wire.encode_reagg_resp(round_no, False)
 

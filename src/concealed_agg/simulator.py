@@ -181,7 +181,7 @@ class World:
             self.nodes[nid] = SensorNode(
                 node_id=nid,
                 parent_id=self.tree.parent[nid],
-                child_spans={cid: self.tree.span(cid) for cid in children},
+                children=children,
                 key=key,
                 key_prime=key_prime,
                 edge_key=prov.edge_keys[nid],
@@ -265,7 +265,7 @@ class World:
                 except ProtocolError:
                     resp = None
         elif msg_type == wire.REAGG:
-            resp = self.nodes[nid].handle_reagg_request(body, ask_child=self._make_ask(nid), to_bs=True)
+            resp = self.nodes[nid].handle_reagg_request(body)
         else:
             resp = None
         if resp is None:
@@ -291,20 +291,6 @@ class World:
             except ValueError:
                 pass  # an answer that does not parse is not relayed
         return wire.encode_probe_resp(round_no, entries) if entries else None
-
-    def _make_ask(self, parent: int):
-        def ask(cid: int, payload: bytes) -> bytes | None:
-            rm = self._rm
-            rm.messages += 1
-            rm.bytes += len(payload)
-            _, body = wire.parse_frame(payload)
-            resp = self.nodes[cid].handle_reagg_request(body, ask_child=self._make_ask(cid), to_bs=False)
-            if resp is not None:
-                rm.messages += 1
-                rm.bytes += len(resp)
-            return resp
-
-        return ask
 
     # --- rounds --------------------------------------------------------------
 
@@ -335,7 +321,7 @@ class World:
                 )
             else:
                 report = self.bs.com_att(round_no, self._exchange, participants)
-                pair, kept_claim = self.bs.reaggregate_final(round_no, report.outliers, self._exchange)
+                pair, kept_claim = self.bs.reaggregate_final(report.outliers)
                 kept = self.bs.participants(kept_claim)
                 result = QueryResult(round_no, self.scenario.function, None, kept, "rejected", report)
                 if kept:

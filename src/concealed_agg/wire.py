@@ -33,18 +33,23 @@ the station.  Entries have no length prefix: each ends where its packet's
 absent count says, so a one-entry response is a node's own answer and a
 bundle is the answers' entries back to back.
 
+A re-aggregation request names children of its addressee to leave out:
+
+    REAGG       round (8B BE) || count (4B BE) || child ids (4B BE each, ascending)
+    REAGG_RESP  round (8B BE) || ok (1B) || aggregation packet, if ok
+
 ``fold_packets`` is the one aggregation step every parent runs, the station
 included: ring-add the children's pairs, gather their absent lists and
-collect their tags.  ``open_reagg_reply`` is the one parser of
-re-aggregation replies, used by sensors and station alike.  Every decoder
-raises ValueError, and nothing else, on a frame that does not parse.
+collect their tags; a child without a packet is an absent root.
+``open_reagg_reply`` is the station's one parser of re-aggregation replies.
+Every decoder raises ValueError, and nothing else, on a frame that does not
+parse.
 """
 
 from __future__ import annotations
 
 import logging
 import struct
-from bisect import bisect_left
 from operator import ge
 from typing import NamedTuple
 
@@ -89,31 +94,14 @@ class Fold(NamedTuple):
     tags: list[bytes]
 
 
-def fold_packets(
-    packets: dict[int, AggPacket],
-    spans: dict[int, tuple[int, int]],
-    exclusions: tuple[int, ...] = (),
-    refresh=None,
-) -> Fold:
-    """Fold the packets of the children whose Euler spans are given, in the
-    spans' (ascending id) order.
-
-    A child without a packet is an absent root.  exclusions are ascending
-    tour positions: a child whose own position is excluded is dropped and
-    becomes an absent root; a child whose span holds excluded positions
-    below it is replaced by refresh(child, those positions), and is an absent
-    root if that returns None; whatever refresh raises propagates.
-    """
+def fold_packets(packets: dict[int, AggPacket], children: tuple[int, ...]) -> Fold:
+    """Fold the packets of the given children, in their (ascending id) order;
+    a child without a packet is an absent root."""
     dsum = dsum_prime = 0
     absent: list[int] = []
     tags: list[bytes] = []
-    for child, (start, end) in spans.items():
+    for child in children:
         pkt = packets.get(child)
-        if pkt is not None and exclusions:
-            lo = bisect_left(exclusions, start)
-            hi = bisect_left(exclusions, end, lo)
-            if lo < hi:
-                pkt = None if exclusions[lo] == start else refresh(child, exclusions[lo:hi])
         if pkt is None:
             absent.append(child)
             continue
@@ -304,7 +292,8 @@ def decode_probe_resp(body: bytes) -> tuple[int, list[bytes]]:
 
 
 def encode_reagg(round_no: int, exclusions: tuple[int, ...]) -> bytes:
-    """A re-aggregation request; exclusions are ascending Euler-tour positions."""
+    """A re-aggregation request; exclusions are the addressee's children to
+    leave out, ascending ids."""
     return frame(REAGG, struct.pack(f">QI{len(exclusions)}I", round_no, len(exclusions), *exclusions))
 
 

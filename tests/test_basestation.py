@@ -222,6 +222,85 @@ def test_nested_forgers_both_localized():
     assert result.participants == frozenset({1})
 
 
+def test_bottom_forger_of_a_4096_node_path_is_localized():
+    # Every ancestor of the forger fails IPET and is exonerated on its own
+    # re-aggregation; the attested value is assembled at the station from
+    # those, so nothing recurses down the path (a re-aggregation delegated
+    # node to node raised RecursionError from n=200).
+    n = 4096
+    world, result = run_one(Scenario(
+        seed=3, n=n, generator="path",
+        compromises=(CompromiseSpec(n, "forge_children", (12345,)),),
+    ))
+    assert result.integrity == "attested"
+    assert result.report.outliers == frozenset({n})
+    assert result.participants == frozenset(range(1, n))
+    assert result.raw_sum == plaintext_sum(world, 1, result.participants)
+
+
+def test_reagg_requests_name_only_the_addressees_failing_children():
+    # Every re-aggregation request of an attested round goes to a node that
+    # failed the walk, names exactly its children that failed too (never
+    # none), and is sent before the walk returns: the attested value costs
+    # no further request.
+    scenarios = [
+        Scenario(seed=seed, n=60, generator=gen, compromises=(
+            CompromiseSpec(victim, "forge_children", (12345,)),
+            CompromiseSpec(victim // 2 + 1, "forge_children", (777,)),
+        ))
+        for seed, gen in ((3, "recursive"), (4, "geometric"), (5, "recursive"))
+        for victim in (40, 59)
+    ]
+    asked = 0
+    for scenario in scenarios:
+        world = World(scenario)
+        honest_exchange, honest_com_att = world._exchange, world.bs.com_att
+        sent, walk_over = [], []
+
+        def recording(nid, payload, hops=None):
+            if payload[0] == wire.REAGG:
+                sent.append((nid, wire.decode_reagg(payload[1:])[1], bool(walk_over)))
+            return honest_exchange(nid, payload, hops)
+
+        def walking(*args):
+            report = honest_com_att(*args)
+            walk_over.append(True)
+            return report
+
+        world._exchange, world.bs.com_att = recording, walking
+        result = world.run_round(1)
+        assert result.integrity == "attested"
+        assert result.raw_sum == plaintext_sum(world, 1, result.participants)
+        failing = {nid for nid, committed, ok in result.report.transcript if not (committed and ok)}
+        for nid, exclusions, after_walk in sent:
+            assert not after_walk
+            assert nid in failing
+            assert exclusions == tuple(c for c in world.tree.children[nid] if c in failing) != ()
+        asked += len(sent)
+    assert asked > 0
+
+
+def test_vouched_non_child_is_not_probed():
+    # Node 1 fails (its child 3 forges) and also vouches for its grandchild
+    # 4.  Only 1's own children are probed below it; 4's tag still enters
+    # 1's MAC check, which it breaks.
+    world = World(Scenario(seed=57, edges=((0, 1), (0, 5), (1, 2), (1, 3), (2, 4)),
+                           compromises=(CompromiseSpec(3, "forge_children", (4321,)),)))
+    node = world.nodes[1]
+    honest = node.respond_attestation
+
+    def vouching(round_no):
+        node.state.child_packets[4] = world.nodes[4].state.emitted
+        return honest(round_no)
+
+    node.respond_attestation = vouching
+    result = world.run_round(1)
+    assert [nid for nid, _, _ in result.report.transcript] == [1, 5, 2, 3]
+    assert result.report.non_committed == frozenset({1})
+    assert result.report.outliers == frozenset({1, 3})
+    assert result.integrity == "attested" and result.participants == frozenset({5})
+
+
 # === Monitoring ==============================================================
 
 

@@ -271,22 +271,22 @@ def test_attestation_unknown_round_raises():
 # === Re-aggregation =========================================================
 
 
-def _open_reagg(world, nid, resp, to_bs):
+def _bs_channel(world, nid):
+    return crypto.SecureChannel(crypto.derive_bs_channel_key(world.prov.node_keys[nid][0], nid))
+
+
+def _open_reagg(world, nid, resp):
     _, ok, agg_body = wire.decode_reagg_resp(wire.parse_frame(resp)[1])
     assert ok
-    if to_bs:
-        chan = crypto.SecureChannel(crypto.derive_bs_channel_key(world.prov.node_keys[nid][0], nid))
-    else:
-        chan = crypto.SecureChannel(world.prov.edge_keys[nid])
-    return wire.open_packet(chan, agg_body)
+    return wire.open_packet(_bs_channel(world, nid), agg_body)
 
 
 def test_reaggregate_excluding_direct_child_is_subtraction():
     world = cluster_world()
     emitted = drive_cluster(world)
     child_pkt = world.nodes[1].state.child_packets[3]
-    resp = world.nodes[1].reaggregate_excluding((world.tree.pos[3],), 1, to_bs=True)
-    fresh = _open_reagg(world, 1, resp, to_bs=True)
+    resp = world.nodes[1].reaggregate_excluding((3,), 1)
+    fresh = _open_reagg(world, 1, resp)
     assert fresh.dsum == (emitted.dsum - child_pkt.dsum) & crypto.MASK
     assert fresh.dsum_prime == (emitted.dsum_prime - child_pkt.dsum_prime) & crypto.MASK
     assert fresh.absent == (3,)
@@ -295,8 +295,8 @@ def test_reaggregate_excluding_direct_child_is_subtraction():
 def test_reaggregate_excluding_nothing_reproduces_emission():
     world = cluster_world()
     emitted = drive_cluster(world)
-    resp = world.nodes[1].reaggregate_excluding((), 1, to_bs=True)
-    fresh = _open_reagg(world, 1, resp, to_bs=True)
+    resp = world.nodes[1].reaggregate_excluding((), 1)
+    fresh = _open_reagg(world, 1, resp)
     assert (fresh.dsum, fresh.dsum_prime, fresh.absent) == (
         emitted.dsum,
         emitted.dsum_prime,
@@ -309,8 +309,8 @@ def test_reaggregated_pair_reverts_cleanly():
     # the plaintext sum of the survivors under both chains.
     world = cluster_world()
     drive_cluster(world)
-    resp = world.nodes[1].reaggregate_excluding((world.tree.pos[2],), 1, to_bs=True)
-    fresh = _open_reagg(world, 1, resp, to_bs=True)
+    resp = world.nodes[1].reaggregate_excluding((2,), 1)
+    fresh = _open_reagg(world, 1, resp)
     keep = (1, 3, 4)
     s = sum(seed_of(world, v, 1) for v in keep) % crypto.MODULUS
     sp = sum(seed_of(world, v, 1, prime=True) for v in keep) % crypto.MODULUS
@@ -331,20 +331,22 @@ def test_malformed_reagg_request_gets_no_reply():
     world = cluster_world()
     drive_cluster(world)
     assert world.nodes[1].handle_reagg_request(b"\x00\x01") is None
-    cut = wire.parse_frame(wire.encode_reagg(1, (world.tree.pos[2],)))[1][:-1]
+    cut = wire.parse_frame(wire.encode_reagg(1, (2,)))[1][:-1]
     assert world.nodes[1].handle_reagg_request(cut) is None
 
 
-def test_delegation_answered_by_garbled_frames_is_refused():
-    # Node 1 of the path 0-1-2-3 must delegate an exclusion of node 3 to
-    # child 2.  Whatever garbled reply comes back (none, one that does not
-    # parse), node 1 refuses instead of raising.
+def test_garbled_reagg_replies_open_to_nothing():
+    # Whatever garbled reply reaches the station (none, an empty frame, a
+    # cut REAGG_RESP, an unknown type), it opens to no packet instead of
+    # raising, and the node it came from counts as refusing.
     world = World(Scenario(seed=1, n=3, generator="path"))
     world.run_round(1)
-    request = wire.parse_frame(wire.encode_reagg(1, (world.tree.pos[3],)))[1]
+    channel = _bs_channel(world, 1)
     for reply in (None, b"", b"\x06\x00", b"\x7f" + bytes(40)):
-        resp = world.nodes[1].handle_reagg_request(request, ask_child=lambda cid, p, r=reply: r)
-        assert wire.decode_reagg_resp(wire.parse_frame(resp)[1])[:2] == (1, False)
+        assert wire.open_reagg_reply(channel, reply) is None
+    # The same channel still opens the node's real reply afterwards.
+    reply = world.nodes[1].handle_reagg_request(wire.parse_frame(wire.encode_reagg(1, (2,)))[1])
+    assert wire.open_reagg_reply(channel, reply).absent == (2,)
 
 
 def test_unknown_message_type_is_ignored():
@@ -444,15 +446,21 @@ def test_honest_agg_frame_is_57_bytes_at_any_depth():
     assert world.metrics.rounds[0].bytes == 64 * (10 + 57)
 
 
-def test_reagg_request_carries_euler_positions():
-    world = World(Scenario(seed=36, n=12, generator="recursive"))
-    tree = world.tree
-    positions = tuple(sorted(tree.pos[nid] for nid in (3, 7, 11)))
-    payload = wire.encode_reagg(5, positions)
+def test_reagg_request_carries_child_ids():
+    # A request names children of its addressee, and the addressee leaves
+    # out exactly those: each becomes an absent root of its reply.  An id
+    # that is not its child is ignored.
+    world = cluster_world()
+    drive_cluster(world)
+    payload = wire.encode_reagg(1, (2, 4, 70000))
     assert len(payload) == 1 + 12 + 4 * 3
     round_no, decoded = wire.decode_reagg(wire.parse_frame(payload)[1])
-    assert (round_no, decoded) == (5, positions)
-    assert sorted(tree.order[p] for p in decoded) == [3, 7, 11]
+    assert (round_no, decoded) == (1, (2, 4, 70000))
+    fresh = _open_reagg(world, 1, world.nodes[1].handle_reagg_request(wire.parse_frame(payload)[1]))
+    assert fresh.absent == (2, 4)
+    keep = (1, 3)
+    s = sum(seed_of(world, v, 1) for v in keep) % crypto.MODULUS
+    assert crypto.undiffuse(fresh.dsum, s) == plaintext_sum(world, 1, participants=keep)
 
 
 def test_frame_types_distinct_and_parseable():
