@@ -24,8 +24,13 @@ siblings as a group, with one request through their parent and one bundle
 of their answers back, each answer still sealed on its own node's direct
 channel.  Only tree children of a failing node are probed, so every probed
 node's parent is the station or a failing probed node.  A committed node
-that failed only IPET, and has failing children, gets one chance to
-exonerate itself by re-aggregating without them.
+that failed only IPET, and has failing children, gets one chance to be
+exonerated by a re-aggregate without them.  When all those children
+committed, the station forms it from the answers it holds: the node's pair
+less theirs, and its absent roots less theirs plus their ids; for honest
+nodes that is exactly the node's own re-aggregation, at no network cost.
+Otherwise, or if that result fails IPET (a keyed child can lie about its
+pair or absent roots and still commit), the station asks the node itself.
 
 The station is the root of the aggregation tree and folds its children's
 packets with the same ``wire.fold_packets`` step every sensor runs.  The
@@ -37,7 +42,7 @@ parent was added, using the re-aggregate that cleared it.
 from __future__ import annotations
 
 import logging
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import NamedTuple
@@ -124,6 +129,28 @@ class _Probe:
     child_tags: dict[int, bytes]
 
 
+# A re-aggregate the station trusts: a pair and the absent roots of its claim.
+Reagg = tuple[tuple[int, int], tuple[int, ...]]
+
+
+def _subtract(node: _Probe, failing: list[_Probe]) -> Reagg | None:
+    """A node's re-aggregate without its failing children, from their answers:
+    its pair less theirs in the ring, and its absent roots less theirs (as
+    multisets) plus their own ids.  None when some child's absent roots are not
+    among the node's, so the child cannot be what the node folded.  For honest
+    nodes this is exactly the node's own re-aggregation without them."""
+    dsum, dsum_prime = node.pair
+    rest = Counter(node.absent)
+    for child in failing:
+        dsum = crypto.add_mod(dsum, -child.pair[0])
+        dsum_prime = crypto.add_mod(dsum_prime, -child.pair[1])
+        rest.subtract(child.absent)
+    if any(count < 0 for count in rest.values()):
+        return None
+    absent = [*rest.elements(), *(child.node for child in failing)]
+    return (dsum, dsum_prime), tuple(sorted(absent))
+
+
 class BaseStation:
     def __init__(
         self,
@@ -159,7 +186,7 @@ class BaseStation:
         self._absent_streak: dict[int, int] = {nid: 0 for nid in self.registry}
         self._round_packets: dict[int, wire.AggPacket] = {}
         # The re-aggregates that exonerated nodes in this round's walk.
-        self._cleared: dict[int, wire.AggPacket] = {}
+        self._cleared: dict[int, Reagg] = {}
         self._last_round = 0
         # Cost counters, reset by the caller as it sees fit.
         self.counters: dict[str, int] = {"seed_regens": 0, "verify_ops": 0}
@@ -339,6 +366,11 @@ class BaseStation:
         re-aggregation request goes to the node itself.  Groups are probed in
         the order they are found, and only the round's participants are probed
         below the station's children.
+
+        Exoneration then tries each committed node that failed only IPET on
+        the station's subtraction of its failing children's answers from its
+        own, and sends the node a re-aggregation request only when that cannot
+        clear it.
         """
         packets = self._round_packets
         expected_tag: dict[int, bytes | None] = {cid: packets[cid].tag for cid in packets}
@@ -349,6 +381,7 @@ class BaseStation:
         transcript: list[tuple[int, bool, bool]] = []
         list_l: set[int] = set()
         list_c: set[int] = set()
+        answered: dict[int, _Probe] = {}
 
         def enqueue_children(parent: int, vouched: dict[int, bytes] | None) -> None:
             # A silent node's children are all probed; otherwise only the
@@ -368,6 +401,7 @@ class BaseStation:
         while queue:
             parent, group = queue.popleft()
             answers = self._probe_group(round_no, parent, group, exchange)
+            answered.update(answers)
             for nid in group:
                 probe = answers.get(nid)
                 if probe is None:
@@ -395,26 +429,31 @@ class BaseStation:
                     list_c.add(nid)
                 enqueue_children(nid, probe.child_tags)
 
-        # Exoneration pass, top-down: a committed node that failed only IPET
-        # re-aggregates without its failing children.  Non-committed nodes are
-        # dishonest outright and get no second chance, and a node with no
-        # failing child would only reproduce the pair that just failed.
+        # Exoneration pass.  Non-committed nodes are dishonest outright and get
+        # no second chance, and a node with no failing child would only
+        # reproduce the pair that just failed.  A subtraction that does not
+        # clear the node may be a keyed child's lie, not the node's, so the
+        # node is then asked as well.
+        def clears(nid: int, reagg: Reagg) -> bool:
+            return self.ipet_check(reagg[0], Claim(nid, reagg[1]), round_no, count_ops=False).equal
+
         for nid, committed, ipet_ok in transcript:
             if not committed or ipet_ok:
                 continue
             failing = tuple(cid for cid in self.tree.children[nid] if cid in list_l)
             if not failing:
                 continue
-            raw = exchange(nid, wire.encode_reagg(round_no, failing))
-            pkt = wire.open_reagg_reply(self._bs_channel(nid), raw)
-            if pkt is None:
-                continue
-            verdict = self.ipet_check(
-                (pkt.dsum, pkt.dsum_prime), Claim(nid, pkt.absent), round_no, count_ops=False
-            )
-            if verdict.equal:
-                list_l.discard(nid)
-                self._cleared[nid] = pkt
+            reagg = None
+            if list_c.isdisjoint(failing):
+                reagg = _subtract(answered[nid], [answered[cid] for cid in failing])
+            if reagg is None or not clears(nid, reagg):
+                raw = exchange(nid, wire.encode_reagg(round_no, failing))
+                pkt = wire.open_reagg_reply(self._bs_channel(nid), raw)
+                reagg = None if pkt is None else ((pkt.dsum, pkt.dsum_prime), pkt.absent)
+                if reagg is None or not clears(nid, reagg):
+                    continue
+            list_l.discard(nid)
+            self._cleared[nid] = reagg
 
         for nid in list_l:
             self.registry[nid].status = OUTLIER
@@ -448,12 +487,12 @@ class BaseStation:
             # holds nid's subtree; adding it again would count it twice.
             if parent[nid] not in added or nid not in absent:
                 continue
-            pkt = cleared[nid]
+            (d, dp), sub_absent = cleared[nid]
             added.add(nid)
-            dsum = crypto.add_mod(dsum, pkt.dsum)
-            dsum_prime = crypto.add_mod(dsum_prime, pkt.dsum_prime)
+            dsum = crypto.add_mod(dsum, d)
+            dsum_prime = crypto.add_mod(dsum_prime, dp)
             absent.remove(nid)
-            absent.extend(pkt.absent)
+            absent.extend(sub_absent)
         return (dsum, dsum_prime), Claim(root, tuple(sorted(absent)))
 
     # === Liveness and decoding ==============================================

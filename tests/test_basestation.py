@@ -222,62 +222,169 @@ def test_nested_forgers_both_localized():
     assert result.participants == frozenset({1})
 
 
+def _recording_reaggs(world: World) -> list[tuple[int, tuple[int, ...], bool]]:
+    """Record every re-aggregation request of the world's rounds: its
+    addressee, the children it names, and whether the walk had returned."""
+    honest_exchange, honest_com_att = world._exchange, world.bs.com_att
+    sent, walk_over = [], []
+
+    def recording(nid, payload, hops=None):
+        if payload[0] == wire.REAGG:
+            sent.append((nid, wire.decode_reagg(payload[1:])[1], bool(walk_over)))
+        return honest_exchange(nid, payload, hops)
+
+    def walking(*args):
+        report = honest_com_att(*args)
+        walk_over.append(True)
+        return report
+
+    world._exchange, world.bs.com_att = recording, walking
+    return sent
+
+
 def test_bottom_forger_of_a_4096_node_path_is_localized():
-    # Every ancestor of the forger fails IPET and is exonerated on its own
-    # re-aggregation; the attested value is assembled at the station from
-    # those, so nothing recurses down the path (a re-aggregation delegated
-    # node to node raised RecursionError from n=200).
+    # Every ancestor of the forger fails IPET, and its one failing child
+    # committed, so the station exonerates it by subtracting that child's
+    # answer from its own; the attested value is assembled at the station
+    # from those re-aggregates.  Nothing recurses down the path (a
+    # re-aggregation delegated node to node raised RecursionError from
+    # n=200) and no re-aggregation is requested.  What remains is 2n data
+    # frames and, per probe of a node at depth d, 2d messages through its
+    # parent: n*n + 3*n in all.
     n = 4096
-    world, result = run_one(Scenario(
+    world = World(Scenario(
         seed=3, n=n, generator="path",
         compromises=(CompromiseSpec(n, "forge_children", (12345,)),),
     ))
+    sent = _recording_reaggs(world)
+    result = world.run_round(1)
     assert result.integrity == "attested"
     assert result.report.outliers == frozenset({n})
     assert result.participants == frozenset(range(1, n))
     assert result.raw_sum == plaintext_sum(world, 1, result.participants)
+    assert sent == []
+    assert world.metrics.rounds[0].messages == n * n + 3 * n
+
+
+def _two_forger_worlds(kind: str) -> list[Scenario]:
+    return [
+        Scenario(seed=seed, n=60, generator=gen, compromises=(
+            CompromiseSpec(victim, kind, (12345,)),
+            CompromiseSpec(victim // 2 + 1, kind, (777,)),
+        ))
+        for seed, gen in ((3, "recursive"), (4, "geometric"), (5, "recursive"))
+        for victim in (40, 59)
+    ]
 
 
 def test_reagg_requests_name_only_the_addressees_failing_children():
     # Every re-aggregation request of an attested round goes to a node that
     # failed the walk, names exactly its children that failed too (never
     # none), and is sent before the walk returns: the attested value costs
-    # no further request.
-    scenarios = [
-        Scenario(seed=seed, n=60, generator=gen, compromises=(
-            CompromiseSpec(victim, "forge_children", (12345,)),
-            CompromiseSpec(victim // 2 + 1, "forge_children", (777,)),
-        ))
-        for seed, gen in ((3, "recursive"), (4, "geometric"), (5, "recursive"))
-        for victim in (40, 59)
-    ]
+    # no further request.  Here the station asks only because it cannot
+    # subtract: some failing child was silent or did not commit.
     asked = 0
-    for scenario in scenarios:
+    for scenario in _two_forger_worlds("noncommit"):
         world = World(scenario)
-        honest_exchange, honest_com_att = world._exchange, world.bs.com_att
-        sent, walk_over = [], []
-
-        def recording(nid, payload, hops=None):
-            if payload[0] == wire.REAGG:
-                sent.append((nid, wire.decode_reagg(payload[1:])[1], bool(walk_over)))
-            return honest_exchange(nid, payload, hops)
-
-        def walking(*args):
-            report = honest_com_att(*args)
-            walk_over.append(True)
-            return report
-
-        world._exchange, world.bs.com_att = recording, walking
+        sent = _recording_reaggs(world)
         result = world.run_round(1)
         assert result.integrity == "attested"
         assert result.raw_sum == plaintext_sum(world, 1, result.participants)
-        failing = {nid for nid, committed, ok in result.report.transcript if not (committed and ok)}
+        report = result.report
+        failing = {nid for nid, committed, ok in report.transcript if not (committed and ok)}
         for nid, exclusions, after_walk in sent:
             assert not after_walk
             assert nid in failing
             assert exclusions == tuple(c for c in world.tree.children[nid] if c in failing) != ()
+            assert not report.non_committed.isdisjoint(exclusions)
         asked += len(sent)
     assert asked > 0
+
+
+def test_committed_forgers_cost_no_reaggregation_request():
+    # With forge_children forgers, no one of them below another, every
+    # failing child of an honest node committed: the station exonerates
+    # each such node by subtraction, and sends no request.
+    for scenario in _two_forger_worlds("forge_children"):
+        world = World(scenario)
+        a, b = (spec.node_id for spec in scenario.compromises)
+        assert a not in world.tree.subtree(b) and b not in world.tree.subtree(a)
+        sent = _recording_reaggs(world)
+        result = world.run_round(1)
+        assert result.integrity == "attested"
+        assert result.report.outliers == frozenset({a, b})
+        assert result.raw_sum == plaintext_sum(world, 1, result.participants)
+        assert sent == []
+
+
+def test_station_subtraction_is_the_nodes_own_reaggregation():
+    # Each node cleared at the station holds the pair and absent roots its
+    # own re-aggregation without its failing children seals.
+    cleared = 0
+    for scenario in _two_forger_worlds("forge_children") + _two_forger_worlds("noncommit"):
+        world = World(scenario)
+        sent = _recording_reaggs(world)
+        result = world.run_round(1)
+        asked = {nid for nid, _, _ in sent}
+        failing = {nid for nid, committed, ok in result.report.transcript if not (committed and ok)}
+        for nid, reagg in world.bs._cleared.items():
+            if nid in asked:
+                continue
+            children = tuple(c for c in world.tree.children[nid] if c in failing)
+            raw = world.nodes[nid].reaggregate_excluding(children, 1)
+            pkt = wire.open_reagg_reply(world.bs._bs_channel(nid), raw)
+            assert ((pkt.dsum, pkt.dsum_prime), pkt.absent) == reagg
+            cleared += 1
+    assert cleared > 0
+
+
+def _lie_about_absent_roots(node, pkt, child_tags):
+    # A descendant (11, below forger 6) that node 4 did not leave out.
+    return (*pkt.absent, 11), (pkt.dsum, pkt.dsum_prime), child_tags
+
+
+def _lie_about_the_pair(node, pkt, child_tags):
+    # A shifted pair, with child 6's tag rewritten so the MAC chain still
+    # reproduces the committed tag.
+    pair = (crypto.add_mod(pkt.dsum, 1), pkt.dsum_prime)
+    tags = dict(child_tags)
+    tags[6] = crypto.xor_tags(
+        crypto.xor_tags(tags[6], crypto.mac_pair(node.key, pkt.dsum, pkt.dsum_prime)),
+        crypto.mac_pair(node.key, *pair),
+    )
+    return pkt.absent, pair, tags
+
+
+@pytest.mark.parametrize("lie", [_lie_about_absent_roots, _lie_about_the_pair])
+def test_committed_child_lying_in_its_answer_does_not_blame_its_parent(lie):
+    # Node 4 (parent 1) lies in its probe answer but stays committed: the
+    # MAC covers only the pair, and a keyed node can re-tag its children.
+    # Its answer then no longer subtracts from honest node 1's to a passing
+    # pair, so the station asks 1 to re-aggregate instead, and 1 is
+    # cleared.  Forger 6 is below 4.
+    world = World(Scenario(seed=3, n=20, generator="recursive",
+                           compromises=(CompromiseSpec(6, "forge_children", (12345,)),)))
+    assert world.tree.parent[4] == 1 and 6 in world.tree.children[4] and 11 in world.tree.subtree(6)
+    node = world.nodes[4]
+
+    def lying(round_no):
+        pkt = node.state.emitted
+        child_tags = {cid: p.tag for cid, p in node.state.child_packets.items()}
+        absent, pair, tags = lie(node, pkt, child_tags)
+        entry = wire.seal_probe_entry(node.bs_channel, 4, absent, *pair, pkt.tag, tags)
+        return wire.encode_probe_resp(round_no, [entry])
+
+    node.respond_attestation = lying
+    sent = _recording_reaggs(world)
+    result = world.run_round(1)
+    transcript = {nid: (committed, ok) for nid, committed, ok in result.report.transcript}
+    assert transcript[4] == (True, False)
+    assert 1 in {nid for nid, _, _ in sent}
+    assert 1 not in result.report.outliers
+    assert world.bs.registry[1].status == ALIVE
+    assert result.integrity == "attested"
+    assert 6 in result.report.outliers
+    assert result.raw_sum == plaintext_sum(world, 1, result.participants)
 
 
 def test_vouched_non_child_is_not_probed():

@@ -161,14 +161,12 @@ def test_attested_round_charges_each_sibling_group_once():
         (1 + 2 + 2 + 1, 17 + 2 * 9 + (93 + 69) + 153),  # (2, 3) under 1
         (2 + 2 + 2 + 2, 2 * 17 + 2 * 9 + 2 * 69 + 2 * 129),  # (4, 5) under 2
     )
-    # Exoneration asks only 1, at depth 1, to leave out its failing child 2
-    # (a 17 B request, a 70 B reply naming one absent root).  Node 2 has no
-    # failing child, so it is not asked, and the attested value is built
-    # from 1's reply with no final request.
-    reagg = (1 + 1, 17 + 70)
-    messages = data[0] + sum(g[0] for g in groups) + reagg[0]
-    sent = data[1] + sum(g[1] for g in groups) + reagg[1]
-    assert (messages, sent) == (28, 1322)
+    # Exoneration sends nothing: 1's failing child 2 committed, so the
+    # station clears 1 on 1's answer less 2's.  Node 2 has no failing
+    # child, and the attested value is built at the station.
+    messages = data[0] + sum(g[0] for g in groups)
+    sent = data[1] + sum(g[1] for g in groups)
+    assert (messages, sent) == (26, 1235)
     rm = world.metrics.rounds[0]
     assert (rm.messages, rm.bytes, rm.probes) == (messages, sent, 5)
     # A group none of whose targets answers sends nothing back up, and a
@@ -202,31 +200,33 @@ def test_malformed_query_is_ignored_and_timed_out():
 
 
 def test_malformed_reaggregation_request_is_a_refusal():
-    # Forger 6 sits below 4 and 1.  Node 1's exoneration request is cut to
-    # 2 bytes: it gets no reply, which counts as a refusal, so 1 stays an
-    # outlier, its subtree leaves the attested value, and 6 is still
-    # localized.  Node 1 is honest: blaming it for a cut frame is the same
-    # keyless-attacker defect (ROADMAP item 2) as a cut probe counting as
-    # non-committed, and the assertion on it marks that defect.
+    # Non-committed forger 6 sits below 4 and 1.  Node 1 is cleared at the
+    # station, since its failing child 4 committed; node 4 is asked over the
+    # network to leave out 6, and that request is cut to 2 bytes: it gets no
+    # reply, which counts as a refusal, so 4 stays an outlier, its subtree
+    # leaves the attested value, and 6 is still localized.  Node 4 is
+    # honest: blaming it for a cut frame is the same keyless-attacker defect
+    # (ROADMAP item 2) as a cut probe counting as non-committed, and the
+    # assertion on it marks that defect.
     world = World(Scenario(seed=3, n=20, generator="recursive",
-                           compromises=(CompromiseSpec(6, "forge_children", (12345,)),)))
+                           compromises=(CompromiseSpec(6, "noncommit"),)))
     honest = world._exchange
     sent = []
 
     def cutting(nid, payload, hops=None):
         if payload[0] == wire.REAGG:
             sent.append(nid)
-            if nid == 1:
+            if nid == 4:
                 payload = payload[:2]
         return honest(nid, payload, hops)
 
     world._exchange = cutting
     result = world.run_round(1)
-    assert 1 in sent
+    assert sent == [4]
     assert result.integrity == "attested"
     assert 6 in result.report.outliers
-    assert 1 in result.report.outliers
-    assert result.participants == frozenset(world.tree.subtree(2))
+    assert 4 in result.report.outliers
+    assert result.participants == frozenset(world.tree.sensor_ids) - world.tree.subtree(4)
     assert result.raw_sum == plaintext_sum(world, 1, result.participants)
 
 
@@ -288,29 +288,46 @@ def test_leaves_get_no_timeout(monkeypatch):
 # generator and adversary kind).  The reports, transcripts and statuses are
 # pinned from the simulator before its data phase was streamlined; the
 # combined hash (which also covers message counts) and the bytes are pinned
-# from the simulator that builds the attested value from the walk's own
-# re-aggregations, with no final request.  A
-# change meant to keep behaviour must keep them all; a deliberate behaviour
-# or traffic change updates them and says so.
+# from the simulator that exonerates committed ancestors at the station by
+# ring subtraction.  A change meant to keep behaviour must keep them all; a
+# deliberate behaviour or traffic change updates them and says so.
 SWEEP_WORLDS = 40
 SWEEP_PARTS = {
     "reports": "171b744f36a45b5e17f8d370e413fa210aeebd8886e76ee4eab4eac027fc7d07",
     "transcripts": "aac052d4611929553ff223a89121c66f9218e46b9b992e66b37e1a863102985e",
     "statuses": "981370f5351c805e6fe98554ea66a75cf1548e5839080896f33b30c5698de10d",
 }
-SWEEP_COMBINED = "948b59e95589a56362d33a89f233bccbf32965c8663ca54650ab2d2078c18469"
-SWEEP_BYTES = "cc7553659f9ce9b78a9151de5f6d8424ec09e0116c3dd43e609ebf9cc9e67764"
+SWEEP_COMBINED = "0b95c552e3d7b60e5895899e85709e2842b6f258744156d13b7159b710872691"
+SWEEP_BYTES = "e7f9ea03c965e21680edcc8d59241f1e649e0593f5f1e20e7714be828e4d4b87"
+# The same three parts over the script's default 104 worlds, where every
+# generator meets every adversary kind under every audit setting; unchanged
+# since the data phase was streamlined.
+SWEEP_104_PARTS = {
+    "reports": "dc89132f68e2e6d744d299ea4e807204800722bb6ff2b1f9e11b6b8f827178f6",
+    "transcripts": "066d1ec7ab09db1b8cd449cdc777cf9636d2c54eddb7c3e232c4a60aa2dd1bbb",
+    "statuses": "da021ee4d2abf8141a4f4a68b82cabbb34cbd07b2192ee47b1049d1b16c532aa",
+}
 
 
-def test_behaviour_sweep_fingerprint_is_pinned():
+def _sweep():
     path = Path(__file__).resolve().parents[1] / "scripts" / "behaviour_sweep.py"
     spec = importlib.util.spec_from_file_location("behaviour_sweep", path)
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
-    hashes, outcomes = sweep.fingerprint(SWEEP_WORLDS)
+    return sweep
+
+
+def test_behaviour_sweep_fingerprint_is_pinned():
+    hashes, outcomes = _sweep().fingerprint(SWEEP_WORLDS)
     assert outcomes["ok"] == SWEEP_WORLDS
     assert {part: hashes[part] for part in SWEEP_PARTS} == SWEEP_PARTS
     assert (hashes["combined"], hashes["bytes"]) == (SWEEP_COMBINED, SWEEP_BYTES)
+
+
+def test_behaviour_sweep_verdicts_over_104_worlds_are_pinned():
+    hashes, outcomes = _sweep().fingerprint(104)
+    assert outcomes["ok"] == 104
+    assert {part: hashes[part] for part in SWEEP_104_PARTS} == SWEEP_104_PARTS
 
 
 def test_rejected_when_everything_is_compromised():
