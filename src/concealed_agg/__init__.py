@@ -23,14 +23,13 @@ from .errors import (
     ScenarioInvalid,
 )
 from .node import SensorNode
-from .adversary import AttackPlan, CompromiseSpec
+from .adversary import CompromiseSpec
 from .simulator import Metrics, ScalingRow, Scenario, World, measure_scaling, run
 from .topology import Tree, build_tree, load_topology, provision
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttackPlan",
     "AttestationReport",
     "AuthFailure",
     "BaseStation",

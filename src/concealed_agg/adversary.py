@@ -1,11 +1,11 @@
-"""Adversary model: compromised-node behaviors and attack plans.
+"""Adversary model: compromised-node behaviors and how a scenario arms them.
 
-A behavior is a deterministic function of the attack plan, so every
+A behavior is a deterministic function of its compromise, so every
 experiment replays bit-for-bit.  Behaviors activate at a trigger round and
 stay active afterwards; in particular a forger keeps forging when asked to
 re-aggregate, which is what pins it inside the outlier list.
 
-Behavior kinds:
+Behavior kinds (BUILDERS gives each one's arguments):
 
   forge_own       shift the node's own reading before diffusion; the shift is
                   applied consistently under both chains, so it is invisible
@@ -29,8 +29,6 @@ from dataclasses import dataclass, field
 
 from . import crypto
 from .errors import ReadingOutOfRange, ScenarioInvalid
-
-KINDS = ("forge_own", "forge_children", "noncommit", "replay", "drop_child")
 
 
 def _derived_delta(node_id: int) -> int:
@@ -85,46 +83,48 @@ class Behavior:
         return self._captured.get(self.replay_source, payload)
 
 
-# === Behavior constructors (attach to a node, return the behavior) ==========
+# === Compromise kinds =======================================================
 
 
-def forge_children(node, delta: int, *, trigger_round: int = 1, dual: bool = False) -> Behavior:
-    node.behavior = Behavior("forge_children", trigger_round, delta=delta & crypto.MASK, dual=dual)
-    return node.behavior
+def _forge_own(node, trigger_round: int, delta_raw: int) -> Behavior:
+    return Behavior("forge_own", trigger_round, delta=delta_raw)
 
 
-def forge_own(node, delta_raw: int, *, trigger_round: int = 1) -> Behavior:
-    node.behavior = Behavior("forge_own", trigger_round, delta=delta_raw)
-    return node.behavior
+def _forge_children(node, trigger_round: int, delta: int, dual: bool = False) -> Behavior:
+    return Behavior("forge_children", trigger_round, delta=delta & crypto.MASK, dual=dual)
 
 
-def noncommit(node, delta: int | None = None, *, trigger_round: int = 1) -> Behavior:
+def _noncommit(node, trigger_round: int, delta: int | None = None) -> Behavior:
     if delta is None:
         delta = _derived_delta(node.node_id)
-    node.behavior = Behavior(
-        "noncommit",
-        trigger_round,
-        delta=delta & crypto.MASK,
-        probe_delta=_derived_delta(node.node_id ^ 0x5A5A),
-    )
-    return node.behavior
+    probe_delta = _derived_delta(node.node_id ^ 0x5A5A)
+    return Behavior("noncommit", trigger_round, delta=delta & crypto.MASK, probe_delta=probe_delta)
 
 
-def replay(node, source_round: int, *, trigger_round: int) -> Behavior:
+def _replay(node, trigger_round: int, source_round: int) -> Behavior:
     if not 1 <= source_round < trigger_round:
         raise ScenarioInvalid("replay source round must precede the trigger round")
-    node.behavior = Behavior("replay", trigger_round, replay_source=source_round)
-    return node.behavior
+    return Behavior("replay", trigger_round, replay_source=source_round)
 
 
-def drop_child(node, child: int, *, trigger_round: int = 1) -> Behavior:
+def _drop_child(node, trigger_round: int, child: int) -> Behavior:
     if child not in node.children:
         raise ScenarioInvalid(f"node {node.node_id} has no child {child} to drop")
-    node.behavior = Behavior("drop_child", trigger_round, dropped=frozenset({child}))
-    return node.behavior
+    return Behavior("drop_child", trigger_round, dropped=frozenset({child}))
 
 
-# === Attack plans ===========================================================
+# kind -> (usage, argument types, builder(node, trigger_round, *args)).  The
+# usage's <required> arguments come before its [optional] ones; each argument
+# must have exactly its type, so a bool is no integer and only a bool is dual.
+BUILDERS = {
+    "forge_own": ("<delta_raw>", (int,), _forge_own),
+    "forge_children": ("<delta> [dual]", (int, bool), _forge_children),
+    "noncommit": ("[delta]", (int,), _noncommit),
+    "replay": ("<source_round>", (int,), _replay),
+    "drop_child": ("<child>", (int,), _drop_child),
+}
+
+KINDS = tuple(BUILDERS)
 
 
 @dataclass(frozen=True)
@@ -134,37 +134,27 @@ class CompromiseSpec:
     args: tuple = ()
 
 
-@dataclass(frozen=True)
-class AttackPlan:
-    compromises: tuple[CompromiseSpec, ...] = ()
-    trigger_round: int = 1
+def apply_plan(nodes: dict, compromises: tuple[CompromiseSpec, ...], trigger_round: int) -> None:
+    """Attach each compromise's behavior to its node, armed from trigger_round.
 
-    @property
-    def compromised(self) -> frozenset[int]:
-        return frozenset(spec.node_id for spec in self.compromises)
-
-
-def apply_plan(nodes: dict, plan: AttackPlan) -> None:
-    """Attach plan behaviors to their nodes; validates ids and kinds."""
+    Raises ScenarioInvalid for an unknown node or kind, a node compromised
+    twice, or arguments that do not fit the kind.
+    """
     seen: set[int] = set()
-    for spec in plan.compromises:
+    for spec in compromises:
         if spec.node_id not in nodes:
             raise ScenarioInvalid(f"compromised node {spec.node_id} not provisioned")
         if spec.node_id in seen:
             raise ScenarioInvalid(f"node {spec.node_id} compromised twice")
         seen.add(spec.node_id)
-        node = nodes[spec.node_id]
-        trigger = plan.trigger_round
-        if spec.kind == "forge_children":
-            forge_children(node, int(spec.args[0]), trigger_round=trigger,
-                           dual=bool(spec.args[1]) if len(spec.args) > 1 else False)
-        elif spec.kind == "forge_own":
-            forge_own(node, int(spec.args[0]), trigger_round=trigger)
-        elif spec.kind == "noncommit":
-            noncommit(node, int(spec.args[0]) if spec.args else None, trigger_round=trigger)
-        elif spec.kind == "replay":
-            replay(node, int(spec.args[0]), trigger_round=trigger)
-        elif spec.kind == "drop_child":
-            drop_child(node, int(spec.args[0]), trigger_round=trigger)
-        else:
+        if spec.kind not in BUILDERS:
             raise ScenarioInvalid(f"unknown behavior kind {spec.kind!r}")
+        usage, types, build = BUILDERS[spec.kind]
+        args = spec.args
+        if not (
+            usage.count("<") <= len(args) <= len(types)
+            and all(type(arg) is want for arg, want in zip(args, types))
+        ):
+            raise ScenarioInvalid(f"node {spec.node_id}: {spec.kind} takes {usage}, got {args}")
+        node = nodes[spec.node_id]
+        node.behavior = build(node, trigger_round, *args)

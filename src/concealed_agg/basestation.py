@@ -81,7 +81,6 @@ class Claim(NamedTuple):
 class IpetVerdict:
     equal: bool
     sum_raw: int
-    sum_prime_raw: int
 
 
 @dataclass(frozen=True)
@@ -296,7 +295,7 @@ class BaseStation:
     ) -> IpetVerdict:
         """Revert both components over the claim's seed sums and compare.
 
-        A malformed claim fails, with both raw sums reported as 0.
+        A malformed claim fails, with its raw sum reported as 0.
         """
         self.advance_ledger(round_no)
         if round_no != self._ledger_round:
@@ -305,14 +304,13 @@ class BaseStation:
         sums = self._claim_seed_sums(root, absent)
         if sums is None:
             log.info("base station: malformed absent list %s under %d", absent[:8], root)
-            return IpetVerdict(False, 0, 0)
+            return IpetVerdict(False, 0)
         sum_raw = crypto.undiffuse(pair[0], sums[0])
-        sum_prime_raw = crypto.undiffuse(pair[1], sums[1])
         if count_ops:
             # A range sum and a subtraction per absent root on each chain,
             # the root's range sum, two reversions and the comparison.
             self.counters["verify_ops"] += 4 * len(absent) + 2 + 3
-        return IpetVerdict(sum_raw == sum_prime_raw, sum_raw, sum_prime_raw)
+        return IpetVerdict(sum_raw == crypto.undiffuse(pair[1], sums[1]), sum_raw)
 
     # === Attestation ========================================================
 

@@ -6,7 +6,7 @@ comment):
     nodes <n>                      sensor count (required with a generator)
     edge <a> <b>                   explicit link; repeatable; 0 is the station
     generator <family>             recursive | geometric | path | star
-    seed <int>                     scenario seed (CONCEALED_AGG_SEED overrides)
+    seed <int>                     scenario seed in [0, 2**64) (CONCEALED_AGG_SEED overrides)
     rounds <int>
     function sum|mean
     domain <low> <high> <scale>    fixed-point sensor domain
@@ -36,7 +36,7 @@ from . import crypto
 from .adversary import KINDS, CompromiseSpec
 from .basestation import format_report_line
 from .errors import ProtocolError, ScenarioInvalid
-from .simulator import GENERATORS, Metrics, Scenario, World, measure_scaling
+from .simulator import GENERATORS, SEED_LIMIT, Metrics, Scenario, World, measure_scaling
 from .topology import parse_edge
 
 ENV_SEED = "CONCEALED_AGG_SEED"
@@ -88,12 +88,8 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
                 nid, kind = int(args[0]), args[1]
                 if kind not in KINDS:
                     fail(lineno, f"unknown behavior {kind!r}")
-                extra = []
-                for a in args[2:]:
-                    extra.append(a if a == "dual" else int(a))
-                if extra and extra[-1] == "dual":
-                    extra[-1] = True
-                compromises.append(CompromiseSpec(nid, kind, tuple(extra)))
+                extra = tuple(True if a == "dual" else int(a) for a in args[2:])
+                compromises.append(CompromiseSpec(nid, kind, extra))
             elif key == "force-attest" and not args:
                 fields["force_attest"] = True
             elif key == "audit-prob" and len(args) == 1:
@@ -220,6 +216,10 @@ def cmd_scaling(args, parser) -> int:
         sizes = _parse_sizes(args.sizes)
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
+    if args.trials < 1:
+        parser.error("--trials must be >= 1")
+    if args.seed is not None and not 0 <= args.seed < SEED_LIMIT:
+        parser.error(f"--seed {args.seed} outside [0, 2**64)")
     rows = measure_scaling(sizes, args.trials, seed=args.seed or 0, generator=args.generator)
     lines = ["n,trials,mean_probes,max_probes,mean_depth,mean_messages"]
     for r in rows:

@@ -31,7 +31,7 @@ import statistics
 from dataclasses import dataclass, field
 
 from . import crypto, wire
-from .adversary import AttackPlan, CompromiseSpec, apply_plan
+from .adversary import CompromiseSpec, apply_plan
 from .basestation import BaseStation, QueryResult, format_report_line
 from .errors import DisconnectedGraph, ProtocolError, ScenarioInvalid, StaleRound
 from .node import SensorNode
@@ -50,6 +50,7 @@ from .topology import (
 TIMEOUT_BUDGET = 10  # ticks granted per remaining tree level
 
 GENERATORS = ("recursive", "geometric", "path", "star")
+SEED_LIMIT = 2**64  # seeds lie in [0, SEED_LIMIT): _sub_seed packs one into 8 bytes
 
 
 def _sub_seed(master: int, label: str) -> int:
@@ -120,6 +121,8 @@ class Scenario:
     source: str = "<scenario>"
 
     def validate(self) -> None:
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ScenarioInvalid(f"{self.source}: seed {self.seed} outside [0, 2**64)")
         if self.rounds < 1:
             raise ScenarioInvalid(f"{self.source}: rounds must be >= 1")
         if self.function not in wire.FUNC_CODES:
@@ -138,9 +141,6 @@ class Scenario:
                 raise ScenarioInvalid(f"{self.source}: need at least one sensor")
         if self.trigger_round < 1:
             raise ScenarioInvalid(f"{self.source}: trigger round must be >= 1")
-        for spec in self.compromises:
-            if spec.kind == "replay" and self.trigger_round < 2:
-                raise ScenarioInvalid(f"{self.source}: replay needs a round to capture first")
 
 
 # === The world ==============================================================
@@ -192,7 +192,7 @@ class World:
             )
         self.bs = BaseStation(self.tree, prov, self.codec, scenario.absent_threshold)
         try:
-            apply_plan(self.nodes, AttackPlan(scenario.compromises, scenario.trigger_round))
+            apply_plan(self.nodes, scenario.compromises, scenario.trigger_round)
         except ScenarioInvalid as exc:
             raise ScenarioInvalid(f"{scenario.source}: {exc}") from exc
         self._audit_rng = random.Random(_sub_seed(scenario.seed, "audit"))

@@ -265,6 +265,26 @@ def test_drop_child_requires_actual_child():
                        compromises=(CompromiseSpec(2, "drop_child", (3,)),)))
 
 
+MALFORMED_COMPROMISES = (
+    CompromiseSpec(2, "forge_children", ()),
+    CompromiseSpec(2, "forge_own", ()),
+    CompromiseSpec(2, "replay", ()),
+    CompromiseSpec(2, "drop_child", ()),
+    CompromiseSpec(2, "forge_children", ("x",)),
+    CompromiseSpec(2, "forge_children", (True, 5)),  # `forge_children dual 5`
+    CompromiseSpec(2, "forge_children", (True,)),  # `forge_children dual`
+    CompromiseSpec(2, "forge_children", (5, 7)),  # only `dual` may follow the delta
+    CompromiseSpec(2, "forge_children", (5, True, True)),
+    CompromiseSpec(2, "forge_own", (3, 4, 5)),
+    CompromiseSpec(2, "forge_own", (1.5,)),
+    CompromiseSpec(2, "noncommit", (1, 2)),
+    CompromiseSpec(2, "noncommit", (False,)),
+    CompromiseSpec(2, "replay", ("1",)),
+    CompromiseSpec(2, "replay", (1, 1)),
+    CompromiseSpec(2, "drop_child", (True,)),  # a bool is not the child id 1
+)
+
+
 def test_plan_validation():
     with pytest.raises(ScenarioInvalid):
         World(Scenario(seed=86, n=3, generator="star",
@@ -275,6 +295,13 @@ def test_plan_validation():
     with pytest.raises(ScenarioInvalid):
         World(Scenario(seed=88, n=3, generator="star", trigger_round=1,
                        compromises=(CompromiseSpec(1, "replay", (1,)),)))
+    with pytest.raises(ScenarioInvalid):
+        World(Scenario(seed=88, n=3, generator="star",
+                       compromises=(CompromiseSpec(1, "forge_own", (1,)),
+                                    CompromiseSpec(1, "forge_children", (1,)))))
+    for spec in MALFORMED_COMPROMISES:
+        with pytest.raises(ScenarioInvalid, match=f"node 2: {spec.kind} takes"):
+            World(Scenario(seed=89, n=4, generator="path", trigger_round=2, compromises=(spec,)))
 
 
 # === Influence bound ========================================================

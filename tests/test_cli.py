@@ -122,6 +122,31 @@ def test_scenario_parse_compromise_args():
     assert scenario.trigger_round == 2
 
 
+@pytest.mark.parametrize("compromise", [
+    "forge_children", "forge_own", "replay", "drop_child",  # missing arguments
+    "forge_children dual 5", "forge_children dual", "forge_children 5 7",
+    "forge_own 3 4 5", "noncommit 1 2",
+])
+def test_run_malformed_compromise_exits_two(tmp_path, capsys, compromise):
+    scn = write(tmp_path, "c.scn", f"nodes 6\ngenerator path\ntrigger 2\ncompromise 2 {compromise}\n")
+    assert cli.main(["run", scn, "--out", str(tmp_path / "o")]) == 2
+    assert "invalid scenario" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_run_out_of_range_seed_exits_two(tmp_path, capsys, monkeypatch, seed):
+    scn = write(tmp_path, "h.scn", HONEST)
+    bad = write(tmp_path, "s.scn", HONEST.replace("seed 13", f"seed {seed}"))
+    assert cli.main(["run", bad, "--out", str(tmp_path / "o")]) == 2
+    assert cli.main(["run", scn, "--seed", seed, "--out", str(tmp_path / "o")]) == 2
+    monkeypatch.setenv(cli.ENV_SEED, seed)
+    assert cli.main(["run", scn, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.count("outside [0, 2**64)") == 3
+    monkeypatch.setenv(cli.ENV_SEED, str(2**64 - 1))
+    assert cli.main(["run", scn, "--out", str(tmp_path / "o"), "--no-timestamp"]) == 0
+
+
 def test_scenario_parse_rejects_unknown_behavior():
     with pytest.raises(ScenarioInvalid, match=":2"):
         cli.parse_scenario("nodes 2\ncompromise 1 explode\n")
@@ -150,6 +175,14 @@ def test_scaling_zero_size_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["scaling", "--sizes", "0"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["--seed", "-1"], ["--seed", str(2**64)], ["--trials", "0"]])
+def test_scaling_bad_seed_or_trials_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scaling", "--sizes", "8", "--trials", "1", *argv])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 # === selftest ===============================================================
