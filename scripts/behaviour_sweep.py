@@ -11,7 +11,10 @@ regenerations, probes), the attestation transcripts and the registry
 statuses, plus a combined hash of those four.  Bytes per round get a hash of
 their own, outside the combined one, so that a wire-format change can be
 checked for unchanged behaviour too.  Run it against two source trees to
-check that a refactor left behaviour unchanged: the hashes must match.  Any
+check that a refactor left behaviour unchanged: the hashes must match.
+`scripts/behaviour_sweep_520.txt` holds the output over 520 worlds, which CI
+diffs against; a change that alters counts or verdicts by design updates it
+and says why.  Any
 exception other than a ProtocolError ends the script with a traceback.
 """
 

@@ -25,7 +25,7 @@ from .errors import (
 from .node import SensorNode
 from .adversary import CompromiseSpec
 from .simulator import Metrics, ScalingRow, Scenario, World, measure_scaling, run
-from .topology import Tree, build_tree, load_topology, provision
+from .topology import Tree, build_tree, provision
 
 __version__ = "0.1.0"
 
@@ -53,7 +53,6 @@ __all__ = [
     "build_tree",
     "diffuse",
     "format_report_line",
-    "load_topology",
     "measure_scaling",
     "provision",
     "run",

@@ -322,13 +322,13 @@ class BaseStation:
         return channel
 
     def _probe_group(
-        self, round_no: int, parent: int, targets: tuple[int, ...], exchange
+        self, round_no: int, parent: int, targets: tuple[int, ...], ask
     ) -> dict[int, _Probe]:
         """Probe sibling targets through their parent; the answered probes by
         node.  Entries are matched to targets by the sender each names, and a
         node's entry opens only on its own direct channel, so whoever relays
         the bundle can drop an entry but not forge one."""
-        raw = exchange(parent, wire.encode_probe(round_no, targets))
+        raw = ask(parent, wire.encode_probe(round_no, targets))
         if raw is None:
             return {}
         try:
@@ -354,11 +354,11 @@ class BaseStation:
             probes[nid] = _Probe(nid, (pkt.dsum, pkt.dsum_prime), pkt.absent, pkt.tag, child_tags)
         return probes
 
-    def com_att(self, round_no: int, exchange, participants: frozenset[int]) -> AttestationReport:
+    def com_att(self, round_no: int, ask, participants: frozenset[int]) -> AttestationReport:
         """Walk the tree localizing outliers (the divide-and-conquer audit).
 
-        exchange(node_id, payload) must deliver a request to the node and
-        return its response bytes, or None if nothing comes back: a probe
+        ask(node_id, request) must carry a request from the station to the
+        node and return its answer, or None if nothing comes back: a probe
         naming a sibling group goes to the group's parent (the station for its
         own children) and returns the bundle of their answers, a
         re-aggregation request goes to the node itself.  Groups are probed in
@@ -398,7 +398,7 @@ class BaseStation:
 
         while queue:
             parent, group = queue.popleft()
-            answers = self._probe_group(round_no, parent, group, exchange)
+            answers = self._probe_group(round_no, parent, group, ask)
             answered.update(answers)
             for nid in group:
                 probe = answers.get(nid)
@@ -445,7 +445,7 @@ class BaseStation:
             if list_c.isdisjoint(failing):
                 reagg = _subtract(answered[nid], [answered[cid] for cid in failing])
             if reagg is None or not clears(nid, reagg):
-                raw = exchange(nid, wire.encode_reagg(round_no, failing))
+                raw = ask(nid, wire.encode_reagg(round_no, failing))
                 pkt = wire.open_reagg_reply(self._bs_channel(nid), raw)
                 reagg = None if pkt is None else ((pkt.dsum, pkt.dsum_prime), pkt.absent)
                 if reagg is None or not clears(nid, reagg):

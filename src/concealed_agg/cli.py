@@ -19,6 +19,9 @@ comment):
     force-attest
     audit-prob <float>
 
+A `--topology` file is read by the same parser and holds only `nodes` and
+`edge` lines; in either file a second `nodes` line is an error.
+
 Exit codes: 0 all rounds reached a verdict, 1 runtime protocol failure,
 2 invalid scenario (the diagnostic names the offending line).
 """
@@ -37,7 +40,6 @@ from .adversary import KINDS, CompromiseSpec
 from .basestation import format_report_line
 from .errors import ProtocolError, ScenarioInvalid
 from .simulator import GENERATORS, SEED_LIMIT, Metrics, Scenario, World, measure_scaling
-from .topology import parse_edge
 
 ENV_SEED = "CONCEALED_AGG_SEED"
 
@@ -45,7 +47,9 @@ ENV_SEED = "CONCEALED_AGG_SEED"
 # === Scenario files =========================================================
 
 
-def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
+def parse_scenario(text: str, source: str = "<scenario>", edges_only: bool = False) -> Scenario:
+    """A scenario file's Scenario; with edges_only, a topology file, whose
+    only lines are `nodes` and `edge`."""
     n = None
     edges: list[tuple[int, int]] = []
     generator = None
@@ -62,12 +66,23 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         parts = line.split()
         key, args = parts[0], parts[1:]
         try:
+            if edges_only and key not in ("nodes", "edge"):
+                fail(lineno, f"unrecognized line {raw.strip()!r}")
             if key == "nodes" and len(args) == 1:
+                if n is not None:
+                    fail(lineno, "duplicate nodes line")
                 n = int(args[0])
             elif key == "edge" and len(args) == 2:
                 if generator is not None:
                     fail(lineno, "edge lines cannot be mixed with a generator")
-                edges.append(parse_edge(args, n))
+                if n is None:
+                    fail(lineno, "edge before nodes line")
+                a, b = int(args[0]), int(args[1])
+                if a == b:
+                    fail(lineno, f"edge {a} {b} is a self-loop")
+                if not (0 <= a <= n and 0 <= b <= n):
+                    fail(lineno, f"edge {a} {b} out of range for {n} sensors")
+                edges.append((a, b))
             elif key == "generator" and len(args) == 1:
                 if edges:
                     fail(lineno, "generator cannot be mixed with edge lines")
@@ -110,12 +125,12 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     )
 
 
-def load_scenario(path: str) -> Scenario:
+def load_scenario(path: str, edges_only: bool = False) -> Scenario:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioInvalid(f"{path}: {exc}") from exc
-    return parse_scenario(text, source=path)
+    return parse_scenario(text, source=path, edges_only=edges_only)
 
 
 # === Output writers =========================================================
@@ -143,15 +158,8 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
 
     updates = {}
     if args.topology:
-        from .topology import load_topology
-
-        try:
-            n, edges = load_topology(args.topology)
-        except OSError as exc:
-            raise ScenarioInvalid(f"{args.topology}: {exc}") from exc
-        except ValueError as exc:
-            raise ScenarioInvalid(str(exc)) from exc
-        updates.update(n=n, edges=tuple(edges), generator=None)
+        topology = load_scenario(args.topology, edges_only=True)
+        updates.update(n=topology.n, edges=topology.edges, generator=None)
     if args.seed is not None:
         updates["seed"] = args.seed
     if os.environ.get(ENV_SEED):

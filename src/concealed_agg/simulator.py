@@ -1,18 +1,23 @@
 """Deterministic in-process network simulator.
 
-The fabric is a binary min-heap of (tick, src, dst, seq) events; every link
-hop costs one tick and seq breaks remaining ties in submission order, so a
-scenario replays identically for a given seed.  Data rounds run through the
-event loop.  Attestation traffic (probes and re-aggregation requests) is a
-synchronous request/response exchange on top of the same tree: it happens
-strictly after the round's data traffic has drained, and each frame is
-charged one message per link it crosses.  A re-aggregation request and its
-reply cross every link between the station and the node.  Probes go to
-sibling groups: the request crosses the links down to the group's parent
-once, the parent sends each target a probe over one link and gets its
-answer back over that link, and the answers cross the links up from the
-parent as one bundle.  For the station's own children the parent is the
-station, so each costs one link each way.
+Every frame of a round crosses one bus, ``World.deliver``, which carries it
+between a node and one of its ancestors and charges one message and its
+length in bytes per link between them: the difference of their depths.  It
+is the only place that counts traffic, and the one seam for a keyless
+attacker on the links: a test that cuts, flips or drops frames wraps it.
+
+Data rounds run through an event loop: a binary min-heap of (tick, src,
+dst, seq) events; every link hop costs one tick and seq breaks remaining
+ties in submission order, so a scenario replays identically for a given
+seed.  Attestation traffic (probes and re-aggregation requests) is a
+synchronous request and answer, ``World.ask``, each over the bus: it happens
+strictly after the round's data traffic has drained.  A re-aggregation
+request and its reply cross every link between the station and the node.
+Probes go to sibling groups: the request crosses the links down to the
+group's parent once, the parent asks each target over one link, and the
+answers cross the links up from the parent as one bundle.  For the
+station's own children the parent is the station, so the request and the
+bundle cross no link.
 
 Timeouts: a node that received the query at depth d and still waits for
 children once it has handled it gives up on the silent ones after
@@ -26,9 +31,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 import statistics
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import crypto, wire
 from .adversary import CompromiseSpec, apply_plan
@@ -130,7 +137,8 @@ class Scenario:
         if not 0.0 <= self.audit_prob <= 1.0:
             raise ScenarioInvalid(f"{self.source}: audit probability outside [0, 1]")
         low, high, scale = self.domain
-        if not (low < high and scale > 0):
+        finite = math.isfinite(low) and math.isfinite(high)
+        if not (finite and low < high and type(scale) is int and scale > 0):
             raise ScenarioInvalid(f"{self.source}: bad sensor domain {self.domain}")
         if self.edges is None:
             if self.generator is None or self.n is None:
@@ -173,6 +181,11 @@ class World:
                     f"{scenario.source}: {self.tree.n_sensors} sensors in edges, header says {scenario.n}"
                 )
         self.codec = crypto.FixedPointCodec(*scenario.domain)
+        if self.tree.n_sensors * self.codec.max_raw >= crypto.MODULUS:
+            raise ScenarioInvalid(
+                f"{scenario.source}: a sum of {self.tree.n_sensors} readings over the "
+                f"sensor domain {scenario.domain} does not fit the 2**64 ring"
+            )
         self.prov = prov = provision(self.tree, _sub_seed(scenario.seed, "provision"), self.codec)
         self.nodes: dict[int, SensorNode] = {}
         for nid in self.tree.sensor_ids:
@@ -200,7 +213,69 @@ class World:
         self.results: list[QueryResult] = []
         self._rm: RoundMetrics | None = None
 
-    # --- fabric -------------------------------------------------------------
+    # --- the frame bus --------------------------------------------------------
+
+    def deliver(self, src: int, dst: int, payload: bytes) -> bytes | None:
+        """Carry one frame from src to dst, a node and one of its ancestors:
+        the frame as it arrives, or None if it is lost.  Charges one message
+        and len(payload) bytes per link between the two."""
+        depth = self.tree.depth
+        links = abs(depth[src] - depth[dst])
+        rm = self._rm
+        rm.messages += links
+        rm.bytes += links * len(payload)
+        return payload
+
+    def ask(self, src: int, dst: int, request: bytes) -> bytes | None:
+        """Attestation request from src to dst and dst's answer, each over
+        the bus; None if either is lost or dst does not answer."""
+        request = self.deliver(src, dst, request)
+        if request is None:
+            return None
+        answer = self._answer(dst, request)
+        return None if answer is None else self.deliver(dst, src, answer)
+
+    def _answer(self, nid: int, request: bytes) -> bytes | None:
+        """nid's answer to an attestation request.  A probe that names
+        targets is relayed: nid asks each target that is its child, and the
+        entries of the answers that parse go back as one bundle, or nothing if
+        none does.  The station only relays."""
+        msg_type, body = wire.parse_frame(request)
+        node = self.nodes.get(nid)
+        if msg_type == wire.PROBE:
+            try:
+                round_no, targets = wire.decode_probe(body)
+            except ValueError:  # a probe that does not parse gets no answer
+                return None
+            if targets:
+                return self._relay_probe(nid, round_no, targets)
+            if node is None:
+                return None
+            try:
+                return node.respond_attestation(round_no)
+            except ProtocolError:
+                return None
+        if msg_type == wire.REAGG and node is not None:
+            return node.handle_reagg_request(body)
+        return None
+
+    def _relay_probe(self, parent: int, round_no: int, targets: tuple[int, ...]) -> bytes | None:
+        probe = wire.encode_probe(round_no)
+        tree_parent = self.tree.parent
+        entries: list[bytes] = []
+        for target in targets:
+            if tree_parent.get(target) != parent:
+                continue
+            answer = self.ask(parent, target, probe)
+            if answer is None:
+                continue
+            msg_type, body = wire.parse_frame(answer)
+            try:
+                if msg_type == wire.PROBE_RESP:
+                    entries += wire.decode_probe_resp(body)[1]
+            except ValueError:
+                pass  # an answer that does not parse is not relayed
+        return wire.encode_probe_resp(round_no, entries) if entries else None
 
     def _run_data_phase(self, round_no: int) -> None:
         heappush, heappop = heapq.heappush, heapq.heappop
@@ -208,16 +283,16 @@ class World:
         seq = itertools.count()  # breaks ties in send order
         for dst, payload in self.bs.disseminate(round_no, self.scenario.function):
             heappush(heap, (1, BS_ID, dst, next(seq), payload))
-        nodes, depth = self.nodes, self.tree.depth
+        nodes, depth, deliver = self.nodes, self.tree.depth, self.deliver
         height = max(self.tree.height, 1)
         timeout = wire.frame(wire.TIMEOUT, round_no.to_bytes(8, "big"))
         query_type = bytes([wire.QUERY])
-        messages = sent_bytes = 0
         while heap:
             tick, src, dst, _, payload = heappop(heap)
-            if src != dst:
-                messages += 1
-                sent_bytes += len(payload)
+            if src != dst:  # a TIMEOUT is node-local and never crosses the bus
+                payload = deliver(src, dst, payload)
+                if payload is None:
+                    continue
             if dst == BS_ID:
                 msg_type, body = wire.parse_frame(payload)
                 if msg_type == wire.AGG:
@@ -233,64 +308,6 @@ class World:
             if payload[:1] == query_type and node.awaits_children(round_no):
                 expiry = TIMEOUT_BUDGET * (height - depth[dst] + 1)
                 heappush(heap, (tick + expiry, dst, dst, next(seq), timeout))
-        self._rm.messages += messages
-        self._rm.bytes += sent_bytes
-
-    def _exchange(self, nid: int, payload: bytes, hops: int | None = None) -> bytes | None:
-        """Synchronous attestation-phase request/response with nid, over hops
-        links (nid's depth unless given), charged one message per link each
-        way.  A probe and its answer pass through here on every leg.
-
-        A probe that names targets is addressed to their parent: there it
-        fans out as a targetless probe over one more link to each target that
-        is a child, and the entries of the answers that parse go back up as
-        one bundle, or nothing if none does.
-        """
-        rm = self._rm
-        if hops is None:
-            hops = self.tree.depth[nid]
-        rm.messages += hops
-        rm.bytes += len(payload) * hops
-        msg_type, body = wire.parse_frame(payload)
-        if msg_type == wire.PROBE:
-            try:
-                round_no, targets = wire.decode_probe(body)
-            except ValueError:  # a probe that does not parse gets no answer
-                return None
-            if targets:
-                resp = self._relay_probe(nid, round_no, targets)
-            else:
-                try:
-                    resp = self.nodes[nid].respond_attestation(round_no)
-                except ProtocolError:
-                    resp = None
-        elif msg_type == wire.REAGG:
-            resp = self.nodes[nid].handle_reagg_request(body)
-        else:
-            resp = None
-        if resp is None:
-            return None
-        rm.messages += hops
-        rm.bytes += len(resp) * hops
-        return resp
-
-    def _relay_probe(self, parent: int, round_no: int, targets: tuple[int, ...]) -> bytes | None:
-        probe = wire.encode_probe(round_no)
-        tree_parent = self.tree.parent
-        entries: list[bytes] = []
-        for target in targets:
-            if tree_parent.get(target) != parent:
-                continue
-            answer = self._exchange(target, probe, hops=1)
-            if answer is None:
-                continue
-            msg_type, body = wire.parse_frame(answer)
-            try:
-                if msg_type == wire.PROBE_RESP:
-                    entries += wire.decode_probe_resp(body)[1]
-            except ValueError:
-                pass  # an answer that does not parse is not relayed
-        return wire.encode_probe_resp(round_no, entries) if entries else None
 
     # --- rounds --------------------------------------------------------------
 
@@ -304,6 +321,7 @@ class World:
 
         dsum, dsum_prime, claim = self.bs.finalize(round_no)
         participants = self.bs.participants(claim)
+        ask = partial(self.ask, BS_ID)  # the walk's requests leave from the station
         result: QueryResult
         if not participants:
             result = QueryResult(round_no, self.scenario.function, None, participants, "rejected")
@@ -314,13 +332,13 @@ class World:
             )
             if verdict.equal:
                 value = self.bs.decode_value(self.scenario.function, verdict.sum_raw, participants)
-                report = self.bs.com_att(round_no, self._exchange, participants) if audited else None
+                report = self.bs.com_att(round_no, ask, participants) if audited else None
                 result = QueryResult(
                     round_no, self.scenario.function, value, participants,
                     "passed", report, verdict.sum_raw,
                 )
             else:
-                report = self.bs.com_att(round_no, self._exchange, participants)
+                report = self.bs.com_att(round_no, ask, participants)
                 pair, kept_claim = self.bs.reaggregate_final(report.outliers)
                 kept = self.bs.participants(kept_claim)
                 result = QueryResult(round_no, self.scenario.function, None, kept, "rejected", report)

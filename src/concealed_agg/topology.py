@@ -209,54 +209,6 @@ def star_graph(n: int) -> dict[int, set[int]]:
     return adjacency_from_edges([(BS_ID, i) for i in range(1, n + 1)])
 
 
-# === Topology files =========================================================
-
-
-def parse_edge(args: list[str], n: int | None) -> tuple[int, int]:
-    """Validate the two ids of an `edge <a> <b>` line against the `nodes` count
-    read before it; raises ValueError."""
-    if n is None:
-        raise ValueError("edge before nodes line")
-    a, b = int(args[0]), int(args[1])
-    if a == b:
-        raise ValueError(f"edge {a} {b} is a self-loop")
-    if not (0 <= a <= n and 0 <= b <= n):
-        raise ValueError(f"edge {a} {b} out of range for {n} sensors")
-    return a, b
-
-
-def parse_topology(text: str, source: str = "<topology>") -> tuple[int, list[tuple[int, int]]]:
-    """Line-oriented format: `nodes <n>` header, then `edge <a> <b>` lines."""
-    n: int | None = None
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if fields[0] == "nodes" and len(fields) == 2:
-            if n is not None:
-                raise ValueError(f"{source}:{lineno}: duplicate nodes header")
-            n = int(fields[1])
-            if n < 1:
-                raise ValueError(f"{source}:{lineno}: node count must be positive")
-        elif fields[0] == "edge" and len(fields) == 3:
-            try:
-                edges.append(parse_edge(fields[1:], n))
-            except ValueError as exc:
-                raise ValueError(f"{source}:{lineno}: {exc}") from None
-        else:
-            raise ValueError(f"{source}:{lineno}: unrecognized line {raw.strip()!r}")
-    if n is None:
-        raise ValueError(f"{source}: missing nodes header")
-    return n, edges
-
-
-def load_topology(path: str) -> tuple[int, list[tuple[int, int]]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_topology(fh.read(), source=path)
-
-
 # === Provisioning ===========================================================
 
 

@@ -46,7 +46,21 @@ def rng(seed: int = 0) -> random.Random:
     return random.Random(seed)
 
 
-# Edge lines both the topology and the scenario parser must reject:
+def on_links(world: World, fault) -> None:
+    """Put a keyless attacker on every link of the world: each frame that
+    crosses the bus first passes fault(src, dst, payload), which returns the
+    frame to carry on (cut, flipped or retyped as it likes) or None to lose
+    it.  A lost frame is not charged."""
+    honest = world.deliver
+
+    def deliver(src: int, dst: int, payload: bytes) -> bytes | None:
+        payload = fault(src, dst, payload)
+        return None if payload is None else honest(src, dst, payload)
+
+    world.deliver = deliver
+
+
+# Edge lines the scenario parser must reject, in a scenario or topology file:
 # (file text, offending line number, reason in the diagnostic).
 BAD_EDGE_LINES = (
     ("nodes 3\nedge 0 9\n", 2, "out of range"),

@@ -4,7 +4,7 @@ the influence bound, and what a passive eavesdropper actually learns."""
 import dataclasses
 
 import pytest
-from conftest import plaintext_sum, seed_at, seed_of, sensed_raw
+from conftest import on_links, plaintext_sum, seed_at, seed_of, sensed_raw
 
 from concealed_agg import crypto, wire
 from concealed_agg.adversary import CompromiseSpec
@@ -229,19 +229,20 @@ def test_keyless_tamper_of_a_bundle_spares_the_entries_before_it():
     tampers = [lambda b, i=i: b[:i] + bytes([b[i] ^ 0x01]) + b[i + 1 :] for i in range(first_end, second_end)]
     tampers += [lambda b, i=i: b[:i] + bytes([b[i] ^ 0x80]) + b[i + 1 :] for i in range(first_end, second_end)]
     tampers += [lambda b, cut=cut: b[:cut] for cut in range(first_end, second_end)]
+    group_probe = wire.encode_probe(1, (2, 3))
     for tamper in tampers:
         world = World(scenario)
-        honest = world._exchange
-        bundles = []
+        asked, bundles = [], []
 
-        def on_shared_link(nid, payload, hops=None, honest=honest, tamper=tamper):
-            resp = honest(nid, payload, hops)
-            if nid == 1 and payload == wire.encode_probe(1, (2, 3)):
-                bundles.append(resp)
-                return tamper(resp)
-            return resp
+        def on_shared_link(src, dst, payload, tamper=tamper, asked=asked, bundles=bundles):
+            if (src, dst, payload) == (0, 1, group_probe):
+                asked.append(payload)
+            elif len(bundles) < len(asked) and (src, dst) == (1, 0):  # the next frame up is the bundle
+                bundles.append(payload)
+                return tamper(payload)
+            return payload
 
-        world._exchange = on_shared_link
+        on_links(world, on_shared_link)
         result = world.run_round(1)
         assert len(bundles) == 1 and len(bundles[0]) == second_end
         assert result.integrity == "attested"

@@ -7,7 +7,7 @@ import random
 import time
 
 import pytest
-from conftest import plaintext_sum, sensed_raw
+from conftest import on_links, plaintext_sum, sensed_raw
 
 from concealed_agg import crypto, wire
 from concealed_agg.basestation import ALIVE, OUTLIER, UNREACHABLE
@@ -225,20 +225,21 @@ def test_nested_forgers_both_localized():
 def _recording_reaggs(world: World) -> list[tuple[int, tuple[int, ...], bool]]:
     """Record every re-aggregation request of the world's rounds: its
     addressee, the children it names, and whether the walk had returned."""
-    honest_exchange, honest_com_att = world._exchange, world.bs.com_att
+    honest_com_att = world.bs.com_att
     sent, walk_over = [], []
 
-    def recording(nid, payload, hops=None):
+    def recording(src, dst, payload):
         if payload[0] == wire.REAGG:
-            sent.append((nid, wire.decode_reagg(payload[1:])[1], bool(walk_over)))
-        return honest_exchange(nid, payload, hops)
+            sent.append((dst, wire.decode_reagg(payload[1:])[1], bool(walk_over)))
+        return payload
 
     def walking(*args):
         report = honest_com_att(*args)
         walk_over.append(True)
         return report
 
-    world._exchange, world.bs.com_att = recording, walking
+    on_links(world, recording)
+    world.bs.com_att = walking
     return sent
 
 

@@ -99,6 +99,49 @@ def test_topology_flag_overrides_scenario(tmp_path):
     assert "n_participants=2" in (tmp_path / "o" / "report.txt").read_text()
 
 
+def test_topology_file_roundtrip():
+    n, edges = 3, ((0, 1), (1, 2), (1, 3))
+    text = "".join([f"nodes {n}\n"] + [f"edge {a} {b}\n" for a, b in edges])
+    topology = cli.parse_scenario(text, edges_only=True)
+    assert (topology.n, topology.edges) == (n, edges)
+
+
+def test_topology_file_diagnostics_name_the_line(tmp_path, capsys):
+    cases = [(text, f"t.txt:{line}:", reason) for text, line, reason in BAD_EDGE_LINES]
+    cases += [
+        ("# empty\n", "t.txt:", "need explicit edges"),  # no nodes line
+        ("nodes 2\nedge 0 1\nwhat is this\n", "t.txt:3:", "unrecognized line"),
+        ("nodes 2\nedge 0 1\nseed 5\n", "t.txt:3:", "unrecognized line"),  # a scenario line
+        ("nodes 2\nedge 0 1\nnodes 3\n", "t.txt:3:", "duplicate nodes"),
+    ]
+    for text, where, reason in cases:
+        topo = write(tmp_path, "t.txt", text)
+        assert cli.main(["run", "--topology", topo, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert where in err and reason in err, text
+    assert not (tmp_path / "o").exists()
+
+
+def test_topology_file_comments_and_blanks_ok():
+    topology = cli.parse_scenario("# hi\n\nnodes 2\nedge 0 1  # station link\nedge 1 2\n", edges_only=True)
+    assert (topology.n, topology.edges) == (2, ((0, 1), (1, 2)))
+
+
+def test_scenario_file_with_two_nodes_lines_is_invalid():
+    with pytest.raises(ScenarioInvalid, match=r"s\.scn:3: duplicate nodes"):
+        cli.parse_scenario("nodes 3\ngenerator star\nnodes 4\n", source="s.scn")
+
+
+@pytest.mark.parametrize("domain", ["0 1000 100000000000000000000", "0 1e300 100", "0 inf 100"])
+def test_run_domain_that_does_not_fit_the_ring_exits_two(tmp_path, capsys, domain):
+    # Four readings must sum below 2**64; a wider or unbounded domain wrapped
+    # the ring (or overflowed) instead of being refused.
+    scn = write(tmp_path, "wide.scn", f"nodes 4\ngenerator path\nseed 1\ndomain {domain}\n")
+    assert cli.main(["run", scn, "--out", str(tmp_path / "o")]) == 2
+    assert "invalid scenario: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_flag_overrides(tmp_path):
     scn = write(tmp_path, "h.scn", HONEST)
     code = cli.main(["run", scn, "--rounds", "1", "--function", "mean", "--force-attest",

@@ -4,11 +4,13 @@ import importlib.util
 from pathlib import Path
 
 import pytest
-from conftest import plaintext_sum
+from conftest import on_links, plaintext_sum
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from concealed_agg import crypto, wire
 from concealed_agg.adversary import CompromiseSpec
-from concealed_agg.errors import ScenarioInvalid
+from concealed_agg.errors import ReadingOutOfRange, ScenarioInvalid
 from concealed_agg.node import SensorNode
 from concealed_agg.simulator import (
     CSV_COLUMNS,
@@ -117,25 +119,26 @@ def test_programming_error_in_probe_answer_is_not_silence(monkeypatch):
         world.run_round(1)
 
 
-def test_truncated_probe_response_counts_as_silence(monkeypatch):
+def test_truncated_probe_response_counts_as_silence():
     # Node 1 is probed in the station's group, with node 2.  Its own answer
     # cut to 12 bytes on the link up from it, or its own probe cut to 5 bytes
     # on the link down to it, does not parse: the probe counts as silent, the
     # round still reaches its verdict, and node 2's answer is not lost.
-    cuts = (
-        lambda exchange, payload: exchange(1, payload, hops=1)[:12],
-        lambda exchange, payload: exchange(1, payload[:5], hops=1),
-    )
-    for cut in cuts:
+    own_probe = wire.encode_probe(1)
+    for cut in ("answer", "probe"):
         world = World(Scenario(seed=3, n=20, generator="recursive", force_attest=True))
-        honest = world._exchange
+        answers = []
 
-        def cutting(nid, payload, hops=None, honest=honest, cut=cut):
-            if nid == 1 and payload == wire.encode_probe(1):  # node 1's own probe
-                return cut(honest, payload)
-            return honest(nid, payload, hops)
+        def cutting(src, dst, payload, cut=cut, answers=answers):
+            if cut == "probe" and (src, dst, payload) == (0, 1, own_probe):
+                return payload[:5]
+            if cut == "answer" and (src, dst) == (1, 0) and payload[0] == wire.PROBE_RESP:
+                answers.append(payload)  # node 1's own answer comes before any bundle it relays
+                if len(answers) == 1:
+                    return payload[:12]
+            return payload
 
-        monkeypatch.setattr(world, "_exchange", cutting)
+        on_links(world, cutting)
         result = world.run_round(1)
         assert result.integrity == "passed"
         assert (1, False, False) in result.report.transcript
@@ -172,12 +175,24 @@ def test_attested_round_charges_each_sibling_group_once():
     # A group none of whose targets answers sends nothing back up, and a
     # target that is not the addressee's child gets no probe.
     world.nodes[4].state = world.nodes[5].state = None
-    world._rm = rm = RoundMetrics(round=1)
-    assert world._exchange(2, wire.encode_probe(1, (4, 5))) is None
-    assert (rm.messages, rm.bytes) == (2 + 2, 2 * 17 + 2 * 9)
-    world._rm = rm = RoundMetrics(round=1)
-    assert world._exchange(2, wire.encode_probe(1, (3,))) is None
-    assert (rm.messages, rm.bytes) == (2, 2 * 13)
+
+    def charged(request):
+        before = (rm.messages, rm.bytes)
+        assert world.ask(0, 2, request) is None
+        return rm.messages - before[0], rm.bytes - before[1]
+
+    assert charged(wire.encode_probe(1, (4, 5))) == (2 + 2, 2 * 17 + 2 * 9)
+    assert charged(wire.encode_probe(1, (3,))) == (2, 2 * 13)
+
+
+def test_station_answers_only_as_a_relay():
+    # The station's own sibling group is asked over no link, so a fault on
+    # the bus can turn that request into one only a sensor could answer: it
+    # gets no answer, not a lookup error.
+    world = World(Scenario(seed=5, n=4, generator="star"))
+    world.run_round(1)
+    for request in (wire.encode_probe(1), wire.encode_reagg(1, (1,)), b""):
+        assert world.ask(0, 0, request) is None
 
 
 def test_malformed_query_is_ignored_and_timed_out():
@@ -186,12 +201,8 @@ def test_malformed_query_is_ignored_and_timed_out():
     # the round reaches a verdict that blames no one.
     for garble in (lambda p: p[:5], lambda p: b"", lambda p: b"\x7f" + p[1:]):
         world = World(Scenario(seed=3, n=20, generator="recursive", force_attest=True))
-        honest = world.nodes[1].handle_message
-
-        def garbling(payload, honest=honest, garble=garble):
-            return [(dst, garble(p) if dst == 3 and p[0] == wire.QUERY else p) for dst, p in honest(payload)]
-
-        world.nodes[1].handle_message = garbling
+        on_links(world, lambda src, dst, p, garble=garble:
+                 garble(p) if (src, dst) == (1, 3) and p[0] == wire.QUERY else p)
         result = world.run_round(1)
         assert result.integrity == "passed"
         assert world.nodes[1].state.emitted.absent == (3,)
@@ -210,17 +221,16 @@ def test_malformed_reaggregation_request_is_a_refusal():
     # assertion on it marks that defect.
     world = World(Scenario(seed=3, n=20, generator="recursive",
                            compromises=(CompromiseSpec(6, "noncommit"),)))
-    honest = world._exchange
     sent = []
 
-    def cutting(nid, payload, hops=None):
+    def cutting(src, dst, payload):
         if payload[0] == wire.REAGG:
-            sent.append(nid)
-            if nid == 4:
-                payload = payload[:2]
-        return honest(nid, payload, hops)
+            sent.append(dst)
+            if dst == 4:
+                return payload[:2]
+        return payload
 
-    world._exchange = cutting
+    on_links(world, cutting)
     result = world.run_round(1)
     assert sent == [4]
     assert result.integrity == "attested"
@@ -240,9 +250,9 @@ def test_honest_rounds_share_one_participant_set():
 
 
 def test_silent_child_is_timed_out_at_the_deadline():
-    # Node 4 of a path never answers: node 3 still emits, on its TIMEOUT,
-    # with 4 as an absent root.  Message count pinned from the simulator
-    # that armed a timeout for every node.
+    # Every frame node 4 of a path sends is lost: node 3 still emits, on its
+    # TIMEOUT, with 4 as an absent root.  Message count pinned from the
+    # simulator that armed a timeout for every node.
     world = World(Scenario(seed=1, n=6, generator="path", force_attest=True))
     seen = []
     honest = world.nodes[3].handle_message
@@ -252,12 +262,46 @@ def test_silent_child_is_timed_out_at_the_deadline():
         return honest(payload)
 
     world.nodes[3].handle_message = recording
-    world.nodes[4].handle_message = lambda payload: []
+    on_links(world, lambda src, dst, payload: None if src == 4 else payload)
     result = world.run_round(1)
     assert seen == [wire.QUERY, wire.TIMEOUT]
     assert world.nodes[3].state.emitted.absent == (4,)
     assert result.integrity == "passed" and result.participants == frozenset({1, 2, 3})
     assert (world.metrics.rounds[0].messages, world.metrics.rounds[0].bytes) == (9, 317)
+
+
+def test_round_that_raises_still_reports_its_traffic():
+    # Node 2 forges its reading out of range and raises as soon as it is
+    # queried; the two QUERY frames that reached it are still charged.
+    world = World(Scenario(seed=1, n=4, generator="path",
+                           compromises=(CompromiseSpec(2, "forge_own", (-10**9,)),)))
+    with pytest.raises(ReadingOutOfRange):
+        world.run_round(1)
+    assert (world.metrics.rounds[0].messages, world.metrics.rounds[0].bytes) == (2, 20)
+
+
+def test_every_frame_crosses_the_bus():
+    # A forced audit with a network re-aggregation: non-committed 6 sits
+    # below 4, which the station asks to leave 6 out.  Every frame type that
+    # crosses a link passes the bus, the node-local TIMEOUT never does, and
+    # the bus's own tally of links is the round's traffic.
+    world = World(Scenario(seed=3, n=20, generator="recursive", force_attest=True,
+                           compromises=(CompromiseSpec(6, "noncommit"),)))
+    depth = world.tree.depth
+    types, messages, sent = set(), 0, 0
+
+    def recording(src, dst, payload):
+        nonlocal messages, sent
+        types.add(payload[0])
+        links = abs(depth[src] - depth[dst])
+        messages += links
+        sent += links * len(payload)
+        return payload
+
+    on_links(world, recording)
+    assert world.run_round(1).integrity == "attested"
+    assert types == {wire.QUERY, wire.AGG, wire.PROBE, wire.PROBE_RESP, wire.REAGG, wire.REAGG_RESP}
+    assert (messages, sent) == (world.metrics.rounds[0].messages, world.metrics.rounds[0].bytes)
 
 
 def test_dropped_child_of_a_path_becomes_an_absent_root():
@@ -349,6 +393,11 @@ def test_rejected_when_everything_is_compromised():
         dict(n=2, generator="star", audit_prob=1.5),
         dict(n=2, generator="star", domain=(5.0, 5.0, 100)),
         dict(n=2, generator="star", domain=(0.0, 10.0, 0)),
+        dict(n=2, generator="star", domain=(0.0, float("inf"), 100)),
+        dict(n=2, generator="star", domain=(float("-inf"), 10.0, 100)),
+        dict(n=2, generator="star", domain=(0.0, 10.0, 100.0)),  # scale must be an int
+        dict(n=2, generator="star", domain=(0.0, 10.0, True)),
+        dict(n=4, generator="path", domain=(0.0, 1000.0, 10**20)),  # 4 * 1e23 wraps the ring
         dict(n=2),
         dict(generator="star"),
         dict(n=0, generator="star"),
@@ -360,6 +409,25 @@ def test_rejected_when_everything_is_compromised():
 def test_invalid_scenarios_rejected(kwargs):
     with pytest.raises(ScenarioInvalid):
         World(Scenario(seed=1, **kwargs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), offset=st.integers(-3 * 2**12, 3 * 2**12))
+def test_a_world_whose_sum_could_wrap_the_ring_is_rejected(n, offset):
+    # Readings of up to max_raw on n sensors fit the 2**64 ring exactly when
+    # n * max_raw < 2**64; near that bound a float high rounds to a multiple
+    # of a power of two, so max_raw is read back from the codec.
+    domain = (0.0, float(2**64 // n + offset), 1)
+    max_raw = crypto.FixedPointCodec(*domain).max_raw
+    scenario = Scenario(seed=n, n=n, generator="path", domain=domain)
+    if n * max_raw >= 2**64:
+        with pytest.raises(ScenarioInvalid, match=r"2\*\*64 ring"):
+            World(scenario)
+        return
+    world = World(scenario)
+    result = world.run_round(1)
+    readings = sum(crypto.sense_raw(world.prov.sense_keys[v], 1, max_raw) for v in world.tree.sensor_ids)
+    assert result.integrity == "passed" and result.raw_sum == readings < 2**64
 
 
 def test_explicit_edges_without_count_ok():

@@ -1,4 +1,4 @@
-"""Tree construction, graph generators, topology files, provisioning."""
+"""Tree construction, graph generators, provisioning."""
 
 import math
 import random
@@ -14,7 +14,6 @@ from concealed_agg.topology import (
     BS_ID,
     adjacency_from_edges,
     build_tree,
-    parse_topology,
     path_graph,
     provision,
     random_geometric_graph,
@@ -203,30 +202,6 @@ def test_random_tree_always_buildable(n, seed):
     tree = build_tree(random_recursive_tree(n, random.Random(seed)))
     assert tree.n_sensors == n
     assert set(tree.sensor_ids) == set(range(1, n + 1))
-
-
-# === Topology files =========================================================
-
-
-def test_topology_roundtrip():
-    n, edges = 3, [(0, 1), (1, 2), (1, 3)]
-    text = "".join([f"nodes {n}\n"] + [f"edge {a} {b}\n" for a, b in edges])
-    assert parse_topology(text) == (n, edges)
-
-
-def test_topology_diagnostics_name_the_line():
-    for text, line, reason in BAD_EDGE_LINES:
-        with pytest.raises(ValueError, match=rf"t\.txt:{line}: .*{reason}"):
-            parse_topology(text, source="t.txt")
-    with pytest.raises(ValueError, match="missing nodes"):
-        parse_topology("# empty\n")
-    with pytest.raises(ValueError, match=r":3"):
-        parse_topology("nodes 2\nedge 0 1\nwhat is this\n")
-
-
-def test_topology_comments_and_blanks_ok():
-    n, edges = parse_topology("# hi\n\nnodes 2\nedge 0 1  # station link\nedge 1 2\n")
-    assert (n, edges) == (2, [(0, 1), (1, 2)])
 
 
 # === Provisioning ===========================================================
