@@ -1,9 +1,10 @@
 """Base-station logic: query dissemination, final aggregation, IPET, ComAtt.
 
-The station owns a registry of every provisioned node (both long-term keys,
-the seed-chain origin, liveness status) and advances each node's seed pair
-as rounds advance, keeping prefix sums of both chains in the tree's Euler-tour
-order, so the seed sum of any subtree is a difference of two prefix sums.
+The station owns a registry of every provisioned node (its key, its seed
+chains' key K || K' and origin, liveness status) and advances each node's
+seed pair as rounds advance, one keyed PRF call per node and round, keeping
+prefix sums of both chains in the tree's Euler-tour order, so the seed sum of
+any subtree is a difference of two prefix sums.
 
 Packets name only the roots of the subtrees missing from them.  Every
 pair-equality test (IPET), the round's verdict and each probe's, therefore
@@ -64,7 +65,7 @@ DEFAULT_ABSENT_THRESHOLD = 3
 class NodeRecord:
     id: int
     key: bytes
-    key_prime: bytes
+    chain_key: bytes
     origin: int
     status: str = ALIVE
 
@@ -162,7 +163,7 @@ class BaseStation:
         self.codec = codec
         self.absent_threshold = absent_threshold
         self.registry: dict[int, NodeRecord] = {
-            nid: NodeRecord(nid, k, kp, prov.origins[nid])
+            nid: NodeRecord(nid, k, crypto.chain_key(k, kp), prov.origins[nid])
             for nid, (k, kp) in prov.node_keys.items()
         }
         self._child_channels = {
@@ -174,12 +175,12 @@ class BaseStation:
         # Direct channels are opened on a node's first probe: most rounds
         # probe no one, and key derivation for every node dominated set-up.
         self._bs_channels: dict[int, crypto.SecureChannel] = {}
-        # Seed ledger in tour order: each sensor's (D_j, D'_j) at the ledger
-        # round, and both chains' prefix sums, where entry i sums the seeds at
-        # tour positions below i (the station, at position 0, has none).
+        # Seed ledger in tour order: each sensor's D_j << 64 | D'_j at the
+        # ledger round, and both chains' prefix sums, where entry i sums the
+        # seeds at tour positions below i (the station, at position 0, has none).
         self._tour = [self.registry[nid] for nid in tree.order[1:]]
         origins = [rec.origin for rec in self._tour]
-        self._seeds = list(zip(origins, origins))
+        self._seeds = [o << 64 | o for o in origins]
         self._prefix_d = self._prefix_dp = [0, 0, *accumulate(origins)]
         self._ledger_round = 0
         self._absent_streak: dict[int, int] = {nid: 0 for nid in self.registry}
@@ -193,10 +194,12 @@ class BaseStation:
     # === Seed ledger ========================================================
 
     def advance_ledger(self, round_no: int) -> None:
-        """Advance every registry seed chain to round_no (maintenance work)."""
+        """Advance every registry seed pair to round_no (maintenance work):
+        one keyed PRF call per node and round for both chains."""
         if round_no < self._ledger_round:
             raise ValueError(f"seed ledger cannot rewind to round {round_no}")
         next_seed = crypto.next_seed
+        mask = crypto.MASK
         while self._ledger_round < round_no:
             self._ledger_round += 1
             r = self._ledger_round
@@ -204,15 +207,15 @@ class BaseStation:
             prefix_d = [0, 0]
             prefix_dp = [0, 0]
             acc_d = acc_dp = 0
-            for rec, (d, dp) in zip(self._tour, self._seeds):
-                d = next_seed(rec.key, d, r)
-                dp = next_seed(rec.key_prime, dp, r)
-                seeds.append((d, dp))
-                acc_d += d
-                acc_dp += dp
+            for rec, pair in zip(self._tour, self._seeds):
+                pair = next_seed(rec.chain_key, pair, r)
+                seeds.append(pair)
+                acc_d += pair >> 64
+                acc_dp += pair & mask
                 prefix_d.append(acc_d)
                 prefix_dp.append(acc_dp)
             self._seeds, self._prefix_d, self._prefix_dp = seeds, prefix_d, prefix_dp
+            # Seeds regenerated, two per node, though they cost one PRF call.
             self.counters["seed_regens"] += 2 * len(seeds)
 
     def _claim_seed_sums(self, root: int, absent: tuple[int, ...]) -> tuple[int, int] | None:

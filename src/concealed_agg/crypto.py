@@ -4,8 +4,17 @@ A sensor reading is concealed by adding a per-round keyed seed to its
 fixed-point encoding modulo M = 2**64 ("diffusion").  Addition makes the
 scheme an additive privacy homomorphism: the sum of diffused values reverts
 to the sum of readings once the matching seed sum is subtracted.  Every node
-keeps two independent seed chains (keys K and K') over the same origin, so an
-aggregate travels as a pair of independently masked copies of the same sum.
+keeps two seed chains, D and D', over the same origin, so an aggregate travels
+as a pair of independently masked copies of the same sum.
+
+Both chains advance together, with one keyed PRF call per round: keyed with
+the chain key K || K' (the node's two 16-byte keys), over D || D' || round,
+it returns the next D || D' as one 16-byte output.  Under the PRF assumption
+an output on a fresh input (the round number is in every input) is
+indistinguishable from uniform, so its two 8-byte halves are independent and
+uniform, as two outputs under separate keys K and K' would be.  No party
+ever computes one chain alone: a captured node yields both keys, and one key
+alone reveals neither chain.
 
 Tag folding and the keystream XOR work on integers (read big-endian, XORed
 once, written back at the same length): the bytes a per-byte loop gives.
@@ -26,14 +35,16 @@ from .errors import AuthFailure, ReadingOutOfRange, ReplayDetected
 
 MODULUS = 1 << 64
 MASK = MODULUS - 1
+PAIR_MASK = (1 << 128) - 1
 
 KEY_LEN = 16
+CHAIN_KEY_LEN = 2 * KEY_LEN
 TAG_LEN = 8
 CHANNEL_TAG_LEN = 16
 ZERO_TAG = bytes(TAG_LEN)
 
 # Domain-separation labels for the keyed PRF (blake2b "person" parameter).
-_PERSON_SEED = b"diff.seed"
+_PERSON_SEED = b"diff.seed.dual"
 _PERSON_MAC = b"diff.mac"
 _PERSON_STREAM = b"diff.chan.ks"
 _PERSON_CHANTAG = b"diff.chan.tag"
@@ -104,28 +115,47 @@ def _prf(key: bytes, person: bytes, data: bytes, out_len: int) -> bytes:
     return hashlib.blake2b(data, digest_size=out_len, key=key, person=person).digest()
 
 
-def next_seed(key: bytes, prev: int, round_no: int) -> int:
-    """Advance a seed chain one step: keyed PRF over (prev || round || label),
-    both 8-byte big-endian words; round_no must fit in 64 bits."""
-    _check_key(key)
-    data = ((prev & MASK) << 64 | round_no).to_bytes(16, "big")
-    return int.from_bytes(_prf(key, _PERSON_SEED, data, 8), "big")
+def chain_key(key: bytes, key_prime: bytes) -> bytes:
+    """The dual seed chain's PRF key K || K'.  Both keys are checked here,
+    once, so that ``next_seed`` need not check them on every call."""
+    return _check_key(key) + _check_key(key_prime)
+
+
+def next_seed(chain_key: bytes, seeds: int, round_no: int) -> int:
+    """Advance both seed chains one step.  ``seeds`` packs the pair as
+    D << 64 | D' (taken mod 2**128); the result is the next D << 64 | D', the
+    16-byte keyed PRF over (D || D' || round), three 8-byte big-endian words.
+    round_no must fit in 64 bits."""
+    data = ((seeds & PAIR_MASK) << 64 | round_no).to_bytes(24, "big")
+    return int.from_bytes(_prf(chain_key, _PERSON_SEED, data, 16), "big")
+
+
+def split_seeds(seeds: int) -> tuple[int, int]:
+    """(D, D') from a packed seed pair D << 64 | D'."""
+    return seeds >> 64, seeds & MASK
 
 
 @dataclass
 class SeedState:
-    """Current position of one diffusion seed chain."""
+    """Current position of a node's two diffusion seed chains, packed
+    D << 64 | D', under the chain key K || K'."""
 
-    seed: int
-    round: int
-    origin: int
+    key: bytes
+    seeds: int
+    round: int = 0
+
+    def __post_init__(self) -> None:
+        if len(self.key) != CHAIN_KEY_LEN:
+            raise ValueError(f"chain key must be {CHAIN_KEY_LEN} bytes, got {len(self.key)}")
 
     @classmethod
-    def from_origin(cls, origin: int) -> "SeedState":
-        return cls(seed=origin & MASK, round=0, origin=origin & MASK)
+    def from_origin(cls, chain_key: bytes, origin: int) -> "SeedState":
+        """Both chains start at the same origin."""
+        origin &= MASK
+        return cls(chain_key, origin << 64 | origin)
 
-    def advance_to(self, key: bytes, round_no: int) -> int:
-        """Advance the chain to round_no and return the seed there.
+    def advance_to(self, round_no: int) -> int:
+        """Advance both chains to round_no and return the packed pair there.
 
         Rounds are replayed one at a time so a node that missed queries
         still lands on the same value the base station computes.
@@ -134,8 +164,8 @@ class SeedState:
             raise ValueError(f"seed chain cannot rewind from {self.round} to {round_no}")
         while self.round < round_no:
             self.round += 1
-            self.seed = next_seed(key, self.seed, self.round)
-        return self.seed
+            self.seeds = next_seed(self.key, self.seeds, self.round)
+        return self.seeds
 
 
 def diffuse(seed: int, reading: int) -> int:

@@ -1,15 +1,16 @@
 """The sensor/aggregator state machine.
 
 Per round a node: receives the query exactly once, relays it to its children,
-senses one reading and diffuses it under both seed chains, and stores each
-child's authenticated packet.  When every child has reported or timed out it
-folds them with ``wire.fold_packets`` (the dual sums component-wise mod M,
-the child tags by XOR, and an absent list: the children that did not report
-plus the absent lists of those that did), adds its own pair, and emits
-exactly one packet upward.  An honest round's packets name no one, so they
-have the same size at every depth.  The emitted tag is its own MAC over the
-final aggregated pair XORed with all child tags, so the tag of any subtree
-equals the XOR of the own-MACs of every node inside it.
+advances both seed chains with one keyed PRF call, senses one reading and
+diffuses it under both chains' seeds, and stores each child's authenticated
+packet.  When every child has reported or timed out it folds them with
+``wire.fold_packets`` (the dual sums component-wise mod M, the child tags by
+XOR, and an absent list: the children that did not report plus the absent
+lists of those that did), adds its own pair, and emits exactly one packet
+upward.  An honest round's packets name no one, so they have the same size
+at every depth.  The emitted tag is its own MAC over the final aggregated
+pair XORed with all child tags, so the tag of any subtree equals the XOR of
+the own-MACs of every node inside it.
 
 The node also answers attestation probes (resending what it committed to on
 a direct logical channel to the base station) and re-aggregates on request
@@ -71,12 +72,10 @@ class SensorNode:
         self.parent_id = parent_id
         self.children = tuple(children)  # ascending ids
         self.key = key
-        self.key_prime = key_prime
         self.codec = codec
         self.sense_key = sense_key
         self.behavior = behavior
-        self.chain = crypto.SeedState.from_origin(origin)
-        self.chain_prime = crypto.SeedState.from_origin(origin)
+        self.chains = crypto.SeedState.from_origin(crypto.chain_key(key, key_prime), origin)
         self.up_channel = crypto.SecureChannel(edge_key)
         self.child_channels = {cid: crypto.SecureChannel(k) for cid, k in child_edge_keys.items()}
         self.bs_channel = crypto.SecureChannel(crypto.derive_bs_channel_key(key, node_id))
@@ -95,18 +94,18 @@ class SensorNode:
 
     def sense_and_diffuse(self, round_no: int) -> tuple[int, int]:
         """Diffuse one reading under both chains."""
-        if self.chain.round != round_no or self.chain_prime.round != round_no:
+        if self.chains.round != round_no:
             raise ValueError("seed chains not advanced to this round")
         m = self.sense_raw(round_no)
-        return crypto.diffuse(self.chain.seed, m), crypto.diffuse(self.chain_prime.seed, m)
+        d, dp = crypto.split_seeds(self.chains.seeds)
+        return crypto.diffuse(d, m), crypto.diffuse(dp, m)
 
     def handle_query(self, round_no: int, function: str) -> list[Send]:
         """Start the round and fan the query out to the children."""
         if round_no <= self._last_round:
             raise StaleRound(f"node {self.node_id}: round {round_no} <= {self._last_round}")
         self._last_round = round_no
-        self.chain.advance_to(self.key, round_no)
-        self.chain_prime.advance_to(self.key_prime, round_no)
+        self.chains.advance_to(round_no)
         d, dp = self.sense_and_diffuse(round_no)
         self.state = RoundState(
             round=round_no, function=function, own_d=d, own_dp=dp, pending=set(self.children)

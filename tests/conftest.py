@@ -8,6 +8,7 @@ output against these independent routes.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 from concealed_agg import crypto
@@ -25,17 +26,25 @@ def plaintext_sum(world: World, round_no: int, participants=None) -> int:
     return sum(sensed_raw(world, nid, round_no) for nid in ids) & crypto.MASK
 
 
-def seed_at(key: bytes, origin: int, round_no: int) -> int:
-    """Seed value after round_no applications of next_seed to the origin."""
-    seed = origin & crypto.MASK
+def seed_at(chain_key: bytes, origin: int, round_no: int) -> int:
+    """Both chains' seeds, packed D << 64 | D', after round_no dual steps from
+    the origin, each step one blake2b call computed here rather than through
+    ``crypto.next_seed``: keyed with K || K', over D || D' || round, personal
+    label "diff.seed.dual", 16 bytes out."""
+    origin &= crypto.MASK
+    seeds = origin << 64 | origin
     for j in range(1, round_no + 1):
-        seed = crypto.next_seed(key, seed, j)
-    return seed
+        data = (seeds << 64 | j).to_bytes(24, "big")
+        digest = hashlib.blake2b(data, digest_size=16, key=chain_key, person=b"diff.seed.dual").digest()
+        seeds = int.from_bytes(digest, "big")
+    return seeds
 
 
 def seed_of(world: World, nid: int, round_no: int, prime: bool = False) -> int:
+    """Node nid's seed in round_no on chain D, or on chain D' if prime."""
     key, key_prime = world.prov.node_keys[nid]
-    return seed_at(key_prime if prime else key, world.prov.origins[nid], round_no)
+    seeds = seed_at(key + key_prime, world.prov.origins[nid], round_no)
+    return seeds & crypto.MASK if prime else seeds >> 64
 
 
 def honest_world(n: int = 6, seed: int = 1, rounds: int = 1, generator: str = "recursive", **kw) -> World:

@@ -1,5 +1,6 @@
 """Crypto core: seed chains, diffusion, codec, MACs, sealed channels."""
 
+import hashlib
 import random
 
 import pytest
@@ -17,50 +18,90 @@ def _key(rng):
     return rng.randbytes(crypto.KEY_LEN)
 
 
+def _chain_key(rng):
+    return crypto.chain_key(_key(rng), _key(rng))
+
+
+def _flip(key: bytes, bit: int) -> bytes:
+    return (int.from_bytes(key, "big") ^ 1 << bit).to_bytes(len(key), "big")
+
+
 # === Seed chain =============================================================
 
 
 def test_next_seed_deterministic():
     rng = random.Random(1)
-    k, d = _key(rng), rng.getrandbits(64)
+    k, d = _chain_key(rng), rng.getrandbits(128)
     assert crypto.next_seed(k, d, 3) == crypto.next_seed(k, d, 3)
 
 
 def test_next_seed_distinct_across_rounds_and_keys():
-    # Sampling oracle: 1000 random triples, vary one input, expect 0 collisions.
+    # Sampling oracle: 1000 random triples, vary one input, expect 0 collisions
+    # in either chain's half of the next seed pair.
     rng = random.Random(2)
     collisions_j = 0
     collisions_k = 0
     for _ in range(1000):
-        k1, k2 = _key(rng), _key(rng)
-        d = rng.getrandbits(64)
+        k1, k2 = _chain_key(rng), _chain_key(rng)
+        d = rng.getrandbits(128)
         j = rng.randint(1, 2**32)
-        if crypto.next_seed(k1, d, j) == crypto.next_seed(k1, d, j + 1):
-            collisions_j += 1
-        if crypto.next_seed(k1, d, j) == crypto.next_seed(k2, d, j):
-            collisions_k += 1
+        base = crypto.split_seeds(crypto.next_seed(k1, d, j))
+        later = crypto.split_seeds(crypto.next_seed(k1, d, j + 1))
+        other = crypto.split_seeds(crypto.next_seed(k2, d, j))
+        collisions_j += sum(a == b for a, b in zip(base, later))
+        collisions_k += sum(a == b for a, b in zip(base, other))
     assert collisions_j == 0
     assert collisions_k == 0
 
 
+def test_both_keys_drive_both_chains():
+    # One bit of K, or of K', changes both halves of the next seed pair, and
+    # the two halves differ: 1000 samples, 0 exceptions.
+    rng = random.Random(5)
+    equal_halves = 0
+    unmoved_halves = 0
+    for _ in range(1000):
+        key, key_prime = _key(rng), _key(rng)
+        d = rng.getrandbits(128)
+        j = rng.randint(1, 2**32)
+        seeds = crypto.split_seeds(crypto.next_seed(crypto.chain_key(key, key_prime), d, j))
+        equal_halves += seeds[0] == seeds[1]
+        bit = rng.randrange(8 * crypto.KEY_LEN)
+        for flipped in (crypto.chain_key(_flip(key, bit), key_prime),
+                        crypto.chain_key(key, _flip(key_prime, bit))):
+            moved = crypto.split_seeds(crypto.next_seed(flipped, d, j))
+            unmoved_halves += sum(a == b for a, b in zip(seeds, moved))
+    assert equal_halves == 0
+    assert unmoved_halves == 0
+
+
+def test_chain_key_length_checked_where_the_chain_is_built():
+    for bad in (bytes(16), bytes(33)):
+        with pytest.raises(ValueError):
+            crypto.SeedState.from_origin(bad, 0)
+    for key, key_prime in ((bytes(16), bytes(17)), (bytes(15), bytes(16))):
+        with pytest.raises(ValueError):
+            crypto.chain_key(key, key_prime)
+
+
 def test_seed_at_replays_chain():
     rng = random.Random(3)
-    k, origin = _key(rng), rng.getrandbits(32)
-    d = origin
+    k, origin = _chain_key(rng), rng.getrandbits(32)
+    d = origin << 64 | origin
     for j in range(1, 6):
         d = crypto.next_seed(k, d, j)
         assert seed_at(k, origin, j) == d
-    assert seed_at(k, origin, 0) == origin
+    assert seed_at(k, origin, 0) == origin << 64 | origin
 
 
 def test_seed_state_advance_and_rewind():
     rng = random.Random(4)
-    k, origin = _key(rng), 77
-    s = crypto.SeedState.from_origin(origin)
-    s.advance_to(k, 4)
-    assert s.round == 4 and s.seed == seed_at(k, origin, 4)
+    k, origin = _chain_key(rng), 77
+    s = crypto.SeedState.from_origin(k, origin)
+    s.advance_to(4)
+    assert s.round == 4 and s.seeds == seed_at(k, origin, 4)
     with pytest.raises(ValueError):
-        s.advance_to(k, 2)
+        s.advance_to(2)
 
 
 # === Diffusion ==============================================================
@@ -327,10 +368,21 @@ def test_seal_known_answers_and_roundtrip():
 
 
 def test_seed_chain_known_answers():
-    assert crypto.next_seed(KAT_KEY, 0x0123456789ABCDEF, 5) == 6298587354988768683
-    # prev is taken mod 2**64.
-    assert crypto.next_seed(KAT_KEY, 2**64 + 5, 2**32 + 1) == 1370163239734148496
-    assert seed_at(KAT_KEY2, 42, 3) == 13811808900962305835
+    # Vectors computed with hashlib.blake2b directly (key K || K', personal
+    # label "diff.seed.dual", D || D' || round in, the next D || D' out), as
+    # conftest.seed_at does.
+    chain_key = KAT_KEY + KAT_KEY2
+    seeds = 0x0123456789ABCDEF << 64 | 0xFEDCBA9876543210
+    expected = 0x3558A025B32A78BBD48A002A4FD10229
+    direct = hashlib.blake2b(
+        (seeds << 64 | 5).to_bytes(24, "big"), digest_size=16, key=chain_key, person=b"diff.seed.dual"
+    ).digest()
+    assert int.from_bytes(direct, "big") == expected
+    assert crypto.next_seed(chain_key, seeds, 5) == expected
+    assert crypto.split_seeds(expected) == (3843998365740857531, 15315053664554517033)
+    # The pair is taken mod 2**128.
+    assert crypto.next_seed(chain_key, 2**128 + 5, 2**32 + 1) == 0xC6457D2232C3D1128B517F0A27E6A582
+    assert seed_at(KAT_KEY2 + KAT_KEY, 42, 3) == 0x45B21CF36AB4155C72E68ED9637D8E41
 
 
 def test_mac_and_tag_fold_known_answers():

@@ -241,12 +241,13 @@ def test_attestation_resends_committed_fields():
     assert set(child_tags) == {2, 3, 4}
 
 
-# Node 1's answer in the four-node cluster, taken from the simulator before
-# probes went to sibling groups: a one-entry response keeps that layout.
+# Node 1's answer in the four-node cluster, in the layout the simulator used
+# before probes went to sibling groups: a one-entry response keeps it.  The
+# tags and the sealed pair in it follow the dual seed step.
 CLUSTER_PROBE_RESP = (
-    "0400000000000000010000000300000002ccd49038617cca74000000030645bc7daad31ee4"
-    "000000045762e9b3b844c0c700000001000000000000000100000000c34611c569d4234c7f"
-    "bee2389008f1aacd06c991254a9a53437b218832ca53b1059af3865b8c427f"
+    "040000000000000001000000030000000234f9990a1d8b9ad400000003bc15d714ab58be15"
+    "000000049962172ad33d67ad00000001000000000000000100000000cff22d54df51fefe02"
+    "fa3b02b361bc17ecc93a87e7a7d3f25a30aa7b6ed1d0598ba9caa28f7c6b6b"
 )
 
 
