@@ -24,7 +24,7 @@ from .errors import (
 )
 from .node import SensorNode
 from .adversary import CompromiseSpec
-from .simulator import Metrics, ScalingRow, Scenario, World, measure_scaling, run
+from .simulator import Metrics, ScalingRow, Scenario, World, measure_scaling
 from .topology import Tree, build_tree, provision
 
 __version__ = "0.1.0"
@@ -55,7 +55,6 @@ __all__ = [
     "format_report_line",
     "measure_scaling",
     "provision",
-    "run",
     "undiffuse",
     "__version__",
 ]

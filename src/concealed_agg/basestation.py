@@ -49,7 +49,7 @@ from itertools import accumulate, chain
 from typing import NamedTuple
 
 from . import crypto, wire
-from .errors import AuthFailure, EmptyParticipants, ReplayDetected, StaleRound
+from .errors import AuthFailure, ReplayDetected, StaleRound
 from .topology import Tree, Provisioning
 
 log = logging.getLogger(__name__)
@@ -58,7 +58,7 @@ ALIVE = "alive"
 UNREACHABLE = "unreachable"
 OUTLIER = "outlier"
 
-DEFAULT_ABSENT_THRESHOLD = 3
+ABSENT_THRESHOLD = 3  # absent rounds in a row that make an alive node unreachable
 
 
 @dataclass
@@ -152,16 +152,9 @@ def _subtract(node: _Probe, failing: list[_Probe]) -> Reagg | None:
 
 
 class BaseStation:
-    def __init__(
-        self,
-        tree: Tree,
-        prov: Provisioning,
-        codec: crypto.FixedPointCodec,
-        absent_threshold: int = DEFAULT_ABSENT_THRESHOLD,
-    ):
+    def __init__(self, tree: Tree, prov: Provisioning, codec: crypto.FixedPointCodec):
         self.tree = tree
         self.codec = codec
-        self.absent_threshold = absent_threshold
         self.registry: dict[int, NodeRecord] = {
             nid: NodeRecord(nid, k, crypto.chain_key(k, kp), prov.origins[nid])
             for nid, (k, kp) in prov.node_keys.items()
@@ -508,7 +501,7 @@ class BaseStation:
         for nid, rec in self.registry.items():
             if nid in absent:
                 self._absent_streak[nid] += 1
-                if self._absent_streak[nid] >= self.absent_threshold and rec.status == ALIVE:
+                if self._absent_streak[nid] >= ABSENT_THRESHOLD and rec.status == ALIVE:
                     rec.status = UNREACHABLE
             else:
                 self._absent_streak[nid] = 0
@@ -517,8 +510,6 @@ class BaseStation:
         return absent
 
     def decode_value(self, function: str, raw_sum: int, participants: frozenset[int]) -> float:
-        if not participants:
-            raise EmptyParticipants("no participants to decode")
         if function == "mean":
             return self.codec.decode_mean(raw_sum, len(participants))
         return self.codec.decode_sum(raw_sum, len(participants))

@@ -39,10 +39,6 @@ class DisconnectedGraph(ProtocolError):
     """Spanning-tree construction found unreachable nodes."""
 
 
-class EmptyParticipants(ProtocolError):
-    """Mean requested over an empty participant set."""
-
-
 class ReadingOutOfRange(ProtocolError):
     """A (possibly forged) reading falls outside the sensor domain."""
 

@@ -6,31 +6,28 @@ length in bytes per link between them: the difference of their depths.  It
 is the only place that counts traffic, and the one seam for a keyless
 attacker on the links: a test that cuts, flips or drops frames wraps it.
 
-Data rounds run through an event loop: a binary min-heap of (tick, src,
-dst, seq) events; every link hop costs one tick and seq breaks remaining
-ties in submission order, so a scenario replays identically for a given
-seed.  Attestation traffic (probes and re-aggregation requests) is a
-synchronous request and answer, ``World.ask``, each over the bus: it happens
-strictly after the round's data traffic has drained.  A re-aggregation
-request and its reply cross every link between the station and the node.
-Probes go to sibling groups: the request crosses the links down to the
-group's parent once, the parent asks each target over one link, and the
-answers cross the links up from the parent as one bundle.  For the
-station's own children the parent is the station, so the request and the
-bundle cross no link.
+Data rounds run depth-first off a stack of (src, dst, frame) entries, so a
+scenario replays identically for a given seed.  The station's queries are
+pushed so that its lowest child pops first.  A node that still waits for
+children once it has handled its query pushes its alarm, a TIMEOUT frame to
+itself, beneath the frames it sends; a leaf, which emits at once, gets none.
+The alarm therefore pops only after every frame its subtree sends, and every
+frame those cause, has been handled: it reaches the node only if a child
+never reported, and is dropped if the node has emitted.  A single silent
+node thus costs only its own subtree, never the whole branch.
 
-Timeouts: a node that received the query at depth d and still waits for
-children once it has handled it gives up on the silent ones after
-TIMEOUT_BUDGET * (height - d + 1) ticks; a leaf, which emits at once, gets
-no alarm.  Deadlines shrink with depth, so a late subtree report still beats
-its ancestors' alarms and a single silent node costs only its own subtree,
-never the whole branch.
+Attestation traffic (probes and re-aggregation requests) is a synchronous
+request and answer, ``World.ask``, each over the bus: it happens strictly
+after the round's data traffic has drained.  A re-aggregation request and
+its reply cross every link between the station and the node.  Probes go to
+sibling groups: the request crosses the links down to the group's parent
+once, the parent asks each target over one link, and the answers cross the
+links up from the parent as one bundle.  For the station's own children the
+parent is the station, so the request and the bundle cross no link.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 import random
 import statistics
@@ -53,8 +50,6 @@ from .topology import (
     random_recursive_tree,
     star_graph,
 )
-
-TIMEOUT_BUDGET = 10  # ticks granted per remaining tree level
 
 GENERATORS = ("recursive", "geometric", "path", "star")
 SEED_LIMIT = 2**64  # seeds lie in [0, SEED_LIMIT): _sub_seed packs one into 8 bytes
@@ -124,7 +119,6 @@ class Scenario:
     trigger_round: int = 1
     force_attest: bool = False
     audit_prob: float = 0.0
-    absent_threshold: int = 3
     source: str = "<scenario>"
 
     def validate(self) -> None:
@@ -203,7 +197,7 @@ class World:
                 sense_key=prov.sense_keys[nid],
                 codec=self.codec,
             )
-        self.bs = BaseStation(self.tree, prov, self.codec, scenario.absent_threshold)
+        self.bs = BaseStation(self.tree, prov, self.codec)
         try:
             apply_plan(self.nodes, scenario.compromises, scenario.trigger_round)
         except ScenarioInvalid as exc:
@@ -278,36 +272,32 @@ class World:
         return wire.encode_probe_resp(round_no, entries) if entries else None
 
     def _run_data_phase(self, round_no: int) -> None:
-        heappush, heappop = heapq.heappush, heapq.heappop
-        heap: list[tuple[int, int, int, int, bytes]] = []
-        seq = itertools.count()  # breaks ties in send order
-        for dst, payload in self.bs.disseminate(round_no, self.scenario.function):
-            heappush(heap, (1, BS_ID, dst, next(seq), payload))
-        nodes, depth, deliver = self.nodes, self.tree.depth, self.deliver
-        height = max(self.tree.height, 1)
+        queries = self.bs.disseminate(round_no, self.scenario.function)
+        stack = [(BS_ID, dst, payload) for dst, payload in reversed(queries)]
+        nodes, deliver = self.nodes, self.deliver
         timeout = wire.frame(wire.TIMEOUT, round_no.to_bytes(8, "big"))
         query_type = bytes([wire.QUERY])
-        while heap:
-            tick, src, dst, _, payload = heappop(heap)
-            if src != dst:  # a TIMEOUT is node-local and never crosses the bus
+        while stack:
+            src, dst, payload = stack.pop()
+            if src != dst:  # an alarm is node-local and never crosses the bus
                 payload = deliver(src, dst, payload)
                 if payload is None:
                     continue
-            if dst == BS_ID:
-                msg_type, body = wire.parse_frame(payload)
-                if msg_type == wire.AGG:
-                    self.bs.receive_packet(body)
-                continue
+                if dst == BS_ID:
+                    msg_type, body = wire.parse_frame(payload)
+                    if msg_type == wire.AGG:
+                        self.bs.receive_packet(body)
+                    continue
+            elif not nodes[dst].awaits_children(round_no):
+                continue  # the node has emitted: no child is left to time out
             node = nodes[dst]
             try:
                 outs = node.handle_message(payload)
             except StaleRound:
                 continue
-            for ndst, npayload in outs:
-                heappush(heap, (tick + 1, dst, ndst, next(seq), npayload))
             if payload[:1] == query_type and node.awaits_children(round_no):
-                expiry = TIMEOUT_BUDGET * (height - depth[dst] + 1)
-                heappush(heap, (tick + expiry, dst, dst, next(seq), timeout))
+                stack.append((dst, dst, timeout))  # beneath the frames it sends
+            stack += [(dst, ndst, npayload) for ndst, npayload in reversed(outs)]
 
     # --- rounds --------------------------------------------------------------
 
@@ -364,12 +354,6 @@ class World:
 
     def report_text(self) -> str:
         return "".join(format_report_line(r) + "\n" for r in self.results)
-
-
-def run(scenario: Scenario) -> tuple[list[QueryResult], Metrics]:
-    world = World(scenario)
-    world.run()
-    return world.results, world.metrics
 
 
 # === Scaling experiments =====================================================

@@ -52,10 +52,6 @@ class Tree:
     def n_sensors(self) -> int:
         return len(self.depth) - 1
 
-    @property
-    def height(self) -> int:
-        return max(self.depth.values())
-
     def edges(self) -> list[tuple[int, int]]:
         return [(p, c) for c, p in sorted(self.parent.items())]
 

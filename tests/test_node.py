@@ -361,7 +361,7 @@ def test_unknown_message_type_is_ignored():
 
 
 def test_emitted_tag_equals_subtree_own_mac_xor():
-    # Deeper tree through the event loop; oracle XORs own MACs over each
+    # Deeper tree through the data phase; oracle XORs own MACs over each
     # subtree, own MAC recomputed from registry keys and retained emissions.
     scenario = Scenario(seed=33, n=12, generator="recursive")
     world = World(scenario)

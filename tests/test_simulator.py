@@ -1,4 +1,4 @@
-"""Deterministic simulator: event scheduling, round flow, metrics, scaling."""
+"""Deterministic simulator: depth-first data phase, round flow, metrics, scaling."""
 
 import importlib.util
 from pathlib import Path
@@ -14,12 +14,12 @@ from concealed_agg.errors import ReadingOutOfRange, ScenarioInvalid
 from concealed_agg.node import SensorNode
 from concealed_agg.simulator import (
     CSV_COLUMNS,
+    GENERATORS,
     Metrics,
     RoundMetrics,
     Scenario,
     World,
     measure_scaling,
-    run,
 )
 
 
@@ -50,8 +50,9 @@ def test_different_seeds_differ():
 
 
 def test_forge_scenario_reports_outliers():
-    results, metrics = run(Scenario(seed=102, n=9, generator="recursive",
-                                    compromises=(CompromiseSpec(5, "forge_children", (42,)),)))
+    world = World(Scenario(seed=102, n=9, generator="recursive",
+                           compromises=(CompromiseSpec(5, "forge_children", (42,)),)))
+    results, metrics = world.run(), world.metrics
     assert results[0].integrity == "attested"
     assert results[0].report is not None
     assert 5 in results[0].report.outliers
@@ -270,6 +271,35 @@ def test_silent_child_is_timed_out_at_the_deadline():
     assert (world.metrics.rounds[0].messages, world.metrics.rounds[0].bytes) == (9, 317)
 
 
+@settings(max_examples=200, deadline=None)
+@given(generator=st.sampled_from(GENERATORS), n=st.integers(1, 60), seed=st.integers(0, 2**32),
+       data=st.data())
+def test_silent_nodes_at_any_depth_cost_only_their_subtrees(generator, n, seed, data):
+    # Every frame a silent node sends is lost, its queries to its children
+    # included: exactly the sensors with no silent node on their path to the
+    # station take part, and the round passes over them in both rounds.
+    silent = data.draw(st.sets(st.integers(1, n)))
+    world = World(Scenario(seed=seed, n=n, generator=generator, rounds=2))
+    parent = world.tree.parent
+
+    def heard(nid):
+        while nid != 0:
+            if nid in silent:
+                return False
+            nid = parent[nid]
+        return True
+
+    expected = frozenset(filter(heard, world.tree.sensor_ids))
+    on_links(world, lambda src, dst, payload: None if src in silent else payload)
+    for result in world.run():
+        assert result.participants == expected
+        if expected:
+            assert result.integrity == "passed"
+            assert result.raw_sum == plaintext_sum(world, result.round, expected)
+        else:
+            assert result.integrity == "rejected"
+
+
 def test_round_that_raises_still_reports_its_traffic():
     # Node 2 forges its reading out of range and raises as soon as it is
     # queried; the two QUERY frames that reached it are still charged.
@@ -314,7 +344,11 @@ def test_dropped_child_of_a_path_becomes_an_absent_root():
 
 
 def test_leaves_get_no_timeout(monkeypatch):
-    # Every node of a star is a leaf and emits as soon as it is queried.
+    # A leaf emits as soon as it is queried and gets no alarm; an interior
+    # node's alarm pops after its whole subtree has reported and is dropped
+    # unread.  Every sensor handles its QUERY, and its parent handles its
+    # AGG unless the parent is the station: on the 64-node path that is 127
+    # frames.  A star's sensors are all leaves.
     seen = []
     honest = SensorNode.handle_message
 
@@ -323,9 +357,13 @@ def test_leaves_get_no_timeout(monkeypatch):
         return honest(self, payload)
 
     monkeypatch.setattr(SensorNode, "handle_message", recording)
-    world = World(Scenario(seed=5, n=12, generator="star"))
-    assert world.run_round(1).integrity == "passed"
-    assert seen == [wire.QUERY] * 12
+    for generator, n in (("star", 12), ("path", 64), ("recursive", 40)):
+        seen.clear()
+        world = World(Scenario(seed=5, n=n, generator=generator))
+        assert world.run_round(1).integrity == "passed"
+        relayed = n - len(world.tree.children[0])
+        assert wire.TIMEOUT not in seen, generator
+        assert sorted(seen) == [wire.QUERY] * n + [wire.AGG] * relayed, generator
 
 
 # Hashes of scripts/behaviour_sweep.py over its first 40 worlds (every

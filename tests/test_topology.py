@@ -26,7 +26,6 @@ def test_path_tree_structure():
     tree = build_tree(path_graph(2))
     assert tree.parent[1] == 0 and tree.parent[2] == 1
     assert tree.depth == {0: 0, 1: 1, 2: 2}
-    assert tree.height == 2
 
 
 def test_star_tree_structure():
