@@ -28,7 +28,7 @@ from concealed_agg.adversary import KINDS, CompromiseSpec
 from concealed_agg.errors import ProtocolError
 from concealed_agg.simulator import GENERATORS, Scenario, World
 
-AUDITS = ({}, {"force_attest": True}, {"audit_prob": 0.5})
+AUDITS = ({}, {"audit_prob": 1.0}, {"audit_prob": 0.5})
 
 
 def compromises(rng: random.Random, n: int, kind: str, tree) -> list[CompromiseSpec]:

@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 from . import crypto, wire
 from .errors import AuthFailure, ReplayDetected, StaleRound
-from .topology import Tree, Provisioning
+from .topology import BS_ID, Tree, Provisioning
 
 log = logging.getLogger(__name__)
 
@@ -63,7 +63,6 @@ ABSENT_THRESHOLD = 3  # absent rounds in a row that make an alive node unreachab
 
 @dataclass
 class NodeRecord:
-    id: int
     key: bytes
     chain_key: bytes
     origin: int
@@ -156,11 +155,11 @@ class BaseStation:
         self.tree = tree
         self.codec = codec
         self.registry: dict[int, NodeRecord] = {
-            nid: NodeRecord(nid, k, crypto.chain_key(k, kp), prov.origins[nid])
+            nid: NodeRecord(k, crypto.chain_key(k, kp), prov.origins[nid])
             for nid, (k, kp) in prov.node_keys.items()
         }
         self._child_channels = {
-            cid: crypto.SecureChannel(prov.edge_keys[cid]) for cid in tree.children[tree.root]
+            cid: crypto.SecureChannel(prov.edge_keys[cid]) for cid in tree.children[BS_ID]
         }
         # Every round's result keeps its participant set; a claim with no
         # absent roots, the honest round, shares this one.
@@ -181,7 +180,7 @@ class BaseStation:
         # The re-aggregates that exonerated nodes in this round's walk.
         self._cleared: dict[int, Reagg] = {}
         self._last_round = 0
-        # Cost counters, reset by the caller as it sees fit.
+        # Cost counters of the current round, reset when it is disseminated.
         self.counters: dict[str, int] = {"seed_regens": 0, "verify_ops": 0}
 
     # === Seed ledger ========================================================
@@ -239,11 +238,12 @@ class BaseStation:
         if round_no <= self._last_round:
             raise StaleRound(f"base station: round {round_no} <= {self._last_round}")
         self._last_round = round_no
+        self.counters = dict.fromkeys(self.counters, 0)
         self.advance_ledger(round_no)
         self._round_packets = {}
         self._cleared = {}
         query = wire.encode_query(round_no, function)
-        return [(cid, query) for cid in self.tree.children[self.tree.root]]
+        return [(cid, query) for cid in self.tree.children[BS_ID]]
 
     def receive_packet(self, body: bytes) -> None:
         sender = wire.packet_sender(body)
@@ -263,8 +263,8 @@ class BaseStation:
         """Fold the children's packets into the final pair and the round's
         claim: the whole tree less the silent children and every absent root
         the packets name."""
-        fold = wire.fold_packets(self._round_packets, self.tree.children[self.tree.root])
-        return fold.dsum, fold.dsum_prime, Claim(self.tree.root, fold.absent)
+        fold = wire.fold_packets(self._round_packets, self.tree.children[BS_ID])
+        return fold.dsum, fold.dsum_prime, Claim(BS_ID, fold.absent)
 
     def participants(self, claim: Claim) -> frozenset[int]:
         """The sensors a station-level claim covers: all but those in the
@@ -361,37 +361,31 @@ class BaseStation:
         the order they are found, and only the round's participants are probed
         below the station's children.
 
+        The walk keeps one record, each probed node's verdict in probe order:
+        whether it committed (its resent tag matches its own MAC folded with
+        the child tags it vouches for, and the tag pinned for it, if any) and
+        whether its pair passes IPET.  A node fails unless both hold, and then
+        its children are probed: all of them if it was silent, else those it
+        vouches for, each pinned to the tag it vouched.  The report's sets and
+        transcript are read off that record once the walk ends.
+
         Exoneration then tries each committed node that failed only IPET on
         the station's subtraction of its failing children's answers from its
         own, and sends the node a re-aggregation request only when that cannot
-        clear it.
+        clear it.  The outliers are the failed nodes it does not clear.
         """
-        packets = self._round_packets
-        expected_tag: dict[int, bytes | None] = {cid: packets[cid].tag for cid in packets}
-        # Sibling groups in probe order: (parent, ascending target ids).
+        packets, children = self._round_packets, self.tree.children
+        verdicts: dict[int, tuple[bool, bool]] = {}  # node -> (committed, ipet_ok)
+        # The tag each probed node must resend: the one in the packet the
+        # station holds from it, or the one its parent vouched for.  A silent
+        # node vouches for nothing, so its children have no pin.
+        pinned = {cid: pkt.tag for cid, pkt in packets.items()}
+        answered: dict[int, _Probe] = {}
+        # Sibling groups in probe order: (parent, ascending target ids).  Each
+        # node is enqueued once, by its parent, so probes go top-down.
         queue: deque[tuple[int, tuple[int, ...]]] = deque()
         if packets:
-            queue.append((self.tree.root, tuple(sorted(packets))))
-        transcript: list[tuple[int, bool, bool]] = []
-        list_l: set[int] = set()
-        list_c: set[int] = set()
-        answered: dict[int, _Probe] = {}
-
-        def enqueue_children(parent: int, vouched: dict[int, bytes] | None) -> None:
-            # A silent node's children are all probed; otherwise only the
-            # children it vouches for (an id it vouches for that is not its
-            # child still enters its MAC check, but is not probed).  Each node
-            # is enqueued once, by its parent, so probes go top-down.
-            tags = vouched if vouched is not None else {}
-            group = tuple(
-                cid for cid in self.tree.children[parent]
-                if (vouched is None or cid in tags) and cid in participants
-            )
-            for cid in group:
-                expected_tag[cid] = tags.get(cid)
-            if group:
-                queue.append((parent, group))
-
+            queue.append((BS_ID, tuple(sorted(packets))))
         while queue:
             parent, group = queue.popleft()
             answers = self._probe_group(round_no, parent, group, ask)
@@ -400,28 +394,31 @@ class BaseStation:
                 probe = answers.get(nid)
                 if probe is None:
                     # Silent (or unopenable) probe: the node cannot commit.
-                    transcript.append((nid, False, False))
-                    list_l.add(nid)
-                    list_c.add(nid)
-                    enqueue_children(nid, None)
-                    continue
-                mac_calc = crypto.combine_macs(
-                    crypto.mac_pair(self.registry[nid].key, *probe.pair),
-                    list(probe.child_tags.values()),
-                )
-                committed = mac_calc == probe.resent_tag
-                pinned = expected_tag.get(nid)
-                if pinned is not None:
-                    committed = committed and probe.resent_tag == pinned
-                claim = Claim(nid, probe.absent)
-                ipet_ok = self.ipet_check(probe.pair, claim, round_no, count_ops=False).equal
-                transcript.append((nid, committed, ipet_ok))
-                if committed and ipet_ok:
-                    continue
-                list_l.add(nid)
-                if not committed:
-                    list_c.add(nid)
-                enqueue_children(nid, probe.child_tags)
+                    verdicts[nid] = (False, False)
+                    below = children[nid]
+                else:
+                    pin = pinned.get(nid, probe.resent_tag)
+                    mac_calc = crypto.combine_macs(
+                        crypto.mac_pair(self.registry[nid].key, *probe.pair),
+                        list(probe.child_tags.values()),
+                    )
+                    committed = mac_calc == probe.resent_tag == pin
+                    claim = Claim(nid, probe.absent)
+                    ipet_ok = self.ipet_check(probe.pair, claim, round_no, count_ops=False).equal
+                    verdicts[nid] = (committed, ipet_ok)
+                    if committed and ipet_ok:
+                        continue
+                    # An id it vouches for that is not its child still entered
+                    # its MAC check above, but is not probed.
+                    below = [cid for cid in children[nid] if cid in probe.child_tags]
+                    for cid in below:
+                        pinned[cid] = probe.child_tags[cid]
+                below = tuple(cid for cid in below if cid in participants)
+                if below:
+                    queue.append((nid, below))
+
+        suspects = {nid for nid, verdict in verdicts.items() if verdict != (True, True)}
+        non_committed = frozenset(nid for nid, (committed, _) in verdicts.items() if not committed)
 
         # Exoneration pass.  Non-committed nodes are dishonest outright and get
         # no second chance, and a node with no failing child would only
@@ -431,14 +428,14 @@ class BaseStation:
         def clears(nid: int, reagg: Reagg) -> bool:
             return self.ipet_check(reagg[0], Claim(nid, reagg[1]), round_no, count_ops=False).equal
 
-        for nid, committed, ipet_ok in transcript:
+        for nid, (committed, ipet_ok) in verdicts.items():
             if not committed or ipet_ok:
                 continue
-            failing = tuple(cid for cid in self.tree.children[nid] if cid in list_l)
+            failing = tuple(cid for cid in children[nid] if cid in suspects)
             if not failing:
                 continue
             reagg = None
-            if list_c.isdisjoint(failing):
+            if non_committed.isdisjoint(failing):
                 reagg = _subtract(answered[nid], [answered[cid] for cid in failing])
             if reagg is None or not clears(nid, reagg):
                 raw = ask(nid, wire.encode_reagg(round_no, failing))
@@ -446,16 +443,16 @@ class BaseStation:
                 reagg = None if pkt is None else ((pkt.dsum, pkt.dsum_prime), pkt.absent)
                 if reagg is None or not clears(nid, reagg):
                     continue
-            list_l.discard(nid)
             self._cleared[nid] = reagg
 
-        for nid in list_l:
+        outliers = frozenset(suspects.difference(self._cleared))
+        for nid in outliers:
             self.registry[nid].status = OUTLIER
         return AttestationReport(
-            outliers=frozenset(list_l),
-            non_committed=frozenset(list_c),
-            probes=len(transcript),
-            transcript=tuple(transcript),
+            outliers=outliers,
+            non_committed=non_committed,
+            probes=len(verdicts),
+            transcript=tuple((nid, *verdict) for nid, verdict in verdicts.items()),
         )
 
     def reaggregate_final(self, outliers: frozenset[int]) -> tuple[tuple[int, int], Claim]:
@@ -465,16 +462,15 @@ class BaseStation:
         was added, in tour order, is added through its re-aggregate (which
         left out its failing children): its pair, and its absent roots in
         place of its own id."""
-        root = self.tree.root
         cleared = self._cleared
         kept = {
             cid: pkt for cid, pkt in self._round_packets.items()
             if cid not in outliers and cid not in cleared
         }
-        fold = wire.fold_packets(kept, self.tree.children[root])
+        fold = wire.fold_packets(kept, self.tree.children[BS_ID])
         dsum, dsum_prime = fold.dsum, fold.dsum_prime
         absent = list(fold.absent)
-        added = {root}
+        added = {BS_ID}
         parent = self.tree.parent
         for nid in sorted(cleared, key=self.tree.pos.__getitem__):
             # A parent's re-aggregate that did not list nid as absent already
@@ -487,7 +483,7 @@ class BaseStation:
             dsum_prime = crypto.add_mod(dsum_prime, dp)
             absent.remove(nid)
             absent.extend(sub_absent)
-        return (dsum, dsum_prime), Claim(root, tuple(sorted(absent)))
+        return (dsum, dsum_prime), Claim(BS_ID, tuple(sorted(absent)))
 
     # === Liveness and decoding ==============================================
 

@@ -16,8 +16,9 @@ comment):
                                    noncommit [delta]
                                    replay <source_round>
                                    drop_child <child>
-    force-attest
-    audit-prob <float>
+    audit-prob <float>             chance of an audit walk after a passing verdict
+    force-attest                   audit every round: audit-prob 1, whatever
+                                   audit-prob line the same file holds
 
 A `--topology` file is read by the same parser and holds only `nodes` and
 `edge` lines; in either file a second `nodes` line is an error.
@@ -55,6 +56,7 @@ def parse_scenario(text: str, source: str = "<scenario>", edges_only: bool = Fal
     generator = None
     fields: dict = {}
     compromises: list[CompromiseSpec] = []
+    force_attest = False
 
     def fail(lineno: int, msg: str):
         raise ScenarioInvalid(f"{source}:{lineno}: {msg}")
@@ -106,15 +108,20 @@ def parse_scenario(text: str, source: str = "<scenario>", edges_only: bool = Fal
                 extra = tuple(True if a == "dual" else int(a) for a in args[2:])
                 compromises.append(CompromiseSpec(nid, kind, extra))
             elif key == "force-attest" and not args:
-                fields["force_attest"] = True
+                force_attest = True
             elif key == "audit-prob" and len(args) == 1:
                 fields["audit_prob"] = float(args[0])
+                # Checked here, as a force-attest line would hide it from validate.
+                if not 0.0 <= fields["audit_prob"] <= 1.0:
+                    fail(lineno, "audit probability outside [0, 1]")
             else:
                 fail(lineno, f"unrecognized line {raw.strip()!r}")
         except ScenarioInvalid:
             raise
         except ValueError as exc:
             fail(lineno, f"bad value in {raw.strip()!r} ({exc})")
+    if force_attest:
+        fields["audit_prob"] = 1.0
     return Scenario(
         n=n,
         edges=tuple(edges) if edges else None,
@@ -171,9 +178,11 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
         updates["rounds"] = args.rounds
     if args.function is not None:
         updates["function"] = args.function
+    if args.audit_prob is not None and not 0.0 <= args.audit_prob <= 1.0:
+        raise ScenarioInvalid(f"--audit-prob {args.audit_prob}: audit probability outside [0, 1]")
     if args.force_attest:
-        updates["force_attest"] = True
-    if args.audit_prob is not None:
+        updates["audit_prob"] = 1.0
+    elif args.audit_prob is not None:
         updates["audit_prob"] = args.audit_prob
     return replace(scenario, **updates) if updates else scenario
 
@@ -340,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--rounds", type=int, default=None)
     p_run.add_argument("--function", choices=("sum", "mean"), default=None)
-    p_run.add_argument("--force-attest", action="store_true")
+    p_run.add_argument("--force-attest", action="store_true",
+                       help="audit every round: --audit-prob 1, which it overrides")
     p_run.add_argument("--audit-prob", type=float, default=None)
     p_run.add_argument("--out", default="out", help="output directory (default: out)")
     p_run.add_argument("--no-timestamp", action="store_true", help="omit generation timestamps")

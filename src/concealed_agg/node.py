@@ -49,7 +49,6 @@ class RoundState:
     own_dp: int
     pending: set[int]
     child_packets: dict[int, wire.AggPacket] = field(default_factory=dict)
-    unresponsive: set[int] = field(default_factory=set)
     emitted: wire.AggPacket | None = None
 
 
@@ -119,7 +118,7 @@ class SensorNode:
         """Authenticate one child packet and keep it for the fold at emission.
 
         Raises UnknownChild / ReplayDetected / AuthFailure; on channel errors
-        the child is marked unresponsive and excluded from this round.  A
+        the child is no longer pending and is left out of this round.  A
         packet that does not parse fails authentication like a tampered one.
         """
         state = self._require_state()
@@ -128,13 +127,11 @@ class SensorNode:
             raise UnknownChild(f"node {self.node_id}: unexpected packet from {sender}")
         if self.behavior is not None and self.behavior.drops_child(sender, state.round):
             state.pending.discard(sender)
-            state.unresponsive.add(sender)
             return
         try:
             pkt = wire.open_packet(self.child_channels[sender], body)
         except (ReplayDetected, AuthFailure) as exc:
             state.pending.discard(sender)
-            state.unresponsive.add(sender)
             log.info("node %d: rejected packet from child %d: %s", self.node_id, sender, exc)
             raise
         state.pending.discard(sender)
@@ -143,17 +140,14 @@ class SensorNode:
     def ready_to_emit(self) -> bool:
         return self.state is not None and not self.state.pending and self.state.emitted is None
 
-    def expire_pending(self) -> None:
-        """Child timeout: give up on silent children and report without them."""
-        state = self._require_state()
-        state.unresponsive |= state.pending
-        state.pending.clear()
-
     def emit(self) -> Send:
-        """Build, seal, and retain this round's single upward packet."""
+        """Build, seal, and retain this round's single upward packet.  Emission
+        closes the round: a child still pending is left out, and a packet that
+        arrives later is an unknown child's."""
         state = self._require_state()
         if state.emitted is not None:
             raise AlreadyEmitted(f"node {self.node_id}: round {state.round}")
+        state.pending.clear()
         fold = wire.fold_packets(state.child_packets, self.children)
         pkt, body = self._seal_aggregate(state, fold, self.up_channel)
         state.emitted = pkt
@@ -236,8 +230,7 @@ class SensorNode:
             return []
         if msg_type == wire.TIMEOUT:
             if self.awaits_children(int.from_bytes(body, "big")):
-                self.expire_pending()
-                return [self.emit()]
+                return [self.emit()]  # without the children still silent
             return []
         log.info("node %d: ignored message of type %s", self.node_id, msg_type)
         return []

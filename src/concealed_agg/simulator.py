@@ -117,8 +117,7 @@ class Scenario:
     domain: tuple[float, float, int] = (0.0, 1000.0, 100)
     compromises: tuple[CompromiseSpec, ...] = ()
     trigger_round: int = 1
-    force_attest: bool = False
-    audit_prob: float = 0.0
+    audit_prob: float = 0.0  # chance of walking the tree after a passing verdict
     source: str = "<scenario>"
 
     def validate(self) -> None:
@@ -305,45 +304,34 @@ class World:
         rm = RoundMetrics(round=round_no)
         self.metrics.rounds.append(rm)
         self._rm = rm
-        self.bs.counters["seed_regens"] = 0
-        self.bs.counters["verify_ops"] = 0
         self._run_data_phase(round_no)
 
-        dsum, dsum_prime, claim = self.bs.finalize(round_no)
-        participants = self.bs.participants(claim)
+        bs, function = self.bs, self.scenario.function
+        dsum, dsum_prime, claim = bs.finalize(round_no)
+        participants = kept = bs.participants(claim)
         ask = partial(self.ask, BS_ID)  # the walk's requests leave from the station
-        result: QueryResult
-        if not participants:
-            result = QueryResult(round_no, self.scenario.function, None, participants, "rejected")
-        else:
-            verdict = self.bs.ipet_check((dsum, dsum_prime), claim, round_no)
-            audited = self.scenario.force_attest or (
-                self.scenario.audit_prob > 0 and self._audit_rng.random() < self.scenario.audit_prob
-            )
+        integrity, raw_sum, report = "rejected", None, None
+        if participants:
+            verdict = bs.ipet_check((dsum, dsum_prime), claim, round_no)
+            audited = self._audit_rng.random() < self.scenario.audit_prob
             if verdict.equal:
-                value = self.bs.decode_value(self.scenario.function, verdict.sum_raw, participants)
-                report = self.bs.com_att(round_no, ask, participants) if audited else None
-                result = QueryResult(
-                    round_no, self.scenario.function, value, participants,
-                    "passed", report, verdict.sum_raw,
-                )
+                integrity, raw_sum = "passed", verdict.sum_raw
+                if audited:
+                    report = bs.com_att(round_no, ask, participants)
             else:
-                report = self.bs.com_att(round_no, ask, participants)
-                pair, kept_claim = self.bs.reaggregate_final(report.outliers)
-                kept = self.bs.participants(kept_claim)
-                result = QueryResult(round_no, self.scenario.function, None, kept, "rejected", report)
+                report = bs.com_att(round_no, ask, participants)
+                pair, kept_claim = bs.reaggregate_final(report.outliers)
+                kept = bs.participants(kept_claim)
                 if kept:
-                    fresh = self.bs.ipet_check(pair, kept_claim, round_no, count_ops=False)
+                    fresh = bs.ipet_check(pair, kept_claim, round_no, count_ops=False)
                     if fresh.equal:
-                        value = self.bs.decode_value(self.scenario.function, fresh.sum_raw, kept)
-                        result = QueryResult(
-                            round_no, self.scenario.function, value, kept,
-                            "attested", report, fresh.sum_raw,
-                        )
-        self.bs.monitor(participants)
-        rm.seed_regens = self.bs.counters["seed_regens"]
-        rm.verify_ops = self.bs.counters["verify_ops"]
-        rm.probes = result.report.probes if result.report is not None else 0
+                        integrity, raw_sum = "attested", fresh.sum_raw
+        value = None if raw_sum is None else bs.decode_value(function, raw_sum, kept)
+        result = QueryResult(round_no, function, value, kept, integrity, report, raw_sum)
+        bs.monitor(participants)
+        rm.seed_regens = bs.counters["seed_regens"]
+        rm.verify_ops = bs.counters["verify_ops"]
+        rm.probes = report.probes if report is not None else 0
         self.results.append(result)
         return result
 

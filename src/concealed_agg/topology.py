@@ -42,11 +42,10 @@ class Tree:
     order: tuple[int, ...]  # the Euler tour: node ids in pre-order
     pos: dict[int, int]  # node id -> its index in the tour
     size: dict[int, int]  # node id -> node count of its subtree
-    root: int = BS_ID
 
     @property
     def sensor_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(v for v in self.depth if v != self.root))
+        return tuple(sorted(v for v in self.depth if v != BS_ID))
 
     @property
     def n_sensors(self) -> int:
@@ -73,15 +72,16 @@ def adjacency_from_edges(edges: Iterable[tuple[int, int]]) -> dict[int, set[int]
     return adj
 
 
-def build_tree(adjacency: Mapping[int, Iterable[int]], root: int = BS_ID) -> Tree:
-    """Breadth-first spanning tree; same-depth parent candidates lose to the
-    smallest node id.  Raises DisconnectedGraph if any node is unreachable."""
-    if root not in adjacency:
-        raise DisconnectedGraph(f"root {root} not present in graph")
+def build_tree(adjacency: Mapping[int, Iterable[int]]) -> Tree:
+    """Breadth-first spanning tree from the station; same-depth parent
+    candidates lose to the smallest node id.  Raises DisconnectedGraph if any
+    node is unreachable."""
+    if BS_ID not in adjacency:
+        raise DisconnectedGraph(f"root {BS_ID} not present in graph")
     parent: dict[int, int] = {}
-    depth: dict[int, int] = {root: 0}
-    children: dict[int, list[int]] = {root: []}
-    level = [root]
+    depth: dict[int, int] = {BS_ID: 0}
+    children: dict[int, list[int]] = {BS_ID: []}
+    level = [BS_ID]
     while level:
         next_level: set[int] = set()
         # Scanning each level in ascending id order makes the first (and thus
@@ -102,14 +102,14 @@ def build_tree(adjacency: Mapping[int, Iterable[int]], root: int = BS_ID) -> Tre
     # Iterative pre-order walk: a path of thousands of nodes is deeper than
     # Python's recursion limit.
     order: list[int] = []
-    stack = [root]
+    stack = [BS_ID]
     while stack:
         u = stack.pop()
         order.append(u)
         stack.extend(reversed(kids[u]))
     size = dict.fromkeys(order, 1)
     for u in reversed(order):
-        if u != root:
+        if u != BS_ID:
             size[parent[u]] += size[u]
     return Tree(
         parent=parent,
@@ -118,7 +118,6 @@ def build_tree(adjacency: Mapping[int, Iterable[int]], root: int = BS_ID) -> Tre
         order=tuple(order),
         pos=dict(zip(order, range(len(order)))),
         size=size,
-        root=root,
     )
 
 

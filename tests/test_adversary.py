@@ -121,7 +121,7 @@ def test_noncommit_fails_commitment_and_gets_no_second_chance():
 
 
 def test_honest_probe_commitment_holds():
-    world, result = run_one(Scenario(seed=80, n=6, generator="recursive", force_attest=True))
+    world, result = run_one(Scenario(seed=80, n=6, generator="recursive", audit_prob=1.0))
     assert all(committed and ok for _, committed, ok in result.report.transcript)
 
 
@@ -139,7 +139,8 @@ def test_replayed_packet_rejected_by_parent_channel():
     assert r2.participants == frozenset({1, 2})  # 3 replayed, its subtree lost
     assert r2.integrity == "passed"
     assert r3.participants == frozenset({1, 2})
-    assert world.nodes[2].state.unresponsive == {3}
+    state = world.nodes[2].state  # 3's packet was refused, not folded
+    assert 3 not in state.child_packets and state.emitted.absent == (3,)
 
 
 def test_replay_at_station_channel_rejected_the_same_way():
@@ -161,7 +162,7 @@ def test_stale_payload_under_fresh_counter_fails_auth():
     crafted = wire.encode_agg_body(sender, counter + 5, parts, sealed, tag)
     with pytest.raises(AuthFailure):
         w1.nodes[1].aggregate_child(crafted)
-    assert 2 in w1.nodes[1].state.unresponsive
+    assert w1.nodes[1].state.pending == set() and w1.nodes[1].state.child_packets == {}
 
 
 def test_keyless_header_tamper_blames_no_honest_node():
@@ -170,7 +171,7 @@ def test_keyless_header_tamper_blames_no_honest_node():
     # tag binds both, so node 1 rejects the packet and node 3's subtree is
     # reported absent; nobody honest is blamed.
     for field in ("ids", "tag"):
-        world = World(Scenario(seed=3, n=20, generator="recursive", force_attest=True))
+        world = World(Scenario(seed=3, n=20, generator="recursive", audit_prob=1.0))
         assert world.tree.parent[3] == 1
         node = world.nodes[3]
 
@@ -197,7 +198,7 @@ def test_malformed_agg_frame_blames_no_honest_node():
     # a packet that fails authentication and reports node 3's subtree absent;
     # on link 1->0 the station ignores it.  The round reaches a verdict.
     for nid in (3, 1):
-        world = World(Scenario(seed=3, n=20, generator="recursive", force_attest=True))
+        world = World(Scenario(seed=3, n=20, generator="recursive", audit_prob=1.0))
         node = world.nodes[nid]
 
         def overstated(honest=node.emit):

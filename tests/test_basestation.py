@@ -193,7 +193,7 @@ def test_forging_leaf_clears_committed_ancestors():
 
 
 def test_honest_forced_attestation_probes_only_station_children():
-    world, result = run_one(Scenario(seed=53, n=5, generator="star", force_attest=True))
+    world, result = run_one(Scenario(seed=53, n=5, generator="star", audit_prob=1.0))
     assert result.integrity == "passed"
     assert result.report.outliers == frozenset()
     assert result.report.probes == 5
@@ -407,6 +407,38 @@ def test_vouched_non_child_is_not_probed():
     assert result.report.non_committed == frozenset({1})
     assert result.report.outliers == frozenset({1, 3})
     assert result.integrity == "attested" and result.participants == frozenset({5})
+
+
+def test_walk_record_is_consistent_over_small_worlds():
+    # The transcript, probe count, non-committed set and outliers are views
+    # of one record per probed node; a failed node stays out of the outliers
+    # only when it committed, failed IPET and was cleared without a failing
+    # tree child's subtree.
+    rng = random.Random(1414)
+    generators = ("recursive", "geometric", "path", "star")
+    walks = 0
+    for i in range(48):
+        n = rng.randint(4, 24)
+        forgers = rng.sample(range(1, n + 1), rng.randint(1, 3))
+        compromises = tuple(
+            CompromiseSpec(nid, rng.choice(("forge_children", "noncommit")), (rng.getrandbits(64) | 1,))
+            for nid in forgers
+        )
+        world = World(Scenario(seed=2000 + i, rounds=2, n=n, generator=generators[i % 4],
+                               compromises=compromises, audit_prob=1.0))
+        for result in world.run():
+            report = result.report
+            ids = [nid for nid, _, _ in report.transcript]
+            assert len(ids) == len(set(ids)) == report.probes
+            assert report.non_committed == {nid for nid, committed, _ in report.transcript if not committed}
+            failed = {nid for nid, committed, ok in report.transcript if not (committed and ok)}
+            assert report.outliers <= failed
+            verdicts = {nid: (committed, ok) for nid, committed, ok in report.transcript}
+            for nid in failed - report.outliers:
+                assert verdicts[nid] == (True, False)
+                assert failed.intersection(world.tree.children[nid])
+            walks += bool(failed)
+    assert walks > 48
 
 
 # === Monitoring ==============================================================

@@ -153,6 +153,48 @@ def test_run_flag_overrides(tmp_path):
     assert "probes=5" in report  # forced audit probes each station child
 
 
+def test_force_attest_is_audit_prob_one(tmp_path):
+    # The file line, the flag and --audit-prob 1 are one setting: every round
+    # is audited, with byte-identical outputs.
+    def outputs(name, text, *flags):
+        out = tmp_path / name
+        code = cli.main(["run", write(tmp_path, f"{name}.scn", text), *flags,
+                         "--out", str(out), "--no-timestamp"])
+        assert code == 0
+        return (out / "report.txt").read_bytes(), (out / "metrics.csv").read_bytes()
+
+    by_line = outputs("line", HONEST + "force-attest\n")
+    assert by_line == outputs("flag", HONEST, "--force-attest")
+    assert by_line == outputs("prob", HONEST, "--audit-prob", "1")
+    assert by_line[0].count(b"probes=5") == 3
+    assert by_line != outputs("off", HONEST)
+
+
+def test_force_attest_wins_within_its_source_only():
+    # In one file, or on one command line, force-attest wins over audit-prob
+    # in either order; a command-line --audit-prob overrides the file's.
+    def audit_prob(text, *flags):
+        args = cli.build_parser().parse_args(["run", *flags])
+        return cli._apply_overrides(cli.parse_scenario(HONEST + text), args).audit_prob
+
+    assert audit_prob("force-attest\naudit-prob 0.25\n") == 1.0
+    assert audit_prob("audit-prob 0.25\nforce-attest\n") == 1.0
+    assert audit_prob("", "--audit-prob", "0.25", "--force-attest") == 1.0
+    assert audit_prob("force-attest\n", "--audit-prob", "0.25") == 0.25
+    assert audit_prob("audit-prob 0.25\n", "--force-attest") == 1.0
+
+
+@pytest.mark.parametrize("text,flags", [
+    ("force-attest\naudit-prob 2\n", ()),
+    ("audit-prob nan\nforce-attest\n", ()),
+    ("", ("--force-attest", "--audit-prob", "-0.5")),
+])
+def test_audit_prob_out_of_range_is_invalid_even_when_forced(tmp_path, capsys, text, flags):
+    scn = write(tmp_path, "a.scn", HONEST + text)
+    assert cli.main(["run", scn, *flags, "--out", str(tmp_path / "o")]) == 2
+    assert "audit probability outside [0, 1]" in capsys.readouterr().err
+
+
 def test_scenario_parse_compromise_args():
     scenario = cli.parse_scenario(
         "nodes 6\ngenerator recursive\ntrigger 2\n"

@@ -154,10 +154,12 @@ def test_aggregate_replayed_packet_marks_unresponsive():
     _, old = w2.nodes[2].emit()  # same keys, same counter as w1's round-1 emission
     _, fresh = w1.nodes[2].emit()
     w1.nodes[1].aggregate_child(wire.parse_frame(fresh)[1])
+    folded = w1.nodes[1].state.child_packets[2]
     w1.nodes[1].state.pending.add(2)  # pretend 2 is pending again
     with pytest.raises(ReplayDetected):
         w1.nodes[1].aggregate_child(wire.parse_frame(old)[1])
-    assert 2 in w1.nodes[1].state.unresponsive
+    assert 2 not in w1.nodes[1].state.pending
+    assert w1.nodes[1].state.child_packets[2] is folded  # the replay folded nothing
 
 
 def test_aggregate_malformed_packet_marks_unresponsive():
@@ -171,7 +173,7 @@ def test_aggregate_malformed_packet_marks_unresponsive():
     body[12:16] = struct.pack(">I", 1000)  # overstated absent count
     with pytest.raises(AuthFailure):
         agg.aggregate_child(bytes(body))
-    assert 2 in agg.state.unresponsive and 2 not in agg.state.pending
+    assert 2 not in agg.state.child_packets and 2 not in agg.state.pending
     with pytest.raises(UnknownChild):
         agg.aggregate_child(bytes(body[:3]))
     assert agg.state.pending == {3, 4}
@@ -217,8 +219,40 @@ def test_timeout_expires_pending_children():
     assert not agg.ready_to_emit()  # still waiting on 4
     out = agg.handle_message(wire.frame(wire.TIMEOUT, (1).to_bytes(8, "big")))
     assert len(out) == 1 and out[0][0] == 0
-    assert agg.state.unresponsive == {4}
+    assert agg.state.pending == set() and set(agg.state.child_packets) == {2, 3}
     assert agg.state.emitted.absent == (4,)
+
+
+def test_packet_after_timeout_emission_is_an_unknown_childs():
+    # Emission closes the round: the timed-out child's late packet is refused
+    # and changes neither the folded packets nor the node's probe answer.
+    world = cluster_world()
+    agg = world.nodes[1]
+    agg.handle_query(1, "sum")
+    late = {}
+    for cid in (2, 3, 4):
+        world.nodes[cid].handle_query(1, "sum")
+        late[cid] = wire.parse_frame(world.nodes[cid].emit()[1])[1]
+    for cid in (2, 3):
+        agg.aggregate_child(late[cid])
+    agg.handle_message(wire.frame(wire.TIMEOUT, (1).to_bytes(8, "big")))
+    bs_channel = crypto.SecureChannel(crypto.derive_bs_channel_key(world.prov.node_keys[1][0], 1))
+
+    def probe_answer():
+        resp = agg.respond_attestation(1)
+        _, [entry] = wire.decode_probe_resp(wire.parse_frame(resp)[1])
+        child_tags, bound, agg_body = wire.decode_probe_entry(entry)
+        pkt = wire.open_packet(bs_channel, agg_body, bound)  # each answer has a fresh counter
+        return child_tags, pkt._replace(counter=None)
+
+    folded = dict(agg.state.child_packets)
+    answer = probe_answer()
+    assert set(answer[0]) == {2, 3} and answer[1].absent == (4,)
+    with pytest.raises(UnknownChild):
+        agg.aggregate_child(late[4])
+    assert agg.handle_message(wire.frame(wire.AGG, late[4])) == []
+    assert agg.state.child_packets == folded
+    assert probe_answer() == answer
 
 
 # === Attestation responses ==================================================

@@ -93,7 +93,7 @@ def test_metrics_totals_helper():
 
 
 def test_report_text_field_names_pinned():
-    world = World(Scenario(seed=106, n=3, generator="star", force_attest=True))
+    world = World(Scenario(seed=106, n=3, generator="star", audit_prob=1.0))
     world.run()
     line = world.report_text().strip()
     for field in ("round=", "function=", "value=", "n_participants=", "integrity=", "probes=", "outliers="):
@@ -110,7 +110,7 @@ def test_audit_probability_draws_are_seeded():
 
 def test_programming_error_in_probe_answer_is_not_silence(monkeypatch):
     # Only protocol errors count as a silent node; a bug must surface.
-    world = World(Scenario(seed=109, n=4, generator="star", force_attest=True))
+    world = World(Scenario(seed=109, n=4, generator="star", audit_prob=1.0))
 
     def broken(round_no):
         raise RuntimeError("bug in the probe answer")
@@ -127,7 +127,7 @@ def test_truncated_probe_response_counts_as_silence():
     # round still reaches its verdict, and node 2's answer is not lost.
     own_probe = wire.encode_probe(1)
     for cut in ("answer", "probe"):
-        world = World(Scenario(seed=3, n=20, generator="recursive", force_attest=True))
+        world = World(Scenario(seed=3, n=20, generator="recursive", audit_prob=1.0))
         answers = []
 
         def cutting(src, dst, payload, cut=cut, answers=answers):
@@ -201,7 +201,7 @@ def test_malformed_query_is_ignored_and_timed_out():
     # node 3 ignores it, node 1 times it out as silent (absent root 3), and
     # the round reaches a verdict that blames no one.
     for garble in (lambda p: p[:5], lambda p: b"", lambda p: b"\x7f" + p[1:]):
-        world = World(Scenario(seed=3, n=20, generator="recursive", force_attest=True))
+        world = World(Scenario(seed=3, n=20, generator="recursive", audit_prob=1.0))
         on_links(world, lambda src, dst, p, garble=garble:
                  garble(p) if (src, dst) == (1, 3) and p[0] == wire.QUERY else p)
         result = world.run_round(1)
@@ -254,7 +254,7 @@ def test_silent_child_is_timed_out_at_the_deadline():
     # Every frame node 4 of a path sends is lost: node 3 still emits, on its
     # TIMEOUT, with 4 as an absent root.  Message count pinned from the
     # simulator that armed a timeout for every node.
-    world = World(Scenario(seed=1, n=6, generator="path", force_attest=True))
+    world = World(Scenario(seed=1, n=6, generator="path", audit_prob=1.0))
     seen = []
     honest = world.nodes[3].handle_message
 
@@ -315,7 +315,7 @@ def test_every_frame_crosses_the_bus():
     # below 4, which the station asks to leave 6 out.  Every frame type that
     # crosses a link passes the bus, the node-local TIMEOUT never does, and
     # the bus's own tally of links is the round's traffic.
-    world = World(Scenario(seed=3, n=20, generator="recursive", force_attest=True,
+    world = World(Scenario(seed=3, n=20, generator="recursive", audit_prob=1.0,
                            compromises=(CompromiseSpec(6, "noncommit"),)))
     depth = world.tree.depth
     types, messages, sent = set(), 0, 0
