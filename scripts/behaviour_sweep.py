@@ -10,7 +10,9 @@ the reports, the per-round metrics other than bytes (messages, seed
 regenerations, probes), the attestation transcripts and the registry
 statuses, plus a combined hash of those four.  Bytes per round get a hash of
 their own, outside the combined one, so that a wire-format change can be
-checked for unchanged behaviour too.  Run it against two source trees to
+checked for unchanged behaviour too.  So does the frame order: `frames`
+hashes the (source, destination, type, length) of every frame each world
+sends over the bus, ``World.deliver``, in the order it sends them.  Run it against two source trees to
 check that a refactor left behaviour unchanged: the hashes must match.
 `scripts/behaviour_sweep_520.txt` holds the output over 520 worlds, which CI
 diffs against; a change that alters counts or verdicts by design updates it
@@ -56,10 +58,20 @@ def compromises(rng: random.Random, n: int, kind: str, tree) -> list[CompromiseS
     return specs
 
 
+def _recording(deliver, frames, world_index: int):
+    """deliver, first adding each frame's ends, type and length to frames."""
+
+    def recorded(src: int, dst: int, payload: bytes) -> bytes | None:
+        frames.update(f"{world_index}|{src},{dst},{payload[:1].hex()},{len(payload)}".encode())
+        return deliver(src, dst, payload)
+
+    return recorded
+
+
 def fingerprint(worlds: int) -> tuple[dict[str, str], dict[str, int]]:
     """The sweep's hashes (the four parts, combined, bytes) and its outcome counts."""
     parts = {name: hashlib.sha256() for name in ("reports", "metrics", "transcripts", "statuses")}
-    wire_bytes = hashlib.sha256()
+    wire_bytes, frames = hashlib.sha256(), hashlib.sha256()
     outcomes: dict[str, int] = {}
     for i in range(worlds):
         rng = random.Random(7919 * i + 17)
@@ -74,6 +86,7 @@ def fingerprint(worlds: int) -> tuple[dict[str, str], dict[str, int]]:
         world = None
         try:
             world = World(scenario)
+            world.deliver = _recording(world.deliver, frames, i)
             world.run()
             outcome = "ok"
         except ProtocolError as exc:
@@ -104,6 +117,7 @@ def fingerprint(worlds: int) -> tuple[dict[str, str], dict[str, int]]:
     hashes = {name: h.hexdigest() for name, h in parts.items()}
     hashes["combined"] = total.hexdigest()
     hashes["bytes"] = wire_bytes.hexdigest()
+    hashes["frames"] = frames.hexdigest()
     return hashes, dict(sorted(outcomes.items()))
 
 

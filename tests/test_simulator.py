@@ -381,6 +381,10 @@ SWEEP_PARTS = {
 }
 SWEEP_COMBINED = "0b95c552e3d7b60e5895899e85709e2842b6f258744156d13b7159b710872691"
 SWEEP_BYTES = "e7f9ea03c965e21680edcc8d59241f1e649e0593f5f1e20e7714be828e4d4b87"
+# The order of the frames on the bus over the same 40 worlds, each frame's
+# ends, type and length, pinned from the simulator whose nodes timed out
+# their silent children with a TIMEOUT alarm.
+SWEEP_FRAMES = "9400e09ec4fe1c89973ce23455f24132ec8256d76e563bd6511562a540a5fe4d"
 # The same three parts over the script's default 104 worlds, where every
 # generator meets every adversary kind under every audit setting; unchanged
 # since the data phase was streamlined.
@@ -404,6 +408,7 @@ def test_behaviour_sweep_fingerprint_is_pinned():
     assert outcomes["ok"] == SWEEP_WORLDS
     assert {part: hashes[part] for part in SWEEP_PARTS} == SWEEP_PARTS
     assert (hashes["combined"], hashes["bytes"]) == (SWEEP_COMBINED, SWEEP_BYTES)
+    assert hashes["frames"] == SWEEP_FRAMES
 
 
 def test_behaviour_sweep_verdicts_over_104_worlds_are_pinned():
