@@ -38,9 +38,8 @@ from pathlib import Path
 
 from . import crypto
 from .adversary import KINDS, CompromiseSpec
-from .basestation import format_report_line
 from .errors import ProtocolError, ScenarioInvalid
-from .simulator import GENERATORS, SEED_LIMIT, Metrics, Scenario, World, measure_scaling
+from .simulator import GENERATORS, SEED_LIMIT, Scenario, World, measure_scaling
 
 ENV_SEED = "CONCEALED_AGG_SEED"
 
@@ -143,18 +142,10 @@ def load_scenario(path: str, edges_only: bool = False) -> Scenario:
 # === Output writers =========================================================
 
 
-def _stamp() -> str:
-    return "# generated " + datetime.datetime.now(datetime.timezone.utc).isoformat() + "\n"
-
-
-def write_report(path: Path, results, timestamp: bool) -> None:
-    head = _stamp() if timestamp else ""
-    path.write_text(head + "".join(format_report_line(r) + "\n" for r in results), encoding="utf-8")
-
-
-def write_metrics(path: Path, metrics: Metrics, timestamp: bool) -> None:
-    head = _stamp() if timestamp else ""
-    path.write_text(head + metrics.to_csv(), encoding="utf-8")
+def write_stamped(path: Path, text: str, timestamp: bool) -> None:
+    """Write text to path, headed by a generation time stamp if asked."""
+    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    path.write_text((f"# generated {stamp}\n" if timestamp else "") + text, encoding="utf-8")
 
 
 # === Commands ===============================================================
@@ -198,7 +189,7 @@ def cmd_run(args) -> int:
             return 2
         scenario = _apply_overrides(scenario, args)
         world = World(scenario)
-        results = world.run()
+        world.run()
     except ScenarioInvalid as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return 2
@@ -207,13 +198,11 @@ def cmd_run(args) -> int:
         return 1
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    timestamp = not args.no_timestamp
-    write_report(out / "report.txt", results, timestamp)
-    write_metrics(out / "metrics.csv", world.metrics, timestamp)
-    for line in (format_report_line(r) for r in results):
-        print(line)
-    verdicts = {"passed", "attested", "rejected"}
-    return 0 if all(r.integrity in verdicts for r in results) else 1
+    report = world.report_text()
+    write_stamped(out / "report.txt", report, not args.no_timestamp)
+    write_stamped(out / "metrics.csv", world.metrics.to_csv(), not args.no_timestamp)
+    print(report, end="")
+    return 0
 
 
 def _parse_sizes(raw: list[str]) -> tuple[int, ...]:
@@ -248,8 +237,7 @@ def cmd_scaling(args, parser) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        head = _stamp() if not args.no_timestamp else ""
-        (out / "scaling.csv").write_text(head + table, encoding="utf-8")
+        write_stamped(out / "scaling.csv", table, not args.no_timestamp)
     return 0
 
 

@@ -3,14 +3,16 @@
 Per round a node: receives the query exactly once, relays it to its children,
 advances both seed chains with one keyed PRF call, senses one reading and
 diffuses it under both chains' seeds, and stores each child's authenticated
-packet.  When every child has reported or timed out it folds them with
-``wire.fold_packets`` (the dual sums component-wise mod M, the child tags by
-XOR, and an absent list: the children that did not report plus the absent
-lists of those that did), adds its own pair, and emits exactly one packet
-upward.  An honest round's packets name no one, so they have the same size
-at every depth.  The emitted tag is its own MAC over the final aggregated
-pair XORed with all child tags, so the tag of any subtree equals the XOR of
-the own-MACs of every node inside it.
+packet.  A QUERY only opens the round and fans out, and an AGG only stores a
+child's packet.  The node emits once the simulator finds its subtree
+drained: it folds the stored packets with ``wire.fold_packets`` (the dual
+sums component-wise mod M, the child tags by XOR, and an absent list: the
+children that did not report plus the absent lists of those that did), adds
+its own pair, and sends exactly one packet upward.  An honest round's
+packets name no one, so they have the same size at every depth.  The
+emitted tag is its own MAC over the final aggregated pair XORed with all
+child tags, so the tag of any subtree equals the XOR of the own-MACs of
+every node inside it.
 
 The node also answers attestation probes (resending what it committed to on
 a direct logical channel to the base station) and re-aggregates on request
@@ -44,7 +46,6 @@ Send = tuple[int, bytes]  # (destination node id, fabric payload)
 @dataclass
 class RoundState:
     round: int
-    function: str
     own_d: int
     own_dp: int
     pending: set[int]
@@ -106,9 +107,7 @@ class SensorNode:
         self._last_round = round_no
         self.chains.advance_to(round_no)
         d, dp = self.sense_and_diffuse(round_no)
-        self.state = RoundState(
-            round=round_no, function=function, own_d=d, own_dp=dp, pending=set(self.children)
-        )
+        self.state = RoundState(round=round_no, own_d=d, own_dp=dp, pending=set(self.children))
         if not self.children:
             return []
         query = wire.encode_query(round_no, function)
@@ -136,9 +135,6 @@ class SensorNode:
             raise
         state.pending.discard(sender)
         state.child_packets[sender] = pkt
-
-    def ready_to_emit(self) -> bool:
-        return self.state is not None and not self.state.pending and self.state.emitted is None
 
     def emit(self) -> Send:
         """Build, seal, and retain this round's single upward packet.  Emission
@@ -201,14 +197,15 @@ class SensorNode:
     # === Fabric dispatch ====================================================
 
     def awaits_children(self, round_no: int) -> bool:
-        """True while the node holds round round_no open for late children."""
+        """True from the QUERY that opens round round_no until the node emits."""
         state = self.state
         return state is not None and state.round == round_no and state.emitted is None
 
     def handle_message(self, payload: bytes) -> list[Send]:
-        """Process one fabric message; returns messages to send.  A QUERY that
-        does not parse and a message of unknown type are ignored, so the
-        parent times this node out as silent."""
+        """Process one fabric message; returns messages to send.  A QUERY opens
+        the round and fans out to the children, and an AGG is kept for the
+        fold at emission.  A QUERY that does not parse and a message of
+        unknown type are ignored, so the parent leaves this node out."""
         msg_type, body = wire.parse_frame(payload)
         if msg_type == wire.QUERY:
             try:
@@ -216,21 +213,12 @@ class SensorNode:
             except ValueError as exc:
                 log.info("node %d: ignored query: %s", self.node_id, exc)
                 return []
-            out = self.handle_query(round_no, function)
-            if self.ready_to_emit():
-                out.append(self.emit())
-            return out
+            return self.handle_query(round_no, function)
         if msg_type == wire.AGG:
             try:
                 self.aggregate_child(body)
             except (UnknownChild, ReplayDetected, AuthFailure):
                 pass  # logged; sender already excluded from the round
-            if self.ready_to_emit():
-                return [self.emit()]
-            return []
-        if msg_type == wire.TIMEOUT:
-            if self.awaits_children(int.from_bytes(body, "big")):
-                return [self.emit()]  # without the children still silent
             return []
         log.info("node %d: ignored message of type %s", self.node_id, msg_type)
         return []

@@ -8,13 +8,13 @@ attacker on the links: a test that cuts, flips or drops frames wraps it.
 
 Data rounds run depth-first off a stack of (src, dst, frame) entries, so a
 scenario replays identically for a given seed.  The station's queries are
-pushed so that its lowest child pops first.  A node that still waits for
-children once it has handled its query pushes its alarm, a TIMEOUT frame to
-itself, beneath the frames it sends; a leaf, which emits at once, gets none.
-The alarm therefore pops only after every frame its subtree sends, and every
-frame those cause, has been handled: it reaches the node only if a child
-never reported, and is dropped if the node has emitted.  A single silent
-node thus costs only its own subtree, never the whole branch.
+pushed so that its lowest child pops first.  A node whose QUERY opens the
+round pushes an end-of-subtree marker, (node, node, None), beneath the
+frames it sends; a leaf, which sends none, gets one too.  The marker pops
+only after every frame its subtree sends, and every frame those cause, has
+been handled, so the node then emits: with every child that reported
+folded in, and the rest left out as absent roots.  A single silent node
+thus costs only its own subtree, never the whole branch.
 
 Attestation traffic (probes and re-aggregation requests) is a synchronous
 request and answer, ``World.ask``, each over the bus: it happens strictly
@@ -270,43 +270,42 @@ class World:
                 pass  # an answer that does not parse is not relayed
         return wire.encode_probe_resp(round_no, entries) if entries else None
 
-    def _run_data_phase(self, round_no: int) -> None:
-        queries = self.bs.disseminate(round_no, self.scenario.function)
+    def _run_data_phase(self, round_no: int, queries: list[tuple[int, bytes]]) -> None:
         stack = [(BS_ID, dst, payload) for dst, payload in reversed(queries)]
         nodes, deliver = self.nodes, self.deliver
-        timeout = wire.frame(wire.TIMEOUT, round_no.to_bytes(8, "big"))
         query_type = bytes([wire.QUERY])
         while stack:
             src, dst, payload = stack.pop()
-            if src != dst:  # an alarm is node-local and never crosses the bus
-                payload = deliver(src, dst, payload)
-                if payload is None:
-                    continue
-                if dst == BS_ID:
-                    msg_type, body = wire.parse_frame(payload)
-                    if msg_type == wire.AGG:
-                        self.bs.receive_packet(body)
-                    continue
-            elif not nodes[dst].awaits_children(round_no):
-                continue  # the node has emitted: no child is left to time out
+            if payload is None:  # dst's subtree has drained
+                stack.append((dst, *nodes[dst].emit()))
+                continue
+            payload = deliver(src, dst, payload)
+            if payload is None:
+                continue
+            if dst == BS_ID:
+                msg_type, body = wire.parse_frame(payload)
+                if msg_type == wire.AGG:
+                    self.bs.receive_packet(body)
+                continue
             node = nodes[dst]
             try:
                 outs = node.handle_message(payload)
             except StaleRound:
                 continue
             if payload[:1] == query_type and node.awaits_children(round_no):
-                stack.append((dst, dst, timeout))  # beneath the frames it sends
+                stack.append((dst, dst, None))  # beneath the frames it sends
             stack += [(dst, ndst, npayload) for ndst, npayload in reversed(outs)]
 
     # --- rounds --------------------------------------------------------------
 
     def run_round(self, round_no: int) -> QueryResult:
+        bs, function = self.bs, self.scenario.function
+        queries = bs.disseminate(round_no, function)  # a stale round books no metrics row
         rm = RoundMetrics(round=round_no)
         self.metrics.rounds.append(rm)
         self._rm = rm
-        self._run_data_phase(round_no)
+        self._run_data_phase(round_no, queries)
 
-        bs, function = self.bs, self.scenario.function
         dsum, dsum_prime, claim = bs.finalize(round_no)
         participants = kept = bs.participants(claim)
         ask = partial(self.ask, BS_ID)  # the walk's requests leave from the station

@@ -17,7 +17,9 @@ bytes.  The channel tag also covers, as associated data, every clear field
 but the counter (which it covers anyway): sender, absent list and tag, and
 in a probe response the child tags too.  A keyless attacker on a link who
 rewrites any of them makes the packet fail authentication.  Every payload on
-the simulator fabric is a one-byte message type followed by the body.
+the simulator fabric is a one-byte message type followed by the body, and
+every type crosses a link: no frame tells a node to emit, it emits when the
+simulator finds its subtree drained.
 
 Attestation probes travel to a group of siblings through their parent:
 
@@ -65,7 +67,6 @@ PROBE = 0x03
 PROBE_RESP = 0x04
 REAGG = 0x05
 REAGG_RESP = 0x06
-TIMEOUT = 0x07  # node-local alarm, never crosses a link
 
 SEALED_PAIR_LEN = 16 + crypto.CHANNEL_TAG_LEN
 

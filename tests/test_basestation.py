@@ -29,11 +29,20 @@ def run_one(scenario: Scenario):
 
 def test_round_messages_and_function_tag():
     world = World(Scenario(seed=40, n=9, generator="recursive", function="mean"))
+    functions = []
+
+    def recording(src, dst, payload):
+        msg_type, body = wire.parse_frame(payload)
+        if msg_type == wire.QUERY:
+            functions.append(wire.decode_query(body)[1])
+        return payload
+
+    on_links(world, recording)
     result = world.run_round(1)
     # one query delivery plus one upward packet per node
     assert world.metrics.rounds[0].messages == 2 * 9
     assert result.function == "mean"
-    assert all(node.state.function == "mean" for node in world.nodes.values())
+    assert functions == ["mean"] * 9  # every node is queried for the mean
 
 
 def test_stale_round_rejected_by_station():
@@ -41,6 +50,16 @@ def test_stale_round_rejected_by_station():
     world.run_round(1)
     with pytest.raises(StaleRound):
         world.bs.disseminate(1, "sum")
+
+
+def test_refused_round_books_no_metrics_row():
+    world = World(Scenario(seed=41, n=3, generator="star", rounds=2))
+    world.run()
+    csv = world.metrics.to_csv()
+    with pytest.raises(StaleRound):
+        world.run_round(2)
+    assert [rm.round for rm in world.metrics.rounds] == [1, 2]
+    assert world.metrics.to_csv() == csv
 
 
 def test_finalize_single_child_and_union():

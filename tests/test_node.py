@@ -39,7 +39,7 @@ def drive_cluster(world: World, order=(2, 3, 4), round_no: int = 1):
         bodies[cid] = wire.parse_frame(payload)[1]
     for cid in order:
         agg.aggregate_child(bodies[cid])
-    assert agg.ready_to_emit()
+    assert not agg.state.pending
     dst, payload = agg.emit()
     assert dst == 0
     return wire.open_packet(crypto.SecureChannel(world.prov.edge_keys[1]), wire.parse_frame(payload)[1])
@@ -52,7 +52,7 @@ def test_leaf_query_fans_out_to_no_children_and_is_ready():
     world = cluster_world()
     leaf = world.nodes[2]
     assert leaf.handle_query(1, "sum") == []
-    assert leaf.ready_to_emit()
+    assert leaf.state.pending == set() and leaf.state.emitted is None
 
 
 def test_interior_query_forwards_to_each_child():
@@ -216,9 +216,8 @@ def test_timeout_expires_pending_children():
     for cid in (2, 3):
         world.nodes[cid].handle_query(1, "sum")
         agg.aggregate_child(wire.parse_frame(world.nodes[cid].emit()[1])[1])
-    assert not agg.ready_to_emit()  # still waiting on 4
-    out = agg.handle_message(wire.frame(wire.TIMEOUT, (1).to_bytes(8, "big")))
-    assert len(out) == 1 and out[0][0] == 0
+    assert agg.state.pending == {4}  # still waiting on 4
+    assert agg.emit()[0] == 0
     assert agg.state.pending == set() and set(agg.state.child_packets) == {2, 3}
     assert agg.state.emitted.absent == (4,)
 
@@ -235,7 +234,7 @@ def test_packet_after_timeout_emission_is_an_unknown_childs():
         late[cid] = wire.parse_frame(world.nodes[cid].emit()[1])[1]
     for cid in (2, 3):
         agg.aggregate_child(late[cid])
-    agg.handle_message(wire.frame(wire.TIMEOUT, (1).to_bytes(8, "big")))
+    agg.emit()
     bs_channel = crypto.SecureChannel(crypto.derive_bs_channel_key(world.prov.node_keys[1][0], 1))
 
     def probe_answer():

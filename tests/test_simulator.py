@@ -1,6 +1,7 @@
 """Deterministic simulator: depth-first data phase, round flow, metrics, scaling."""
 
 import importlib.util
+import random
 from pathlib import Path
 
 import pytest
@@ -251,21 +252,26 @@ def test_honest_rounds_share_one_participant_set():
 
 
 def test_silent_child_is_timed_out_at_the_deadline():
-    # Every frame node 4 of a path sends is lost: node 3 still emits, on its
-    # TIMEOUT, with 4 as an absent root.  Message count pinned from the
-    # simulator that armed a timeout for every node.
+    # Every frame node 4 of a path sends is lost: node 3 still emits, when
+    # its subtree has drained, with 4 as an absent root.  Message count
+    # pinned from the simulator that armed a timeout for every node.
     world = World(Scenario(seed=1, n=6, generator="path", audit_prob=1.0))
     seen = []
-    honest = world.nodes[3].handle_message
+    node = world.nodes[3]
+    honest_handle, honest_emit = node.handle_message, node.emit
 
-    def recording(payload):
+    def handle(payload):
         seen.append(payload[0])
-        return honest(payload)
+        return honest_handle(payload)
 
-    world.nodes[3].handle_message = recording
+    def emit():
+        seen.append("emit")
+        return honest_emit()
+
+    node.handle_message, node.emit = handle, emit
     on_links(world, lambda src, dst, payload: None if src == 4 else payload)
     result = world.run_round(1)
-    assert seen == [wire.QUERY, wire.TIMEOUT]
+    assert seen == [wire.QUERY, "emit"]
     assert world.nodes[3].state.emitted.absent == (4,)
     assert result.integrity == "passed" and result.participants == frozenset({1, 2, 3})
     assert (world.metrics.rounds[0].messages, world.metrics.rounds[0].bytes) == (9, 317)
@@ -312,9 +318,9 @@ def test_round_that_raises_still_reports_its_traffic():
 
 def test_every_frame_crosses_the_bus():
     # A forced audit with a network re-aggregation: non-committed 6 sits
-    # below 4, which the station asks to leave 6 out.  Every frame type that
-    # crosses a link passes the bus, the node-local TIMEOUT never does, and
-    # the bus's own tally of links is the round's traffic.
+    # below 4, which the station asks to leave 6 out.  Every frame type
+    # passes the bus, and the bus's own tally of links is the round's
+    # traffic.
     world = World(Scenario(seed=3, n=20, generator="recursive", audit_prob=1.0,
                            compromises=(CompromiseSpec(6, "noncommit"),)))
     depth = world.tree.depth
@@ -344,11 +350,11 @@ def test_dropped_child_of_a_path_becomes_an_absent_root():
 
 
 def test_leaves_get_no_timeout(monkeypatch):
-    # A leaf emits as soon as it is queried and gets no alarm; an interior
-    # node's alarm pops after its whole subtree has reported and is dropped
-    # unread.  Every sensor handles its QUERY, and its parent handles its
-    # AGG unless the parent is the station: on the 64-node path that is 127
-    # frames.  A star's sensors are all leaves.
+    # No node is sent a frame to make it emit: each emits when its subtree
+    # has drained, a leaf as soon as it is queried.  Every sensor handles its
+    # QUERY, and its parent handles its AGG unless the parent is the
+    # station: on the 64-node path that is 127 frames.  A star's sensors are
+    # all leaves.
     seen = []
     honest = SensorNode.handle_message
 
@@ -362,7 +368,6 @@ def test_leaves_get_no_timeout(monkeypatch):
         world = World(Scenario(seed=5, n=n, generator=generator))
         assert world.run_round(1).integrity == "passed"
         relayed = n - len(world.tree.children[0])
-        assert wire.TIMEOUT not in seen, generator
         assert sorted(seen) == [wire.QUERY] * n + [wire.AGG] * relayed, generator
 
 
@@ -415,6 +420,73 @@ def test_behaviour_sweep_verdicts_over_104_worlds_are_pinned():
     hashes, outcomes = _sweep().fingerprint(104)
     assert outcomes["ok"] == 104
     assert {part: hashes[part] for part in SWEEP_104_PARTS} == SWEEP_104_PARTS
+
+
+def _keyless(rng: random.Random):
+    """A keyless attacker on every link: it drops, cuts, flips a bit of, or
+    rewrites the sender of some frames.  It never flips a QUERY's round,
+    which would make the receiver replay its seed chains that far."""
+    query = bytes([wire.QUERY])
+
+    def fault(src, dst, payload):
+        r = rng.random()
+        if r < 0.08:
+            return None
+        if r < 0.12:
+            return payload[: rng.randrange(len(payload) + 1)]
+        if r < 0.16:
+            lo = 9 if payload[:1] == query else 0
+            if lo >= len(payload):
+                return payload
+            flipped = bytearray(payload)
+            flipped[rng.randrange(lo, len(payload))] ^= 1 << rng.randrange(8)
+            return bytes(flipped)
+        if r < 0.22 and payload[:1] == bytes([wire.AGG]) and len(payload) >= 5:
+            return payload[:1] + rng.randrange(64).to_bytes(4, "big") + payload[5:]
+        return payload
+
+    return fault
+
+
+def test_each_node_that_opens_the_round_emits_once_after_its_subtree():
+    # Under keyless drops, cuts, flips and AGG-sender rewrites, with the
+    # sweep's forgers: every node whose QUERY opened the round sends exactly
+    # one AGG, any other node sends none, and that AGG crosses the bus after
+    # every data frame its subtree sent.
+    sweep = _sweep()
+    data_types = {wire.QUERY, wire.AGG}
+    for i in range(60):
+        rng = random.Random(i)
+        generator, kind = GENERATORS[i % 4], sweep.KINDS[(i // 4) % 5]
+        n = rng.randint(2, 40)
+        tree = World(Scenario(seed=i, n=n, generator=generator)).tree
+        world = World(Scenario(seed=i, rounds=3, n=n, generator=generator, audit_prob=0.5,
+                               compromises=tuple(sweep.compromises(rng, n, kind, tree)),
+                               trigger_round=2 if kind == "replay" else rng.randint(1, 2)))
+        sent: list[tuple[int, int]] = []  # (sender, type) of each frame, as sent
+        on_links(world, _keyless(rng))
+        faulty = world.deliver
+
+        def recording(src, dst, payload, faulty=faulty, sent=sent):
+            sent.append((src, payload[0]))
+            return faulty(src, dst, payload)
+
+        world.deliver = recording
+        for round_no in (1, 2, 3):
+            sent.clear()
+            world.run_round(round_no)
+            data = [(src, t) for src, t in sent if t in data_types]
+            opened = {v for v, node in world.nodes.items()
+                      if node.state is not None and node.state.round == round_no}
+            aggs = {}
+            for at, (src, t) in enumerate(data):
+                if t == wire.AGG:
+                    assert src not in aggs, (i, round_no, src)
+                    aggs[src] = at
+            assert set(aggs) == opened, (i, round_no)
+            for v, at in aggs.items():
+                subtree = world.tree.subtree(v)
+                assert all(src not in subtree for src, _ in data[at + 1:]), (i, round_no, v)
 
 
 def test_rejected_when_everything_is_compromised():
