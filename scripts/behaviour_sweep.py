@@ -12,8 +12,14 @@ statuses, plus a combined hash of those four.  Bytes per round get a hash of
 their own, outside the combined one, so that a wire-format change can be
 checked for unchanged behaviour too.  So does the frame order: `frames`
 hashes the (source, destination, type, length) of every frame each world
-sends over the bus, ``World.deliver``, in the order it sends them.  Run it against two source trees to
-check that a refactor left behaviour unchanged: the hashes must match.
+sends over the bus, ``World.deliver``, in the order it sends them.  And
+`faults` runs each world again with a seeded keyless attacker on its AGG
+frames, which drops, cuts, flips a bit past the sender field of, or retypes
+about one in five, and hashes the reports, participants and transcripts of
+that run.  It leaves out sender rewrites: which sibling such a rewrite may
+cost is the parent's intake rule, not a behaviour to pin.  Run it against
+two source trees to check that a refactor left behaviour unchanged: the
+hashes must match.
 `scripts/behaviour_sweep_520.txt` holds the output over 520 worlds, which CI
 diffs against; a change that alters counts or verdicts by design updates it
 and says why.  Any
@@ -26,6 +32,7 @@ import hashlib
 import random
 import sys
 
+from concealed_agg import wire
 from concealed_agg.adversary import KINDS, CompromiseSpec
 from concealed_agg.errors import ProtocolError
 from concealed_agg.simulator import GENERATORS, Scenario, World
@@ -68,10 +75,56 @@ def _recording(deliver, frames, world_index: int):
     return recorded
 
 
+def _agg_faults(deliver, rng: random.Random):
+    """deliver behind a keyless attacker that drops, cuts, flips a bit past
+    the sender field of, or retypes about one AGG frame in five.  A retype
+    never makes a QUERY, so every run reaches its verdicts."""
+    agg = bytes([wire.AGG])
+
+    def faulted(src: int, dst: int, payload: bytes) -> bytes | None:
+        if payload[:1] == agg and rng.random() < 0.2:
+            fault = rng.randrange(4)
+            if fault == 0:
+                return None
+            if fault == 1:
+                payload = payload[: rng.randrange(len(payload))]
+            elif fault == 2:
+                flipped = bytearray(payload)
+                flipped[rng.randrange(5, len(payload))] ^= 1 << rng.randrange(8)
+                payload = bytes(flipped)
+            else:
+                payload = bytes([rng.choice((wire.PROBE, wire.REAGG_RESP, 0x7F))]) + payload[1:]
+        return deliver(src, dst, payload)
+
+    return faulted
+
+
+def _run(scenario: Scenario, wrap) -> tuple[World | None, str]:
+    """The world after its rounds, with wrap(world.deliver) as its bus, and
+    "ok" or the ProtocolError that ended it (no world if it ended set-up)."""
+    world = None
+    try:
+        world = World(scenario)
+        world.deliver = wrap(world.deliver)
+        world.run()
+        return world, "ok"
+    except ProtocolError as exc:
+        return world, f"{type(exc).__name__}: {exc}"
+
+
+def _result_line(i: int, r) -> str:
+    rep = r.report
+    audit_text = "-" if rep is None else (
+        f"{sorted(rep.outliers)}|{sorted(rep.non_committed)}|{rep.probes}|{rep.transcript}"
+    )
+    return f"{i}|{r.round}|{r.integrity}|{sorted(r.participants)}|{r.raw_sum}|" + audit_text
+
+
 def fingerprint(worlds: int) -> tuple[dict[str, str], dict[str, int]]:
-    """The sweep's hashes (the four parts, combined, bytes) and its outcome counts."""
+    """The sweep's hashes (the four parts, combined, bytes, frames, faults)
+    and its outcome counts."""
     parts = {name: hashlib.sha256() for name in ("reports", "metrics", "transcripts", "statuses")}
-    wire_bytes, frames = hashlib.sha256(), hashlib.sha256()
+    wire_bytes, frames, faults = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     outcomes: dict[str, int] = {}
     for i in range(worlds):
         rng = random.Random(7919 * i + 17)
@@ -83,14 +136,15 @@ def fingerprint(worlds: int) -> tuple[dict[str, str], dict[str, int]]:
             seed=1000 + i, rounds=4, n=n, generator=gen,
             compromises=tuple(compromises(rng, n, kind, tree)), trigger_round=trigger, **audit,
         )
-        world = None
-        try:
-            world = World(scenario)
-            world.deliver = _recording(world.deliver, frames, i)
-            world.run()
-            outcome = "ok"
-        except ProtocolError as exc:
-            outcome = f"{type(exc).__name__}: {exc}"
+        world, outcome = _run(scenario, lambda deliver: _recording(deliver, frames, i))
+        faulted, faulted_outcome = _run(
+            scenario, lambda deliver: _agg_faults(deliver, random.Random(7919 * i + 18))
+        )
+        faults.update(f"{i}|{faulted_outcome}".encode())
+        if faulted is not None:
+            faults.update(faulted.report_text().encode())
+            for r in faulted.results:
+                faults.update(_result_line(i, r).encode())
         key = outcome.split(":")[0]
         outcomes[key] = outcomes.get(key, 0) + 1
         if world is None:
@@ -101,12 +155,7 @@ def fingerprint(worlds: int) -> tuple[dict[str, str], dict[str, int]]:
             parts["metrics"].update(f"{i}|{rm.round},{rm.messages},{rm.seed_regens},{rm.probes}".encode())
             wire_bytes.update(f"{i}|{rm.round},{rm.bytes}".encode())
         for r in world.results:
-            rep = r.report
-            audit_text = "-" if rep is None else (
-                f"{sorted(rep.outliers)}|{sorted(rep.non_committed)}|{rep.probes}|{rep.transcript}"
-            )
-            line = f"{i}|{r.round}|{r.integrity}|{sorted(r.participants)}|{r.raw_sum}|" + audit_text
-            parts["transcripts"].update(line.encode())
+            parts["transcripts"].update(_result_line(i, r).encode())
             outcomes[r.integrity] = outcomes.get(r.integrity, 0) + 1
         statuses = sorted((nid, rec.status) for nid, rec in world.bs.registry.items())
         parts["statuses"].update(f"{i}|{statuses}".encode())
@@ -118,6 +167,7 @@ def fingerprint(worlds: int) -> tuple[dict[str, str], dict[str, int]]:
     hashes["combined"] = total.hexdigest()
     hashes["bytes"] = wire_bytes.hexdigest()
     hashes["frames"] = frames.hexdigest()
+    hashes["faults"] = faults.hexdigest()
     return hashes, dict(sorted(outcomes.items()))
 
 

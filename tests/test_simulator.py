@@ -390,6 +390,10 @@ SWEEP_BYTES = "e7f9ea03c965e21680edcc8d59241f1e649e0593f5f1e20e7714be828e4d4b87"
 # ends, type and length, pinned from the simulator whose nodes timed out
 # their silent children with a TIMEOUT alarm.
 SWEEP_FRAMES = "9400e09ec4fe1c89973ce23455f24132ec8256d76e563bd6511562a540a5fe4d"
+# The reports, participants and transcripts of the same 40 worlds run again
+# behind a keyless attacker on AGG frames (drops, cuts, flips past the sender
+# field, retypes), pinned from the simulator whose sensors kept a pending set.
+SWEEP_FAULTS = "4729b95b1b3aedad9596d819786bb7ff63745d71f00ec3d17ad27e72d04a7fa3"
 # The same three parts over the script's default 104 worlds, where every
 # generator meets every adversary kind under every audit setting; unchanged
 # since the data phase was streamlined.
@@ -414,6 +418,7 @@ def test_behaviour_sweep_fingerprint_is_pinned():
     assert {part: hashes[part] for part in SWEEP_PARTS} == SWEEP_PARTS
     assert (hashes["combined"], hashes["bytes"]) == (SWEEP_COMBINED, SWEEP_BYTES)
     assert hashes["frames"] == SWEEP_FRAMES
+    assert hashes["faults"] == SWEEP_FAULTS
 
 
 def test_behaviour_sweep_verdicts_over_104_worlds_are_pinned():
