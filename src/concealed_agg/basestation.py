@@ -33,11 +33,12 @@ nodes that is exactly the node's own re-aggregation, at no network cost.
 Otherwise, or if that result fails IPET (a keyed child can lie about its
 pair or absent roots and still commit), the station asks the node itself.
 
-The station is the root of the aggregation tree and folds its children's
-packets with the same ``wire.fold_packets`` step every sensor runs.  The
-attested value costs no further exchange: the station folds its children
-that did not fail, then adds back, top-down, each exonerated node whose
-parent was added, using the re-aggregate that cleared it.
+The station is the root of the aggregation tree and takes in its children's
+packets with the same ``wire.keep_child_packet`` and ``wire.fold_packets``
+every sensor runs.  The attested value costs no further exchange: the
+station folds its children that did not fail, then adds back, top-down, each
+exonerated node whose parent was added, using the re-aggregate packet that
+cleared it.
 """
 
 from __future__ import annotations
@@ -117,37 +118,23 @@ def format_report_line(result: QueryResult) -> str:
     )
 
 
-@dataclass
-class _Probe:
-    """Everything learned from one answered probe."""
-
-    node: int
-    pair: tuple[int, int]
-    absent: tuple[int, ...]
-    resent_tag: bytes
-    child_tags: dict[int, bytes]
-
-
-# A re-aggregate the station trusts: a pair and the absent roots of its claim.
-Reagg = tuple[tuple[int, int], tuple[int, ...]]
-
-
-def _subtract(node: _Probe, failing: list[_Probe]) -> Reagg | None:
+def _subtract(node: wire.AggPacket, failing: list[wire.AggPacket]) -> wire.AggPacket | None:
     """A node's re-aggregate without its failing children, from their answers:
-    its pair less theirs in the ring, and its absent roots less theirs (as
-    multisets) plus their own ids.  None when some child's absent roots are not
-    among the node's, so the child cannot be what the node folded.  For honest
+    its packet with its pair less theirs in the ring, and its absent roots
+    less theirs (as multisets) plus their own ids; its counter and tag, which
+    nothing reads, stay.  None when some child's absent roots are not among
+    the node's, so the child cannot be what the node folded.  For honest
     nodes this is exactly the node's own re-aggregation without them."""
-    dsum, dsum_prime = node.pair
+    dsum, dsum_prime = node.dsum, node.dsum_prime
     rest = Counter(node.absent)
     for child in failing:
-        dsum = crypto.add_mod(dsum, -child.pair[0])
-        dsum_prime = crypto.add_mod(dsum_prime, -child.pair[1])
+        dsum = crypto.add_mod(dsum, -child.dsum)
+        dsum_prime = crypto.add_mod(dsum_prime, -child.dsum_prime)
         rest.subtract(child.absent)
     if any(count < 0 for count in rest.values()):
         return None
-    absent = [*rest.elements(), *(child.node for child in failing)]
-    return (dsum, dsum_prime), tuple(sorted(absent))
+    absent = [*rest.elements(), *(child.sender for child in failing)]
+    return node._replace(dsum=dsum, dsum_prime=dsum_prime, absent=tuple(sorted(absent)))
 
 
 class BaseStation:
@@ -177,8 +164,8 @@ class BaseStation:
         self._ledger_round = 0
         self._absent_streak: dict[int, int] = {nid: 0 for nid in self.registry}
         self._round_packets: dict[int, wire.AggPacket] = {}
-        # The re-aggregates that exonerated nodes in this round's walk.
-        self._cleared: dict[int, Reagg] = {}
+        # The re-aggregate packets that exonerated nodes in this round's walk.
+        self._cleared: dict[int, wire.AggPacket] = {}
         self._last_round = 0
         # Cost counters of the current round, reset when it is disseminated.
         self.counters: dict[str, int] = {"seed_regens": 0, "verify_ops": 0}
@@ -246,18 +233,8 @@ class BaseStation:
         return [(cid, query) for cid in self.tree.children[BS_ID]]
 
     def receive_packet(self, body: bytes) -> None:
-        sender = wire.packet_sender(body)
-        channel = self._child_channels.get(sender)
-        if channel is None:
-            log.info("base station: packet from non-child %s ignored", sender)
-            return
-        if sender in self._round_packets:
-            log.info("base station: duplicate packet from child %d ignored", sender)
-            return
-        try:
-            self._round_packets[sender] = wire.open_packet(channel, body)
-        except (ReplayDetected, AuthFailure) as exc:
-            log.info("base station: rejected packet from child %d: %s", sender, exc)
+        """Keep a child's packet through the intake every parent runs."""
+        wire.keep_child_packet(self._round_packets, self._child_channels, body, BS_ID)
 
     def finalize(self, round_no: int) -> tuple[int, int, Claim]:
         """Fold the children's packets into the final pair and the round's
@@ -319,11 +296,12 @@ class BaseStation:
 
     def _probe_group(
         self, round_no: int, parent: int, targets: tuple[int, ...], ask
-    ) -> dict[int, _Probe]:
-        """Probe sibling targets through their parent; the answered probes by
-        node.  Entries are matched to targets by the sender each names, and a
-        node's entry opens only on its own direct channel, so whoever relays
-        the bundle can drop an entry but not forge one."""
+    ) -> dict[int, tuple[wire.AggPacket, dict[int, bytes]]]:
+        """Probe sibling targets through their parent; by node, each answer's
+        packet and the child tags it vouches for.  Entries are matched to
+        targets by the sender each names, and a node's entry opens only on its
+        own direct channel, so whoever relays the bundle can drop an entry but
+        not forge one."""
         raw = ask(parent, wire.encode_probe(round_no, targets))
         if raw is None:
             return {}
@@ -336,18 +314,16 @@ class BaseStation:
             log.info("base station: probe response via %d rejected: %s", parent, exc)
             return {}
         wanted = set(targets)
-        probes: dict[int, _Probe] = {}
+        probes: dict[int, tuple[wire.AggPacket, dict[int, bytes]]] = {}
         for entry in entries:
             child_tags, bound, agg_body = wire.decode_probe_entry(entry)
             nid = wire.packet_sender(agg_body)
             if nid not in wanted or nid in probes:
                 continue
             try:
-                pkt = wire.open_packet(self._bs_channel(nid), agg_body, bound)
+                probes[nid] = wire.open_packet(self._bs_channel(nid), agg_body, bound), child_tags
             except (ReplayDetected, AuthFailure) as exc:
                 log.info("base station: probe response from %d rejected: %s", nid, exc)
-                continue
-            probes[nid] = _Probe(nid, (pkt.dsum, pkt.dsum_prime), pkt.absent, pkt.tag, child_tags)
         return probes
 
     def com_att(self, round_no: int, ask, participants: frozenset[int]) -> AttestationReport:
@@ -380,7 +356,7 @@ class BaseStation:
         # station holds from it, or the one its parent vouched for.  A silent
         # node vouches for nothing, so its children have no pin.
         pinned = {cid: pkt.tag for cid, pkt in packets.items()}
-        answered: dict[int, _Probe] = {}
+        answered: dict[int, wire.AggPacket] = {}
         # Sibling groups in probe order: (parent, ascending target ids).  Each
         # node is enqueued once, by its parent, so probes go top-down.
         queue: deque[tuple[int, tuple[int, ...]]] = deque()
@@ -389,30 +365,29 @@ class BaseStation:
         while queue:
             parent, group = queue.popleft()
             answers = self._probe_group(round_no, parent, group, ask)
-            answered.update(answers)
             for nid in group:
-                probe = answers.get(nid)
-                if probe is None:
+                if nid not in answers:
                     # Silent (or unopenable) probe: the node cannot commit.
                     verdicts[nid] = (False, False)
                     below = children[nid]
                 else:
-                    pin = pinned.get(nid, probe.resent_tag)
+                    pkt, child_tags = answers[nid]
+                    answered[nid] = pkt
+                    pair = (pkt.dsum, pkt.dsum_prime)
                     mac_calc = crypto.combine_macs(
-                        crypto.mac_pair(self.registry[nid].key, *probe.pair),
-                        list(probe.child_tags.values()),
+                        crypto.mac_pair(self.registry[nid].key, *pair), list(child_tags.values())
                     )
-                    committed = mac_calc == probe.resent_tag == pin
-                    claim = Claim(nid, probe.absent)
-                    ipet_ok = self.ipet_check(probe.pair, claim, round_no, count_ops=False).equal
+                    committed = mac_calc == pkt.tag == pinned.get(nid, pkt.tag)
+                    claim = Claim(nid, pkt.absent)
+                    ipet_ok = self.ipet_check(pair, claim, round_no, count_ops=False).equal
                     verdicts[nid] = (committed, ipet_ok)
                     if committed and ipet_ok:
                         continue
                     # An id it vouches for that is not its child still entered
                     # its MAC check above, but is not probed.
-                    below = [cid for cid in children[nid] if cid in probe.child_tags]
+                    below = [cid for cid in children[nid] if cid in child_tags]
                     for cid in below:
-                        pinned[cid] = probe.child_tags[cid]
+                        pinned[cid] = child_tags[cid]
                 below = tuple(cid for cid in below if cid in participants)
                 if below:
                     queue.append((nid, below))
@@ -425,8 +400,9 @@ class BaseStation:
         # reproduce the pair that just failed.  A subtraction that does not
         # clear the node may be a keyed child's lie, not the node's, so the
         # node is then asked as well.
-        def clears(nid: int, reagg: Reagg) -> bool:
-            return self.ipet_check(reagg[0], Claim(nid, reagg[1]), round_no, count_ops=False).equal
+        def clears(nid: int, reagg: wire.AggPacket) -> bool:
+            pair = (reagg.dsum, reagg.dsum_prime)
+            return self.ipet_check(pair, Claim(nid, reagg.absent), round_no, count_ops=False).equal
 
         for nid, (committed, ipet_ok) in verdicts.items():
             if not committed or ipet_ok:
@@ -439,8 +415,7 @@ class BaseStation:
                 reagg = _subtract(answered[nid], [answered[cid] for cid in failing])
             if reagg is None or not clears(nid, reagg):
                 raw = ask(nid, wire.encode_reagg(round_no, failing))
-                pkt = wire.open_reagg_reply(self._bs_channel(nid), raw)
-                reagg = None if pkt is None else ((pkt.dsum, pkt.dsum_prime), pkt.absent)
+                reagg = wire.open_reagg_reply(self._bs_channel(nid), raw)
                 if reagg is None or not clears(nid, reagg):
                     continue
             self._cleared[nid] = reagg
@@ -477,12 +452,12 @@ class BaseStation:
             # holds nid's subtree; adding it again would count it twice.
             if parent[nid] not in added or nid not in absent:
                 continue
-            (d, dp), sub_absent = cleared[nid]
+            reagg = cleared[nid]
             added.add(nid)
-            dsum = crypto.add_mod(dsum, d)
-            dsum_prime = crypto.add_mod(dsum_prime, dp)
+            dsum = crypto.add_mod(dsum, reagg.dsum)
+            dsum_prime = crypto.add_mod(dsum_prime, reagg.dsum_prime)
             absent.remove(nid)
-            absent.extend(sub_absent)
+            absent.extend(reagg.absent)
         return (dsum, dsum_prime), Claim(BS_ID, tuple(sorted(absent)))
 
     # === Liveness and decoding ==============================================

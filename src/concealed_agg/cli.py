@@ -24,7 +24,8 @@ A `--topology` file is read by the same parser and holds only `nodes` and
 `edge` lines; in either file a second `nodes` line is an error.
 
 Exit codes: 0 all rounds reached a verdict, 1 runtime protocol failure,
-2 invalid scenario (the diagnostic names the offending line).
+2 invalid scenario (the diagnostic names the offending line) or an output
+directory that cannot be written.
 """
 
 from __future__ import annotations
@@ -142,10 +143,20 @@ def load_scenario(path: str, edges_only: bool = False) -> Scenario:
 # === Output writers =========================================================
 
 
-def write_stamped(path: Path, text: str, timestamp: bool) -> None:
-    """Write text to path, headed by a generation time stamp if asked."""
+def write_outputs(out_dir: str, files: dict[str, str], timestamp: bool) -> bool:
+    """Write each file's text into out_dir, made if missing, headed by a time
+    stamp if asked; False, after one diagnostic line, if that fails."""
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    path.write_text((f"# generated {stamp}\n" if timestamp else "") + text, encoding="utf-8")
+    head = f"# generated {stamp}\n" if timestamp else ""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out / name).write_text(head + text, encoding="utf-8")
+    except OSError as exc:
+        print(f"cannot write output directory {out_dir}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 # === Commands ===============================================================
@@ -196,11 +207,10 @@ def cmd_run(args) -> int:
     except ProtocolError as exc:
         print(f"protocol failure: {exc}", file=sys.stderr)
         return 1
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     report = world.report_text()
-    write_stamped(out / "report.txt", report, not args.no_timestamp)
-    write_stamped(out / "metrics.csv", world.metrics.to_csv(), not args.no_timestamp)
+    files = {"report.txt": report, "metrics.csv": world.metrics.to_csv()}
+    if not write_outputs(args.out, files, not args.no_timestamp):
+        return 2
     print(report, end="")
     return 0
 
@@ -234,10 +244,8 @@ def cmd_scaling(args, parser) -> int:
         )
     table = "\n".join(lines) + "\n"
     print(table, end="")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_stamped(out / "scaling.csv", table, not args.no_timestamp)
+    if args.out and not write_outputs(args.out, {"scaling.csv": table}, not args.no_timestamp):
+        return 2
     return 0
 
 

@@ -31,10 +31,6 @@ class NoSuchRound(ProtocolError):
     """Attestation probe for a round the node never ran."""
 
 
-class UnknownChild(ProtocolError):
-    """Packet from a sender that is not a pending child."""
-
-
 class DisconnectedGraph(ProtocolError):
     """Spanning-tree construction found unreachable nodes."""
 

@@ -2,17 +2,19 @@
 
 Per round a node: receives the query exactly once, relays it to its children,
 advances both seed chains with one keyed PRF call, senses one reading and
-diffuses it under both chains' seeds, and stores each child's authenticated
-packet.  A QUERY only opens the round and fans out, and an AGG only stores a
-child's packet.  The node emits once the simulator finds its subtree
-drained: it folds the stored packets with ``wire.fold_packets`` (the dual
-sums component-wise mod M, the child tags by XOR, and an absent list: the
-children that did not report plus the absent lists of those that did), adds
-its own pair, and sends exactly one packet upward.  An honest round's
-packets name no one, so they have the same size at every depth.  The
-emitted tag is its own MAC over the final aggregated pair XORed with all
-child tags, so the tag of any subtree equals the XOR of the own-MACs of
-every node inside it.
+diffuses it under both chains' seeds, and keeps each child's authenticated
+packet.  A QUERY only opens the round and fans out, and an AGG only goes
+through ``wire.keep_child_packet``, the intake the station runs too: a
+packet that names no child, names a child already kept, or does not open
+leaves nothing behind, so the child's genuine packet still folds.  The node
+emits once the simulator finds its subtree drained: it folds the kept
+packets with ``wire.fold_packets`` (the dual sums component-wise mod M, the
+child tags by XOR, and an absent list: the children that did not report
+plus the absent lists of those that did), adds its own pair, and sends
+exactly one packet upward.  An honest round's packets name no one, so they
+have the same size at every depth.  The emitted tag is its own MAC over the
+final aggregated pair XORed with all child tags, so the tag of any subtree
+equals the XOR of the own-MACs of every node inside it.
 
 The node also answers attestation probes (resending what it committed to on
 a direct logical channel to the base station) and re-aggregates on request
@@ -29,14 +31,7 @@ import logging
 from dataclasses import dataclass, field
 
 from . import crypto, wire
-from .errors import (
-    AlreadyEmitted,
-    AuthFailure,
-    NoSuchRound,
-    ReplayDetected,
-    StaleRound,
-    UnknownChild,
-)
+from .errors import AlreadyEmitted, NoSuchRound, StaleRound
 
 log = logging.getLogger(__name__)
 
@@ -48,7 +43,6 @@ class RoundState:
     round: int
     own_d: int
     own_dp: int
-    pending: set[int]
     child_packets: dict[int, wire.AggPacket] = field(default_factory=dict)
     emitted: wire.AggPacket | None = None
 
@@ -107,43 +101,34 @@ class SensorNode:
         self._last_round = round_no
         self.chains.advance_to(round_no)
         d, dp = self.sense_and_diffuse(round_no)
-        self.state = RoundState(round=round_no, own_d=d, own_dp=dp, pending=set(self.children))
+        self.state = RoundState(round=round_no, own_d=d, own_dp=dp)
         if not self.children:
             return []
         query = wire.encode_query(round_no, function)
         return [(cid, query) for cid in self.children]
 
     def aggregate_child(self, body: bytes) -> None:
-        """Authenticate one child packet and keep it for the fold at emission.
-
-        Raises UnknownChild / ReplayDetected / AuthFailure; on channel errors
-        the child is no longer pending and is left out of this round.  A
-        packet that does not parse fails authentication like a tampered one.
-        """
-        state = self._require_state()
-        sender = wire.packet_sender(body)
-        if sender not in self.child_channels or sender not in state.pending:
-            raise UnknownChild(f"node {self.node_id}: unexpected packet from {sender}")
-        if self.behavior is not None and self.behavior.drops_child(sender, state.round):
-            state.pending.discard(sender)
+        """Keep one child's packet for the fold at emission, through the intake
+        every parent runs, ``wire.keep_child_packet``.  Two checks only a
+        sensor has come first: nothing is kept outside an open round, which
+        emission closes, and nothing from a child a ``drop_child`` behaviour
+        drops."""
+        state = self.state
+        if state is None or state.emitted is not None:
+            log.info("node %d: packet outside an open round ignored", self.node_id)
             return
-        try:
-            pkt = wire.open_packet(self.child_channels[sender], body)
-        except (ReplayDetected, AuthFailure) as exc:
-            state.pending.discard(sender)
-            log.info("node %d: rejected packet from child %d: %s", self.node_id, sender, exc)
-            raise
-        state.pending.discard(sender)
-        state.child_packets[sender] = pkt
+        behavior = self.behavior
+        if behavior is not None and behavior.drops_child(wire.packet_sender(body), state.round):
+            return
+        wire.keep_child_packet(state.child_packets, self.child_channels, body, self.node_id)
 
     def emit(self) -> Send:
         """Build, seal, and retain this round's single upward packet.  Emission
-        closes the round: a child still pending is left out, and a packet that
-        arrives later is an unknown child's."""
+        closes the round: a child without a kept packet is left out, and a
+        packet that arrives later is ignored."""
         state = self._require_state()
         if state.emitted is not None:
             raise AlreadyEmitted(f"node {self.node_id}: round {state.round}")
-        state.pending.clear()
         fold = wire.fold_packets(state.child_packets, self.children)
         pkt, body = self._seal_aggregate(state, fold, self.up_channel)
         state.emitted = pkt
@@ -203,8 +188,8 @@ class SensorNode:
 
     def handle_message(self, payload: bytes) -> list[Send]:
         """Process one fabric message; returns messages to send.  A QUERY opens
-        the round and fans out to the children, and an AGG is kept for the
-        fold at emission.  A QUERY that does not parse and a message of
+        the round and fans out to the children, and an AGG goes to
+        ``aggregate_child``.  A QUERY that does not parse and a message of
         unknown type are ignored, so the parent leaves this node out."""
         msg_type, body = wire.parse_frame(payload)
         if msg_type == wire.QUERY:
@@ -215,10 +200,7 @@ class SensorNode:
                 return []
             return self.handle_query(round_no, function)
         if msg_type == wire.AGG:
-            try:
-                self.aggregate_child(body)
-            except (UnknownChild, ReplayDetected, AuthFailure):
-                pass  # logged; sender already excluded from the round
+            self.aggregate_child(body)
             return []
         log.info("node %d: ignored message of type %s", self.node_id, msg_type)
         return []

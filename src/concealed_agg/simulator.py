@@ -288,11 +288,13 @@ class World:
                     self.bs.receive_packet(body)
                 continue
             node = nodes[dst]
+            # Only the QUERY that opens the round gets a marker, not a retyped frame.
+            opens = payload[:1] == query_type and not node.awaits_children(round_no)
             try:
                 outs = node.handle_message(payload)
             except StaleRound:
                 continue
-            if payload[:1] == query_type and node.awaits_children(round_no):
+            if opens and node.awaits_children(round_no):
                 stack.append((dst, dst, None))  # beneath the frames it sends
             stack += [(dst, ndst, npayload) for ndst, npayload in reversed(outs)]
 

@@ -40,8 +40,10 @@ A re-aggregation request names children of its addressee to leave out:
     REAGG       round (8B BE) || count (4B BE) || child ids (4B BE each, ascending)
     REAGG_RESP  round (8B BE) || ok (1B) || aggregation packet, if ok
 
-``fold_packets`` is the one aggregation step every parent runs, the station
-included: ring-add the children's pairs, gather their absent lists and
+``keep_child_packet`` is the one intake every parent runs, the station
+included: a packet that names no child, names a child already kept, or does
+not open leaves nothing behind.  ``fold_packets`` is the one aggregation
+step: ring-add the kept packets' pairs, gather their absent lists and
 collect their tags; a child without a packet is an absent root.
 ``open_reagg_reply`` is the station's one parser of re-aggregation replies.
 Every decoder raises ValueError, and nothing else, on a frame that does not
@@ -143,17 +145,21 @@ def encode_agg_body(sender: int, counter: int, absent: tuple[int, ...], sealed: 
     return struct.pack(f">IQI{len(absent)}I", sender, counter, len(absent), *absent) + sealed + tag
 
 
+def _packet_header(body: bytes, start: int) -> tuple[int, int, int, int]:
+    """Sender, counter and absent count of the aggregation packet at ``start``
+    and the offset where it ends; ValueError if the body ends before it."""
+    _need(body, start + 16, "aggregation packet")
+    sender, counter, count = struct.unpack_from(">IQI", body, start)
+    end = start + 16 + 4 * count + SEALED_PAIR_LEN + crypto.TAG_LEN
+    _need(body, end, "aggregation packet")
+    return sender, counter, count, end
+
+
 def decode_agg_body(body: bytes) -> tuple[int, int, tuple[int, ...], bytes, bytes]:
-    _need(body, 16, "aggregation packet")
-    sender, counter, count = struct.unpack_from(">IQI", body, 0)
-    offset = 16
-    _need(body, offset + 4 * count + SEALED_PAIR_LEN + crypto.TAG_LEN, "aggregation packet")
-    absent = struct.unpack_from(f">{count}I", body, offset) if count else ()
-    offset += 4 * count
-    sealed = body[offset : offset + SEALED_PAIR_LEN]
-    offset += SEALED_PAIR_LEN
-    tag = body[offset : offset + crypto.TAG_LEN]
-    return sender, counter, absent, sealed, tag
+    sender, counter, count, end = _packet_header(body, 0)
+    absent = struct.unpack_from(f">{count}I", body, 16) if count else ()
+    tag_at = end - crypto.TAG_LEN
+    return sender, counter, absent, body[tag_at - SEALED_PAIR_LEN : tag_at], body[tag_at:end]
 
 
 def packet_sender(body: bytes) -> int | None:
@@ -196,6 +202,25 @@ def open_packet(channel: crypto.SecureChannel, body: bytes, bound: bytes = b"") 
     dsum = int.from_bytes(pair[:8], "big")
     dsum_prime = int.from_bytes(pair[8:16], "big")
     return AggPacket(sender, counter, absent, dsum, dsum_prime, tag)
+
+
+def keep_child_packet(
+    kept: dict[int, AggPacket], channels: dict[int, crypto.SecureChannel], body: bytes, receiver: int
+) -> None:
+    """Open a packet on the channel of the child it names and keep it.  One
+    that names no child or a child already kept, or does not open, is ignored
+    with a log line and leaves nothing behind."""
+    sender = packet_sender(body)
+    channel = channels.get(sender)
+    if channel is None:
+        log.info("node %d: packet from non-child %s ignored", receiver, sender)
+    elif sender in kept:
+        log.info("node %d: duplicate packet from child %d ignored", receiver, sender)
+    else:
+        try:
+            kept[sender] = open_packet(channel, body)
+        except (ReplayDetected, AuthFailure) as exc:
+            log.info("node %d: rejected packet from child %d: %s", receiver, sender, exc)
 
 
 # === Queries, probes, reaggregation requests ================================
@@ -279,11 +304,9 @@ def decode_probe_resp(body: bytes) -> tuple[int, list[bytes]]:
     while offset + 4 <= end:
         (count,) = struct.unpack_from(">I", body, offset)
         start = offset + 4 + count * (4 + crypto.TAG_LEN)  # the entry's packet
-        if start + 16 > end:
-            break
-        absent_count = struct.unpack_from(">I", body, start + 12)[0]
-        stop = start + 16 + 4 * absent_count + SEALED_PAIR_LEN + crypto.TAG_LEN
-        if stop > end:
+        try:
+            stop = _packet_header(body, start)[3]
+        except ValueError:
             break
         entries.append(body[offset:stop])
         offset = stop

@@ -353,7 +353,7 @@ def test_station_subtraction_is_the_nodes_own_reaggregation():
             children = tuple(c for c in world.tree.children[nid] if c in failing)
             raw = world.nodes[nid].reaggregate_excluding(children, 1)
             pkt = wire.open_reagg_reply(world.bs._bs_channel(nid), raw)
-            assert ((pkt.dsum, pkt.dsum_prime), pkt.absent) == reagg
+            assert (pkt.dsum, pkt.dsum_prime, pkt.absent) == (reagg.dsum, reagg.dsum_prime, reagg.absent)
             cleared += 1
     assert cleared > 0
 

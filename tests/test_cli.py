@@ -56,6 +56,23 @@ def test_run_malformed_names_offending_line(tmp_path, capsys):
     assert "bad.scn:3" in err
 
 
+def unusable_outs(tmp_path):
+    """Output directories that cannot be made: an existing file, and a path
+    under one."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    return [str(blocker), str(blocker / "sub")]
+
+
+def test_run_unusable_out_is_a_diagnostic(tmp_path, capsys):
+    scn = write(tmp_path, "honest.scn", HONEST)
+    for out in unusable_outs(tmp_path):
+        assert cli.main(["run", scn, "--out", out, "--no-timestamp"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"cannot write output directory {out}: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 def test_run_edge_out_of_range_diagnostic(tmp_path, capsys):
     for text, line, reason in BAD_EDGE_LINES:
         scn = write(tmp_path, "bad2.scn", text)
@@ -254,6 +271,13 @@ def test_scaling_comma_separated_sizes(capsys, tmp_path):
     assert code == 0
     assert len(capsys.readouterr().out.strip().split("\n")) == 3
     assert (tmp_path / "scaling.csv").exists()
+
+
+def test_scaling_unusable_out_is_a_diagnostic(tmp_path, capsys):
+    for out in unusable_outs(tmp_path):
+        assert cli.main(["scaling", "--sizes", "4", "--trials", "1", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write output directory {out}: ") and err.count("\n") == 1
 
 
 def test_scaling_zero_size_is_usage_error():

@@ -2,20 +2,14 @@
 attestation responses, re-aggregation, and the wire packet layout."""
 
 import itertools
+import logging
 import struct
 
 import pytest
 from conftest import plaintext_sum, seed_of, sensed_raw
 
 from concealed_agg import crypto, wire
-from concealed_agg.errors import (
-    AlreadyEmitted,
-    AuthFailure,
-    NoSuchRound,
-    ReplayDetected,
-    StaleRound,
-    UnknownChild,
-)
+from concealed_agg.errors import AlreadyEmitted, AuthFailure, NoSuchRound, StaleRound
 from concealed_agg.simulator import Scenario, World
 
 # Station 0 over aggregator 1 with leaf children 2, 3, 4 (the four-node
@@ -39,7 +33,7 @@ def drive_cluster(world: World, order=(2, 3, 4), round_no: int = 1):
         bodies[cid] = wire.parse_frame(payload)[1]
     for cid in order:
         agg.aggregate_child(bodies[cid])
-    assert not agg.state.pending
+    assert set(agg.state.child_packets) == {2, 3, 4}
     dst, payload = agg.emit()
     assert dst == 0
     return wire.open_packet(crypto.SecureChannel(world.prov.edge_keys[1]), wire.parse_frame(payload)[1])
@@ -52,7 +46,7 @@ def test_leaf_query_fans_out_to_no_children_and_is_ready():
     world = cluster_world()
     leaf = world.nodes[2]
     assert leaf.handle_query(1, "sum") == []
-    assert leaf.state.pending == set() and leaf.state.emitted is None
+    assert leaf.state.child_packets == {} and leaf.state.emitted is None
 
 
 def test_interior_query_forwards_to_each_child():
@@ -133,50 +127,75 @@ def test_arrival_order_permutation_invariant():
         )
 
 
-def test_aggregate_unknown_child_rejected():
+def intake_log(caplog):
+    """Capture the intake's log lines, which give the reason a packet was ignored."""
+    caplog.set_level(logging.INFO, logger="concealed_agg")
+    return caplog
+
+
+def child_body(world: World, cid: int) -> bytes:
+    """Child cid's emitted AGG body for the round it has open."""
+    return wire.parse_frame(world.nodes[cid].emit()[1])[1]
+
+
+def test_aggregate_unknown_child_rejected(caplog):
     world = cluster_world()
     agg = world.nodes[1]
     agg.handle_query(1, "sum")
     leaf = world.nodes[2]
     leaf.handle_query(1, "sum")
-    _, payload = leaf.emit()
-    body = wire.parse_frame(payload)[1]
+    body = child_body(world, 2)
     agg.aggregate_child(body)
-    with pytest.raises(UnknownChild):  # same child twice: no longer pending
-        agg.aggregate_child(body)
+    kept = agg.state.child_packets[2]
+    intake_log(caplog).clear()
+    agg.aggregate_child(body)  # same child twice: already kept, so ignored
+    assert agg.state.child_packets == {2: kept}
+    assert "duplicate packet from child 2 ignored" in caplog.text
 
 
-def test_aggregate_replayed_packet_marks_unresponsive():
-    w1, w2 = cluster_world(), cluster_world()
-    for w in (w1, w2):
-        w.nodes[1].handle_query(1, "sum")
-        w.nodes[2].handle_query(1, "sum")
-    _, old = w2.nodes[2].emit()  # same keys, same counter as w1's round-1 emission
-    _, fresh = w1.nodes[2].emit()
-    w1.nodes[1].aggregate_child(wire.parse_frame(fresh)[1])
-    folded = w1.nodes[1].state.child_packets[2]
-    w1.nodes[1].state.pending.add(2)  # pretend 2 is pending again
-    with pytest.raises(ReplayDetected):
-        w1.nodes[1].aggregate_child(wire.parse_frame(old)[1])
-    assert 2 not in w1.nodes[1].state.pending
-    assert w1.nodes[1].state.child_packets[2] is folded  # the replay folded nothing
+def test_aggregate_replayed_packet_marks_unresponsive(caplog):
+    # Child 2's round-1 packet, replayed in round 2 before its round-2 packet:
+    # the channel counter refuses the replay, which leaves nothing kept, and
+    # the genuine packet that follows still folds.
+    world = cluster_world()
+    agg, child = world.nodes[1], world.nodes[2]
+    agg.handle_query(1, "sum")
+    child.handle_query(1, "sum")
+    old = child_body(world, 2)
+    agg.aggregate_child(old)
+    agg.emit()
+    agg.handle_query(2, "sum")
+    child.handle_query(2, "sum")
+    intake_log(caplog).clear()
+    agg.aggregate_child(old)
+    assert agg.state.child_packets == {}  # the replay folded nothing
+    assert "rejected packet from child 2: counter 1 <= last accepted 1" in caplog.text
+    fresh = child_body(world, 2)
+    agg.aggregate_child(fresh)
+    assert agg.state.child_packets[2] == child.state.emitted
+    assert agg.emit()[0] == 0 and agg.state.emitted.absent == (3, 4)
 
 
-def test_aggregate_malformed_packet_marks_unresponsive():
+def test_aggregate_malformed_packet_marks_unresponsive(caplog):
     # A body that does not parse fails authentication like a tampered one;
-    # one too short to name its sender is an unknown child's.
+    # one too short to name its sender names no child.  Neither leaves
+    # anything behind, so the child's genuine packet still folds.
     world = cluster_world()
     agg = world.nodes[1]
     agg.handle_query(1, "sum")
     world.nodes[2].handle_query(1, "sum")
-    body = bytearray(wire.parse_frame(world.nodes[2].emit()[1])[1])
+    genuine = child_body(world, 2)
+    body = bytearray(genuine)
     body[12:16] = struct.pack(">I", 1000)  # overstated absent count
-    with pytest.raises(AuthFailure):
-        agg.aggregate_child(bytes(body))
-    assert 2 not in agg.state.child_packets and 2 not in agg.state.pending
-    with pytest.raises(UnknownChild):
-        agg.aggregate_child(bytes(body[:3]))
-    assert agg.state.pending == {3, 4}
+    intake_log(caplog).clear()
+    agg.aggregate_child(bytes(body))
+    assert agg.state.child_packets == {}
+    assert "rejected packet from child 2: malformed aggregation packet" in caplog.text
+    agg.aggregate_child(bytes(body[:3]))
+    assert agg.state.child_packets == {}
+    assert "packet from non-child None ignored" in caplog.text
+    agg.aggregate_child(genuine)
+    assert set(agg.state.child_packets) == {2}
 
 
 # === Emission ===============================================================
@@ -215,15 +234,16 @@ def test_timeout_expires_pending_children():
     agg.handle_query(1, "sum")
     for cid in (2, 3):
         world.nodes[cid].handle_query(1, "sum")
-        agg.aggregate_child(wire.parse_frame(world.nodes[cid].emit()[1])[1])
-    assert agg.state.pending == {4}  # still waiting on 4
+        agg.aggregate_child(child_body(world, cid))
+    assert set(agg.state.child_packets) == {2, 3}  # still waiting on 4
+    assert agg.awaits_children(1)
     assert agg.emit()[0] == 0
-    assert agg.state.pending == set() and set(agg.state.child_packets) == {2, 3}
+    assert not agg.awaits_children(1) and set(agg.state.child_packets) == {2, 3}
     assert agg.state.emitted.absent == (4,)
 
 
-def test_packet_after_timeout_emission_is_an_unknown_childs():
-    # Emission closes the round: the timed-out child's late packet is refused
+def test_packet_after_timeout_emission_is_an_unknown_childs(caplog):
+    # Emission closes the round: the timed-out child's late packet is ignored
     # and changes neither the folded packets nor the node's probe answer.
     world = cluster_world()
     agg = world.nodes[1]
@@ -247,8 +267,9 @@ def test_packet_after_timeout_emission_is_an_unknown_childs():
     folded = dict(agg.state.child_packets)
     answer = probe_answer()
     assert set(answer[0]) == {2, 3} and answer[1].absent == (4,)
-    with pytest.raises(UnknownChild):
-        agg.aggregate_child(late[4])
+    intake_log(caplog).clear()
+    agg.aggregate_child(late[4])
+    assert "node 1: packet outside an open round ignored" in caplog.text
     assert agg.handle_message(wire.frame(wire.AGG, late[4])) == []
     assert agg.state.child_packets == folded
     assert probe_answer() == answer
