@@ -31,6 +31,7 @@ directory that cannot be written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import os
 import random
@@ -39,7 +40,7 @@ from pathlib import Path
 
 from . import crypto
 from .adversary import KINDS, CompromiseSpec
-from .errors import ProtocolError, ScenarioInvalid
+from .errors import AuthFailure, ProtocolError, ScenarioInvalid
 from .simulator import GENERATORS, SEED_LIMIT, Scenario, World, measure_scaling
 
 ENV_SEED = "CONCEALED_AGG_SEED"
@@ -266,28 +267,18 @@ def _property_homomorphism(rng: random.Random) -> str | None:
 
 
 def _property_ipet(rng: random.Random) -> str | None:
-    for _ in range(50):
+    # 50 honest pairs must compare equal, then 200 with one component shifted must not.
+    for trial in range(250):
         n = rng.randint(2, 40)
         readings = [rng.getrandbits(16) for _ in range(n)]
-        s1 = [rng.getrandbits(64) for _ in range(n)]
-        s2 = [rng.getrandbits(64) for _ in range(n)]
-        p1 = sum(crypto.diffuse(a, m) for a, m in zip(s1, readings)) & crypto.MASK
-        p2 = sum(crypto.diffuse(a, m) for a, m in zip(s2, readings)) & crypto.MASK
-        r1 = crypto.undiffuse(p1, sum(s1) & crypto.MASK)
-        r2 = crypto.undiffuse(p2, sum(s2) & crypto.MASK)
-        if r1 != r2:
+        s1, s2 = [[rng.getrandbits(64) for _ in range(n)] for _ in range(2)]
+        delta = 0 if trial < 50 else rng.getrandbits(64) | 1
+        p1 = (sum(map(crypto.diffuse, s1, readings)) + delta) & crypto.MASK
+        p2 = sum(map(crypto.diffuse, s2, readings)) & crypto.MASK
+        r1, r2 = crypto.undiffuse(p1, sum(s1) & crypto.MASK), crypto.undiffuse(p2, sum(s2) & crypto.MASK)
+        if delta == 0 and r1 != r2:
             return "honest pair compared unequal"
-    for _ in range(200):
-        n = rng.randint(2, 40)
-        readings = [rng.getrandbits(16) for _ in range(n)]
-        s1 = [rng.getrandbits(64) for _ in range(n)]
-        s2 = [rng.getrandbits(64) for _ in range(n)]
-        delta = rng.getrandbits(64) | 1
-        p1 = (sum(crypto.diffuse(a, m) for a, m in zip(s1, readings)) + delta) & crypto.MASK
-        p2 = sum(crypto.diffuse(a, m) for a, m in zip(s2, readings)) & crypto.MASK
-        r1 = crypto.undiffuse(p1, sum(s1) & crypto.MASK)
-        r2 = crypto.undiffuse(p2, sum(s2) & crypto.MASK)
-        if r1 == r2:
+        if delta and r1 == r2:
             return f"single-component forgery delta={delta} went undetected"
     return None
 
@@ -311,10 +302,27 @@ def _property_mac_group(rng: random.Random) -> str | None:
     return None
 
 
+def _property_channel(rng: random.Random) -> str | None:
+    key, ad = rng.randbytes(crypto.KEY_LEN), rng.randbytes(12)
+    for counter in rng.sample(range(1, 1 << 32), 20):
+        pair = rng.randbytes(16)
+        blob = crypto.seal(key, counter, pair, ad)
+        if crypto.open_sealed(key, counter, blob, ad) != pair:
+            return "sealed pair did not open to itself"
+        whole, width = int.from_bytes(blob, "big"), len(blob)
+        tampered = [(counter, (whole ^ 1 << bit).to_bytes(width, "big"), ad) for bit in range(8 * width)]
+        for args in tampered + [(counter + 1, blob, ad), (counter, blob, ad[1:])]:
+            with contextlib.suppress(AuthFailure):
+                crypto.open_sealed(key, *args)
+                return "a tampered blob, counter or associated data opened"
+    return None
+
+
 SELFTEST_PROPERTIES = (
     ("homomorphism", _property_homomorphism),
     ("ipet", _property_ipet),
     ("mac-group", _property_mac_group),
+    ("channel", _property_channel),
 )
 
 

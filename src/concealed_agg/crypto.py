@@ -1,4 +1,4 @@
-"""Diffusion primitives: seed chains, fixed-point readings, MACs, sealed channels.
+"""Diffusion primitives: seed chains, fixed-point readings, MACs, authenticated channels.
 
 A sensor reading is concealed by adding a per-round keyed seed to its
 fixed-point encoding modulo M = 2**64 ("diffusion").  Addition makes the
@@ -16,11 +16,19 @@ uniform, as two outputs under separate keys K and K' would be.  No party
 ever computes one chain alone: a captured node yields both keys, and one key
 alone reveals neither chain.
 
-Tag folding and the keystream XOR work on integers (read big-endian, XORed
-once, written back at the same length): the bytes a per-byte loop gives.
+Pairwise channels authenticate and do not encrypt: a sealed blob is the
+payload in the clear and a 16-byte tag over the counter, the associated data
+and the payload, one PRF call to seal and one to open.  Diffusion conceals.
+Every channel plaintext (an AGG packet, a probe-response entry, a
+re-aggregation reply) is a ring sum of per-node diffused values D_i + r_i
+and D'_i + r_i, masked by seeds that only node i and the station hold and
+that no other round uses.  So a link eavesdropper, or an ancestor relaying
+the packet, learns exactly what the edge-key holder learns.
 
-All primitives here are pure functions of their inputs and safe to call from
-any number of threads.
+Tag folding works on integers (read big-endian, XORed once, written back at
+the same length): the bytes a per-byte loop gives.  The functions here are
+pure and safe to call from any number of threads; a ``SeedState`` or a
+``SecureChannel`` holds a position or counters and belongs to one endpoint.
 """
 
 from __future__ import annotations
@@ -46,7 +54,6 @@ ZERO_TAG = bytes(TAG_LEN)
 # Domain-separation labels for the keyed PRF (blake2b "person" parameter).
 _PERSON_SEED = b"diff.seed.dual"
 _PERSON_MAC = b"diff.mac"
-_PERSON_STREAM = b"diff.chan.ks"
 _PERSON_CHANTAG = b"diff.chan.tag"
 _PERSON_SENSE = b"diff.sense"
 
@@ -214,50 +221,34 @@ def combine_macs(own: bytes, children: list[bytes]) -> bytes:
     return out
 
 
-# === Sealed pairwise channels ===============================================
+# === Authenticated pairwise channels ========================================
 
 
-def _xor_keystream(key: bytes, counter: int, data: bytes) -> bytes:
-    """data XOR the keystream: 32-byte PRF blocks over (counter || block number)."""
-    length = len(data)
-    stream = b""
-    block = counter << 32  # (counter || block number) as one 12-byte integer
-    while len(stream) < length:
-        stream += _prf(key, _PERSON_STREAM, block.to_bytes(12, "big"), 32)
-        block += 1
-    # The stream's first `length` bytes, as an integer, without slicing.
-    ks = int.from_bytes(stream, "big") >> (8 * (len(stream) - length))
-    return (int.from_bytes(data, "big") ^ ks).to_bytes(length, "big")
-
-
-def _channel_tag(channel_key: bytes, counter: int, ad: bytes, ct: bytes) -> bytes:
-    data = (counter << 32 | len(ad)).to_bytes(12, "big") + ad + ct
+def _channel_tag(channel_key: bytes, counter: int, ad: bytes, payload: bytes) -> bytes:
+    data = (counter << 32 | len(ad)).to_bytes(12, "big") + ad + payload
     return _prf(channel_key, _PERSON_CHANTAG, data, CHANNEL_TAG_LEN)
 
 
 def seal(channel_key: bytes, counter: int, plaintext: bytes, ad: bytes = b"") -> bytes:
-    """Encrypt-then-MAC under the channel key.  The tag covers the counter and
-    the length-prefixed associated data ``ad``, which travels in the clear
-    (the RFC 5116 AEAD pattern)."""
+    """Authenticate a payload under the channel key: the payload, in the
+    clear, followed by a tag over the counter, the length-prefixed associated
+    data ``ad`` (also in the clear) and the payload.  One PRF call."""
     _check_key(channel_key)
-    ct = _xor_keystream(channel_key, counter, plaintext)
-    return ct + _channel_tag(channel_key, counter, ad, ct)
+    return plaintext + _channel_tag(channel_key, counter, ad, plaintext)
 
 
 def open_sealed(channel_key: bytes, counter: int, blob: bytes, ad: bytes = b"") -> bytes:
-    """Inverse of seal; raises AuthFailure on any bit of tampering with the
-    blob, the counter or the associated data."""
+    """Inverse of seal: the payload bytes.  Raises AuthFailure on any bit of
+    tampering with the blob, the counter or the associated data."""
     _check_key(channel_key)
-    if len(blob) < CHANNEL_TAG_LEN:
-        raise AuthFailure("sealed blob shorter than its tag")
-    ct, tag = blob[:-CHANNEL_TAG_LEN], blob[-CHANNEL_TAG_LEN:]
-    if not hmac.compare_digest(tag, _channel_tag(channel_key, counter, ad, ct)):
+    payload, tag = blob[:-CHANNEL_TAG_LEN], blob[-CHANNEL_TAG_LEN:]
+    if not hmac.compare_digest(tag, _channel_tag(channel_key, counter, ad, payload)):
         raise AuthFailure("channel tag mismatch")
-    return _xor_keystream(channel_key, counter, ct)
+    return payload
 
 
 class SecureChannel:
-    """One endpoint of a sealed pairwise link with replay protection.
+    """One endpoint of an authenticated pairwise link with replay protection.
 
     Counters are strictly increasing per direction: the sender stamps each
     blob with the next counter, the receiver accepts a blob only if its

@@ -12,14 +12,14 @@ participants itself; an honest packet carries no ids, so its AGG frame is
 57 bytes at any depth.
 
 The sealed payload is the dual diffused pair (two 8-byte big-endian words, K
-chain first) sealed under a channel key, so it has a fixed length of 16 + 16
-bytes.  The channel tag also covers, as associated data, every clear field
-but the counter (which it covers anyway): sender, absent list and tag, and
-in a probe response the child tags too.  A keyless attacker on a link who
-rewrites any of them makes the packet fail authentication.  Every payload on
-the simulator fabric is a one-byte message type followed by the body, and
-every type crosses a link: no frame tells a node to emit, it emits when the
-simulator finds its subtree drained.
+chain first) in the clear, followed by its 16-byte channel tag under a
+channel key: a fixed 16 + 16 bytes.  The channel tag also covers, as
+associated data, every other clear field but the counter (which it covers
+anyway): sender, absent list and tag, and in a probe response the child tags
+too.  A keyless attacker on a link who rewrites any of them makes the packet
+fail authentication.  Every payload on the simulator fabric is a one-byte
+message type followed by the body, and every type crosses a link: no frame
+tells a node to emit, it emits when the simulator finds its subtree drained.
 
 Attestation probes travel to a group of siblings through their parent:
 

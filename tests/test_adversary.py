@@ -452,6 +452,59 @@ def test_edge_key_holder_sees_only_diffused_values():
     assert crypto.undiffuse(d, seed_of(world, 2, 1)) == m  # only the key holder reverts
 
 
+def _packet_bodies(payload: bytes) -> list[bytes]:
+    """The aggregation packets a frame carries: an AGG's one, each entry's of
+    a PROBE_RESP, a REAGG_RESP's if it has one."""
+    msg_type, body = wire.parse_frame(payload)
+    if msg_type == wire.AGG:
+        return [body]
+    if msg_type == wire.PROBE_RESP:
+        return [wire.decode_probe_entry(entry)[2] for entry in wire.decode_probe_resp(body)[1]]
+    if msg_type == wire.REAGG_RESP:
+        _, ok, agg_body = wire.decode_reagg_resp(body)
+        return [agg_body] if ok else []
+    return []
+
+
+def test_keyless_link_eavesdropper_sees_only_the_edge_key_holders_view(monkeypatch):
+    # A forced audit with one forge_children forger (4) and a noncommit
+    # sibling (2), so that the walk asks their parent for a re-aggregate:
+    # every channel payload type crosses a link.
+    world = World(Scenario(seed=1, n=8, generator="recursive", audit_prob=1.0, compromises=(
+        CompromiseSpec(4, "forge_children", (99999,)), CompromiseSpec(2, "noncommit", ()),
+    )))
+    frames: list[bytes] = []
+    on_links(world, lambda src, dst, payload: frames.append(payload) or payload)
+    opened: dict[bytes, wire.AggPacket] = {}
+    honest_open = wire.open_packet
+
+    def recording_open(channel, body, bound=b""):
+        opened[body] = pkt = honest_open(channel, body, bound)
+        return pkt
+
+    monkeypatch.setattr(wire, "open_packet", recording_open)
+    world.run_round(1)
+    seen = {t: 0 for t in (wire.AGG, wire.PROBE_RESP, wire.REAGG_RESP)}
+    for payload in frames:
+        for body in _packet_bodies(payload):
+            seen[payload[0]] += 1
+            pkt = opened[body]  # every packet sent is opened by its receiver
+            sealed = wire.decode_agg_body(body)[3]
+            assert sealed[:16] == crypto.pair_bytes(pkt.dsum, pkt.dsum_prime)
+    assert all(seen.values())
+    # What the link shows of a leaf's reading is the edge-key holder's view:
+    # the diffused pair, which only the seeds revert.
+    leaf = 6
+    assert not world.tree.children[leaf] and world.tree.parent[leaf] == 4
+    [body] = [p[1:] for p in frames if p[0] == wire.AGG and wire.packet_sender(p[1:]) == leaf]
+    pair = wire.decode_agg_body(body)[3][:16]
+    d, dp = int.from_bytes(pair[:8], "big"), int.from_bytes(pair[8:], "big")
+    m = sensed_raw(world, leaf, 1)
+    assert d != m and dp != m
+    assert crypto.undiffuse(d, seed_of(world, leaf, 1)) == m
+    assert crypto.undiffuse(dp, seed_of(world, leaf, 1, prime=True)) == m
+
+
 def test_same_reading_different_rounds_looks_unrelated():
     # Seeds evolve per round, so equal readings diffuse to different values.
     key = bytes(range(crypto.CHAIN_KEY_LEN))

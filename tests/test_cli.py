@@ -303,6 +303,8 @@ def test_selftest_passes_and_is_deterministic(capsys):
     assert cli.main(["selftest"]) == 0
     assert capsys.readouterr().out == first
     assert "homomorphism ok" in first
+    names = ("homomorphism", "ipet", "mac-group", "channel")
+    assert first.splitlines() == [f"selftest: {name} ok" for name in names]
 
 
 def test_selftest_catches_broken_diffusion(monkeypatch, capsys):
@@ -319,3 +321,13 @@ def test_selftest_catches_broken_mac_combination(monkeypatch, capsys):
     monkeypatch.setattr(crypto, "xor_tags", lambda a, b: real(a, b)[::-1])
     assert cli.main(["selftest"]) == 1
     assert "FAIL mac-group" in capsys.readouterr().err
+
+
+def test_selftest_catches_a_channel_that_ignores_the_associated_data(monkeypatch, capsys):
+    # A tag that leaves the associated data out: the blob still roundtrips
+    # and resists bit flips, so only the associated-data check can fail.
+    real_seal, real_open = crypto.seal, crypto.open_sealed
+    monkeypatch.setattr(crypto, "seal", lambda key, counter, pt, ad=b"": real_seal(key, counter, pt))
+    monkeypatch.setattr(crypto, "open_sealed", lambda key, counter, blob, ad=b"": real_open(key, counter, blob))
+    assert cli.main(["selftest"]) == 1
+    assert "FAIL channel" in capsys.readouterr().err

@@ -250,6 +250,13 @@ def test_open_wrong_counter_fails_auth():
         crypto.open_sealed(k, 4, sealed)
 
 
+def test_open_blob_shorter_than_a_tag_fails_auth():
+    k = _key(random.Random(16))
+    for length in (0, 1, crypto.CHANNEL_TAG_LEN - 1):
+        with pytest.raises(AuthFailure):
+            crypto.open_sealed(k, 1, bytes(length))
+
+
 def test_channel_replay_detection():
     rng = random.Random(13)
     k = _key(rng)
@@ -353,17 +360,24 @@ KAT_AD = b"\x00\x00\x00\x07header"
 
 
 def test_seal_known_answers_and_roundtrip():
-    # A sealed pair (one keystream block) and a 40-byte plaintext (two blocks).
+    # A sealed pair and a 40-byte plaintext.  The tag vectors were computed
+    # with hashlib.blake2b directly (the channel key, personal label
+    # "diff.chan.tag", (counter << 32 | len(ad)) as 12 bytes || ad ||
+    # plaintext in, 16 bytes out), and the blob is the plaintext, in the
+    # clear, followed by that tag.
     cases = (
-        (KAT_KEY, 7, bytes(range(16)),
-         "dc8ba9a37f1a50279213e94648f1180db06ef123dafd2e6b54ddfa2910b790a0"),
-        (KAT_KEY2, 2**40 + 3, bytes(range(100, 140)),
-         "d60f79d6d4c8824e47a1b4e2ba7ba223fd4ad6342d6e2463890db65d44e7c196"
-         "b87d6608d66bde23fe6b7210041d67d1e205f2c7ef0cf2d2"),
+        (KAT_KEY, 7, bytes(range(16)), "ca5970408b8cabbe65ebf41354a74d68"),
+        (KAT_KEY2, 2**40 + 3, bytes(range(100, 140)), "088706957fcf32f5bf60c5cb877d1dec"),
     )
-    for key, counter, plaintext, sealed_hex in cases:
+    for key, counter, plaintext, tag_hex in cases:
+        direct = hashlib.blake2b(
+            (counter << 32 | len(KAT_AD)).to_bytes(12, "big") + KAT_AD + plaintext,
+            digest_size=16, key=key, person=b"diff.chan.tag",
+        ).digest()
+        assert direct.hex() == tag_hex
         sealed = crypto.seal(key, counter, plaintext, KAT_AD)
-        assert sealed.hex() == sealed_hex
+        assert sealed[: len(plaintext)] == plaintext
+        assert sealed.hex() == plaintext.hex() + tag_hex
         assert crypto.open_sealed(key, counter, sealed, KAT_AD) == plaintext
 
 

@@ -297,21 +297,24 @@ def test_attestation_resends_committed_fields():
 
 # Node 1's answer in the four-node cluster, in the layout the simulator used
 # before probes went to sibling groups: a one-entry response keeps it.  The
-# tags and the sealed pair in it follow the dual seed step.
+# tags in it follow the dual seed step; its sealed payload is the pair in the
+# clear followed by the channel tag.
 CLUSTER_PROBE_RESP = (
     "040000000000000001000000030000000234f9990a1d8b9ad400000003bc15d714ab58be15"
-    "000000049962172ad33d67ad00000001000000000000000100000000cff22d54df51fefe02"
-    "fa3b02b361bc17ecc93a87e7a7d3f25a30aa7b6ed1d0598ba9caa28f7c6b6b"
+    "000000049962172ad33d67ad000000010000000000000001000000008447cf335e2a7c7178"
+    "a57b5c0fe153ad67a348feb9ad252d9d492138fb6049588ba9caa28f7c6b6b"
 )
 
 
 def test_one_entry_probe_response_keeps_its_layout():
     world = cluster_world()
-    drive_cluster(world)
+    emitted = drive_cluster(world)
     resp = world.nodes[1].respond_attestation(1)
     assert resp.hex() == CLUSTER_PROBE_RESP
     _, entries = wire.decode_probe_resp(wire.parse_frame(resp)[1])
     assert wire.encode_probe_resp(1, entries) == resp
+    sealed = wire.decode_agg_body(wire.decode_probe_entry(entries[0])[2])[3]
+    assert sealed[:16] == crypto.pair_bytes(emitted.dsum, emitted.dsum_prime)
 
 
 def test_attestation_unknown_round_raises():
