@@ -65,7 +65,7 @@ ABSENT_THRESHOLD = 3  # absent rounds in a row that make an alive node unreachab
 @dataclass
 class NodeRecord:
     key: bytes
-    chain_key: bytes
+    chain_key: crypto.Keyed  # the state the node holds too
     origin: int
     status: str = ALIVE
 
@@ -138,15 +138,24 @@ def _subtract(node: wire.AggPacket, failing: list[wire.AggPacket]) -> wire.AggPa
 
 
 class BaseStation:
-    def __init__(self, tree: Tree, prov: Provisioning, codec: crypto.FixedPointCodec):
+    def __init__(
+        self,
+        tree: Tree,
+        prov: Provisioning,
+        codec: crypto.FixedPointCodec,
+        chains: dict[int, crypto.Keyed],
+        edges: dict[int, crypto.Keyed],
+    ):
+        """``chains`` and ``edges`` (by child id) are the keyed states the
+        sensors hold: each key is keyed once and its holders share it."""
         self.tree = tree
         self.codec = codec
         self.registry: dict[int, NodeRecord] = {
-            nid: NodeRecord(k, crypto.chain_key(k, kp), prov.origins[nid])
-            for nid, (k, kp) in prov.node_keys.items()
+            nid: NodeRecord(k, chains[nid], prov.origins[nid])
+            for nid, (k, _) in prov.node_keys.items()
         }
         self._child_channels = {
-            cid: crypto.SecureChannel(prov.edge_keys[cid]) for cid in tree.children[BS_ID]
+            cid: crypto.SecureChannel(edges[cid]) for cid in tree.children[BS_ID]
         }
         # Every round's result keeps its participant set; a claim with no
         # absent roots, the honest round, shares this one.
@@ -291,7 +300,7 @@ class BaseStation:
         channel = self._bs_channels.get(nid)
         if channel is None:
             key = crypto.derive_bs_channel_key(self.registry[nid].key, nid)
-            channel = self._bs_channels[nid] = crypto.SecureChannel(key)
+            channel = self._bs_channels[nid] = crypto.SecureChannel(crypto.channel_key(key))
         return channel
 
     def _probe_group(
@@ -374,9 +383,9 @@ class BaseStation:
                     pkt, child_tags = answers[nid]
                     answered[nid] = pkt
                     pair = (pkt.dsum, pkt.dsum_prime)
-                    mac_calc = crypto.combine_macs(
-                        crypto.mac_pair(self.registry[nid].key, *pair), list(child_tags.values())
-                    )
+                    # Probes are rare, so the MAC is keyed on demand.
+                    own = crypto.mac_pair(crypto.mac_key(self.registry[nid].key), *pair)
+                    mac_calc = crypto.combine_macs(own, list(child_tags.values()))
                     committed = mac_calc == pkt.tag == pinned.get(nid, pkt.tag)
                     claim = Claim(nid, pkt.absent)
                     ipet_ok = self.ipet_check(pair, claim, round_no, count_ops=False).equal

@@ -285,7 +285,7 @@ def _property_ipet(rng: random.Random) -> str | None:
 
 def _property_mac_group(rng: random.Random) -> str | None:
     for _ in range(200):
-        key = rng.randbytes(crypto.KEY_LEN)
+        key = crypto.mac_key(rng.randbytes(crypto.KEY_LEN))
         tags = [crypto.mac_pair(key, rng.getrandbits(64), rng.getrandbits(64)) for _ in range(4)]
         a, b, c, d = tags
         if crypto.xor_tags(a, b) != crypto.xor_tags(b, a):
@@ -303,7 +303,7 @@ def _property_mac_group(rng: random.Random) -> str | None:
 
 
 def _property_channel(rng: random.Random) -> str | None:
-    key, ad = rng.randbytes(crypto.KEY_LEN), rng.randbytes(12)
+    key, ad = crypto.channel_key(rng.randbytes(crypto.KEY_LEN)), rng.randbytes(12)
     for counter in rng.sample(range(1, 1 << 32), 20):
         pair = rng.randbytes(16)
         blob = crypto.seal(key, counter, pair, ad)

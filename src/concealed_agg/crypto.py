@@ -25,10 +25,20 @@ and D'_i + r_i, masked by seeds that only node i and the station hold and
 that no other round uses.  So a link eavesdropper, or an ancestor relaying
 the packet, learns exactly what the edge-key holder learns.
 
+Every PRF is keyed once, at set-up: ``chain_key``, ``mac_key``,
+``channel_key`` and ``sense_key`` each return a blake2b state holding its
+parameters and padded key block (keyed BLAKE2 hashes the key as its first
+block, RFC 7693 section 3.3), and checked key lengths.  A call copies the
+state, feeds the copy its input and reads the digest, instead of building
+and keying a new hasher.  No state is ever updated itself, so all holders
+of a key share one: both ends of an edge, and a node and the station's
+registry row for K || K'.
+
 Tag folding works on integers (read big-endian, XORed once, written back at
 the same length): the bytes a per-byte loop gives.  The functions here are
-pure and safe to call from any number of threads; a ``SeedState`` or a
-``SecureChannel`` holds a position or counters and belongs to one endpoint.
+pure and safe to call from any number of threads, a keyed state included,
+because calls only copy it; a ``SeedState`` or a ``SecureChannel`` holds a
+position or counters and belongs to one endpoint.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import AuthFailure, ReadingOutOfRange, ReplayDetected
 
@@ -83,7 +94,7 @@ class FixedPointCodec:
         if self.scale <= 0:
             raise ValueError("codec requires positive scale")
 
-    @property
+    @cached_property
     def max_raw(self) -> int:
         return round((self.high - self.low) * self.scale)
 
@@ -118,23 +129,42 @@ def _check_key(key: bytes) -> bytes:
     return key
 
 
-def _prf(key: bytes, person: bytes, data: bytes, out_len: int) -> bytes:
-    return hashlib.blake2b(data, digest_size=out_len, key=key, person=person).digest()
+# A blake2b state keyed for one use.  Calls copy it and never update it.
+Keyed = hashlib.blake2b
 
 
-def chain_key(key: bytes, key_prime: bytes) -> bytes:
-    """The dual seed chain's PRF key K || K'.  Both keys are checked here,
-    once, so that ``next_seed`` need not check them on every call."""
-    return _check_key(key) + _check_key(key_prime)
+def _keyed(key: bytes, person: bytes, out_len: int) -> Keyed:
+    return hashlib.blake2b(digest_size=out_len, key=key, person=person)
 
 
-def next_seed(chain_key: bytes, seeds: int, round_no: int) -> int:
+def chain_key(key: bytes, key_prime: bytes) -> Keyed:
+    """The dual seed chains' PRF for ``next_seed``, keyed with K || K'."""
+    return _keyed(_check_key(key) + _check_key(key_prime), _PERSON_SEED, 16)
+
+
+def mac_key(key: bytes) -> Keyed:
+    """A node's MAC for ``mac`` and ``mac_pair``, keyed with K."""
+    return _keyed(_check_key(key), _PERSON_MAC, TAG_LEN)
+
+
+def channel_key(key: bytes) -> Keyed:
+    """A channel's tag for ``seal``, ``open_sealed`` and ``SecureChannel``."""
+    return _keyed(_check_key(key), _PERSON_CHANTAG, CHANNEL_TAG_LEN)
+
+
+def sense_key(key: bytes) -> Keyed:
+    """A node's synthetic sensor for ``sense_raw``."""
+    return _keyed(_check_key(key), _PERSON_SENSE, 8)
+
+
+def next_seed(chain: Keyed, seeds: int, round_no: int) -> int:
     """Advance both seed chains one step.  ``seeds`` packs the pair as
     D << 64 | D' (taken mod 2**128); the result is the next D << 64 | D', the
     16-byte keyed PRF over (D || D' || round), three 8-byte big-endian words.
     round_no must fit in 64 bits."""
-    data = ((seeds & PAIR_MASK) << 64 | round_no).to_bytes(24, "big")
-    return int.from_bytes(_prf(chain_key, _PERSON_SEED, data, 16), "big")
+    h = chain.copy()
+    h.update(((seeds & PAIR_MASK) << 64 | round_no).to_bytes(24, "big"))
+    return int.from_bytes(h.digest(), "big")
 
 
 def split_seeds(seeds: int) -> tuple[int, int]:
@@ -145,18 +175,18 @@ def split_seeds(seeds: int) -> tuple[int, int]:
 @dataclass
 class SeedState:
     """Current position of a node's two diffusion seed chains, packed
-    D << 64 | D', under the chain key K || K'."""
+    D << 64 | D', under the ``chain_key`` state for K || K'."""
 
-    key: bytes
+    key: Keyed
     seeds: int
     round: int = 0
 
     def __post_init__(self) -> None:
-        if len(self.key) != CHAIN_KEY_LEN:
-            raise ValueError(f"chain key must be {CHAIN_KEY_LEN} bytes, got {len(self.key)}")
+        if getattr(self.key, "digest_size", None) != 16:
+            raise ValueError("a seed chain needs the state chain_key returns")
 
     @classmethod
-    def from_origin(cls, chain_key: bytes, origin: int) -> "SeedState":
+    def from_origin(cls, chain_key: Keyed, origin: int) -> "SeedState":
         """Both chains start at the same origin."""
         origin &= MASK
         return cls(chain_key, origin << 64 | origin)
@@ -185,10 +215,11 @@ def undiffuse(diffused_sum: int, seed_sum: int) -> int:
     return (diffused_sum - seed_sum) & MASK
 
 
-def sense_raw(sense_key: bytes, round_no: int, max_raw: int) -> int:
+def sense_raw(sensor: Keyed, round_no: int, max_raw: int) -> int:
     """Deterministic per-round synthetic reading in [0, max_raw]."""
-    digest = _prf(sense_key, _PERSON_SENSE, round_no.to_bytes(8, "big"), 8)
-    return int.from_bytes(digest, "big") % (max_raw + 1)
+    h = sensor.copy()
+    h.update(round_no.to_bytes(8, "big"))
+    return int.from_bytes(h.digest(), "big") % (max_raw + 1)
 
 
 # === Authentication tags ====================================================
@@ -199,12 +230,13 @@ def pair_bytes(dsum: int, dsum_prime: int) -> bytes:
     return ((dsum & MASK) << 64 | (dsum_prime & MASK)).to_bytes(16, "big")
 
 
-def mac(key: bytes, payload: bytes) -> bytes:
-    _check_key(key)
-    return _prf(key, _PERSON_MAC, payload, TAG_LEN)
+def mac(key: Keyed, payload: bytes) -> bytes:
+    h = key.copy()
+    h.update(payload)
+    return h.digest()
 
 
-def mac_pair(key: bytes, dsum: int, dsum_prime: int) -> bytes:
+def mac_pair(key: Keyed, dsum: int, dsum_prime: int) -> bytes:
     return mac(key, pair_bytes(dsum, dsum_prime))
 
 
@@ -224,25 +256,24 @@ def combine_macs(own: bytes, children: list[bytes]) -> bytes:
 # === Authenticated pairwise channels ========================================
 
 
-def _channel_tag(channel_key: bytes, counter: int, ad: bytes, payload: bytes) -> bytes:
-    data = (counter << 32 | len(ad)).to_bytes(12, "big") + ad + payload
-    return _prf(channel_key, _PERSON_CHANTAG, data, CHANNEL_TAG_LEN)
+def _channel_tag(key: Keyed, counter: int, ad: bytes, payload: bytes) -> bytes:
+    h = key.copy()
+    h.update((counter << 32 | len(ad)).to_bytes(12, "big") + ad + payload)
+    return h.digest()
 
 
-def seal(channel_key: bytes, counter: int, plaintext: bytes, ad: bytes = b"") -> bytes:
+def seal(key: Keyed, counter: int, plaintext: bytes, ad: bytes = b"") -> bytes:
     """Authenticate a payload under the channel key: the payload, in the
     clear, followed by a tag over the counter, the length-prefixed associated
     data ``ad`` (also in the clear) and the payload.  One PRF call."""
-    _check_key(channel_key)
-    return plaintext + _channel_tag(channel_key, counter, ad, plaintext)
+    return plaintext + _channel_tag(key, counter, ad, plaintext)
 
 
-def open_sealed(channel_key: bytes, counter: int, blob: bytes, ad: bytes = b"") -> bytes:
+def open_sealed(key: Keyed, counter: int, blob: bytes, ad: bytes = b"") -> bytes:
     """Inverse of seal: the payload bytes.  Raises AuthFailure on any bit of
     tampering with the blob, the counter or the associated data."""
-    _check_key(channel_key)
     payload, tag = blob[:-CHANNEL_TAG_LEN], blob[-CHANNEL_TAG_LEN:]
-    if not hmac.compare_digest(tag, _channel_tag(channel_key, counter, ad, payload)):
+    if not hmac.compare_digest(tag, _channel_tag(key, counter, ad, payload)):
         raise AuthFailure("channel tag mismatch")
     return payload
 
@@ -252,13 +283,14 @@ class SecureChannel:
 
     Counters are strictly increasing per direction: the sender stamps each
     blob with the next counter, the receiver accepts a blob only if its
-    counter exceeds the last one accepted.
+    counter exceeds the last one accepted.  Both endpoints may share one
+    ``channel_key`` state: the counters are each endpoint's own.
     """
 
     __slots__ = ("key", "_send_counter", "_recv_last")
 
-    def __init__(self, key: bytes):
-        self.key = _check_key(key)
+    def __init__(self, key: Keyed):
+        self.key = key
         self._send_counter = 0
         self._recv_last = 0
 
@@ -284,4 +316,6 @@ def derive_bs_channel_key(node_key: bytes, node_id: int) -> bytes:
     Derived from the node's long-term key so provisioning stays two keys per
     node plus one per edge; domain-separated from every other PRF use.
     """
-    return _prf(node_key, b"diff.bschan", node_id.to_bytes(4, "big"), KEY_LEN)
+    return hashlib.blake2b(
+        node_id.to_bytes(4, "big"), digest_size=KEY_LEN, key=node_key, person=b"diff.bschan"
+    ).digest()

@@ -48,15 +48,19 @@ class RoundState:
 
 
 class SensorNode:
+    """One sensor.  ``chain``, ``edge`` and ``child_edges`` are keyed
+    states shared with the key's other holder: the station's registry row,
+    the other end of the edge."""
+
     def __init__(
         self,
         node_id: int,
         parent_id: int,
         children: tuple[int, ...],
         key: bytes,
-        key_prime: bytes,
-        edge_key: bytes,
-        child_edge_keys: dict[int, bytes],
+        chain: crypto.Keyed,
+        edge: crypto.Keyed,
+        child_edges: dict[int, crypto.Keyed],
         origin: int,
         sense_key: bytes,
         codec: crypto.FixedPointCodec,
@@ -66,15 +70,25 @@ class SensorNode:
         self.parent_id = parent_id
         self.children = tuple(children)  # ascending ids
         self.key = key
+        self.mac_key = crypto.mac_key(key)
         self.codec = codec
-        self.sense_key = sense_key
+        self.sense_key = crypto.sense_key(sense_key)
         self.behavior = behavior
-        self.chains = crypto.SeedState.from_origin(crypto.chain_key(key, key_prime), origin)
-        self.up_channel = crypto.SecureChannel(edge_key)
-        self.child_channels = {cid: crypto.SecureChannel(k) for cid, k in child_edge_keys.items()}
-        self.bs_channel = crypto.SecureChannel(crypto.derive_bs_channel_key(key, node_id))
+        self.chains = crypto.SeedState.from_origin(chain, origin)
+        self.up_channel = crypto.SecureChannel(edge)
+        self.child_channels = {cid: crypto.SecureChannel(k) for cid, k in child_edges.items()}
+        self._bs_channel: crypto.SecureChannel | None = None
         self.state: RoundState | None = None
         self._last_round = 0
+
+    @property
+    def bs_channel(self) -> crypto.SecureChannel:
+        """The direct channel to the base station, keyed on first use (as
+        the station keys its end): honest rounds never touch it."""
+        if self._bs_channel is None:
+            key = crypto.derive_bs_channel_key(self.key, self.node_id)
+            self._bs_channel = crypto.SecureChannel(crypto.channel_key(key))
+        return self._bs_channel
 
     # === Round handling =====================================================
 
@@ -145,7 +159,7 @@ class SensorNode:
         dsum_prime = crypto.add_mod(state.own_dp, fold.dsum_prime)
         if self.behavior is not None:
             dsum, dsum_prime = self.behavior.forge_pair(dsum, dsum_prime, state.round)
-        tag = crypto.combine_macs(crypto.mac_pair(self.key, dsum, dsum_prime), fold.tags)
+        tag = crypto.combine_macs(crypto.mac_pair(self.mac_key, dsum, dsum_prime), fold.tags)
         return wire.seal_packet(channel, self.node_id, fold.absent, dsum, dsum_prime, tag)
 
     # === Attestation ========================================================

@@ -166,6 +166,7 @@ class World:
             else:
                 adjacency = star_graph(scenario.n)
             self.tree: Tree = build_tree(adjacency)
+            del adjacency  # released before the nodes and their keyed states are built
         except (DisconnectedGraph, ValueError) as exc:
             raise ScenarioInvalid(f"{scenario.source}: {exc}") from exc
         if scenario.edges is not None and scenario.n is not None:
@@ -180,23 +181,25 @@ class World:
                 f"sensor domain {scenario.domain} does not fit the 2**64 ring"
             )
         self.prov = prov = provision(self.tree, _sub_seed(scenario.seed, "provision"), self.codec)
+        # Each key is keyed once, and both of its holders share the state.
+        chains = {nid: crypto.chain_key(*keys) for nid, keys in prov.node_keys.items()}
+        edges = {nid: crypto.channel_key(key) for nid, key in prov.edge_keys.items()}
         self.nodes: dict[int, SensorNode] = {}
         for nid in self.tree.sensor_ids:
-            key, key_prime = prov.node_keys[nid]
             children = self.tree.children[nid]
             self.nodes[nid] = SensorNode(
                 node_id=nid,
                 parent_id=self.tree.parent[nid],
                 children=children,
-                key=key,
-                key_prime=key_prime,
-                edge_key=prov.edge_keys[nid],
-                child_edge_keys={cid: prov.edge_keys[cid] for cid in children},
+                key=prov.node_keys[nid][0],
+                chain=chains[nid],
+                edge=edges[nid],
+                child_edges={cid: edges[cid] for cid in children},
                 origin=prov.origins[nid],
                 sense_key=prov.sense_keys[nid],
                 codec=self.codec,
             )
-        self.bs = BaseStation(self.tree, prov, self.codec)
+        self.bs = BaseStation(self.tree, prov, self.codec, chains, edges)
         try:
             apply_plan(self.nodes, scenario.compromises, scenario.trigger_round)
         except ScenarioInvalid as exc:

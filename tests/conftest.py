@@ -17,7 +17,7 @@ from concealed_agg.simulator import Scenario, World
 
 def sensed_raw(world: World, nid: int, round_no: int) -> int:
     """The raw reading node nid senses in round_no (honest sensing path)."""
-    return crypto.sense_raw(world.prov.sense_keys[nid], round_no, world.codec.max_raw)
+    return crypto.sense_raw(crypto.sense_key(world.prov.sense_keys[nid]), round_no, world.codec.max_raw)
 
 
 def plaintext_sum(world: World, round_no: int, participants=None) -> int:

@@ -435,7 +435,7 @@ def open_captured(edge_key: bytes, agg_body: bytes) -> tuple[int, int]:
     """What a passive adversary holding an edge key learns from one packet:
     the diffused pair, nothing else."""
     sender, counter, absent, sealed, tag = wire.decode_agg_body(agg_body)
-    pair = crypto.open_sealed(edge_key, counter, sealed, wire.header_ad(sender, absent, tag))
+    pair = crypto.open_sealed(crypto.channel_key(edge_key), counter, sealed, wire.header_ad(sender, absent, tag))
     return int.from_bytes(pair[:8], "big"), int.from_bytes(pair[8:16], "big")
 
 

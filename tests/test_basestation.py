@@ -369,8 +369,8 @@ def _lie_about_the_pair(node, pkt, child_tags):
     pair = (crypto.add_mod(pkt.dsum, 1), pkt.dsum_prime)
     tags = dict(child_tags)
     tags[6] = crypto.xor_tags(
-        crypto.xor_tags(tags[6], crypto.mac_pair(node.key, pkt.dsum, pkt.dsum_prime)),
-        crypto.mac_pair(node.key, *pair),
+        crypto.xor_tags(tags[6], crypto.mac_pair(node.mac_key, pkt.dsum, pkt.dsum_prime)),
+        crypto.mac_pair(node.mac_key, *pair),
     )
     return pkt.absent, pair, tags
 

@@ -86,20 +86,21 @@ def test_chain_key_length_checked_where_the_chain_is_built():
 
 def test_seed_at_replays_chain():
     rng = random.Random(3)
-    k, origin = _chain_key(rng), rng.getrandbits(32)
+    key, key_prime = _key(rng), _key(rng)
+    k, origin = crypto.chain_key(key, key_prime), rng.getrandbits(32)
     d = origin << 64 | origin
     for j in range(1, 6):
         d = crypto.next_seed(k, d, j)
-        assert seed_at(k, origin, j) == d
-    assert seed_at(k, origin, 0) == origin << 64 | origin
+        assert seed_at(key + key_prime, origin, j) == d
+    assert seed_at(key + key_prime, origin, 0) == origin << 64 | origin
 
 
 def test_seed_state_advance_and_rewind():
     rng = random.Random(4)
-    k, origin = _chain_key(rng), 77
-    s = crypto.SeedState.from_origin(k, origin)
+    key, key_prime = _key(rng), _key(rng)
+    s = crypto.SeedState.from_origin(crypto.chain_key(key, key_prime), 77)
     s.advance_to(4)
-    assert s.round == 4 and s.seeds == seed_at(k, origin, 4)
+    assert s.round == 4 and s.seeds == seed_at(key + key_prime, 77, 4)
     with pytest.raises(ValueError):
         s.advance_to(2)
 
@@ -177,13 +178,13 @@ def test_codec_roundtrip_property(value):
 def test_mac_deterministic_and_collision_free():
     # Collision-count oracle over 10k random payload / key pairs.
     rng = random.Random(7)
-    k = _key(rng)
+    k = crypto.mac_key(_key(rng))
     p = rng.randbytes(16)
     assert crypto.mac(k, p) == crypto.mac(k, p)
     assert len(crypto.mac(k, p)) == crypto.TAG_LEN
     collisions = 0
     for _ in range(10_000):
-        k1, k2 = _key(rng), _key(rng)
+        k1, k2 = crypto.mac_key(_key(rng)), crypto.mac_key(_key(rng))
         p1 = rng.randbytes(16)
         p2 = bytearray(p1)
         p2[rng.randrange(16)] ^= 1 << rng.randrange(8)
@@ -196,9 +197,9 @@ def test_mac_deterministic_and_collision_free():
 
 def test_combine_macs_group_laws():
     rng = random.Random(8)
-    t = crypto.mac(_key(rng), rng.randbytes(16))
-    a = crypto.mac(_key(rng), rng.randbytes(16))
-    b = crypto.mac(_key(rng), rng.randbytes(16))
+    t = crypto.mac(crypto.mac_key(_key(rng)), rng.randbytes(16))
+    a = crypto.mac(crypto.mac_key(_key(rng)), rng.randbytes(16))
+    b = crypto.mac(crypto.mac_key(_key(rng)), rng.randbytes(16))
     assert crypto.combine_macs(t, []) == t
     assert crypto.combine_macs(t, [t]) == crypto.ZERO_TAG
     assert crypto.combine_macs(t, [a, b]) == crypto.combine_macs(t, [b, a])
@@ -224,7 +225,7 @@ def test_pair_bytes_layout():
 
 def test_seal_open_roundtrip():
     rng = random.Random(10)
-    k = _key(rng)
+    k = crypto.channel_key(_key(rng))
     pt = rng.randbytes(16)
     assert crypto.open_sealed(k, 1, crypto.seal(k, 1, pt)) == pt
 
@@ -232,7 +233,7 @@ def test_seal_open_roundtrip():
 def test_open_bitflip_always_fails():
     # Fuzz oracle: flip every single bit of the sealed blob, expect 100% rejection.
     rng = random.Random(11)
-    k = _key(rng)
+    k = crypto.channel_key(_key(rng))
     sealed = crypto.seal(k, 5, rng.randbytes(16))
     for bit in range(len(sealed) * 8):
         tampered = bytearray(sealed)
@@ -244,14 +245,14 @@ def test_open_bitflip_always_fails():
 def test_open_wrong_counter_fails_auth():
     # Counter is authenticated: stale payload under a fresh counter is torn.
     rng = random.Random(12)
-    k = _key(rng)
+    k = crypto.channel_key(_key(rng))
     sealed = crypto.seal(k, 3, rng.randbytes(16))
     with pytest.raises(AuthFailure):
         crypto.open_sealed(k, 4, sealed)
 
 
 def test_open_blob_shorter_than_a_tag_fails_auth():
-    k = _key(random.Random(16))
+    k = crypto.channel_key(_key(random.Random(16)))
     for length in (0, 1, crypto.CHANNEL_TAG_LEN - 1):
         with pytest.raises(AuthFailure):
             crypto.open_sealed(k, 1, bytes(length))
@@ -259,7 +260,7 @@ def test_open_blob_shorter_than_a_tag_fails_auth():
 
 def test_channel_replay_detection():
     rng = random.Random(13)
-    k = _key(rng)
+    k = crypto.channel_key(_key(rng))
     tx = crypto.SecureChannel(k)
     rx = crypto.SecureChannel(k)
     c1, blob1 = tx.seal_next(b"a" * 16)
@@ -275,7 +276,7 @@ def test_channel_replay_detection():
 
 def test_channel_out_of_order_counter_skip_ok():
     rng = random.Random(14)
-    k = _key(rng)
+    k = crypto.channel_key(_key(rng))
     tx = crypto.SecureChannel(k)
     rx = crypto.SecureChannel(k)
     tx.seal_next(b"x" * 16)  # lost on the wire
@@ -286,7 +287,7 @@ def test_channel_out_of_order_counter_skip_ok():
 
 def test_channel_tamper_does_not_advance_counter():
     rng = random.Random(15)
-    k = _key(rng)
+    k = crypto.channel_key(_key(rng))
     tx = crypto.SecureChannel(k)
     rx = crypto.SecureChannel(k)
     c, blob = tx.seal_next(b"z" * 16)
@@ -300,8 +301,80 @@ def test_channel_tamper_does_not_advance_counter():
 @settings(max_examples=50)
 @given(st.binary(min_size=0, max_size=64), st.integers(1, 2**64 - 1))
 def test_seal_open_roundtrip_property(pt, counter):
-    k = bytes(range(16))
+    k = crypto.channel_key(bytes(range(16)))
     assert crypto.open_sealed(k, counter, crypto.seal(k, counter, pt)) == pt
+
+
+# === Pre-keyed states ========================================================
+
+
+def _one_shot(data: bytes, key: bytes, person: bytes, size: int) -> bytes:
+    return hashlib.blake2b(data, key=key, person=person, digest_size=size).digest()
+
+
+def test_prekeyed_prfs_match_one_shot_blake2b():
+    # Over random keys and inputs, each state keyed once gives the bytes a
+    # fresh keyed blake2b call gives, and its first answer, asked again after
+    # the others, has not moved.
+    rng = random.Random(20)
+    max_raw = 99999
+    for _ in range(50):
+        key, key_prime = _key(rng), _key(rng)
+        chain = crypto.chain_key(key, key_prime)
+        mac, chan, sense = crypto.mac_key(key), crypto.channel_key(key), crypto.sense_key(key)
+
+        def keyed(seeds, round_no, pair, counter, ad, pt):
+            return (
+                crypto.next_seed(chain, seeds, round_no),
+                crypto.mac_pair(mac, *pair),
+                crypto.seal(chan, counter, pt, ad)[len(pt):],
+                crypto.sense_raw(sense, round_no, max_raw),
+            )
+
+        def one_shot(seeds, round_no, pair, counter, ad, pt):
+            seed_in = (seeds << 64 | round_no).to_bytes(24, "big")
+            tag_in = (counter << 32 | len(ad)).to_bytes(12, "big") + ad + pt
+            reading = _one_shot(round_no.to_bytes(8, "big"), key, b"diff.sense", 8)
+            return (
+                int.from_bytes(_one_shot(seed_in, key + key_prime, b"diff.seed.dual", 16), "big"),
+                _one_shot(crypto.pair_bytes(*pair), key, b"diff.mac", 8),
+                _one_shot(tag_in, key, b"diff.chan.tag", 16),
+                int.from_bytes(reading, "big") % (max_raw + 1),
+            )
+
+        inputs = [
+            (rng.getrandbits(128), rng.getrandbits(64), (rng.getrandbits(64), rng.getrandbits(64)),
+             rng.getrandbits(64), rng.randbytes(rng.randrange(40)), rng.randbytes(rng.randrange(80)))
+            for _ in range(20)
+        ]
+        answers = [keyed(*args) for args in inputs]
+        assert answers == [one_shot(*args) for args in inputs]
+        assert keyed(*inputs[0]) == answers[0]
+
+
+def test_channel_endpoints_sharing_one_state_keep_their_own_counters():
+    # Both ends of an edge hold one keyed state; each end's replay counters
+    # are its own, so a replay to either end is still refused.
+    key = crypto.channel_key(_key(random.Random(21)))
+    a, b = crypto.SecureChannel(key), crypto.SecureChannel(key)
+    assert a.key is b.key
+    c1, blob1 = a.seal_next(b"to b" * 4)
+    assert b.open(c1, blob1) == b"to b" * 4
+    assert a.last_accepted == 0
+    c2, blob2 = b.seal_next(b"to a" * 4)
+    assert c2 == 1  # b's first send, whatever a has sent
+    assert a.open(c2, blob2) == b"to a" * 4
+    with pytest.raises(ReplayDetected):
+        b.open(c1, blob1)
+    with pytest.raises(ReplayDetected):
+        a.open(c2, blob2)
+    assert (a.last_accepted, b.last_accepted) == (1, 1)
+
+
+def test_keys_are_checked_where_a_state_is_keyed():
+    for keyed in (crypto.mac_key, crypto.channel_key, crypto.sense_key):
+        with pytest.raises(ValueError):
+            keyed(bytes(15))
 
 
 # === Forgery blindness =======================================================
@@ -336,7 +409,7 @@ def test_dual_consistent_shift_passes():
 
 def test_sense_raw_in_range_and_keyed():
     rng = random.Random(18)
-    k1, k2 = _key(rng), _key(rng)
+    k1, k2 = crypto.sense_key(_key(rng)), crypto.sense_key(_key(rng))
     vals = {crypto.sense_raw(k1, r, 1000) for r in range(1, 200)}
     assert all(0 <= v <= 1000 for v in vals)
     assert len(vals) > 50  # spread, not constant
@@ -375,10 +448,11 @@ def test_seal_known_answers_and_roundtrip():
             digest_size=16, key=key, person=b"diff.chan.tag",
         ).digest()
         assert direct.hex() == tag_hex
-        sealed = crypto.seal(key, counter, plaintext, KAT_AD)
+        keyed = crypto.channel_key(key)
+        sealed = crypto.seal(keyed, counter, plaintext, KAT_AD)
         assert sealed[: len(plaintext)] == plaintext
         assert sealed.hex() == plaintext.hex() + tag_hex
-        assert crypto.open_sealed(key, counter, sealed, KAT_AD) == plaintext
+        assert crypto.open_sealed(keyed, counter, sealed, KAT_AD) == plaintext
 
 
 def test_seed_chain_known_answers():
@@ -392,17 +466,19 @@ def test_seed_chain_known_answers():
         (seeds << 64 | 5).to_bytes(24, "big"), digest_size=16, key=chain_key, person=b"diff.seed.dual"
     ).digest()
     assert int.from_bytes(direct, "big") == expected
-    assert crypto.next_seed(chain_key, seeds, 5) == expected
+    chain = crypto.chain_key(KAT_KEY, KAT_KEY2)
+    assert crypto.next_seed(chain, seeds, 5) == expected
     assert crypto.split_seeds(expected) == (3843998365740857531, 15315053664554517033)
     # The pair is taken mod 2**128.
-    assert crypto.next_seed(chain_key, 2**128 + 5, 2**32 + 1) == 0xC6457D2232C3D1128B517F0A27E6A582
+    assert crypto.next_seed(chain, 2**128 + 5, 2**32 + 1) == 0xC6457D2232C3D1128B517F0A27E6A582
     assert seed_at(KAT_KEY2 + KAT_KEY, 42, 3) == 0x45B21CF36AB4155C72E68ED9637D8E41
 
 
 def test_mac_and_tag_fold_known_answers():
-    assert crypto.mac_pair(KAT_KEY, 123456789, M - 1).hex() == "14918e826482d3a8"
-    own = crypto.mac_pair(KAT_KEY, 1, 2)
-    children = [crypto.mac_pair(KAT_KEY2, i, i + 1) for i in range(3)]
+    key, key2 = crypto.mac_key(KAT_KEY), crypto.mac_key(KAT_KEY2)
+    assert crypto.mac_pair(key, 123456789, M - 1).hex() == "14918e826482d3a8"
+    own = crypto.mac_pair(key, 1, 2)
+    children = [crypto.mac_pair(key2, i, i + 1) for i in range(3)]
     assert own.hex() == "c2e17bb1d96942fd"
     assert [t.hex() for t in children] == ["ff00a52b4fd67129", "c86efcca902314ae", "444900f515cbc921"]
     assert crypto.combine_macs(own, []).hex() == "c2e17bb1d96942fd"
@@ -411,7 +487,7 @@ def test_mac_and_tag_fold_known_answers():
 
 
 def test_sensing_and_key_derivation_known_answers():
-    assert crypto.sense_raw(KAT_KEY, 9, 99999) == 87292
+    assert crypto.sense_raw(crypto.sense_key(KAT_KEY), 9, 99999) == 87292
     assert crypto.derive_bs_channel_key(KAT_KEY, 17).hex() == "bd7ed3b940ae60446b16a90d0dba36e2"
 
 

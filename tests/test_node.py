@@ -21,6 +21,11 @@ def cluster_world() -> World:
     return World(CLUSTER)
 
 
+def _channel(key: bytes) -> crypto.SecureChannel:
+    """A fresh endpoint of the channel under the given 16-byte key."""
+    return crypto.SecureChannel(crypto.channel_key(key))
+
+
 def drive_cluster(world: World, order=(2, 3, 4), round_no: int = 1):
     """Run one round by hand: query everyone, feed child packets to node 1
     in the given order, return node 1's emitted packet."""
@@ -36,7 +41,7 @@ def drive_cluster(world: World, order=(2, 3, 4), round_no: int = 1):
     assert set(agg.state.child_packets) == {2, 3, 4}
     dst, payload = agg.emit()
     assert dst == 0
-    return wire.open_packet(crypto.SecureChannel(world.prov.edge_keys[1]), wire.parse_frame(payload)[1])
+    return wire.open_packet(_channel(world.prov.edge_keys[1]), wire.parse_frame(payload)[1])
 
 
 # === Query handling =========================================================
@@ -88,8 +93,8 @@ def test_leaf_emitted_tag_matches_independent_mac():
     node.handle_query(1, "sum")
     d, dp = node.sense_and_diffuse(1)
     _, payload = node.emit()
-    pkt = wire.open_packet(crypto.SecureChannel(world.prov.edge_keys[3]), wire.parse_frame(payload)[1])
-    key = world.prov.node_keys[3][0]
+    pkt = wire.open_packet(_channel(world.prov.edge_keys[3]), wire.parse_frame(payload)[1])
+    key = crypto.mac_key(world.prov.node_keys[3][0])
     assert (pkt.dsum, pkt.dsum_prime) == (d, dp)
     assert pkt.tag == crypto.mac(key, d.to_bytes(8, "big") + dp.to_bytes(8, "big"))
 
@@ -104,13 +109,13 @@ def test_cluster_participants_and_tag_composition():
     world = cluster_world()
     pkt = drive_cluster(world)
     assert pkt.absent == ()
-    own = crypto.mac_pair(world.prov.node_keys[1][0], pkt.dsum, pkt.dsum_prime)
+    own = crypto.mac_pair(crypto.mac_key(world.prov.node_keys[1][0]), pkt.dsum, pkt.dsum_prime)
     leaf_tags = []
     for cid in (2, 3, 4):
         m = sensed_raw(world, cid, 1)
         d = crypto.diffuse(seed_of(world, cid, 1), m)
         dp = crypto.diffuse(seed_of(world, cid, 1, prime=True), m)
-        leaf_tags.append(crypto.mac_pair(world.prov.node_keys[cid][0], d, dp))
+        leaf_tags.append(crypto.mac_pair(crypto.mac_key(world.prov.node_keys[cid][0]), d, dp))
     assert pkt.tag == crypto.combine_macs(own, leaf_tags)
 
 
@@ -206,7 +211,7 @@ def test_leaf_emits_single_diffused_reading():
     leaf = world.nodes[4]
     leaf.handle_query(1, "sum")
     _, payload = leaf.emit()
-    pkt = wire.open_packet(crypto.SecureChannel(world.prov.edge_keys[4]), wire.parse_frame(payload)[1])
+    pkt = wire.open_packet(_channel(world.prov.edge_keys[4]), wire.parse_frame(payload)[1])
     assert pkt.dsum == crypto.diffuse(seed_of(world, 4, 1), sensed_raw(world, 4, 1))
     assert pkt.absent == ()
 
@@ -255,7 +260,7 @@ def test_packet_after_timeout_emission_is_an_unknown_childs(caplog):
     for cid in (2, 3):
         agg.aggregate_child(late[cid])
     agg.emit()
-    bs_channel = crypto.SecureChannel(crypto.derive_bs_channel_key(world.prov.node_keys[1][0], 1))
+    bs_channel = _bs_channel(world, 1)
 
     def probe_answer():
         resp = agg.respond_attestation(1)
@@ -284,7 +289,7 @@ def test_attestation_resends_committed_fields():
     resp = world.nodes[1].respond_attestation(1)
     _, [entry] = wire.decode_probe_resp(wire.parse_frame(resp)[1])
     child_tags, bound, agg_body = wire.decode_probe_entry(entry)
-    bs_channel = crypto.SecureChannel(crypto.derive_bs_channel_key(world.prov.node_keys[1][0], 1))
+    bs_channel = _bs_channel(world, 1)
     pkt = wire.open_packet(bs_channel, agg_body, bound)
     assert (pkt.dsum, pkt.dsum_prime, pkt.tag, pkt.absent) == (
         emitted.dsum,
@@ -330,7 +335,7 @@ def test_attestation_unknown_round_raises():
 
 
 def _bs_channel(world, nid):
-    return crypto.SecureChannel(crypto.derive_bs_channel_key(world.prov.node_keys[nid][0], nid))
+    return _channel(crypto.derive_bs_channel_key(world.prov.node_keys[nid][0], nid))
 
 
 def _open_reagg(world, nid, resp):
@@ -428,7 +433,7 @@ def test_emitted_tag_equals_subtree_own_mac_xor():
         expected = crypto.ZERO_TAG
         for member in sorted(world.tree.subtree(nid)):
             mp = world.nodes[member].state.emitted
-            own = crypto.mac_pair(world.prov.node_keys[member][0], mp.dsum, mp.dsum_prime)
+            own = crypto.mac_pair(crypto.mac_key(world.prov.node_keys[member][0]), mp.dsum, mp.dsum_prime)
             expected = crypto.xor_tags(expected, own)
         assert emitted.tag == expected
 
@@ -471,8 +476,8 @@ def test_agg_packet_roundtrip_binds_header():
     # and rewriting any clear header field (sender, absent list, tag) or the
     # bound bytes fails authentication.
     key = bytes(range(16))
-    pkt, body = wire.seal_packet(crypto.SecureChannel(key), 7, (9, 12), 5, 6, b"\x11" * 8, b"bound")
-    assert wire.open_packet(crypto.SecureChannel(key), body, b"bound") == pkt
+    pkt, body = wire.seal_packet(_channel(key), 7, (9, 12), 5, 6, b"\x11" * 8, b"bound")
+    assert wire.open_packet(_channel(key), body, b"bound") == pkt
     assert pkt.absent == (9, 12)
     sender, counter, absent, sealed, tag = wire.decode_agg_body(body)
     tampered = (
@@ -482,9 +487,9 @@ def test_agg_packet_roundtrip_binds_header():
     )
     for bad in tampered:
         with pytest.raises(AuthFailure):
-            wire.open_packet(crypto.SecureChannel(key), bad, b"bound")
+            wire.open_packet(_channel(key), bad, b"bound")
     with pytest.raises(AuthFailure):
-        wire.open_packet(crypto.SecureChannel(key), body, b"other")
+        wire.open_packet(_channel(key), body, b"other")
 
 
 def test_honest_agg_frame_is_57_bytes_at_any_depth():
@@ -545,9 +550,9 @@ def test_every_cut_frame_raises_value_error():
     # Every frame type that crosses a link, cut at every shorter length or
     # with its count field overstated, fails to decode with ValueError and
     # nothing else: callers catch ValueError, never struct.error.
-    _, agg_body = wire.seal_packet(crypto.SecureChannel(bytes(16)), 7, (9, 12), 5, 6, b"\x11" * 8)
+    _, agg_body = wire.seal_packet(_channel(bytes(16)), 7, (9, 12), 5, 6, b"\x11" * 8)
     child_tags = {9: b"\x22" * 8, 12: b"\x33" * 8}
-    entry = wire.seal_probe_entry(crypto.SecureChannel(bytes(16)), 7, (9, 12), 5, 6, b"\x11" * 8, child_tags)
+    entry = wire.seal_probe_entry(_channel(bytes(16)), 7, (9, 12), 5, 6, b"\x11" * 8, child_tags)
     cases = (  # (payload, decoder of its body, offset of its count field)
         (wire.encode_query(3, "mean"), wire.decode_query, None),
         (wire.frame(wire.AGG, agg_body), wire.decode_agg_body, 12),
@@ -600,7 +605,7 @@ def test_cut_probe_bundle_keeps_the_entries_before_the_cut():
     # inside its first entry raises ValueError, and one cut anywhere in its
     # second entry decodes as the first entry alone, as if the second had
     # been dropped on the way.
-    channel = crypto.SecureChannel(bytes(16))
+    channel = _channel(bytes(16))
     entries = [
         wire.seal_probe_entry(channel, 7, (9, 12), 5, 6, b"\x11" * 8, {9: b"\x22" * 8, 12: b"\x33" * 8}),
         wire.seal_probe_entry(channel, 8, (), 1, 2, b"\x44" * 8, {}),

@@ -1,5 +1,6 @@
 """Deterministic simulator: depth-first data phase, round flow, metrics, scaling."""
 
+import hashlib
 import importlib.util
 import random
 from pathlib import Path
@@ -494,6 +495,27 @@ def test_each_node_that_opens_the_round_emits_once_after_its_subtree():
                 assert all(src not in subtree for src, _ in data[at + 1:]), (i, round_no, v)
 
 
+@pytest.mark.parametrize("generator", GENERATORS)
+def test_honest_round_keys_nothing(monkeypatch, generator):
+    # Every PRF is keyed at set-up: rounds 2 and 3 of an honest 64-node world
+    # construct no blake2b state, while keying one is counted.
+    world = World(Scenario(seed=7, n=64, generator=generator))
+    world.run_round(1)
+    built = []
+    real = hashlib.blake2b
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hashlib, "blake2b", counting)
+    for round_no in (2, 3):
+        assert world.run_round(round_no).integrity == "passed"
+    assert built == []
+    crypto.mac_key(bytes(crypto.KEY_LEN))
+    assert built == [1]
+
+
 def test_rejected_when_everything_is_compromised():
     world = World(Scenario(seed=108, n=1, generator="star",
                            compromises=(CompromiseSpec(1, "forge_children", (9,)),)))
@@ -546,7 +568,8 @@ def test_a_world_whose_sum_could_wrap_the_ring_is_rejected(n, offset):
         return
     world = World(scenario)
     result = world.run_round(1)
-    readings = sum(crypto.sense_raw(world.prov.sense_keys[v], 1, max_raw) for v in world.tree.sensor_ids)
+    sensors = [crypto.sense_key(world.prov.sense_keys[v]) for v in world.tree.sensor_ids]
+    readings = sum(crypto.sense_raw(sensor, 1, max_raw) for sensor in sensors)
     assert result.integrity == "passed" and result.raw_sum == readings < 2**64
 
 
