@@ -12,7 +12,9 @@ statuses, plus a combined hash of those four.  Bytes per round get a hash of
 their own, outside the combined one, so that a wire-format change can be
 checked for unchanged behaviour too.  So does the frame order: `frames`
 hashes the (source, destination, type, length) of every frame each world
-sends over the bus, ``World.deliver``, in the order it sends them.  And
+sends over the bus, ``World.deliver``, in the order it sends them, and
+`contents` hashes the same frames' ends and every byte of each, so a
+change that keeps the wire format byte for byte must keep it.  And
 `faults` runs each world again with a seeded keyless attacker on its AGG
 frames, which drops, cuts, flips a bit past the sender field of, or retypes
 about one in five, and hashes the reports, participants and transcripts of
@@ -65,11 +67,13 @@ def compromises(rng: random.Random, n: int, kind: str, tree) -> list[CompromiseS
     return specs
 
 
-def _recording(deliver, frames, world_index: int):
-    """deliver, first adding each frame's ends, type and length to frames."""
+def _recording(deliver, frames, contents, world_index: int):
+    """deliver, first adding each frame's ends, type and length to frames,
+    and its ends and bytes to contents."""
 
     def recorded(src: int, dst: int, payload: bytes) -> bytes | None:
         frames.update(f"{world_index}|{src},{dst},{payload[:1].hex()},{len(payload)}".encode())
+        contents.update(f"{world_index}|{src},{dst},{len(payload)}|".encode() + payload)
         return deliver(src, dst, payload)
 
     return recorded
@@ -121,10 +125,11 @@ def _result_line(i: int, r) -> str:
 
 
 def fingerprint(worlds: int) -> tuple[dict[str, str], dict[str, int]]:
-    """The sweep's hashes (the four parts, combined, bytes, frames, faults)
-    and its outcome counts."""
+    """The sweep's hashes (the four parts, combined, bytes, frames, faults,
+    contents) and its outcome counts."""
     parts = {name: hashlib.sha256() for name in ("reports", "metrics", "transcripts", "statuses")}
     wire_bytes, frames, faults = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    contents = hashlib.sha256()
     outcomes: dict[str, int] = {}
     for i in range(worlds):
         rng = random.Random(7919 * i + 17)
@@ -136,7 +141,7 @@ def fingerprint(worlds: int) -> tuple[dict[str, str], dict[str, int]]:
             seed=1000 + i, rounds=4, n=n, generator=gen,
             compromises=tuple(compromises(rng, n, kind, tree)), trigger_round=trigger, **audit,
         )
-        world, outcome = _run(scenario, lambda deliver: _recording(deliver, frames, i))
+        world, outcome = _run(scenario, lambda deliver: _recording(deliver, frames, contents, i))
         faulted, faulted_outcome = _run(
             scenario, lambda deliver: _agg_faults(deliver, random.Random(7919 * i + 18))
         )
@@ -168,6 +173,7 @@ def fingerprint(worlds: int) -> tuple[dict[str, str], dict[str, int]]:
     hashes["bytes"] = wire_bytes.hexdigest()
     hashes["frames"] = frames.hexdigest()
     hashes["faults"] = faults.hexdigest()
+    hashes["contents"] = contents.hexdigest()
     return hashes, dict(sorted(outcomes.items()))
 
 

@@ -391,6 +391,11 @@ SWEEP_BYTES = "e7f9ea03c965e21680edcc8d59241f1e649e0593f5f1e20e7714be828e4d4b87"
 # ends, type and length, pinned from the simulator whose nodes timed out
 # their silent children with a TIMEOUT alarm.
 SWEEP_FRAMES = "9400e09ec4fe1c89973ce23455f24132ec8256d76e563bd6511562a540a5fe4d"
+# Every byte of those frames, with their ends, in the same order: the wire
+# format itself.  Pinned from the simulator whose channels authenticate
+# without encrypting and whose PRFs are keyed once, before the packet codec
+# was streamlined; a change that keeps the wire must keep it.
+SWEEP_CONTENTS = "5596b45e1e9fb21f0b47995de54b0f1da73bed60bd370d09dd4edbf0e79313bb"
 # The reports, participants and transcripts of the same 40 worlds run again
 # behind a keyless attacker on AGG frames (drops, cuts, flips past the sender
 # field, retypes), pinned from the simulator whose sensors kept a pending set.
@@ -419,6 +424,7 @@ def test_behaviour_sweep_fingerprint_is_pinned():
     assert {part: hashes[part] for part in SWEEP_PARTS} == SWEEP_PARTS
     assert (hashes["combined"], hashes["bytes"]) == (SWEEP_COMBINED, SWEEP_BYTES)
     assert hashes["frames"] == SWEEP_FRAMES
+    assert hashes["contents"] == SWEEP_CONTENTS
     assert hashes["faults"] == SWEEP_FAULTS
 
 
