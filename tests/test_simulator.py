@@ -213,6 +213,35 @@ def test_malformed_query_is_ignored_and_timed_out():
         assert result.report.outliers == frozenset()
 
 
+def test_query_moved_to_another_round_opens_no_marker():
+    # Bit 4 of the round field of the QUERY on link 1->2 is flipped in round
+    # 1, so nodes 2-6 of a 6-node path open round 17.  That is not the
+    # station's round: none of them gets an end-of-subtree marker, so none
+    # emits, and the only AGG of round 1 is node 1's.  Their chains are then
+    # past rounds 2 and 3, whose queries are stale to them, so each round
+    # passes over node 1 alone.  QUERY frames are unauthenticated (ROADMAP
+    # item 13); this pins the marker rule until a QUERY MAC changes it.
+    world = World(Scenario(seed=3, n=6, generator="path", rounds=3))
+    sent = []
+
+    def flip(src, dst, payload):
+        sent.append((src, dst, payload[0]))
+        if (src, dst) == (1, 2) and payload[0] == wire.QUERY and world.metrics.rounds[-1].round == 1:
+            flipped = bytearray(payload)
+            flipped[8] ^= 1 << 4
+            return bytes(flipped)
+        return payload
+
+    on_links(world, flip)
+    results = world.run()
+    assert [world.nodes[v].state.round for v in range(2, 7)] == [17] * 5
+    assert all(world.nodes[v].state.emitted is None for v in range(2, 7))
+    assert [(src, dst) for src, dst, t in sent if t == wire.AGG] == [(1, 0)] * 3
+    for r in results:
+        assert (r.integrity, sorted(r.participants)) == ("passed", [1])
+        assert r.raw_sum == plaintext_sum(world, r.round, [1])
+
+
 def test_malformed_reaggregation_request_is_a_refusal():
     # Non-committed forger 6 sits below 4 and 1.  Node 1 is cleared at the
     # station, since its failing child 4 committed; node 4 is asked over the
