@@ -249,8 +249,8 @@ class BaseStation:
         """Fold the children's packets into the final pair and the round's
         claim: the whole tree less the silent children and every absent root
         the packets name."""
-        fold = wire.fold_packets(self._round_packets, self.tree.children[BS_ID])
-        return fold.dsum, fold.dsum_prime, Claim(BS_ID, fold.absent)
+        dsum, dsum_prime, absent, _ = wire.fold_packets(self._round_packets, self.tree.children[BS_ID])
+        return dsum, dsum_prime, Claim(BS_ID, absent)
 
     def participants(self, claim: Claim) -> frozenset[int]:
         """The sensors a station-level claim covers: all but those in the
@@ -451,9 +451,8 @@ class BaseStation:
             cid: pkt for cid, pkt in self._round_packets.items()
             if cid not in outliers and cid not in cleared
         }
-        fold = wire.fold_packets(kept, self.tree.children[BS_ID])
-        dsum, dsum_prime = fold.dsum, fold.dsum_prime
-        absent = list(fold.absent)
+        dsum, dsum_prime, absent, _ = wire.fold_packets(kept, self.tree.children[BS_ID])
+        absent = list(absent)
         added = {BS_ID}
         parent = self.tree.parent
         for nid in sorted(cleared, key=self.tree.pos.__getitem__):

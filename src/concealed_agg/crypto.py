@@ -167,11 +167,6 @@ def next_seed(chain: Keyed, seeds: int, round_no: int) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
-def split_seeds(seeds: int) -> tuple[int, int]:
-    """(D, D') from a packed seed pair D << 64 | D'."""
-    return seeds >> 64, seeds & MASK
-
-
 @dataclass
 class SeedState:
     """Current position of a node's two diffusion seed chains, packed
@@ -225,19 +220,12 @@ def sense_raw(sensor: Keyed, round_no: int, max_raw: int) -> int:
 # === Authentication tags ====================================================
 
 
-def pair_bytes(dsum: int, dsum_prime: int) -> bytes:
-    """Wire form of a diffused pair: two 8-byte big-endian words, K then K'."""
-    return ((dsum & MASK) << 64 | (dsum_prime & MASK)).to_bytes(16, "big")
-
-
-def mac(key: Keyed, payload: bytes) -> bytes:
-    h = key.copy()
-    h.update(payload)
-    return h.digest()
-
-
 def mac_pair(key: Keyed, dsum: int, dsum_prime: int) -> bytes:
-    return mac(key, pair_bytes(dsum, dsum_prime))
+    """A node's MAC over a diffused pair in its wire form: two 8-byte
+    big-endian words, K chain first."""
+    h = key.copy()
+    h.update(((dsum & MASK) << 64 | dsum_prime & MASK).to_bytes(16, "big"))
+    return h.digest()
 
 
 def xor_tags(a: bytes, b: bytes) -> bytes:
@@ -272,8 +260,8 @@ def seal(key: Keyed, counter: int, plaintext: bytes, ad: bytes = b"") -> bytes:
 def open_sealed(key: Keyed, counter: int, blob: bytes, ad: bytes = b"") -> bytes:
     """Inverse of seal: the payload bytes.  Raises AuthFailure on any bit of
     tampering with the blob, the counter or the associated data."""
-    payload, tag = blob[:-CHANNEL_TAG_LEN], blob[-CHANNEL_TAG_LEN:]
-    if not hmac.compare_digest(tag, _channel_tag(key, counter, ad, payload)):
+    payload = blob[:-CHANNEL_TAG_LEN]
+    if not hmac.compare_digest(blob[-CHANNEL_TAG_LEN:], _channel_tag(key, counter, ad, payload)):
         raise AuthFailure("channel tag mismatch")
     return payload
 

@@ -1,12 +1,12 @@
 """The sensor/aggregator state machine.
 
-Per round a node: receives the query exactly once, relays it to its children,
-advances both seed chains with one keyed PRF call, senses one reading and
-diffuses it under both chains' seeds, and keeps each child's authenticated
-packet.  A QUERY only opens the round and fans out, and an AGG only goes
-through ``wire.keep_child_packet``, the intake the station runs too: a
-packet that names no child, names a child already kept, or does not open
-leaves nothing behind, so the child's genuine packet still folds.  The node
+Per round a node: receives the query exactly once, relays it to its children
+as it arrived, advances both seed chains with one keyed PRF call, senses one
+reading and diffuses it under both chains' seeds, and keeps each child's
+authenticated packet.  A QUERY only opens the round and fans out, and an AGG
+only goes through ``wire.keep_child_packet``, the intake the station runs
+too: a packet that names no child, names a child already kept, or does not
+open leaves nothing behind, so the child's genuine packet still folds.  The node
 emits once the simulator finds its subtree drained: it folds the kept
 packets with ``wire.fold_packets`` (the dual sums component-wise mod M, the
 child tags by XOR, and an absent list: the children that did not report
@@ -28,7 +28,6 @@ consulted at sensing, emission, and probe time.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 
 from . import crypto, wire
 from .errors import AlreadyEmitted, NoSuchRound, StaleRound
@@ -38,13 +37,18 @@ log = logging.getLogger(__name__)
 Send = tuple[int, bytes]  # (destination node id, fabric payload)
 
 
-@dataclass
 class RoundState:
-    round: int
-    own_d: int
-    own_dp: int
-    child_packets: dict[int, wire.AggPacket] = field(default_factory=dict)
-    emitted: wire.AggPacket | None = None
+    """A node's open round: its own diffused pair, the child packets kept,
+    and the packet it emitted, once it has."""
+
+    __slots__ = ("round", "own_d", "own_dp", "child_packets", "emitted")
+
+    def __init__(self, round_no: int, own_d: int, own_dp: int):
+        self.round = round_no
+        self.own_d = own_d
+        self.own_dp = own_dp
+        self.child_packets: dict[int, wire.AggPacket] = {}
+        self.emitted: wire.AggPacket | None = None
 
 
 class SensorNode:
@@ -92,34 +96,21 @@ class SensorNode:
 
     # === Round handling =====================================================
 
-    def sense_raw(self, round_no: int) -> int:
-        """Synthetic reading for the round; a compromised node may forge it
-        (consistently under both chains), but it must still encode in-range."""
-        raw = crypto.sense_raw(self.sense_key, round_no, self.codec.max_raw)
-        if self.behavior is not None:
-            raw = self.behavior.forge_reading(raw, round_no, self.codec)
-        return raw
-
-    def sense_and_diffuse(self, round_no: int) -> tuple[int, int]:
-        """Diffuse one reading under both chains."""
-        if self.chains.round != round_no:
-            raise ValueError("seed chains not advanced to this round")
-        m = self.sense_raw(round_no)
-        d, dp = crypto.split_seeds(self.chains.seeds)
-        return crypto.diffuse(d, m), crypto.diffuse(dp, m)
-
-    def handle_query(self, round_no: int, function: str) -> list[Send]:
-        """Start the round and fan the query out to the children."""
+    def open_round(self, round_no: int) -> None:
+        """Open a round later than any before: advance both seed chains to it,
+        sense one reading, and diffuse it under both, D + m and D' + m mod M.
+        A compromised node may forge the reading (consistently under both
+        chains), but it must still encode in-range."""
         if round_no <= self._last_round:
             raise StaleRound(f"node {self.node_id}: round {round_no} <= {self._last_round}")
         self._last_round = round_no
-        self.chains.advance_to(round_no)
-        d, dp = self.sense_and_diffuse(round_no)
-        self.state = RoundState(round=round_no, own_d=d, own_dp=dp)
-        if not self.children:
-            return []
-        query = wire.encode_query(round_no, function)
-        return [(cid, query) for cid in self.children]
+        seeds = self.chains.advance_to(round_no)  # D << 64 | D'
+        codec = self.codec
+        raw = crypto.sense_raw(self.sense_key, round_no, codec.max_raw)
+        if self.behavior is not None:
+            raw = self.behavior.forge_reading(raw, round_no, codec)
+        mask = crypto.MASK
+        self.state = RoundState(round_no, (seeds >> 64) + raw & mask, (seeds & mask) + raw & mask)
 
     def aggregate_child(self, body: bytes) -> None:
         """Keep one child's packet for the fold at emission, through the intake
@@ -140,11 +131,12 @@ class SensorNode:
         """Build, seal, and retain this round's single upward packet.  Emission
         closes the round: a child without a kept packet is left out, and a
         packet that arrives later is ignored."""
-        state = self._require_state()
+        state = self.state
+        if state is None:
+            raise NoSuchRound(f"node {self.node_id}: no active round")
         if state.emitted is not None:
             raise AlreadyEmitted(f"node {self.node_id}: round {state.round}")
-        fold = wire.fold_packets(state.child_packets, self.children)
-        pkt, body = self._seal_aggregate(state, fold, self.up_channel)
+        pkt, body = self._seal_aggregate(state, state.child_packets, self.up_channel)
         state.emitted = pkt
         payload = wire.frame(wire.AGG, body)
         if self.behavior is not None:
@@ -152,15 +144,18 @@ class SensorNode:
         return self.parent_id, payload
 
     def _seal_aggregate(
-        self, state: RoundState, fold: wire.Fold, channel: crypto.SecureChannel
+        self, state: RoundState, kept: dict[int, wire.AggPacket], channel: crypto.SecureChannel
     ) -> tuple[wire.AggPacket, bytes]:
-        """Add the own pair to the children's fold, tag the result, and seal it."""
-        dsum = crypto.add_mod(state.own_d, fold.dsum)
-        dsum_prime = crypto.add_mod(state.own_dp, fold.dsum_prime)
+        """Fold the kept child packets, add the own pair, tag the result, and
+        seal it."""
+        dsum, dsum_prime, absent, tags = wire.fold_packets(kept, self.children)
+        mask = crypto.MASK
+        dsum = state.own_d + dsum & mask
+        dsum_prime = state.own_dp + dsum_prime & mask
         if self.behavior is not None:
             dsum, dsum_prime = self.behavior.forge_pair(dsum, dsum_prime, state.round)
-        tag = crypto.combine_macs(crypto.mac_pair(self.mac_key, dsum, dsum_prime), fold.tags)
-        return wire.seal_packet(channel, self.node_id, fold.absent, dsum, dsum_prime, tag)
+        tag = crypto.combine_macs(crypto.mac_pair(self.mac_key, dsum, dsum_prime), tags)
+        return wire.seal_packet(channel, self.node_id, absent, dsum, dsum_prime, tag)
 
     # === Attestation ========================================================
 
@@ -189,30 +184,28 @@ class SensorNode:
         if state is None or state.round != round_no or state.emitted is None:
             raise NoSuchRound(f"node {self.node_id}: no round {round_no} to re-aggregate")
         kept = {cid: pkt for cid, pkt in state.child_packets.items() if cid not in children}
-        fold = wire.fold_packets(kept, self.children)
-        _, body = self._seal_aggregate(state, fold, self.bs_channel)
+        _, body = self._seal_aggregate(state, kept, self.bs_channel)
         return wire.encode_reagg_resp(round_no, True, body)
 
     # === Fabric dispatch ====================================================
 
-    def awaits_children(self, round_no: int) -> bool:
-        """True from the QUERY that opens round round_no until the node emits."""
-        state = self.state
-        return state is not None and state.round == round_no and state.emitted is None
-
     def handle_message(self, payload: bytes) -> list[Send]:
         """Process one fabric message; returns messages to send.  A QUERY opens
-        the round and fans out to the children, and an AGG goes to
+        its round and goes to each child as it arrived, and an AGG goes to
         ``aggregate_child``.  A QUERY that does not parse and a message of
-        unknown type are ignored, so the parent leaves this node out."""
+        unknown type are ignored, so the parent leaves this node out; a QUERY
+        for a round not later than the last raises StaleRound."""
         msg_type, body = wire.parse_frame(payload)
         if msg_type == wire.QUERY:
             try:
-                round_no, function = wire.decode_query(body)
+                round_no, _ = wire.decode_query(body)
             except ValueError as exc:
                 log.info("node %d: ignored query: %s", self.node_id, exc)
                 return []
-            return self.handle_query(round_no, function)
+            self.open_round(round_no)
+            # decode_query accepts only the 9-byte body encode_query writes,
+            # so relaying the frame as it arrived equals re-encoding it.
+            return [(cid, payload) for cid in self.children]
         if msg_type == wire.AGG:
             self.aggregate_child(body)
             return []
@@ -234,7 +227,3 @@ class SensorNode:
             log.info("node %d: re-aggregation failed: %s", self.node_id, exc)
             return wire.encode_reagg_resp(round_no, False)
 
-    def _require_state(self) -> RoundState:
-        if self.state is None:
-            raise NoSuchRound(f"node {self.node_id}: no active round")
-        return self.state

@@ -276,7 +276,6 @@ class World:
     def _run_data_phase(self, round_no: int, queries: list[tuple[int, bytes]]) -> None:
         stack = [(BS_ID, dst, payload) for dst, payload in reversed(queries)]
         nodes, deliver = self.nodes, self.deliver
-        query_type = bytes([wire.QUERY])
         while stack:
             src, dst, payload = stack.pop()
             if payload is None:  # dst's subtree has drained
@@ -291,15 +290,18 @@ class World:
                     self.bs.receive_packet(body)
                 continue
             node = nodes[dst]
-            # Only the QUERY that opens the round gets a marker, not a retyped frame.
-            opens = payload[:1] == query_type and not node.awaits_children(round_no)
+            before = node.state
             try:
                 outs = node.handle_message(payload)
             except StaleRound:
                 continue
-            if opens and node.awaits_children(round_no):
+            # Only a QUERY opens a round, with a new state; only one that
+            # opens the station's round gets a marker.
+            state = node.state
+            if state is not before and state.round == round_no:
                 stack.append((dst, dst, None))  # beneath the frames it sends
-            stack += [(dst, ndst, npayload) for ndst, npayload in reversed(outs)]
+            if outs:
+                stack += [(dst, ndst, npayload) for ndst, npayload in reversed(outs)]
 
     # --- rounds --------------------------------------------------------------
 

@@ -17,9 +17,15 @@ channel key: a fixed 16 + 16 bytes.  The channel tag also covers, as
 associated data, every other clear field but the counter (which it covers
 anyway): sender, absent list and tag, and in a probe response the child tags
 too.  A keyless attacker on a link who rewrites any of them makes the packet
-fail authentication.  Every payload on the simulator fabric is a one-byte
+fail authentication.  The sender packs those fields into associated data
+(``header_ad``); the receiver authenticates the header bytes it parsed,
+sliced from the packet, so each packet is packed once and parsed once and
+nothing is rebuilt in between.  Every payload on the simulator fabric is a one-byte
 message type followed by the body, and every type crosses a link: no frame
 tells a node to emit, it emits when the simulator finds its subtree drained.
+A node relays the QUERY that opens its round to its children as the bytes
+that arrived: ``decode_query`` accepts only the 9-byte body ``encode_query``
+writes, so that equals re-encoding it.
 
 Attestation probes travel to a group of siblings through their parent:
 
@@ -71,6 +77,11 @@ REAGG = 0x05
 REAGG_RESP = 0x06
 
 SEALED_PAIR_LEN = 16 + crypto.CHANNEL_TAG_LEN
+_TRAILER_LEN = SEALED_PAIR_LEN + crypto.TAG_LEN  # what follows the absent ids
+
+_HEADER = struct.Struct(">IQI")  # sender, counter, absent count
+_AD_HEADER = struct.Struct(">II")  # sender, absent count
+_QUERY = struct.Struct(">QB")  # round, function code
 
 FUNC_CODES = {"sum": 0, "mean": 1}
 FUNC_NAMES = {code: name for name, code in FUNC_CODES.items()}
@@ -87,19 +98,14 @@ class AggPacket(NamedTuple):
     tag: bytes
 
 
-class Fold(NamedTuple):
-    """One layer of packets folded together: the ring sum of their pairs, the
-    ids of the absent subtree roots below the folding node, and their tags."""
-
-    dsum: int
-    dsum_prime: int
-    absent: tuple[int, ...]
-    tags: list[bytes]
-
-
-def fold_packets(packets: dict[int, AggPacket], children: tuple[int, ...]) -> Fold:
+def fold_packets(
+    packets: dict[int, AggPacket], children: tuple[int, ...]
+) -> tuple[int, int, tuple[int, ...], list[bytes]]:
     """Fold the packets of the given children, in their (ascending id) order;
-    a child without a packet is an absent root."""
+    a child without a packet is an absent root.  Returns one layer of packets
+    folded together: the ring sum of their pairs (dsum, dsum_prime), the ids
+    of the absent subtree roots below the folding node, ascending, and the
+    packets' tags."""
     dsum = dsum_prime = 0
     absent: list[int] = []
     tags: list[bytes] = []
@@ -108,11 +114,12 @@ def fold_packets(packets: dict[int, AggPacket], children: tuple[int, ...]) -> Fo
         if pkt is None:
             absent.append(child)
             continue
-        absent.extend(pkt.absent)
-        dsum = crypto.add_mod(dsum, pkt.dsum)
-        dsum_prime = crypto.add_mod(dsum_prime, pkt.dsum_prime)
+        absent += pkt.absent
+        dsum += pkt.dsum
+        dsum_prime += pkt.dsum_prime
         tags.append(pkt.tag)
-    return Fold(dsum, dsum_prime, tuple(sorted(absent)), tags)
+    mask = crypto.MASK
+    return dsum & mask, dsum_prime & mask, tuple(sorted(absent)) if absent else (), tags
 
 
 def _need(body: bytes, length: int, what: str) -> None:
@@ -137,21 +144,30 @@ def parse_frame(payload: bytes) -> tuple[int | None, bytes]:
 
 
 def header_ad(sender: int, absent: tuple[int, ...], tag: bytes) -> bytes:
-    """Associated data of an aggregation packet: its clear header fields."""
-    return struct.pack(f">II{len(absent)}I", sender, len(absent), *absent) + tag
+    """Associated data of an aggregation packet: its clear header fields, the
+    packet's bytes [0, 4) and [12, 16 + 4 * len(absent)) followed by its tag."""
+    ad = _AD_HEADER.pack(sender, len(absent))
+    if absent:
+        ad += struct.pack(f">{len(absent)}I", *absent)
+    return ad + tag
 
 
 def encode_agg_body(sender: int, counter: int, absent: tuple[int, ...], sealed: bytes, tag: bytes) -> bytes:
-    return struct.pack(f">IQI{len(absent)}I", sender, counter, len(absent), *absent) + sealed + tag
+    body = _HEADER.pack(sender, counter, len(absent))
+    if absent:
+        body += struct.pack(f">{len(absent)}I", *absent)
+    return body + sealed + tag
 
 
 def _packet_header(body: bytes, start: int) -> tuple[int, int, int, int]:
     """Sender, counter and absent count of the aggregation packet at ``start``
     and the offset where it ends; ValueError if the body ends before it."""
-    _need(body, start + 16, "aggregation packet")
-    sender, counter, count = struct.unpack_from(">IQI", body, start)
-    end = start + 16 + 4 * count + SEALED_PAIR_LEN + crypto.TAG_LEN
-    _need(body, end, "aggregation packet")
+    if len(body) < start + 16:
+        raise ValueError("truncated aggregation packet")
+    sender, counter, count = _HEADER.unpack_from(body, start)
+    end = start + 16 + 4 * count + _TRAILER_LEN
+    if len(body) < end:
+        raise ValueError("truncated aggregation packet")
     return sender, counter, count, end
 
 
@@ -180,15 +196,18 @@ def seal_packet(
     """Seal a pair on the given channel, binding the header and any extra
     ``bound`` bytes into the channel tag; returns the plaintext view and body."""
     absent = tuple(absent)
-    counter, sealed = channel.seal_next(
-        crypto.pair_bytes(dsum, dsum_prime), header_ad(sender, absent, tag) + bound
-    )
+    mask = crypto.MASK
+    pair = ((dsum & mask) << 64 | dsum_prime & mask).to_bytes(16, "big")  # K chain first
+    counter, sealed = channel.seal_next(pair, header_ad(sender, absent, tag) + bound)
     pkt = AggPacket(sender, counter, absent, dsum, dsum_prime, tag)
     return pkt, encode_agg_body(sender, counter, absent, sealed, tag)
 
 
 def open_packet(channel: crypto.SecureChannel, body: bytes, bound: bytes = b"") -> AggPacket:
-    """Parse and unseal an aggregation packet received on a channel.
+    """Parse and unseal an aggregation packet received on a channel.  The
+    associated data is the header as it arrived, sliced from the body: the
+    bytes ``header_ad`` builds at the sender.  Bytes past the packet's end
+    are ignored.
 
     Raises ReplayDetected / AuthFailure from the channel on bad traffic,
     including a header or ``bound`` bytes other than those sealed, and
@@ -198,10 +217,9 @@ def open_packet(channel: crypto.SecureChannel, body: bytes, bound: bytes = b"") 
         sender, counter, absent, sealed, tag = decode_agg_body(body)
     except ValueError as exc:
         raise AuthFailure(f"malformed aggregation packet: {exc}") from exc
-    pair = channel.open(counter, sealed, header_ad(sender, absent, tag) + bound)
-    dsum = int.from_bytes(pair[:8], "big")
-    dsum_prime = int.from_bytes(pair[8:16], "big")
-    return AggPacket(sender, counter, absent, dsum, dsum_prime, tag)
+    ad = body[:4] + body[12 : 16 + 4 * len(absent)] + tag + bound
+    pair = int.from_bytes(channel.open(counter, sealed, ad), "big")
+    return AggPacket(sender, counter, absent, pair >> 64, pair & crypto.MASK, tag)
 
 
 def keep_child_packet(
@@ -227,13 +245,13 @@ def keep_child_packet(
 
 
 def encode_query(round_no: int, function: str) -> bytes:
-    return frame(QUERY, struct.pack(">QB", round_no, FUNC_CODES[function]))
+    return frame(QUERY, _QUERY.pack(round_no, FUNC_CODES[function]))
 
 
 def decode_query(body: bytes) -> tuple[int, str]:
     if len(body) != 9:
         raise ValueError(f"query body of {len(body)} bytes, not 9")
-    round_no, code = struct.unpack(">QB", body)
+    round_no, code = _QUERY.unpack(body)
     if code not in FUNC_NAMES:
         raise ValueError(f"unknown function code {code}")
     return round_no, FUNC_NAMES[code]

@@ -99,7 +99,7 @@ def test_forge_own_out_of_range_rejected_at_encoding():
                            compromises=(CompromiseSpec(1, "forge_own", (10**9,)),)))
     node = world.nodes[1]
     with pytest.raises(ReadingOutOfRange):
-        node.sense_raw(1)
+        node.open_round(1)
 
 
 def test_forge_own_zero_is_honest():
@@ -159,8 +159,8 @@ def test_stale_payload_under_fresh_counter_fails_auth(caplog):
     # own packet, which arrives after it, still folds.
     w1, w2 = World(Scenario(seed=83, n=2, generator="path")), World(Scenario(seed=83, n=2, generator="path"))
     for w in (w1, w2):
-        w.nodes[1].handle_query(1, "sum")
-        w.nodes[2].handle_query(1, "sum")
+        w.nodes[1].open_round(1)
+        w.nodes[2].open_round(1)
     _, payload = w2.nodes[2].emit()
     sender, counter, parts, sealed, tag = wire.decode_agg_body(wire.parse_frame(payload)[1])
     crafted = wire.encode_agg_body(sender, counter + 5, parts, sealed, tag)
@@ -441,8 +441,8 @@ def open_captured(edge_key: bytes, agg_body: bytes) -> tuple[int, int]:
 
 def test_edge_key_holder_sees_only_diffused_values():
     world = World(Scenario(seed=90, n=2, generator="path"))
-    world.nodes[1].handle_query(1, "sum")
-    world.nodes[2].handle_query(1, "sum")
+    world.nodes[1].open_round(1)
+    world.nodes[2].open_round(1)
     _, payload = world.nodes[2].emit()
     body = wire.parse_frame(payload)[1]
     d, dp = open_captured(world.prov.edge_keys[2], body)
@@ -490,7 +490,7 @@ def test_keyless_link_eavesdropper_sees_only_the_edge_key_holders_view(monkeypat
             seen[payload[0]] += 1
             pkt = opened[body]  # every packet sent is opened by its receiver
             sealed = wire.decode_agg_body(body)[3]
-            assert sealed[:16] == crypto.pair_bytes(pkt.dsum, pkt.dsum_prime)
+            assert sealed[:16] == pkt.dsum.to_bytes(8, "big") + pkt.dsum_prime.to_bytes(8, "big")
     assert all(seen.values())
     # What the link shows of a leaf's reading is the edge-key holder's view:
     # the diffused pair, which only the seeds revert.

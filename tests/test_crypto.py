@@ -8,7 +8,7 @@ from conftest import seed_at
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concealed_agg import crypto
+from concealed_agg import crypto, wire
 from concealed_agg.errors import AuthFailure, ReadingOutOfRange, ReplayDetected
 
 M = crypto.MODULUS
@@ -45,9 +45,9 @@ def test_next_seed_distinct_across_rounds_and_keys():
         k1, k2 = _chain_key(rng), _chain_key(rng)
         d = rng.getrandbits(128)
         j = rng.randint(1, 2**32)
-        base = crypto.split_seeds(crypto.next_seed(k1, d, j))
-        later = crypto.split_seeds(crypto.next_seed(k1, d, j + 1))
-        other = crypto.split_seeds(crypto.next_seed(k2, d, j))
+        base = divmod(crypto.next_seed(k1, d, j), M)  # (D, D')
+        later = divmod(crypto.next_seed(k1, d, j + 1), M)
+        other = divmod(crypto.next_seed(k2, d, j), M)
         collisions_j += sum(a == b for a, b in zip(base, later))
         collisions_k += sum(a == b for a, b in zip(base, other))
     assert collisions_j == 0
@@ -64,12 +64,12 @@ def test_both_keys_drive_both_chains():
         key, key_prime = _key(rng), _key(rng)
         d = rng.getrandbits(128)
         j = rng.randint(1, 2**32)
-        seeds = crypto.split_seeds(crypto.next_seed(crypto.chain_key(key, key_prime), d, j))
+        seeds = divmod(crypto.next_seed(crypto.chain_key(key, key_prime), d, j), M)  # (D, D')
         equal_halves += seeds[0] == seeds[1]
         bit = rng.randrange(8 * crypto.KEY_LEN)
         for flipped in (crypto.chain_key(_flip(key, bit), key_prime),
                         crypto.chain_key(key, _flip(key_prime, bit))):
-            moved = crypto.split_seeds(crypto.next_seed(flipped, d, j))
+            moved = divmod(crypto.next_seed(flipped, d, j), M)
             unmoved_halves += sum(a == b for a, b in zip(seeds, moved))
     assert equal_halves == 0
     assert unmoved_halves == 0
@@ -175,31 +175,36 @@ def test_codec_roundtrip_property(value):
 # === MAC tags ===============================================================
 
 
+def _pair(rng) -> tuple[int, int]:
+    return rng.getrandbits(64), rng.getrandbits(64)
+
+
 def test_mac_deterministic_and_collision_free():
-    # Collision-count oracle over 10k random payload / key pairs.
+    # Collision-count oracle over 10k random pair / key pairs: one bit of
+    # either word of the pair, or another key, changes the tag.
     rng = random.Random(7)
     k = crypto.mac_key(_key(rng))
-    p = rng.randbytes(16)
-    assert crypto.mac(k, p) == crypto.mac(k, p)
-    assert len(crypto.mac(k, p)) == crypto.TAG_LEN
+    p = _pair(rng)
+    assert crypto.mac_pair(k, *p) == crypto.mac_pair(k, *p)
+    assert len(crypto.mac_pair(k, *p)) == crypto.TAG_LEN
     collisions = 0
     for _ in range(10_000):
         k1, k2 = crypto.mac_key(_key(rng)), crypto.mac_key(_key(rng))
-        p1 = rng.randbytes(16)
-        p2 = bytearray(p1)
-        p2[rng.randrange(16)] ^= 1 << rng.randrange(8)
-        if crypto.mac(k1, p1) == crypto.mac(k1, bytes(p2)):
+        p1 = _pair(rng)
+        p2 = list(p1)
+        p2[rng.randrange(2)] ^= 1 << rng.randrange(64)
+        if crypto.mac_pair(k1, *p1) == crypto.mac_pair(k1, *p2):
             collisions += 1
-        if crypto.mac(k1, p1) == crypto.mac(k2, p1):
+        if crypto.mac_pair(k1, *p1) == crypto.mac_pair(k2, *p1):
             collisions += 1
     assert collisions == 0
 
 
 def test_combine_macs_group_laws():
     rng = random.Random(8)
-    t = crypto.mac(crypto.mac_key(_key(rng)), rng.randbytes(16))
-    a = crypto.mac(crypto.mac_key(_key(rng)), rng.randbytes(16))
-    b = crypto.mac(crypto.mac_key(_key(rng)), rng.randbytes(16))
+    t = crypto.mac_pair(crypto.mac_key(_key(rng)), *_pair(rng))
+    a = crypto.mac_pair(crypto.mac_key(_key(rng)), *_pair(rng))
+    b = crypto.mac_pair(crypto.mac_key(_key(rng)), *_pair(rng))
     assert crypto.combine_macs(t, []) == t
     assert crypto.combine_macs(t, [t]) == crypto.ZERO_TAG
     assert crypto.combine_macs(t, [a, b]) == crypto.combine_macs(t, [b, a])
@@ -214,10 +219,16 @@ def test_combine_macs_order_independent(children, own):
 
 
 def test_pair_bytes_layout():
-    # First chain word leads, both fixed-width big-endian.
-    blob = crypto.pair_bytes(1, 2)
-    assert blob == (1).to_bytes(8, "big") + (2).to_bytes(8, "big")
-    assert len(crypto.pair_bytes(M - 1, M - 1)) == 16
+    # A pair's wire form, which its MAC covers and a sealed packet carries:
+    # first chain word leads, both fixed-width big-endian.
+    key = bytes(range(crypto.KEY_LEN))
+    for dsum, dsum_prime in ((1, 2), (M - 1, M - 1), (0, M - 1)):
+        blob = dsum.to_bytes(8, "big") + dsum_prime.to_bytes(8, "big")
+        direct = hashlib.blake2b(blob, digest_size=crypto.TAG_LEN, key=key, person=b"diff.mac").digest()
+        assert crypto.mac_pair(crypto.mac_key(key), dsum, dsum_prime) == direct
+        channel = crypto.SecureChannel(crypto.channel_key(key))
+        _, body = wire.seal_packet(channel, 7, (), dsum, dsum_prime, crypto.ZERO_TAG)
+        assert wire.decode_agg_body(body)[3][:16] == blob
 
 
 # === Sealed channels ========================================================
@@ -337,7 +348,7 @@ def test_prekeyed_prfs_match_one_shot_blake2b():
             reading = _one_shot(round_no.to_bytes(8, "big"), key, b"diff.sense", 8)
             return (
                 int.from_bytes(_one_shot(seed_in, key + key_prime, b"diff.seed.dual", 16), "big"),
-                _one_shot(crypto.pair_bytes(*pair), key, b"diff.mac", 8),
+                _one_shot(pair[0].to_bytes(8, "big") + pair[1].to_bytes(8, "big"), key, b"diff.mac", 8),
                 _one_shot(tag_in, key, b"diff.chan.tag", 16),
                 int.from_bytes(reading, "big") % (max_raw + 1),
             )
@@ -468,7 +479,7 @@ def test_seed_chain_known_answers():
     assert int.from_bytes(direct, "big") == expected
     chain = crypto.chain_key(KAT_KEY, KAT_KEY2)
     assert crypto.next_seed(chain, seeds, 5) == expected
-    assert crypto.split_seeds(expected) == (3843998365740857531, 15315053664554517033)
+    assert divmod(expected, M) == (3843998365740857531, 15315053664554517033)  # (D, D')
     # The pair is taken mod 2**128.
     assert crypto.next_seed(chain, 2**128 + 5, 2**32 + 1) == 0xC6457D2232C3D1128B517F0A27E6A582
     assert seed_at(KAT_KEY2 + KAT_KEY, 42, 3) == 0x45B21CF36AB4155C72E68ED9637D8E41

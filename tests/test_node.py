@@ -1,6 +1,7 @@
 """Sensor node state machine: query handling, aggregation, emission,
 attestation responses, re-aggregation, and the wire packet layout."""
 
+import hashlib
 import itertools
 import logging
 import struct
@@ -30,10 +31,10 @@ def drive_cluster(world: World, order=(2, 3, 4), round_no: int = 1):
     """Run one round by hand: query everyone, feed child packets to node 1
     in the given order, return node 1's emitted packet."""
     agg = world.nodes[1]
-    agg.handle_query(round_no, "sum")
+    agg.open_round(round_no)
     bodies = {}
     for cid in (2, 3, 4):
-        world.nodes[cid].handle_query(round_no, "sum")
+        world.nodes[cid].open_round(round_no)
         _, payload = world.nodes[cid].emit()
         bodies[cid] = wire.parse_frame(payload)[1]
     for cid in order:
@@ -50,24 +51,25 @@ def drive_cluster(world: World, order=(2, 3, 4), round_no: int = 1):
 def test_leaf_query_fans_out_to_no_children_and_is_ready():
     world = cluster_world()
     leaf = world.nodes[2]
-    assert leaf.handle_query(1, "sum") == []
+    assert leaf.handle_message(wire.encode_query(1, "sum")) == []
     assert leaf.state.child_packets == {} and leaf.state.emitted is None
 
 
 def test_interior_query_forwards_to_each_child():
     world = cluster_world()
-    sends = world.nodes[1].handle_query(1, "sum")
+    query = wire.encode_query(1, "mean")
+    sends = world.nodes[1].handle_message(query)
     assert [dst for dst, _ in sends] == [2, 3, 4]
-    assert len({payload for _, payload in sends}) == 1  # same query verbatim
+    assert all(payload == query for _, payload in sends)  # the query verbatim
 
 
 def test_repeated_round_raises_stale():
     world = cluster_world()
-    world.nodes[2].handle_query(1, "sum")
+    world.nodes[2].open_round(1)
     with pytest.raises(StaleRound):
-        world.nodes[2].handle_query(1, "sum")
+        world.nodes[2].handle_message(wire.encode_query(1, "sum"))
     with pytest.raises(StaleRound):
-        world.nodes[2].handle_query(0, "sum")
+        world.nodes[2].open_round(0)
 
 
 # === Sensing and diffusion ==================================================
@@ -76,8 +78,8 @@ def test_repeated_round_raises_stale():
 def test_sense_and_diffuse_definition():
     world = cluster_world()
     node = world.nodes[3]
-    node.handle_query(1, "sum")
-    d, dp = node.sense_and_diffuse(1)
+    node.open_round(1)
+    d, dp = node.state.own_d, node.state.own_dp
     m = sensed_raw(world, 3, 1)
     assert d == (seed_of(world, 3, 1) + m) % crypto.MODULUS
     assert dp == (seed_of(world, 3, 1, prime=True) + m) % crypto.MODULUS
@@ -90,13 +92,14 @@ def test_leaf_emitted_tag_matches_independent_mac():
     # serialized pair it diffused.
     world = cluster_world()
     node = world.nodes[3]
-    node.handle_query(1, "sum")
-    d, dp = node.sense_and_diffuse(1)
+    node.open_round(1)
+    d, dp = node.state.own_d, node.state.own_dp
     _, payload = node.emit()
     pkt = wire.open_packet(_channel(world.prov.edge_keys[3]), wire.parse_frame(payload)[1])
-    key = crypto.mac_key(world.prov.node_keys[3][0])
+    key = world.prov.node_keys[3][0]
     assert (pkt.dsum, pkt.dsum_prime) == (d, dp)
-    assert pkt.tag == crypto.mac(key, d.to_bytes(8, "big") + dp.to_bytes(8, "big"))
+    pair = d.to_bytes(8, "big") + dp.to_bytes(8, "big")
+    assert pkt.tag == hashlib.blake2b(pair, digest_size=8, key=key, person=b"diff.mac").digest()
 
 
 # === Aggregation ============================================================
@@ -146,9 +149,9 @@ def child_body(world: World, cid: int) -> bytes:
 def test_aggregate_unknown_child_rejected(caplog):
     world = cluster_world()
     agg = world.nodes[1]
-    agg.handle_query(1, "sum")
+    agg.open_round(1)
     leaf = world.nodes[2]
-    leaf.handle_query(1, "sum")
+    leaf.open_round(1)
     body = child_body(world, 2)
     agg.aggregate_child(body)
     kept = agg.state.child_packets[2]
@@ -164,13 +167,13 @@ def test_aggregate_replayed_packet_marks_unresponsive(caplog):
     # the genuine packet that follows still folds.
     world = cluster_world()
     agg, child = world.nodes[1], world.nodes[2]
-    agg.handle_query(1, "sum")
-    child.handle_query(1, "sum")
+    agg.open_round(1)
+    child.open_round(1)
     old = child_body(world, 2)
     agg.aggregate_child(old)
     agg.emit()
-    agg.handle_query(2, "sum")
-    child.handle_query(2, "sum")
+    agg.open_round(2)
+    child.open_round(2)
     intake_log(caplog).clear()
     agg.aggregate_child(old)
     assert agg.state.child_packets == {}  # the replay folded nothing
@@ -187,8 +190,8 @@ def test_aggregate_malformed_packet_marks_unresponsive(caplog):
     # anything behind, so the child's genuine packet still folds.
     world = cluster_world()
     agg = world.nodes[1]
-    agg.handle_query(1, "sum")
-    world.nodes[2].handle_query(1, "sum")
+    agg.open_round(1)
+    world.nodes[2].open_round(1)
     genuine = child_body(world, 2)
     body = bytearray(genuine)
     body[12:16] = struct.pack(">I", 1000)  # overstated absent count
@@ -209,7 +212,7 @@ def test_aggregate_malformed_packet_marks_unresponsive(caplog):
 def test_leaf_emits_single_diffused_reading():
     world = cluster_world()
     leaf = world.nodes[4]
-    leaf.handle_query(1, "sum")
+    leaf.open_round(1)
     _, payload = leaf.emit()
     pkt = wire.open_packet(_channel(world.prov.edge_keys[4]), wire.parse_frame(payload)[1])
     assert pkt.dsum == crypto.diffuse(seed_of(world, 4, 1), sensed_raw(world, 4, 1))
@@ -227,7 +230,7 @@ def test_subtree_sum_matches_plaintext_plus_seed_oracle():
 def test_emit_twice_raises():
     world = cluster_world()
     leaf = world.nodes[2]
-    leaf.handle_query(1, "sum")
+    leaf.open_round(1)
     leaf.emit()
     with pytest.raises(AlreadyEmitted):
         leaf.emit()
@@ -236,14 +239,14 @@ def test_emit_twice_raises():
 def test_timeout_expires_pending_children():
     world = cluster_world()
     agg = world.nodes[1]
-    agg.handle_query(1, "sum")
+    agg.open_round(1)
     for cid in (2, 3):
-        world.nodes[cid].handle_query(1, "sum")
+        world.nodes[cid].open_round(1)
         agg.aggregate_child(child_body(world, cid))
     assert set(agg.state.child_packets) == {2, 3}  # still waiting on 4
-    assert agg.awaits_children(1)
+    assert agg.state.round == 1 and agg.state.emitted is None
     assert agg.emit()[0] == 0
-    assert not agg.awaits_children(1) and set(agg.state.child_packets) == {2, 3}
+    assert agg.state.emitted is not None and set(agg.state.child_packets) == {2, 3}
     assert agg.state.emitted.absent == (4,)
 
 
@@ -252,10 +255,10 @@ def test_packet_after_timeout_emission_is_an_unknown_childs(caplog):
     # and changes neither the folded packets nor the node's probe answer.
     world = cluster_world()
     agg = world.nodes[1]
-    agg.handle_query(1, "sum")
+    agg.open_round(1)
     late = {}
     for cid in (2, 3, 4):
-        world.nodes[cid].handle_query(1, "sum")
+        world.nodes[cid].open_round(1)
         late[cid] = wire.parse_frame(world.nodes[cid].emit()[1])[1]
     for cid in (2, 3):
         agg.aggregate_child(late[cid])
@@ -319,7 +322,7 @@ def test_one_entry_probe_response_keeps_its_layout():
     _, entries = wire.decode_probe_resp(wire.parse_frame(resp)[1])
     assert wire.encode_probe_resp(1, entries) == resp
     sealed = wire.decode_agg_body(wire.decode_probe_entry(entries[0])[2])[3]
-    assert sealed[:16] == crypto.pair_bytes(emitted.dsum, emitted.dsum_prime)
+    assert sealed[:16] == emitted.dsum.to_bytes(8, "big") + emitted.dsum_prime.to_bytes(8, "big")
 
 
 def test_attestation_unknown_round_raises():
