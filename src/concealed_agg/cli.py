@@ -237,7 +237,10 @@ def cmd_scaling(args, parser) -> int:
         parser.error("--trials must be >= 1")
     if args.seed is not None and not 0 <= args.seed < SEED_LIMIT:
         parser.error(f"--seed {args.seed} outside [0, 2**64)")
-    rows = measure_scaling(sizes, args.trials, seed=args.seed or 0, generator=args.generator)
+    try:
+        rows = measure_scaling(sizes, args.trials, seed=args.seed or 0, generator=args.generator)
+    except ScenarioInvalid as exc:
+        parser.error(str(exc))  # exits 2
     lines = ["n,trials,mean_probes,max_probes,mean_depth,mean_messages"]
     for r in rows:
         lines.append(

@@ -53,10 +53,12 @@ from .topology import (
 
 GENERATORS = ("recursive", "geometric", "path", "star")
 SEED_LIMIT = 2**64  # seeds lie in [0, SEED_LIMIT): _sub_seed packs one into 8 bytes
+LABEL_LIMIT = 16  # bytes in a _sub_seed label, blake2b's cap on its person parameter
 
 
 def _sub_seed(master: int, label: str) -> int:
-    """Independent stream seeds derived from the scenario seed."""
+    """Independent stream seeds derived from the scenario seed; the label is
+    at most LABEL_LIMIT bytes."""
     import hashlib
 
     digest = hashlib.blake2b(
@@ -363,6 +365,10 @@ class ScalingRow:
     mean_messages: float
 
 
+def _trial_label(n: int, trial: int) -> str:
+    return f"scale.{n}.{trial}"
+
+
 def measure_scaling(
     sizes: tuple[int, ...], trials: int, seed: int = 0, generator: str = "recursive"
 ) -> list[ScalingRow]:
@@ -370,15 +376,23 @@ def measure_scaling(
 
     Each trial: one random tree, one uniformly chosen forging node, one round,
     one audit walk.  The probe count grows with the forger's depth, which is
-    logarithmic in n for random recursive trees.
+    logarithmic in n for random recursive trees.  Each trial's seed is
+    derived under a label naming its size and index; ScenarioInvalid, before
+    any trial runs, if the longest would not fit ``_sub_seed``.
     """
+    longest = max((_trial_label(n, trials - 1) for n in sizes), key=len, default="")
+    if len(longest.encode()) > LABEL_LIMIT:
+        raise ScenarioInvalid(
+            f"trial seed label {longest!r} is longer than {LABEL_LIMIT} bytes: "
+            "use fewer trials or smaller sizes"
+        )
     rows = []
     for n in sizes:
         probe_counts: list[int] = []
         depths: list[float] = []
         messages: list[int] = []
         for trial in range(trials):
-            trial_seed = _sub_seed(seed, f"scale.{n}.{trial}")
+            trial_seed = _sub_seed(seed, _trial_label(n, trial))
             rng = random.Random(trial_seed)
             victim = rng.randint(1, n)
             delta = rng.getrandbits(64) | 1

@@ -3,7 +3,7 @@
 import pytest
 from conftest import BAD_EDGE_LINES
 
-from concealed_agg import cli, crypto
+from concealed_agg import cli, crypto, simulator
 from concealed_agg.errors import ScenarioInvalid
 
 HONEST = """\
@@ -284,6 +284,19 @@ def test_scaling_zero_size_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["scaling", "--sizes", "0"])
     assert exc.value.code == 2
+
+
+def test_scaling_label_too_long_is_usage_error(capsys, monkeypatch):
+    # Refused before any trial runs: a trial would fail the test.
+    def no_trial(world, scenario):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(simulator.World, "__init__", no_trial)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scaling", "--sizes", "4,16384", "--trials", "10001"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: trial seed label 'scale.16384.10000' is longer than 16 bytes" in err
 
 
 @pytest.mark.parametrize("argv", [["--seed", "-1"], ["--seed", str(2**64)], ["--trials", "0"]])

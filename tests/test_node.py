@@ -8,10 +8,14 @@ import struct
 
 import pytest
 from conftest import plaintext_sum, seed_of, sensed_raw
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from concealed_agg import crypto, wire
-from concealed_agg.errors import AlreadyEmitted, AuthFailure, NoSuchRound, StaleRound
+from concealed_agg.errors import AlreadyEmitted, AuthFailure, NoSuchRound, ReplayDetected, StaleRound
 from concealed_agg.simulator import Scenario, World
+
+M = crypto.MODULUS
 
 # Station 0 over aggregator 1 with leaf children 2, 3, 4 (the four-node
 # cluster used throughout: one interior node, three leaves).
@@ -493,6 +497,50 @@ def test_agg_packet_roundtrip_binds_header():
             wire.open_packet(_channel(key), bad, b"bound")
     with pytest.raises(AuthFailure):
         wire.open_packet(_channel(key), body, b"other")
+
+
+class _RecordingChannel(crypto.SecureChannel):
+    """A receiving channel endpoint that records the associated data of
+    every blob it is asked to open."""
+
+    def __init__(self, key):
+        super().__init__(key)
+        self.ads = []
+
+    def open(self, counter, blob, ad=b""):
+        self.ads.append(ad)
+        return super().open(counter, blob, ad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sender=st.integers(0, 2**32 - 1),
+    absent=st.sets(st.integers(0, 2**32 - 1), max_size=40).map(sorted).map(tuple),
+    tag=st.binary(min_size=crypto.TAG_LEN, max_size=crypto.TAG_LEN),
+    bound=st.binary(max_size=40),
+    counter=st.integers(1, 2**64 - 1),
+    pair=st.tuples(st.integers(0, M - 1), st.integers(0, M - 1)),
+)
+def test_open_packet_authenticates_the_header_it_parsed(sender, absent, tag, bound, counter, pair):
+    # The receiver's associated data is sliced from the body it parsed and
+    # equals what the sender builds from the fields; every single-bit flip
+    # and every truncation of the body fails to open.
+    key = crypto.channel_key(bytes(range(crypto.KEY_LEN)))
+    blob = pair[0].to_bytes(8, "big") + pair[1].to_bytes(8, "big")
+    sealed = crypto.seal(key, counter, blob, wire.header_ad(sender, absent, tag) + bound)
+    body = wire.encode_agg_body(sender, counter, absent, sealed, tag)
+    channel = _RecordingChannel(key)
+    pkt = wire.open_packet(channel, body + b"trailing", bound)
+    assert pkt == (sender, counter, absent, *pair, tag)
+    assert channel.ads == [wire.header_ad(sender, absent, tag) + bound]
+    for bit in range(8 * len(body)):
+        flipped = bytearray(body)
+        flipped[bit // 8] ^= 1 << bit % 8
+        with pytest.raises((AuthFailure, ReplayDetected)):
+            wire.open_packet(crypto.SecureChannel(key), bytes(flipped), bound)
+    for cut in range(len(body)):
+        with pytest.raises(AuthFailure):
+            wire.open_packet(crypto.SecureChannel(key), body[:cut], bound)
 
 
 def test_honest_agg_frame_is_57_bytes_at_any_depth():

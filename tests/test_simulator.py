@@ -21,6 +21,7 @@ from concealed_agg.simulator import (
     RoundMetrics,
     Scenario,
     World,
+    _sub_seed,
     measure_scaling,
 )
 
@@ -625,6 +626,30 @@ def test_scaling_single_node_needs_one_probe():
 def test_scaling_star_probes_every_station_child():
     rows = measure_scaling((6,), trials=2, seed=111, generator="star")
     assert rows[0].mean_probes == 6.0  # depth-1 audit degenerates to one level
+
+
+def _no_trial(world, scenario):
+    raise AssertionError("a trial ran")
+
+
+def test_scaling_label_too_long_is_refused_before_any_trial(monkeypatch):
+    # A trial's seed label is blake2b's person parameter, at most 16 bytes;
+    # "scale.16384.10000" and "scale.1000000.100" are 17.  The sweep refuses
+    # them before its first trial, rather than after every earlier one.
+    monkeypatch.setattr(World, "__init__", _no_trial)
+    for sizes, trials, label in (((4, 16384), 10001, "scale.16384.10000"),
+                                 ((1000000,), 101, "scale.1000000.100")):
+        with pytest.raises(ScenarioInvalid, match=f"'{label}' is longer than 16 bytes"):
+            measure_scaling(sizes, trials)
+
+
+def test_derived_seeds_are_pinned():
+    # Pinned before the scaling labels were checked up front; a label of
+    # exactly 16 bytes still derives its seed.
+    assert _sub_seed(0, "topology") == 10633921651861815725
+    assert _sub_seed(112, "scale.4.1") == 920121800088873385
+    assert _sub_seed(5, "scale.16384.9999") == 18213735988465470109
+    assert _sub_seed(2**64 - 1, "audit") == 9057486228567554215
 
 
 def test_scaling_rows_shape_and_determinism():
