@@ -77,7 +77,6 @@ REAGG = 0x05
 REAGG_RESP = 0x06
 
 SEALED_PAIR_LEN = 16 + crypto.CHANNEL_TAG_LEN
-_TRAILER_LEN = SEALED_PAIR_LEN + crypto.TAG_LEN  # what follows the absent ids
 
 _HEADER = struct.Struct(">IQI")  # sender, counter, absent count
 _AD_HEADER = struct.Struct(">II")  # sender, absent count
@@ -162,12 +161,10 @@ def encode_agg_body(sender: int, counter: int, absent: tuple[int, ...], sealed: 
 def _packet_header(body: bytes, start: int) -> tuple[int, int, int, int]:
     """Sender, counter and absent count of the aggregation packet at ``start``
     and the offset where it ends; ValueError if the body ends before it."""
-    if len(body) < start + 16:
-        raise ValueError("truncated aggregation packet")
+    _need(body, start + 16, "aggregation packet")
     sender, counter, count = _HEADER.unpack_from(body, start)
-    end = start + 16 + 4 * count + _TRAILER_LEN
-    if len(body) < end:
-        raise ValueError("truncated aggregation packet")
+    end = start + 16 + 4 * count + SEALED_PAIR_LEN + crypto.TAG_LEN
+    _need(body, end, "aggregation packet")
     return sender, counter, count, end
 
 
