@@ -78,8 +78,7 @@ class Claim(NamedTuple):
     absent: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class IpetVerdict:
+class IpetVerdict(NamedTuple):
     equal: bool
     sum_raw: int
 
@@ -163,11 +162,13 @@ class BaseStation:
         # Direct channels are opened on a node's first probe: most rounds
         # probe no one, and key derivation for every node dominated set-up.
         self._bs_channels: dict[int, crypto.SecureChannel] = {}
+        self._mac_keys: dict[int, crypto.Keyed] = {}  # likewise each probed node's MAC
         # Seed ledger in tour order: each sensor's D_j << 64 | D'_j at the
         # ledger round, and both chains' prefix sums, where entry i sums the
         # seeds at tour positions below i (the station, at position 0, has none).
-        self._tour = [self.registry[nid] for nid in tree.order[1:]]
-        origins = [rec.origin for rec in self._tour]
+        tour = [self.registry[nid] for nid in tree.order[1:]]
+        self._chains = [rec.chain_key for rec in tour]
+        origins = [rec.origin for rec in tour]
         self._seeds = [o << 64 | o for o in origins]
         self._prefix_d = self._prefix_dp = [0, 0, *accumulate(origins)]
         self._ledger_round = 0
@@ -191,18 +192,9 @@ class BaseStation:
         while self._ledger_round < round_no:
             self._ledger_round += 1
             r = self._ledger_round
-            seeds = []
-            prefix_d = [0, 0]
-            prefix_dp = [0, 0]
-            acc_d = acc_dp = 0
-            for rec, pair in zip(self._tour, self._seeds):
-                pair = next_seed(rec.chain_key, pair, r)
-                seeds.append(pair)
-                acc_d += pair >> 64
-                acc_dp += pair & mask
-                prefix_d.append(acc_d)
-                prefix_dp.append(acc_dp)
-            self._seeds, self._prefix_d, self._prefix_dp = seeds, prefix_d, prefix_dp
+            self._seeds = seeds = [next_seed(k, pair, r) for k, pair in zip(self._chains, self._seeds)]
+            self._prefix_d = [0, 0, *accumulate([pair >> 64 for pair in seeds])]
+            self._prefix_dp = [0, 0, *accumulate([pair & mask for pair in seeds])]
             # Seeds regenerated, two per node, though they cost one PRF call.
             self.counters["seed_regens"] += 2 * len(seeds)
 
@@ -216,6 +208,8 @@ class BaseStation:
         pd, pdp = self._prefix_d, self._prefix_dp
         sd = pd[end] - pd[start]
         sdp = pdp[end] - pdp[start]
+        if not absent:
+            return sd & crypto.MASK, sdp & crypto.MASK
         spans = sorted((pos[a], pos[a] + size[a]) for a in absent if a in pos)
         if len(spans) != len(absent):
             return None
@@ -279,9 +273,8 @@ class BaseStation:
 
         A malformed claim fails, with its raw sum reported as 0.
         """
-        self.advance_ledger(round_no)
         if round_no != self._ledger_round:
-            raise ValueError(f"seed ledger at round {self._ledger_round}, not {round_no}")
+            self.advance_ledger(round_no)  # lands on round_no or raises
         root, absent = claim
         sums = self._claim_seed_sums(root, absent)
         if sums is None:
@@ -383,8 +376,10 @@ class BaseStation:
                     pkt, child_tags = answers[nid]
                     answered[nid] = pkt
                     pair = (pkt.dsum, pkt.dsum_prime)
-                    # Probes are rare, so the MAC is keyed on demand.
-                    own = crypto.mac_pair(crypto.mac_key(self.registry[nid].key), *pair)
+                    mac = self._mac_keys.get(nid)
+                    if mac is None:
+                        mac = self._mac_keys[nid] = crypto.mac_key(self.registry[nid].key)
+                    own = crypto.mac_pair(mac, *pair)
                     mac_calc = crypto.combine_macs(own, list(child_tags.values()))
                     committed = mac_calc == pkt.tag == pinned.get(nid, pkt.tag)
                     claim = Claim(nid, pkt.absent)

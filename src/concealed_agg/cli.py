@@ -201,6 +201,10 @@ def cmd_run(args) -> int:
             return 2
         scenario = _apply_overrides(scenario, args)
         world = World(scenario)
+        for spec in scenario.compromises:  # World's apply_plan has checked their arguments
+            if spec.kind == "forge_own" and abs(spec.args[0]) > world.codec.max_raw:
+                raise ScenarioInvalid(f"{scenario.source}: node {spec.node_id}: forge_own delta "
+                                      f"{spec.args[0]} is beyond what any reading can absorb")
         world.run()
     except ScenarioInvalid as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
@@ -369,6 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sc.add_argument("--generator", choices=GENERATORS, default="recursive")
     p_sc.add_argument("--out", default=None)
     p_sc.add_argument("--no-timestamp", action="store_true")
+    p_sc.set_defaults(parser=p_sc)  # its usage errors print its own usage line
 
     p_st = sub.add_parser("selftest", help="fast property checks of the crypto core")
     p_st.add_argument("--seed", type=int, default=None)
@@ -382,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "run":
         return cmd_run(args)
     if args.command == "scaling":
-        return cmd_scaling(args, parser)
+        return cmd_scaling(args, args.parser)
     return cmd_selftest(args)
 
 

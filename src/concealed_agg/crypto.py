@@ -34,11 +34,12 @@ and keying a new hasher.  No state is ever updated itself, so all holders
 of a key share one: both ends of an edge, and a node and the station's
 registry row for K || K'.
 
-Tag folding works on integers (read big-endian, XORed once, written back at
-the same length): the bytes a per-byte loop gives.  The functions here are
-pure and safe to call from any number of threads, a keyed state included,
-because calls only copy it; a ``SeedState`` or a ``SecureChannel`` holds a
-position or counters and belongs to one endpoint.
+Tags fold as integers, read big-endian and written back at their length: the
+bytes a per-byte XOR gives.  ``wire.fold_packets`` XORs a node's child tags
+into one integer, the node XORs in its own MAC and writes the tag once.  The
+functions here are pure and safe to call from any number of threads, a keyed
+state included, because calls only copy it; a ``SeedState`` or a
+``SecureChannel`` holds a position or counters and belongs to one endpoint.
 """
 
 from __future__ import annotations

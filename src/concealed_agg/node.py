@@ -3,13 +3,14 @@
 Per round a node: receives the query exactly once, relays it to its children
 as it arrived, advances both seed chains with one keyed PRF call, senses one
 reading and diffuses it under both chains' seeds, and keeps each child's
-authenticated packet.  A QUERY only opens the round and fans out, and an AGG
-only goes through ``wire.keep_child_packet``, the intake the station runs
-too: a packet that names no child, names a child already kept, or does not
-open leaves nothing behind, so the child's genuine packet still folds.  The node
-emits once the simulator finds its subtree drained: it folds the kept
-packets with ``wire.fold_packets`` (the dual sums component-wise mod M, the
-child tags by XOR, and an absent list: the children that did not report
+authenticated packet.  A message goes by its type, byte 0: a QUERY only
+opens the round and fans out, and an AGG only goes through
+``wire.keep_child_packet``, the intake the station runs too: a packet that
+names no child, names a child already kept, or does not open leaves nothing
+behind, so the child's genuine packet still folds.  The node emits once the
+simulator finds its subtree drained: it folds the kept packets with
+``wire.fold_packets`` (the dual sums component-wise mod M, the child tags
+XORed as one integer, and an absent list: the children that did not report
 plus the absent lists of those that did), adds its own pair, and sends
 exactly one packet upward.  An honest round's packets name no one, so they
 have the same size at every depth.  The emitted tag is its own MAC over the
@@ -35,6 +36,8 @@ from .errors import AlreadyEmitted, NoSuchRound, StaleRound
 log = logging.getLogger(__name__)
 
 Send = tuple[int, bytes]  # (destination node id, fabric payload)
+
+_AGG_TYPE = wire.frame(wire.AGG)  # an AGG frame's type byte, prepended to its body
 
 
 class RoundState:
@@ -138,7 +141,7 @@ class SensorNode:
             raise AlreadyEmitted(f"node {self.node_id}: round {state.round}")
         pkt, body = self._seal_aggregate(state, state.child_packets, self.up_channel)
         state.emitted = pkt
-        payload = wire.frame(wire.AGG, body)
+        payload = _AGG_TYPE + body
         if self.behavior is not None:
             payload = self.behavior.emit_payload(state.round, payload)
         return self.parent_id, payload
@@ -146,15 +149,16 @@ class SensorNode:
     def _seal_aggregate(
         self, state: RoundState, kept: dict[int, wire.AggPacket], channel: crypto.SecureChannel
     ) -> tuple[wire.AggPacket, bytes]:
-        """Fold the kept child packets, add the own pair, tag the result, and
-        seal it."""
-        dsum, dsum_prime, absent, tags = wire.fold_packets(kept, self.children)
+        """Fold the kept child packets, add the own pair, tag the result (the
+        own MAC XORed into the fold's child tags), and seal it."""
+        dsum, dsum_prime, absent, child_tags = wire.fold_packets(kept, self.children)
         mask = crypto.MASK
         dsum = state.own_d + dsum & mask
         dsum_prime = state.own_dp + dsum_prime & mask
         if self.behavior is not None:
             dsum, dsum_prime = self.behavior.forge_pair(dsum, dsum_prime, state.round)
-        tag = crypto.combine_macs(crypto.mac_pair(self.mac_key, dsum, dsum_prime), tags)
+        own = int.from_bytes(crypto.mac_pair(self.mac_key, dsum, dsum_prime), "big")
+        tag = (own ^ child_tags).to_bytes(crypto.TAG_LEN, "big")
         return wire.seal_packet(channel, self.node_id, absent, dsum, dsum_prime, tag)
 
     # === Attestation ========================================================
@@ -195,10 +199,13 @@ class SensorNode:
         ``aggregate_child``.  A QUERY that does not parse and a message of
         unknown type are ignored, so the parent leaves this node out; a QUERY
         for a round not later than the last raises StaleRound."""
-        msg_type, body = wire.parse_frame(payload)
+        msg_type = payload[0] if payload else None
+        if msg_type == wire.AGG:
+            self.aggregate_child(payload[1:])
+            return []
         if msg_type == wire.QUERY:
             try:
-                round_no, _ = wire.decode_query(body)
+                round_no, _ = wire.decode_query(payload[1:])
             except ValueError as exc:
                 log.info("node %d: ignored query: %s", self.node_id, exc)
                 return []
@@ -206,9 +213,6 @@ class SensorNode:
             # decode_query accepts only the 9-byte body encode_query writes,
             # so relaying the frame as it arrived equals re-encoding it.
             return [(cid, payload) for cid in self.children]
-        if msg_type == wire.AGG:
-            self.aggregate_child(body)
-            return []
         log.info("node %d: ignored message of type %s", self.node_id, msg_type)
         return []
 

@@ -53,6 +53,7 @@ from .topology import (
 
 GENERATORS = ("recursive", "geometric", "path", "star")
 SEED_LIMIT = 2**64  # seeds lie in [0, SEED_LIMIT): _sub_seed packs one into 8 bytes
+ROUND_LIMIT = 2**64  # rounds lie in [1, ROUND_LIMIT): QUERY and next_seed carry 8 bytes
 LABEL_LIMIT = 16  # bytes in a _sub_seed label, blake2b's cap on its person parameter
 
 
@@ -125,8 +126,8 @@ class Scenario:
     def validate(self) -> None:
         if not 0 <= self.seed < SEED_LIMIT:
             raise ScenarioInvalid(f"{self.source}: seed {self.seed} outside [0, 2**64)")
-        if self.rounds < 1:
-            raise ScenarioInvalid(f"{self.source}: rounds must be >= 1")
+        if not 1 <= self.rounds < ROUND_LIMIT:
+            raise ScenarioInvalid(f"{self.source}: rounds {self.rounds} outside [1, 2**64)")
         if self.function not in wire.FUNC_CODES:
             raise ScenarioInvalid(f"{self.source}: unknown function {self.function!r}")
         if not 0.0 <= self.audit_prob <= 1.0:

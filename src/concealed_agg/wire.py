@@ -20,9 +20,10 @@ too.  A keyless attacker on a link who rewrites any of them makes the packet
 fail authentication.  The sender packs those fields into associated data
 (``header_ad``); the receiver authenticates the header bytes it parsed,
 sliced from the packet, so each packet is packed once and parsed once and
-nothing is rebuilt in between.  Every payload on the simulator fabric is a one-byte
-message type followed by the body, and every type crosses a link: no frame
-tells a node to emit, it emits when the simulator finds its subtree drained.
+nothing is rebuilt in between.  Every payload on the simulator fabric is
+a one-byte message type, which receivers read from byte 0, followed by the
+body, and every type crosses a link: no frame tells a node to emit, it emits
+when the simulator finds its subtree drained.
 A node relays the QUERY that opens its round to its children as the bytes
 that arrived: ``decode_query`` accepts only the 9-byte body ``encode_query``
 writes, so that equals re-encoding it.
@@ -49,8 +50,8 @@ A re-aggregation request names children of its addressee to leave out:
 ``keep_child_packet`` is the one intake every parent runs, the station
 included: a packet that names no child, names a child already kept, or does
 not open leaves nothing behind.  ``fold_packets`` is the one aggregation
-step: ring-add the kept packets' pairs, gather their absent lists and
-collect their tags; a child without a packet is an absent root.
+step: ring-add the kept packets' pairs, gather their absent lists and XOR
+their tags as one integer; a child without a packet is an absent root.
 ``open_reagg_reply`` is the station's one parser of re-aggregation replies.
 Every decoder raises ValueError, and nothing else, on a frame that does not
 parse.
@@ -60,6 +61,7 @@ from __future__ import annotations
 
 import logging
 import struct
+from functools import partial
 from operator import ge
 from typing import NamedTuple
 
@@ -81,6 +83,7 @@ SEALED_PAIR_LEN = 16 + crypto.CHANNEL_TAG_LEN
 _HEADER = struct.Struct(">IQI")  # sender, counter, absent count
 _AD_HEADER = struct.Struct(">II")  # sender, absent count
 _QUERY = struct.Struct(">QB")  # round, function code
+_PAIR = struct.Struct(">QQ")  # dsum, dsum_prime: K chain first
 
 FUNC_CODES = {"sum": 0, "mean": 1}
 FUNC_NAMES = {code: name for name, code in FUNC_CODES.items()}
@@ -97,17 +100,19 @@ class AggPacket(NamedTuple):
     tag: bytes
 
 
+_new_packet = partial(tuple.__new__, AggPacket)  # AggPacket from a field tuple, built in C
+
+
 def fold_packets(
     packets: dict[int, AggPacket], children: tuple[int, ...]
-) -> tuple[int, int, tuple[int, ...], list[bytes]]:
+) -> tuple[int, int, tuple[int, ...], int]:
     """Fold the packets of the given children, in their (ascending id) order;
     a child without a packet is an absent root.  Returns one layer of packets
     folded together: the ring sum of their pairs (dsum, dsum_prime), the ids
-    of the absent subtree roots below the folding node, ascending, and the
-    packets' tags."""
-    dsum = dsum_prime = 0
+    of the absent subtree roots below the folding node, ascending, and the XOR
+    of the packets' tags as one big-endian integer."""
+    dsum = dsum_prime = tag = 0
     absent: list[int] = []
-    tags: list[bytes] = []
     for child in children:
         pkt = packets.get(child)
         if pkt is None:
@@ -116,9 +121,9 @@ def fold_packets(
         absent += pkt.absent
         dsum += pkt.dsum
         dsum_prime += pkt.dsum_prime
-        tags.append(pkt.tag)
+        tag ^= int.from_bytes(pkt.tag, "big")
     mask = crypto.MASK
-    return dsum & mask, dsum_prime & mask, tuple(sorted(absent)) if absent else (), tags
+    return dsum & mask, dsum_prime & mask, tuple(sorted(absent)) if absent else (), tag
 
 
 def _need(body: bytes, length: int, what: str) -> None:
@@ -192,11 +197,10 @@ def seal_packet(
 ) -> tuple[AggPacket, bytes]:
     """Seal a pair on the given channel, binding the header and any extra
     ``bound`` bytes into the channel tag; returns the plaintext view and body."""
-    absent = tuple(absent)
     mask = crypto.MASK
-    pair = ((dsum & mask) << 64 | dsum_prime & mask).to_bytes(16, "big")  # K chain first
+    pair = _PAIR.pack(dsum & mask, dsum_prime & mask)
     counter, sealed = channel.seal_next(pair, header_ad(sender, absent, tag) + bound)
-    pkt = AggPacket(sender, counter, absent, dsum, dsum_prime, tag)
+    pkt = _new_packet((sender, counter, absent, dsum, dsum_prime, tag))
     return pkt, encode_agg_body(sender, counter, absent, sealed, tag)
 
 
@@ -215,8 +219,8 @@ def open_packet(channel: crypto.SecureChannel, body: bytes, bound: bytes = b"") 
     except ValueError as exc:
         raise AuthFailure(f"malformed aggregation packet: {exc}") from exc
     ad = body[:4] + body[12 : 16 + 4 * len(absent)] + tag + bound
-    pair = int.from_bytes(channel.open(counter, sealed, ad), "big")
-    return AggPacket(sender, counter, absent, pair >> 64, pair & crypto.MASK, tag)
+    dsum, dsum_prime = _PAIR.unpack(channel.open(counter, sealed, ad))
+    return _new_packet((sender, counter, absent, dsum, dsum_prime, tag))
 
 
 def keep_child_packet(

@@ -228,11 +228,24 @@ def test_scenario_parse_compromise_args():
     "forge_children", "forge_own", "replay", "drop_child",  # missing arguments
     "forge_children dual 5", "forge_children dual", "forge_children 5 7",
     "forge_own 3 4 5", "noncommit 1 2",
+    # The default domain spans 100000 raw units, and no reading absorbs a
+    # larger shift: refused before round 1 rather than failed in it.
+    "forge_own 100001", "forge_own -100001",
 ])
 def test_run_malformed_compromise_exits_two(tmp_path, capsys, compromise):
     scn = write(tmp_path, "c.scn", f"nodes 6\ngenerator path\ntrigger 2\ncompromise 2 {compromise}\n")
     assert cli.main(["run", scn, "--out", str(tmp_path / "o")]) == 2
     assert "invalid scenario" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_rounds_beyond_the_round_field_exits_two(tmp_path, capsys):
+    # No 8-byte QUERY round field carries round 2**64: refused, not run until killed.
+    scn = write(tmp_path, "h.scn", HONEST)
+    bad = write(tmp_path, "r.scn", HONEST.replace("rounds 3", f"rounds {2**64}"))
+    assert cli.main(["run", bad, "--out", str(tmp_path / "o")]) == 2
+    assert cli.main(["run", scn, "--rounds", str(2**64), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.count(f"rounds {2**64} outside [1, 2**64)") == 2
     assert not (tmp_path / "o").exists()
 
 
@@ -304,7 +317,9 @@ def test_scaling_bad_seed_or_trials_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(["scaling", "--sizes", "8", "--trials", "1", *argv])
     assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert err.startswith("usage: concealed-agg scaling ")  # the subcommand's own usage
 
 
 # === selftest ===============================================================

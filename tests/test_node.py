@@ -543,6 +543,37 @@ def test_open_packet_authenticates_the_header_it_parsed(sender, absent, tag, bou
             wire.open_packet(crypto.SecureChannel(key), body[:cut], bound)
 
 
+_IDS = st.integers(1, 2**32 - 1)
+_PACKET_FIELDS = st.tuples(
+    st.integers(1, 2**64 - 1),  # counter
+    st.sets(_IDS, max_size=6).map(sorted).map(tuple),  # absent roots
+    st.integers(0, M - 1),
+    st.integers(0, M - 1),
+    st.binary(min_size=crypto.TAG_LEN, max_size=crypto.TAG_LEN),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(children=st.sets(_IDS, max_size=12).map(sorted).map(tuple), data=st.data())
+def test_fold_packets_matches_a_plain_reference_fold(children, data):
+    # Random kept-packet sets with children missing, and a packet from a
+    # non-child that must not fold: the fold's integer tag is combine_macs
+    # over the kept packets' tags, and its pair and absent roots are a plain
+    # reference fold's.
+    kept = {
+        cid: wire.AggPacket(cid, *data.draw(_PACKET_FIELDS))
+        for cid in children if data.draw(st.booleans())
+    }
+    stray = wire.AggPacket(0, *data.draw(_PACKET_FIELDS))
+    dsum, dsum_prime, absent, tag = wire.fold_packets({**kept, 0: stray}, children)
+    folded = [kept[cid] for cid in children if cid in kept]
+    assert tag.to_bytes(crypto.TAG_LEN, "big") == crypto.combine_macs(
+        crypto.ZERO_TAG, [pkt.tag for pkt in folded])
+    assert (dsum, dsum_prime) == (sum(p.dsum for p in folded) % M, sum(p.dsum_prime for p in folded) % M)
+    missing = [cid for cid in children if cid not in kept]
+    assert absent == tuple(sorted(missing + [a for pkt in folded for a in pkt.absent]))
+
+
 def test_honest_agg_frame_is_57_bytes_at_any_depth():
     world = World(Scenario(seed=35, n=64, generator="path"))
     sizes = {}

@@ -552,6 +552,28 @@ def test_honest_round_keys_nothing(monkeypatch, generator):
     assert built == [1]
 
 
+def test_walk_keys_each_probed_node_once(monkeypatch):
+    # A walk keys a probed node's direct channel and MAC on its first probe;
+    # a later walk over the same nodes, with forgers probed a second time
+    # (forge_children and noncommit, one each), builds no blake2b state.
+    plan = (CompromiseSpec(5, "forge_children", (77,)), CompromiseSpec(9, "noncommit", ()))
+    world = World(Scenario(seed=7, n=32, generator="recursive", compromises=plan, audit_prob=1.0))
+    first = world.run_round(1)
+    built = []
+    real = hashlib.blake2b
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hashlib, "blake2b", counting)
+    second = world.run_round(2)
+    assert second.integrity == first.integrity == "attested"
+    assert [t[0] for t in second.report.transcript] == [t[0] for t in first.report.transcript]
+    assert {5, 9} <= second.report.outliers
+    assert built == []
+
+
 def test_rejected_when_everything_is_compromised():
     world = World(Scenario(seed=108, n=1, generator="star",
                            compromises=(CompromiseSpec(1, "forge_children", (9,)),)))
