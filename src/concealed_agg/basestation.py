@@ -44,9 +44,12 @@ cleared it.
 from __future__ import annotations
 
 import logging
-from collections import Counter, deque
+from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
+from functools import partial, reduce
 from itertools import accumulate, chain
+from operator import xor
 from typing import NamedTuple
 
 from . import crypto, wire
@@ -60,6 +63,7 @@ UNREACHABLE = "unreachable"
 OUTLIER = "outlier"
 
 ABSENT_THRESHOLD = 3  # absent rounds in a row that make an alive node unreachable
+_from_big = partial(int.from_bytes, byteorder="big")
 
 
 @dataclass
@@ -124,16 +128,16 @@ def _subtract(node: wire.AggPacket, failing: list[wire.AggPacket]) -> wire.AggPa
     nothing reads, stay.  None when some child's absent roots are not among
     the node's, so the child cannot be what the node folded.  For honest
     nodes this is exactly the node's own re-aggregation without them."""
-    dsum, dsum_prime = node.dsum, node.dsum_prime
-    rest = Counter(node.absent)
-    for child in failing:
-        dsum = crypto.add_mod(dsum, -child.dsum)
-        dsum_prime = crypto.add_mod(dsum_prime, -child.dsum_prime)
-        rest.subtract(child.absent)
-    if any(count < 0 for count in rest.values()):
-        return None
-    absent = [*rest.elements(), *(child.sender for child in failing)]
-    return node._replace(dsum=dsum, dsum_prime=dsum_prime, absent=tuple(sorted(absent)))
+    rest = sorted(node.absent)
+    for root in chain.from_iterable(child.absent for child in failing):
+        at = bisect_left(rest, root)
+        if at == len(rest) or rest[at] != root:
+            return None
+        del rest[at]
+    dsum = node.dsum - sum(child.dsum for child in failing) & crypto.MASK
+    dsum_prime = node.dsum_prime - sum(child.dsum_prime for child in failing) & crypto.MASK
+    absent = tuple(sorted(rest + [child.sender for child in failing]))
+    return wire.AggPacket(node.sender, node.counter, absent, dsum, dsum_prime, node.tag)
 
 
 class BaseStation:
@@ -172,7 +176,7 @@ class BaseStation:
         self._seeds = [o << 64 | o for o in origins]
         self._prefix_d = self._prefix_dp = [0, 0, *accumulate(origins)]
         self._ledger_round = 0
-        self._absent_streak: dict[int, int] = {nid: 0 for nid in self.registry}
+        self._absent_streak: dict[int, int] = {}  # absent rounds in a row, of nodes absent last round
         self._round_packets: dict[int, wire.AggPacket] = {}
         # The re-aggregate packets that exonerated nodes in this round's walk.
         self._cleared: dict[int, wire.AggPacket] = {}
@@ -307,23 +311,25 @@ class BaseStation:
         raw = ask(parent, wire.encode_probe(round_no, targets))
         if raw is None:
             return {}
+        msg_type, body = wire.parse_frame(raw)
+        if msg_type != wire.PROBE_RESP:
+            return {}
         try:
-            msg_type, body = wire.parse_frame(raw)
-            if msg_type != wire.PROBE_RESP:
-                return {}
-            _, entries = wire.decode_probe_resp(body)
+            spans = wire.probe_entry_spans(body)
         except ValueError as exc:
             log.info("base station: probe response via %d rejected: %s", parent, exc)
             return {}
         wanted = set(targets)
         probes: dict[int, tuple[wire.AggPacket, dict[int, bytes]]] = {}
-        for entry in entries:
-            child_tags, bound, agg_body = wire.decode_probe_entry(entry)
+        for start, at, stop in spans:
+            agg_body = body[at:stop]
             nid = wire.packet_sender(agg_body)
             if nid not in wanted or nid in probes:
                 continue
+            bound = body[start + 4 : at]
             try:
-                probes[nid] = wire.open_packet(self._bs_channel(nid), agg_body, bound), child_tags
+                probes[nid] = (wire.open_packet(self._bs_channel(nid), agg_body, bound),
+                               wire.decode_child_tags(bound))
             except (ReplayDetected, AuthFailure) as exc:
                 log.info("base station: probe response from %d rejected: %s", nid, exc)
         return probes
@@ -379,20 +385,20 @@ class BaseStation:
                     mac = self._mac_keys.get(nid)
                     if mac is None:
                         mac = self._mac_keys[nid] = crypto.mac_key(self.registry[nid].key)
-                    own = crypto.mac_pair(mac, *pair)
-                    mac_calc = crypto.combine_macs(own, list(child_tags.values()))
-                    committed = mac_calc == pkt.tag == pinned.get(nid, pkt.tag)
-                    claim = Claim(nid, pkt.absent)
-                    ipet_ok = self.ipet_check(pair, claim, round_no, count_ops=False).equal
+                    # Its own MAC XORed with the child tags, as integers.
+                    own = int.from_bytes(crypto.mac_pair(mac, *pair), "big")
+                    calc = reduce(xor, map(_from_big, child_tags.values()), own)
+                    committed = calc.to_bytes(crypto.TAG_LEN, "big") == pkt.tag == pinned.get(nid, pkt.tag)
+                    ipet_ok = self.ipet_check(pair, Claim(nid, pkt.absent), round_no, count_ops=False).equal
                     verdicts[nid] = (committed, ipet_ok)
                     if committed and ipet_ok:
                         continue
                     # An id it vouches for that is not its child still entered
                     # its MAC check above, but is not probed.
-                    below = [cid for cid in children[nid] if cid in child_tags]
+                    below = list(filter(child_tags.__contains__, children[nid]))
                     for cid in below:
                         pinned[cid] = child_tags[cid]
-                below = tuple(cid for cid in below if cid in participants)
+                below = tuple(filter(participants.__contains__, below))
                 if below:
                     queue.append((nid, below))
 
@@ -411,7 +417,7 @@ class BaseStation:
         for nid, (committed, ipet_ok) in verdicts.items():
             if not committed or ipet_ok:
                 continue
-            failing = tuple(cid for cid in children[nid] if cid in suspects)
+            failing = tuple(filter(suspects.__contains__, children[nid]))
             if not failing:
                 continue
             reagg = None
@@ -471,16 +477,16 @@ class BaseStation:
         Outlier status set by attestation takes precedence and is never
         downgraded here.
         """
-        absent = frozenset(nid for nid in self.registry if nid not in list_star)
-        for nid, rec in self.registry.items():
-            if nid in absent:
-                self._absent_streak[nid] += 1
-                if self._absent_streak[nid] >= ABSENT_THRESHOLD and rec.status == ALIVE:
-                    rec.status = UNREACHABLE
-            else:
-                self._absent_streak[nid] = 0
-                if rec.status == UNREACHABLE:
-                    rec.status = ALIVE
+        absent = self._all_sensors.difference(list_star)
+        registry, streaks = self.registry, self._absent_streak
+        for nid in streaks.keys() - absent:  # back after an absence
+            del streaks[nid]
+            if registry[nid].status == UNREACHABLE:
+                registry[nid].status = ALIVE
+        for nid in absent:
+            streaks[nid] = streak = streaks.get(nid, 0) + 1
+            if streak >= ABSENT_THRESHOLD and registry[nid].status == ALIVE:
+                registry[nid].status = UNREACHABLE
         return absent
 
     def decode_value(self, function: str, raw_sum: int, participants: frozenset[int]) -> float:

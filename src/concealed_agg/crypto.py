@@ -18,12 +18,15 @@ alone reveals neither chain.
 
 Pairwise channels authenticate and do not encrypt: a sealed blob is the
 payload in the clear and a 16-byte tag over the counter, the associated data
-and the payload, one PRF call to seal and one to open.  Diffusion conceals.
-Every channel plaintext (an AGG packet, a probe-response entry, a
-re-aggregation reply) is a ring sum of per-node diffused values D_i + r_i
-and D'_i + r_i, masked by seeds that only node i and the station hold and
-that no other round uses.  So a link eavesdropper, or an ancestor relaying
-the packet, learns exactly what the edge-key holder learns.
+and the payload, one PRF call to seal and one to open, each through
+``_channel_tag``.  The caller builds the associated data: ``wire`` packs a
+packet's header once at the sender and slices it from the packet at the
+receiver.  Diffusion conceals.  Every channel plaintext (an AGG packet, a
+probe-response entry, a re-aggregation reply) is a ring sum of per-node
+diffused values D_i + r_i and D'_i + r_i, masked by seeds that only node i
+and the station hold and that no other round uses.  So a link
+eavesdropper, or an ancestor relaying the packet, learns exactly what the
+edge-key holder learns.
 
 Every PRF is keyed once, at set-up: ``chain_key``, ``mac_key``,
 ``channel_key`` and ``sense_key`` each return a blake2b state holding its
@@ -45,7 +48,7 @@ state included, because calls only copy it; a ``SeedState`` or a
 from __future__ import annotations
 
 import hashlib
-import hmac
+from hmac import compare_digest
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -193,6 +196,10 @@ class SeedState:
         Rounds are replayed one at a time so a node that missed queries
         still lands on the same value the base station computes.
         """
+        if round_no == self.round + 1:  # the usual case: the next round
+            self.round = round_no
+            self.seeds = next_seed(self.key, self.seeds, round_no)
+            return self.seeds
         if round_no < self.round:
             raise ValueError(f"seed chain cannot rewind from {self.round} to {round_no}")
         while self.round < round_no:
@@ -262,7 +269,7 @@ def open_sealed(key: Keyed, counter: int, blob: bytes, ad: bytes = b"") -> bytes
     """Inverse of seal: the payload bytes.  Raises AuthFailure on any bit of
     tampering with the blob, the counter or the associated data."""
     payload = blob[:-CHANNEL_TAG_LEN]
-    if not hmac.compare_digest(blob[-CHANNEL_TAG_LEN:], _channel_tag(key, counter, ad, payload)):
+    if not compare_digest(blob[-CHANNEL_TAG_LEN:], _channel_tag(key, counter, ad, payload)):
         raise AuthFailure("channel tag mismatch")
     return payload
 
@@ -283,20 +290,20 @@ class SecureChannel:
         self._send_counter = 0
         self._recv_last = 0
 
-    @property
-    def last_accepted(self) -> int:
-        return self._recv_last
-
     def seal_next(self, plaintext: bytes, ad: bytes = b"") -> tuple[int, bytes]:
-        self._send_counter += 1
-        return self._send_counter, seal(self.key, self._send_counter, plaintext, ad)
+        """``seal`` under the next counter: the counter and the blob."""
+        counter = self._send_counter = self._send_counter + 1
+        return counter, plaintext + _channel_tag(self.key, counter, ad, plaintext)
 
     def open(self, counter: int, blob: bytes, ad: bytes = b"") -> bytes:
+        """``open_sealed``, refusing a counter not above the last accepted."""
         if counter <= self._recv_last:
             raise ReplayDetected(f"counter {counter} <= last accepted {self._recv_last}")
-        plaintext = open_sealed(self.key, counter, blob, ad)
+        payload = blob[:-CHANNEL_TAG_LEN]
+        if not compare_digest(blob[-CHANNEL_TAG_LEN:], _channel_tag(self.key, counter, ad, payload)):
+            raise AuthFailure("channel tag mismatch")
         self._recv_last = counter
-        return plaintext
+        return payload
 
 
 def derive_bs_channel_key(node_key: bytes, node_id: int) -> bytes:

@@ -86,7 +86,6 @@ class SensorNode:
         self.child_channels = {cid: crypto.SecureChannel(k) for cid, k in child_edges.items()}
         self._bs_channel: crypto.SecureChannel | None = None
         self.state: RoundState | None = None
-        self._last_round = 0
 
     @property
     def bs_channel(self) -> crypto.SecureChannel:
@@ -104,10 +103,10 @@ class SensorNode:
         sense one reading, and diffuse it under both, D + m and D' + m mod M.
         A compromised node may forge the reading (consistently under both
         chains), but it must still encode in-range."""
-        if round_no <= self._last_round:
-            raise StaleRound(f"node {self.node_id}: round {round_no} <= {self._last_round}")
-        self._last_round = round_no
-        seeds = self.chains.advance_to(round_no)  # D << 64 | D'
+        chains = self.chains  # at the last round opened
+        if round_no <= chains.round:
+            raise StaleRound(f"node {self.node_id}: round {round_no} <= {chains.round}")
+        seeds = chains.advance_to(round_no)  # D << 64 | D'
         codec = self.codec
         raw = crypto.sense_raw(self.sense_key, round_no, codec.max_raw)
         if self.behavior is not None:
@@ -151,14 +150,11 @@ class SensorNode:
     ) -> tuple[wire.AggPacket, bytes]:
         """Fold the kept child packets, add the own pair, tag the result (the
         own MAC XORed into the fold's child tags), and seal it."""
-        dsum, dsum_prime, absent, child_tags = wire.fold_packets(kept, self.children)
-        mask = crypto.MASK
-        dsum = state.own_d + dsum & mask
-        dsum_prime = state.own_dp + dsum_prime & mask
+        dsum, dsum_prime, absent, tags = wire.fold_packets(kept, self.children, state.own_d, state.own_dp)
         if self.behavior is not None:
             dsum, dsum_prime = self.behavior.forge_pair(dsum, dsum_prime, state.round)
         own = int.from_bytes(crypto.mac_pair(self.mac_key, dsum, dsum_prime), "big")
-        tag = (own ^ child_tags).to_bytes(crypto.TAG_LEN, "big")
+        tag = (own ^ tags).to_bytes(crypto.TAG_LEN, "big")
         return wire.seal_packet(channel, self.node_id, absent, dsum, dsum_prime, tag)
 
     # === Attestation ========================================================

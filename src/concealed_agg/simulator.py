@@ -12,9 +12,10 @@ pushed so that its lowest child pops first.  A node whose QUERY opens the
 round pushes an end-of-subtree marker, (node, node, None), beneath the
 frames it sends; a leaf, which sends none, gets one too.  The marker pops
 only after every frame its subtree sends, and every frame those cause, has
-been handled, so the node then emits: with every child that reported
-folded in, and the rest left out as absent roots.  A single silent node
-thus costs only its own subtree, never the whole branch.
+been handled, so the node then emits, and its frame goes to its parent at
+once: with every child that reported folded in, and the rest left out as
+absent roots.  A single silent node thus costs only its own subtree, never
+the whole branch.
 
 Attestation traffic (probes and re-aggregation requests) is a synchronous
 request and answer, ``World.ask``, each over the bus: it happens strictly
@@ -278,12 +279,12 @@ class World:
 
     def _run_data_phase(self, round_no: int, queries: list[tuple[int, bytes]]) -> None:
         stack = [(BS_ID, dst, payload) for dst, payload in reversed(queries)]
-        nodes, deliver = self.nodes, self.deliver
+        nodes, deliver, push, pop = self.nodes, self.deliver, stack.append, stack.pop
         while stack:
-            src, dst, payload = stack.pop()
-            if payload is None:  # dst's subtree has drained
-                stack.append((dst, *nodes[dst].emit()))
-                continue
+            src, dst, payload = pop()
+            if payload is None:  # dst's subtree has drained: its frame goes at once
+                src = dst
+                dst, payload = nodes[src].emit()
             payload = deliver(src, dst, payload)
             if payload is None:
                 continue
@@ -302,9 +303,10 @@ class World:
             # opens the station's round gets a marker.
             state = node.state
             if state is not before and state.round == round_no:
-                stack.append((dst, dst, None))  # beneath the frames it sends
+                push((dst, dst, None))  # beneath the frames it sends
             if outs:
-                stack += [(dst, ndst, npayload) for ndst, npayload in reversed(outs)]
+                for ndst, npayload in reversed(outs):
+                    push((dst, ndst, npayload))
 
     # --- rounds --------------------------------------------------------------
 

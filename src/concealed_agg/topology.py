@@ -80,25 +80,24 @@ def build_tree(adjacency: Mapping[int, Iterable[int]]) -> Tree:
         raise DisconnectedGraph(f"root {BS_ID} not present in graph")
     parent: dict[int, int] = {}
     depth: dict[int, int] = {BS_ID: 0}
-    children: dict[int, list[int]] = {BS_ID: []}
+    found: dict[int, list[int]] = {}
     level = [BS_ID]
     while level:
-        next_level: set[int] = set()
+        next_level: list[int] = []
         # Scanning each level in ascending id order makes the first (and thus
         # recorded) parent of any newly discovered node the smallest-id one.
         for u in sorted(level):
-            for v in sorted(adjacency.get(u, ())):
-                if v not in depth:
-                    depth[v] = depth[u] + 1
-                    parent[v] = u
-                    children[u].append(v)
-                    children[v] = []
-                    next_level.add(v)
-        level = list(next_level)
-    missing = set(adjacency) - set(depth)
+            found[u] = fresh = sorted(set(adjacency.get(u, ())).difference(depth))
+            below = depth[u] + 1
+            for v in fresh:
+                depth[v] = below
+                parent[v] = u
+            next_level += fresh
+        level = next_level
+    missing = set(adjacency).difference(depth)
     if missing:
         raise DisconnectedGraph(f"unreachable nodes: {sorted(missing)[:8]}")
-    kids = {u: tuple(sorted(c)) for u, c in children.items()}
+    kids = {u: tuple(found[u]) for u in depth}
     # Iterative pre-order walk: a path of thousands of nodes is deeper than
     # Python's recursion limit.
     order: list[int] = []

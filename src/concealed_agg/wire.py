@@ -17,13 +17,14 @@ channel key: a fixed 16 + 16 bytes.  The channel tag also covers, as
 associated data, every other clear field but the counter (which it covers
 anyway): sender, absent list and tag, and in a probe response the child tags
 too.  A keyless attacker on a link who rewrites any of them makes the packet
-fail authentication.  The sender packs those fields into associated data
-(``header_ad``); the receiver authenticates the header bytes it parsed,
-sliced from the packet, so each packet is packed once and parsed once and
-nothing is rebuilt in between.  Every payload on the simulator fabric is
-a one-byte message type, which receivers read from byte 0, followed by the
-body, and every type crosses a link: no frame tells a node to emit, it emits
-when the simulator finds its subtree drained.
+fail authentication.  ``seal_packet`` packs the header once, for both the
+associated data and the body (``header_ad`` and ``encode_agg_body`` give the
+same bytes field by field); ``open_packet`` authenticates the header bytes
+``decode_agg_body`` parsed, sliced from the packet, so each packet is packed
+once and parsed once and nothing is rebuilt in between.  Every payload on
+the simulator fabric is a one-byte message type, which receivers read from
+byte 0, followed by the body, and every type crosses a link: no frame tells
+a node to emit, it emits when the simulator finds its subtree drained.
 A node relays the QUERY that opens its round to its children as the bytes
 that arrived: ``decode_query`` accepts only the 9-byte body ``encode_query``
 writes, so that equals re-encoding it.
@@ -62,6 +63,7 @@ from __future__ import annotations
 import logging
 import struct
 from functools import partial
+from itertools import chain
 from operator import ge
 from typing import NamedTuple
 
@@ -79,11 +81,13 @@ REAGG = 0x05
 REAGG_RESP = 0x06
 
 SEALED_PAIR_LEN = 16 + crypto.CHANNEL_TAG_LEN
+_PACKET_LEN = 16 + SEALED_PAIR_LEN + crypto.TAG_LEN  # an aggregation packet without absent ids
 
 _HEADER = struct.Struct(">IQI")  # sender, counter, absent count
-_AD_HEADER = struct.Struct(">II")  # sender, absent count
+_NO_ABSENT = bytes(4)  # the absent count of a packet that names no one
 _QUERY = struct.Struct(">QB")  # round, function code
 _PAIR = struct.Struct(">QQ")  # dsum, dsum_prime: K chain first
+_CHILD_TAG = struct.Struct(f">I{crypto.TAG_LEN}s")  # a child id and tag in a probe entry
 
 FUNC_CODES = {"sum": 0, "mean": 1}
 FUNC_NAMES = {code: name for name, code in FUNC_CODES.items()}
@@ -104,14 +108,14 @@ _new_packet = partial(tuple.__new__, AggPacket)  # AggPacket from a field tuple,
 
 
 def fold_packets(
-    packets: dict[int, AggPacket], children: tuple[int, ...]
+    packets: dict[int, AggPacket], children: tuple[int, ...], dsum: int = 0, dsum_prime: int = 0
 ) -> tuple[int, int, tuple[int, ...], int]:
     """Fold the packets of the given children, in their (ascending id) order;
     a child without a packet is an absent root.  Returns one layer of packets
-    folded together: the ring sum of their pairs (dsum, dsum_prime), the ids
-    of the absent subtree roots below the folding node, ascending, and the XOR
-    of the packets' tags as one big-endian integer."""
-    dsum = dsum_prime = tag = 0
+    folded together: the ring sum of their pairs and the given one (dsum,
+    dsum_prime), the ids of the absent subtree roots below the folding node,
+    ascending, and the XOR of the packets' tags as one big-endian integer."""
+    tag = 0
     absent: list[int] = []
     for child in children:
         pkt = packets.get(child)
@@ -147,37 +151,33 @@ def parse_frame(payload: bytes) -> tuple[int | None, bytes]:
 # === Aggregation packet =====================================================
 
 
+def _absent_field(absent: tuple[int, ...]) -> bytes:
+    """The absent count and ids, as a packet and its associated data carry them."""
+    return struct.pack(f">I{len(absent)}I", len(absent), *absent) if absent else _NO_ABSENT
+
+
 def header_ad(sender: int, absent: tuple[int, ...], tag: bytes) -> bytes:
     """Associated data of an aggregation packet: its clear header fields, the
     packet's bytes [0, 4) and [12, 16 + 4 * len(absent)) followed by its tag."""
-    ad = _AD_HEADER.pack(sender, len(absent))
-    if absent:
-        ad += struct.pack(f">{len(absent)}I", *absent)
-    return ad + tag
+    return sender.to_bytes(4, "big") + _absent_field(absent) + tag
 
 
 def encode_agg_body(sender: int, counter: int, absent: tuple[int, ...], sealed: bytes, tag: bytes) -> bytes:
-    body = _HEADER.pack(sender, counter, len(absent))
-    if absent:
-        body += struct.pack(f">{len(absent)}I", *absent)
-    return body + sealed + tag
-
-
-def _packet_header(body: bytes, start: int) -> tuple[int, int, int, int]:
-    """Sender, counter and absent count of the aggregation packet at ``start``
-    and the offset where it ends; ValueError if the body ends before it."""
-    _need(body, start + 16, "aggregation packet")
-    sender, counter, count = _HEADER.unpack_from(body, start)
-    end = start + 16 + 4 * count + SEALED_PAIR_LEN + crypto.TAG_LEN
-    _need(body, end, "aggregation packet")
-    return sender, counter, count, end
+    return sender.to_bytes(4, "big") + counter.to_bytes(8, "big") + _absent_field(absent) + sealed + tag
 
 
 def decode_agg_body(body: bytes) -> tuple[int, int, tuple[int, ...], bytes, bytes]:
-    sender, counter, count, end = _packet_header(body, 0)
+    """Sender, counter, absent ids, sealed pair and tag of an aggregation
+    packet; ValueError if the body ends before the packet does."""
+    if len(body) < 16:
+        raise ValueError("truncated aggregation packet")
+    sender, counter, count = _HEADER.unpack_from(body)
+    sealed_at = 16 + 4 * count
+    tag_at = sealed_at + SEALED_PAIR_LEN
+    if len(body) < tag_at + crypto.TAG_LEN:
+        raise ValueError("truncated aggregation packet")
     absent = struct.unpack_from(f">{count}I", body, 16) if count else ()
-    tag_at = end - crypto.TAG_LEN
-    return sender, counter, absent, body[tag_at - SEALED_PAIR_LEN : tag_at], body[tag_at:end]
+    return sender, counter, absent, body[sealed_at:tag_at], body[tag_at : tag_at + crypto.TAG_LEN]
 
 
 def packet_sender(body: bytes) -> int | None:
@@ -196,12 +196,14 @@ def seal_packet(
     bound: bytes = b"",
 ) -> tuple[AggPacket, bytes]:
     """Seal a pair on the given channel, binding the header and any extra
-    ``bound`` bytes into the channel tag; returns the plaintext view and body."""
+    ``bound`` bytes into the channel tag; returns the plaintext view and body:
+    the bytes ``encode_agg_body`` gives, with the absent ids packed once for
+    both the associated data (``header_ad`` + ``bound``) and the body."""
     mask = crypto.MASK
-    pair = _PAIR.pack(dsum & mask, dsum_prime & mask)
-    counter, sealed = channel.seal_next(pair, header_ad(sender, absent, tag) + bound)
+    head, ids = sender.to_bytes(4, "big"), _absent_field(absent)
+    counter, sealed = channel.seal_next(_PAIR.pack(dsum & mask, dsum_prime & mask), head + ids + tag + bound)
     pkt = _new_packet((sender, counter, absent, dsum, dsum_prime, tag))
-    return pkt, encode_agg_body(sender, counter, absent, sealed, tag)
+    return pkt, head + counter.to_bytes(8, "big") + ids + sealed + tag
 
 
 def open_packet(channel: crypto.SecureChannel, body: bytes, bound: bytes = b"") -> AggPacket:
@@ -289,49 +291,54 @@ def seal_probe_entry(
     """A node's probe answer as one response entry: its packet sealed on the
     channel, with the child tags it folded, in ascending id order, bound into
     the channel tag."""
-    tag_bytes = b"".join(struct.pack(">I", cid) + t for cid, t in sorted(child_tags.items()))
-    _, body = seal_packet(channel, sender, absent, dsum, dsum_prime, tag, tag_bytes)
-    return struct.pack(">I", len(child_tags)) + tag_bytes + body
+    items = sorted(child_tags.items())
+    tags = struct.pack(">I" + _CHILD_TAG.format[1:] * len(items), len(items), *chain.from_iterable(items))
+    return tags + seal_packet(channel, sender, absent, dsum, dsum_prime, tag, tags[4:])[1]
+
+
+def decode_child_tags(block: bytes) -> dict[int, bytes]:
+    """The child tags a probe-response entry vouches for, by child id, from the
+    bytes they came as."""
+    return dict(_CHILD_TAG.iter_unpack(block))
 
 
 def decode_probe_entry(entry: bytes) -> tuple[dict[int, bytes], bytes, bytes]:
     """The child tags of one probe-response entry, the bytes they came as
     (what its packet binds) and the packet body."""
     _need(entry, 4, "probe response entry")
-    start = 4 + int.from_bytes(entry[:4], "big") * (4 + crypto.TAG_LEN)
+    start = 4 + int.from_bytes(entry[:4], "big") * _CHILD_TAG.size
     _need(entry, start, "probe response entry")
-    child_tags: dict[int, bytes] = {}
-    for at in range(4, start, 4 + crypto.TAG_LEN):
-        child_tags[int.from_bytes(entry[at : at + 4], "big")] = entry[at + 4 : at + 4 + crypto.TAG_LEN]
-    return child_tags, entry[4:start], entry[start:]
+    return decode_child_tags(entry[4:start]), entry[4:start], entry[start:]
 
 
 def encode_probe_resp(round_no: int, entries: list[bytes]) -> bytes:
     return frame(PROBE_RESP, struct.pack(">Q", round_no) + b"".join(entries))
 
 
-def decode_probe_resp(body: bytes) -> tuple[int, list[bytes]]:
-    """The round and the entries that parse, in order.  Entries carry no
-    length: each ends where its packet's absent count says.  So parsing stops
-    at the first entry that does not parse, and it and the rest are lost, as
-    if dropped on the way.  Raises ValueError when not even one entry parses."""
-    _need(body, 8, "probe response")
-    round_no = struct.unpack_from(">Q", body, 0)[0]
-    entries: list[bytes] = []
-    offset = 8
-    end = len(body)
+def probe_entry_spans(body: bytes) -> list[tuple[int, int, int]]:
+    """Where each probe-response entry that parses starts, where its packet
+    starts, and where it ends, in order.  Entries carry no length: each ends
+    where its packet's absent count says.  So parsing stops at the first entry
+    that does not parse, and it and the rest are lost, as if dropped on the
+    way.  Raises ValueError when not even one entry parses."""
+    spans = []
+    offset, end = 8, len(body)
     while offset + 4 <= end:
-        (count,) = struct.unpack_from(">I", body, offset)
-        start = offset + 4 + count * (4 + crypto.TAG_LEN)  # the entry's packet
-        try:
-            stop = _packet_header(body, start)[3]
-        except ValueError:
+        at = offset + 4 + int.from_bytes(body[offset : offset + 4], "big") * _CHILD_TAG.size
+        stop = at + _PACKET_LEN + 4 * int.from_bytes(body[at + 12 : at + 16], "big")
+        if at + 16 > end or stop > end:
             break
-        entries.append(body[offset:stop])
+        spans.append((offset, at, stop))
         offset = stop
-    if not entries:
+    if not spans:
         raise ValueError("truncated probe response")
-    return round_no, entries
+    return spans
+
+
+def decode_probe_resp(body: bytes) -> tuple[int, list[bytes]]:
+    """The round and the entries that parse, in order (``probe_entry_spans``)."""
+    spans = probe_entry_spans(body)
+    return int.from_bytes(body[:8], "big"), [body[start:stop] for start, _, stop in spans]
 
 
 def encode_reagg(round_no: int, exclusions: tuple[int, ...]) -> bytes:

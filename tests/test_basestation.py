@@ -5,12 +5,15 @@ import dataclasses
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 from conftest import on_links, plaintext_sum, sensed_raw
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from concealed_agg import crypto, wire
-from concealed_agg.basestation import ALIVE, OUTLIER, UNREACHABLE
+from concealed_agg.basestation import ALIVE, OUTLIER, UNREACHABLE, _subtract
 from concealed_agg.errors import StaleRound
 from concealed_agg.adversary import CompromiseSpec
 from concealed_agg.simulator import Scenario, World
@@ -358,6 +361,40 @@ def test_station_subtraction_is_the_nodes_own_reaggregation():
     assert cleared > 0
 
 
+def _counter_subtract(node, failing):
+    """Reference for the station's subtraction: its absent roots as a
+    collections.Counter multiset."""
+    dsum, dsum_prime = node.dsum, node.dsum_prime
+    rest = Counter(node.absent)
+    for child in failing:
+        dsum = crypto.add_mod(dsum, -child.dsum)
+        dsum_prime = crypto.add_mod(dsum_prime, -child.dsum_prime)
+        rest.subtract(child.absent)
+    if any(count < 0 for count in rest.values()):
+        return None
+    absent = [*rest.elements(), *(child.sender for child in failing)]
+    return node._replace(dsum=dsum, dsum_prime=dsum_prime, absent=tuple(sorted(absent)))
+
+
+_ids = st.lists(st.integers(1, 12), max_size=8).map(tuple)  # repeats and any order included
+_packets = st.builds(
+    wire.AggPacket, st.integers(1, 12), st.integers(1, 2**64 - 1), _ids,
+    st.integers(0, M - 1), st.integers(0, M - 1), st.binary(min_size=8, max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(node=_packets, failing=st.lists(_packets, min_size=1, max_size=4), subset=st.booleans())
+def test_subtract_matches_a_counter_reference(node, failing, subset):
+    if subset:  # children whose absent roots the node did fold, the usual case
+        pool = list(node.absent)
+        failing = [child._replace(absent=tuple(pool.pop() for _ in range(min(len(pool), len(child.absent)))))
+                   for child in failing]
+    got = _subtract(node, failing)
+    assert got == _counter_subtract(node, failing)
+    assert got is None or type(got) is wire.AggPacket
+
+
 def _lie_about_absent_roots(node, pkt, child_tags):
     # A descendant (11, below forger 6) that node 4 did not leave out.
     return (*pkt.absent, 11), (pkt.dsum, pkt.dsum_prime), child_tags
@@ -492,6 +529,29 @@ def test_monitor_never_downgrades_outliers():
     for _ in range(4):
         bs.monitor(frozenset({1, 3, 4}))
     assert bs.registry[2].status == OUTLIER
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sets(st.integers(1, 6)), st.sets(st.integers(1, 6), max_size=1)), max_size=12))
+def test_monitor_matches_a_full_registry_scan(steps):
+    # Each round some sensors are present (ids beyond the registry may be
+    # listed too) and the walk may convict one.  The monitor, which visits
+    # only nodes absent this round or the last, returns the absent set and
+    # leaves every status as a scan of the whole registry does.
+    bs = _fresh_bs(n=5)
+    statuses, streaks = {nid: ALIVE for nid in bs.registry}, dict.fromkeys(bs.registry, 0)
+    for present, convicted in steps:
+        for nid in convicted & set(bs.registry):
+            bs.registry[nid].status = statuses[nid] = OUTLIER
+        want = frozenset(nid for nid in statuses if nid not in present)
+        for nid in statuses:
+            streaks[nid] = streaks[nid] + 1 if nid in want else 0
+            if nid in want and streaks[nid] >= 3 and statuses[nid] == ALIVE:
+                statuses[nid] = UNREACHABLE
+            elif nid not in want and statuses[nid] == UNREACHABLE:
+                statuses[nid] = ALIVE
+        assert bs.monitor(frozenset(present)) == want
+        assert {nid: rec.status for nid, rec in bs.registry.items()} == statuses
 
 
 # === Decoding ================================================================

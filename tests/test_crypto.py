@@ -290,10 +290,15 @@ def test_channel_out_of_order_counter_skip_ok():
     k = crypto.channel_key(_key(rng))
     tx = crypto.SecureChannel(k)
     rx = crypto.SecureChannel(k)
-    tx.seal_next(b"x" * 16)  # lost on the wire
+    c1, blob1 = tx.seal_next(b"x" * 16)  # lost on the wire
     c2, blob2 = tx.seal_next(b"y" * 16)
     assert rx.open(c2, blob2) == b"y" * 16
-    assert rx.last_accepted == 2
+    # Counter 2 is now the last accepted: the late counter 1 is refused as
+    # a replay, and the next counter opens.
+    with pytest.raises(ReplayDetected):
+        rx.open(c1, blob1)
+    c3, blob3 = tx.seal_next(b"w" * 16)
+    assert rx.open(c3, blob3) == b"w" * 16
 
 
 def test_channel_tamper_does_not_advance_counter():
@@ -371,15 +376,18 @@ def test_channel_endpoints_sharing_one_state_keep_their_own_counters():
     assert a.key is b.key
     c1, blob1 = a.seal_next(b"to b" * 4)
     assert b.open(c1, blob1) == b"to b" * 4
-    assert a.last_accepted == 0
     c2, blob2 = b.seal_next(b"to a" * 4)
     assert c2 == 1  # b's first send, whatever a has sent
-    assert a.open(c2, blob2) == b"to a" * 4
+    assert a.open(c2, blob2) == b"to a" * 4  # a accepts counter 1, which it also sent
     with pytest.raises(ReplayDetected):
         b.open(c1, blob1)
     with pytest.raises(ReplayDetected):
         a.open(c2, blob2)
-    assert (a.last_accepted, b.last_accepted) == (1, 1)
+    # Each end accepted counter 1 and nothing above it: counter 2 opens at both.
+    c3, blob3 = a.seal_next(b"next" * 4)
+    c4, blob4 = b.seal_next(b"next" * 4)
+    assert (c3, c4) == (2, 2)
+    assert b.open(c3, blob3) == a.open(c4, blob4) == b"next" * 4
 
 
 def test_keys_are_checked_where_a_state_is_keyed():

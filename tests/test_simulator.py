@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from concealed_agg import crypto, wire
 from concealed_agg.adversary import CompromiseSpec
-from concealed_agg.errors import ReadingOutOfRange, ScenarioInvalid
+from concealed_agg.errors import ReadingOutOfRange, ReplayDetected, ScenarioInvalid
 from concealed_agg.node import SensorNode
 from concealed_agg.simulator import (
     CSV_COLUMNS,
@@ -74,8 +74,13 @@ def test_multi_round_counters_strictly_increase():
     world.run()
     for node in world.nodes.values():
         assert node.up_channel._send_counter == 5  # one emission per round
-    seen = [world.bs._child_channels[cid].last_accepted for cid in world.tree.children[0]]
-    assert all(c == 5 for c in seen)
+    # The station accepted counter 5 from each child and nothing above it:
+    # counter 5 again is a replay, and the child's next counter opens.
+    for cid in world.tree.children[0]:
+        rx = world.bs._child_channels[cid]
+        with pytest.raises(ReplayDetected):
+            rx.open(5, crypto.seal(rx.key, 5, bytes(16)))
+        assert rx.open(*world.nodes[cid].up_channel.seal_next(bytes(16))) == bytes(16)
 
 
 def test_csv_schema_and_total_footer():

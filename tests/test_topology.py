@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 from conftest import BAD_EDGE_LINES
@@ -201,6 +202,52 @@ def test_random_tree_always_buildable(n, seed):
     tree = build_tree(random_recursive_tree(n, random.Random(seed)))
     assert tree.n_sensors == n
     assert set(tree.sensor_ids) == set(range(1, n + 1))
+
+
+def _reference_bfs(adjacency):
+    """Plain level-by-level breadth-first search for build_tree: each level
+    in ascending id order, each node's neighbours scanned one by one in
+    ascending id order.  Parent, depth and children maps in discovery order,
+    or the unreachable nodes."""
+    parent, depth, children = {}, {BS_ID: 0}, {BS_ID: []}
+    level = [BS_ID]
+    while level:
+        next_level = []
+        for u in sorted(level):
+            for v in sorted(adjacency.get(u, ())):
+                if v not in depth:
+                    parent[v], depth[v], children[v] = u, depth[u] + 1, []
+                    children[u].append(v)
+                    next_level.append(v)
+        level = next_level
+    missing = sorted(set(adjacency) - set(depth))
+    return missing or (parent, depth, {u: tuple(kids) for u, kids in children.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 40).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), max_size=3 * n))),
+    st.booleans(),
+)
+def test_build_tree_matches_a_plain_reference_bfs(graph, as_lists):
+    # Random graphs, disconnected ones and self-loops included: the same tree,
+    # dict insertion orders too, or the same unreachable nodes.  Each parent
+    # is the smallest-id neighbour one level up.
+    n, edges = graph
+    adjacency = adjacency_from_edges([(0, 0), *edges])
+    if as_lists:
+        adjacency = {u: list(vs) for u, vs in adjacency.items()}
+    want = _reference_bfs(adjacency)
+    if isinstance(want, list):
+        with pytest.raises(DisconnectedGraph, match=re.escape(str(want[:8]))):
+            build_tree(adjacency)
+        return
+    tree = build_tree(adjacency)
+    for got, ref in zip((tree.parent, tree.depth, tree.children), want):
+        assert list(got.items()) == list(ref.items())
+    for v, u in tree.parent.items():
+        assert u == min(w for w in adjacency[v] if tree.depth[w] == tree.depth[v] - 1)
 
 
 # === Provisioning ===========================================================
