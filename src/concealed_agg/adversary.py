@@ -87,6 +87,9 @@ class Behavior:
 
 
 def _forge_own(node, trigger_round: int, delta_raw: int) -> Behavior:
+    if abs(delta_raw) > node.codec.max_raw:
+        raise ScenarioInvalid(f"node {node.node_id}: forge_own takes <delta_raw> no larger in magnitude than "
+                              f"the {node.codec.max_raw} raw units a reading can absorb, got {delta_raw}")
     return Behavior("forge_own", trigger_round, delta=delta_raw)
 
 

@@ -1,4 +1,4 @@
-"""Command-line entry points: run a scenario, scaling sweeps, selftest.
+"""Command-line entry points: run a scenario and scaling sweeps.
 
 Scenario files are line-oriented text.  Keywords (one per line, `#` starts a
 comment):
@@ -31,16 +31,13 @@ directory that cannot be written.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import datetime
 import os
-import random
 import sys
 from pathlib import Path
 
-from . import crypto
 from .adversary import KINDS, CompromiseSpec
-from .errors import AuthFailure, ProtocolError, ScenarioInvalid
+from .errors import ProtocolError, ScenarioInvalid
 from .simulator import GENERATORS, SEED_LIMIT, Scenario, World, measure_scaling
 
 ENV_SEED = "CONCEALED_AGG_SEED"
@@ -201,10 +198,6 @@ def cmd_run(args) -> int:
             return 2
         scenario = _apply_overrides(scenario, args)
         world = World(scenario)
-        for spec in scenario.compromises:  # World's apply_plan has checked their arguments
-            if spec.kind == "forge_own" and abs(spec.args[0]) > world.codec.max_raw:
-                raise ScenarioInvalid(f"{scenario.source}: node {spec.node_id}: forge_own delta "
-                                      f"{spec.args[0]} is beyond what any reading can absorb")
         world.run()
     except ScenarioInvalid as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
@@ -257,93 +250,6 @@ def cmd_scaling(args, parser) -> int:
     return 0
 
 
-def _property_homomorphism(rng: random.Random) -> str | None:
-    codec = crypto.FixedPointCodec()
-    for _ in range(200):
-        n = rng.randint(2, 40)
-        readings = [rng.randint(0, codec.max_raw) for _ in range(n)]
-        seeds = [rng.getrandbits(64) for _ in range(n)]
-        diffused = [crypto.diffuse(s, m) for s, m in zip(seeds, readings)]
-        total = 0
-        for d in diffused:
-            total = crypto.add_mod(total, d)
-        recovered = crypto.undiffuse(total, sum(seeds) & crypto.MASK)
-        if recovered != sum(readings) & crypto.MASK:
-            return f"sum over {n} diffused readings did not revert"
-    return None
-
-
-def _property_ipet(rng: random.Random) -> str | None:
-    # 50 honest pairs must compare equal, then 200 with one component shifted must not.
-    for trial in range(250):
-        n = rng.randint(2, 40)
-        readings = [rng.getrandbits(16) for _ in range(n)]
-        s1, s2 = [[rng.getrandbits(64) for _ in range(n)] for _ in range(2)]
-        delta = 0 if trial < 50 else rng.getrandbits(64) | 1
-        p1 = (sum(map(crypto.diffuse, s1, readings)) + delta) & crypto.MASK
-        p2 = sum(map(crypto.diffuse, s2, readings)) & crypto.MASK
-        r1, r2 = crypto.undiffuse(p1, sum(s1) & crypto.MASK), crypto.undiffuse(p2, sum(s2) & crypto.MASK)
-        if delta == 0 and r1 != r2:
-            return "honest pair compared unequal"
-        if delta and r1 == r2:
-            return f"single-component forgery delta={delta} went undetected"
-    return None
-
-
-def _property_mac_group(rng: random.Random) -> str | None:
-    for _ in range(200):
-        key = crypto.mac_key(rng.randbytes(crypto.KEY_LEN))
-        tags = [crypto.mac_pair(key, rng.getrandbits(64), rng.getrandbits(64)) for _ in range(4)]
-        a, b, c, d = tags
-        if crypto.xor_tags(a, b) != crypto.xor_tags(b, a):
-            return "tag combination is not commutative"
-        if crypto.xor_tags(crypto.xor_tags(a, b), c) != crypto.xor_tags(a, crypto.xor_tags(b, c)):
-            return "tag combination is not associative"
-        if crypto.xor_tags(a, crypto.ZERO_TAG) != a:
-            return "zero tag is not the identity"
-        if crypto.xor_tags(a, a) != crypto.ZERO_TAG:
-            return "tags are not self-inverse"
-        perm = [d, b, a]
-        if crypto.combine_macs(c, perm) != crypto.combine_macs(a, [b, c, d]):
-            return "combined MAC depends on combination order"
-    return None
-
-
-def _property_channel(rng: random.Random) -> str | None:
-    key, ad = crypto.channel_key(rng.randbytes(crypto.KEY_LEN)), rng.randbytes(12)
-    for counter in rng.sample(range(1, 1 << 32), 20):
-        pair = rng.randbytes(16)
-        blob = crypto.seal(key, counter, pair, ad)
-        if crypto.open_sealed(key, counter, blob, ad) != pair:
-            return "sealed pair did not open to itself"
-        whole, width = int.from_bytes(blob, "big"), len(blob)
-        tampered = [(counter, (whole ^ 1 << bit).to_bytes(width, "big"), ad) for bit in range(8 * width)]
-        for args in tampered + [(counter + 1, blob, ad), (counter, blob, ad[1:])]:
-            with contextlib.suppress(AuthFailure):
-                crypto.open_sealed(key, *args)
-                return "a tampered blob, counter or associated data opened"
-    return None
-
-
-SELFTEST_PROPERTIES = (
-    ("homomorphism", _property_homomorphism),
-    ("ipet", _property_ipet),
-    ("mac-group", _property_mac_group),
-    ("channel", _property_channel),
-)
-
-
-def cmd_selftest(args) -> int:
-    rng = random.Random(args.seed if args.seed is not None else 0)
-    for name, prop in SELFTEST_PROPERTIES:
-        failure = prop(rng)
-        if failure is not None:
-            print(f"selftest: FAIL {name}: {failure}", file=sys.stderr)
-            return 1
-        print(f"selftest: {name} ok")
-    return 0
-
-
 # === Entry point ============================================================
 
 
@@ -375,9 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sc.add_argument("--no-timestamp", action="store_true")
     p_sc.set_defaults(parser=p_sc)  # its usage errors print its own usage line
 
-    p_st = sub.add_parser("selftest", help="fast property checks of the crypto core")
-    p_st.add_argument("--seed", type=int, default=None)
-
     return parser
 
 
@@ -386,9 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run":
         return cmd_run(args)
-    if args.command == "scaling":
-        return cmd_scaling(args, args.parser)
-    return cmd_selftest(args)
+    return cmd_scaling(args, args.parser)
 
 
 if __name__ == "__main__":

@@ -71,7 +71,6 @@ class SensorNode:
         origin: int,
         sense_key: bytes,
         codec: crypto.FixedPointCodec,
-        behavior=None,
     ):
         self.node_id = node_id
         self.parent_id = parent_id
@@ -80,7 +79,7 @@ class SensorNode:
         self.mac_key = crypto.mac_key(key)
         self.codec = codec
         self.sense_key = crypto.sense_key(sense_key)
-        self.behavior = behavior
+        self.behavior = None  # a compromise's Behavior, set by adversary.apply_plan
         self.chains = crypto.SeedState.from_origin(chain, origin)
         self.up_channel = crypto.SecureChannel(edge)
         self.child_channels = {cid: crypto.SecureChannel(k) for cid, k in child_edges.items()}

@@ -96,7 +96,7 @@ def test_forge_own_passes_with_exact_deviation():
 
 def test_forge_own_out_of_range_rejected_at_encoding():
     world = World(Scenario(seed=77, n=4, generator="star",
-                           compromises=(CompromiseSpec(1, "forge_own", (10**9,)),)))
+                           compromises=(CompromiseSpec(1, "forge_own", (100000,)),)))
     node = world.nodes[1]
     with pytest.raises(ReadingOutOfRange):
         node.open_round(1)
@@ -374,6 +374,7 @@ MALFORMED_COMPROMISES = (
     CompromiseSpec(2, "forge_children", (5, True, True)),
     CompromiseSpec(2, "forge_own", (3, 4, 5)),
     CompromiseSpec(2, "forge_own", (1.5,)),
+    CompromiseSpec(2, "forge_own", (100001,)),  # beyond the default domain's 100000 raw units
     CompromiseSpec(2, "noncommit", (1, 2)),
     CompromiseSpec(2, "noncommit", (False,)),
     CompromiseSpec(2, "replay", ("1",)),

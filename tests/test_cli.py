@@ -1,9 +1,11 @@
-"""Command-line interface: exit codes, file outputs, determinism, selftest."""
+"""Command-line interface: exit codes, file outputs, determinism."""
+
+from pathlib import Path
 
 import pytest
 from conftest import BAD_EDGE_LINES
 
-from concealed_agg import cli, crypto, simulator
+from concealed_agg import cli, simulator
 from concealed_agg.errors import ScenarioInvalid
 
 HONEST = """\
@@ -22,6 +24,10 @@ seed 14
 rounds 2
 compromise 4 forge_children 31337
 """
+
+
+REPO = Path(__file__).resolve().parents[1]
+EXAMPLE = REPO / "examples" / "forged.scn"
 
 
 def write(tmp_path, name, text):
@@ -46,6 +52,16 @@ def test_run_forge_exit_zero_attested_with_outliers(tmp_path):
     report = (tmp_path / "out" / "report.txt").read_text()
     assert "integrity=attested" in report
     assert "outliers=4" in report
+
+
+def test_example_scenario_reproduces_its_committed_outputs(tmp_path):
+    # The README shows this file as its scenario example, byte for byte.
+    scenario = EXAMPLE.read_text()
+    assert f"```\n{scenario}```\n" in (REPO / "README.md").read_text()
+    code = cli.main(["run", str(EXAMPLE), "--out", str(tmp_path), "--no-timestamp"])
+    assert code == 0
+    for name in ("report.txt", "metrics.csv"):
+        assert (tmp_path / name).read_text() == (EXAMPLE.parent / "forged" / name).read_text()
 
 
 def test_run_malformed_names_offending_line(tmp_path, capsys):
@@ -320,42 +336,3 @@ def test_scaling_bad_seed_or_trials_is_usage_error(capsys, argv):
     err = capsys.readouterr().err
     assert "error:" in err
     assert err.startswith("usage: concealed-agg scaling ")  # the subcommand's own usage
-
-
-# === selftest ===============================================================
-
-
-def test_selftest_passes_and_is_deterministic(capsys):
-    assert cli.main(["selftest"]) == 0
-    first = capsys.readouterr().out
-    assert cli.main(["selftest"]) == 0
-    assert capsys.readouterr().out == first
-    assert "homomorphism ok" in first
-    names = ("homomorphism", "ipet", "mac-group", "channel")
-    assert first.splitlines() == [f"selftest: {name} ok" for name in names]
-
-
-def test_selftest_catches_broken_diffusion(monkeypatch, capsys):
-    # Deliberate fault injection: corrupt the diffusion arithmetic and the
-    # first property must fail by name.
-    real = crypto.diffuse
-    monkeypatch.setattr(crypto, "diffuse", lambda seed, m: real(seed, m + 1))
-    assert cli.main(["selftest"]) == 1
-    assert "FAIL homomorphism" in capsys.readouterr().err
-
-
-def test_selftest_catches_broken_mac_combination(monkeypatch, capsys):
-    real = crypto.xor_tags
-    monkeypatch.setattr(crypto, "xor_tags", lambda a, b: real(a, b)[::-1])
-    assert cli.main(["selftest"]) == 1
-    assert "FAIL mac-group" in capsys.readouterr().err
-
-
-def test_selftest_catches_a_channel_that_ignores_the_associated_data(monkeypatch, capsys):
-    # A tag that leaves the associated data out: the blob still roundtrips
-    # and resists bit flips, so only the associated-data check can fail.
-    real_seal, real_open = crypto.seal, crypto.open_sealed
-    monkeypatch.setattr(crypto, "seal", lambda key, counter, pt, ad=b"": real_seal(key, counter, pt))
-    monkeypatch.setattr(crypto, "open_sealed", lambda key, counter, blob, ad=b"": real_open(key, counter, blob))
-    assert cli.main(["selftest"]) == 1
-    assert "FAIL channel" in capsys.readouterr().err
