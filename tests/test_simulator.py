@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from concealed_agg import crypto, wire
 from concealed_agg.adversary import CompromiseSpec
-from concealed_agg.errors import ReadingOutOfRange, ReplayDetected, ScenarioInvalid
+from concealed_agg.basestation import format_report_line
+from concealed_agg.errors import ProtocolError, ReadingOutOfRange, ReplayDetected, ScenarioInvalid
 from concealed_agg.node import SensorNode
 from concealed_agg.simulator import (
     CSV_COLUMNS,
@@ -534,6 +535,39 @@ def test_each_node_that_opens_the_round_emits_once_after_its_subtree():
             for v, at in aggs.items():
                 subtree = world.tree.subtree(v)
                 assert all(src not in subtree for src, _ in data[at + 1:]), (i, round_no, v)
+
+
+# The report line, transcript, non-committed set and metrics row of every
+# round of 60 small worlds whose every round is walked (audit_prob=1.0),
+# behind the keyless attacker above on every link: PROBE, PROBE_RESP, REAGG
+# and REAGG_RESP frames included, which no sweep hash faults.  A round that
+# raises a ProtocolError is recorded by its class name.  Pinned from the
+# simulator whose relay decoded each answer and re-framed the entries.
+WALK_FAULTS = "ec63e8f9d79b31628eb5e5f706750524e7d86f2a0036c2087bc67eb2a702a56c"
+
+
+def test_walk_under_keyless_faults_is_pinned():
+    sweep = _sweep()
+    digest = hashlib.sha256()
+    for i in range(60):
+        rng = random.Random(500 + i)
+        generator, kind = GENERATORS[i % 4], sweep.KINDS[(i // 4) % 5]
+        n = rng.randint(2, 40)
+        tree = World(Scenario(seed=500 + i, n=n, generator=generator)).tree
+        world = World(Scenario(seed=500 + i, rounds=3, n=n, generator=generator, audit_prob=1.0,
+                               compromises=tuple(sweep.compromises(rng, n, kind, tree)),
+                               trigger_round=2 if kind == "replay" else rng.randint(1, 2)))
+        on_links(world, _keyless(rng))
+        for round_no in (1, 2, 3):
+            try:
+                result = world.run_round(round_no)
+            except ProtocolError as exc:
+                digest.update(f"{i}|{round_no}|{type(exc).__name__}".encode())
+                continue
+            rep, rm = result.report, world.metrics.rounds[-1]
+            walk = "-" if rep is None else f"{rep.transcript}|{sorted(rep.non_committed)}"
+            digest.update(f"{i}|{format_report_line(result)}|{walk}|{rm}".encode())
+    assert digest.hexdigest() == WALK_FAULTS
 
 
 @pytest.mark.parametrize("generator", GENERATORS)
