@@ -47,9 +47,7 @@ import logging
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from functools import partial, reduce
 from itertools import accumulate, chain
-from operator import xor
 from typing import NamedTuple
 
 from . import crypto, wire
@@ -63,7 +61,6 @@ UNREACHABLE = "unreachable"
 OUTLIER = "outlier"
 
 ABSENT_THRESHOLD = 3  # absent rounds in a row that make an alive node unreachable
-_from_big = partial(int.from_bytes, byteorder="big")
 
 
 @dataclass
@@ -163,10 +160,9 @@ class BaseStation:
         # Every round's result keeps its participant set; a claim with no
         # absent roots, the honest round, shares this one.
         self._all_sensors = frozenset(tree.order[1:])
-        # Direct channels are opened on a node's first probe: most rounds
-        # probe no one, and key derivation for every node dominated set-up.
-        self._bs_channels: dict[int, crypto.SecureChannel] = {}
-        self._mac_keys: dict[int, crypto.Keyed] = {}  # likewise each probed node's MAC
+        # A node's direct channel and MAC are keyed on its first probe: most
+        # rounds probe no one, and key derivation for every node dominated set-up.
+        self._direct: dict[int, tuple[crypto.SecureChannel, crypto.Keyed]] = {}
         # Seed ledger in tour order: each sensor's D_j << 64 | D'_j at the
         # ledger round, and both chains' prefix sums, where entry i sums the
         # seeds at tour positions below i (the station, at position 0, has none).
@@ -293,46 +289,63 @@ class BaseStation:
 
     # === Attestation ========================================================
 
-    def _bs_channel(self, nid: int) -> crypto.SecureChannel:
-        channel = self._bs_channels.get(nid)
-        if channel is None:
-            key = crypto.derive_bs_channel_key(self.registry[nid].key, nid)
-            channel = self._bs_channels[nid] = crypto.SecureChannel(crypto.channel_key(key))
-        return channel
+    def _bs_keys(self, nid: int) -> tuple[crypto.SecureChannel, crypto.Keyed]:
+        """nid's direct channel to the station and its MAC, keyed once."""
+        keys = self._direct.get(nid)
+        if keys is None:
+            key = self.registry[nid].key
+            channel = crypto.SecureChannel(crypto.channel_key(crypto.derive_bs_channel_key(key, nid)))
+            keys = self._direct[nid] = channel, crypto.mac_key(key)
+        return keys
+
+    def _fits(self, root: int, pkt: wire.AggPacket) -> bool:
+        """``ipet_check``'s verdict on a packet's pair over its claim under
+        root, with the ledger already at the round; a malformed claim fails."""
+        sums = self._claim_seed_sums(root, pkt.absent)
+        if sums is None:
+            log.info("base station: malformed absent list %s under %d", pkt.absent[:8], root)
+            return False
+        return (pkt.dsum - sums[0]) & crypto.MASK == (pkt.dsum_prime - sums[1]) & crypto.MASK
 
     def _probe_group(
-        self, round_no: int, parent: int, targets: tuple[int, ...], ask
-    ) -> dict[int, tuple[wire.AggPacket, dict[int, bytes]]]:
-        """Probe sibling targets through their parent; by node, each answer's
-        packet and the child tags it vouches for.  Entries are matched to
-        targets by the sender each names, and a node's entry opens only on its
-        own direct channel, so whoever relays the bundle can drop an entry but
-        not forge one."""
+        self, round_no: int, parent: int, targets: tuple[int, ...], ask, pinned: dict[int, int]
+    ) -> dict[int, tuple[wire.AggPacket, tuple[bool, bool], bytes]]:
+        """Probe sibling targets through their parent and check each answer as
+        it opens; by node, its packet, verdict and child-tag block.  A node's
+        entry, matched by the sender it names, opens only on the node's own
+        direct channel, so whoever relays the bundle can drop it, not forge it."""
         raw = ask(parent, wire.encode_probe(round_no, targets))
-        if raw is None:
+        if not raw or raw[0] != wire.PROBE_RESP:
             return {}
-        msg_type, body = wire.parse_frame(raw)
-        if msg_type != wire.PROBE_RESP:
-            return {}
+        body = raw[1:]
         try:
             spans = wire.probe_entry_spans(body)
         except ValueError as exc:
             log.info("base station: probe response via %d rejected: %s", parent, exc)
             return {}
         wanted = set(targets)
-        probes: dict[int, tuple[wire.AggPacket, dict[int, bytes]]] = {}
+        direct, iter_child_tags = self._direct, wire.iter_child_tags
+        answers: dict[int, tuple[wire.AggPacket, tuple[bool, bool], bytes]] = {}
         for start, at, stop in spans:
             agg_body = body[at:stop]
-            nid = wire.packet_sender(agg_body)
-            if nid not in wanted or nid in probes:
+            nid = int.from_bytes(agg_body[:4], "big")
+            if nid not in wanted or nid in answers:
                 continue
             bound = body[start + 4 : at]
+            channel, mac = direct.get(nid) or self._bs_keys(nid)
             try:
-                probes[nid] = (wire.open_packet(self._bs_channel(nid), agg_body, bound),
-                               wire.decode_child_tags(bound))
+                pkt = wire.open_packet(channel, agg_body, bound)
             except (ReplayDetected, AuthFailure) as exc:
                 log.info("base station: probe response from %d rejected: %s", nid, exc)
-        return probes
+                continue
+            # Committed: its own MAC XORed with the child tags it vouches for
+            # gives its resent tag, which is the one pinned for it, if any.
+            calc = int.from_bytes(crypto.mac_pair(mac, pkt.dsum, pkt.dsum_prime), "big")
+            for _, child_tag in iter_child_tags(bound):
+                calc ^= child_tag
+            tag = int.from_bytes(pkt.tag, "big")
+            answers[nid] = pkt, (calc == tag == pinned.get(nid, tag), self._fits(nid, pkt)), bound
+        return answers
 
     def com_att(self, round_no: int, ask, participants: frozenset[int]) -> AttestationReport:
         """Walk the tree localizing outliers (the divide-and-conquer audit).
@@ -358,12 +371,13 @@ class BaseStation:
         own, and sends the node a re-aggregation request only when that cannot
         clear it.  The outliers are the failed nodes it does not clear.
         """
+        self.advance_ledger(round_no)  # once for the walk: a no-op at the round, or raises
         packets, children = self._round_packets, self.tree.children
         verdicts: dict[int, tuple[bool, bool]] = {}  # node -> (committed, ipet_ok)
-        # The tag each probed node must resend: the one in the packet the
-        # station holds from it, or the one its parent vouched for.  A silent
-        # node vouches for nothing, so its children have no pin.
-        pinned = {cid: pkt.tag for cid, pkt in packets.items()}
+        # The tag each probed node must resend, as an integer: the one in the
+        # packet the station holds from it, or the one its parent vouched for.
+        # A silent node vouches for nothing, so its children have no pin.
+        pinned = {cid: int.from_bytes(pkt.tag, "big") for cid, pkt in packets.items()}
         answered: dict[int, wire.AggPacket] = {}
         # Sibling groups in probe order: (parent, ascending target ids).  Each
         # node is enqueued once, by its parent, so probes go top-down.
@@ -372,29 +386,20 @@ class BaseStation:
             queue.append((BS_ID, tuple(sorted(packets))))
         while queue:
             parent, group = queue.popleft()
-            answers = self._probe_group(round_no, parent, group, ask)
+            answers = self._probe_group(round_no, parent, group, ask, pinned)
             for nid in group:
-                if nid not in answers:
+                answer = answers.get(nid)
+                if answer is None:
                     # Silent (or unopenable) probe: the node cannot commit.
                     verdicts[nid] = (False, False)
                     below = children[nid]
                 else:
-                    pkt, child_tags = answers[nid]
-                    answered[nid] = pkt
-                    pair = (pkt.dsum, pkt.dsum_prime)
-                    mac = self._mac_keys.get(nid)
-                    if mac is None:
-                        mac = self._mac_keys[nid] = crypto.mac_key(self.registry[nid].key)
-                    # Its own MAC XORed with the child tags, as integers.
-                    own = int.from_bytes(crypto.mac_pair(mac, *pair), "big")
-                    calc = reduce(xor, map(_from_big, child_tags.values()), own)
-                    committed = calc.to_bytes(crypto.TAG_LEN, "big") == pkt.tag == pinned.get(nid, pkt.tag)
-                    ipet_ok = self.ipet_check(pair, Claim(nid, pkt.absent), round_no, count_ops=False).equal
-                    verdicts[nid] = (committed, ipet_ok)
-                    if committed and ipet_ok:
+                    answered[nid], verdicts[nid], bound = answer
+                    if verdicts[nid] == (True, True):
                         continue
-                    # An id it vouches for that is not its child still entered
-                    # its MAC check above, but is not probed.
+                    # Only a failing node pins its children; an id it vouches for
+                    # that is not its child entered its MAC check, but is not probed.
+                    child_tags = dict(wire.iter_child_tags(bound))
                     below = list(filter(child_tags.__contains__, children[nid]))
                     for cid in below:
                         pinned[cid] = child_tags[cid]
@@ -410,10 +415,6 @@ class BaseStation:
         # reproduce the pair that just failed.  A subtraction that does not
         # clear the node may be a keyed child's lie, not the node's, so the
         # node is then asked as well.
-        def clears(nid: int, reagg: wire.AggPacket) -> bool:
-            pair = (reagg.dsum, reagg.dsum_prime)
-            return self.ipet_check(pair, Claim(nid, reagg.absent), round_no, count_ops=False).equal
-
         for nid, (committed, ipet_ok) in verdicts.items():
             if not committed or ipet_ok:
                 continue
@@ -423,10 +424,10 @@ class BaseStation:
             reagg = None
             if non_committed.isdisjoint(failing):
                 reagg = _subtract(answered[nid], [answered[cid] for cid in failing])
-            if reagg is None or not clears(nid, reagg):
+            if reagg is None or not self._fits(nid, reagg):
                 raw = ask(nid, wire.encode_reagg(round_no, failing))
-                reagg = wire.open_reagg_reply(self._bs_channel(nid), raw)
-                if reagg is None or not clears(nid, reagg):
+                reagg = wire.open_reagg_reply(self._bs_keys(nid)[0], raw)
+                if reagg is None or not self._fits(nid, reagg):
                     continue
             self._cleared[nid] = reagg
 

@@ -169,10 +169,9 @@ class SensorNode:
         if self.behavior is not None:
             dsum, dsum_prime = self.behavior.probe_pair(dsum, dsum_prime, round_no)
         child_tags = {cid: p.tag for cid, p in state.child_packets.items()}
-        entry = wire.seal_probe_entry(
-            self.bs_channel, self.node_id, pkt.absent, dsum, dsum_prime, pkt.tag, child_tags
+        return wire.seal_probe_resp(
+            self.bs_channel, round_no, self.node_id, pkt.absent, dsum, dsum_prime, pkt.tag, child_tags
         )
-        return wire.encode_probe_resp(round_no, [entry])
 
     def reaggregate_excluding(self, children: tuple[int, ...], round_no: int) -> bytes:
         """Recompute the dual sums without the named children, each dropped

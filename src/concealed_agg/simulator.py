@@ -23,7 +23,8 @@ after the round's data traffic has drained.  A re-aggregation request and
 its reply cross every link between the station and the node.  Probes go to
 sibling groups: the request crosses the links down to the group's parent
 once, the parent asks each target over one link, and the answers cross the
-links up from the parent as one bundle.  For the station's own children the
+links up from the parent as one bundle.  The parent walks each answer's
+entries once and forwards those that parse as the bytes that arrived.  For the station's own children the
 parent is the station, so the request and the bundle cross no link.
 """
 
@@ -237,14 +238,14 @@ class World:
 
     def _answer(self, nid: int, request: bytes) -> bytes | None:
         """nid's answer to an attestation request.  A probe that names
-        targets is relayed: nid asks each target that is its child, and the
-        entries of the answers that parse go back as one bundle, or nothing if
-        none does.  The station only relays."""
-        msg_type, body = wire.parse_frame(request)
+        targets is relayed: nid asks each target that is its child and sends
+        back one bundle of the answers' entries that parse, as they arrived,
+        or nothing if none does.  The station only relays."""
+        msg_type = request[0] if request else None
         node = self.nodes.get(nid)
         if msg_type == wire.PROBE:
             try:
-                round_no, targets = wire.decode_probe(body)
+                round_no, targets = wire.decode_probe(request[1:])
             except ValueError:  # a probe that does not parse gets no answer
                 return None
             if targets:
@@ -256,26 +257,25 @@ class World:
             except ProtocolError:
                 return None
         if msg_type == wire.REAGG and node is not None:
-            return node.handle_reagg_request(body)
+            return node.handle_reagg_request(request[1:])
         return None
 
     def _relay_probe(self, parent: int, round_no: int, targets: tuple[int, ...]) -> bytes | None:
         probe = wire.encode_probe(round_no)
         tree_parent = self.tree.parent
-        entries: list[bytes] = []
+        bundle = [wire.frame(wire.PROBE_RESP, round_no.to_bytes(8, "big"))]
         for target in targets:
             if tree_parent.get(target) != parent:
                 continue
             answer = self.ask(parent, target, probe)
-            if answer is None:
+            if not answer or answer[0] != wire.PROBE_RESP:
                 continue
-            msg_type, body = wire.parse_frame(answer)
             try:
-                if msg_type == wire.PROBE_RESP:
-                    entries += wire.decode_probe_resp(body)[1]
+                end = wire.probe_entry_spans(answer[1:])[-1][2]
             except ValueError:
-                pass  # an answer that does not parse is not relayed
-        return wire.encode_probe_resp(round_no, entries) if entries else None
+                continue
+            bundle.append(answer[9 : 1 + end])  # its entries that parse, past the type and round
+        return b"".join(bundle) if len(bundle) > 1 else None
 
     def _run_data_phase(self, round_no: int, queries: list[tuple[int, bytes]]) -> None:
         stack = [(BS_ID, dst, payload) for dst, payload in reversed(queries)]

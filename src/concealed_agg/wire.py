@@ -40,8 +40,10 @@ A probe without targets asks its addressee to answer for itself; that is
 what the parent sends each target.  A response carries one entry per node
 that answered, each that node's own packet sealed on its direct channel to
 the station.  Entries have no length prefix: each ends where its packet's
-absent count says, so a one-entry response is a node's own answer and a
-bundle is the answers' entries back to back.
+absent count says, so a one-entry response is a node's own answer, which
+``seal_probe_resp`` writes in one piece, and a bundle is the answers'
+entries back to back: a relay walks each answer once and forwards the
+entries that parse as they came, decoding and re-framing none.
 
 A re-aggregation request names children of its addressee to leave out:
 
@@ -62,7 +64,7 @@ from __future__ import annotations
 
 import logging
 import struct
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 from operator import ge
 from typing import NamedTuple
@@ -88,6 +90,8 @@ _NO_ABSENT = bytes(4)  # the absent count of a packet that names no one
 _QUERY = struct.Struct(">QB")  # round, function code
 _PAIR = struct.Struct(">QQ")  # dsum, dsum_prime: K chain first
 _CHILD_TAG = struct.Struct(f">I{crypto.TAG_LEN}s")  # a child id and tag in a probe entry
+_PROBE_RESP_TYPE = bytes([PROBE_RESP])
+iter_child_tags = struct.Struct(">IQ").iter_unpack  # (child id, tag as an integer) per child tag
 
 FUNC_CODES = {"sum": 0, "mean": 1}
 FUNC_NAMES = {code: name for name, code in FUNC_CODES.items()}
@@ -279,27 +283,23 @@ def decode_probe(body: bytes) -> tuple[int, tuple[int, ...]]:
     return round_no, targets
 
 
-def seal_probe_entry(
-    channel: crypto.SecureChannel,
-    sender: int,
-    absent: tuple[int, ...],
-    dsum: int,
-    dsum_prime: int,
-    tag: bytes,
-    child_tags: dict[int, bytes],
+@cache
+def _child_tag_block(count: int) -> struct.Struct:
+    """Packs a block of count child tags: the count, then each id and tag."""
+    return struct.Struct(">I" + _CHILD_TAG.format[1:] * count)
+
+
+def seal_probe_resp(
+    channel: crypto.SecureChannel, round_no: int, sender: int, absent: tuple[int, ...],
+    dsum: int, dsum_prime: int, tag: bytes, child_tags: dict[int, bytes],
 ) -> bytes:
-    """A node's probe answer as one response entry: its packet sealed on the
-    channel, with the child tags it folded, in ascending id order, bound into
-    the channel tag."""
+    """A node's probe answer, a one-entry PROBE_RESP frame: its packet sealed
+    on the channel, with the child tags it folded, in ascending id order,
+    bound into the channel tag."""
     items = sorted(child_tags.items())
-    tags = struct.pack(">I" + _CHILD_TAG.format[1:] * len(items), len(items), *chain.from_iterable(items))
-    return tags + seal_packet(channel, sender, absent, dsum, dsum_prime, tag, tags[4:])[1]
-
-
-def decode_child_tags(block: bytes) -> dict[int, bytes]:
-    """The child tags a probe-response entry vouches for, by child id, from the
-    bytes they came as."""
-    return dict(_CHILD_TAG.iter_unpack(block))
+    block = _child_tag_block(len(items)).pack(len(items), *chain.from_iterable(items))
+    body = seal_packet(channel, sender, absent, dsum, dsum_prime, tag, block[4:])[1]
+    return b"".join((_PROBE_RESP_TYPE, round_no.to_bytes(8, "big"), block, body))
 
 
 def decode_probe_entry(entry: bytes) -> tuple[dict[int, bytes], bytes, bytes]:
@@ -308,7 +308,7 @@ def decode_probe_entry(entry: bytes) -> tuple[dict[int, bytes], bytes, bytes]:
     _need(entry, 4, "probe response entry")
     start = 4 + int.from_bytes(entry[:4], "big") * _CHILD_TAG.size
     _need(entry, start, "probe response entry")
-    return decode_child_tags(entry[4:start]), entry[4:start], entry[start:]
+    return dict(_CHILD_TAG.iter_unpack(entry[4:start])), entry[4:start], entry[start:]
 
 
 def encode_probe_resp(round_no: int, entries: list[bytes]) -> bytes:

@@ -355,7 +355,7 @@ def test_station_subtraction_is_the_nodes_own_reaggregation():
                 continue
             children = tuple(c for c in world.tree.children[nid] if c in failing)
             raw = world.nodes[nid].reaggregate_excluding(children, 1)
-            pkt = wire.open_reagg_reply(world.bs._bs_channel(nid), raw)
+            pkt = wire.open_reagg_reply(world.bs._bs_keys(nid)[0], raw)
             assert (pkt.dsum, pkt.dsum_prime, pkt.absent) == (reagg.dsum, reagg.dsum_prime, reagg.absent)
             cleared += 1
     assert cleared > 0
@@ -428,8 +428,7 @@ def test_committed_child_lying_in_its_answer_does_not_blame_its_parent(lie):
         pkt = node.state.emitted
         child_tags = {cid: p.tag for cid, p in node.state.child_packets.items()}
         absent, pair, tags = lie(node, pkt, child_tags)
-        entry = wire.seal_probe_entry(node.bs_channel, 4, absent, *pair, pkt.tag, tags)
-        return wire.encode_probe_resp(round_no, [entry])
+        return wire.seal_probe_resp(node.bs_channel, round_no, 4, absent, *pair, pkt.tag, tags)
 
     node.respond_attestation = lying
     sent = _recording_reaggs(world)

@@ -707,13 +707,14 @@ def test_every_cut_frame_raises_value_error():
     # nothing else: callers catch ValueError, never struct.error.
     _, agg_body = wire.seal_packet(_channel(bytes(16)), 7, (9, 12), 5, 6, b"\x11" * 8)
     child_tags = {9: b"\x22" * 8, 12: b"\x33" * 8}
-    entry = wire.seal_probe_entry(_channel(bytes(16)), 7, (9, 12), 5, 6, b"\x11" * 8, child_tags)
+    resp = wire.seal_probe_resp(_channel(bytes(16)), 3, 7, (9, 12), 5, 6, b"\x11" * 8, child_tags)
+    entry = resp[9:]  # past the type and round
     cases = (  # (payload, decoder of its body, offset of its count field)
         (wire.encode_query(3, "mean"), wire.decode_query, None),
         (wire.frame(wire.AGG, agg_body), wire.decode_agg_body, 12),
         (wire.encode_probe(3), wire.decode_probe, None),
         (
-            wire.encode_probe_resp(3, [entry]),
+            resp,
             lambda body: wire.decode_agg_body(wire.decode_probe_entry(wire.decode_probe_resp(body)[1][0])[2]),
             8,
         ),
@@ -761,9 +762,9 @@ def test_cut_probe_bundle_keeps_the_entries_before_the_cut():
     # second entry decodes as the first entry alone, as if the second had
     # been dropped on the way.
     channel = _channel(bytes(16))
-    entries = [
-        wire.seal_probe_entry(channel, 7, (9, 12), 5, 6, b"\x11" * 8, {9: b"\x22" * 8, 12: b"\x33" * 8}),
-        wire.seal_probe_entry(channel, 8, (), 1, 2, b"\x44" * 8, {}),
+    entries = [  # each answer's entry, past its type and round
+        wire.seal_probe_resp(channel, 3, 7, (9, 12), 5, 6, b"\x11" * 8, {9: b"\x22" * 8, 12: b"\x33" * 8})[9:],
+        wire.seal_probe_resp(channel, 3, 8, (), 1, 2, b"\x44" * 8, {})[9:],
     ]
     bundle = wire.encode_probe_resp(3, entries)
     one = wire.encode_probe_resp(3, entries[:1])

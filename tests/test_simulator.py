@@ -205,6 +205,51 @@ def test_station_answers_only_as_a_relay():
         assert world.ask(0, 0, request) is None
 
 
+def _two_parse_bundle(round_no: int, answers: list[bytes]) -> bytes | None:
+    """The bundle of a relay that decodes every answer and re-frames the
+    entries of those that parse; None when none does."""
+    entries: list[bytes] = []
+    for answer in answers:
+        msg_type, body = wire.parse_frame(answer)
+        if msg_type == wire.PROBE_RESP:
+            try:
+                entries += wire.decode_probe_resp(body)[1]
+            except ValueError:
+                pass
+    return wire.encode_probe_resp(round_no, entries) if entries else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_relay_forwards_what_a_two_parse_relay_would(data):
+    # Each target's answer cut, bit-flipped, retyped or followed by bytes of
+    # another answer: the bundle the relay sends up equals the one a relay
+    # that decoded each answer and re-framed its entries would send.
+    world = World(Scenario(seed=3, n=20, generator="recursive"))
+    world.run_round(1)
+    children = world.tree.children
+    parent = data.draw(st.sampled_from([v for v in sorted(children) if len(children[v]) > 1]))
+    targets = tuple(data.draw(st.lists(st.sampled_from(children[parent]), min_size=1, unique=True).map(sorted)))
+    honest = [world.nodes[cid].respond_attestation(1) for cid in children[parent]]
+    answers = []
+    for cid in targets:
+        answer = data.draw(st.sampled_from(honest))
+        for fault in data.draw(st.lists(st.sampled_from(("cut", "flip", "retype", "append")), max_size=3)):
+            if fault == "cut":
+                answer = answer[: data.draw(st.integers(0, len(answer)))]
+            elif fault == "flip" and answer:
+                at = data.draw(st.integers(0, len(answer) - 1))
+                answer = answer[:at] + bytes([answer[at] ^ 1 << data.draw(st.integers(0, 7))]) + answer[at + 1:]
+            elif fault == "retype" and answer:
+                answer = bytes([data.draw(st.sampled_from((wire.PROBE_RESP, wire.AGG, 0x7F)))]) + answer[1:]
+            elif fault == "append":
+                other = data.draw(st.sampled_from(honest))
+                answer += other[data.draw(st.one_of(st.just(9), st.integers(0, len(other)))):]
+        world.nodes[cid].respond_attestation = lambda round_no, answer=answer: answer
+        answers.append(answer)
+    assert world.ask(0, parent, wire.encode_probe(1, targets)) == _two_parse_bundle(1, answers)
+
+
 def test_malformed_query_is_ignored_and_timed_out():
     # A QUERY cut on link 1->3, emptied, or retyped does not parse at node 3:
     # node 3 ignores it, node 1 times it out as silent (absent root 3), and
@@ -611,6 +656,27 @@ def test_walk_keys_each_probed_node_once(monkeypatch):
     assert [t[0] for t in second.report.transcript] == [t[0] for t in first.report.transcript]
     assert {5, 9} <= second.report.outliers
     assert built == []
+
+
+@pytest.mark.parametrize("generator", GENERATORS)
+def test_a_probe_costs_two_channel_tags_and_one_mac(monkeypatch, generator):
+    # An honest round with a forced audit.  Each of the n sensors MACs its
+    # pair and seals one packet its parent opens; each probe is one seal at
+    # the node, and one open and one MAC at the station.
+    n = 32
+    world = World(Scenario(seed=7, n=n, generator=generator, audit_prob=1.0))
+    calls = dict.fromkeys(("_channel_tag", "mac_pair"), 0)
+    for name in calls:
+
+        def counting(*args, name=name, real=getattr(crypto, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(crypto, name, counting)
+    result = world.run_round(1)
+    probes = result.report.probes
+    assert result.integrity == "passed" and probes == len(world.tree.children[0])
+    assert calls == {"_channel_tag": 2 * n + 2 * probes, "mac_pair": n + probes}
 
 
 def test_rejected_when_everything_is_compromised():
