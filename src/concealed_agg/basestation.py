@@ -324,7 +324,6 @@ class BaseStation:
             log.info("base station: probe response via %d rejected: %s", parent, exc)
             return {}
         wanted = set(targets)
-        direct, iter_child_tags = self._direct, wire.iter_child_tags
         answers: dict[int, tuple[wire.AggPacket, tuple[bool, bool], bytes]] = {}
         for start, at, stop in spans:
             agg_body = body[at:stop]
@@ -332,16 +331,15 @@ class BaseStation:
             if nid not in wanted or nid in answers:
                 continue
             bound = body[start + 4 : at]
-            channel, mac = direct.get(nid) or self._bs_keys(nid)
+            channel, mac = self._direct.get(nid) or self._bs_keys(nid)
             try:
                 pkt = wire.open_packet(channel, agg_body, bound)
             except (ReplayDetected, AuthFailure) as exc:
                 log.info("base station: probe response from %d rejected: %s", nid, exc)
                 continue
-            # Committed: its own MAC XORed with the child tags it vouches for
-            # gives its resent tag, which is the one pinned for it, if any.
+            # Committed: its MAC XOR the child tags it vouches for is its tag, and any pin matches.
             calc = int.from_bytes(crypto.mac_pair(mac, pkt.dsum, pkt.dsum_prime), "big")
-            for _, child_tag in iter_child_tags(bound):
+            for _, child_tag in wire.iter_child_tags(bound):
                 calc ^= child_tag
             tag = int.from_bytes(pkt.tag, "big")
             answers[nid] = pkt, (calc == tag == pinned.get(nid, tag), self._fits(nid, pkt)), bound

@@ -263,19 +263,8 @@ class World:
     def _relay_probe(self, parent: int, round_no: int, targets: tuple[int, ...]) -> bytes | None:
         probe = wire.encode_probe(round_no)
         tree_parent = self.tree.parent
-        bundle = [wire.frame(wire.PROBE_RESP, round_no.to_bytes(8, "big"))]
-        for target in targets:
-            if tree_parent.get(target) != parent:
-                continue
-            answer = self.ask(parent, target, probe)
-            if not answer or answer[0] != wire.PROBE_RESP:
-                continue
-            try:
-                end = wire.probe_entry_spans(answer[1:])[-1][2]
-            except ValueError:
-                continue
-            bundle.append(answer[9 : 1 + end])  # its entries that parse, past the type and round
-        return b"".join(bundle) if len(bundle) > 1 else None
+        answers = [self.ask(parent, target, probe) for target in targets if tree_parent.get(target) == parent]
+        return wire.bundle_probe_answers(round_no, answers)
 
     def _run_data_phase(self, round_no: int, queries: list[tuple[int, bytes]]) -> None:
         stack = [(BS_ID, dst, payload) for dst, payload in reversed(queries)]

@@ -40,10 +40,9 @@ A probe without targets asks its addressee to answer for itself; that is
 what the parent sends each target.  A response carries one entry per node
 that answered, each that node's own packet sealed on its direct channel to
 the station.  Entries have no length prefix: each ends where its packet's
-absent count says, so a one-entry response is a node's own answer, which
-``seal_probe_resp`` writes in one piece, and a bundle is the answers'
-entries back to back: a relay walks each answer once and forwards the
-entries that parse as they came, decoding and re-framing none.
+absent count says, so a one-entry response is a node's own answer
+(``seal_probe_resp``), and a bundle is the answers' entries back to back, as
+a relay forwarded them (``bundle_probe_answers``), decoding none.
 
 A re-aggregation request names children of its addressee to leave out:
 
@@ -313,6 +312,20 @@ def decode_probe_entry(entry: bytes) -> tuple[dict[int, bytes], bytes, bytes]:
 
 def encode_probe_resp(round_no: int, entries: list[bytes]) -> bytes:
     return frame(PROBE_RESP, struct.pack(">Q", round_no) + b"".join(entries))
+
+
+def bundle_probe_answers(round_no: int, answers: list[bytes | None]) -> bytes | None:
+    """What a relay sends up for a probe: each answer's entries that parse
+    (``probe_entry_spans``), as the bytes that came, in one PROBE_RESP frame;
+    None if none does.  No entry is decoded or re-framed."""
+    entries = []
+    for answer in answers:
+        if answer and answer[0] == PROBE_RESP:
+            try:
+                entries.append(answer[9 : 1 + probe_entry_spans(answer[1:])[-1][2]])
+            except ValueError:
+                pass  # an answer that does not parse is not relayed
+    return encode_probe_resp(round_no, entries) if entries else None
 
 
 def probe_entry_spans(body: bytes) -> list[tuple[int, int, int]]:
