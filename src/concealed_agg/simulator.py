@@ -24,8 +24,9 @@ its reply cross every link between the station and the node.  Probes go to
 sibling groups: the request crosses the links down to the group's parent
 once, the parent asks each target over one link, and the answers cross the
 links up from the parent as one bundle.  The parent walks each answer's
-entries once and forwards those that parse as the bytes that arrived.  For the station's own children the
-parent is the station, so the request and the bundle cross no link.
+entries once and forwards those that parse as the bytes that arrived.  For
+the station's own children the parent is the station, so the request and
+the bundle cross no link.
 """
 
 from __future__ import annotations

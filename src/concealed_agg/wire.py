@@ -293,8 +293,7 @@ def seal_probe_resp(
     dsum: int, dsum_prime: int, tag: bytes, child_tags: dict[int, bytes],
 ) -> bytes:
     """A node's probe answer, a one-entry PROBE_RESP frame: its packet sealed
-    on the channel, with the child tags it folded, in ascending id order,
-    bound into the channel tag."""
+    on the channel, with the child tags it folded, ascending, bound into the channel tag."""
     items = sorted(child_tags.items())
     block = _child_tag_block(len(items)).pack(len(items), *chain.from_iterable(items))
     body = seal_packet(channel, sender, absent, dsum, dsum_prime, tag, block[4:])[1]
@@ -322,7 +321,7 @@ def bundle_probe_answers(round_no: int, answers: list[bytes | None]) -> bytes | 
     for answer in answers:
         if answer and answer[0] == PROBE_RESP:
             try:
-                entries.append(answer[9 : 1 + probe_entry_spans(answer[1:])[-1][2]])
+                entries.append(answer[9 : 1 + probe_entry_spans(answer[1:])[-1][2]])  # past type, round
             except ValueError:
                 pass  # an answer that does not parse is not relayed
     return encode_probe_resp(round_no, entries) if entries else None
