@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import json
 import random
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concealed_agg import crypto, wire
-from concealed_agg.adversary import CompromiseSpec
+from concealed_agg.adversary import Behavior, CompromiseSpec
 from concealed_agg.basestation import format_report_line
 from concealed_agg.errors import ProtocolError, ReadingOutOfRange, ReplayDetected, ScenarioInvalid
 from concealed_agg.node import SensorNode
@@ -513,6 +514,45 @@ def test_behaviour_sweep_verdicts_over_104_worlds_are_pinned():
     hashes, outcomes = _sweep().fingerprint(104)
     assert outcomes["ok"] == 104
     assert {part: hashes[part] for part in SWEEP_104_PARTS} == SWEEP_104_PARTS
+
+
+def _one_sided_dual_forgery(monkeypatch):
+    """A range check of the kind that catches a pair-consistent forger: a
+    dual forge_children node shifts only its first chain."""
+    honest = Behavior.forge_pair
+
+    def one_sided(self, dsum, dsum_prime, round_no):
+        forged = honest(self, dsum, dsum_prime, round_no)
+        return (forged[0], dsum_prime) if self.dual else forged
+
+    monkeypatch.setattr(Behavior, "forge_pair", one_sided)
+    return lambda kind, args: kind == "forge_children" and args[1:] == [True]
+
+
+def _drop_child_keeps_its_child(monkeypatch):
+    monkeypatch.setattr(Behavior, "drops_child", lambda self, child, round_no: False)
+    return lambda kind, args: kind == "drop_child"
+
+
+@pytest.mark.parametrize("change", [_one_sided_dual_forgery, _drop_child_keeps_its_child])
+def test_behaviour_sweep_diff_names_the_worlds_a_change_reaches(change, monkeypatch, tmp_path, capsys):
+    # A change that only worlds with one kind of compromise can see: the
+    # ledger diff names exactly those worlds, and each by a part that moved.
+    sweep = _sweep()
+    base, changed = tmp_path / "base.jsonl", tmp_path / "changed.jsonl"
+    assert sweep.main([str(SWEEP_WORLDS), "--worlds-out", str(base)]) == 0
+    reaches = change(monkeypatch)
+    assert sweep.main([str(SWEEP_WORLDS), "--worlds-out", str(changed)]) == 0
+    capsys.readouterr()
+    assert sweep.main(["--diff", str(base), str(changed)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    named = {int(line.split()[1]) for line in out if line.startswith("world ")}
+    ledger = [json.loads(line) for line in base.read_text().splitlines()]
+    expected = {rec["world"] for rec in ledger if any(reaches(kind, args) for _, kind, args in rec["compromises"])}
+    assert expected and named == expected
+    assert out[-1].startswith(f"{len(expected)} of {SWEEP_WORLDS} worlds differ; worlds by part: ")
+    assert sweep.main(["--diff", str(base), str(base)]) == 0
+    assert capsys.readouterr().out == f"0 of {SWEEP_WORLDS} worlds differ; worlds by part: -\n"
 
 
 def _keyless(rng: random.Random):
