@@ -9,8 +9,9 @@ Each world cycles through the four generators, the five adversary kinds and
 three audit settings (off, forced, probability 0.5), runs four rounds, and
 half of them carry a second forger.  The script prints one sha256 each over
 the reports, the per-round metrics other than bytes (messages, seed
-regenerations, probes), the attestation transcripts and the registry
-statuses, plus a combined hash of those four.  Bytes per round get a hash of
+regenerations, probes), the attestation transcripts and each sensor's
+liveness after the last round (unreachable or alive, in id order), plus a
+combined hash of those four.  Bytes per round get a hash of
 their own, outside the combined one, so that a wire-format change can be
 checked for unchanged behaviour too.  So does the frame order: `frames`
 hashes the (source, destination, type, length) of every frame each world
@@ -193,7 +194,8 @@ def _world(i: int, totals: dict, outcomes: dict[str, int]) -> dict:
         for r, line in zip(world.results, lines):
             h["transcripts"].update(line.encode())
             outcomes[r.integrity] = outcomes.get(r.integrity, 0) + 1
-        statuses = sorted((nid, rec.status) for nid, rec in world.bs.registry.items())
+        unreachable = world.bs.unreachable
+        statuses = [(nid, "unreachable" if nid in unreachable else "alive") for nid in world.tree.sensor_ids]
         h["statuses"].update(f"{i}|{statuses}".encode())
     return {
         "world": i,

@@ -1,10 +1,12 @@
 """Base-station logic: query dissemination, final aggregation, IPET, ComAtt.
 
-The station owns a registry of every provisioned node (its key, its seed
-chains' key K || K' and origin, liveness status) and advances each node's
-seed pair as rounds advance, one keyed PRF call per node and round, keeping
-prefix sums of both chains in the tree's Euler-tour order, so the seed sum of
-any subtree is a difference of two prefix sums.
+The station keeps two things per provisioned node: its key, and how many
+rounds in a row it has been absent, from which ``unreachable`` is read.  It
+advances each node's seed pair, from the chain key and origin it is built
+with, as rounds advance, one keyed PRF call per node and round, keeping
+prefix sums of both chains in the tree's Euler-tour order, so the seed sum
+of any subtree is a difference of two prefix sums.  Conviction is no node
+state: it is each round's outlier list.
 
 Packets name only the roots of the subtrees missing from them.  Every
 pair-equality test (IPET), the round's verdict and each probe's, therefore
@@ -56,19 +58,7 @@ from .topology import BS_ID, Tree, Provisioning
 
 log = logging.getLogger(__name__)
 
-ALIVE = "alive"
-UNREACHABLE = "unreachable"
-OUTLIER = "outlier"
-
-ABSENT_THRESHOLD = 3  # absent rounds in a row that make an alive node unreachable
-
-
-@dataclass
-class NodeRecord:
-    key: bytes
-    chain_key: crypto.Keyed  # the state the node holds too
-    origin: int
-    status: str = ALIVE
+ABSENT_THRESHOLD = 3  # absent rounds in a row that make a node unreachable
 
 
 class Claim(NamedTuple):
@@ -150,10 +140,7 @@ class BaseStation:
         sensors hold: each key is keyed once and its holders share it."""
         self.tree = tree
         self.codec = codec
-        self.registry: dict[int, NodeRecord] = {
-            nid: NodeRecord(k, chains[nid], prov.origins[nid])
-            for nid, (k, _) in prov.node_keys.items()
-        }
+        self._keys = {nid: k for nid, (k, _) in prov.node_keys.items()}
         self._child_channels = {
             cid: crypto.SecureChannel(edges[cid]) for cid in tree.children[BS_ID]
         }
@@ -166,9 +153,9 @@ class BaseStation:
         # Seed ledger in tour order: each sensor's D_j << 64 | D'_j at the
         # ledger round, and both chains' prefix sums, where entry i sums the
         # seeds at tour positions below i (the station, at position 0, has none).
-        tour = [self.registry[nid] for nid in tree.order[1:]]
-        self._chains = [rec.chain_key for rec in tour]
-        origins = [rec.origin for rec in tour]
+        tour = tree.order[1:]
+        self._chains = [chains[nid] for nid in tour]
+        origins = [prov.origins[nid] for nid in tour]
         self._seeds = [o << 64 | o for o in origins]
         self._prefix_d = self._prefix_dp = [0, 0, *accumulate(origins)]
         self._ledger_round = 0
@@ -183,7 +170,7 @@ class BaseStation:
     # === Seed ledger ========================================================
 
     def advance_ledger(self, round_no: int) -> None:
-        """Advance every registry seed pair to round_no (maintenance work):
+        """Advance every node's seed pair to round_no (maintenance work):
         one keyed PRF call per node and round for both chains."""
         if round_no < self._ledger_round:
             raise ValueError(f"seed ledger cannot rewind to round {round_no}")
@@ -255,7 +242,7 @@ class BaseStation:
         order = self.tree.order
         runs = []
         cur = 1  # tour position 0 is the station
-        for s, e in sorted(self.tree.span(a) for a in claim.absent if a in self.registry):
+        for s, e in sorted(self.tree.span(a) for a in claim.absent if a in self._keys):
             if s > cur:
                 runs.append(order[cur:s])
             cur = max(cur, e)
@@ -293,7 +280,7 @@ class BaseStation:
         """nid's direct channel to the station and its MAC, keyed once."""
         keys = self._direct.get(nid)
         if keys is None:
-            key = self.registry[nid].key
+            key = self._keys[nid]
             channel = crypto.SecureChannel(crypto.channel_key(crypto.derive_bs_channel_key(key, nid)))
             keys = self._direct[nid] = channel, crypto.mac_key(key)
         return keys
@@ -429,11 +416,8 @@ class BaseStation:
                     continue
             self._cleared[nid] = reagg
 
-        outliers = frozenset(suspects.difference(self._cleared))
-        for nid in outliers:
-            self.registry[nid].status = OUTLIER
         return AttestationReport(
-            outliers=outliers,
+            outliers=frozenset(suspects.difference(self._cleared)),
             non_committed=non_committed,
             probes=len(verdicts),
             transcript=tuple((nid, *verdict) for nid, verdict in verdicts.items()),
@@ -471,22 +455,17 @@ class BaseStation:
     # === Liveness and decoding ==============================================
 
     def monitor(self, list_star: frozenset[int]) -> frozenset[int]:
-        """Track per-round absence; persistent absentees become unreachable.
-
-        Outlier status set by attestation takes precedence and is never
-        downgraded here.
-        """
+        """The sensors absent from this round's list; each one's absence
+        streak grows by one, and every other sensor's ends."""
         absent = self._all_sensors.difference(list_star)
-        registry, streaks = self.registry, self._absent_streak
-        for nid in streaks.keys() - absent:  # back after an absence
-            del streaks[nid]
-            if registry[nid].status == UNREACHABLE:
-                registry[nid].status = ALIVE
-        for nid in absent:
-            streaks[nid] = streak = streaks.get(nid, 0) + 1
-            if streak >= ABSENT_THRESHOLD and registry[nid].status == ALIVE:
-                registry[nid].status = UNREACHABLE
+        streaks = self._absent_streak
+        self._absent_streak = {nid: streaks.get(nid, 0) + 1 for nid in absent}
         return absent
+
+    @property
+    def unreachable(self) -> frozenset[int]:
+        """The sensors absent ABSENT_THRESHOLD or more rounds in a row."""
+        return frozenset(nid for nid, streak in self._absent_streak.items() if streak >= ABSENT_THRESHOLD)
 
     def decode_value(self, function: str, raw_sum: int, participants: frozenset[int]) -> float:
         if function == "mean":

@@ -35,7 +35,7 @@ block, RFC 7693 section 3.3), and checked key lengths.  A call copies the
 state, feeds the copy its input and reads the digest, instead of building
 and keying a new hasher.  No state is ever updated itself, so all holders
 of a key share one: both ends of an edge, and a node and the station's
-registry row for K || K'.
+seed ledger for K || K'.
 
 Tags fold as integers, read big-endian and written back at their length: the
 bytes a per-byte XOR gives.  ``wire.fold_packets`` XORs a node's child tags

@@ -56,7 +56,7 @@ class RoundState:
 
 class SensorNode:
     """One sensor.  ``chain``, ``edge`` and ``child_edges`` are keyed
-    states shared with the key's other holder: the station's registry row,
+    states shared with the key's other holder: the station's seed ledger,
     the other end of the edge."""
 
     def __init__(

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concealed_agg import crypto, wire
-from concealed_agg.basestation import ALIVE, OUTLIER, UNREACHABLE, _subtract
+from concealed_agg.basestation import _subtract
 from concealed_agg.errors import StaleRound
 from concealed_agg.adversary import CompromiseSpec
 from concealed_agg.simulator import Scenario, World
@@ -227,9 +227,8 @@ def test_outlier_status_recorded():
         compromises=(CompromiseSpec(4, "forge_children", (7,)),),
     )
     world, result = run_one(scenario)
-    assert world.bs.registry[4].status == OUTLIER
-    honest = [nid for nid in world.tree.sensor_ids if nid != 4]
-    assert all(world.bs.registry[nid].status == ALIVE for nid in honest)
+    assert result.report.outliers == frozenset({4})
+    assert world.bs.unreachable == frozenset()
 
 
 def test_nested_forgers_both_localized():
@@ -437,7 +436,7 @@ def test_committed_child_lying_in_its_answer_does_not_blame_its_parent(lie):
     assert transcript[4] == (True, False)
     assert 1 in {nid for nid, _, _ in sent}
     assert 1 not in result.report.outliers
-    assert world.bs.registry[1].status == ALIVE
+    assert world.bs.unreachable == frozenset()
     assert result.integrity == "attested"
     assert 6 in result.report.outliers
     assert result.raw_sum == plaintext_sum(world, 1, result.participants)
@@ -507,7 +506,7 @@ def _fresh_bs(n=4):
 def test_monitor_full_participation():
     bs = _fresh_bs()
     assert bs.monitor(frozenset({1, 2, 3, 4})) == frozenset()
-    assert all(rec.status == ALIVE for rec in bs.registry.values())
+    assert bs.unreachable == frozenset()
 
 
 def test_monitor_marks_unreachable_after_threshold():
@@ -516,41 +515,26 @@ def test_monitor_marks_unreachable_after_threshold():
     for i in range(3):
         absent = bs.monitor(present)
         assert absent == frozenset({4})
-        expected = UNREACHABLE if i == 2 else ALIVE
-        assert bs.registry[4].status == expected
+        assert bs.unreachable == (frozenset({4}) if i == 2 else frozenset())
     bs.monitor(frozenset({1, 2, 3, 4}))  # node comes back
-    assert bs.registry[4].status == ALIVE
-
-
-def test_monitor_never_downgrades_outliers():
-    bs = _fresh_bs()
-    bs.registry[2].status = OUTLIER
-    for _ in range(4):
-        bs.monitor(frozenset({1, 3, 4}))
-    assert bs.registry[2].status == OUTLIER
+    assert bs.unreachable == frozenset()
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.sets(st.integers(1, 6)), st.sets(st.integers(1, 6), max_size=1)), max_size=12))
-def test_monitor_matches_a_full_registry_scan(steps):
-    # Each round some sensors are present (ids beyond the registry may be
-    # listed too) and the walk may convict one.  The monitor, which visits
-    # only nodes absent this round or the last, returns the absent set and
-    # leaves every status as a scan of the whole registry does.
+@given(st.lists(st.sets(st.integers(1, 6)), max_size=12))
+def test_monitor_matches_a_full_scan(steps):
+    # Each round some sensors are present (an id beyond the network may be
+    # listed too).  The monitor, which visits only nodes absent this round or
+    # the last, returns the absent set, and the unreachable sensors are those
+    # a scan of every sensor finds absent three rounds in a row.
     bs = _fresh_bs(n=5)
-    statuses, streaks = {nid: ALIVE for nid in bs.registry}, dict.fromkeys(bs.registry, 0)
-    for present, convicted in steps:
-        for nid in convicted & set(bs.registry):
-            bs.registry[nid].status = statuses[nid] = OUTLIER
-        want = frozenset(nid for nid in statuses if nid not in present)
-        for nid in statuses:
+    streaks = dict.fromkeys(range(1, 6), 0)
+    for present in steps:
+        want = frozenset(nid for nid in streaks if nid not in present)
+        for nid in streaks:
             streaks[nid] = streaks[nid] + 1 if nid in want else 0
-            if nid in want and streaks[nid] >= 3 and statuses[nid] == ALIVE:
-                statuses[nid] = UNREACHABLE
-            elif nid not in want and statuses[nid] == UNREACHABLE:
-                statuses[nid] = ALIVE
         assert bs.monitor(frozenset(present)) == want
-        assert {nid: rec.status for nid, rec in bs.registry.items()} == statuses
+        assert bs.unreachable == frozenset(nid for nid, streak in streaks.items() if streak >= 3)
 
 
 # === Decoding ================================================================

@@ -431,7 +431,7 @@ def test_unknown_message_type_is_ignored():
 
 def test_emitted_tag_equals_subtree_own_mac_xor():
     # Deeper tree through the data phase; oracle XORs own MACs over each
-    # subtree, own MAC recomputed from registry keys and retained emissions.
+    # subtree, own MAC recomputed from provisioned keys and retained emissions.
     scenario = Scenario(seed=33, n=12, generator="recursive")
     world = World(scenario)
     world.run_round(1)
