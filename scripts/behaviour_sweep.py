@@ -59,6 +59,7 @@ AUDITS = ({}, {"audit_prob": 1.0}, {"audit_prob": 0.5})
 # The parts the combined hash covers, in its order, and those hashed apart.
 COMBINED_PARTS = ("reports", "metrics", "transcripts", "statuses")
 OWN_PARTS = ("bytes", "frames", "faults", "contents")
+PARTS = COMBINED_PARTS + OWN_PARTS
 
 
 def compromises(rng: random.Random, n: int, kind: str, tree) -> list[CompromiseSpec]:
@@ -212,7 +213,7 @@ def _world(i: int, totals: dict, outcomes: dict[str, int]) -> dict:
 def sweep(worlds: int) -> tuple[dict[str, str], dict[str, int], list[dict]]:
     """The sweep's hashes (the four parts, combined, bytes, frames, faults,
     contents), its outcome counts and each world's ledger record."""
-    totals = {name: hashlib.sha256() for name in (*COMBINED_PARTS, *OWN_PARTS)}
+    totals = {name: hashlib.sha256() for name in PARTS}
     outcomes: dict[str, int] = {}
     records = [_world(i, totals, outcomes) for i in range(worlds)]
     combined = hashlib.sha256()
@@ -256,14 +257,14 @@ def diff_ledgers(a: dict[int, dict], b: dict[int, dict]) -> list[str]:
             continue
         ra, rb = a[i], b[i]
         parts = [name for name in ra["parts"] if ra["parts"][name] != rb["parts"].get(name)]
-        if not parts and ra["outcome"] == rb["outcome"]:
+        if not parts:
             continue
         differing += 1
         for name in parts:
             by_part[name] = by_part.get(name, 0) + 1
         out.append(
             f"world {i} {ra['generator']} compromises={ra['compromises']} audit={ra['audit']}: "
-            f"{','.join(parts) or 'outcome'}"
+            f"{','.join(parts)}"
         )
         if ra["outcome"] != rb["outcome"]:
             out.append(f"  - outcome {ra['outcome']}")
@@ -274,8 +275,7 @@ def diff_ledgers(a: dict[int, dict], b: dict[int, dict]) -> list[str]:
         if first is not None:
             out.append(f"  - {first[0]}")
             out.append(f"  + {first[1]}")
-    counts = " ".join(f"{name} {by_part[name]}" for name in (*COMBINED_PARTS, *OWN_PARTS) if name in by_part)
-    counts = counts or "-"
+    counts = " ".join(f"{name} {by_part[name]}" for name in PARTS if name in by_part) or "-"
     out.append(f"{differing} of {len(a.keys() | b.keys())} worlds differ; worlds by part: {counts}")
     return out
 
@@ -294,11 +294,9 @@ def main(argv: list[str] | None = None) -> int:
         print("\n".join(lines))
         return int(len(lines) > 1)
     if args.world is not None:
-        totals = {name: hashlib.sha256() for name in (*COMBINED_PARTS, *OWN_PARTS)}
-        record = _world(args.world, totals, {})
-        print(f"outcome {record['outcome']}")
-        print("\n".join(record["lines"]))
-        print("\n".join(f"faulted {line}" for line in record["fault_lines"]))
+        record = _world(args.world, {name: hashlib.sha256() for name in PARTS}, {})
+        faulted = [f"faulted {line}" for line in record["fault_lines"]]
+        print("\n".join([f"outcome {record['outcome']}", *record["lines"], *faulted]))
         return 0
     hashes, outcomes, records = sweep(args.worlds)
     for name, digest in hashes.items():
