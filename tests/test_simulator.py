@@ -540,7 +540,7 @@ def _drop_child_keeps_its_child(monkeypatch):
 @pytest.mark.parametrize("change", [_one_sided_dual_forgery, _drop_child_keeps_its_child])
 def test_behaviour_sweep_diff_names_the_worlds_a_change_reaches(change, monkeypatch, tmp_path, capsys):
     # A change that only worlds with one kind of compromise can see: the
-    # ledger diff names exactly those worlds, and each by a part that moved.
+    # ledger diff names exactly those worlds.
     sweep = _sweep()
     base, changed = tmp_path / "base.jsonl", tmp_path / "changed.jsonl"
     assert sweep.main([str(SWEEP_WORLDS), "--worlds-out", str(base)]) == 0
