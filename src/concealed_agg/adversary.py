@@ -1,119 +1,120 @@
-"""Adversary model: compromised-node behaviors and how a scenario arms them.
+"""Adversary model: what a compromised node does at each protocol step.
 
-A behavior is a deterministic function of its compromise, so every
-experiment replays bit-for-bit.  Behaviors activate at a trigger round and
-stay active afterwards; in particular a forger keeps forging when asked to
-re-aggregate, which is what pins it inside the outlier list.
+This is the Dolev–Yao split (Dolev & Yao, 1983): the network belongs to the
+attacker, so keyless faults act on the simulator's bus, and a compromised
+node is an insider that holds its own keys, so it can lie at any step it
+takes and still seal and tag what it sends.  A ``Behavior`` holds one hook
+per step.  At each step the node passes the hook its honest value and the
+round and uses what the hook returns; a step with no hook stays honest.
 
-Behavior kinds (BUILDERS gives each one's arguments):
+  reading   the sensed raw value
+  keeps     a child's AGG frame body, by sender; None drops it
+  pair      the folded pair before tagging, at emission and re-aggregation
+  answer    the probe answer (absent, pair, child_tags) before sealing
+  payload   the sealed AGG frame
 
-  forge_own       shift the node's own reading before diffusion; the shift is
-                  applied consistently under both chains, so it is invisible
-                  to pair-equality checking by design (the documented
-                  blind spot), but bounded by the sensor domain.
-  forge_children  add a ring delta to the emitted first-chain sum only; the
-                  canonical detectable forgery.  With dual=True the delta is
-                  applied to both chains, which models an adversary who can
-                  keep the pair consistent; the simulator only grants that
-                  power over data of compromised nodes.
-  noncommit       forge like forge_children, and additionally answer probes
-                  with a pair different from the committed one.
-  replay          resend a captured earlier packet verbatim instead of a
-                  fresh one; rejected by the parent's channel counter.
-  drop_child      silently discard a specific child's packets.
+Each kind a scenario names (BUILDERS gives its arguments) sets only its own
+hooks, armed from a trigger round on and deterministic, so every experiment
+replays bit-for-bit.  A forger keeps forging when asked to re-aggregate,
+which pins it inside the outlier list.
+
+  forge_own       reading + delta: consistent under both chains, so
+                  invisible to pair-equality checking by design (the
+                  documented blind spot), but bounded by the sensor domain.
+  forge_children  pair: a ring delta on the first sum, the canonical
+                  detectable forgery.  With dual, on both sums: any keyed
+                  aggregator can keep its pair consistent this way.
+  noncommit       pair as forge_children, and answer: a first sum other than
+                  the committed one.
+  replay          payload: its source round's frame, which the parent's
+                  channel counter rejects.
+  drop_child      keeps: drops one child's packets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Any, Callable
 
-from . import crypto
+from . import crypto, wire
 from .errors import ReadingOutOfRange, ScenarioInvalid
+
+Hook = Callable[[Any, int], Any]  # (honest value, round) -> the value the node uses
+
+
+def _honest(value, round_no: int):
+    return value
+
+
+@dataclass(frozen=True)
+class Behavior:
+    reading: Hook = _honest
+    keeps: Hook = _honest
+    pair: Hook = _honest
+    answer: Hook = _honest
+    payload: Hook = _honest
+
+
+def _armed(trigger_round: int, forge: Callable[[Any], Any]) -> Hook:
+    """A hook that forges from trigger_round on and is honest before it."""
+    return lambda value, round_no: forge(value) if round_no >= trigger_round else value
+
+
+def _shift(delta: int, dual: bool = False) -> Callable[[tuple[int, int]], tuple[int, int]]:
+    """Adds a ring delta to a pair's first sum, and with dual to both."""
+    return lambda pair: (crypto.add_mod(pair[0], delta), crypto.add_mod(pair[1], delta) if dual else pair[1])
 
 
 def _derived_delta(node_id: int) -> int:
-    # Deterministic nonzero ring delta for noncommit probe perturbation.
+    # Deterministic nonzero ring delta for noncommit's forgery and probe answer.
     return ((node_id * 0x9E3779B97F4A7C15) | 1) & crypto.MASK
-
-
-@dataclass
-class Behavior:
-    kind: str
-    trigger_round: int = 1
-    delta: int = 0  # ring units (forge_children/noncommit) ; raw units (forge_own)
-    dual: bool = False
-    probe_delta: int = 0
-    dropped: frozenset[int] = frozenset()
-    replay_source: int | None = None
-    _captured: dict[int, bytes] = field(default_factory=dict, repr=False)
-
-    def active(self, round_no: int) -> bool:
-        return round_no >= self.trigger_round
-
-    def forge_reading(self, raw: int, round_no: int, codec: crypto.FixedPointCodec) -> int:
-        if self.kind != "forge_own" or not self.active(round_no):
-            return raw
-        forged = raw + self.delta
-        if not 0 <= forged <= codec.max_raw:
-            raise ReadingOutOfRange(f"forged reading {forged} outside the sensor domain")
-        return forged
-
-    def forge_pair(self, dsum: int, dsum_prime: int, round_no: int) -> tuple[int, int]:
-        if self.kind not in ("forge_children", "noncommit") or not self.active(round_no):
-            return dsum, dsum_prime
-        dsum = crypto.add_mod(dsum, self.delta)
-        if self.dual:
-            dsum_prime = crypto.add_mod(dsum_prime, self.delta)
-        return dsum, dsum_prime
-
-    def probe_pair(self, dsum: int, dsum_prime: int, round_no: int) -> tuple[int, int]:
-        if self.kind != "noncommit" or not self.active(round_no):
-            return dsum, dsum_prime
-        return crypto.add_mod(dsum, self.probe_delta), dsum_prime
-
-    def drops_child(self, child: int, round_no: int) -> bool:
-        return self.kind == "drop_child" and self.active(round_no) and child in self.dropped
-
-    def emit_payload(self, round_no: int, payload: bytes) -> bytes:
-        if self.kind != "replay":
-            return payload
-        if not self.active(round_no):
-            self._captured[round_no] = payload
-            return payload
-        return self._captured.get(self.replay_source, payload)
 
 
 # === Compromise kinds =======================================================
 
 
 def _forge_own(node, trigger_round: int, delta_raw: int) -> Behavior:
-    if abs(delta_raw) > node.codec.max_raw:
+    max_raw = node.codec.max_raw
+    if abs(delta_raw) > max_raw:
         raise ScenarioInvalid(f"node {node.node_id}: forge_own takes <delta_raw> no larger in magnitude than "
-                              f"the {node.codec.max_raw} raw units a reading can absorb, got {delta_raw}")
-    return Behavior("forge_own", trigger_round, delta=delta_raw)
+                              f"the {max_raw} raw units a reading can absorb, got {delta_raw}")
+
+    def forge(raw: int) -> int:
+        if not 0 <= raw + delta_raw <= max_raw:
+            raise ReadingOutOfRange(f"forged reading {raw + delta_raw} outside the sensor domain")
+        return raw + delta_raw
+
+    return Behavior(reading=_armed(trigger_round, forge))
 
 
 def _forge_children(node, trigger_round: int, delta: int, dual: bool = False) -> Behavior:
-    return Behavior("forge_children", trigger_round, delta=delta & crypto.MASK, dual=dual)
+    return Behavior(pair=_armed(trigger_round, _shift(delta, dual)))
 
 
 def _noncommit(node, trigger_round: int, delta: int | None = None) -> Behavior:
-    if delta is None:
-        delta = _derived_delta(node.node_id)
-    probe_delta = _derived_delta(node.node_id ^ 0x5A5A)
-    return Behavior("noncommit", trigger_round, delta=delta & crypto.MASK, probe_delta=probe_delta)
+    forge = _shift(_derived_delta(node.node_id) if delta is None else delta)
+    perturb = _shift(_derived_delta(node.node_id ^ 0x5A5A))
+    return Behavior(pair=_armed(trigger_round, forge),
+                    answer=_armed(trigger_round, lambda answer: (answer[0], perturb(answer[1]), answer[2])))
 
 
 def _replay(node, trigger_round: int, source_round: int) -> Behavior:
     if not 1 <= source_round < trigger_round:
         raise ScenarioInvalid("replay source round must precede the trigger round")
-    return Behavior("replay", trigger_round, replay_source=source_round)
+    captured = []  # the source round's frame, once sent
+
+    def payload(frame: bytes, round_no: int) -> bytes:
+        if round_no == source_round:
+            captured.append(frame)
+        return captured[0] if captured and round_no >= trigger_round else frame
+
+    return Behavior(payload=payload)
 
 
 def _drop_child(node, trigger_round: int, child: int) -> Behavior:
     if child not in node.children:
         raise ScenarioInvalid(f"node {node.node_id} has no child {child} to drop")
-    return Behavior("drop_child", trigger_round, dropped=frozenset({child}))
+    return Behavior(keeps=_armed(trigger_round, lambda body: None if wire.packet_sender(body) == child else body))
 
 
 # kind -> (usage, argument types, builder(node, trigger_round, *args)).  The

@@ -22,8 +22,11 @@ a direct logical channel to the base station) and re-aggregates on request
 with some of its children left out, through the same fold as emission, and
 seals the result on that direct channel.
 
-Compromised behavior is injected through an optional behavior object
-consulted at sensing, emission, and probe time.
+A compromised node carries an ``adversary.Behavior``: one hook per protocol
+step (the reading, each child packet kept, the folded pair, the probe
+answer and the emitted frame), each given the honest value and the round
+and returning the value the node uses.  An honest node has none and skips
+every hook.
 """
 
 from __future__ import annotations
@@ -100,16 +103,15 @@ class SensorNode:
     def open_round(self, round_no: int) -> None:
         """Open a round later than any before: advance both seed chains to it,
         sense one reading, and diffuse it under both, D + m and D' + m mod M.
-        A compromised node may forge the reading (consistently under both
-        chains), but it must still encode in-range."""
+        A compromised node's ``reading`` hook may forge the reading, which
+        then enters both chains alike."""
         chains = self.chains  # at the last round opened
         if round_no <= chains.round:
             raise StaleRound(f"node {self.node_id}: round {round_no} <= {chains.round}")
         seeds = chains.advance_to(round_no)  # D << 64 | D'
-        codec = self.codec
-        raw = crypto.sense_raw(self.sense_key, round_no, codec.max_raw)
+        raw = crypto.sense_raw(self.sense_key, round_no, self.codec.max_raw)
         if self.behavior is not None:
-            raw = self.behavior.forge_reading(raw, round_no, codec)
+            raw = self.behavior.reading(raw, round_no)
         mask = crypto.MASK
         self.state = RoundState(round_no, (seeds >> 64) + raw & mask, (seeds & mask) + raw & mask)
 
@@ -117,15 +119,16 @@ class SensorNode:
         """Keep one child's packet for the fold at emission, through the intake
         every parent runs, ``wire.keep_child_packet``.  Two checks only a
         sensor has come first: nothing is kept outside an open round, which
-        emission closes, and nothing from a child a ``drop_child`` behaviour
+        emission closes, and nothing a compromised node's ``keeps`` hook
         drops."""
         state = self.state
         if state is None or state.emitted is not None:
             log.info("node %d: packet outside an open round ignored", self.node_id)
             return
-        behavior = self.behavior
-        if behavior is not None and behavior.drops_child(wire.packet_sender(body), state.round):
-            return
+        if self.behavior is not None:
+            body = self.behavior.keeps(body, state.round)
+            if body is None:
+                return
         wire.keep_child_packet(state.child_packets, self.child_channels, body, self.node_id)
 
     def emit(self) -> Send:
@@ -141,7 +144,7 @@ class SensorNode:
         state.emitted = pkt
         payload = _AGG_TYPE + body
         if self.behavior is not None:
-            payload = self.behavior.emit_payload(state.round, payload)
+            payload = self.behavior.payload(payload, state.round)
         return self.parent_id, payload
 
     def _seal_aggregate(
@@ -151,7 +154,7 @@ class SensorNode:
         own MAC XORed into the fold's child tags), and seal it."""
         dsum, dsum_prime, absent, tags = wire.fold_packets(kept, self.children, state.own_d, state.own_dp)
         if self.behavior is not None:
-            dsum, dsum_prime = self.behavior.forge_pair(dsum, dsum_prime, state.round)
+            dsum, dsum_prime = self.behavior.pair((dsum, dsum_prime), state.round)
         own = int.from_bytes(crypto.mac_pair(self.mac_key, dsum, dsum_prime), "big")
         tag = (own ^ tags).to_bytes(crypto.TAG_LEN, "big")
         return wire.seal_packet(channel, self.node_id, absent, dsum, dsum_prime, tag)
@@ -165,13 +168,11 @@ class SensorNode:
         if state is None or state.round != round_no or state.emitted is None:
             raise NoSuchRound(f"node {self.node_id}: no emitted packet for round {round_no}")
         pkt = state.emitted
-        dsum, dsum_prime = pkt.dsum, pkt.dsum_prime
-        if self.behavior is not None:
-            dsum, dsum_prime = self.behavior.probe_pair(dsum, dsum_prime, round_no)
+        absent, pair = pkt.absent, (pkt.dsum, pkt.dsum_prime)
         child_tags = {cid: p.tag for cid, p in state.child_packets.items()}
-        return wire.seal_probe_resp(
-            self.bs_channel, round_no, self.node_id, pkt.absent, dsum, dsum_prime, pkt.tag, child_tags
-        )
+        if self.behavior is not None:
+            absent, pair, child_tags = self.behavior.answer((absent, pair, child_tags), round_no)
+        return wire.seal_probe_resp(self.bs_channel, round_no, self.node_id, absent, *pair, pkt.tag, child_tags)
 
     def reaggregate_excluding(self, children: tuple[int, ...], round_no: int) -> bytes:
         """Recompute the dual sums without the named children, each dropped

@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
+import re
 from pathlib import Path
 
 import pytest
 from conftest import BAD_EDGE_LINES
 
 from concealed_agg import cli, simulator
+from concealed_agg.adversary import BUILDERS, KINDS
 from concealed_agg.errors import ScenarioInvalid
 
 HONEST = """\
@@ -281,6 +283,16 @@ def test_run_out_of_range_seed_exits_two(tmp_path, capsys, monkeypatch, seed):
 def test_scenario_parse_rejects_unknown_behavior():
     with pytest.raises(ScenarioInvalid, match=":2"):
         cli.parse_scenario("nodes 2\ncompromise 1 explode\n")
+
+
+def test_documented_kinds_match_the_builders():
+    # The CLI's docstring gives each kind's usage as BUILDERS checks it, and
+    # README's table of compromise kinds names exactly the kinds there are.
+    block = cli.__doc__.split("compromise <id> <kind> [args]")[1].split("audit-prob")[0]
+    usages = dict(line.strip().split(" ", 1) for line in block.strip().splitlines())
+    assert usages == {kind: usage for kind, (usage, _, _) in BUILDERS.items()}
+    table = (REPO / "README.md").read_text().split("Compromise kinds:")[1].split("\n\n")[1]
+    assert sorted(re.findall(r"^\| `(\w+)` ", table, re.M)) == sorted(KINDS)
 
 
 # === scaling ================================================================

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concealed_agg import crypto, wire
-from concealed_agg.adversary import Behavior, CompromiseSpec
+from concealed_agg.adversary import BUILDERS, Behavior, CompromiseSpec
 from concealed_agg.basestation import format_report_line
 from concealed_agg.errors import ProtocolError, ReadingOutOfRange, ReplayDetected, ScenarioInvalid
 from concealed_agg.node import SensorNode
@@ -519,21 +519,27 @@ def test_behaviour_sweep_verdicts_over_104_worlds_are_pinned():
     assert {part: hashes[part] for part in SWEEP_104_PARTS} == SWEEP_104_PARTS
 
 
+def _rebuild(monkeypatch, kind, change):
+    """Every `kind` compromise gets change(behavior, *args) instead."""
+    usage, types, build = BUILDERS[kind]
+    monkeypatch.setitem(BUILDERS, kind, (usage, types, lambda node, trigger_round, *args: change(
+        build(node, trigger_round, *args), *args)))
+
+
 def _one_sided_dual_forgery(monkeypatch):
     """A range check of the kind that catches a pair-consistent forger: a
     dual forge_children node shifts only its first chain."""
-    honest = Behavior.forge_pair
 
-    def one_sided(self, dsum, dsum_prime, round_no):
-        forged = honest(self, dsum, dsum_prime, round_no)
-        return (forged[0], dsum_prime) if self.dual else forged
+    def one_sided(behavior, delta, dual=False):
+        forge = behavior.pair
+        return Behavior(pair=lambda pair, round_no: (forge(pair, round_no)[0], pair[1])) if dual else behavior
 
-    monkeypatch.setattr(Behavior, "forge_pair", one_sided)
+    _rebuild(monkeypatch, "forge_children", one_sided)
     return lambda kind, args: kind == "forge_children" and args[1:] == [True]
 
 
 def _drop_child_keeps_its_child(monkeypatch):
-    monkeypatch.setattr(Behavior, "drops_child", lambda self, child, round_no: False)
+    _rebuild(monkeypatch, "drop_child", lambda behavior, child: Behavior())
     return lambda kind, args: kind == "drop_child"
 
 
