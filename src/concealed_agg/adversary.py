@@ -18,9 +18,10 @@ hooks, armed from a trigger round on and deterministic, so every experiment
 replays bit-for-bit.  A forger keeps forging when asked to re-aggregate,
 which pins it inside the outlier list.
 
-  forge_own       reading + delta: consistent under both chains, so
-                  invisible to pair-equality checking by design (the
-                  documented blind spot), but bounded by the sensor domain.
+  forge_own       reading + delta, stopping at the sensor domain's edge:
+                  consistent under both chains, so invisible to
+                  pair-equality checking by design (the documented blind
+                  spot), but bounded by the domain.
   forge_children  pair: a ring delta on the first sum, the canonical
                   detectable forgery.  With dual, on both sums: any keyed
                   aggregator can keep its pair consistent this way.
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from . import crypto, wire
-from .errors import ReadingOutOfRange, ScenarioInvalid
+from .errors import ScenarioInvalid
 
 Hook = Callable[[Any, int], Any]  # (honest value, round) -> the value the node uses
 
@@ -78,13 +79,7 @@ def _forge_own(node, trigger_round: int, delta_raw: int) -> Behavior:
     if abs(delta_raw) > max_raw:
         raise ScenarioInvalid(f"node {node.node_id}: forge_own takes <delta_raw> no larger in magnitude than "
                               f"the {max_raw} raw units a reading can absorb, got {delta_raw}")
-
-    def forge(raw: int) -> int:
-        if not 0 <= raw + delta_raw <= max_raw:
-            raise ReadingOutOfRange(f"forged reading {raw + delta_raw} outside the sensor domain")
-        return raw + delta_raw
-
-    return Behavior(reading=_armed(trigger_round, forge))
+    return Behavior(reading=_armed(trigger_round, lambda raw: min(max(raw + delta_raw, 0), max_raw)))
 
 
 def _forge_children(node, trigger_round: int, delta: int, dual: bool = False) -> Behavior:

@@ -10,7 +10,7 @@ from conftest import on_links, plaintext_sum, seed_at, seed_of, sensed_raw
 
 from concealed_agg import crypto, wire
 from concealed_agg.adversary import CompromiseSpec
-from concealed_agg.errors import ReadingOutOfRange, ScenarioInvalid
+from concealed_agg.errors import ScenarioInvalid
 from concealed_agg.simulator import GENERATORS, Scenario, World
 
 M = crypto.MODULUS
@@ -94,12 +94,16 @@ def test_forge_own_passes_with_exact_deviation():
     assert (forged.raw_sum - honest.raw_sum) % M == delta
 
 
-def test_forge_own_out_of_range_rejected_at_encoding():
-    world = World(Scenario(seed=77, n=4, generator="star",
-                           compromises=(CompromiseSpec(1, "forge_own", (100000,)),)))
-    node = world.nodes[1]
-    with pytest.raises(ReadingOutOfRange):
-        node.open_round(1)
+@pytest.mark.parametrize("delta", [100000, -100000])
+def test_forge_own_stops_at_the_domain_edge(delta):
+    # A delta one round's reading cannot absorb forges the nearest reading
+    # in the domain, and the round still reaches its (passing) verdict.
+    world, result = run_one(Scenario(seed=77, n=4, generator="star",
+                                     compromises=(CompromiseSpec(1, "forge_own", (delta,)),)))
+    edge = world.codec.max_raw if delta > 0 else 0
+    assert not 0 <= sensed_raw(world, 1, 1) + delta <= world.codec.max_raw
+    assert result.integrity == "passed"
+    assert result.raw_sum == plaintext_sum(world, 1) - sensed_raw(world, 1, 1) + edge
 
 
 def test_forge_own_zero_is_honest():

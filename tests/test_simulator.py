@@ -390,10 +390,14 @@ def test_silent_nodes_at_any_depth_cost_only_their_subtrees(generator, n, seed, 
 
 
 def test_round_that_raises_still_reports_its_traffic():
-    # Node 2 forges its reading out of range and raises as soon as it is
-    # queried; the two QUERY frames that reached it are still charged.
-    world = World(Scenario(seed=1, n=4, generator="path",
-                           compromises=(CompromiseSpec(2, "forge_own", (-100000,)),)))
+    # Node 2's reading hook raises as soon as it is queried; the two QUERY
+    # frames that reached it are still charged.
+    world = World(Scenario(seed=1, n=4, generator="path"))
+
+    def out_of_range(raw, round_no):
+        raise ReadingOutOfRange(f"reading {raw} outside the sensor domain")
+
+    world.nodes[2].behavior = Behavior(reading=out_of_range)
     with pytest.raises(ReadingOutOfRange):
         world.run_round(1)
     assert (world.metrics.rounds[0].messages, world.metrics.rounds[0].bytes) == (2, 20)
