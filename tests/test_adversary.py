@@ -94,16 +94,16 @@ def test_forge_own_passes_with_exact_deviation():
     assert (forged.raw_sum - honest.raw_sum) % M == delta
 
 
-@pytest.mark.parametrize("delta", [100000, -100000])
-def test_forge_own_stops_at_the_domain_edge(delta):
+def test_forge_own_stops_at_the_domain_edge():
     # A delta one round's reading cannot absorb forges the nearest reading
     # in the domain, and the round still reaches its (passing) verdict.
-    world, result = run_one(Scenario(seed=77, n=4, generator="star",
-                                     compromises=(CompromiseSpec(1, "forge_own", (delta,)),)))
-    edge = world.codec.max_raw if delta > 0 else 0
-    assert not 0 <= sensed_raw(world, 1, 1) + delta <= world.codec.max_raw
-    assert result.integrity == "passed"
-    assert result.raw_sum == plaintext_sum(world, 1) - sensed_raw(world, 1, 1) + edge
+    for delta in (100000, -100000):
+        world, result = run_one(Scenario(seed=77, n=4, generator="star",
+                                         compromises=(CompromiseSpec(1, "forge_own", (delta,)),)))
+        edge = world.codec.max_raw if delta > 0 else 0
+        assert not 0 <= sensed_raw(world, 1, 1) + delta <= world.codec.max_raw
+        assert result.integrity == "passed"
+        assert result.raw_sum == plaintext_sum(world, 1) - sensed_raw(world, 1, 1) + edge
 
 
 def test_forge_own_zero_is_honest():
