@@ -13,13 +13,12 @@ from .basestation import (
     QueryResult,
     format_report_line,
 )
-from .crypto import FixedPointCodec, SecureChannel, SeedState, diffuse, undiffuse
+from .crypto import FixedPointCodec, SeedState, diffuse, undiffuse
 from .errors import (
     AuthFailure,
     DisconnectedGraph,
     ProtocolError,
     ReadingOutOfRange,
-    ReplayDetected,
     ScenarioInvalid,
 )
 from .node import SensorNode
@@ -41,11 +40,9 @@ __all__ = [
     "ProtocolError",
     "QueryResult",
     "ReadingOutOfRange",
-    "ReplayDetected",
     "ScalingRow",
     "Scenario",
     "ScenarioInvalid",
-    "SecureChannel",
     "SeedState",
     "SensorNode",
     "Tree",

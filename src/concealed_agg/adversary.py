@@ -27,8 +27,8 @@ which pins it inside the outlier list.
                   aggregator can keep its pair consistent this way.
   noncommit       pair as forge_children, and answer: a first sum other than
                   the committed one.
-  replay          payload: its source round's frame, which the parent's
-                  channel counter rejects.
+  replay          payload: its source round's frame, whose channel tag
+                  fails under the parent's round.
   drop_child      keeps: drops one child's packets.
 """
 

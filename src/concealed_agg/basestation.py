@@ -53,7 +53,7 @@ from itertools import accumulate, chain
 from typing import NamedTuple
 
 from . import crypto, wire
-from .errors import AuthFailure, ReplayDetected, StaleRound
+from .errors import AuthFailure, StaleRound
 from .topology import BS_ID, Tree, Provisioning
 
 log = logging.getLogger(__name__)
@@ -111,8 +111,8 @@ def format_report_line(result: QueryResult) -> str:
 def _subtract(node: wire.AggPacket, failing: list[wire.AggPacket]) -> wire.AggPacket | None:
     """A node's re-aggregate without its failing children, from their answers:
     its packet with its pair less theirs in the ring, and its absent roots
-    less theirs (as multisets) plus their own ids; its counter and tag, which
-    nothing reads, stay.  None when some child's absent roots are not among
+    less theirs (as multisets) plus their own ids; its tag, which nothing
+    reads, stays.  None when some child's absent roots are not among
     the node's, so the child cannot be what the node folded.  For honest
     nodes this is exactly the node's own re-aggregation without them."""
     rest = sorted(node.absent)
@@ -124,7 +124,7 @@ def _subtract(node: wire.AggPacket, failing: list[wire.AggPacket]) -> wire.AggPa
     dsum = node.dsum - sum(child.dsum for child in failing) & crypto.MASK
     dsum_prime = node.dsum_prime - sum(child.dsum_prime for child in failing) & crypto.MASK
     absent = tuple(sorted(rest + [child.sender for child in failing]))
-    return wire.AggPacket(node.sender, node.counter, absent, dsum, dsum_prime, node.tag)
+    return wire.AggPacket(node.sender, absent, dsum, dsum_prime, node.tag)
 
 
 class BaseStation:
@@ -141,15 +141,13 @@ class BaseStation:
         self.tree = tree
         self.codec = codec
         self._keys = {nid: k for nid, (k, _) in prov.node_keys.items()}
-        self._child_channels = {
-            cid: crypto.SecureChannel(edges[cid]) for cid in tree.children[BS_ID]
-        }
+        self._child_channels = {cid: edges[cid] for cid in tree.children[BS_ID]}
         # Every round's result keeps its participant set; a claim with no
         # absent roots, the honest round, shares this one.
         self._all_sensors = frozenset(tree.order[1:])
         # A node's direct channel and MAC are keyed on its first probe: most
         # rounds probe no one, and key derivation for every node dominated set-up.
-        self._direct: dict[int, tuple[crypto.SecureChannel, crypto.Keyed]] = {}
+        self._direct: dict[int, tuple[crypto.Keyed, crypto.Keyed]] = {}
         # Seed ledger in tour order: each sensor's D_j << 64 | D'_j at the
         # ledger round, and both chains' prefix sums, where entry i sums the
         # seeds at tour positions below i (the station, at position 0, has none).
@@ -223,8 +221,9 @@ class BaseStation:
         return [(cid, query) for cid in self.tree.children[BS_ID]]
 
     def receive_packet(self, body: bytes) -> None:
-        """Keep a child's packet through the intake every parent runs."""
-        wire.keep_child_packet(self._round_packets, self._child_channels, body, BS_ID)
+        """Keep a child's packet for the current round through the intake
+        every parent runs."""
+        wire.keep_child_packet(self._round_packets, self._child_channels, self._last_round, body, BS_ID)
 
     def finalize(self, round_no: int) -> tuple[int, int, Claim]:
         """Fold the children's packets into the final pair and the round's
@@ -276,12 +275,12 @@ class BaseStation:
 
     # === Attestation ========================================================
 
-    def _bs_keys(self, nid: int) -> tuple[crypto.SecureChannel, crypto.Keyed]:
+    def _bs_keys(self, nid: int) -> tuple[crypto.Keyed, crypto.Keyed]:
         """nid's direct channel to the station and its MAC, keyed once."""
         keys = self._direct.get(nid)
         if keys is None:
             key = self._keys[nid]
-            channel = crypto.SecureChannel(crypto.channel_key(crypto.derive_bs_channel_key(key, nid)))
+            channel = crypto.channel_key(crypto.derive_bs_channel_key(key, nid))
             keys = self._direct[nid] = channel, crypto.mac_key(key)
         return keys
 
@@ -300,7 +299,8 @@ class BaseStation:
         """Probe sibling targets through their parent and check each answer as
         it opens; by node, its packet, verdict and child-tag block.  A node's
         entry, matched by the sender it names, opens only on the node's own
-        direct channel, so whoever relays the bundle can drop it, not forge it."""
+        direct channel and for the round asked about, so whoever relays the
+        bundle can drop it, not forge or replay it."""
         raw = ask(parent, wire.encode_probe(round_no, targets))
         if not raw or raw[0] != wire.PROBE_RESP:
             return {}
@@ -320,8 +320,8 @@ class BaseStation:
             bound = body[start + 4 : at]
             channel, mac = self._direct.get(nid) or self._bs_keys(nid)
             try:
-                pkt = wire.open_packet(channel, agg_body, bound)
-            except (ReplayDetected, AuthFailure) as exc:
+                pkt = wire.open_packet(channel, round_no, agg_body, wire.entry_bound(bound))
+            except AuthFailure as exc:
                 log.info("base station: probe response from %d rejected: %s", nid, exc)
                 continue
             # Committed: its MAC XOR the child tags it vouches for is its tag, and any pin matches.
@@ -411,7 +411,7 @@ class BaseStation:
                 reagg = _subtract(answered[nid], [answered[cid] for cid in failing])
             if reagg is None or not self._fits(nid, reagg):
                 raw = ask(nid, wire.encode_reagg(round_no, failing))
-                reagg = wire.open_reagg_reply(self._bs_keys(nid)[0], raw)
+                reagg = wire.open_reagg_reply(self._bs_keys(nid)[0], round_no, raw)
                 if reagg is None or not self._fits(nid, reagg):
                     continue
             self._cleared[nid] = reagg

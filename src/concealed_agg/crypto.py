@@ -16,15 +16,20 @@ uniform, as two outputs under separate keys K and K' would be.  No party
 ever computes one chain alone: a captured node yields both keys, and one key
 alone reveals neither chain.
 
-Pairwise channels authenticate and do not encrypt: a sealed blob is the
-payload in the clear and a 16-byte tag over the counter, the associated data
-and the payload, one PRF call to seal and one to open, each through
-``_channel_tag``.  The caller builds the associated data: ``wire`` packs a
-packet's header once at the sender and slices it from the packet at the
-receiver.  Diffusion conceals.  Every channel plaintext (an AGG packet, a
-probe-response entry, a re-aggregation reply) is a ring sum of per-node
-diffused values D_i + r_i and D'_i + r_i, masked by seeds that only node i
-and the station hold and that no other round uses.  So a link
+Pairwise channels authenticate and do not encrypt: a channel is its keyed
+state, and a sealed blob is the payload in the clear and a 16-byte tag over
+the round, the associated data and the payload, one PRF call to seal and one
+to open, each through ``_channel_tag``.  The round is the channel's counter,
+implicit as in SNEP (Perrig et al., SPINS): both ends know it, so no frame
+carries it, and a blob sealed for one round fails its tag in any other.  The
+caller builds the associated data: ``wire`` packs a packet's header once at
+the sender and slices it from the packet at the receiver, and binds the
+frame type of every packet sent on a key that seals more than one type.
+Channels only authenticate, so a key and round sealing several blobs
+reveals nothing.  Diffusion conceals.  Every channel plaintext (an AGG
+packet, a probe-response entry, a re-aggregation reply) is a ring sum of
+per-node diffused values D_i + r_i and D'_i + r_i, masked by seeds that only
+node i and the station hold and that no other round uses.  So a link
 eavesdropper, or an ancestor relaying the packet, learns exactly what the
 edge-key holder learns.
 
@@ -41,8 +46,8 @@ Tags fold as integers, read big-endian and written back at their length: the
 bytes a per-byte XOR gives.  ``wire.fold_packets`` XORs a node's child tags
 into one integer, the node XORs in its own MAC and writes the tag once.  The
 functions here are pure and safe to call from any number of threads, a keyed
-state included, because calls only copy it; a ``SeedState`` or a
-``SecureChannel`` holds a position or counters and belongs to one endpoint.
+state included, because calls only copy it; a ``SeedState`` holds a
+position and belongs to one endpoint.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from hmac import compare_digest
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import AuthFailure, ReadingOutOfRange, ReplayDetected
+from .errors import AuthFailure, ReadingOutOfRange
 
 # === Ring arithmetic ========================================================
 
@@ -152,7 +157,7 @@ def mac_key(key: bytes) -> Keyed:
 
 
 def channel_key(key: bytes) -> Keyed:
-    """A channel's tag for ``seal``, ``open_sealed`` and ``SecureChannel``."""
+    """A channel's tag for ``seal`` and ``open_sealed``."""
     return _keyed(_check_key(key), _PERSON_CHANTAG, CHANNEL_TAG_LEN)
 
 
@@ -252,58 +257,27 @@ def combine_macs(own: bytes, children: list[bytes]) -> bytes:
 # === Authenticated pairwise channels ========================================
 
 
-def _channel_tag(key: Keyed, counter: int, ad: bytes, payload: bytes) -> bytes:
+def _channel_tag(key: Keyed, round_no: int, ad: bytes, payload: bytes) -> bytes:
     h = key.copy()
-    h.update((counter << 32 | len(ad)).to_bytes(12, "big") + ad + payload)
+    h.update((round_no << 32 | len(ad)).to_bytes(12, "big") + ad + payload)
     return h.digest()
 
 
-def seal(key: Keyed, counter: int, plaintext: bytes, ad: bytes = b"") -> bytes:
-    """Authenticate a payload under the channel key: the payload, in the
-    clear, followed by a tag over the counter, the length-prefixed associated
-    data ``ad`` (also in the clear) and the payload.  One PRF call."""
-    return plaintext + _channel_tag(key, counter, ad, plaintext)
+def seal(key: Keyed, round_no: int, plaintext: bytes, ad: bytes = b"") -> bytes:
+    """Authenticate a payload under the channel key for a round: the payload,
+    in the clear, followed by a tag over the round, the length-prefixed
+    associated data ``ad`` (also in the clear) and the payload.  One PRF call."""
+    return plaintext + _channel_tag(key, round_no, ad, plaintext)
 
 
-def open_sealed(key: Keyed, counter: int, blob: bytes, ad: bytes = b"") -> bytes:
+def open_sealed(key: Keyed, round_no: int, blob: bytes, ad: bytes = b"") -> bytes:
     """Inverse of seal: the payload bytes.  Raises AuthFailure on any bit of
-    tampering with the blob, the counter or the associated data."""
+    tampering with the blob or the associated data, and on a blob sealed
+    for another round."""
     payload = blob[:-CHANNEL_TAG_LEN]
-    if not compare_digest(blob[-CHANNEL_TAG_LEN:], _channel_tag(key, counter, ad, payload)):
+    if not compare_digest(blob[-CHANNEL_TAG_LEN:], _channel_tag(key, round_no, ad, payload)):
         raise AuthFailure("channel tag mismatch")
     return payload
-
-
-class SecureChannel:
-    """One endpoint of an authenticated pairwise link with replay protection.
-
-    Counters are strictly increasing per direction: the sender stamps each
-    blob with the next counter, the receiver accepts a blob only if its
-    counter exceeds the last one accepted.  Both endpoints may share one
-    ``channel_key`` state: the counters are each endpoint's own.
-    """
-
-    __slots__ = ("key", "_send_counter", "_recv_last")
-
-    def __init__(self, key: Keyed):
-        self.key = key
-        self._send_counter = 0
-        self._recv_last = 0
-
-    def seal_next(self, plaintext: bytes, ad: bytes = b"") -> tuple[int, bytes]:
-        """``seal`` under the next counter: the counter and the blob."""
-        counter = self._send_counter = self._send_counter + 1
-        return counter, plaintext + _channel_tag(self.key, counter, ad, plaintext)
-
-    def open(self, counter: int, blob: bytes, ad: bytes = b"") -> bytes:
-        """``open_sealed``, refusing a counter not above the last accepted."""
-        if counter <= self._recv_last:
-            raise ReplayDetected(f"counter {counter} <= last accepted {self._recv_last}")
-        payload = blob[:-CHANNEL_TAG_LEN]
-        if not compare_digest(blob[-CHANNEL_TAG_LEN:], _channel_tag(self.key, counter, ad, payload)):
-            raise AuthFailure("channel tag mismatch")
-        self._recv_last = counter
-        return payload
 
 
 def derive_bs_channel_key(node_key: bytes, node_id: int) -> bytes:

@@ -11,10 +11,6 @@ class ProtocolError(Exception):
     """Base class for all protocol-level failures."""
 
 
-class ReplayDetected(ProtocolError):
-    """Channel counter did not strictly increase."""
-
-
 class AuthFailure(ProtocolError):
     """Sealed payload failed authentication."""
 

@@ -84,18 +84,17 @@ class SensorNode:
         self.sense_key = crypto.sense_key(sense_key)
         self.behavior = None  # a compromise's Behavior, set by adversary.apply_plan
         self.chains = crypto.SeedState.from_origin(chain, origin)
-        self.up_channel = crypto.SecureChannel(edge)
-        self.child_channels = {cid: crypto.SecureChannel(k) for cid, k in child_edges.items()}
-        self._bs_channel: crypto.SecureChannel | None = None
+        self.up_channel = edge
+        self.child_channels = child_edges
+        self._bs_channel: crypto.Keyed | None = None
         self.state: RoundState | None = None
 
     @property
-    def bs_channel(self) -> crypto.SecureChannel:
+    def bs_channel(self) -> crypto.Keyed:
         """The direct channel to the base station, keyed on first use (as
         the station keys its end): honest rounds never touch it."""
         if self._bs_channel is None:
-            key = crypto.derive_bs_channel_key(self.key, self.node_id)
-            self._bs_channel = crypto.SecureChannel(crypto.channel_key(key))
+            self._bs_channel = crypto.channel_key(crypto.derive_bs_channel_key(self.key, self.node_id))
         return self._bs_channel
 
     # === Round handling =====================================================
@@ -129,7 +128,7 @@ class SensorNode:
             body = self.behavior.keeps(body, state.round)
             if body is None:
                 return
-        wire.keep_child_packet(state.child_packets, self.child_channels, body, self.node_id)
+        wire.keep_child_packet(state.child_packets, self.child_channels, state.round, body, self.node_id)
 
     def emit(self) -> Send:
         """Build, seal, and retain this round's single upward packet.  Emission
@@ -140,24 +139,26 @@ class SensorNode:
             raise NoSuchRound(f"node {self.node_id}: no active round")
         if state.emitted is not None:
             raise AlreadyEmitted(f"node {self.node_id}: round {state.round}")
-        pkt, body = self._seal_aggregate(state, state.child_packets, self.up_channel)
+        folded = self._fold(state, state.child_packets)
+        pkt, body = wire.seal_packet(self.up_channel, state.round, self.node_id, *folded)
         state.emitted = pkt
         payload = _AGG_TYPE + body
         if self.behavior is not None:
             payload = self.behavior.payload(payload, state.round)
         return self.parent_id, payload
 
-    def _seal_aggregate(
-        self, state: RoundState, kept: dict[int, wire.AggPacket], channel: crypto.SecureChannel
-    ) -> tuple[wire.AggPacket, bytes]:
-        """Fold the kept child packets, add the own pair, tag the result (the
-        own MAC XORed into the fold's child tags), and seal it."""
+    def _fold(
+        self, state: RoundState, kept: dict[int, wire.AggPacket]
+    ) -> tuple[tuple[int, ...], int, int, bytes]:
+        """Fold the kept child packets, add the own pair, and tag the result
+        (the own MAC XORed into the fold's child tags): its absent roots, pair
+        and tag, in ``wire.seal_packet``'s order."""
         dsum, dsum_prime, absent, tags = wire.fold_packets(kept, self.children, state.own_d, state.own_dp)
         if self.behavior is not None:
             dsum, dsum_prime = self.behavior.pair((dsum, dsum_prime), state.round)
         own = int.from_bytes(crypto.mac_pair(self.mac_key, dsum, dsum_prime), "big")
         tag = (own ^ tags).to_bytes(crypto.TAG_LEN, "big")
-        return wire.seal_packet(channel, self.node_id, absent, dsum, dsum_prime, tag)
+        return absent, dsum, dsum_prime, tag
 
     # === Attestation ========================================================
 
@@ -183,8 +184,7 @@ class SensorNode:
         if state is None or state.round != round_no or state.emitted is None:
             raise NoSuchRound(f"node {self.node_id}: no round {round_no} to re-aggregate")
         kept = {cid: pkt for cid, pkt in state.child_packets.items() if cid not in children}
-        _, body = self._seal_aggregate(state, kept, self.bs_channel)
-        return wire.encode_reagg_resp(round_no, True, body)
+        return wire.seal_reagg_resp(self.bs_channel, round_no, self.node_id, *self._fold(state, kept))
 
     # === Fabric dispatch ====================================================
 

@@ -2,26 +2,32 @@
 
 Aggregation packet layout:
 
-    sender (4B BE) || counter (8B BE) || absent-count (4B BE)
+    sender (4B BE) || absent-count (4B BE)
     || absent ids (4B BE each, ascending) || sealed payload || tag (8B)
 
 The absent ids are the roots of the subtrees missing from the sender's
 aggregate: its children that did not report, plus every id its reporting
 children listed.  The station knows the tree, so it derives the
 participants itself; an honest packet carries no ids, so its AGG frame is
-57 bytes at any depth.
+49 bytes at any depth.
 
 The sealed payload is the dual diffused pair (two 8-byte big-endian words, K
 chain first) in the clear, followed by its 16-byte channel tag under a
-channel key: a fixed 16 + 16 bytes.  The channel tag also covers, as
-associated data, every other clear field but the counter (which it covers
-anyway): sender, absent list and tag, and in a probe response the child tags
+channel key: a fixed 16 + 16 bytes.  The channel tag is sealed for the round
+the packet belongs to, which no field carries: the receiver opens it under
+its own round (a sensor's open round, the station's current one, or the
+round the station asked about), so a packet from another round fails its
+tag.  The channel tag also covers, as associated data, every other clear
+field: sender, absent list and tag, and in a probe response the child tags
 too.  A keyless attacker on a link who rewrites any of them makes the packet
-fail authentication.  ``seal_packet`` packs the header once, for both the
-associated data and the body (``header_ad`` and ``encode_agg_body`` give the
-same bytes field by field); ``open_packet`` authenticates the header bytes
-``decode_agg_body`` parsed, sliced from the packet, so each packet is packed
-once and parsed once and nothing is rebuilt in between.  Every payload on
+fail authentication.  A node's direct channel to the station seals both its
+probe entries and its re-aggregation replies, in the same round, so each
+binds its frame type too, and neither opens as the other.  ``seal_packet``
+packs the header once, for both the associated data and the body
+(``header_ad`` and ``encode_agg_body`` give the same bytes field by field);
+``open_packet`` authenticates the header bytes ``decode_agg_body`` parsed,
+sliced from the packet, so each packet is packed once and parsed once and
+nothing is rebuilt in between.  Every payload on
 the simulator fabric is a one-byte message type, which receivers read from
 byte 0, followed by the body, and every type crosses a link: no frame tells
 a node to emit, it emits when the simulator finds its subtree drained.
@@ -69,7 +75,7 @@ from operator import ge
 from typing import NamedTuple
 
 from . import crypto
-from .errors import AuthFailure, ReplayDetected
+from .errors import AuthFailure
 
 log = logging.getLogger(__name__)
 
@@ -82,14 +88,15 @@ REAGG = 0x05
 REAGG_RESP = 0x06
 
 SEALED_PAIR_LEN = 16 + crypto.CHANNEL_TAG_LEN
-_PACKET_LEN = 16 + SEALED_PAIR_LEN + crypto.TAG_LEN  # an aggregation packet without absent ids
+_PACKET_LEN = 8 + SEALED_PAIR_LEN + crypto.TAG_LEN  # an aggregation packet without absent ids
 
-_HEADER = struct.Struct(">IQI")  # sender, counter, absent count
+_HEADER = struct.Struct(">II")  # sender, absent count
 _NO_ABSENT = bytes(4)  # the absent count of a packet that names no one
 _QUERY = struct.Struct(">QB")  # round, function code
 _PAIR = struct.Struct(">QQ")  # dsum, dsum_prime: K chain first
 _CHILD_TAG = struct.Struct(f">I{crypto.TAG_LEN}s")  # a child id and tag in a probe entry
 _PROBE_RESP_TYPE = bytes([PROBE_RESP])
+_REAGG_RESP_TYPE = bytes([REAGG_RESP])
 iter_child_tags = struct.Struct(">IQ").iter_unpack  # (child id, tag as an integer) per child tag
 
 FUNC_CODES = {"sum": 0, "mean": 1}
@@ -100,7 +107,6 @@ class AggPacket(NamedTuple):
     """Plaintext view of one aggregation packet."""
 
     sender: int
-    counter: int
     absent: tuple[int, ...]
     dsum: int
     dsum_prime: int
@@ -161,26 +167,26 @@ def _absent_field(absent: tuple[int, ...]) -> bytes:
 
 def header_ad(sender: int, absent: tuple[int, ...], tag: bytes) -> bytes:
     """Associated data of an aggregation packet: its clear header fields, the
-    packet's bytes [0, 4) and [12, 16 + 4 * len(absent)) followed by its tag."""
+    packet's bytes [0, 8 + 4 * len(absent)) followed by its tag."""
     return sender.to_bytes(4, "big") + _absent_field(absent) + tag
 
 
-def encode_agg_body(sender: int, counter: int, absent: tuple[int, ...], sealed: bytes, tag: bytes) -> bytes:
-    return sender.to_bytes(4, "big") + counter.to_bytes(8, "big") + _absent_field(absent) + sealed + tag
+def encode_agg_body(sender: int, absent: tuple[int, ...], sealed: bytes, tag: bytes) -> bytes:
+    return sender.to_bytes(4, "big") + _absent_field(absent) + sealed + tag
 
 
-def decode_agg_body(body: bytes) -> tuple[int, int, tuple[int, ...], bytes, bytes]:
-    """Sender, counter, absent ids, sealed pair and tag of an aggregation
-    packet; ValueError if the body ends before the packet does."""
-    if len(body) < 16:
+def decode_agg_body(body: bytes) -> tuple[int, tuple[int, ...], bytes, bytes]:
+    """Sender, absent ids, sealed pair and tag of an aggregation packet;
+    ValueError if the body ends before the packet does."""
+    if len(body) < 8:
         raise ValueError("truncated aggregation packet")
-    sender, counter, count = _HEADER.unpack_from(body)
-    sealed_at = 16 + 4 * count
+    sender, count = _HEADER.unpack_from(body)
+    sealed_at = 8 + 4 * count
     tag_at = sealed_at + SEALED_PAIR_LEN
     if len(body) < tag_at + crypto.TAG_LEN:
         raise ValueError("truncated aggregation packet")
-    absent = struct.unpack_from(f">{count}I", body, 16) if count else ()
-    return sender, counter, absent, body[sealed_at:tag_at], body[tag_at : tag_at + crypto.TAG_LEN]
+    absent = struct.unpack_from(f">{count}I", body, 8) if count else ()
+    return sender, absent, body[sealed_at:tag_at], body[tag_at : tag_at + crypto.TAG_LEN]
 
 
 def packet_sender(body: bytes) -> int | None:
@@ -190,7 +196,8 @@ def packet_sender(body: bytes) -> int | None:
 
 
 def seal_packet(
-    channel: crypto.SecureChannel,
+    channel: crypto.Keyed,
+    round_no: int,
     sender: int,
     absent: tuple[int, ...],
     dsum: int,
@@ -198,42 +205,41 @@ def seal_packet(
     tag: bytes,
     bound: bytes = b"",
 ) -> tuple[AggPacket, bytes]:
-    """Seal a pair on the given channel, binding the header and any extra
-    ``bound`` bytes into the channel tag; returns the plaintext view and body:
-    the bytes ``encode_agg_body`` gives, with the absent ids packed once for
-    both the associated data (``header_ad`` + ``bound``) and the body."""
+    """Seal a pair on the given channel for a round, binding the header and
+    any extra ``bound`` bytes into the channel tag; returns the plaintext view
+    and body: the bytes ``encode_agg_body`` gives, with the absent ids packed
+    once for both the associated data (``header_ad`` + ``bound``) and the body."""
     mask = crypto.MASK
-    head, ids = sender.to_bytes(4, "big"), _absent_field(absent)
-    counter, sealed = channel.seal_next(_PAIR.pack(dsum & mask, dsum_prime & mask), head + ids + tag + bound)
-    pkt = _new_packet((sender, counter, absent, dsum, dsum_prime, tag))
-    return pkt, head + counter.to_bytes(8, "big") + ids + sealed + tag
+    head = sender.to_bytes(4, "big") + _absent_field(absent)
+    sealed = crypto.seal(channel, round_no, _PAIR.pack(dsum & mask, dsum_prime & mask), head + tag + bound)
+    return _new_packet((sender, absent, dsum, dsum_prime, tag)), head + sealed + tag
 
 
-def open_packet(channel: crypto.SecureChannel, body: bytes, bound: bytes = b"") -> AggPacket:
-    """Parse and unseal an aggregation packet received on a channel.  The
-    associated data is the header as it arrived, sliced from the body: the
-    bytes ``header_ad`` builds at the sender.  Bytes past the packet's end
-    are ignored.
+def open_packet(channel: crypto.Keyed, round_no: int, body: bytes, bound: bytes = b"") -> AggPacket:
+    """Parse and unseal an aggregation packet received on a channel in a
+    round.  The associated data is the header as it arrived, sliced from the
+    body: the bytes ``header_ad`` builds at the sender.  Bytes past the
+    packet's end are ignored.
 
-    Raises ReplayDetected / AuthFailure from the channel on bad traffic,
-    including a header or ``bound`` bytes other than those sealed, and
-    AuthFailure on a body that does not parse.
+    Raises AuthFailure on a body that does not parse, and from the channel
+    on bad traffic: a header or ``bound`` bytes other than those sealed, or a
+    packet sealed for another round.
     """
     try:
-        sender, counter, absent, sealed, tag = decode_agg_body(body)
+        sender, absent, sealed, tag = decode_agg_body(body)
     except ValueError as exc:
         raise AuthFailure(f"malformed aggregation packet: {exc}") from exc
-    ad = body[:4] + body[12 : 16 + 4 * len(absent)] + tag + bound
-    dsum, dsum_prime = _PAIR.unpack(channel.open(counter, sealed, ad))
-    return _new_packet((sender, counter, absent, dsum, dsum_prime, tag))
+    ad = body[: 8 + 4 * len(absent)] + tag + bound
+    dsum, dsum_prime = _PAIR.unpack(crypto.open_sealed(channel, round_no, sealed, ad))
+    return _new_packet((sender, absent, dsum, dsum_prime, tag))
 
 
 def keep_child_packet(
-    kept: dict[int, AggPacket], channels: dict[int, crypto.SecureChannel], body: bytes, receiver: int
+    kept: dict[int, AggPacket], channels: dict[int, crypto.Keyed], round_no: int, body: bytes, receiver: int
 ) -> None:
-    """Open a packet on the channel of the child it names and keep it.  One
-    that names no child or a child already kept, or does not open, is ignored
-    with a log line and leaves nothing behind."""
+    """Open a packet on the channel of the child it names, for the receiver's
+    round, and keep it.  One that names no child or a child already kept, or
+    does not open, is ignored with a log line and leaves nothing behind."""
     sender = packet_sender(body)
     channel = channels.get(sender)
     if channel is None:
@@ -242,8 +248,8 @@ def keep_child_packet(
         log.info("node %d: duplicate packet from child %d ignored", receiver, sender)
     else:
         try:
-            kept[sender] = open_packet(channel, body)
-        except (ReplayDetected, AuthFailure) as exc:
+            kept[sender] = open_packet(channel, round_no, body)
+        except AuthFailure as exc:
             log.info("node %d: rejected packet from child %d: %s", receiver, sender, exc)
 
 
@@ -289,20 +295,28 @@ def _child_tag_block(count: int) -> struct.Struct:
 
 
 def seal_probe_resp(
-    channel: crypto.SecureChannel, round_no: int, sender: int, absent: tuple[int, ...],
+    channel: crypto.Keyed, round_no: int, sender: int, absent: tuple[int, ...],
     dsum: int, dsum_prime: int, tag: bytes, child_tags: dict[int, bytes],
 ) -> bytes:
-    """A node's probe answer, a one-entry PROBE_RESP frame: its packet sealed
-    on the channel, with the child tags it folded, ascending, bound into the channel tag."""
+    """A node's probe answer for a round, a one-entry PROBE_RESP frame: its
+    packet sealed on the channel, with the frame type and the child tags it
+    folded, ascending, bound into the channel tag (``entry_bound``)."""
     items = sorted(child_tags.items())
     block = _child_tag_block(len(items)).pack(len(items), *chain.from_iterable(items))
-    body = seal_packet(channel, sender, absent, dsum, dsum_prime, tag, block[4:])[1]
+    body = seal_packet(channel, round_no, sender, absent, dsum, dsum_prime, tag, entry_bound(block[4:]))[1]
     return b"".join((_PROBE_RESP_TYPE, round_no.to_bytes(8, "big"), block, body))
+
+
+def entry_bound(child_tags: bytes) -> bytes:
+    """What a probe entry's packet binds besides its header: the PROBE_RESP
+    type, then the entry's child tags as they came."""
+    return _PROBE_RESP_TYPE + child_tags
 
 
 def decode_probe_entry(entry: bytes) -> tuple[dict[int, bytes], bytes, bytes]:
     """The child tags of one probe-response entry, the bytes they came as
-    (what its packet binds) and the packet body."""
+    (what its packet binds, after the frame type: ``entry_bound``) and the
+    packet body."""
     _need(entry, 4, "probe response entry")
     start = 4 + int.from_bytes(entry[:4], "big") * _CHILD_TAG.size
     _need(entry, start, "probe response entry")
@@ -337,8 +351,8 @@ def probe_entry_spans(body: bytes) -> list[tuple[int, int, int]]:
     offset, end = 8, len(body)
     while offset + 4 <= end:
         at = offset + 4 + int.from_bytes(body[offset : offset + 4], "big") * _CHILD_TAG.size
-        stop = at + _PACKET_LEN + 4 * int.from_bytes(body[at + 12 : at + 16], "big")
-        if at + 16 > end or stop > end:
+        stop = at + _PACKET_LEN + 4 * int.from_bytes(body[at + 4 : at + 8], "big")
+        if at + 8 > end or stop > end:
             break
         spans.append((offset, at, stop))
         offset = stop
@@ -371,16 +385,26 @@ def encode_reagg_resp(round_no: int, ok: bool, agg_body: bytes = b"") -> bytes:
     return frame(REAGG_RESP, struct.pack(">QB", round_no, int(ok)) + agg_body)
 
 
+def seal_reagg_resp(
+    channel: crypto.Keyed, round_no: int, sender: int, absent: tuple[int, ...],
+    dsum: int, dsum_prime: int, tag: bytes,
+) -> bytes:
+    """A node's re-aggregate for a round, as an ok REAGG_RESP frame: its
+    packet sealed on the channel with the frame type bound into the channel tag."""
+    body = seal_packet(channel, round_no, sender, absent, dsum, dsum_prime, tag, _REAGG_RESP_TYPE)[1]
+    return encode_reagg_resp(round_no, True, body)
+
+
 def decode_reagg_resp(body: bytes) -> tuple[int, bool, bytes]:
     _need(body, 9, "re-aggregation response")
     round_no, ok = struct.unpack_from(">QB", body, 0)
     return round_no, bool(ok), body[9:]
 
 
-def open_reagg_reply(channel: crypto.SecureChannel, reply: bytes | None) -> AggPacket | None:
-    """The re-aggregated packet in a REAGG_RESP frame, opened on the channel it
-    was sealed for; None for silence, a refusal, or a frame that does not parse
-    or authenticate."""
+def open_reagg_reply(channel: crypto.Keyed, round_no: int, reply: bytes | None) -> AggPacket | None:
+    """The re-aggregated packet in a REAGG_RESP frame, opened on the channel
+    and for the round it was sealed for; None for silence, a refusal, or a
+    frame that does not parse or authenticate."""
     if reply is None:
         return None
     try:
@@ -388,7 +412,7 @@ def open_reagg_reply(channel: crypto.SecureChannel, reply: bytes | None) -> AggP
         if msg_type != REAGG_RESP:
             return None
         _, ok, agg_body = decode_reagg_resp(body)
-        return open_packet(channel, agg_body) if ok else None
-    except (ReplayDetected, AuthFailure, ValueError) as exc:
+        return open_packet(channel, round_no, agg_body, _REAGG_RESP_TYPE) if ok else None
+    except (AuthFailure, ValueError) as exc:
         log.info("re-aggregation reply rejected: %s", exc)
         return None

@@ -134,8 +134,9 @@ def test_honest_probe_commitment_holds():
 
 
 def test_replayed_packet_rejected_by_parent_channel():
-    # Replayer re-sends its round-1 wire bytes from round 2 on; the parent's
-    # counter check drops them and the subtree vanishes from the round.
+    # Replayer re-sends its round-1 wire bytes from round 2 on; their channel
+    # tag, sealed for round 1, fails under the parent's round, so the parent
+    # drops them and the subtree vanishes from the round.
     scenario = Scenario(seed=81, n=4, generator="path", rounds=3, trigger_round=2,
                         compromises=(CompromiseSpec(3, "replay", (1,)),))
     world = World(scenario)
@@ -157,21 +158,46 @@ def test_replay_at_station_channel_rejected_the_same_way():
     assert r2.integrity == "passed"
 
 
+def test_replay_kinds_old_frame_is_refused_and_the_genuine_packet_folds(caplog):
+    # The four-node cluster 0-1, 1-{2,3,4}; leaf 2 replays its round-1 frame
+    # in round 2.  Node 1 refuses the old frame on its channel tag and keeps
+    # nothing, so node 2's genuine round-2 packet, arriving after it, folds.
+    world = World(Scenario(seed=21, n=4, edges=((0, 1), (1, 2), (1, 3), (1, 4)), trigger_round=2,
+                           compromises=(CompromiseSpec(2, "replay", (1,)),)))
+    agg, leaf = world.nodes[1], world.nodes[2]
+    frames = []
+    for round_no in (1, 2):
+        agg.open_round(round_no)
+        leaf.open_round(round_no)
+        frames.append(leaf.emit()[1])
+    assert frames[1] == frames[0]  # the replay kind resent its round-1 frame
+    caplog.set_level(logging.INFO, logger="concealed_agg")
+    agg.handle_message(frames[1])
+    assert agg.state.child_packets == {}
+    assert "rejected packet from child 2: channel tag mismatch" in caplog.text
+    pkt = leaf.state.emitted  # the packet leaf 2 sealed before its hook replaced the frame
+    _, genuine = wire.seal_packet(leaf.up_channel, 2, 2, pkt.absent, pkt.dsum, pkt.dsum_prime, pkt.tag)
+    agg.aggregate_child(genuine)
+    assert agg.state.child_packets == {2: pkt}
+
+
 def test_stale_payload_under_fresh_counter_fails_auth(caplog):
-    # The crafted packet is refused and leaves nothing behind, so node 2's
-    # own packet, which arrives after it, still folds.
+    # The fresh counter is the receiver's round.  Node 2's round-1 sealed pair
+    # under its round-2 header and tag is refused in round 2 and leaves
+    # nothing behind, so node 2's own packet, which arrives after it, still folds.
     w1, w2 = World(Scenario(seed=83, n=2, generator="path")), World(Scenario(seed=83, n=2, generator="path"))
-    for w in (w1, w2):
-        w.nodes[1].open_round(1)
-        w.nodes[2].open_round(1)
-    _, payload = w2.nodes[2].emit()
-    sender, counter, parts, sealed, tag = wire.decode_agg_body(wire.parse_frame(payload)[1])
-    crafted = wire.encode_agg_body(sender, counter + 5, parts, sealed, tag)
+    w2.nodes[2].open_round(1)
+    stale = wire.decode_agg_body(wire.parse_frame(w2.nodes[2].emit()[1])[1])[2]
+    w1.nodes[1].open_round(2)
+    w1.nodes[2].open_round(2)
+    fresh = wire.parse_frame(w1.nodes[2].emit()[1])[1]
+    sender, parts, _, tag = wire.decode_agg_body(fresh)
+    crafted = wire.encode_agg_body(sender, parts, stale, tag)
     caplog.set_level(logging.INFO, logger="concealed_agg")
     w1.nodes[1].aggregate_child(crafted)
     assert w1.nodes[1].state.child_packets == {}
     assert "rejected packet from child 2: channel tag mismatch" in caplog.text
-    w1.nodes[1].aggregate_child(wire.parse_frame(w1.nodes[2].emit()[1])[1])
+    w1.nodes[1].aggregate_child(fresh)
     assert w1.nodes[1].state.child_packets == {2: w1.nodes[2].state.emitted}
 
 
@@ -187,12 +213,12 @@ def test_keyless_header_tamper_blames_no_honest_node():
 
         def tampered(honest=node.emit, field=field):
             dst, payload = honest()
-            sender, counter, ids, sealed, tag = wire.decode_agg_body(wire.parse_frame(payload)[1])
+            sender, ids, sealed, tag = wire.decode_agg_body(wire.parse_frame(payload)[1])
             if field == "ids":
                 ids = tuple(sorted(set(ids) ^ {3}))
             else:
                 tag = bytes([tag[0] ^ 1]) + tag[1:]
-            return dst, wire.frame(wire.AGG, wire.encode_agg_body(sender, counter, ids, sealed, tag))
+            return dst, wire.frame(wire.AGG, wire.encode_agg_body(sender, ids, sealed, tag))
 
         node.emit = tampered
         result = world.run_round(1)
@@ -203,7 +229,7 @@ def test_keyless_header_tamper_blames_no_honest_node():
 
 
 def test_malformed_agg_frame_blames_no_honest_node():
-    # A keyless attacker overstates the absent count (body bytes 12..16) of
+    # A keyless attacker overstates the absent count (body bytes 4..8) of
     # an AGG frame, so it no longer parses.  On link 3->1 node 1 treats it as
     # a packet that fails authentication and reports node 3's subtree absent;
     # on link 1->0 the station ignores it.  The round reaches a verdict.
@@ -214,7 +240,7 @@ def test_malformed_agg_frame_blames_no_honest_node():
         def overstated(honest=node.emit):
             dst, payload = honest()
             body = bytearray(wire.parse_frame(payload)[1])
-            body[12:16] = (1000).to_bytes(4, "big")
+            body[4:8] = (1000).to_bytes(4, "big")
             return dst, wire.frame(wire.AGG, bytes(body))
 
         node.emit = overstated
@@ -323,8 +349,8 @@ def test_keyless_tamper_of_a_bundle_spares_the_entries_before_it():
     scenario = Scenario(seed=5, edges=edges, compromises=(CompromiseSpec(3, "forge_children", (12345,)),))
     clean = World(scenario)
     assert clean.run_round(1).report.transcript[1:3] == ((2, True, True), (3, True, False))
-    first_end = 1 + 8 + 4 + 2 * 12 + 56  # type, round, node 2's entry with two child tags
-    second_end = first_end + 4 + 56  # node 3's entry: a leaf
+    first_end = 1 + 8 + 4 + 2 * 12 + 48  # type, round, node 2's entry with two child tags
+    second_end = first_end + 4 + 48  # node 3's entry: a leaf
     tampers = [lambda b, i=i: b[:i] + bytes([b[i] ^ 0x01]) + b[i + 1 :] for i in range(first_end, second_end)]
     tampers += [lambda b, i=i: b[:i] + bytes([b[i] ^ 0x80]) + b[i + 1 :] for i in range(first_end, second_end)]
     tampers += [lambda b, cut=cut: b[:cut] for cut in range(first_end, second_end)]
@@ -435,11 +461,11 @@ def test_undetected_deviation_attributable_to_forge_own_only():
 # === Eavesdropping ==========================================================
 
 
-def open_captured(edge_key: bytes, agg_body: bytes) -> tuple[int, int]:
-    """What a passive adversary holding an edge key learns from one packet:
-    the diffused pair, nothing else."""
-    sender, counter, absent, sealed, tag = wire.decode_agg_body(agg_body)
-    pair = crypto.open_sealed(crypto.channel_key(edge_key), counter, sealed, wire.header_ad(sender, absent, tag))
+def open_captured(edge_key: bytes, round_no: int, agg_body: bytes) -> tuple[int, int]:
+    """What a passive adversary holding an edge key learns from one packet
+    of a round: the diffused pair, nothing else."""
+    sender, absent, sealed, tag = wire.decode_agg_body(agg_body)
+    pair = crypto.open_sealed(crypto.channel_key(edge_key), round_no, sealed, wire.header_ad(sender, absent, tag))
     return int.from_bytes(pair[:8], "big"), int.from_bytes(pair[8:16], "big")
 
 
@@ -449,7 +475,7 @@ def test_edge_key_holder_sees_only_diffused_values():
     world.nodes[2].open_round(1)
     _, payload = world.nodes[2].emit()
     body = wire.parse_frame(payload)[1]
-    d, dp = open_captured(world.prov.edge_keys[2], body)
+    d, dp = open_captured(world.prov.edge_keys[2], 1, body)
     m = sensed_raw(world, 2, 1)
     assert d == crypto.diffuse(seed_of(world, 2, 1), m)
     assert d != m and dp != m  # concealed: seed offsets mask the reading
@@ -482,8 +508,8 @@ def test_keyless_link_eavesdropper_sees_only_the_edge_key_holders_view(monkeypat
     opened: dict[bytes, wire.AggPacket] = {}
     honest_open = wire.open_packet
 
-    def recording_open(channel, body, bound=b""):
-        opened[body] = pkt = honest_open(channel, body, bound)
+    def recording_open(channel, round_no, body, bound=b""):
+        opened[body] = pkt = honest_open(channel, round_no, body, bound)
         return pkt
 
     monkeypatch.setattr(wire, "open_packet", recording_open)
@@ -493,7 +519,7 @@ def test_keyless_link_eavesdropper_sees_only_the_edge_key_holders_view(monkeypat
         for body in _packet_bodies(payload):
             seen[payload[0]] += 1
             pkt = opened[body]  # every packet sent is opened by its receiver
-            sealed = wire.decode_agg_body(body)[3]
+            sealed = wire.decode_agg_body(body)[2]
             assert sealed[:16] == pkt.dsum.to_bytes(8, "big") + pkt.dsum_prime.to_bytes(8, "big")
     assert all(seen.values())
     # What the link shows of a leaf's reading is the edge-key holder's view:
@@ -501,7 +527,7 @@ def test_keyless_link_eavesdropper_sees_only_the_edge_key_holders_view(monkeypat
     leaf = 6
     assert not world.tree.children[leaf] and world.tree.parent[leaf] == 4
     [body] = [p[1:] for p in frames if p[0] == wire.AGG and wire.packet_sender(p[1:]) == leaf]
-    pair = wire.decode_agg_body(body)[3][:16]
+    pair = wire.decode_agg_body(body)[2][:16]
     d, dp = int.from_bytes(pair[:8], "big"), int.from_bytes(pair[8:], "big")
     m = sensed_raw(world, leaf, 1)
     assert d != m and dp != m

@@ -90,7 +90,7 @@ def test_absent_list_outside_sender_subtree_forces_walk():
     def lying_emit(honest=node.emit):
         dst, _ = honest()
         pkt = node.state.emitted
-        _, body = wire.seal_packet(node.up_channel, 1, (2,), pkt.dsum, pkt.dsum_prime, pkt.tag)
+        _, body = wire.seal_packet(node.up_channel, 1, 1, (2,), pkt.dsum, pkt.dsum_prime, pkt.tag)
         return dst, wire.frame(wire.AGG, body)
 
     node.emit = lying_emit
@@ -115,7 +115,7 @@ def test_receive_packet_ignores_non_child_and_duplicates():
     world, _ = run_one(Scenario(seed=44, n=3, generator="path"))
     before = dict(world.bs._round_packets)
     for nid in (1, 2):
-        _, body = wire.seal_packet(world.nodes[nid].up_channel, nid, (), 5, 6, crypto.ZERO_TAG)
+        _, body = wire.seal_packet(world.nodes[nid].up_channel, 1, nid, (), 5, 6, crypto.ZERO_TAG)
         world.bs.receive_packet(body)
     assert world.bs._round_packets == before  # nothing changed
 
@@ -354,7 +354,7 @@ def test_station_subtraction_is_the_nodes_own_reaggregation():
                 continue
             children = tuple(c for c in world.tree.children[nid] if c in failing)
             raw = world.nodes[nid].reaggregate_excluding(children, 1)
-            pkt = wire.open_reagg_reply(world.bs._bs_keys(nid)[0], raw)
+            pkt = wire.open_reagg_reply(world.bs._bs_keys(nid)[0], 1, raw)
             assert (pkt.dsum, pkt.dsum_prime, pkt.absent) == (reagg.dsum, reagg.dsum_prime, reagg.absent)
             cleared += 1
     assert cleared > 0
@@ -377,7 +377,7 @@ def _counter_subtract(node, failing):
 
 _ids = st.lists(st.integers(1, 12), max_size=8).map(tuple)  # repeats and any order included
 _packets = st.builds(
-    wire.AggPacket, st.integers(1, 12), st.integers(1, 2**64 - 1), _ids,
+    wire.AggPacket, st.integers(1, 12), _ids,
     st.integers(0, M - 1), st.integers(0, M - 1), st.binary(min_size=8, max_size=8),
 )
 

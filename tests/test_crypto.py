@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concealed_agg import crypto, wire
-from concealed_agg.errors import AuthFailure, ReadingOutOfRange, ReplayDetected
+from concealed_agg.errors import AuthFailure, ReadingOutOfRange
 
 M = crypto.MODULUS
 
@@ -226,9 +226,8 @@ def test_pair_bytes_layout():
         blob = dsum.to_bytes(8, "big") + dsum_prime.to_bytes(8, "big")
         direct = hashlib.blake2b(blob, digest_size=crypto.TAG_LEN, key=key, person=b"diff.mac").digest()
         assert crypto.mac_pair(crypto.mac_key(key), dsum, dsum_prime) == direct
-        channel = crypto.SecureChannel(crypto.channel_key(key))
-        _, body = wire.seal_packet(channel, 7, (), dsum, dsum_prime, crypto.ZERO_TAG)
-        assert wire.decode_agg_body(body)[3][:16] == blob
+        _, body = wire.seal_packet(crypto.channel_key(key), 1, 7, (), dsum, dsum_prime, crypto.ZERO_TAG)
+        assert wire.decode_agg_body(body)[2][:16] == blob
 
 
 # === Sealed channels ========================================================
@@ -254,7 +253,8 @@ def test_open_bitflip_always_fails():
 
 
 def test_open_wrong_counter_fails_auth():
-    # Counter is authenticated: stale payload under a fresh counter is torn.
+    # The round, the channel's counter, is authenticated: a payload sealed
+    # for one round is torn under the next.
     rng = random.Random(12)
     k = crypto.channel_key(_key(rng))
     sealed = crypto.seal(k, 3, rng.randbytes(16))
@@ -270,48 +270,44 @@ def test_open_blob_shorter_than_a_tag_fails_auth():
 
 
 def test_channel_replay_detection():
+    # The round is the counter, known at both ends: a blob opens in the round
+    # it was sealed for, and replayed in any later round it fails its tag.
     rng = random.Random(13)
     k = crypto.channel_key(_key(rng))
-    tx = crypto.SecureChannel(k)
-    rx = crypto.SecureChannel(k)
-    c1, blob1 = tx.seal_next(b"a" * 16)
-    c2, blob2 = tx.seal_next(b"b" * 16)
-    assert (c1, c2) == (1, 2)
-    assert rx.open(c1, blob1) == b"a" * 16
-    assert rx.open(c2, blob2) == b"b" * 16
-    with pytest.raises(ReplayDetected):
-        rx.open(c1, blob1)
-    with pytest.raises(ReplayDetected):
-        rx.open(c2, blob2)
+    blob1, blob2 = crypto.seal(k, 1, b"a" * 16), crypto.seal(k, 2, b"b" * 16)
+    assert crypto.open_sealed(k, 1, blob1) == b"a" * 16
+    assert crypto.open_sealed(k, 2, blob2) == b"b" * 16
+    for late in (2, 3):
+        with pytest.raises(AuthFailure):
+            crypto.open_sealed(k, late, blob1)
+    with pytest.raises(AuthFailure):
+        crypto.open_sealed(k, 3, blob2)
 
 
 def test_channel_out_of_order_counter_skip_ok():
+    # A round whose blob was lost costs nothing later: the next round's blob
+    # opens, and the lost round's blob, arriving late, does not.
     rng = random.Random(14)
     k = crypto.channel_key(_key(rng))
-    tx = crypto.SecureChannel(k)
-    rx = crypto.SecureChannel(k)
-    c1, blob1 = tx.seal_next(b"x" * 16)  # lost on the wire
-    c2, blob2 = tx.seal_next(b"y" * 16)
-    assert rx.open(c2, blob2) == b"y" * 16
-    # Counter 2 is now the last accepted: the late counter 1 is refused as
-    # a replay, and the next counter opens.
-    with pytest.raises(ReplayDetected):
-        rx.open(c1, blob1)
-    c3, blob3 = tx.seal_next(b"w" * 16)
-    assert rx.open(c3, blob3) == b"w" * 16
+    blob1 = crypto.seal(k, 1, b"x" * 16)  # lost on the wire
+    blob2 = crypto.seal(k, 2, b"y" * 16)
+    assert crypto.open_sealed(k, 2, blob2) == b"y" * 16
+    with pytest.raises(AuthFailure):
+        crypto.open_sealed(k, 2, blob1)
+    assert crypto.open_sealed(k, 3, crypto.seal(k, 3, b"w" * 16)) == b"w" * 16
 
 
 def test_channel_tamper_does_not_advance_counter():
+    # A channel keeps no state: a tampered blob fails, and the genuine one
+    # still opens in its round afterwards.
     rng = random.Random(15)
     k = crypto.channel_key(_key(rng))
-    tx = crypto.SecureChannel(k)
-    rx = crypto.SecureChannel(k)
-    c, blob = tx.seal_next(b"z" * 16)
+    blob = crypto.seal(k, 1, b"z" * 16)
     bad = bytearray(blob)
     bad[0] ^= 1
     with pytest.raises(AuthFailure):
-        rx.open(c, bytes(bad))
-    assert rx.open(c, blob) == b"z" * 16  # genuine delivery still accepted
+        crypto.open_sealed(k, 1, bytes(bad))
+    assert crypto.open_sealed(k, 1, blob) == b"z" * 16  # genuine delivery still accepted
 
 
 @settings(max_examples=50)
@@ -368,26 +364,19 @@ def test_prekeyed_prfs_match_one_shot_blake2b():
         assert keyed(*inputs[0]) == answers[0]
 
 
-def test_channel_endpoints_sharing_one_state_keep_their_own_counters():
-    # Both ends of an edge hold one keyed state; each end's replay counters
-    # are its own, so a replay to either end is still refused.
+def test_channel_endpoints_share_one_stateless_keyed_state():
+    # Both ends of an edge hold one keyed state and no counters: a blob either
+    # end seals for a round opens at the other in that round, and sealing or
+    # opening leaves the state as it was, so the next round opens at both.
     key = crypto.channel_key(_key(random.Random(21)))
-    a, b = crypto.SecureChannel(key), crypto.SecureChannel(key)
-    assert a.key is b.key
-    c1, blob1 = a.seal_next(b"to b" * 4)
-    assert b.open(c1, blob1) == b"to b" * 4
-    c2, blob2 = b.seal_next(b"to a" * 4)
-    assert c2 == 1  # b's first send, whatever a has sent
-    assert a.open(c2, blob2) == b"to a" * 4  # a accepts counter 1, which it also sent
-    with pytest.raises(ReplayDetected):
-        b.open(c1, blob1)
-    with pytest.raises(ReplayDetected):
-        a.open(c2, blob2)
-    # Each end accepted counter 1 and nothing above it: counter 2 opens at both.
-    c3, blob3 = a.seal_next(b"next" * 4)
-    c4, blob4 = b.seal_next(b"next" * 4)
-    assert (c3, c4) == (2, 2)
-    assert b.open(c3, blob3) == a.open(c4, blob4) == b"next" * 4
+    before = key.copy().digest()
+    to_b, to_a = crypto.seal(key, 1, b"to b" * 4), crypto.seal(key, 1, b"to a" * 4)
+    assert crypto.open_sealed(key, 1, to_b) == b"to b" * 4
+    assert crypto.open_sealed(key, 1, to_a) == b"to a" * 4
+    with pytest.raises(AuthFailure):
+        crypto.open_sealed(key, 2, to_b)
+    assert key.copy().digest() == before
+    assert crypto.open_sealed(key, 2, crypto.seal(key, 2, b"next" * 4)) == b"next" * 4
 
 
 def test_keys_are_checked_where_a_state_is_keyed():

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import logging
 import struct
+from unittest import mock
 
 import pytest
 from conftest import plaintext_sum, seed_of, sensed_raw
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concealed_agg import crypto, wire
-from concealed_agg.errors import AlreadyEmitted, AuthFailure, NoSuchRound, ReplayDetected, StaleRound
+from concealed_agg.errors import AlreadyEmitted, AuthFailure, NoSuchRound, StaleRound
 from concealed_agg.simulator import Scenario, World
 
 M = crypto.MODULUS
@@ -26,9 +27,9 @@ def cluster_world() -> World:
     return World(CLUSTER)
 
 
-def _channel(key: bytes) -> crypto.SecureChannel:
-    """A fresh endpoint of the channel under the given 16-byte key."""
-    return crypto.SecureChannel(crypto.channel_key(key))
+def _channel(key: bytes) -> crypto.Keyed:
+    """The channel under the given 16-byte key: its keyed state."""
+    return crypto.channel_key(key)
 
 
 def drive_cluster(world: World, order=(2, 3, 4), round_no: int = 1):
@@ -46,7 +47,7 @@ def drive_cluster(world: World, order=(2, 3, 4), round_no: int = 1):
     assert set(agg.state.child_packets) == {2, 3, 4}
     dst, payload = agg.emit()
     assert dst == 0
-    return wire.open_packet(_channel(world.prov.edge_keys[1]), wire.parse_frame(payload)[1])
+    return wire.open_packet(_channel(world.prov.edge_keys[1]), round_no, wire.parse_frame(payload)[1])
 
 
 # === Query handling =========================================================
@@ -99,7 +100,7 @@ def test_leaf_emitted_tag_matches_independent_mac():
     node.open_round(1)
     d, dp = node.state.own_d, node.state.own_dp
     _, payload = node.emit()
-    pkt = wire.open_packet(_channel(world.prov.edge_keys[3]), wire.parse_frame(payload)[1])
+    pkt = wire.open_packet(_channel(world.prov.edge_keys[3]), 1, wire.parse_frame(payload)[1])
     key = world.prov.node_keys[3][0]
     assert (pkt.dsum, pkt.dsum_prime) == (d, dp)
     pair = d.to_bytes(8, "big") + dp.to_bytes(8, "big")
@@ -167,8 +168,8 @@ def test_aggregate_unknown_child_rejected(caplog):
 
 def test_aggregate_replayed_packet_marks_unresponsive(caplog):
     # Child 2's round-1 packet, replayed in round 2 before its round-2 packet:
-    # the channel counter refuses the replay, which leaves nothing kept, and
-    # the genuine packet that follows still folds.
+    # its channel tag, sealed for round 1, fails under round 2, which leaves
+    # nothing kept, and the genuine packet that follows still folds.
     world = cluster_world()
     agg, child = world.nodes[1], world.nodes[2]
     agg.open_round(1)
@@ -181,11 +182,29 @@ def test_aggregate_replayed_packet_marks_unresponsive(caplog):
     intake_log(caplog).clear()
     agg.aggregate_child(old)
     assert agg.state.child_packets == {}  # the replay folded nothing
-    assert "rejected packet from child 2: counter 1 <= last accepted 1" in caplog.text
+    assert "rejected packet from child 2: channel tag mismatch" in caplog.text
     fresh = child_body(world, 2)
     agg.aggregate_child(fresh)
     assert agg.state.child_packets[2] == child.state.emitted
     assert agg.emit()[0] == 0 and agg.state.emitted.absent == (3, 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sealed_for=st.integers(6, 40), offset=st.integers(-5, 5))
+def test_packet_opens_only_in_the_round_it_was_sealed_for(sealed_for, offset):
+    # No frame carries the round: a packet sealed for one round opens at a
+    # sensor's intake, and at the station's, only in that round.
+    opened_in = sealed_for + offset
+    world = cluster_world()
+    world.nodes[2].open_round(sealed_for)
+    world.nodes[1].open_round(opened_in)
+    world.nodes[1].aggregate_child(child_body(world, 2))
+    assert (2 in world.nodes[1].state.child_packets) == (offset == 0)
+    world = cluster_world()
+    world.nodes[1].open_round(sealed_for)
+    world.bs.disseminate(opened_in, "sum")
+    world.bs.receive_packet(child_body(world, 1))
+    assert (1 in world.bs._round_packets) == (offset == 0)
 
 
 def test_aggregate_malformed_packet_marks_unresponsive(caplog):
@@ -198,7 +217,7 @@ def test_aggregate_malformed_packet_marks_unresponsive(caplog):
     world.nodes[2].open_round(1)
     genuine = child_body(world, 2)
     body = bytearray(genuine)
-    body[12:16] = struct.pack(">I", 1000)  # overstated absent count
+    body[4:8] = struct.pack(">I", 1000)  # overstated absent count
     intake_log(caplog).clear()
     agg.aggregate_child(bytes(body))
     assert agg.state.child_packets == {}
@@ -218,7 +237,7 @@ def test_leaf_emits_single_diffused_reading():
     leaf = world.nodes[4]
     leaf.open_round(1)
     _, payload = leaf.emit()
-    pkt = wire.open_packet(_channel(world.prov.edge_keys[4]), wire.parse_frame(payload)[1])
+    pkt = wire.open_packet(_channel(world.prov.edge_keys[4]), 1, wire.parse_frame(payload)[1])
     assert pkt.dsum == crypto.diffuse(seed_of(world, 4, 1), sensed_raw(world, 4, 1))
     assert pkt.absent == ()
 
@@ -273,8 +292,7 @@ def test_packet_after_timeout_emission_is_an_unknown_childs(caplog):
         resp = agg.respond_attestation(1)
         _, [entry] = wire.decode_probe_resp(wire.parse_frame(resp)[1])
         child_tags, bound, agg_body = wire.decode_probe_entry(entry)
-        pkt = wire.open_packet(bs_channel, agg_body, bound)  # each answer has a fresh counter
-        return child_tags, pkt._replace(counter=None)
+        return child_tags, wire.open_packet(bs_channel, 1, agg_body, wire.entry_bound(bound))
 
     folded = dict(agg.state.child_packets)
     answer = probe_answer()
@@ -297,7 +315,7 @@ def test_attestation_resends_committed_fields():
     _, [entry] = wire.decode_probe_resp(wire.parse_frame(resp)[1])
     child_tags, bound, agg_body = wire.decode_probe_entry(entry)
     bs_channel = _bs_channel(world, 1)
-    pkt = wire.open_packet(bs_channel, agg_body, bound)
+    pkt = wire.open_packet(bs_channel, 1, agg_body, wire.entry_bound(bound))
     assert (pkt.dsum, pkt.dsum_prime, pkt.tag, pkt.absent) == (
         emitted.dsum,
         emitted.dsum_prime,
@@ -310,11 +328,12 @@ def test_attestation_resends_committed_fields():
 # Node 1's answer in the four-node cluster, in the layout the simulator used
 # before probes went to sibling groups: a one-entry response keeps it.  The
 # tags in it follow the dual seed step; its sealed payload is the pair in the
-# clear followed by the channel tag.
+# clear followed by the channel tag, sealed for round 1 over the header, the
+# tag, the PROBE_RESP type and the child tags.  The packet carries no counter.
 CLUSTER_PROBE_RESP = (
     "040000000000000001000000030000000234f9990a1d8b9ad400000003bc15d714ab58be15"
-    "000000049962172ad33d67ad000000010000000000000001000000008447cf335e2a7c7178"
-    "a57b5c0fe153ad67a348feb9ad252d9d492138fb6049588ba9caa28f7c6b6b"
+    "000000049962172ad33d67ad00000001000000008447cf335e2a7c7178a57b5c0fe153ad21"
+    "f95893beacc18284a2a80afe3b36108ba9caa28f7c6b6b"
 )
 
 
@@ -325,7 +344,7 @@ def test_one_entry_probe_response_keeps_its_layout():
     assert resp.hex() == CLUSTER_PROBE_RESP
     _, entries = wire.decode_probe_resp(wire.parse_frame(resp)[1])
     assert wire.encode_probe_resp(1, entries) == resp
-    sealed = wire.decode_agg_body(wire.decode_probe_entry(entries[0])[2])[3]
+    sealed = wire.decode_agg_body(wire.decode_probe_entry(entries[0])[2])[2]
     assert sealed[:16] == emitted.dsum.to_bytes(8, "big") + emitted.dsum_prime.to_bytes(8, "big")
 
 
@@ -346,9 +365,9 @@ def _bs_channel(world, nid):
 
 
 def _open_reagg(world, nid, resp):
-    _, ok, agg_body = wire.decode_reagg_resp(wire.parse_frame(resp)[1])
-    assert ok
-    return wire.open_packet(_bs_channel(world, nid), agg_body)
+    pkt = wire.open_reagg_reply(_bs_channel(world, nid), 1, resp)
+    assert pkt is not None
+    return pkt
 
 
 def test_reaggregate_excluding_direct_child_is_subtraction():
@@ -389,6 +408,27 @@ def test_reaggregated_pair_reverts_cleanly():
     assert crypto.undiffuse(fresh.dsum_prime, sp) == expected
 
 
+def test_probe_entry_and_reagg_reply_do_not_open_as_each_other():
+    # Leaf 2 keeps no children, so its probe entry and its re-aggregation
+    # reply without exclusions carry the same header, pair and tag, sealed on
+    # one key for one round.  Each binds its frame type, so neither opens as
+    # the other.
+    world = cluster_world()
+    drive_cluster(world)
+    leaf, channel = world.nodes[2], _bs_channel(world, 2)
+    _, [entry] = wire.decode_probe_resp(wire.parse_frame(leaf.respond_attestation(1))[1])
+    child_tags, bound, entry_body = wire.decode_probe_entry(entry)
+    reply = leaf.handle_reagg_request(wire.parse_frame(wire.encode_reagg(1, ()))[1])
+    reply_body = wire.decode_reagg_resp(wire.parse_frame(reply)[1])[2]
+    assert child_tags == {}
+    assert entry_body[:24] == reply_body[:24] and entry_body[-8:] == reply_body[-8:]
+    pkt = wire.open_packet(channel, 1, entry_body, wire.entry_bound(bound))
+    assert wire.open_reagg_reply(channel, 1, reply) == pkt
+    assert wire.open_reagg_reply(channel, 1, wire.encode_reagg_resp(1, True, entry_body)) is None
+    with pytest.raises(AuthFailure):
+        wire.open_packet(channel, 1, reply_body, wire.entry_bound(bound))
+
+
 def test_reagg_request_for_unknown_round_answers_not_ok():
     world = cluster_world()
     drive_cluster(world)
@@ -413,10 +453,10 @@ def test_garbled_reagg_replies_open_to_nothing():
     world.run_round(1)
     channel = _bs_channel(world, 1)
     for reply in (None, b"", b"\x06\x00", b"\x7f" + bytes(40)):
-        assert wire.open_reagg_reply(channel, reply) is None
+        assert wire.open_reagg_reply(channel, 1, reply) is None
     # The same channel still opens the node's real reply afterwards.
     reply = world.nodes[1].handle_reagg_request(wire.parse_frame(wire.encode_reagg(1, (2,)))[1])
-    assert wire.open_reagg_reply(channel, reply).absent == (2,)
+    assert wire.open_reagg_reply(channel, 1, reply).absent == (2,)
 
 
 def test_unknown_message_type_is_ignored():
@@ -467,49 +507,37 @@ def test_sibling_participant_sets_disjoint():
 def test_agg_body_layout_golden():
     sealed = bytes(range(32))
     tag = b"\xaa" * 8
-    body = wire.encode_agg_body(7, 1234, (2, 5, 9), sealed, tag)
+    body = wire.encode_agg_body(7, (2, 5, 9), sealed, tag)
     assert body[:4] == struct.pack(">I", 7)
-    assert body[4:12] == struct.pack(">Q", 1234)
-    assert body[12:16] == struct.pack(">I", 3)
-    assert body[16:28] == struct.pack(">III", 2, 5, 9)
-    assert body[28:60] == sealed
-    assert body[60:68] == tag
-    assert len(body) == 68
-    assert wire.decode_agg_body(body) == (7, 1234, (2, 5, 9), sealed, tag)
+    assert body[4:8] == struct.pack(">I", 3)
+    assert body[8:20] == struct.pack(">III", 2, 5, 9)
+    assert body[20:52] == sealed
+    assert body[52:60] == tag
+    assert len(body) == 60
+    assert wire.decode_agg_body(body) == (7, (2, 5, 9), sealed, tag)
 
 
 def test_agg_packet_roundtrip_binds_header():
-    # Sealed and opened on a fresh channel pair: the plaintext view survives,
+    # Sealed and opened under one key and round: the plaintext view survives,
     # and rewriting any clear header field (sender, absent list, tag) or the
-    # bound bytes fails authentication.
+    # bound bytes, or opening it in another round, fails authentication.
     key = bytes(range(16))
-    pkt, body = wire.seal_packet(_channel(key), 7, (9, 12), 5, 6, b"\x11" * 8, b"bound")
-    assert wire.open_packet(_channel(key), body, b"bound") == pkt
+    pkt, body = wire.seal_packet(_channel(key), 1, 7, (9, 12), 5, 6, b"\x11" * 8, b"bound")
+    assert wire.open_packet(_channel(key), 1, body, b"bound") == pkt
     assert pkt.absent == (9, 12)
-    sender, counter, absent, sealed, tag = wire.decode_agg_body(body)
+    sender, absent, sealed, tag = wire.decode_agg_body(body)
     tampered = (
-        wire.encode_agg_body(8, counter, absent, sealed, tag),
-        wire.encode_agg_body(sender, counter, (9,), sealed, tag),
-        wire.encode_agg_body(sender, counter, absent, sealed, b"\x12" + tag[1:]),
+        wire.encode_agg_body(8, absent, sealed, tag),
+        wire.encode_agg_body(sender, (9,), sealed, tag),
+        wire.encode_agg_body(sender, absent, sealed, b"\x12" + tag[1:]),
     )
     for bad in tampered:
         with pytest.raises(AuthFailure):
-            wire.open_packet(_channel(key), bad, b"bound")
+            wire.open_packet(_channel(key), 1, bad, b"bound")
     with pytest.raises(AuthFailure):
-        wire.open_packet(_channel(key), body, b"other")
-
-
-class _RecordingChannel(crypto.SecureChannel):
-    """A receiving channel endpoint that records the associated data of
-    every blob it is asked to open."""
-
-    def __init__(self, key):
-        super().__init__(key)
-        self.ads = []
-
-    def open(self, counter, blob, ad=b""):
-        self.ads.append(ad)
-        return super().open(counter, blob, ad)
+        wire.open_packet(_channel(key), 1, body, b"other")
+    with pytest.raises(AuthFailure):
+        wire.open_packet(_channel(key), 2, body, b"bound")
 
 
 @settings(max_examples=60, deadline=None)
@@ -518,66 +546,50 @@ class _RecordingChannel(crypto.SecureChannel):
     absent=st.sets(st.integers(0, 2**32 - 1), max_size=40).map(sorted).map(tuple),
     tag=st.binary(min_size=crypto.TAG_LEN, max_size=crypto.TAG_LEN),
     bound=st.binary(max_size=40),
-    counter=st.integers(1, 2**64 - 1),
+    round_no=st.integers(1, 2**64 - 1),
     pair=st.tuples(st.integers(0, M - 1), st.integers(0, M - 1)),
 )
-def test_open_packet_authenticates_the_header_it_parsed(sender, absent, tag, bound, counter, pair):
+def test_open_packet_authenticates_the_header_it_parsed(sender, absent, tag, bound, round_no, pair):
     # The receiver's associated data is sliced from the body it parsed and
     # equals what the sender builds from the fields; every single-bit flip
     # and every truncation of the body fails to open.
     key = crypto.channel_key(bytes(range(crypto.KEY_LEN)))
     blob = pair[0].to_bytes(8, "big") + pair[1].to_bytes(8, "big")
-    sealed = crypto.seal(key, counter, blob, wire.header_ad(sender, absent, tag) + bound)
-    body = wire.encode_agg_body(sender, counter, absent, sealed, tag)
-    channel = _RecordingChannel(key)
-    pkt = wire.open_packet(channel, body + b"trailing", bound)
-    assert pkt == (sender, counter, absent, *pair, tag)
-    assert channel.ads == [wire.header_ad(sender, absent, tag) + bound]
+    sealed = crypto.seal(key, round_no, blob, wire.header_ad(sender, absent, tag) + bound)
+    body = wire.encode_agg_body(sender, absent, sealed, tag)
+    with mock.patch.object(crypto, "open_sealed", wraps=crypto.open_sealed) as opened:
+        pkt = wire.open_packet(key, round_no, body + b"trailing", bound)
+    assert pkt == (sender, absent, *pair, tag)
+    assert [call.args[3] for call in opened.call_args_list] == [wire.header_ad(sender, absent, tag) + bound]
     for bit in range(8 * len(body)):
         flipped = bytearray(body)
         flipped[bit // 8] ^= 1 << bit % 8
-        with pytest.raises((AuthFailure, ReplayDetected)):
-            wire.open_packet(crypto.SecureChannel(key), bytes(flipped), bound)
+        with pytest.raises(AuthFailure):
+            wire.open_packet(key, round_no, bytes(flipped), bound)
     for cut in range(len(body)):
         with pytest.raises(AuthFailure):
-            wire.open_packet(crypto.SecureChannel(key), body[:cut], bound)
+            wire.open_packet(key, round_no, body[:cut], bound)
 
 
-class _SealRecorder(crypto.SecureChannel):
-    """A sending channel endpoint that records the payload and associated
-    data of every blob it seals."""
-
-    def __init__(self, key):
-        super().__init__(key)
-        self.sealed = []
-
-    def seal_next(self, plaintext, ad=b""):
-        self.sealed.append((plaintext, ad))
-        return super().seal_next(plaintext, ad)
-
-
-def _reference_open(key, body, bound):
-    """Reference for open_packet on a fresh channel: parse field by field,
-    rebuild the associated data with header_ad, and check the tag with
-    open_sealed."""
-    if len(body) < 16:
+def _reference_open(key, round_no, body, bound):
+    """Reference for open_packet: parse field by field, rebuild the
+    associated data with header_ad, and check the tag with open_sealed."""
+    if len(body) < 8:
         raise AuthFailure("truncated")
-    sender, counter, count = struct.unpack_from(">IQI", body)
-    tag_at = 16 + 4 * count + wire.SEALED_PAIR_LEN
+    sender, count = struct.unpack_from(">II", body)
+    tag_at = 8 + 4 * count + wire.SEALED_PAIR_LEN
     if len(body) < tag_at + crypto.TAG_LEN:
         raise AuthFailure("truncated")
-    absent = struct.unpack_from(f">{count}I", body, 16)
-    sealed, tag = body[16 + 4 * count : tag_at], body[tag_at : tag_at + crypto.TAG_LEN]
-    if counter < 1:
-        raise ReplayDetected("counter 0")
-    pair = crypto.open_sealed(key, counter, sealed, wire.header_ad(sender, absent, tag) + bound)
-    return wire.AggPacket(sender, counter, absent, *struct.unpack(">QQ", pair), tag)
+    absent = struct.unpack_from(f">{count}I", body, 8)
+    sealed, tag = body[8 + 4 * count : tag_at], body[tag_at : tag_at + crypto.TAG_LEN]
+    pair = crypto.open_sealed(key, round_no, sealed, wire.header_ad(sender, absent, tag) + bound)
+    return wire.AggPacket(sender, absent, *struct.unpack(">QQ", pair), tag)
 
 
 def _outcome(open_, *args):
     try:
         return open_(*args)
-    except (AuthFailure, ReplayDetected) as exc:
+    except AuthFailure as exc:
         return type(exc)
 
 
@@ -597,28 +609,27 @@ def test_seal_and_open_packet_match_the_reference_codec(sender, absent, pair, ta
     # every truncation and every single-bit flip of it, and with bytes past
     # its end: the same packet, or the same refusal.
     key = crypto.channel_key(bytes(range(crypto.KEY_LEN)))
-    channel = _SealRecorder(key)
-    channel.seal_next(b"")  # the packet goes out under counter 2
-    pkt, body = wire.seal_packet(channel, sender, absent, *pair, tag, bound)
-    [(plaintext, ad)] = channel.sealed[1:]
+    with mock.patch.object(crypto, "seal", wraps=crypto.seal) as sealed:
+        pkt, body = wire.seal_packet(key, 2, sender, absent, *pair, tag, bound)
+    [(_, round_no, plaintext, ad)] = [call.args for call in sealed.call_args_list]
+    assert round_no == 2
     assert plaintext == struct.pack(">QQ", *pair)
     assert ad == wire.header_ad(sender, absent, tag) + bound
-    assert body == wire.encode_agg_body(sender, 2, absent, crypto.seal(key, 2, plaintext, ad), tag)
-    assert pkt == (sender, 2, absent, *pair, tag)
+    assert body == wire.encode_agg_body(sender, absent, crypto.seal(key, 2, plaintext, ad), tag)
+    assert pkt == (sender, absent, *pair, tag)
     variants = [body, body + b"trailing", *(body[:cut] for cut in range(len(body)))]
     for bit in range(8 * len(body)):
         flipped = bytearray(body)
         flipped[bit // 8] ^= 1 << bit % 8
         variants.append(bytes(flipped))
     for variant in variants:
-        want = _outcome(_reference_open, key, variant, bound)
-        assert _outcome(wire.open_packet, crypto.SecureChannel(key), variant, bound) == want
-    assert _outcome(wire.open_packet, crypto.SecureChannel(key), body, bound) == pkt
+        want = _outcome(_reference_open, key, 2, variant, bound)
+        assert _outcome(wire.open_packet, key, 2, variant, bound) == want
+    assert _outcome(wire.open_packet, key, 2, body, bound) == pkt
 
 
 _IDS = st.integers(1, 2**32 - 1)
 _PACKET_FIELDS = st.tuples(
-    st.integers(1, 2**64 - 1),  # counter
     st.sets(_IDS, max_size=6).map(sorted).map(tuple),  # absent roots
     st.integers(0, M - 1),
     st.integers(0, M - 1),
@@ -647,7 +658,7 @@ def test_fold_packets_matches_a_plain_reference_fold(children, data):
     assert absent == tuple(sorted(missing + [a for pkt in folded for a in pkt.absent]))
 
 
-def test_honest_agg_frame_is_57_bytes_at_any_depth():
+def test_honest_agg_frame_is_49_bytes_at_any_depth():
     world = World(Scenario(seed=35, n=64, generator="path"))
     sizes = {}
     for nid in (1, 64):  # the station's child and the leaf 64 hops down
@@ -660,8 +671,8 @@ def test_honest_agg_frame_is_57_bytes_at_any_depth():
 
         node.emit = recording
     world.run_round(1)
-    assert sizes == {1: 57, 64: 57}
-    assert world.metrics.rounds[0].bytes == 64 * (10 + 57)
+    assert sizes == {1: 49, 64: 49}
+    assert world.metrics.rounds[0].bytes == 64 * (10 + 49)
 
 
 def test_reagg_request_carries_child_ids():
@@ -705,13 +716,13 @@ def test_every_cut_frame_raises_value_error():
     # Every frame type that crosses a link, cut at every shorter length or
     # with its count field overstated, fails to decode with ValueError and
     # nothing else: callers catch ValueError, never struct.error.
-    _, agg_body = wire.seal_packet(_channel(bytes(16)), 7, (9, 12), 5, 6, b"\x11" * 8)
+    _, agg_body = wire.seal_packet(_channel(bytes(16)), 3, 7, (9, 12), 5, 6, b"\x11" * 8)
     child_tags = {9: b"\x22" * 8, 12: b"\x33" * 8}
     resp = wire.seal_probe_resp(_channel(bytes(16)), 3, 7, (9, 12), 5, 6, b"\x11" * 8, child_tags)
     entry = resp[9:]  # past the type and round
     cases = (  # (payload, decoder of its body, offset of its count field)
         (wire.encode_query(3, "mean"), wire.decode_query, None),
-        (wire.frame(wire.AGG, agg_body), wire.decode_agg_body, 12),
+        (wire.frame(wire.AGG, agg_body), wire.decode_agg_body, 4),
         (wire.encode_probe(3), wire.decode_probe, None),
         (
             resp,

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from concealed_agg import crypto, wire
 from concealed_agg.adversary import BUILDERS, Behavior, CompromiseSpec
 from concealed_agg.basestation import format_report_line
-from concealed_agg.errors import ProtocolError, ReadingOutOfRange, ReplayDetected, ScenarioInvalid
+from concealed_agg.errors import AuthFailure, ProtocolError, ReadingOutOfRange, ScenarioInvalid, StaleRound
 from concealed_agg.node import SensorNode
 from concealed_agg.simulator import (
     CSV_COLUMNS,
@@ -72,17 +72,24 @@ def test_honest_round_message_count_is_2n():
 
 
 def test_multi_round_counters_strictly_increase():
+    # The round is every channel's counter, and rounds strictly increase.
+    # After five rounds of one emission per node each, the station kept each
+    # child's round-5 packet, which opens there in round 5 and in no round
+    # next to it, and it refuses to run round 5 again.
     world = World(Scenario(seed=104, n=6, generator="recursive", rounds=5))
     world.run()
-    for node in world.nodes.values():
-        assert node.up_channel._send_counter == 5  # one emission per round
-    # The station accepted counter 5 from each child and nothing above it:
-    # counter 5 again is a replay, and the child's next counter opens.
-    for cid in world.tree.children[0]:
-        rx = world.bs._child_channels[cid]
-        with pytest.raises(ReplayDetected):
-            rx.open(5, crypto.seal(rx.key, 5, bytes(16)))
-        assert rx.open(*world.nodes[cid].up_channel.seal_next(bytes(16))) == bytes(16)
+    assert [rm.messages for rm in world.metrics.rounds] == [2 * 6] * 5
+    assert all(node.state.round == 5 and node.state.emitted for node in world.nodes.values())
+    assert set(world.bs._round_packets) == set(world.tree.children[0])
+    for cid, pkt in world.bs._round_packets.items():
+        node, rx = world.nodes[cid], world.bs._child_channels[cid]
+        _, body = wire.seal_packet(node.up_channel, 5, cid, pkt.absent, pkt.dsum, pkt.dsum_prime, pkt.tag)
+        assert wire.open_packet(rx, 5, body) == pkt
+        for round_no in (4, 6):
+            with pytest.raises(AuthFailure):
+                wire.open_packet(rx, round_no, body)
+    with pytest.raises(StaleRound):
+        world.bs.disseminate(5, "sum")
 
 
 def test_csv_schema_and_total_footer():
@@ -161,26 +168,26 @@ def test_attested_round_charges_each_sibling_group_once():
     # Station 0 -> 1 -> {2, 3}, 2 -> {4, 5}; 2 forges.  A sibling group
     # under parent p costs the request (9 B + 4 B per target) over depth(p)
     # links, each target's 9 B probe and its answer over one link, and the
-    # bundle of the answers over depth(p) links.  A leaf answers in 69 B, a
-    # node with two children in 93 B; a bundle is 9 B plus its answers less
+    # bundle of the answers over depth(p) links.  A leaf answers in 61 B, a
+    # node with two children in 85 B; a bundle is 9 B plus its answers less
     # their 9 B headers.
     world = World(Scenario(seed=5, edges=((0, 1), (1, 2), (1, 3), (2, 4), (2, 5)),
                            compromises=(CompromiseSpec(2, "forge_children", (12345,)),)))
     result = world.run_round(1)
     assert result.integrity == "attested" and result.report.outliers == frozenset({2})
     assert [nid for nid, _, _ in result.report.transcript] == [1, 2, 3, 4, 5]
-    data = (10, 5 * (10 + 57))  # a query down and a 57 B packet up per node
+    data = (10, 5 * (10 + 49))  # a query down and a 49 B packet up per node
     groups = (  # (messages, bytes): request, probes, answers, bundle
-        (0 + 1 + 1 + 0, 0 + 9 + 93 + 0),  # (1,) under the station, depth 0
-        (1 + 2 + 2 + 1, 17 + 2 * 9 + (93 + 69) + 153),  # (2, 3) under 1
-        (2 + 2 + 2 + 2, 2 * 17 + 2 * 9 + 2 * 69 + 2 * 129),  # (4, 5) under 2
+        (0 + 1 + 1 + 0, 0 + 9 + 85 + 0),  # (1,) under the station, depth 0
+        (1 + 2 + 2 + 1, 17 + 2 * 9 + (85 + 61) + 137),  # (2, 3) under 1
+        (2 + 2 + 2 + 2, 2 * 17 + 2 * 9 + 2 * 61 + 2 * 113),  # (4, 5) under 2
     )
     # Exoneration sends nothing: 1's failing child 2 committed, so the
     # station clears 1 on 1's answer less 2's.  Node 2 has no failing
     # child, and the attested value is built at the station.
     messages = data[0] + sum(g[0] for g in groups)
     sent = data[1] + sum(g[1] for g in groups)
-    assert (messages, sent) == (26, 1235)
+    assert (messages, sent) == (26, 1107)
     rm = world.metrics.rounds[0]
     assert (rm.messages, rm.bytes, rm.probes) == (messages, sent, 5)
     # A group none of whose targets answers sends nothing back up, and a
@@ -357,7 +364,7 @@ def test_silent_child_is_timed_out_at_the_deadline():
     assert seen == [wire.QUERY, "emit"]
     assert world.nodes[3].state.emitted.absent == (4,)
     assert result.integrity == "passed" and result.participants == frozenset({1, 2, 3})
-    assert (world.metrics.rounds[0].messages, world.metrics.rounds[0].bytes) == (9, 317)
+    assert (world.metrics.rounds[0].messages, world.metrics.rounds[0].bytes) == (9, 285)
 
 
 @settings(max_examples=200, deadline=None)
@@ -433,7 +440,7 @@ def test_dropped_child_of_a_path_becomes_an_absent_root():
     result = world.run_round(1)
     assert world.nodes[2].state.emitted.absent == (3,)
     assert result.participants == frozenset({1, 2})
-    assert (world.metrics.rounds[0].messages, world.metrics.rounds[0].bytes) == (12, 410)
+    assert (world.metrics.rounds[0].messages, world.metrics.rounds[0].bytes) == (12, 362)
 
 
 def test_leaves_get_no_timeout(monkeypatch):
@@ -461,10 +468,10 @@ def test_leaves_get_no_timeout(monkeypatch):
 # Hashes of scripts/behaviour_sweep.py over its first 40 worlds (every
 # generator and adversary kind).  The reports and transcripts are pinned from
 # the simulator before its data phase was streamlined, the bytes from the
-# simulator that exonerates committed ancestors at the station by ring
-# subtraction.  The statuses, each sensor's liveness, and the combined hash
-# (which also covers message counts) are pinned from the station that reads
-# liveness from absence streaks and keeps no conviction status.  A change
+# wire whose packets carry no channel counter.  The statuses, each sensor's
+# liveness, and the combined hash (which also covers message counts) are
+# pinned from the station that reads liveness from absence streaks and keeps
+# no conviction status.  A change
 # meant to keep behaviour must keep them all; a deliberate behaviour or
 # traffic change updates them and says so.
 SWEEP_WORLDS = 40
@@ -474,20 +481,21 @@ SWEEP_PARTS = {
     "statuses": "12401925ebb21c50c3e3baa28a2c22ff542d3efa618b7b4b3f995bf347b7dfdf",
 }
 SWEEP_COMBINED = "1915d13e21ad3c7d4e6054618735ef20dd5bdf53ee5598b7f91aea4af0838b08"
-SWEEP_BYTES = "e7f9ea03c965e21680edcc8d59241f1e649e0593f5f1e20e7714be828e4d4b87"
+SWEEP_BYTES = "3c0c7b2594020f1eb9a7cc92a5424492866a3bae37b9b8ab14609010f0331584"
 # The order of the frames on the bus over the same 40 worlds, each frame's
-# ends, type and length, pinned from the simulator whose nodes timed out
-# their silent children with a TIMEOUT alarm.
-SWEEP_FRAMES = "9400e09ec4fe1c89973ce23455f24132ec8256d76e563bd6511562a540a5fe4d"
+# ends, type and length, pinned from the same wire; the order itself is the
+# one of the simulator whose nodes timed out their silent children with a
+# TIMEOUT alarm.
+SWEEP_FRAMES = "86a931c34016e95a697113755f81139c8289ca886895574cfa53d83ec704646f"
 # Every byte of those frames, with their ends, in the same order: the wire
-# format itself.  Pinned from the simulator whose channels authenticate
-# without encrypting and whose PRFs are keyed once, before the packet codec
-# was streamlined; a change that keeps the wire must keep it.
-SWEEP_CONTENTS = "5596b45e1e9fb21f0b47995de54b0f1da73bed60bd370d09dd4edbf0e79313bb"
+# format itself.  Pinned from the wire whose channels seal each packet for
+# its round and carry no counter; a change that keeps the wire must keep it.
+SWEEP_CONTENTS = "a550fa22bf118641164e26b6e90cebbf6697959b5eaabc017b9151edb68467ba"
 # The reports, participants and transcripts of the same 40 worlds run again
 # behind a keyless attacker on AGG frames (drops, cuts, flips past the sender
-# field, retypes), pinned from the simulator whose sensors kept a pending set.
-SWEEP_FAULTS = "4729b95b1b3aedad9596d819786bb7ff63745d71f00ec3d17ad27e72d04a7fa3"
+# field, retypes).  The attacker draws its faults from the frames' lengths,
+# so this pin moves with the wire: pinned from the wire without counters.
+SWEEP_FAULTS = "598da176e46311a8294509d30f37cd5b16c17c17fffa428f233fa938dbe1d358"
 # The same three parts over the script's default 104 worlds, where every
 # generator meets every adversary kind under every audit setting; reports and
 # transcripts unchanged since the data phase was streamlined, statuses pinned
@@ -639,9 +647,10 @@ def test_each_node_that_opens_the_round_emits_once_after_its_subtree():
 # round of 60 small worlds whose every round is walked (audit_prob=1.0),
 # behind the keyless attacker above on every link: PROBE, PROBE_RESP, REAGG
 # and REAGG_RESP frames included, which no sweep hash faults.  A round that
-# raises a ProtocolError is recorded by its class name.  Pinned from the
-# simulator whose relay decoded each answer and re-framed the entries.
-WALK_FAULTS = "ec63e8f9d79b31628eb5e5f706750524e7d86f2a0036c2087bc67eb2a702a56c"
+# raises a ProtocolError is recorded by its class name.  The metrics row
+# carries the bytes, and the attacker draws from the frames' lengths, so the
+# pin moves with the wire: pinned from the wire without channel counters.
+WALK_FAULTS = "25d07753c8a7d696ac80bfa47c727edcaafbdf13489a4f36b9cf497ddbc2927f"
 
 
 def test_walk_under_keyless_faults_is_pinned():
