@@ -9,14 +9,14 @@ round and uses what the hook returns; a step with no hook stays honest.
 
   reading   the sensed raw value
   keeps     a child's AGG frame body, by sender; None drops it
-  pair      the folded pair before tagging, at emission and re-aggregation
-  answer    the probe answer (absent, pair, child_tags) before sealing
+  pair      the folded pair before tagging, at emission
+  answer    the probe answer (absent, pair, child_packets) before sealing:
+            the child packets kept, by id, as received
   payload   the sealed AGG frame
 
 Each kind a scenario names (BUILDERS gives its arguments) sets only its own
 hooks, armed from a trigger round on and deterministic, so every experiment
-replays bit-for-bit.  A forger keeps forging when asked to re-aggregate,
-which pins it inside the outlier list.
+replays bit-for-bit.
 
   forge_own       reading + delta, stopping at the sensor domain's edge:
                   consistent under both chains, so invisible to

@@ -18,22 +18,27 @@ participant set once, from its final absent roots; ledger maintenance is
 the only per-round work linear in n.
 
 When the final pair fails the identical-pair equality test (or an operator
-forces an audit), the station walks the tree top-down: each probed node must
-recommit to the packet it emitted (its resent tag must match the tag pinned
-by the parent-side XOR chain, and the XOR of its own recomputed MAC with its
-children's tags must reproduce it) and its resent pair must pass IPET over
-its own claim.  Failing nodes have their children enqueued.  The walk probes
-siblings as a group, with one request through their parent and one bundle
-of their answers back, each answer still sealed on its own node's direct
-channel.  Only tree children of a failing node are probed, so every probed
-node's parent is the station or a failing probed node.  A committed node
-that failed only IPET, and has failing children, gets one chance to be
-exonerated by a re-aggregate without them.  When all those children
-committed, the station forms it from the answers it holds: the node's pair
-less theirs, and its absent roots less theirs plus their ids; for honest
-nodes that is exactly the node's own re-aggregation, at no network cost.
-Otherwise, or if that result fails IPET (a keyed child can lie about its
-pair or absent roots and still commit), the station asks the node itself.
+forces an audit), the station walks the tree top-down, starting with its own
+children.  Each probed node must recommit to the packet it emitted: its
+resent tag must match the tag pinned for it, and the XOR of its own
+recomputed MAC with the tags of the child packets it reports must reproduce
+it.  Its resent pair must pass IPET over its own claim.  Its answer carries
+the packet of each child it kept, as it received it, so below a failing node
+that answered the station IPETs each reported child packet itself and
+probes only the children whose packet fails, each pinned to the tag
+reported for it; a silent node's children are all probed, unpinned.  The
+walk probes siblings as a group, with one request through their parent and
+one bundle of their answers back, each answer still sealed on its own node's
+direct channel.  Only tree children of a failing node are probed, so every
+probed node's parent is the station or a failing probed node.
+
+A committed node that failed only IPET, and has failing children, gets one
+chance to be exonerated: its answer less the failing children's packets as
+it reported them, its pair less theirs and its absent roots less theirs plus
+their ids.  For an honest node that is exactly its own re-aggregation
+without them, and no node is ever asked for one: a keyed node that
+misreports a child's packet gets no more than it could by lying in its own
+answer.
 
 The station is the root of the aggregation tree and takes in its children's
 packets with the same ``wire.keep_child_packet`` and ``wire.fold_packets``
@@ -109,7 +114,7 @@ def format_report_line(result: QueryResult) -> str:
 
 
 def _subtract(node: wire.AggPacket, failing: list[wire.AggPacket]) -> wire.AggPacket | None:
-    """A node's re-aggregate without its failing children, from their answers:
+    """A node's re-aggregate without its failing children, from their packets:
     its packet with its pair less theirs in the ring, and its absent roots
     less theirs (as multisets) plus their own ids; its tag, which nothing
     reads, stays.  None when some child's absent roots are not among
@@ -159,7 +164,7 @@ class BaseStation:
         self._ledger_round = 0
         self._absent_streak: dict[int, int] = {}  # absent rounds in a row, of nodes absent last round
         self._round_packets: dict[int, wire.AggPacket] = {}
-        # The re-aggregate packets that exonerated nodes in this round's walk.
+        # The re-aggregates that exonerated nodes in this round's walk.
         self._cleared: dict[int, wire.AggPacket] = {}
         self._last_round = 0
         # Cost counters of the current round, reset when it is disseminated.
@@ -295,12 +300,12 @@ class BaseStation:
 
     def _probe_group(
         self, round_no: int, parent: int, targets: tuple[int, ...], ask, pinned: dict[int, int]
-    ) -> dict[int, tuple[wire.AggPacket, tuple[bool, bool], bytes]]:
+    ) -> dict[int, tuple[wire.AggPacket, tuple[bool, bool], list[wire.AggPacket]]]:
         """Probe sibling targets through their parent and check each answer as
-        it opens; by node, its packet, verdict and child-tag block.  A node's
-        entry, matched by the sender it names, opens only on the node's own
-        direct channel and for the round asked about, so whoever relays the
-        bundle can drop it, not forge or replay it."""
+        it opens; by node, its packet, verdict and reported child packets.  A
+        node's entry, matched by the sender it names, opens only on the node's
+        own direct channel and for the round asked about, so whoever relays
+        the bundle can drop it, not forge or replay it."""
         raw = ask(parent, wire.encode_probe(round_no, targets))
         if not raw or raw[0] != wire.PROBE_RESP:
             return {}
@@ -311,59 +316,58 @@ class BaseStation:
             log.info("base station: probe response via %d rejected: %s", parent, exc)
             return {}
         wanted = set(targets)
-        answers: dict[int, tuple[wire.AggPacket, tuple[bool, bool], bytes]] = {}
-        for start, at, stop in spans:
+        answers: dict[int, tuple[wire.AggPacket, tuple[bool, bool], list[wire.AggPacket]]] = {}
+        for start, at, stop, reported in spans:
             agg_body = body[at:stop]
             nid = int.from_bytes(agg_body[:4], "big")
             if nid not in wanted or nid in answers:
                 continue
-            bound = body[start + 4 : at]
             channel, mac = self._direct.get(nid) or self._bs_keys(nid)
             try:
-                pkt = wire.open_packet(channel, round_no, agg_body, wire.entry_bound(bound))
+                pkt = wire.open_packet(channel, round_no, agg_body, body[start:at])
             except AuthFailure as exc:
                 log.info("base station: probe response from %d rejected: %s", nid, exc)
                 continue
-            # Committed: its MAC XOR the child tags it vouches for is its tag, and any pin matches.
+            # Committed: its MAC XOR the tags it reports is its tag, and any pin matches.
             calc = int.from_bytes(crypto.mac_pair(mac, pkt.dsum, pkt.dsum_prime), "big")
-            for _, child_tag in wire.iter_child_tags(bound):
-                calc ^= child_tag
+            for child in reported:
+                calc ^= int.from_bytes(child.tag, "big")
             tag = int.from_bytes(pkt.tag, "big")
-            answers[nid] = pkt, (calc == tag == pinned.get(nid, tag), self._fits(nid, pkt)), bound
+            answers[nid] = pkt, (calc == tag == pinned.get(nid, tag), self._fits(nid, pkt)), reported
         return answers
 
     def com_att(self, round_no: int, ask, participants: frozenset[int]) -> AttestationReport:
         """Walk the tree localizing outliers (the divide-and-conquer audit).
 
-        ask(node_id, request) must carry a request from the station to the
+        ask(node_id, request) must carry a probe from the station to the
         node and return its answer, or None if nothing comes back: a probe
-        naming a sibling group goes to the group's parent (the station for its
-        own children) and returns the bundle of their answers, a
-        re-aggregation request goes to the node itself.  Groups are probed in
-        the order they are found, and only the round's participants are probed
-        below the station's children.
+        naming a sibling group goes to the group's parent (the station for
+        its own children) and returns the bundle of their answers.  Groups
+        are probed in the order they are found, and only the round's
+        participants are probed below the station's children.
 
         The walk keeps one record, each probed node's verdict in probe order:
         whether it committed (its resent tag matches its own MAC folded with
-        the child tags it vouches for, and the tag pinned for it, if any) and
-        whether its pair passes IPET.  A node fails unless both hold, and then
-        its children are probed: all of them if it was silent, else those it
-        vouches for, each pinned to the tag it vouched.  The report's sets and
-        transcript are read off that record once the walk ends.
+        the tags of the child packets it reports, and the tag pinned for it,
+        if any) and whether its pair passes IPET.  A node fails unless both
+        hold, and then its children are probed: all of them if it was
+        silent, else those whose reported packet fails IPET here, each pinned
+        to the tag reported for it.  The report's sets and transcript are
+        read off that record once the walk ends.
 
         Exoneration then tries each committed node that failed only IPET on
-        the station's subtraction of its failing children's answers from its
-        own, and sends the node a re-aggregation request only when that cannot
-        clear it.  The outliers are the failed nodes it does not clear.
+        its answer less its failing children's packets as it reported them.
+        The outliers are the failed nodes it does not clear.
         """
         self.advance_ledger(round_no)  # once for the walk: a no-op at the round, or raises
-        packets, children = self._round_packets, self.tree.children
+        packets, children, fits = self._round_packets, self.tree.children, self._fits
         verdicts: dict[int, tuple[bool, bool]] = {}  # node -> (committed, ipet_ok)
         # The tag each probed node must resend, as an integer: the one in the
-        # packet the station holds from it, or the one its parent vouched for.
-        # A silent node vouches for nothing, so its children have no pin.
+        # packet the station holds from it, or the one its parent reported.
+        # A silent node reports nothing, so its children have no pin.
         pinned = {cid: int.from_bytes(pkt.tag, "big") for cid, pkt in packets.items()}
-        answered: dict[int, wire.AggPacket] = {}
+        # Each failing node that answered: its packet and its reported child packets, by id.
+        answered: dict[int, tuple[wire.AggPacket, dict[int, wire.AggPacket]]] = {}
         # Sibling groups in probe order: (parent, ascending target ids).  Each
         # node is enqueued once, by its parent, so probes go top-down.
         queue: deque[tuple[int, tuple[int, ...]]] = deque()
@@ -377,18 +381,19 @@ class BaseStation:
                 if answer is None:
                     # Silent (or unopenable) probe: the node cannot commit.
                     verdicts[nid] = (False, False)
-                    below = children[nid]
+                    below = tuple(filter(participants.__contains__, children[nid]))
                 else:
-                    answered[nid], verdicts[nid], bound = answer
+                    pkt, verdicts[nid], reported = answer
                     if verdicts[nid] == (True, True):
                         continue
-                    # Only a failing node pins its children; an id it vouches for
-                    # that is not its child entered its MAC check, but is not probed.
-                    child_tags = dict(wire.iter_child_tags(bound))
-                    below = list(filter(child_tags.__contains__, children[nid]))
+                    # An id it reports that is not its child entered its MAC
+                    # check, but is neither checked nor probed.
+                    kids = {child.sender: child for child in reported}
+                    answered[nid] = pkt, kids
+                    below = tuple(cid for cid in children[nid]
+                                  if cid in kids and cid in participants and not fits(cid, kids[cid]))
                     for cid in below:
-                        pinned[cid] = child_tags[cid]
-                below = tuple(filter(participants.__contains__, below))
+                        pinned[cid] = int.from_bytes(kids[cid].tag, "big")
                 if below:
                     queue.append((nid, below))
 
@@ -397,24 +402,17 @@ class BaseStation:
 
         # Exoneration pass.  Non-committed nodes are dishonest outright and get
         # no second chance, and a node with no failing child would only
-        # reproduce the pair that just failed.  A subtraction that does not
-        # clear the node may be a keyed child's lie, not the node's, so the
-        # node is then asked as well.
+        # reproduce the pair that just failed.  A failing child was probed
+        # because its reported packet failed, so the node reported it.
         for nid, (committed, ipet_ok) in verdicts.items():
             if not committed or ipet_ok:
                 continue
-            failing = tuple(filter(suspects.__contains__, children[nid]))
-            if not failing:
-                continue
-            reagg = None
-            if non_committed.isdisjoint(failing):
-                reagg = _subtract(answered[nid], [answered[cid] for cid in failing])
-            if reagg is None or not self._fits(nid, reagg):
-                raw = ask(nid, wire.encode_reagg(round_no, failing))
-                reagg = wire.open_reagg_reply(self._bs_keys(nid)[0], round_no, raw)
-                if reagg is None or not self._fits(nid, reagg):
-                    continue
-            self._cleared[nid] = reagg
+            pkt, kids = answered[nid]
+            failing = [kids[cid] for cid in children[nid] if cid in suspects]
+            if failing:
+                reagg = _subtract(pkt, failing)
+                if reagg is not None and fits(nid, reagg):
+                    self._cleared[nid] = reagg
 
         return AttestationReport(
             outliers=frozenset(suspects.difference(self._cleared)),

@@ -17,10 +17,11 @@ have the same size at every depth.  The emitted tag is its own MAC over the
 final aggregated pair XORed with all child tags, so the tag of any subtree
 equals the XOR of the own-MACs of every node inside it.
 
-The node also answers attestation probes (resending what it committed to on
-a direct logical channel to the base station) and re-aggregates on request
-with some of its children left out, through the same fold as emission, and
-seals the result on that direct channel.
+The node also answers attestation probes: on a direct logical channel to the
+base station it resends what it committed to, together with the packet of
+each child it kept, as it received it.  The station checks those child
+packets itself and takes a child's packet out of the node's aggregate by
+subtraction, so no node is ever asked to re-aggregate.
 
 A compromised node carries an ``adversary.Behavior``: one hook per protocol
 step (the reading, each child packet kept, the folded pair, the probe
@@ -164,27 +165,15 @@ class SensorNode:
 
     def respond_attestation(self, round_no: int) -> bytes:
         """Resend the committed packet on the direct base-station channel,
-        with the child tags it folded bound into the channel tag."""
+        with the packets of the children it folded bound into the channel tag."""
         state = self.state
         if state is None or state.round != round_no or state.emitted is None:
             raise NoSuchRound(f"node {self.node_id}: no emitted packet for round {round_no}")
         pkt = state.emitted
-        absent, pair = pkt.absent, (pkt.dsum, pkt.dsum_prime)
-        child_tags = {cid: p.tag for cid, p in state.child_packets.items()}
+        absent, pair, child_packets = pkt.absent, (pkt.dsum, pkt.dsum_prime), state.child_packets
         if self.behavior is not None:
-            absent, pair, child_tags = self.behavior.answer((absent, pair, child_tags), round_no)
-        return wire.seal_probe_resp(self.bs_channel, round_no, self.node_id, absent, *pair, pkt.tag, child_tags)
-
-    def reaggregate_excluding(self, children: tuple[int, ...], round_no: int) -> bytes:
-        """Recompute the dual sums without the named children, each dropped
-        with its whole subtree contribution and listed as an absent root, and
-        seal the result on the direct base-station channel.  Ids that are not
-        this node's children are ignored."""
-        state = self.state
-        if state is None or state.round != round_no or state.emitted is None:
-            raise NoSuchRound(f"node {self.node_id}: no round {round_no} to re-aggregate")
-        kept = {cid: pkt for cid, pkt in state.child_packets.items() if cid not in children}
-        return wire.seal_reagg_resp(self.bs_channel, round_no, self.node_id, *self._fold(state, kept))
+            absent, pair, child_packets = self.behavior.answer((absent, pair, child_packets), round_no)
+        return wire.seal_probe_resp(self.bs_channel, round_no, self.node_id, absent, *pair, pkt.tag, child_packets)
 
     # === Fabric dispatch ====================================================
 
@@ -212,17 +201,12 @@ class SensorNode:
         return []
 
     def handle_reagg_request(self, body: bytes) -> bytes | None:
-        """Request/response entry for re-aggregation; never raises.  A request
-        that does not parse gets no reply (None), which the requester treats
-        like a refusal."""
+        """A re-aggregation request, which no round sends: the station
+        subtracts a child's packet itself.  It gets a refusal, or no reply
+        (None) if it does not parse; never raises."""
         try:
-            round_no, exclusions = wire.decode_reagg(body)
+            round_no, _ = wire.decode_reagg(body)
         except ValueError as exc:
             log.info("node %d: ignored re-aggregation request: %s", self.node_id, exc)
             return None
-        try:
-            return self.reaggregate_excluding(exclusions, round_no)
-        except NoSuchRound as exc:
-            log.info("node %d: re-aggregation failed: %s", self.node_id, exc)
-            return wire.encode_reagg_resp(round_no, False)
-
+        return wire.encode_reagg_resp(round_no, False)

@@ -17,16 +17,15 @@ once: with every child that reported folded in, and the rest left out as
 absent roots.  A single silent node thus costs only its own subtree, never
 the whole branch.
 
-Attestation traffic (probes and re-aggregation requests) is a synchronous
-request and answer, ``World.ask``, each over the bus: it happens strictly
-after the round's data traffic has drained.  A re-aggregation request and
-its reply cross every link between the station and the node.  Probes go to
-sibling groups: the request crosses the links down to the group's parent
-once, the parent asks each target over one link, and the answers cross the
-links up from the parent as one bundle.  The parent walks each answer's
-entries once and forwards those that parse as the bytes that arrived.  For
-the station's own children the parent is the station, so the request and
-the bundle cross no link.
+Attestation traffic is probes, each a synchronous request and answer,
+``World.ask``, over the bus: it happens strictly after the round's data
+traffic has drained.  Probes go to sibling groups: the request crosses the
+links down to the group's parent once, the parent asks each target over one
+link, and the answers cross the links up from the parent as one bundle.
+The parent walks each answer's entries once and forwards those that parse
+as the bytes that arrived.  For the station's own children the parent is
+the station, so the request and the bundle cross no link.  No node is ever
+asked to re-aggregate.
 """
 
 from __future__ import annotations
@@ -229,8 +228,8 @@ class World:
         return payload
 
     def ask(self, src: int, dst: int, request: bytes) -> bytes | None:
-        """Attestation request from src to dst and dst's answer, each over
-        the bus; None if either is lost or dst does not answer."""
+        """A probe from src to dst and dst's answer, each over the bus; None
+        if either is lost or dst does not answer."""
         request = self.deliver(src, dst, request)
         if request is None:
             return None
@@ -238,34 +237,32 @@ class World:
         return None if answer is None else self.deliver(dst, src, answer)
 
     def _answer(self, nid: int, request: bytes) -> bytes | None:
-        """nid's answer to an attestation request.  A probe that names
-        targets is relayed: nid asks each target that is its child and sends
-        back one bundle of the answers' entries that parse, as they arrived,
-        or nothing if none does.  The station only relays."""
-        msg_type = request[0] if request else None
+        """nid's answer to a probe.  A probe that names targets is relayed:
+        nid asks each target that is its child and sends back one bundle of
+        the answers' entries that parse, as they arrived, or nothing if none
+        does.  The station only relays, and a request that is no probe gets
+        no answer."""
+        if not request or request[0] != wire.PROBE:
+            return None
+        try:
+            round_no, targets = wire.decode_probe(request[1:])
+        except ValueError:  # a probe that does not parse gets no answer
+            return None
+        if targets:
+            return self._relay_probe(nid, round_no, targets)
         node = self.nodes.get(nid)
-        if msg_type == wire.PROBE:
-            try:
-                round_no, targets = wire.decode_probe(request[1:])
-            except ValueError:  # a probe that does not parse gets no answer
-                return None
-            if targets:
-                return self._relay_probe(nid, round_no, targets)
-            if node is None:
-                return None
-            try:
-                return node.respond_attestation(round_no)
-            except ProtocolError:
-                return None
-        if msg_type == wire.REAGG and node is not None:
-            return node.handle_reagg_request(request[1:])
-        return None
+        if node is None:
+            return None
+        try:
+            return node.respond_attestation(round_no)
+        except ProtocolError:
+            return None
 
     def _relay_probe(self, parent: int, round_no: int, targets: tuple[int, ...]) -> bytes | None:
         probe = wire.encode_probe(round_no)
         tree_parent = self.tree.parent
         answers = [self.ask(parent, target, probe) for target in targets if tree_parent.get(target) == parent]
-        return wire.bundle_probe_answers(round_no, answers)
+        return wire.bundle_probe_answers(answers)
 
     def _run_data_phase(self, round_no: int, queries: list[tuple[int, bytes]]) -> None:
         stack = [(BS_ID, dst, payload) for dst, payload in reversed(queries)]

@@ -18,39 +18,43 @@ the packet belongs to, which no field carries: the receiver opens it under
 its own round (a sensor's open round, the station's current one, or the
 round the station asked about), so a packet from another round fails its
 tag.  The channel tag also covers, as associated data, every other clear
-field: sender, absent list and tag, and in a probe response the child tags
-too.  A keyless attacker on a link who rewrites any of them makes the packet
-fail authentication.  A node's direct channel to the station seals both its
-probe entries and its re-aggregation replies, in the same round, so each
-binds its frame type too, and neither opens as the other.  ``seal_packet``
-packs the header once, for both the associated data and the body
-(``header_ad`` and ``encode_agg_body`` give the same bytes field by field);
-``open_packet`` authenticates the header bytes ``decode_agg_body`` parsed,
-sliced from the packet, so each packet is packed once and parsed once and
-nothing is rebuilt in between.  Every payload on
-the simulator fabric is a one-byte message type, which receivers read from
-byte 0, followed by the body, and every type crosses a link: no frame tells
-a node to emit, it emits when the simulator finds its subtree drained.
-A node relays the QUERY that opens its round to its children as the bytes
-that arrived: ``decode_query`` accepts only the 9-byte body ``encode_query``
-writes, so that equals re-encoding it.
+field: sender, absent list and tag, and in a probe response the child
+packets too.  A keyless attacker on a link who rewrites any of them makes
+the packet fail authentication.  ``seal_packet`` packs the header once, for
+both the associated data and the body (``header_ad`` and ``encode_agg_body``
+give the same bytes field by field); ``open_packet`` authenticates the
+header bytes ``decode_agg_body`` parsed, sliced from the packet, so each
+packet is packed once and parsed once and nothing is rebuilt in between.
+Every payload on the simulator fabric is a one-byte message type, which
+receivers read from byte 0, followed by the body, and every type crosses a
+link: no frame tells a node to emit, it emits when the simulator finds its
+subtree drained.  A node relays the QUERY that opens its round to its
+children as the bytes that arrived: ``decode_query`` accepts only the 9-byte
+body ``encode_query`` writes, so that equals re-encoding it.
 
 Attestation probes travel to a group of siblings through their parent:
 
-    PROBE       round (8B BE) || target ids (4B BE each, ascending)
-    PROBE_RESP  round (8B BE) || entry || entry || ...
-    entry       child-tag count (4B BE) || (child id (4B BE) || tag (8B))*
-                || aggregation packet
+    PROBE         round (8B BE) || target ids (4B BE each, ascending)
+    PROBE_RESP    entry || entry || ...
+    entry         child count (4B BE) || child packet* || aggregation packet
+    child packet  sender (4B BE) || absent-count (4B BE)
+                  || absent ids (4B BE each) || pair (16B) || tag (8B)
 
 A probe without targets asks its addressee to answer for itself; that is
 what the parent sends each target.  A response carries one entry per node
-that answered, each that node's own packet sealed on its direct channel to
-the station.  Entries have no length prefix: each ends where its packet's
-absent count says, so a one-entry response is a node's own answer
-(``seal_probe_resp``), and a bundle is the answers' entries back to back, as
-a relay forwarded them (``bundle_probe_answers``), decoding none.
+that answered: the packets of the children the node kept, ascending by id,
+as it received them less their edge channel tags, then its own packet
+sealed on its direct channel to the station, with that child block, count
+included, bound into the channel tag.  So the station checks each child's
+claim one level down without asking the child, and subtracts a child's
+packet from the node's as the node reported it.  Entries have no length
+prefix: each ends where its last packet's absent count says, so a one-entry
+response is a node's own answer (``seal_probe_resp``), and a bundle is the
+answers' entries back to back, as a relay forwarded them
+(``bundle_probe_answers``), re-framing none.
 
-A re-aggregation request names children of its addressee to leave out:
+No round sends the re-aggregation request and reply any more; their codecs
+stay as reference code:
 
     REAGG       round (8B BE) || count (4B BE) || child ids (4B BE each, ascending)
     REAGG_RESP  round (8B BE) || ok (1B) || aggregation packet, if ok
@@ -60,7 +64,6 @@ included: a packet that names no child, names a child already kept, or does
 not open leaves nothing behind.  ``fold_packets`` is the one aggregation
 step: ring-add the kept packets' pairs, gather their absent lists and XOR
 their tags as one integer; a child without a packet is an absent root.
-``open_reagg_reply`` is the station's one parser of re-aggregation replies.
 Every decoder raises ValueError, and nothing else, on a frame that does not
 parse.
 """
@@ -69,8 +72,7 @@ from __future__ import annotations
 
 import logging
 import struct
-from functools import cache, partial
-from itertools import chain
+from functools import partial
 from operator import ge
 from typing import NamedTuple
 
@@ -94,10 +96,8 @@ _HEADER = struct.Struct(">II")  # sender, absent count
 _NO_ABSENT = bytes(4)  # the absent count of a packet that names no one
 _QUERY = struct.Struct(">QB")  # round, function code
 _PAIR = struct.Struct(">QQ")  # dsum, dsum_prime: K chain first
-_CHILD_TAG = struct.Struct(f">I{crypto.TAG_LEN}s")  # a child id and tag in a probe entry
+_PAIR_TAG = struct.Struct(f">QQ{crypto.TAG_LEN}s")  # a child packet's pair and tag in a probe entry
 _PROBE_RESP_TYPE = bytes([PROBE_RESP])
-_REAGG_RESP_TYPE = bytes([REAGG_RESP])
-iter_child_tags = struct.Struct(">IQ").iter_unpack  # (child id, tag as an integer) per child tag
 
 FUNC_CODES = {"sum": 0, "mean": 1}
 FUNC_NAMES = {code: name for name, code in FUNC_CODES.items()}
@@ -288,83 +288,91 @@ def decode_probe(body: bytes) -> tuple[int, tuple[int, ...]]:
     return round_no, targets
 
 
-@cache
-def _child_tag_block(count: int) -> struct.Struct:
-    """Packs a block of count child tags: the count, then each id and tag."""
-    return struct.Struct(">I" + _CHILD_TAG.format[1:] * count)
+def _child_block(packets: dict[int, AggPacket]) -> bytes:
+    """A probe entry's child block: the count, then each child's packet by
+    ascending id, its channel tag left out."""
+    parts = [len(packets).to_bytes(4, "big")]
+    for cid in sorted(packets):
+        pkt = packets[cid]
+        parts += cid.to_bytes(4, "big"), _absent_field(pkt.absent), _PAIR_TAG.pack(pkt.dsum, pkt.dsum_prime, pkt.tag)
+    return b"".join(parts)
 
 
 def seal_probe_resp(
     channel: crypto.Keyed, round_no: int, sender: int, absent: tuple[int, ...],
-    dsum: int, dsum_prime: int, tag: bytes, child_tags: dict[int, bytes],
+    dsum: int, dsum_prime: int, tag: bytes, child_packets: dict[int, AggPacket],
 ) -> bytes:
-    """A node's probe answer for a round, a one-entry PROBE_RESP frame: its
-    packet sealed on the channel, with the frame type and the child tags it
-    folded, ascending, bound into the channel tag (``entry_bound``)."""
-    items = sorted(child_tags.items())
-    block = _child_tag_block(len(items)).pack(len(items), *chain.from_iterable(items))
-    body = seal_packet(channel, round_no, sender, absent, dsum, dsum_prime, tag, entry_bound(block[4:]))[1]
-    return b"".join((_PROBE_RESP_TYPE, round_no.to_bytes(8, "big"), block, body))
+    """A node's probe answer for a round, a one-entry PROBE_RESP frame: the
+    child packets it folded, by id, then its own packet sealed on the
+    channel with that child block bound into the channel tag."""
+    block = _child_block(child_packets)
+    return _PROBE_RESP_TYPE + block + seal_packet(channel, round_no, sender, absent, dsum, dsum_prime, tag, block)[1]
 
 
-def entry_bound(child_tags: bytes) -> bytes:
-    """What a probe entry's packet binds besides its header: the PROBE_RESP
-    type, then the entry's child tags as they came."""
-    return _PROBE_RESP_TYPE + child_tags
+def decode_probe_entry(body: bytes, offset: int = 0) -> tuple[list[AggPacket], int, int]:
+    """The child packets of the probe-response entry at offset, in the order
+    they came, where its own packet starts (its child block, what that
+    packet binds, is the bytes before) and where it ends; ValueError if the
+    body ends first."""
+    _need(body, offset + 4, "probe response entry")
+    at = offset + 4
+    children = []
+    for _ in range(int.from_bytes(body[offset:at], "big")):
+        _need(body, at + 8, "probe response entry")
+        sender, count = _HEADER.unpack_from(body, at)
+        pair_at = at + 8 + 4 * count
+        _need(body, pair_at + _PAIR_TAG.size, "probe response entry")
+        absent = struct.unpack_from(f">{count}I", body, at + 8) if count else ()
+        children.append(_new_packet((sender, absent, *_PAIR_TAG.unpack_from(body, pair_at))))
+        at = pair_at + _PAIR_TAG.size
+    _need(body, at + 8, "probe response entry")
+    stop = at + _PACKET_LEN + 4 * int.from_bytes(body[at + 4 : at + 8], "big")
+    _need(body, stop, "probe response entry")
+    return children, at, stop
 
 
-def decode_probe_entry(entry: bytes) -> tuple[dict[int, bytes], bytes, bytes]:
-    """The child tags of one probe-response entry, the bytes they came as
-    (what its packet binds, after the frame type: ``entry_bound``) and the
-    packet body."""
-    _need(entry, 4, "probe response entry")
-    start = 4 + int.from_bytes(entry[:4], "big") * _CHILD_TAG.size
-    _need(entry, start, "probe response entry")
-    return dict(_CHILD_TAG.iter_unpack(entry[4:start])), entry[4:start], entry[start:]
+def encode_probe_resp(entries: list[bytes]) -> bytes:
+    return frame(PROBE_RESP, b"".join(entries))
 
 
-def encode_probe_resp(round_no: int, entries: list[bytes]) -> bytes:
-    return frame(PROBE_RESP, struct.pack(">Q", round_no) + b"".join(entries))
-
-
-def bundle_probe_answers(round_no: int, answers: list[bytes | None]) -> bytes | None:
+def bundle_probe_answers(answers: list[bytes | None]) -> bytes | None:
     """What a relay sends up for a probe: each answer's entries that parse
     (``probe_entry_spans``), as the bytes that came, in one PROBE_RESP frame;
-    None if none does.  No entry is decoded or re-framed."""
+    None if none does.  No entry is re-framed."""
     entries = []
     for answer in answers:
         if answer and answer[0] == PROBE_RESP:
             try:
-                entries.append(answer[9 : 1 + probe_entry_spans(answer[1:])[-1][2]])  # past type, round
+                entries.append(answer[1 : 1 + probe_entry_spans(answer[1:])[-1][2]])
             except ValueError:
                 pass  # an answer that does not parse is not relayed
-    return encode_probe_resp(round_no, entries) if entries else None
+    return encode_probe_resp(entries) if entries else None
 
 
-def probe_entry_spans(body: bytes) -> list[tuple[int, int, int]]:
+def probe_entry_spans(body: bytes) -> list[tuple[int, int, int, list[AggPacket]]]:
     """Where each probe-response entry that parses starts, where its packet
-    starts, and where it ends, in order.  Entries carry no length: each ends
-    where its packet's absent count says.  So parsing stops at the first entry
-    that does not parse, and it and the rest are lost, as if dropped on the
-    way.  Raises ValueError when not even one entry parses."""
+    starts, where it ends, and its child packets, in order
+    (``decode_probe_entry``).  Entries carry no length: each ends where its
+    packet's absent count says.  So parsing stops at the first entry that
+    does not parse, and it and the rest are lost, as if dropped on the way.
+    Raises ValueError when not even one entry parses."""
     spans = []
-    offset, end = 8, len(body)
-    while offset + 4 <= end:
-        at = offset + 4 + int.from_bytes(body[offset : offset + 4], "big") * _CHILD_TAG.size
-        stop = at + _PACKET_LEN + 4 * int.from_bytes(body[at + 4 : at + 8], "big")
-        if at + 8 > end or stop > end:
+    offset = 0
+    while offset < len(body):
+        try:
+            children, at, stop = decode_probe_entry(body, offset)
+        except ValueError:
             break
-        spans.append((offset, at, stop))
+        spans.append((offset, at, stop, children))
         offset = stop
     if not spans:
         raise ValueError("truncated probe response")
     return spans
 
 
-def decode_probe_resp(body: bytes) -> tuple[int, list[bytes]]:
-    """The round and the entries that parse, in order (``probe_entry_spans``)."""
-    spans = probe_entry_spans(body)
-    return int.from_bytes(body[:8], "big"), [body[start:stop] for start, _, stop in spans]
+def decode_probe_resp(body: bytes) -> list[bytes]:
+    """The entries that parse, in order (``probe_entry_spans``)."""
+    return [body[start:stop] for start, _, stop, _ in probe_entry_spans(body)]
 
 
 def encode_reagg(round_no: int, exclusions: tuple[int, ...]) -> bytes:
@@ -385,34 +393,7 @@ def encode_reagg_resp(round_no: int, ok: bool, agg_body: bytes = b"") -> bytes:
     return frame(REAGG_RESP, struct.pack(">QB", round_no, int(ok)) + agg_body)
 
 
-def seal_reagg_resp(
-    channel: crypto.Keyed, round_no: int, sender: int, absent: tuple[int, ...],
-    dsum: int, dsum_prime: int, tag: bytes,
-) -> bytes:
-    """A node's re-aggregate for a round, as an ok REAGG_RESP frame: its
-    packet sealed on the channel with the frame type bound into the channel tag."""
-    body = seal_packet(channel, round_no, sender, absent, dsum, dsum_prime, tag, _REAGG_RESP_TYPE)[1]
-    return encode_reagg_resp(round_no, True, body)
-
-
 def decode_reagg_resp(body: bytes) -> tuple[int, bool, bytes]:
     _need(body, 9, "re-aggregation response")
     round_no, ok = struct.unpack_from(">QB", body, 0)
     return round_no, bool(ok), body[9:]
-
-
-def open_reagg_reply(channel: crypto.Keyed, round_no: int, reply: bytes | None) -> AggPacket | None:
-    """The re-aggregated packet in a REAGG_RESP frame, opened on the channel
-    and for the round it was sealed for; None for silence, a refusal, or a
-    frame that does not parse or authenticate."""
-    if reply is None:
-        return None
-    try:
-        msg_type, body = parse_frame(reply)
-        if msg_type != REAGG_RESP:
-            return None
-        _, ok, agg_body = decode_reagg_resp(body)
-        return open_packet(channel, round_no, agg_body, _REAGG_RESP_TYPE) if ok else None
-    except (AuthFailure, ValueError) as exc:
-        log.info("re-aggregation reply rejected: %s", exc)
-        return None

@@ -340,16 +340,18 @@ def test_one_keyless_agg_fault_costs_only_the_subtree_below_its_link():
 
 
 def test_keyless_tamper_of_a_bundle_spares_the_entries_before_it():
-    # Station 0 -> 1 -> {2, 3}, 2 -> {4, 5}; leaf 3 forges, so the walk
-    # probes the group (2, 3) through node 1.  A keyless attacker on the
-    # shared link 1->0 flips a bit of, or cuts, the second entry of the
+    # Station 0 -> 1 -> {2, 3}, 2 -> {4, 5}; leaf 3 forges, and so does 4
+    # below 2, so the packets node 1 reports for both its children fail and
+    # the walk probes the group (2, 3) through node 1.  A keyless attacker on
+    # the shared link 1->0 flips a bit of, or cuts, the second entry of the
     # bundle (node 3's).  Node 2's entry still opens and commits, and the
     # round reaches its verdict.
     edges = ((0, 1), (1, 2), (1, 3), (2, 4), (2, 5))
-    scenario = Scenario(seed=5, edges=edges, compromises=(CompromiseSpec(3, "forge_children", (12345,)),))
+    scenario = Scenario(seed=5, edges=edges, compromises=(CompromiseSpec(3, "forge_children", (12345,)),
+                                                          CompromiseSpec(4, "forge_children", (777,))))
     clean = World(scenario)
-    assert clean.run_round(1).report.transcript[1:3] == ((2, True, True), (3, True, False))
-    first_end = 1 + 8 + 4 + 2 * 12 + 48  # type, round, node 2's entry with two child tags
+    assert clean.run_round(1).report.transcript[1:3] == ((2, True, False), (3, True, False))
+    first_end = 1 + 4 + 2 * 32 + 48  # type, node 2's entry with two leaf child packets
     second_end = first_end + 4 + 48  # node 3's entry: a leaf
     tampers = [lambda b, i=i: b[:i] + bytes([b[i] ^ 0x01]) + b[i + 1 :] for i in range(first_end, second_end)]
     tampers += [lambda b, i=i: b[:i] + bytes([b[i] ^ 0x80]) + b[i + 1 :] for i in range(first_end, second_end)]
@@ -371,7 +373,7 @@ def test_keyless_tamper_of_a_bundle_spares_the_entries_before_it():
         result = world.run_round(1)
         assert len(bundles) == 1 and len(bundles[0]) == second_end
         assert result.integrity == "attested"
-        assert result.report.transcript[1:3] == ((2, True, True), (3, False, False))
+        assert result.report.transcript[1:3] == ((2, True, False), (3, False, False))
         assert 2 not in result.report.outliers
 
 
@@ -484,22 +486,20 @@ def test_edge_key_holder_sees_only_diffused_values():
 
 def _packet_bodies(payload: bytes) -> list[bytes]:
     """The aggregation packets a frame carries: an AGG's one, each entry's of
-    a PROBE_RESP, a REAGG_RESP's if it has one."""
+    a PROBE_RESP."""
     msg_type, body = wire.parse_frame(payload)
     if msg_type == wire.AGG:
         return [body]
     if msg_type == wire.PROBE_RESP:
-        return [wire.decode_probe_entry(entry)[2] for entry in wire.decode_probe_resp(body)[1]]
-    if msg_type == wire.REAGG_RESP:
-        _, ok, agg_body = wire.decode_reagg_resp(body)
-        return [agg_body] if ok else []
+        return [body[at:stop] for _, at, stop, _ in wire.probe_entry_spans(body)]
     return []
 
 
 def test_keyless_link_eavesdropper_sees_only_the_edge_key_holders_view(monkeypatch):
     # A forced audit with one forge_children forger (4) and a noncommit
-    # sibling (2), so that the walk asks their parent for a re-aggregate:
-    # every channel payload type crosses a link.
+    # sibling (2), so that the walk probes below their parent: every channel
+    # payload type crosses a link.  A probe entry shows no more of a child
+    # than its AGG frame showed on the link below.
     world = World(Scenario(seed=1, n=8, generator="recursive", audit_prob=1.0, compromises=(
         CompromiseSpec(4, "forge_children", (99999,)), CompromiseSpec(2, "noncommit", ()),
     )))
@@ -514,7 +514,7 @@ def test_keyless_link_eavesdropper_sees_only_the_edge_key_holders_view(monkeypat
 
     monkeypatch.setattr(wire, "open_packet", recording_open)
     world.run_round(1)
-    seen = {t: 0 for t in (wire.AGG, wire.PROBE_RESP, wire.REAGG_RESP)}
+    seen = {t: 0 for t in (wire.AGG, wire.PROBE_RESP)}
     for payload in frames:
         for body in _packet_bodies(payload):
             seen[payload[0]] += 1
@@ -522,6 +522,10 @@ def test_keyless_link_eavesdropper_sees_only_the_edge_key_holders_view(monkeypat
             sealed = wire.decode_agg_body(body)[2]
             assert sealed[:16] == pkt.dsum.to_bytes(8, "big") + pkt.dsum_prime.to_bytes(8, "big")
     assert all(seen.values())
+    sent_up = {opened[p[1:]] for p in frames if p[0] == wire.AGG}
+    reported = [child for p in frames if p[0] == wire.PROBE_RESP
+                for _, _, _, children in wire.probe_entry_spans(p[1:]) for child in children]
+    assert reported and set(reported) <= sent_up
     # What the link shows of a leaf's reading is the edge-key holder's view:
     # the diffused pair, which only the seeds revert.
     leaf = 6

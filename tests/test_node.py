@@ -1,5 +1,6 @@
 """Sensor node state machine: query handling, aggregation, emission,
-attestation responses, re-aggregation, and the wire packet layout."""
+attestation responses, the station's re-aggregation from them, and the wire
+packet layout."""
 
 import hashlib
 import itertools
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concealed_agg import crypto, wire
+from concealed_agg.basestation import _subtract
 from concealed_agg.errors import AlreadyEmitted, AuthFailure, NoSuchRound, StaleRound
 from concealed_agg.simulator import Scenario, World
 
@@ -286,17 +288,13 @@ def test_packet_after_timeout_emission_is_an_unknown_childs(caplog):
     for cid in (2, 3):
         agg.aggregate_child(late[cid])
     agg.emit()
-    bs_channel = _bs_channel(world, 1)
 
     def probe_answer():
-        resp = agg.respond_attestation(1)
-        _, [entry] = wire.decode_probe_resp(wire.parse_frame(resp)[1])
-        child_tags, bound, agg_body = wire.decode_probe_entry(entry)
-        return child_tags, wire.open_packet(bs_channel, 1, agg_body, wire.entry_bound(bound))
+        return _open_answer(world, 1, agg.respond_attestation(1))
 
     folded = dict(agg.state.child_packets)
     answer = probe_answer()
-    assert set(answer[0]) == {2, 3} and answer[1].absent == (4,)
+    assert answer[0].absent == (4,) and answer[1] == [folded[2], folded[3]]
     intake_log(caplog).clear()
     agg.aggregate_child(late[4])
     assert "node 1: packet outside an open round ignored" in caplog.text
@@ -308,32 +306,55 @@ def test_packet_after_timeout_emission_is_an_unknown_childs(caplog):
 # === Attestation responses ==================================================
 
 
+def _open_answer(world, nid, resp):
+    """A node's one-entry probe answer for round 1, opened as the station
+    opens it: its packet and the child packets it reports."""
+    body = wire.parse_frame(resp)[1]
+    [(start, at, stop, children)] = wire.probe_entry_spans(body)
+    assert stop == len(body)
+    return wire.open_packet(_bs_channel(world, nid), 1, body[at:stop], body[start:at]), children
+
+
 def test_attestation_resends_committed_fields():
     world = cluster_world()
     emitted = drive_cluster(world)
-    resp = world.nodes[1].respond_attestation(1)
-    _, [entry] = wire.decode_probe_resp(wire.parse_frame(resp)[1])
-    child_tags, bound, agg_body = wire.decode_probe_entry(entry)
-    bs_channel = _bs_channel(world, 1)
-    pkt = wire.open_packet(bs_channel, 1, agg_body, wire.entry_bound(bound))
+    pkt, children = _open_answer(world, 1, world.nodes[1].respond_attestation(1))
     assert (pkt.dsum, pkt.dsum_prime, pkt.tag, pkt.absent) == (
         emitted.dsum,
         emitted.dsum_prime,
         emitted.tag,
         emitted.absent,
     )
-    assert set(child_tags) == {2, 3, 4}
+    # Each kept child's packet as the node received it, ascending by id.
+    kept = world.nodes[1].state.child_packets
+    assert children == [kept[2], kept[3], kept[4]]
+
+
+def test_answer_binds_its_child_packets():
+    # The child block is bound into the channel tag: a keyless rewrite of
+    # any byte of it makes the packet fail to open.
+    world = cluster_world()
+    drive_cluster(world)
+    body = wire.parse_frame(world.nodes[1].respond_attestation(1))[1]
+    [(start, at, stop, _)] = wire.probe_entry_spans(body)
+    for i in range(start, at):
+        block = body[start:i] + bytes([body[i] ^ 1]) + body[i + 1 : at]
+        with pytest.raises(AuthFailure):
+            wire.open_packet(_bs_channel(world, 1), 1, body[at:stop], block)
 
 
 # Node 1's answer in the four-node cluster, in the layout the simulator used
 # before probes went to sibling groups: a one-entry response keeps it.  The
 # tags in it follow the dual seed step; its sealed payload is the pair in the
 # clear followed by the channel tag, sealed for round 1 over the header, the
-# tag, the PROBE_RESP type and the child tags.  The packet carries no counter.
+# tag and the child block: the count and each child's packet less its
+# channel tag.  Neither the frame nor the packet carries the round.
 CLUSTER_PROBE_RESP = (
-    "040000000000000001000000030000000234f9990a1d8b9ad400000003bc15d714ab58be15"
-    "000000049962172ad33d67ad00000001000000008447cf335e2a7c7178a57b5c0fe153ad21"
-    "f95893beacc18284a2a80afe3b36108ba9caa28f7c6b6b"
+    "040000000300000002000000006c808ea6137dd54933fedff5e597eff734f9990a1d8b9ad4"
+    "0000000300000000d50f690d41964bb9248a13b4073ab28abc15d714ab58be150000000400"
+    "000000e9998e3e08b2dabb236fdea52ee0a06d9962172ad33d67ad00000001000000008447"
+    "cf335e2a7c7178a57b5c0fe153ad75676af6ac46101e2f7d5ec42a8fd9208ba9caa28f7c6b"
+    "6b"
 )
 
 
@@ -342,9 +363,10 @@ def test_one_entry_probe_response_keeps_its_layout():
     emitted = drive_cluster(world)
     resp = world.nodes[1].respond_attestation(1)
     assert resp.hex() == CLUSTER_PROBE_RESP
-    _, entries = wire.decode_probe_resp(wire.parse_frame(resp)[1])
-    assert wire.encode_probe_resp(1, entries) == resp
-    sealed = wire.decode_agg_body(wire.decode_probe_entry(entries[0])[2])[2]
+    entries = wire.decode_probe_resp(wire.parse_frame(resp)[1])
+    assert wire.encode_probe_resp(entries) == resp
+    _, at, stop = wire.decode_probe_entry(entries[0])
+    sealed = wire.decode_agg_body(entries[0][at:stop])[2]
     assert sealed[:16] == emitted.dsum.to_bytes(8, "big") + emitted.dsum_prime.to_bytes(8, "big")
 
 
@@ -357,25 +379,25 @@ def test_attestation_unknown_round_raises():
         world.nodes[2].respond_attestation(2)
 
 
-# === Re-aggregation =========================================================
+# === Re-aggregation at the station =========================================
 
 
 def _bs_channel(world, nid):
     return _channel(crypto.derive_bs_channel_key(world.prov.node_keys[nid][0], nid))
 
 
-def _open_reagg(world, nid, resp):
-    pkt = wire.open_reagg_reply(_bs_channel(world, nid), 1, resp)
-    assert pkt is not None
-    return pkt
+def _station_reaggregate(world, nid, children):
+    """Node nid's re-aggregate without the given children, as the station
+    forms it: its answer less the packets it reports for them."""
+    pkt, reported = _open_answer(world, nid, world.nodes[nid].respond_attestation(1))
+    return _subtract(pkt, [child for child in reported if child.sender in children])
 
 
 def test_reaggregate_excluding_direct_child_is_subtraction():
     world = cluster_world()
     emitted = drive_cluster(world)
     child_pkt = world.nodes[1].state.child_packets[3]
-    resp = world.nodes[1].reaggregate_excluding((3,), 1)
-    fresh = _open_reagg(world, 1, resp)
+    fresh = _station_reaggregate(world, 1, {3})
     assert fresh.dsum == (emitted.dsum - child_pkt.dsum) & crypto.MASK
     assert fresh.dsum_prime == (emitted.dsum_prime - child_pkt.dsum_prime) & crypto.MASK
     assert fresh.absent == (3,)
@@ -384,8 +406,7 @@ def test_reaggregate_excluding_direct_child_is_subtraction():
 def test_reaggregate_excluding_nothing_reproduces_emission():
     world = cluster_world()
     emitted = drive_cluster(world)
-    resp = world.nodes[1].reaggregate_excluding((), 1)
-    fresh = _open_reagg(world, 1, resp)
+    fresh = _station_reaggregate(world, 1, set())
     assert (fresh.dsum, fresh.dsum_prime, fresh.absent) == (
         emitted.dsum,
         emitted.dsum_prime,
@@ -398,35 +419,13 @@ def test_reaggregated_pair_reverts_cleanly():
     # the plaintext sum of the survivors under both chains.
     world = cluster_world()
     drive_cluster(world)
-    resp = world.nodes[1].reaggregate_excluding((2,), 1)
-    fresh = _open_reagg(world, 1, resp)
+    fresh = _station_reaggregate(world, 1, {2})
     keep = (1, 3, 4)
     s = sum(seed_of(world, v, 1) for v in keep) % crypto.MODULUS
     sp = sum(seed_of(world, v, 1, prime=True) for v in keep) % crypto.MODULUS
     expected = plaintext_sum(world, 1, participants=keep)
     assert crypto.undiffuse(fresh.dsum, s) == expected
     assert crypto.undiffuse(fresh.dsum_prime, sp) == expected
-
-
-def test_probe_entry_and_reagg_reply_do_not_open_as_each_other():
-    # Leaf 2 keeps no children, so its probe entry and its re-aggregation
-    # reply without exclusions carry the same header, pair and tag, sealed on
-    # one key for one round.  Each binds its frame type, so neither opens as
-    # the other.
-    world = cluster_world()
-    drive_cluster(world)
-    leaf, channel = world.nodes[2], _bs_channel(world, 2)
-    _, [entry] = wire.decode_probe_resp(wire.parse_frame(leaf.respond_attestation(1))[1])
-    child_tags, bound, entry_body = wire.decode_probe_entry(entry)
-    reply = leaf.handle_reagg_request(wire.parse_frame(wire.encode_reagg(1, ()))[1])
-    reply_body = wire.decode_reagg_resp(wire.parse_frame(reply)[1])[2]
-    assert child_tags == {}
-    assert entry_body[:24] == reply_body[:24] and entry_body[-8:] == reply_body[-8:]
-    pkt = wire.open_packet(channel, 1, entry_body, wire.entry_bound(bound))
-    assert wire.open_reagg_reply(channel, 1, reply) == pkt
-    assert wire.open_reagg_reply(channel, 1, wire.encode_reagg_resp(1, True, entry_body)) is None
-    with pytest.raises(AuthFailure):
-        wire.open_packet(channel, 1, reply_body, wire.entry_bound(bound))
 
 
 def test_reagg_request_for_unknown_round_answers_not_ok():
@@ -443,20 +442,6 @@ def test_malformed_reagg_request_gets_no_reply():
     assert world.nodes[1].handle_reagg_request(b"\x00\x01") is None
     cut = wire.parse_frame(wire.encode_reagg(1, (2,)))[1][:-1]
     assert world.nodes[1].handle_reagg_request(cut) is None
-
-
-def test_garbled_reagg_replies_open_to_nothing():
-    # Whatever garbled reply reaches the station (none, an empty frame, a
-    # cut REAGG_RESP, an unknown type), it opens to no packet instead of
-    # raising, and the node it came from counts as refusing.
-    world = World(Scenario(seed=1, n=3, generator="path"))
-    world.run_round(1)
-    channel = _bs_channel(world, 1)
-    for reply in (None, b"", b"\x06\x00", b"\x7f" + bytes(40)):
-        assert wire.open_reagg_reply(channel, 1, reply) is None
-    # The same channel still opens the node's real reply afterwards.
-    reply = world.nodes[1].handle_reagg_request(wire.parse_frame(wire.encode_reagg(1, (2,)))[1])
-    assert wire.open_reagg_reply(channel, 1, reply).absent == (2,)
 
 
 def test_unknown_message_type_is_ignored():
@@ -676,20 +661,16 @@ def test_honest_agg_frame_is_49_bytes_at_any_depth():
 
 
 def test_reagg_request_carries_child_ids():
-    # A request names children of its addressee, and the addressee leaves
-    # out exactly those: each becomes an absent root of its reply.  An id
-    # that is not its child is ignored.
+    # A request names children of its addressee.  No node re-aggregates any
+    # more, so the addressee refuses it, for the round it names.
     world = cluster_world()
     drive_cluster(world)
     payload = wire.encode_reagg(1, (2, 4, 70000))
     assert len(payload) == 1 + 12 + 4 * 3
     round_no, decoded = wire.decode_reagg(wire.parse_frame(payload)[1])
     assert (round_no, decoded) == (1, (2, 4, 70000))
-    fresh = _open_reagg(world, 1, world.nodes[1].handle_reagg_request(wire.parse_frame(payload)[1]))
-    assert fresh.absent == (2, 4)
-    keep = (1, 3)
-    s = sum(seed_of(world, v, 1) for v in keep) % crypto.MODULUS
-    assert crypto.undiffuse(fresh.dsum, s) == plaintext_sum(world, 1, participants=keep)
+    reply = world.nodes[1].handle_reagg_request(wire.parse_frame(payload)[1])
+    assert reply == wire.encode_reagg_resp(1, False)
 
 
 def test_frame_types_distinct_and_parseable():
@@ -712,23 +693,25 @@ def test_query_probe_reagg_roundtrip():
     assert (r, ok, rest) == (3, False, b"")
 
 
+# Two child packets as a probe entry reports them: a leaf, and a node
+# with an absent root below it.
+CHILD_PACKETS = {
+    9: wire.AggPacket(9, (), 1, 2, b"\x22" * 8),
+    12: wire.AggPacket(12, (13,), 3, 4, b"\x33" * 8),
+}
+
+
 def test_every_cut_frame_raises_value_error():
     # Every frame type that crosses a link, cut at every shorter length or
     # with its count field overstated, fails to decode with ValueError and
     # nothing else: callers catch ValueError, never struct.error.
     _, agg_body = wire.seal_packet(_channel(bytes(16)), 3, 7, (9, 12), 5, 6, b"\x11" * 8)
-    child_tags = {9: b"\x22" * 8, 12: b"\x33" * 8}
-    resp = wire.seal_probe_resp(_channel(bytes(16)), 3, 7, (9, 12), 5, 6, b"\x11" * 8, child_tags)
-    entry = resp[9:]  # past the type and round
+    resp = wire.seal_probe_resp(_channel(bytes(16)), 3, 7, (9, 12), 5, 6, b"\x11" * 8, CHILD_PACKETS)
     cases = (  # (payload, decoder of its body, offset of its count field)
         (wire.encode_query(3, "mean"), wire.decode_query, None),
         (wire.frame(wire.AGG, agg_body), wire.decode_agg_body, 4),
         (wire.encode_probe(3), wire.decode_probe, None),
-        (
-            resp,
-            lambda body: wire.decode_agg_body(wire.decode_probe_entry(wire.decode_probe_resp(body)[1][0])[2]),
-            8,
-        ),
+        (resp, wire.decode_probe_entry, 0),  # cut anywhere, in its child packets too
         (wire.encode_reagg(3, (4, 8)), wire.decode_reagg, 8),
         (
             wire.encode_reagg_resp(3, True, agg_body),
@@ -761,10 +744,11 @@ def test_every_cut_frame_raises_value_error():
         else:
             with pytest.raises(ValueError):
                 wire.decode_probe(body)
-    # An entry cut inside its child tags raises ValueError too.
-    for cut in range(4 + 2 * 12):
-        with pytest.raises(ValueError):
-            wire.decode_probe_entry(entry[:cut])
+    # So does an entry with a child packet's absent count overstated.
+    body = bytearray(wire.parse_frame(resp)[1])
+    body[4 + 32 + 4 : 4 + 32 + 8] = b"\xff" * 4  # the second child's
+    with pytest.raises(ValueError):
+        wire.decode_probe_entry(bytes(body))
 
 
 def test_cut_probe_bundle_keeps_the_entries_before_the_cut():
@@ -773,18 +757,18 @@ def test_cut_probe_bundle_keeps_the_entries_before_the_cut():
     # second entry decodes as the first entry alone, as if the second had
     # been dropped on the way.
     channel = _channel(bytes(16))
-    entries = [  # each answer's entry, past its type and round
-        wire.seal_probe_resp(channel, 3, 7, (9, 12), 5, 6, b"\x11" * 8, {9: b"\x22" * 8, 12: b"\x33" * 8})[9:],
-        wire.seal_probe_resp(channel, 3, 8, (), 1, 2, b"\x44" * 8, {})[9:],
+    entries = [  # each answer's entry, past its type
+        wire.seal_probe_resp(channel, 3, 7, (9, 12), 5, 6, b"\x11" * 8, CHILD_PACKETS)[1:],
+        wire.seal_probe_resp(channel, 3, 8, (), 1, 2, b"\x44" * 8, {})[1:],
     ]
-    bundle = wire.encode_probe_resp(3, entries)
-    one = wire.encode_probe_resp(3, entries[:1])
+    bundle = wire.encode_probe_resp(entries)
+    one = wire.encode_probe_resp(entries[:1])
     assert bundle == one + entries[1]
-    assert wire.decode_probe_resp(wire.parse_frame(bundle)[1]) == (3, entries)
+    assert wire.decode_probe_resp(wire.parse_frame(bundle)[1]) == entries
     for cut in range(len(bundle)):
         body = wire.parse_frame(bundle[:cut])[1]
         if cut < len(one):
             with pytest.raises(ValueError):
                 wire.decode_probe_resp(body)
         else:
-            assert wire.decode_probe_resp(body) == (3, entries[:1])
+            assert wire.decode_probe_resp(body) == entries[:1]

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -165,31 +166,33 @@ def test_truncated_probe_response_counts_as_silence():
 
 
 def test_attested_round_charges_each_sibling_group_once():
-    # Station 0 -> 1 -> {2, 3}, 2 -> {4, 5}; 2 forges.  A sibling group
-    # under parent p costs the request (9 B + 4 B per target) over depth(p)
-    # links, each target's 9 B probe and its answer over one link, and the
-    # bundle of the answers over depth(p) links.  A leaf answers in 61 B, a
-    # node with two children in 85 B; a bundle is 9 B plus its answers less
-    # their 9 B headers.
+    # Station 0 -> 1 -> {2, 3}, 2 -> {4, 5}; 2 forges.  The station probes
+    # its child 1, which fails; of the packets 1 reports only 2's fails, so
+    # 2 alone is probed below 1, and both packets 2 reports pass.  A sibling
+    # group under parent p costs the request (9 B + 4 B per target) over
+    # depth(p) links, each target's 9 B probe and its answer over one link,
+    # and the bundle of the answers over depth(p) links.  An answer is its
+    # type byte, a 4 B child count, 32 B per leaf child packet and the
+    # node's own 48 B packet; a bundle is one type byte and the answers'
+    # entries.
     world = World(Scenario(seed=5, edges=((0, 1), (1, 2), (1, 3), (2, 4), (2, 5)),
                            compromises=(CompromiseSpec(2, "forge_children", (12345,)),)))
     result = world.run_round(1)
     assert result.integrity == "attested" and result.report.outliers == frozenset({2})
-    assert [nid for nid, _, _ in result.report.transcript] == [1, 2, 3, 4, 5]
+    assert [nid for nid, _, _ in result.report.transcript] == [1, 2]
     data = (10, 5 * (10 + 49))  # a query down and a 49 B packet up per node
     groups = (  # (messages, bytes): request, probes, answers, bundle
-        (0 + 1 + 1 + 0, 0 + 9 + 85 + 0),  # (1,) under the station, depth 0
-        (1 + 2 + 2 + 1, 17 + 2 * 9 + (85 + 61) + 137),  # (2, 3) under 1
-        (2 + 2 + 2 + 2, 2 * 17 + 2 * 9 + 2 * 61 + 2 * 113),  # (4, 5) under 2
+        (0 + 1 + 1 + 0, 0 + 9 + 117 + 0),  # (1,) under the station, depth 0
+        (1 + 1 + 1 + 1, 13 + 9 + 117 + 117),  # (2,) under 1
     )
-    # Exoneration sends nothing: 1's failing child 2 committed, so the
-    # station clears 1 on 1's answer less 2's.  Node 2 has no failing
-    # child, and the attested value is built at the station.
+    # Exoneration sends nothing: the station clears 1 on 1's answer less
+    # the packet 1 reports for 2.  Node 2 has no failing child, and the
+    # attested value is built at the station.
     messages = data[0] + sum(g[0] for g in groups)
     sent = data[1] + sum(g[1] for g in groups)
-    assert (messages, sent) == (26, 1107)
+    assert (messages, sent) == (16, 677)
     rm = world.metrics.rounds[0]
-    assert (rm.messages, rm.bytes, rm.probes) == (messages, sent, 5)
+    assert (rm.messages, rm.bytes, rm.probes) == (messages, sent, 2)
     # A group none of whose targets answers sends nothing back up, and a
     # target that is not the addressee's child gets no probe.
     world.nodes[4].state = world.nodes[5].state = None
@@ -213,7 +216,7 @@ def test_station_answers_only_as_a_relay():
         assert world.ask(0, 0, request) is None
 
 
-def _two_parse_bundle(round_no: int, answers: list[bytes]) -> bytes | None:
+def _two_parse_bundle(answers: list[bytes]) -> bytes | None:
     """The bundle of a relay that decodes every answer and re-frames the
     entries of those that parse; None when none does."""
     entries: list[bytes] = []
@@ -221,10 +224,10 @@ def _two_parse_bundle(round_no: int, answers: list[bytes]) -> bytes | None:
         msg_type, body = wire.parse_frame(answer)
         if msg_type == wire.PROBE_RESP:
             try:
-                entries += wire.decode_probe_resp(body)[1]
+                entries += wire.decode_probe_resp(body)
             except ValueError:
                 pass
-    return wire.encode_probe_resp(round_no, entries) if entries else None
+    return wire.encode_probe_resp(entries) if entries else None
 
 
 @settings(max_examples=150, deadline=None)
@@ -252,10 +255,10 @@ def test_relay_forwards_what_a_two_parse_relay_would(data):
                 answer = bytes([data.draw(st.sampled_from((wire.PROBE_RESP, wire.AGG, 0x7F)))]) + answer[1:]
             elif fault == "append":
                 other = data.draw(st.sampled_from(honest))
-                answer += other[data.draw(st.one_of(st.just(9), st.integers(0, len(other)))):]
+                answer += other[data.draw(st.one_of(st.just(1), st.integers(0, len(other)))):]
         world.nodes[cid].respond_attestation = lambda round_no, answer=answer: answer
         answers.append(answer)
-    assert world.ask(0, parent, wire.encode_probe(1, targets)) == _two_parse_bundle(1, answers)
+    assert world.ask(0, parent, wire.encode_probe(1, targets)) == _two_parse_bundle(answers)
 
 
 def test_malformed_query_is_ignored_and_timed_out():
@@ -302,31 +305,33 @@ def test_query_moved_to_another_round_opens_no_marker():
         assert r.raw_sum == plaintext_sum(world, r.round, [1])
 
 
-def test_malformed_reaggregation_request_is_a_refusal():
-    # Non-committed forger 6 sits below 4 and 1.  Node 1 is cleared at the
-    # station, since its failing child 4 committed; node 4 is asked over the
-    # network to leave out 6, and that request is cut to 2 bytes: it gets no
-    # reply, which counts as a refusal, so 4 stays an outlier, its subtree
-    # leaves the attested value, and 6 is still localized.  Node 4 is
-    # honest: blaming it for a cut frame is the same keyless-attacker defect
-    # (ROADMAP item 2) as a cut probe counting as non-committed, and the
-    # assertion on it marks that defect.
+def test_cut_probe_entry_of_a_forgers_parent_counts_as_silence():
+    # Non-committed forger 6 sits below 4 and 1.  The packet 1 reports for 4
+    # fails, so 4 is probed through 1, and its answer is cut to 5 bytes on
+    # the link 4->1: 4 counts as silent, so both its children are probed,
+    # and 6 is still localized.  Node 1 is cleared on its answer less the
+    # packet it reports for 4, so the value is exact over the kept set.
+    # Node 4 is honest: blaming it for a cut frame is the keyless-attacker
+    # defect of a cut probe counting as non-committed (ROADMAP item 2), and
+    # the assertion on it marks that defect.
     world = World(Scenario(seed=3, n=20, generator="recursive",
                            compromises=(CompromiseSpec(6, "noncommit"),)))
-    sent = []
+    assert world.tree.parent[4] == 1 and world.tree.children[4] == (6, 9)
+    cut = []
 
     def cutting(src, dst, payload):
-        if payload[0] == wire.REAGG:
-            sent.append(dst)
-            if dst == 4:
-                return payload[:2]
+        if (src, dst) == (4, 1) and payload[0] == wire.PROBE_RESP:
+            cut.append(payload)
+            return payload[:5]
         return payload
 
     on_links(world, cutting)
     result = world.run_round(1)
-    assert sent == [4]
+    assert len(cut) == 1
+    transcript = {nid: (committed, ok) for nid, committed, ok in result.report.transcript}
+    assert transcript[4] == (False, False) and transcript[9] == (True, True)
     assert result.integrity == "attested"
-    assert 6 in result.report.outliers
+    assert 6 in result.report.outliers and 1 not in result.report.outliers
     assert 4 in result.report.outliers
     assert result.participants == frozenset(world.tree.sensor_ids) - world.tree.subtree(4)
     assert result.raw_sum == plaintext_sum(world, 1, result.participants)
@@ -344,7 +349,8 @@ def test_honest_rounds_share_one_participant_set():
 def test_silent_child_is_timed_out_at_the_deadline():
     # Every frame node 4 of a path sends is lost: node 3 still emits, when
     # its subtree has drained, with 4 as an absent root.  Message count
-    # pinned from the simulator that armed a timeout for every node.
+    # pinned from the simulator that armed a timeout for every node, bytes
+    # from the probe answer that carries node 2's packet.
     world = World(Scenario(seed=1, n=6, generator="path", audit_prob=1.0))
     seen = []
     node = world.nodes[3]
@@ -364,7 +370,7 @@ def test_silent_child_is_timed_out_at_the_deadline():
     assert seen == [wire.QUERY, "emit"]
     assert world.nodes[3].state.emitted.absent == (4,)
     assert result.integrity == "passed" and result.participants == frozenset({1, 2, 3})
-    assert (world.metrics.rounds[0].messages, world.metrics.rounds[0].bytes) == (9, 285)
+    assert (world.metrics.rounds[0].messages, world.metrics.rounds[0].bytes) == (9, 301)
 
 
 @settings(max_examples=200, deadline=None)
@@ -411,10 +417,9 @@ def test_round_that_raises_still_reports_its_traffic():
 
 
 def test_every_frame_crosses_the_bus():
-    # A forced audit with a network re-aggregation: non-committed 6 sits
-    # below 4, which the station asks to leave 6 out.  Every frame type
-    # passes the bus, and the bus's own tally of links is the round's
-    # traffic.
+    # A forced audit of a round with non-committed forger 6 below 4: every
+    # frame type a round sends passes the bus, and the bus's own tally of
+    # links is the round's traffic.  No node is asked to re-aggregate.
     world = World(Scenario(seed=3, n=20, generator="recursive", audit_prob=1.0,
                            compromises=(CompromiseSpec(6, "noncommit"),)))
     depth = world.tree.depth
@@ -430,7 +435,7 @@ def test_every_frame_crosses_the_bus():
 
     on_links(world, recording)
     assert world.run_round(1).integrity == "attested"
-    assert types == {wire.QUERY, wire.AGG, wire.PROBE, wire.PROBE_RESP, wire.REAGG, wire.REAGG_RESP}
+    assert types == {wire.QUERY, wire.AGG, wire.PROBE, wire.PROBE_RESP}
     assert (messages, sent) == (world.metrics.rounds[0].messages, world.metrics.rounds[0].bytes)
 
 
@@ -467,8 +472,9 @@ def test_leaves_get_no_timeout(monkeypatch):
 
 # Hashes of scripts/behaviour_sweep.py over its first 40 worlds (every
 # generator and adversary kind).  The reports and transcripts are pinned from
-# the simulator before its data phase was streamlined, the bytes from the
-# wire whose packets carry no channel counter.  The statuses, each sensor's
+# the walk that probes only the children whose reported packet fails, the
+# bytes from the wire whose probe entries carry each kept child's packet.
+# The statuses, each sensor's
 # liveness, and the combined hash (which also covers message counts) are
 # pinned from the station that reads liveness from absence streaks and keeps
 # no conviction status.  A change
@@ -476,33 +482,30 @@ def test_leaves_get_no_timeout(monkeypatch):
 # traffic change updates them and says so.
 SWEEP_WORLDS = 40
 SWEEP_PARTS = {
-    "reports": "171b744f36a45b5e17f8d370e413fa210aeebd8886e76ee4eab4eac027fc7d07",
-    "transcripts": "aac052d4611929553ff223a89121c66f9218e46b9b992e66b37e1a863102985e",
+    "reports": "768abdb4be93cecb6df5f6759814a649b9238bea6f8dcc55d0c8d4d722f01761",
+    "transcripts": "41b4aefe2f95fe402880c793ff3213de82ded2fb85bd77619de4615394953b8d",
     "statuses": "12401925ebb21c50c3e3baa28a2c22ff542d3efa618b7b4b3f995bf347b7dfdf",
 }
-SWEEP_COMBINED = "1915d13e21ad3c7d4e6054618735ef20dd5bdf53ee5598b7f91aea4af0838b08"
-SWEEP_BYTES = "3c0c7b2594020f1eb9a7cc92a5424492866a3bae37b9b8ab14609010f0331584"
+SWEEP_COMBINED = "d037787d5ca8d49d0a3566bb55cb524c0991e99b0c800a57cffbb2ca6a5db991"
+SWEEP_BYTES = "7d1d787d1717de94d2ecb88a7edc837826097a9cfb6262acabdfc3f9cbb43cbe"
 # The order of the frames on the bus over the same 40 worlds, each frame's
-# ends, type and length, pinned from the same wire; the order itself is the
-# one of the simulator whose nodes timed out their silent children with a
-# TIMEOUT alarm.
-SWEEP_FRAMES = "86a931c34016e95a697113755f81139c8289ca886895574cfa53d83ec704646f"
+# ends, type and length, pinned from the same wire and walk.
+SWEEP_FRAMES = "b2388816b1933ffd3c91e8f78846eb466388d783878b1771350eb806dede0b7b"
 # Every byte of those frames, with their ends, in the same order: the wire
-# format itself.  Pinned from the wire whose channels seal each packet for
-# its round and carry no counter; a change that keeps the wire must keep it.
-SWEEP_CONTENTS = "a550fa22bf118641164e26b6e90cebbf6697959b5eaabc017b9151edb68467ba"
+# format itself.  Pinned from the wire whose probe entries carry each kept
+# child's packet; a change that keeps the wire must keep it.
+SWEEP_CONTENTS = "aec8d077020882704b54aaa353b2cb6222601c2a23b1aafbbec5acd501a6f47c"
 # The reports, participants and transcripts of the same 40 worlds run again
 # behind a keyless attacker on AGG frames (drops, cuts, flips past the sender
 # field, retypes).  The attacker draws its faults from the frames' lengths,
-# so this pin moves with the wire: pinned from the wire without counters.
-SWEEP_FAULTS = "598da176e46311a8294509d30f37cd5b16c17c17fffa428f233fa938dbe1d358"
+# so this pin moves with the wire: pinned from the same wire and walk.
+SWEEP_FAULTS = "1246cc8cf2fe7fd3586a9ebf1464532efacd8e1e59db974adcf3961761763098"
 # The same three parts over the script's default 104 worlds, where every
 # generator meets every adversary kind under every audit setting; reports and
-# transcripts unchanged since the data phase was streamlined, statuses pinned
-# with the 40-world ones.
+# transcripts pinned with the 40-world ones, as are the statuses.
 SWEEP_104_PARTS = {
-    "reports": "dc89132f68e2e6d744d299ea4e807204800722bb6ff2b1f9e11b6b8f827178f6",
-    "transcripts": "066d1ec7ab09db1b8cd449cdc777cf9636d2c54eddb7c3e232c4a60aa2dd1bbb",
+    "reports": "b4603e96f4e9718e1bb895c708a2c31630e88fd95bd8abb967f556b4fb7a34a0",
+    "transcripts": "be8906eb34f5a2e401666e18b5d136e4c0d97df06157f8ab299af2ff1064a5e1",
     "statuses": "cebdc3a3f84051032c1207dd99cb5e8e035d9041b8baf49d03524c46b23378c3",
 }
 
@@ -523,6 +526,28 @@ def test_behaviour_sweep_fingerprint_is_pinned():
     assert hashes["frames"] == SWEEP_FRAMES
     assert hashes["contents"] == SWEEP_CONTENTS
     assert hashes["faults"] == SWEEP_FAULTS
+
+
+def test_no_round_of_the_sweep_sends_a_reaggregation_frame(monkeypatch):
+    # Over the sweep's worlds, plain runs, no REAGG or REAGG_RESP frame
+    # crosses the bus, though the walks probe and exonerate.
+    sweep = _sweep()
+    types = Counter()
+    recording = sweep._recording
+
+    def counting(deliver, frames, contents, world_index):
+        recorded = recording(deliver, frames, contents, world_index)
+
+        def counted(src, dst, payload):
+            types[payload[0]] += 1
+            return recorded(src, dst, payload)
+
+        return counted
+
+    monkeypatch.setattr(sweep, "_recording", counting)
+    _, outcomes = sweep.fingerprint(SWEEP_WORLDS)
+    assert outcomes["attested"] > 0 and types[wire.PROBE_RESP] > 0
+    assert types[wire.REAGG] == types[wire.REAGG_RESP] == 0
 
 
 def test_behaviour_sweep_verdicts_over_104_worlds_are_pinned():
@@ -645,12 +670,13 @@ def test_each_node_that_opens_the_round_emits_once_after_its_subtree():
 
 # The report line, transcript, non-committed set and metrics row of every
 # round of 60 small worlds whose every round is walked (audit_prob=1.0),
-# behind the keyless attacker above on every link: PROBE, PROBE_RESP, REAGG
-# and REAGG_RESP frames included, which no sweep hash faults.  A round that
-# raises a ProtocolError is recorded by its class name.  The metrics row
-# carries the bytes, and the attacker draws from the frames' lengths, so the
-# pin moves with the wire: pinned from the wire without channel counters.
-WALK_FAULTS = "25d07753c8a7d696ac80bfa47c727edcaafbdf13489a4f36b9cf497ddbc2927f"
+# behind the keyless attacker above on every link: PROBE and PROBE_RESP
+# frames included, which no sweep hash faults.  A round that raises a
+# ProtocolError is recorded by its class name.  The metrics row carries the
+# bytes, and the attacker draws from the frames' lengths, so the pin moves
+# with the wire: pinned from the walk that probes only the children whose
+# reported packet fails.
+WALK_FAULTS = "8b901616490940e9095d60fe3caf302f91ef3d84e3c799fbcfeca11ae7ab1ebe"
 
 
 def test_walk_under_keyless_faults_is_pinned():
