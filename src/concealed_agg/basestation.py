@@ -360,7 +360,7 @@ class BaseStation:
         The outliers are the failed nodes it does not clear.
         """
         self.advance_ledger(round_no)  # once for the walk: a no-op at the round, or raises
-        packets, children, fits = self._round_packets, self.tree.children, self._fits
+        packets, children = self._round_packets, self.tree.children
         verdicts: dict[int, tuple[bool, bool]] = {}  # node -> (committed, ipet_ok)
         # The tag each probed node must resend, as an integer: the one in the
         # packet the station holds from it, or the one its parent reported.
@@ -381,7 +381,7 @@ class BaseStation:
                 if answer is None:
                     # Silent (or unopenable) probe: the node cannot commit.
                     verdicts[nid] = (False, False)
-                    below = tuple(filter(participants.__contains__, children[nid]))
+                    below = children[nid]
                 else:
                     pkt, verdicts[nid], reported = answer
                     if verdicts[nid] == (True, True):
@@ -390,10 +390,10 @@ class BaseStation:
                     # check, but is neither checked nor probed.
                     kids = {child.sender: child for child in reported}
                     answered[nid] = pkt, kids
-                    below = tuple(cid for cid in children[nid]
-                                  if cid in kids and cid in participants and not fits(cid, kids[cid]))
+                    below = [cid for cid in children[nid] if cid in kids and not self._fits(cid, kids[cid])]
                     for cid in below:
                         pinned[cid] = int.from_bytes(kids[cid].tag, "big")
+                below = tuple(filter(participants.__contains__, below))
                 if below:
                     queue.append((nid, below))
 
@@ -411,7 +411,7 @@ class BaseStation:
             failing = [kids[cid] for cid in children[nid] if cid in suspects]
             if failing:
                 reagg = _subtract(pkt, failing)
-                if reagg is not None and fits(nid, reagg):
+                if reagg is not None and self._fits(nid, reagg):
                     self._cleared[nid] = reagg
 
         return AttestationReport(
