@@ -32,7 +32,10 @@ audit setting, one digest per part over that world's share of the part's
 bytes, its outcome, and its result lines (those of the plain run, then those
 of the faulted run).  `--diff A B` compares two such ledgers and lists each
 world that differs, the parts whose digests differ and its first differing
-result line, then a summary; it exits 1 when they differ.  `--world I` runs
+result line, then, for the plain and the faulted runs apart, how many worlds
+differ in each result-line field (integrity, participants, raw sum,
+outliers, non-committed set, probes, transcript), then a summary; it exits
+1 when they differ.  `--world I` runs
 one world and prints its result lines.
 
 `scripts/behaviour_sweep_520.txt` holds the output over 520 worlds, which CI
@@ -60,6 +63,8 @@ AUDITS = ({}, {"audit_prob": 1.0}, {"audit_prob": 0.5})
 COMBINED_PARTS = ("reports", "metrics", "transcripts", "statuses")
 OWN_PARTS = ("bytes", "frames", "faults", "contents")
 PARTS = COMBINED_PARTS + OWN_PARTS
+# The fields of a result line (``_result_line``) after its world and round.
+FIELDS = ("integrity", "participants", "raw_sum", "outliers", "non_committed", "probes", "transcript")
 
 
 def compromises(rng: random.Random, n: int, kind: str, tree) -> list[CompromiseSpec]:
@@ -243,12 +248,35 @@ def _first_difference(a: list[str], b: list[str]) -> tuple[str, str] | None:
     return None
 
 
+def _fields(line: str | None) -> tuple[str | None, ...]:
+    """A result line's FIELDS, each None where the line has no such field:
+    a round without a walk has no audit fields, and a missing line none."""
+    if line is None:
+        return (None,) * len(FIELDS)
+    parts = line.split("|")[2:]  # past the world index and the round
+    if parts[3:] == ["-"]:
+        del parts[3:]
+    return tuple(parts) + (None,) * (len(FIELDS) - len(parts))
+
+
+def _differing_fields(a: list[str], b: list[str]) -> set[str]:
+    """The FIELDS in which some pair of result lines of a and b, by position, differ."""
+    fields: set[str] = set()
+    for line_a, line_b in itertools.zip_longest(a, b):
+        if line_a != line_b:
+            fields.update(name for name, x, y in zip(FIELDS, _fields(line_a), _fields(line_b)) if x != y)
+    return fields
+
+
 def diff_ledgers(a: dict[int, dict], b: dict[int, dict]) -> list[str]:
     """What tells ledger b from ledger a: per world that differs, its
     setting, the parts whose digests differ and the first differing result
-    line (the plain run's, else the faulted run's), then a summary."""
+    line (the plain run's, else the faulted run's), then, if any world
+    differs, the worlds by differing result-line field for each run, then a
+    summary."""
     out: list[str] = []
     by_part: dict[str, int] = {}
+    by_field = {run: dict.fromkeys(FIELDS, 0) for run in ("lines", "fault_lines")}
     differing = 0
     for i in sorted(a.keys() | b.keys()):
         if i not in a or i not in b:
@@ -262,6 +290,9 @@ def diff_ledgers(a: dict[int, dict], b: dict[int, dict]) -> list[str]:
         differing += 1
         for name in parts:
             by_part[name] = by_part.get(name, 0) + 1
+        for run, counts in by_field.items():
+            for name in _differing_fields(ra[run], rb[run]):
+                counts[name] += 1
         out.append(
             f"world {i} {ra['generator']} compromises={ra['compromises']} audit={ra['audit']}: "
             f"{','.join(parts)}"
@@ -275,6 +306,10 @@ def diff_ledgers(a: dict[int, dict], b: dict[int, dict]) -> list[str]:
         if first is not None:
             out.append(f"  - {first[0]}")
             out.append(f"  + {first[1]}")
+    if differing:
+        for run, label in (("lines", "plain"), ("fault_lines", "faulted")):
+            counts = " ".join(f"{name} {k}" for name, k in by_field[run].items() if k) or "-"
+            out.append(f"{label} runs, worlds by result-line field: {counts}")
     counts = " ".join(f"{name} {by_part[name]}" for name in PARTS if name in by_part) or "-"
     out.append(f"{differing} of {len(a.keys() | b.keys())} worlds differ; worlds by part: {counts}")
     return out
