@@ -27,10 +27,11 @@ the packet of each child it kept, as it received it, so below a failing node
 that answered the station IPETs each reported child packet itself and
 probes only the children whose packet fails, each pinned to the tag
 reported for it; a silent node's children are all probed, unpinned.  The
-walk probes siblings as a group, with one request through their parent and
-one bundle of their answers back, each answer still sealed on its own node's
-direct channel.  Only tree children of a failing node are probed, so every
-probed node's parent is the station or a failing probed node.
+walk probes one tree depth at a time, with one request naming every node it
+probes there and one bundle of their answers back, each answer still sealed
+on its own node's direct channel.  Only tree children of a failing node are
+probed, so every probed node's parent is the station or a failing probed
+node.
 
 A committed node that failed only IPET, and has failing children, gets one
 chance to be exonerated: its answer less the failing children's packets as
@@ -52,7 +53,6 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import NamedTuple
@@ -298,22 +298,22 @@ class BaseStation:
             return False
         return (pkt.dsum - sums[0]) & crypto.MASK == (pkt.dsum_prime - sums[1]) & crypto.MASK
 
-    def _probe_group(
-        self, round_no: int, parent: int, targets: tuple[int, ...], ask, pinned: dict[int, int]
+    def _probe_level(
+        self, round_no: int, targets: tuple[int, ...], ask, pinned: dict[int, int]
     ) -> dict[int, tuple[wire.AggPacket, tuple[bool, bool], list[wire.AggPacket]]]:
-        """Probe sibling targets through their parent and check each answer as
-        it opens; by node, its packet, verdict and reported child packets.  A
-        node's entry, matched by the sender it names, opens only on the node's
-        own direct channel and for the round asked about, so whoever relays
-        the bundle can drop it, not forge or replay it."""
-        raw = ask(parent, wire.encode_probe(round_no, targets))
+        """Probe one tree depth's targets with one request and check each
+        answer as it opens; by node, its packet, verdict and reported child
+        packets.  A node's entry, matched by the sender it names, opens only
+        on the node's own direct channel and for the round asked about, so
+        whoever relays the bundle can drop it, not forge or replay it."""
+        raw = ask(wire.encode_probe(round_no, targets))
         if not raw or raw[0] != wire.PROBE_RESP:
             return {}
         body = raw[1:]
         try:
             spans = wire.probe_entry_spans(body)
         except ValueError as exc:
-            log.info("base station: probe response via %d rejected: %s", parent, exc)
+            log.info("base station: probe response rejected: %s", exc)
             return {}
         wanted = set(targets)
         answers: dict[int, tuple[wire.AggPacket, tuple[bool, bool], list[wire.AggPacket]]] = {}
@@ -339,11 +339,12 @@ class BaseStation:
     def com_att(self, round_no: int, ask, participants: frozenset[int]) -> AttestationReport:
         """Walk the tree localizing outliers (the divide-and-conquer audit).
 
-        ask(node_id, request) must carry a probe from the station to the
-        node and return its answer, or None if nothing comes back: a probe
-        naming a sibling group goes to the group's parent (the station for
-        its own children) and returns the bundle of their answers.  Groups
-        are probed in the order they are found, and only the round's
+        ask(request) must carry a probe from the station, which relays it
+        as the first hop, and return the bundle of the answers of the nodes
+        it names, or None if nothing comes back.  The walk probes one tree
+        depth at a time, with one request naming every node it probes
+        there: first the station's own children, then the children it
+        selects below the nodes of one depth that fail.  Only the round's
         participants are probed below the station's children.
 
         The walk keeps one record, each probed node's verdict in probe order:
@@ -352,8 +353,10 @@ class BaseStation:
         if any) and whether its pair passes IPET.  A node fails unless both
         hold, and then its children are probed: all of them if it was
         silent, else those whose reported packet fails IPET here, each pinned
-        to the tag reported for it.  The report's sets and transcript are
-        read off that record once the walk ends.
+        to the tag reported for it.  Within a depth the record lists the
+        children of each failing node in turn, in the order those nodes
+        were recorded, each node's ascending.  The report's sets and
+        transcript are read off that record once the walk ends.
 
         Exoneration then tries each committed node that failed only IPET on
         its answer less its failing children's packets as it reported them.
@@ -368,15 +371,13 @@ class BaseStation:
         pinned = {cid: int.from_bytes(pkt.tag, "big") for cid, pkt in packets.items()}
         # Each failing node that answered: its packet and its reported child packets, by id.
         answered: dict[int, tuple[wire.AggPacket, dict[int, wire.AggPacket]]] = {}
-        # Sibling groups in probe order: (parent, ascending target ids).  Each
-        # node is enqueued once, by its parent, so probes go top-down.
-        queue: deque[tuple[int, tuple[int, ...]]] = deque()
-        if packets:
-            queue.append((BS_ID, tuple(sorted(packets))))
-        while queue:
-            parent, group = queue.popleft()
-            answers = self._probe_group(round_no, parent, group, ask, pinned)
-            for nid in group:
+        # The nodes of one depth in probe order; each is listed once, by its
+        # parent, so probes go top-down.
+        level = sorted(packets)
+        while level:
+            answers = self._probe_level(round_no, tuple(sorted(level)), ask, pinned)
+            next_level: list[int] = []
+            for nid in level:
                 answer = answers.get(nid)
                 if answer is None:
                     # Silent (or unopenable) probe: the node cannot commit.
@@ -393,9 +394,8 @@ class BaseStation:
                     below = [cid for cid in children[nid] if cid in kids and not self._fits(cid, kids[cid])]
                     for cid in below:
                         pinned[cid] = int.from_bytes(kids[cid].tag, "big")
-                below = tuple(filter(participants.__contains__, below))
-                if below:
-                    queue.append((nid, below))
+                next_level += filter(participants.__contains__, below)
+            level = next_level
 
         suspects = {nid for nid, verdict in verdicts.items() if verdict != (True, True)}
         non_committed = frozenset(nid for nid, (committed, _) in verdicts.items() if not committed)

@@ -19,13 +19,17 @@ the whole branch.
 
 Attestation traffic is probes, each a synchronous request and answer,
 ``World.ask``, over the bus: it happens strictly after the round's data
-traffic has drained.  Probes go to sibling groups: the request crosses the
-links down to the group's parent once, the parent asks each target over one
-link, and the answers cross the links up from the parent as one bundle.
-The parent walks each answer's entries once and forwards those that parse
-as the bytes that arrived.  For the station's own children the parent is
-the station, so the request and the bundle cross no link.  No node is ever
-asked to re-aggregate.
+traffic has drained.  The walk sends one request per tree depth, naming
+every node it probes there, to the station, which relays it first.  A relay
+asks each target that is its child over one link, and forwards the targets
+further below in one request per child subtree that holds any, straight to
+the deepest node that leads to all of them: a chain of single-child links is
+one frame.  Each relay sends the answers back up as one bundle, walking each
+answer's entries to their ends and forwarding those that parse as the bytes
+that arrived, so a fault on one branch loses only that branch's entries.
+Each link so carries one request down and one bundle up per depth at most,
+and the station's own hop crosses no link.  No node is ever asked to
+re-aggregate.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -237,11 +242,10 @@ class World:
         return None if answer is None else self.deliver(dst, src, answer)
 
     def _answer(self, nid: int, request: bytes) -> bytes | None:
-        """nid's answer to a probe.  A probe that names targets is relayed:
-        nid asks each target that is its child and sends back one bundle of
-        the answers' entries that parse, as they arrived, or nothing if none
-        does.  The station only relays, and a request that is no probe gets
-        no answer."""
+        """nid's answer to a probe.  A probe that names targets is relayed
+        (``_relay_probe``): nid sends back one bundle of the answers' entries
+        that parse, as they arrived, or nothing if none does.  The station
+        only relays, and a request that is no probe gets no answer."""
         if not request or request[0] != wire.PROBE:
             return None
         try:
@@ -258,10 +262,42 @@ class World:
         except ProtocolError:
             return None
 
-    def _relay_probe(self, parent: int, round_no: int, targets: tuple[int, ...]) -> bytes | None:
+    def _relay_probe(self, relay: int, round_no: int, targets: tuple[int, ...]) -> bytes | None:
+        """The relay asks each target that is its child over one link, and
+        each of its child subtrees holding targets below that with one
+        request, sent to the deepest node that leads to all of them; targets
+        outside its subtree get nothing.  It sends up one bundle of the
+        answers (``wire.bundle_probe_answers``), in tour order."""
+        tree = self.tree
+        pos, size, parent = tree.pos, tree.size, tree.parent
+        start = pos[relay]
+        end = start + size[relay]
+        below = sorted((pos[t], t) for t in targets if t in pos and start < pos[t] < end)
         probe = wire.encode_probe(round_no)
-        tree_parent = self.tree.parent
-        answers = [self.ask(parent, target, probe) for target in targets if tree_parent.get(target) == parent]
+        kids = tree.children[relay]
+        kid_pos: list[int] = []
+        answers = []
+        i = 0
+        while i < len(below):
+            at, target = below[i]
+            up = parent[target]
+            if up == relay:
+                answers.append(self.ask(relay, target, probe))
+                i += 1
+                continue
+            # The targets in the subtree of the relay's child that holds this
+            # one are the next ones in tour order, below[i:j]; the deepest
+            # node that leads to all of them is the lowest ancestor of this
+            # one's parent whose span reaches the last of them.
+            kid_pos = kid_pos or [pos[kid] for kid in kids]
+            kid = kids[bisect_right(kid_pos, at) - 1]
+            j = bisect_left(below, (pos[kid] + size[kid],), i)
+            last = below[j - 1][0]
+            while pos[up] + size[up] <= last:
+                up = parent[up]
+            group = tuple(sorted(t for _, t in below[i:j]))
+            answers.append(self.ask(relay, up, wire.encode_probe(round_no, group)))
+            i = j
         return wire.bundle_probe_answers(answers)
 
     def _run_data_phase(self, round_no: int, queries: list[tuple[int, bytes]]) -> None:
@@ -307,7 +343,7 @@ class World:
 
         dsum, dsum_prime, claim = bs.finalize(round_no)
         participants = kept = bs.participants(claim)
-        ask = partial(self.ask, BS_ID)  # the walk's requests leave from the station
+        ask = partial(self.ask, BS_ID, BS_ID)  # the station relays each of the walk's requests first
         integrity, raw_sum, report = "rejected", None, None
         if participants:
             verdict = bs.ipet_check((dsum, dsum_prime), claim, round_no)

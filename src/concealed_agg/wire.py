@@ -32,7 +32,7 @@ subtree drained.  A node relays the QUERY that opens its round to its
 children as the bytes that arrived: ``decode_query`` accepts only the 9-byte
 body ``encode_query`` writes, so that equals re-encoding it.
 
-Attestation probes travel to a group of siblings through their parent:
+Attestation probes name their targets and travel through relays:
 
     PROBE         round (8B BE) || target ids (4B BE each, ascending)
     PROBE_RESP    entry || entry || ...
@@ -40,10 +40,11 @@ Attestation probes travel to a group of siblings through their parent:
     child packet  sender (4B BE) || absent-count (4B BE)
                   || absent ids (4B BE each) || pair (16B) || tag (8B)
 
-A probe without targets asks its addressee to answer for itself; that is
-what the parent sends each target.  A response carries one entry per node
-that answered: the packets of the children the node kept, ascending by id,
-as it received them less their edge channel tags, then its own packet
+A probe with targets goes to a relay, which asks the targets that are its
+children with a probe without targets, one that asks its addressee to answer
+for itself, and forwards the others below it.  A response carries one entry
+per node that answered: the packets of the children the node kept, ascending
+by id, as it received them less their edge channel tags, then its own packet
 sealed on its direct channel to the station, with that child block, count
 included, bound into the channel tag.  So the station checks each child's
 claim one level down without asking the child, and subtracts a child's
@@ -51,7 +52,8 @@ packet from the node's as the node reported it.  Entries have no length
 prefix: each ends where its last packet's absent count says, so a one-entry
 response is a node's own answer (``seal_probe_resp``), and a bundle is the
 answers' entries back to back, as a relay forwarded them
-(``bundle_probe_answers``), re-framing none.
+(``bundle_probe_answers``), re-framing none.  A relay only walks entries to
+their ends; the station alone unpacks their child packets.
 
 No round sends the re-aggregation request and reply any more; their codecs
 stay as reference code:
@@ -93,10 +95,12 @@ SEALED_PAIR_LEN = 16 + crypto.CHANNEL_TAG_LEN
 _PACKET_LEN = 8 + SEALED_PAIR_LEN + crypto.TAG_LEN  # an aggregation packet without absent ids
 
 _HEADER = struct.Struct(">II")  # sender, absent count
+_COUNT = struct.Struct(">I")  # a count of child packets or of absent ids
 _NO_ABSENT = bytes(4)  # the absent count of a packet that names no one
 _QUERY = struct.Struct(">QB")  # round, function code
 _PAIR = struct.Struct(">QQ")  # dsum, dsum_prime: K chain first
 _PAIR_TAG = struct.Struct(f">QQ{crypto.TAG_LEN}s")  # a child packet's pair and tag in a probe entry
+_CHILD_PACKET_LEN = 8 + _PAIR_TAG.size  # a probe entry's child packet without absent ids
 _PROBE_RESP_TYPE = bytes([PROBE_RESP])
 
 FUNC_CODES = {"sum": 0, "mean": 1}
@@ -309,26 +313,54 @@ def seal_probe_resp(
     return _PROBE_RESP_TYPE + block + seal_packet(channel, round_no, sender, absent, dsum, dsum_prime, tag, block)[1]
 
 
+def _entry_spans(body: bytes, offset: int = 0) -> list[tuple[int, int, int]]:
+    """Where each probe-response entry from offset starts, where its own
+    packet starts and where it ends, in order, up to the first entry that
+    does not parse.  The one entry walker: it reads each packet's end off its
+    absent count and unpacks nothing."""
+    spans = []
+    end = len(body)
+    count = _COUNT.unpack_from
+    try:
+        while offset < end:
+            at = offset + 4
+            for _ in range(count(body, offset)[0]):
+                at += _CHILD_PACKET_LEN + 4 * count(body, at + 4)[0]
+                if at > end:
+                    return spans
+            stop = at + _PACKET_LEN + 4 * count(body, at + 4)[0]
+            if stop > end:
+                break
+            spans.append((offset, at, stop))
+            offset = stop
+    except struct.error:  # a count cut short
+        pass
+    return spans
+
+
+def _child_packets(body: bytes, start: int, at: int) -> list[AggPacket]:
+    """The child packets of the entry that starts at start and has its own
+    packet at at (``_entry_spans``), in the order they came."""
+    children = []
+    offset = start + 4
+    while offset < at:
+        sender, count = _HEADER.unpack_from(body, offset)
+        absent = struct.unpack_from(f">{count}I", body, offset + 8) if count else ()
+        offset += _CHILD_PACKET_LEN + 4 * count
+        children.append(_new_packet((sender, absent, *_PAIR_TAG.unpack_from(body, offset - _PAIR_TAG.size))))
+    return children
+
+
 def decode_probe_entry(body: bytes, offset: int = 0) -> tuple[list[AggPacket], int, int]:
     """The child packets of the probe-response entry at offset, in the order
     they came, where its own packet starts (its child block, what that
     packet binds, is the bytes before) and where it ends; ValueError if the
     body ends first."""
-    _need(body, offset + 4, "probe response entry")
-    at = offset + 4
-    children = []
-    for _ in range(int.from_bytes(body[offset:at], "big")):
-        _need(body, at + 8, "probe response entry")
-        sender, count = _HEADER.unpack_from(body, at)
-        pair_at = at + 8 + 4 * count
-        _need(body, pair_at + _PAIR_TAG.size, "probe response entry")
-        absent = struct.unpack_from(f">{count}I", body, at + 8) if count else ()
-        children.append(_new_packet((sender, absent, *_PAIR_TAG.unpack_from(body, pair_at))))
-        at = pair_at + _PAIR_TAG.size
-    _need(body, at + 8, "probe response entry")
-    stop = at + _PACKET_LEN + 4 * int.from_bytes(body[at + 4 : at + 8], "big")
-    _need(body, stop, "probe response entry")
-    return children, at, stop
+    spans = _entry_spans(body, offset)
+    if not spans:
+        raise ValueError("truncated probe response entry")
+    start, at, stop = spans[0]
+    return _child_packets(body, start, at), at, stop
 
 
 def encode_probe_resp(entries: list[bytes]) -> bytes:
@@ -336,38 +368,30 @@ def encode_probe_resp(entries: list[bytes]) -> bytes:
 
 
 def bundle_probe_answers(answers: list[bytes | None]) -> bytes | None:
-    """What a relay sends up for a probe: each answer's entries that parse
-    (``probe_entry_spans``), as the bytes that came, in one PROBE_RESP frame;
-    None if none does.  No entry is re-framed."""
+    """What a relay sends up for a probe: the entries of each answer up to
+    the first that does not parse, as the bytes that came, in one PROBE_RESP
+    frame; None if no entry parses.  A relay only walks the entries to their
+    ends (``_entry_spans``), and re-frames none."""
     entries = []
     for answer in answers:
         if answer and answer[0] == PROBE_RESP:
-            try:
-                entries.append(answer[1 : 1 + probe_entry_spans(answer[1:])[-1][2]])
-            except ValueError:
-                pass  # an answer that does not parse is not relayed
+            spans = _entry_spans(answer, 1)
+            if spans:
+                entries.append(answer[1 : spans[-1][2]])
     return encode_probe_resp(entries) if entries else None
 
 
 def probe_entry_spans(body: bytes) -> list[tuple[int, int, int, list[AggPacket]]]:
     """Where each probe-response entry that parses starts, where its packet
-    starts, where it ends, and its child packets, in order
-    (``decode_probe_entry``).  Entries carry no length: each ends where its
-    packet's absent count says.  So parsing stops at the first entry that
-    does not parse, and it and the rest are lost, as if dropped on the way.
-    Raises ValueError when not even one entry parses."""
-    spans = []
-    offset = 0
-    while offset < len(body):
-        try:
-            children, at, stop = decode_probe_entry(body, offset)
-        except ValueError:
-            break
-        spans.append((offset, at, stop, children))
-        offset = stop
+    starts, where it ends, and its child packets, in order.  Entries carry
+    no length: each ends where its packet's absent count says.  So parsing
+    stops at the first entry that does not parse, and it and the rest are
+    lost, as if dropped on the way.  Raises ValueError when not even one
+    entry parses."""
+    spans = _entry_spans(body)
     if not spans:
         raise ValueError("truncated probe response")
-    return spans
+    return [(start, at, stop, _child_packets(body, start, at)) for start, at, stop in spans]
 
 
 def decode_probe_resp(body: bytes) -> list[bytes]:

@@ -206,6 +206,94 @@ def test_attested_round_charges_each_sibling_group_once():
     assert charged(wire.encode_probe(1, (3,))) == (2, 2 * 13)
 
 
+_SHARED_PATHS = ((0, 1), (1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (3, 7))
+
+
+def _shared_paths_world() -> World:
+    """Station 0 -> 1 -> {2, 3}, 2 -> {4, 5}, 3 -> {6, 7}, with forging leaves
+    4 and 6: nodes 1, 2, 3, 4 and 6 fail, and 4 and 6, probed at depth 3
+    under different parents, share the link 0-1 to the station."""
+    forgers = tuple(CompromiseSpec(v, "forge_children", (12345,)) for v in (4, 6))
+    return World(Scenario(seed=5, edges=_SHARED_PATHS, compromises=forgers))
+
+
+def test_one_request_per_depth_shares_the_links_of_its_groups():
+    # The walk probes depth 1 {1}, depth 2 {2, 3} and depth 3 {4, 6}, each
+    # with one request the station relays first.  A request is 9 B plus 4 B
+    # per target it names, a target's own probe 9 B; an answer is a type
+    # byte, a 4 B child count, 32 B per reported child packet (none has
+    # absent ids) and the node's own 48 B packet; a bundle is a type byte
+    # and the entries it carries.  The station's own hop crosses no link.
+    world = _shared_paths_world()
+    result = world.run_round(1)
+    assert result.integrity == "attested" and result.report.outliers == frozenset({4, 6})
+    assert [nid for nid, _, _ in result.report.transcript] == [1, 2, 3, 4, 6]
+    data = (14, 7 * (10 + 49))  # a query down and a 49 B packet up per node
+    depths = (  # (messages, bytes) over links
+        # 0 asks 1; 1's 117 B answer.
+        (1 + 1, 9 + 117),
+        # (2, 3) forwarded to 1; 1 asks 2 and 3; their 117 B answers; 1's
+        # 233 B bundle.
+        (1 + 2 + 2 + 1, 17 + 2 * 9 + 2 * 117 + 233),
+        # (4, 6) forwarded to 1 once, then (4,) to 2 and (6,) to 3; 2 asks
+        # 4 and 3 asks 6; their 53 B answers; 2's and 3's 53 B bundles; 1's
+        # 105 B bundle.  Link 0-1 carries one request and one bundle where
+        # a request and a bundle per group would put two of each on it:
+        # 2 messages and 13 + 13 + 53 + 53 - 17 - 105 = 10 B more.
+        (1 + 2 + 2 + 2 + 2 + 1, 17 + 2 * 13 + 2 * 9 + 2 * 53 + 2 * 53 + 105),
+    )
+    messages = data[0] + sum(d[0] for d in depths)
+    sent = data[1] + sum(d[1] for d in depths)
+    assert (messages, sent) == (32, 1419)
+    rm = world.metrics.rounds[0]
+    assert (rm.messages, rm.bytes, rm.probes) == (messages, sent, 5)
+
+
+@pytest.mark.parametrize("fault", ["cut", "flip"])
+def test_fault_on_one_branchs_bundle_spares_the_other_branch(fault):
+    # Node 2's bundle of 4's answer is cut to 5 bytes, or has the top bit of
+    # 4's child count flipped, on the link 2->1.  Relay 1 walks it, drops
+    # it, and still forwards 6's entry from 3's bundle, which comes after it
+    # in tour order: 4 counts as silent, 6 is judged on its answer.
+    world = _shared_paths_world()
+    frames = []
+
+    def faulty(src, dst, payload):
+        if (src, dst) == (2, 1) and payload[0] == wire.PROBE_RESP:
+            frames.append(payload)
+            if len(frames) == 2:  # 2's own answer went up first, at depth 2
+                if fault == "cut":
+                    return payload[:5]
+                return payload[:1] + bytes([payload[1] ^ 0x80]) + payload[2:]
+        return payload
+
+    on_links(world, faulty)
+    result = world.run_round(1)
+    assert len(frames) == 2
+    transcript = {nid: (committed, ok) for nid, committed, ok in result.report.transcript}
+    assert transcript[4] == (False, False) and transcript[6] == (True, False)
+    assert result.integrity == "attested" and result.report.outliers == frozenset({4, 6})
+    assert result.raw_sum == plaintext_sum(world, 1, result.participants)
+
+
+def test_relay_forwards_a_probe_for_a_node_below_its_children():
+    # Node 1 is asked about 4, its grandchild: it forwards (4,) to 2, 4's
+    # parent, which asks 4, and the bundle comes back through both relays.
+    # Six frames cross one link each: the request to 1 and on to 2 (13 B
+    # each), 4's probe (9 B), and its answer and each bundle of it (53 B).  Node 2 asked about 3, outside its subtree, asks
+    # no one and sends nothing back.
+    world = _shared_paths_world()
+    world.run_round(1)
+    rm = world.metrics.rounds[0]
+    before = (rm.messages, rm.bytes)
+    bundle = world.ask(0, 1, wire.encode_probe(1, (4,)))
+    assert bundle == world.nodes[4].respond_attestation(1)
+    assert (rm.messages - before[0], rm.bytes - before[1]) == (6, 2 * 13 + 9 + 3 * 53)
+    before = (rm.messages, rm.bytes)
+    assert world.ask(0, 2, wire.encode_probe(1, (3,))) is None
+    assert (rm.messages - before[0], rm.bytes - before[1]) == (2, 2 * 13)
+
+
 def test_station_answers_only_as_a_relay():
     # The station's own sibling group is asked over no link, so a fault on
     # the bus can turn that request into one only a sensor could answer: it
@@ -235,11 +323,18 @@ def _two_parse_bundle(answers: list[bytes]) -> bytes | None:
 def test_relay_forwards_what_a_two_parse_relay_would(data):
     # Each target's answer cut, bit-flipped, retyped or followed by bytes of
     # another answer: the bundle the relay sends up equals the one a relay
-    # that decoded each answer and re-framed its entries would send.
+    # that decoded each answer and re-framed its entries would send.  Asked
+    # through an ancestor of the targets' parent, the answers pass through
+    # two relays: the ancestor forwards the request to the parent and
+    # re-bundles the parent's bundle.
     world = World(Scenario(seed=3, n=20, generator="recursive"))
     world.run_round(1)
     children = world.tree.children
     parent = data.draw(st.sampled_from([v for v in sorted(children) if len(children[v]) > 1]))
+    relays = [parent]
+    while relays[-1] != 0:
+        relays.append(world.tree.parent[relays[-1]])
+    via = data.draw(st.sampled_from(relays))
     targets = tuple(data.draw(st.lists(st.sampled_from(children[parent]), min_size=1, unique=True).map(sorted)))
     honest = [world.nodes[cid].respond_attestation(1) for cid in children[parent]]
     answers = []
@@ -258,7 +353,10 @@ def test_relay_forwards_what_a_two_parse_relay_would(data):
                 answer += other[data.draw(st.one_of(st.just(1), st.integers(0, len(other)))):]
         world.nodes[cid].respond_attestation = lambda round_no, answer=answer: answer
         answers.append(answer)
-    assert world.ask(0, parent, wire.encode_probe(1, targets)) == _two_parse_bundle(answers)
+    bundle = _two_parse_bundle(answers)
+    if via != parent and bundle is not None:
+        bundle = _two_parse_bundle([bundle])
+    assert world.ask(0, via, wire.encode_probe(1, targets)) == bundle
 
 
 def test_malformed_query_is_ignored_and_timed_out():
@@ -489,12 +587,14 @@ SWEEP_PARTS = {
 SWEEP_COMBINED = "d037787d5ca8d49d0a3566bb55cb524c0991e99b0c800a57cffbb2ca6a5db991"
 SWEEP_BYTES = "7d1d787d1717de94d2ecb88a7edc837826097a9cfb6262acabdfc3f9cbb43cbe"
 # The order of the frames on the bus over the same 40 worlds, each frame's
-# ends, type and length, pinned from the same wire and walk.
-SWEEP_FRAMES = "b2388816b1933ffd3c91e8f78846eb466388d783878b1771350eb806dede0b7b"
+# ends, type and length, pinned from the walk that sends one request per
+# tree depth, relayed by the station first.
+SWEEP_FRAMES = "95d106ef05683c78c959064d12d7add727bde0ee6d8f78ca93fed460689ba8de"
 # Every byte of those frames, with their ends, in the same order: the wire
 # format itself.  Pinned from the wire whose probe entries carry each kept
-# child's packet; a change that keeps the wire must keep it.
-SWEEP_CONTENTS = "aec8d077020882704b54aaa353b2cb6222601c2a23b1aafbbec5acd501a6f47c"
+# child's packet, and the same walk; a change that keeps the wire and the
+# frame order must keep it.
+SWEEP_CONTENTS = "c0d8c675c72eb34cc6c63a5d590ee352c3b3363f478c8c23bbcb106cf8720155"
 # The reports, participants and transcripts of the same 40 worlds run again
 # behind a keyless attacker on AGG frames (drops, cuts, flips past the sender
 # field, retypes).  The attacker draws its faults from the frames' lengths,
@@ -674,9 +774,9 @@ def test_each_node_that_opens_the_round_emits_once_after_its_subtree():
 # frames included, which no sweep hash faults.  A round that raises a
 # ProtocolError is recorded by its class name.  The metrics row carries the
 # bytes, and the attacker draws from the frames' lengths, so the pin moves
-# with the wire: pinned from the walk that probes only the children whose
-# reported packet fails.
-WALK_FAULTS = "8b901616490940e9095d60fe3caf302f91ef3d84e3c799fbcfeca11ae7ab1ebe"
+# with the wire and the frame order: pinned from the walk that sends one
+# request per tree depth.
+WALK_FAULTS = "2de46b2309716664cbd54c232b9e0215208c0278fddd6b317df7d3af605a47dd"
 
 
 def test_walk_under_keyless_faults_is_pinned():
