@@ -19,19 +19,20 @@ the only per-round work linear in n.
 
 When the final pair fails the identical-pair equality test (or an operator
 forces an audit), the station walks the tree top-down, starting with its own
-children.  Each probed node must recommit to the packet it emitted: its
-resent tag must match the tag pinned for it, and the XOR of its own
-recomputed MAC with the tags of the child packets it reports must reproduce
-it.  Its resent pair must pass IPET over its own claim.  Its answer carries
-the packet of each child it kept, as it received it, so below a failing node
-that answered the station IPETs each reported child packet itself and
-probes only the children whose packet fails, each pinned to the tag
-reported for it; a silent node's children are all probed, unpinned.  The
-walk probes one tree depth at a time, with one request naming every node it
-probes there and one bundle of their answers back, each answer still sealed
-on its own node's direct channel.  Only tree children of a failing node are
-probed, so every probed node's parent is the station or a failing probed
-node.
+children whose packet fails IPET at the station; when none fails, the round
+passed and is audited, and it starts with all of them.  Each probed node
+must recommit to the packet it emitted: its resent tag must match the tag
+pinned for it, and the XOR of its own recomputed MAC with the tags of the
+child packets it reports must reproduce it.  Its resent pair must pass IPET
+over its own claim.  Its answer carries the packet of each child it kept, as
+it received it, so below a failing node that answered the station IPETs each
+reported child packet itself and probes only the children whose packet
+fails, each pinned to the tag reported for it; a silent node's children are
+all probed, unpinned.  The walk probes one tree depth at a time, with one
+request naming every node it probes there and one bundle of their answers
+back, each answer still sealed on its own node's direct channel.  Only tree
+children of a failing node are probed, so every probed node's parent is the
+station or a failing probed node.
 
 A committed node that failed only IPET, and has failing children, gets one
 chance to be exonerated: its answer less the failing children's packets as
@@ -343,9 +344,11 @@ class BaseStation:
         as the first hop, and return the bundle of the answers of the nodes
         it names, or None if nothing comes back.  The walk probes one tree
         depth at a time, with one request naming every node it probes
-        there: first the station's own children, then the children it
-        selects below the nodes of one depth that fail.  Only the round's
-        participants are probed below the station's children.
+        there: first the station's children whose packet fails IPET here,
+        or all of them when none does (an audit of a passing round), then
+        the children it selects below the nodes of one depth that fail.
+        Only the round's participants are probed below the station's
+        children.
 
         The walk keeps one record, each probed node's verdict in probe order:
         whether it committed (its resent tag matches its own MAC folded with
@@ -372,8 +375,9 @@ class BaseStation:
         # Each failing node that answered: its packet and its reported child packets, by id.
         answered: dict[int, tuple[wire.AggPacket, dict[int, wire.AggPacket]]] = {}
         # The nodes of one depth in probe order; each is listed once, by its
-        # parent, so probes go top-down.
-        level = sorted(packets)
+        # parent, so probes go top-down.  First the station's children whose
+        # packet fails IPET here, or all of them when none fails: an audit.
+        level = [cid for cid in sorted(packets) if not self._fits(cid, packets[cid])] or sorted(packets)
         while level:
             answers = self._probe_level(round_no, tuple(sorted(level)), ask, pinned)
             next_level: list[int] = []

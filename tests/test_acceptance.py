@@ -161,6 +161,15 @@ def test_criterion_4_probe_scaling_logarithmic(capsys):
     assert elapsed < 300.0
 
 
+def test_probe_scaling_within_two_ln_n_beyond_recursive_trees():
+    """Beside criterion 4: one forger, 10 trials per size, n in {64, 256,
+    1024}: mean probes stay within 2 ln n on recursive, geometric and star
+    trees.  A path stays the O(n) worst case criterion 4 bounds."""
+    for generator in ("recursive", "geometric", "star"):
+        for row in measure_scaling((64, 256, 1024), trials=10, seed=1, generator=generator):
+            assert row.mean_probes <= 2 * math.log(row.n), (generator, row)
+
+
 # === 5. Constant verification cost ===========================================
 
 

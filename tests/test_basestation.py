@@ -195,9 +195,9 @@ def test_noncommit_interior_walk_stays_out_of_honest_sibling_subtrees():
     assert report.outliers == frozenset({1})
     assert report.non_committed == frozenset({1})
     probed = {nid for nid, _, _ in report.transcript}
-    # Never below honest sibling 2, and not to 1's children either: the
-    # packets 1 reports for them pass at the station.
-    assert probed == {1, 2}
+    # Not honest sibling 2, whose packet passes at the station, and not 1's
+    # children either: the packets 1 reports for them pass there too.
+    assert probed == {1}
 
 
 def test_forging_leaf_clears_committed_ancestors():
@@ -507,7 +507,8 @@ def test_forger_that_frames_its_child_is_the_outlier():
 
 def test_vouched_non_child_is_not_probed():
     # Node 1 fails (its child 3 forges) and also reports a packet for its
-    # grandchild 4.  Only 1's own children are checked below it, and only 3,
+    # grandchild 4.  Of the station's children only 1, whose packet fails,
+    # is probed; only 1's own children are checked below it, and only 3,
     # whose packet fails, is probed; 4's tag still enters 1's MAC check,
     # which it breaks.
     world = World(Scenario(seed=57, edges=((0, 1), (0, 5), (1, 2), (1, 3), (2, 4)),
@@ -519,7 +520,7 @@ def test_vouched_non_child_is_not_probed():
 
     world.nodes[1].behavior = Behavior(answer=vouching)
     result = world.run_round(1)
-    assert [nid for nid, _, _ in result.report.transcript] == [1, 5, 3]
+    assert [nid for nid, _, _ in result.report.transcript] == [1, 3]
     assert result.report.non_committed == frozenset({1})
     assert result.report.outliers == frozenset({1, 3})
     assert result.integrity == "attested" and result.participants == frozenset({5})

@@ -570,9 +570,10 @@ def test_leaves_get_no_timeout(monkeypatch):
 
 # Hashes of scripts/behaviour_sweep.py over its first 40 worlds (every
 # generator and adversary kind).  The reports and transcripts are pinned from
-# the walk that probes only the children whose reported packet fails, the
-# bytes from the wire whose probe entries carry each kept child's packet.
-# The statuses, each sensor's
+# the walk that first probes only the station's children whose packet fails
+# and, below them, only the children whose reported packet fails; the bytes
+# from the wire whose probe entries carry each kept child's packet, sent
+# one request per tree depth.  The statuses, each sensor's
 # liveness, and the combined hash (which also covers message counts) are
 # pinned from the station that reads liveness from absence streaks and keeps
 # no conviction status.  A change
@@ -580,32 +581,32 @@ def test_leaves_get_no_timeout(monkeypatch):
 # traffic change updates them and says so.
 SWEEP_WORLDS = 40
 SWEEP_PARTS = {
-    "reports": "768abdb4be93cecb6df5f6759814a649b9238bea6f8dcc55d0c8d4d722f01761",
-    "transcripts": "41b4aefe2f95fe402880c793ff3213de82ded2fb85bd77619de4615394953b8d",
+    "reports": "8f65890bfd61ad87ba74fe6435fa1e61e39267b7a9f0dbc5a150c80bfc674492",
+    "transcripts": "c77e817e968ecaa9036355fc22149e833c044885e8c5a01377808686c586bc94",
     "statuses": "12401925ebb21c50c3e3baa28a2c22ff542d3efa618b7b4b3f995bf347b7dfdf",
 }
-SWEEP_COMBINED = "d037787d5ca8d49d0a3566bb55cb524c0991e99b0c800a57cffbb2ca6a5db991"
-SWEEP_BYTES = "7d1d787d1717de94d2ecb88a7edc837826097a9cfb6262acabdfc3f9cbb43cbe"
+SWEEP_COMBINED = "09b804fa6d335f2762c3dd238f7816377d561ad7e9498430f40621bba41c8b70"
+SWEEP_BYTES = "a9cba896cb66cbf62006dcc291b3e1ceb3f47deea49be0dd7faa9eb6810bdec7"
 # The order of the frames on the bus over the same 40 worlds, each frame's
-# ends, type and length, pinned from the walk that sends one request per
-# tree depth, relayed by the station first.
-SWEEP_FRAMES = "95d106ef05683c78c959064d12d7add727bde0ee6d8f78ca93fed460689ba8de"
+# ends, type and length, pinned from the same walk, which sends one request
+# per tree depth, relayed by the station first.
+SWEEP_FRAMES = "bb04e668a43053ac7ccd926ef1c754fb1a998430be3109bb43bc3d7c1a7ee694"
 # Every byte of those frames, with their ends, in the same order: the wire
 # format itself.  Pinned from the wire whose probe entries carry each kept
 # child's packet, and the same walk; a change that keeps the wire and the
 # frame order must keep it.
-SWEEP_CONTENTS = "c0d8c675c72eb34cc6c63a5d590ee352c3b3363f478c8c23bbcb106cf8720155"
+SWEEP_CONTENTS = "349b4a9606d08b8023bc1d68b20f6b5fbcc728996ca28fe6d131af9c0e524aa9"
 # The reports, participants and transcripts of the same 40 worlds run again
 # behind a keyless attacker on AGG frames (drops, cuts, flips past the sender
 # field, retypes).  The attacker draws its faults from the frames' lengths,
 # so this pin moves with the wire: pinned from the same wire and walk.
-SWEEP_FAULTS = "1246cc8cf2fe7fd3586a9ebf1464532efacd8e1e59db974adcf3961761763098"
+SWEEP_FAULTS = "035273f4dce4dd33728e88b2b78380bb8e5f51c425d2a2d035550544f62e7c0b"
 # The same three parts over the script's default 104 worlds, where every
 # generator meets every adversary kind under every audit setting; reports and
 # transcripts pinned with the 40-world ones, as are the statuses.
 SWEEP_104_PARTS = {
-    "reports": "b4603e96f4e9718e1bb895c708a2c31630e88fd95bd8abb967f556b4fb7a34a0",
-    "transcripts": "be8906eb34f5a2e401666e18b5d136e4c0d97df06157f8ab299af2ff1064a5e1",
+    "reports": "6b6feaf6799799ed6f13f932e1b4a3418a3e85726c1d473f1d7bd8066dc71f0a",
+    "transcripts": "48f26e501cebac5e3a8be9d6ddc7a085dd648956e4fff1fc3303837a17394425",
     "statuses": "cebdc3a3f84051032c1207dd99cb5e8e035d9041b8baf49d03524c46b23378c3",
 }
 
@@ -775,8 +776,9 @@ def test_each_node_that_opens_the_round_emits_once_after_its_subtree():
 # ProtocolError is recorded by its class name.  The metrics row carries the
 # bytes, and the attacker draws from the frames' lengths, so the pin moves
 # with the wire and the frame order: pinned from the walk that sends one
-# request per tree depth.
-WALK_FAULTS = "2de46b2309716664cbd54c232b9e0215208c0278fddd6b317df7d3af605a47dd"
+# request per tree depth and first probes only the station's children whose
+# packet fails.
+WALK_FAULTS = "4bf17468cd63dd6815f5ee26f1d0694489bc7ecfa91cdbd15886f6ad5ebbd096"
 
 
 def test_walk_under_keyless_faults_is_pinned():
@@ -969,9 +971,23 @@ def test_scaling_single_node_needs_one_probe():
     assert rows[0].max_probes == 1
 
 
-def test_scaling_star_probes_every_station_child():
+def test_scaling_star_probes_only_the_forger():
+    # The station IPETs its own children's packets and probes only the one
+    # that fails.
     rows = measure_scaling((6,), trials=2, seed=111, generator="star")
-    assert rows[0].mean_probes == 6.0  # depth-1 audit degenerates to one level
+    assert rows[0].mean_probes == 1.0
+
+
+def test_forged_1024_sensor_star_costs_one_probe():
+    # A query down and a packet up per sensor, then one probe and one answer
+    # over the forger's link: 2n + 2 messages.
+    n = 1024
+    world = World(Scenario(seed=113, n=n, generator="star",
+                           compromises=(CompromiseSpec(700, "forge_children", (99,)),)))
+    result = world.run_round(1)
+    assert result.integrity == "attested" and result.report.outliers == frozenset({700})
+    assert result.report.transcript == ((700, True, False),)
+    assert world.metrics.rounds[0].messages == 2 * n + 2
 
 
 def _no_trial(world, scenario):
