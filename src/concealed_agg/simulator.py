@@ -275,7 +275,7 @@ class World:
         below = sorted((pos[t], t) for t in targets if t in pos and start < pos[t] < end)
         probe = wire.encode_probe(round_no)
         kids = tree.children[relay]
-        kid_pos: list[int] = []
+        kid_pos = [pos[kid] for kid in kids]
         answers = []
         i = 0
         while i < len(below):
@@ -289,7 +289,6 @@ class World:
             # one are the next ones in tour order, below[i:j]; the deepest
             # node that leads to all of them is the lowest ancestor of this
             # one's parent whose span reaches the last of them.
-            kid_pos = kid_pos or [pos[kid] for kid in kids]
             kid = kids[bisect_right(kid_pos, at) - 1]
             j = bisect_left(below, (pos[kid] + size[kid],), i)
             last = below[j - 1][0]
