@@ -206,15 +206,13 @@ def test_attested_round_charges_each_sibling_group_once():
     assert charged(wire.encode_probe(1, (3,))) == (2, 2 * 13)
 
 
-_SHARED_PATHS = ((0, 1), (1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (3, 7))
-
-
 def _shared_paths_world() -> World:
     """Station 0 -> 1 -> {2, 3}, 2 -> {4, 5}, 3 -> {6, 7}, with forging leaves
     4 and 6: nodes 1, 2, 3, 4 and 6 fail, and 4 and 6, probed at depth 3
     under different parents, share the link 0-1 to the station."""
+    edges = ((0, 1), (1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (3, 7))
     forgers = tuple(CompromiseSpec(v, "forge_children", (12345,)) for v in (4, 6))
-    return World(Scenario(seed=5, edges=_SHARED_PATHS, compromises=forgers))
+    return World(Scenario(seed=5, edges=edges, compromises=forgers))
 
 
 def test_one_request_per_depth_shares_the_links_of_its_groups():
