@@ -278,8 +278,9 @@ def test_relay_forwards_a_probe_for_a_node_below_its_children():
     # Node 1 is asked about 4, its grandchild: it forwards (4,) to 2, 4's
     # parent, which asks 4, and the bundle comes back through both relays.
     # Six frames cross one link each: the request to 1 and on to 2 (13 B
-    # each), 4's probe (9 B), and its answer and each bundle of it (53 B).  Node 2 asked about 3, outside its subtree, asks
-    # no one and sends nothing back.
+    # each), 4's probe (9 B), and its answer and each bundle of it (53 B).
+    # Node 2 asked about 3, outside its subtree, asks no one and sends
+    # nothing back.
     world = _shared_paths_world()
     world.run_round(1)
     rm = world.metrics.rounds[0]
