@@ -879,6 +879,26 @@ def test_walk_keys_each_probed_node_once(monkeypatch):
 
 
 @pytest.mark.parametrize("generator", GENERATORS)
+def test_an_honest_round_makes_six_prf_calls_per_sensor(monkeypatch, generator):
+    # With no audit, each of the n sensors advances its seed chains once,
+    # senses once, MACs its pair once and seals one packet its parent opens;
+    # the station's ledger advances each sensor's chains once more.
+    n = 32
+    world = World(Scenario(seed=7, n=n, generator=generator))
+    calls = dict.fromkeys(("next_seed", "sense_raw", "mac_pair", "_channel_tag"), 0)
+    for name in calls:
+
+        def counting(*args, name=name, real=getattr(crypto, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(crypto, name, counting)
+    result = world.run_round(1)
+    assert result.integrity == "passed" and result.report is None
+    assert calls == {"next_seed": 2 * n, "sense_raw": n, "mac_pair": n, "_channel_tag": 2 * n}
+
+
+@pytest.mark.parametrize("generator", GENERATORS)
 def test_a_probe_costs_two_channel_tags_and_one_mac(monkeypatch, generator):
     # An honest round with a forced audit.  Each of the n sensors MACs its
     # pair and seals one packet its parent opens; each probe is one seal at
