@@ -353,6 +353,19 @@ def test_station_subtraction_is_the_nodes_own_reaggregation():
     assert cleared > 0
 
 
+def test_final_reaggregation_skips_a_cleared_node_whose_parent_was_not_added():
+    # Path 0-1-2-3: station child 1 reports 3 as an absent root, 2 is an
+    # outlier, and 3 was cleared.  3's parent was never added, so 3 stays
+    # out even though 1 lists it, and the pair is 1's alone.
+    world = World(Scenario(seed=43, edges=((0, 1), (1, 2), (2, 3))))
+    bs = world.bs
+    bs._round_packets = {1: wire.AggPacket(1, (3,), 11, 22, bytes(crypto.TAG_LEN))}
+    bs._cleared = {3: wire.AggPacket(3, (), 5, 7, bytes(crypto.TAG_LEN))}
+    pair, claim = bs.reaggregate_final(frozenset({2}))
+    assert claim.absent == (3,)
+    assert pair == (11, 22)
+
+
 def _counter_subtract(node, failing):
     """Reference for the station's subtraction: its absent roots as a
     collections.Counter multiset."""
