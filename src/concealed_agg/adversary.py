@@ -8,7 +8,7 @@ per step.  At each step the node passes the hook its honest value and the
 round and uses what the hook returns; a step with no hook stays honest.
 
   reading   the sensed raw value
-  keeps     a child's AGG frame body, by sender; None drops it
+  keeps     a child's AGG frame, whole; None drops it
   pair      the folded pair before tagging, at emission
   answer    the probe answer (absent, pair, child_packets) before sealing:
             the child packets kept, by id, as received
@@ -109,7 +109,7 @@ def _replay(node, trigger_round: int, source_round: int) -> Behavior:
 def _drop_child(node, trigger_round: int, child: int) -> Behavior:
     if child not in node.children:
         raise ScenarioInvalid(f"node {node.node_id} has no child {child} to drop")
-    return Behavior(keeps=_armed(trigger_round, lambda body: None if wire.packet_sender(body) == child else body))
+    return Behavior(keeps=_armed(trigger_round, lambda frame: None if wire.packet_sender(frame, 1) == child else frame))
 
 
 # kind -> (usage, argument types, builder(node, trigger_round, *args)).  The

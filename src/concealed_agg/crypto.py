@@ -25,6 +25,10 @@ carries it, and a blob sealed for one round fails its tag in any other.  The
 caller builds the associated data: ``wire`` packs a packet's header once at
 the sender and slices it from the packet at the receiver, and binds the
 frame type of every packet sent on a key that seals more than one type.
+``wire`` calls ``_channel_tag`` itself, so a packet makes one call here at
+each end; ``seal`` and ``open_sealed`` are the same tag over a standalone
+blob.  The PRF input encodings all live here: ``next_seed``, ``sense_raw``,
+``mac_pair`` and ``_channel_tag`` are the four PRF calls of a data round.
 Channels only authenticate, so a key and round sealing several blobs
 reveals nothing.  Diffusion conceals.  Every channel plaintext (an AGG
 packet, a probe-response entry, a re-aggregation reply) is a ring sum of
@@ -244,14 +248,6 @@ def mac_pair(key: Keyed, dsum: int, dsum_prime: int) -> bytes:
 def xor_tags(a: bytes, b: bytes) -> bytes:
     """XOR of two equal-length tags."""
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
-
-
-def combine_macs(own: bytes, children: list[bytes]) -> bytes:
-    """XOR-fold child tags into a node's own tag; order-independent."""
-    out = own
-    for tag in children:
-        out = xor_tags(out, tag)
-    return out
 
 
 # === Authenticated pairwise channels ========================================

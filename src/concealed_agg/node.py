@@ -3,11 +3,15 @@
 Per round a node: receives the query exactly once, relays it to its children
 as it arrived, advances both seed chains with one keyed PRF call, senses one
 reading and diffuses it under both chains' seeds, and keeps each child's
-authenticated packet.  A message goes by its type, byte 0: a QUERY only
-opens the round and fans out, and an AGG only goes through
-``wire.keep_child_packet``, the intake the station runs too: a packet that
-names no child, names a child already kept, or does not open leaves nothing
-behind, so the child's genuine packet still folds.  The node emits once the
+authenticated packet.  Each frame crosses the node in one call,
+``handle_message``, which goes by the frame's type, byte 0: a QUERY opens
+the round and fans out, and an AGG goes, whole, to ``wire.keep_child_packet``,
+the intake the station runs too: a packet that names no child, names a
+child already kept, or does not open leaves nothing behind, so the child's
+genuine packet still folds.  ``open_round`` and ``aggregate_child`` drive
+the same path by hand.  The node's keyed-PRF calls are ``crypto``'s own:
+``next_seed`` and ``sense_raw`` at the QUERY, ``mac_pair`` at emission, and
+the channel tag inside ``wire``.  The node emits, ``emit``, once the
 simulator finds its subtree drained: it folds the kept packets with
 ``wire.fold_packets`` (the dual sums component-wise mod M, the child tags
 XORed as one integer, and an absent list: the children that did not report
@@ -101,65 +105,37 @@ class SensorNode:
     # === Round handling =====================================================
 
     def open_round(self, round_no: int) -> None:
-        """Open a round later than any before: advance both seed chains to it,
-        sense one reading, and diffuse it under both, D + m and D' + m mod M.
-        A compromised node's ``reading`` hook may forge the reading, which
-        then enters both chains alike."""
-        chains = self.chains  # at the last round opened
-        if round_no <= chains.round:
-            raise StaleRound(f"node {self.node_id}: round {round_no} <= {chains.round}")
-        seeds = chains.advance_to(round_no)  # D << 64 | D'
-        raw = crypto.sense_raw(self.sense_key, round_no, self.codec.max_raw)
-        if self.behavior is not None:
-            raw = self.behavior.reading(raw, round_no)
-        mask = crypto.MASK
-        self.state = RoundState(round_no, (seeds >> 64) + raw & mask, (seeds & mask) + raw & mask)
+        """Open a round later than any before, as a QUERY for it does
+        (``handle_message``), relaying nothing; raises StaleRound for any other."""
+        self.handle_message(wire.encode_query(round_no, "sum"))
 
     def aggregate_child(self, body: bytes) -> None:
-        """Keep one child's packet for the fold at emission, through the intake
-        every parent runs, ``wire.keep_child_packet``.  Two checks only a
-        sensor has come first: nothing is kept outside an open round, which
-        emission closes, and nothing a compromised node's ``keeps`` hook
-        drops."""
-        state = self.state
-        if state is None or state.emitted is not None:
-            log.info("node %d: packet outside an open round ignored", self.node_id)
-            return
-        if self.behavior is not None:
-            body = self.behavior.keeps(body, state.round)
-            if body is None:
-                return
-        wire.keep_child_packet(state.child_packets, self.child_channels, state.round, body, self.node_id)
+        """Keep one child's packet body for the fold at emission, as its AGG
+        frame does (``handle_message``)."""
+        self.handle_message(_AGG_TYPE + body)
 
     def emit(self) -> Send:
-        """Build, seal, and retain this round's single upward packet.  Emission
-        closes the round: a child without a kept packet is left out, and a
-        packet that arrives later is ignored."""
+        """Build, seal, and retain this round's single upward packet: the kept
+        child packets folded (``wire.fold_packets``) with the own pair, tagged
+        with the own MAC XORed into the fold's child tags.  Emission closes
+        the round: a child without a kept packet is left out as an absent
+        root, and a packet that arrives later is ignored."""
         state = self.state
         if state is None:
             raise NoSuchRound(f"node {self.node_id}: no active round")
         if state.emitted is not None:
             raise AlreadyEmitted(f"node {self.node_id}: round {state.round}")
-        folded = self._fold(state, state.child_packets)
-        pkt, body = wire.seal_packet(self.up_channel, state.round, self.node_id, *folded)
-        state.emitted = pkt
-        payload = _AGG_TYPE + body
-        if self.behavior is not None:
-            payload = self.behavior.payload(payload, state.round)
-        return self.parent_id, payload
-
-    def _fold(
-        self, state: RoundState, kept: dict[int, wire.AggPacket]
-    ) -> tuple[tuple[int, ...], int, int, bytes]:
-        """Fold the kept child packets, add the own pair, and tag the result
-        (the own MAC XORed into the fold's child tags): its absent roots, pair
-        and tag, in ``wire.seal_packet``'s order."""
-        dsum, dsum_prime, absent, tags = wire.fold_packets(kept, self.children, state.own_d, state.own_dp)
-        if self.behavior is not None:
-            dsum, dsum_prime = self.behavior.pair((dsum, dsum_prime), state.round)
+        round_no, behavior = state.round, self.behavior
+        dsum, dsum_prime, absent, tags = wire.fold_packets(state.child_packets, self.children, state.own_d, state.own_dp)
+        if behavior is not None:
+            dsum, dsum_prime = behavior.pair((dsum, dsum_prime), round_no)
         own = int.from_bytes(crypto.mac_pair(self.mac_key, dsum, dsum_prime), "big")
         tag = (own ^ tags).to_bytes(crypto.TAG_LEN, "big")
-        return absent, dsum, dsum_prime, tag
+        state.emitted, body = wire.seal_packet(self.up_channel, round_no, self.node_id, absent, dsum, dsum_prime, tag)
+        payload = _AGG_TYPE + body
+        if behavior is not None:
+            payload = behavior.payload(payload, round_no)
+        return self.parent_id, payload
 
     # === Attestation ========================================================
 
@@ -178,27 +154,47 @@ class SensorNode:
     # === Fabric dispatch ====================================================
 
     def handle_message(self, payload: bytes) -> list[Send]:
-        """Process one fabric message; returns messages to send.  A QUERY opens
-        its round and goes to each child as it arrived, and an AGG goes to
-        ``aggregate_child``.  A QUERY that does not parse and a message of
-        unknown type are ignored, so the parent leaves this node out; a QUERY
-        for a round not later than the last raises StaleRound."""
+        """Process one fabric message, the frame's one call into the node;
+        returns messages to send.  A QUERY for a round later than any before
+        opens it: both seed chains advance, the node senses one reading
+        (which a compromise's ``reading`` hook may forge) and diffuses it
+        under both, D + m and D' + m mod M, and the QUERY goes to each child.
+        An AGG in an open round goes, whole, to ``wire.keep_child_packet``,
+        unless a compromise's ``keeps`` hook drops it.  A QUERY for a round
+        not later than the last raises StaleRound; anything else that does
+        not parse or fit, an AGG outside an open round included, is ignored."""
         msg_type = payload[0] if payload else None
         if msg_type == wire.AGG:
-            self.aggregate_child(payload[1:])
-            return []
-        if msg_type == wire.QUERY:
-            try:
-                round_no, _ = wire.decode_query(payload[1:])
-            except ValueError as exc:
-                log.info("node %d: ignored query: %s", self.node_id, exc)
+            state = self.state
+            if state is None or state.emitted is not None:
+                log.info("node %d: packet outside an open round ignored", self.node_id)
                 return []
-            self.open_round(round_no)
-            # decode_query accepts only the 9-byte body encode_query writes,
-            # so relaying the frame as it arrived equals re-encoding it.
-            return [(cid, payload) for cid in self.children]
-        log.info("node %d: ignored message of type %s", self.node_id, msg_type)
-        return []
+            if self.behavior is not None:
+                payload = self.behavior.keeps(payload, state.round)
+                if payload is None:
+                    return []
+            wire.keep_child_packet(state.child_packets, self.child_channels, state.round, payload, 1, self.node_id)
+            return []
+        if msg_type != wire.QUERY:
+            log.info("node %d: ignored message of type %s", self.node_id, msg_type)
+            return []
+        try:
+            round_no, _ = wire.decode_query(payload[1:])
+        except ValueError as exc:
+            log.info("node %d: ignored query: %s", self.node_id, exc)
+            return []
+        chains = self.chains  # at the last round opened
+        if round_no <= chains.round:
+            raise StaleRound(f"node {self.node_id}: round {round_no} <= {chains.round}")
+        seeds = chains.advance_to(round_no)  # D << 64 | D'
+        raw = crypto.sense_raw(self.sense_key, round_no, self.codec.max_raw)
+        if self.behavior is not None:
+            raw = self.behavior.reading(raw, round_no)
+        mask = crypto.MASK
+        self.state = RoundState(round_no, (seeds >> 64) + raw & mask, (seeds & mask) + raw & mask)
+        # decode_query accepts only the 9-byte body encode_query writes, so
+        # relaying the frame as it arrived equals re-encoding it.
+        return [(cid, payload) for cid in self.children]
 
     def handle_reagg_request(self, body: bytes) -> bytes | None:
         """A re-aggregation request, which no round sends: the station

@@ -21,10 +21,11 @@ tag.  The channel tag also covers, as associated data, every other clear
 field: sender, absent list and tag, and in a probe response the child
 packets too.  A keyless attacker on a link who rewrites any of them makes
 the packet fail authentication.  ``seal_packet`` packs the header once, for
-both the associated data and the body (``header_ad`` and ``encode_agg_body``
-give the same bytes field by field); ``open_packet`` authenticates the
-header bytes ``decode_agg_body`` parsed, sliced from the packet, so each
-packet is packed once and parsed once and nothing is rebuilt in between.
+both the associated data and the body; a receiver authenticates the header
+bytes it parsed, sliced from the packet, so each packet is packed once and
+parsed once and nothing is rebuilt in between.  Both ends call the channel
+tag, ``crypto._channel_tag``, themselves, which keeps its input encoding in
+``crypto``: a packet crosses ``crypto`` in one call each way.
 Every payload on the simulator fabric is a one-byte message type, which
 receivers read from byte 0, followed by the body, and every type crosses a
 link: no frame tells a node to emit, it emits when the simulator finds its
@@ -62,8 +63,10 @@ stay as reference code:
     REAGG_RESP  round (8B BE) || ok (1B) || aggregation packet, if ok
 
 ``keep_child_packet`` is the one intake every parent runs, the station
-included: a packet that names no child, names a child already kept, or does
-not open leaves nothing behind.  ``fold_packets`` is the one aggregation
+included.  A sensor hands it the AGG frame whole and it reads the header,
+sender and absent count, once: a packet that names no child, names a child
+already kept, or does not open leaves nothing behind.  ``open_packet`` opens
+a packet on a known channel, as the station does a probe answer's.  ``fold_packets`` is the one aggregation
 step: ring-add the kept packets' pairs, gather their absent lists and XOR
 their tags as one integer; a child without a packet is an absent root.
 Every decoder raises ValueError, and nothing else, on a frame that does not
@@ -75,6 +78,7 @@ from __future__ import annotations
 import logging
 import struct
 from functools import partial
+from hmac import compare_digest
 from operator import ge
 from typing import NamedTuple
 
@@ -169,12 +173,6 @@ def _absent_field(absent: tuple[int, ...]) -> bytes:
     return struct.pack(f">I{len(absent)}I", len(absent), *absent) if absent else _NO_ABSENT
 
 
-def header_ad(sender: int, absent: tuple[int, ...], tag: bytes) -> bytes:
-    """Associated data of an aggregation packet: its clear header fields, the
-    packet's bytes [0, 8 + 4 * len(absent)) followed by its tag."""
-    return sender.to_bytes(4, "big") + _absent_field(absent) + tag
-
-
 def encode_agg_body(sender: int, absent: tuple[int, ...], sealed: bytes, tag: bytes) -> bytes:
     return sender.to_bytes(4, "big") + _absent_field(absent) + sealed + tag
 
@@ -193,10 +191,10 @@ def decode_agg_body(body: bytes) -> tuple[int, tuple[int, ...], bytes, bytes]:
     return sender, absent, body[sealed_at:tag_at], body[tag_at : tag_at + crypto.TAG_LEN]
 
 
-def packet_sender(body: bytes) -> int | None:
-    """The sender id an aggregation packet's first four bytes claim; None if
-    it is shorter than that."""
-    return int.from_bytes(body[:4], "big") if len(body) >= 4 else None
+def packet_sender(body: bytes, at: int = 0) -> int | None:
+    """The sender id claimed by the four bytes of an aggregation packet that
+    starts at byte ``at`` of body; None if body ends before them."""
+    return int.from_bytes(body[at : at + 4], "big") if len(body) >= at + 4 else None
 
 
 def seal_packet(
@@ -209,21 +207,22 @@ def seal_packet(
     tag: bytes,
     bound: bytes = b"",
 ) -> tuple[AggPacket, bytes]:
-    """Seal a pair on the given channel for a round, binding the header and
-    any extra ``bound`` bytes into the channel tag; returns the plaintext view
-    and body: the bytes ``encode_agg_body`` gives, with the absent ids packed
-    once for both the associated data (``header_ad`` + ``bound``) and the body."""
+    """Seal a pair on the given channel for a round, binding the header, the
+    tag and any extra ``bound`` bytes into the channel tag; returns the
+    plaintext view and body, the bytes ``encode_agg_body`` gives.  The
+    header is packed once, for both the associated data and the body."""
     mask = crypto.MASK
-    head = sender.to_bytes(4, "big") + _absent_field(absent)
-    sealed = crypto.seal(channel, round_no, _PAIR.pack(dsum & mask, dsum_prime & mask), head + tag + bound)
+    head = sender.to_bytes(4, "big") + (_absent_field(absent) if absent else _NO_ABSENT)
+    pair = _PAIR.pack(dsum & mask, dsum_prime & mask)
+    sealed = pair + crypto._channel_tag(channel, round_no, head + tag + bound, pair)
     return _new_packet((sender, absent, dsum, dsum_prime, tag)), head + sealed + tag
 
 
 def open_packet(channel: crypto.Keyed, round_no: int, body: bytes, bound: bytes = b"") -> AggPacket:
     """Parse and unseal an aggregation packet received on a channel in a
     round.  The associated data is the header as it arrived, sliced from the
-    body: the bytes ``header_ad`` builds at the sender.  Bytes past the
-    packet's end are ignored.
+    body, followed by the tag and ``bound``: the bytes ``seal_packet`` packs
+    at the sender.  Bytes past the packet's end are ignored.
 
     Raises AuthFailure on a body that does not parse, and from the channel
     on bad traffic: a header or ``bound`` bytes other than those sealed, or a
@@ -233,28 +232,41 @@ def open_packet(channel: crypto.Keyed, round_no: int, body: bytes, bound: bytes 
         sender, absent, sealed, tag = decode_agg_body(body)
     except ValueError as exc:
         raise AuthFailure(f"malformed aggregation packet: {exc}") from exc
-    ad = body[: 8 + 4 * len(absent)] + tag + bound
-    dsum, dsum_prime = _PAIR.unpack(crypto.open_sealed(channel, round_no, sealed, ad))
-    return _new_packet((sender, absent, dsum, dsum_prime, tag))
+    pair = sealed[:16]
+    if not compare_digest(sealed[16:], crypto._channel_tag(channel, round_no, body[: 8 + 4 * len(absent)] + tag + bound, pair)):
+        raise AuthFailure("channel tag mismatch")
+    return _new_packet((sender, absent, *_PAIR.unpack(pair), tag))
 
 
 def keep_child_packet(
-    kept: dict[int, AggPacket], channels: dict[int, crypto.Keyed], round_no: int, body: bytes, receiver: int
+    kept: dict[int, AggPacket], channels: dict[int, crypto.Keyed], round_no: int, data: bytes, at: int, receiver: int
 ) -> None:
-    """Open a packet on the channel of the child it names, for the receiver's
-    round, and keep it.  One that names no child or a child already kept, or
-    does not open, is ignored with a log line and leaves nothing behind."""
-    sender = packet_sender(body)
+    """Open the packet that starts at byte ``at`` of data (1 in an AGG frame,
+    past its type byte) on the channel of the child it names, for the
+    receiver's round, and keep it: ``open_packet`` with the header read
+    once.  One too short to hold a header names no child.  One that names no
+    child or a child already kept, or does not open, is ignored with a log
+    line and leaves nothing behind."""
+    sender, count = _HEADER.unpack_from(data, at) if len(data) >= at + 8 else (None, 0)
     channel = channels.get(sender)
     if channel is None:
         log.info("node %d: packet from non-child %s ignored", receiver, sender)
-    elif sender in kept:
+        return
+    if sender in kept:
         log.info("node %d: duplicate packet from child %d ignored", receiver, sender)
-    else:
-        try:
-            kept[sender] = open_packet(channel, round_no, body)
-        except AuthFailure as exc:
-            log.info("node %d: rejected packet from child %d: %s", receiver, sender, exc)
+        return
+    pair_at = at + 8 + 4 * count
+    tag_at = pair_at + SEALED_PAIR_LEN
+    tag = data[tag_at : tag_at + crypto.TAG_LEN]
+    if len(tag) < crypto.TAG_LEN:
+        log.info("node %d: rejected packet from child %d: malformed aggregation packet", receiver, sender)
+        return
+    pair = data[pair_at : pair_at + 16]
+    if not compare_digest(data[pair_at + 16 : tag_at], crypto._channel_tag(channel, round_no, data[at:pair_at] + tag, pair)):
+        log.info("node %d: rejected packet from child %d: channel tag mismatch", receiver, sender)
+        return
+    absent = struct.unpack_from(f">{count}I", data, at + 8) if count else ()
+    kept[sender] = _new_packet((sender, absent, *_PAIR.unpack(pair), tag))
 
 
 # === Queries, probes, reaggregation requests ================================
@@ -349,18 +361,6 @@ def _child_packets(body: bytes, start: int, at: int) -> list[AggPacket]:
         offset += _CHILD_PACKET_LEN + 4 * count
         children.append(_new_packet((sender, absent, *_PAIR_TAG.unpack_from(body, offset - _PAIR_TAG.size))))
     return children
-
-
-def decode_probe_entry(body: bytes, offset: int = 0) -> tuple[list[AggPacket], int, int]:
-    """The child packets of the probe-response entry at offset, in the order
-    they came, where its own packet starts (its child block, what that
-    packet binds, is the bytes before) and where it ends; ValueError if the
-    body ends first."""
-    spans = _entry_spans(body, offset)
-    if not spans:
-        raise ValueError("truncated probe response entry")
-    start, at, stop = spans[0]
-    return _child_packets(body, start, at), at, stop
 
 
 def encode_probe_resp(entries: list[bytes]) -> bytes:

@@ -7,6 +7,7 @@ import random
 
 import pytest
 from conftest import on_links, plaintext_sum, seed_at, seed_of, sensed_raw
+from reference_codecs import header_ad
 
 from concealed_agg import crypto, wire
 from concealed_agg.adversary import CompromiseSpec
@@ -467,7 +468,7 @@ def open_captured(edge_key: bytes, round_no: int, agg_body: bytes) -> tuple[int,
     """What a passive adversary holding an edge key learns from one packet
     of a round: the diffused pair, nothing else."""
     sender, absent, sealed, tag = wire.decode_agg_body(agg_body)
-    pair = crypto.open_sealed(crypto.channel_key(edge_key), round_no, sealed, wire.header_ad(sender, absent, tag))
+    pair = crypto.open_sealed(crypto.channel_key(edge_key), round_no, sealed, header_ad(sender, absent, tag))
     return int.from_bytes(pair[:8], "big"), int.from_bytes(pair[8:16], "big")
 
 
@@ -506,13 +507,18 @@ def test_keyless_link_eavesdropper_sees_only_the_edge_key_holders_view(monkeypat
     frames: list[bytes] = []
     on_links(world, lambda src, dst, payload: frames.append(payload) or payload)
     opened: dict[bytes, wire.AggPacket] = {}
-    honest_open = wire.open_packet
+    honest_open, honest_keep = wire.open_packet, wire.keep_child_packet
 
     def recording_open(channel, round_no, body, bound=b""):
         opened[body] = pkt = honest_open(channel, round_no, body, bound)
         return pkt
 
+    def recording_keep(kept, channels, round_no, data, at, receiver):
+        honest_keep(kept, channels, round_no, data, at, receiver)
+        opened[data[at:]] = kept[wire.packet_sender(data, at)]
+
     monkeypatch.setattr(wire, "open_packet", recording_open)
+    monkeypatch.setattr(wire, "keep_child_packet", recording_keep)
     world.run_round(1)
     seen = {t: 0 for t in (wire.AGG, wire.PROBE_RESP)}
     for payload in frames:

@@ -10,6 +10,7 @@ from unittest import mock
 
 import pytest
 from conftest import plaintext_sum, seed_of, sensed_raw
+from reference_codecs import combine_macs, decode_probe_entry, header_ad
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -126,7 +127,7 @@ def test_cluster_participants_and_tag_composition():
         d = crypto.diffuse(seed_of(world, cid, 1), m)
         dp = crypto.diffuse(seed_of(world, cid, 1, prime=True), m)
         leaf_tags.append(crypto.mac_pair(crypto.mac_key(world.prov.node_keys[cid][0]), d, dp))
-    assert pkt.tag == crypto.combine_macs(own, leaf_tags)
+    assert pkt.tag == combine_macs(own, leaf_tags)
 
 
 def test_arrival_order_permutation_invariant():
@@ -365,7 +366,7 @@ def test_one_entry_probe_response_keeps_its_layout():
     assert resp.hex() == CLUSTER_PROBE_RESP
     entries = wire.decode_probe_resp(wire.parse_frame(resp)[1])
     assert wire.encode_probe_resp(entries) == resp
-    _, at, stop = wire.decode_probe_entry(entries[0])
+    _, at, stop = decode_probe_entry(entries[0])
     sealed = wire.decode_agg_body(entries[0][at:stop])[2]
     assert sealed[:16] == emitted.dsum.to_bytes(8, "big") + emitted.dsum_prime.to_bytes(8, "big")
 
@@ -540,12 +541,12 @@ def test_open_packet_authenticates_the_header_it_parsed(sender, absent, tag, bou
     # and every truncation of the body fails to open.
     key = crypto.channel_key(bytes(range(crypto.KEY_LEN)))
     blob = pair[0].to_bytes(8, "big") + pair[1].to_bytes(8, "big")
-    sealed = crypto.seal(key, round_no, blob, wire.header_ad(sender, absent, tag) + bound)
+    sealed = crypto.seal(key, round_no, blob, header_ad(sender, absent, tag) + bound)
     body = wire.encode_agg_body(sender, absent, sealed, tag)
-    with mock.patch.object(crypto, "open_sealed", wraps=crypto.open_sealed) as opened:
+    with mock.patch.object(crypto, "_channel_tag", wraps=crypto._channel_tag) as opened:
         pkt = wire.open_packet(key, round_no, body + b"trailing", bound)
     assert pkt == (sender, absent, *pair, tag)
-    assert [call.args[3] for call in opened.call_args_list] == [wire.header_ad(sender, absent, tag) + bound]
+    assert [call.args[2] for call in opened.call_args_list] == [header_ad(sender, absent, tag) + bound]
     for bit in range(8 * len(body)):
         flipped = bytearray(body)
         flipped[bit // 8] ^= 1 << bit % 8
@@ -567,7 +568,7 @@ def _reference_open(key, round_no, body, bound):
         raise AuthFailure("truncated")
     absent = struct.unpack_from(f">{count}I", body, 8)
     sealed, tag = body[8 + 4 * count : tag_at], body[tag_at : tag_at + crypto.TAG_LEN]
-    pair = crypto.open_sealed(key, round_no, sealed, wire.header_ad(sender, absent, tag) + bound)
+    pair = crypto.open_sealed(key, round_no, sealed, header_ad(sender, absent, tag) + bound)
     return wire.AggPacket(sender, absent, *struct.unpack(">QQ", pair), tag)
 
 
@@ -594,12 +595,12 @@ def test_seal_and_open_packet_match_the_reference_codec(sender, absent, pair, ta
     # every truncation and every single-bit flip of it, and with bytes past
     # its end: the same packet, or the same refusal.
     key = crypto.channel_key(bytes(range(crypto.KEY_LEN)))
-    with mock.patch.object(crypto, "seal", wraps=crypto.seal) as sealed:
+    with mock.patch.object(crypto, "_channel_tag", wraps=crypto._channel_tag) as sealed:
         pkt, body = wire.seal_packet(key, 2, sender, absent, *pair, tag, bound)
-    [(_, round_no, plaintext, ad)] = [call.args for call in sealed.call_args_list]
+    [(_, round_no, ad, plaintext)] = [call.args for call in sealed.call_args_list]
     assert round_no == 2
     assert plaintext == struct.pack(">QQ", *pair)
-    assert ad == wire.header_ad(sender, absent, tag) + bound
+    assert ad == header_ad(sender, absent, tag) + bound
     assert body == wire.encode_agg_body(sender, absent, crypto.seal(key, 2, plaintext, ad), tag)
     assert pkt == (sender, absent, *pair, tag)
     variants = [body, body + b"trailing", *(body[:cut] for cut in range(len(body)))]
@@ -636,7 +637,7 @@ def test_fold_packets_matches_a_plain_reference_fold(children, data):
     stray = wire.AggPacket(0, *data.draw(_PACKET_FIELDS))
     dsum, dsum_prime, absent, tag = wire.fold_packets({**kept, 0: stray}, children)
     folded = [kept[cid] for cid in children if cid in kept]
-    assert tag.to_bytes(crypto.TAG_LEN, "big") == crypto.combine_macs(
+    assert tag.to_bytes(crypto.TAG_LEN, "big") == combine_macs(
         crypto.ZERO_TAG, [pkt.tag for pkt in folded])
     assert (dsum, dsum_prime) == (sum(p.dsum for p in folded) % M, sum(p.dsum_prime for p in folded) % M)
     missing = [cid for cid in children if cid not in kept]
@@ -711,7 +712,7 @@ def test_every_cut_frame_raises_value_error():
         (wire.encode_query(3, "mean"), wire.decode_query, None),
         (wire.frame(wire.AGG, agg_body), wire.decode_agg_body, 4),
         (wire.encode_probe(3), wire.decode_probe, None),
-        (resp, wire.decode_probe_entry, 0),  # cut anywhere, in its child packets too
+        (resp, decode_probe_entry, 0),  # cut anywhere, in its child packets too
         (wire.encode_reagg(3, (4, 8)), wire.decode_reagg, 8),
         (
             wire.encode_reagg_resp(3, True, agg_body),
@@ -748,7 +749,7 @@ def test_every_cut_frame_raises_value_error():
     body = bytearray(wire.parse_frame(resp)[1])
     body[4 + 32 + 4 : 4 + 32 + 8] = b"\xff" * 4  # the second child's
     with pytest.raises(ValueError):
-        wire.decode_probe_entry(bytes(body))
+        decode_probe_entry(bytes(body))
 
 
 def test_cut_probe_bundle_keeps_the_entries_before_the_cut():
