@@ -11,9 +11,9 @@ alike.  Each run's last line of standard output is its result line (a JSON
 object with a ``metrics`` table); ``--out`` appends every result line, tagged
 with its tree and pair, to FILE.  For each end-to-end metric that the
 change tree's BENCHMARK.json gates, the script then prints the parent's and
-the change's medians, the median of the per-pair relative changes
-(change / parent - 1), and in how many pairs the change read lower than the
-parent.
+the change's medians, the distance between the quartiles of the parent's
+runs, the median of the per-pair relative changes (change / parent - 1), and
+in how many pairs the change read lower than the parent.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ def gated_metrics(tree: Path) -> list[str]:
 
 def summarize(parent_lines: list[str], change_lines: list[str], metrics: list[str]) -> list[dict]:
     """One row per metric over paired result lines (pair i is parent_lines[i]
-    and change_lines[i]): both medians, the median per-pair relative change
-    (None when a parent reading is 0) and the number of pairs whose change
-    reading is lower than its parent's."""
+    and change_lines[i]): both medians, the parent's interquartile range,
+    the median per-pair relative change (None when a parent reading is 0)
+    and the number of pairs whose change reading is lower than its parent's."""
     if len(parent_lines) != len(change_lines) or not parent_lines:
         raise ValueError("need the same nonzero number of parent and change result lines")
     parent = [json.loads(line)["metrics"] for line in parent_lines]
@@ -57,10 +57,12 @@ def summarize(parent_lines: list[str], change_lines: list[str], metrics: list[st
     for name in metrics:
         pairs = [(p[name]["value"], c[name]["value"]) for p, c in zip(parent, change)]
         deltas = [c / p - 1 for p, c in pairs if p]
+        quartiles = statistics.quantiles([p for p, _ in pairs], n=4) if len(pairs) > 1 else [pairs[0][0]] * 3
         rows.append({
             "metric": name,
             "parent": statistics.median(p for p, _ in pairs),
             "change": statistics.median(c for _, c in pairs),
+            "parent_iqr": quartiles[2] - quartiles[0],
             "delta": statistics.median(deltas) if len(deltas) == len(pairs) else None,
             "lower": sum(c < p for p, c in pairs),
             "pairs": len(pairs),
@@ -69,10 +71,10 @@ def summarize(parent_lines: list[str], change_lines: list[str], metrics: list[st
 
 
 def format_rows(rows: list[dict]) -> str:
-    out = [f"{'metric':<17} {'parent':>14} {'change':>14} {'delta':>8} {'lower':>7}"]
+    out = [f"{'metric':<17} {'parent':>14} {'parent IQR':>14} {'change':>14} {'delta':>8} {'lower':>7}"]
     for row in rows:
         delta = "n/a" if row["delta"] is None else f"{row['delta']:+.1%}"
-        out.append(f"{row['metric']:<17} {row['parent']:>14.6g} {row['change']:>14.6g} "
+        out.append(f"{row['metric']:<17} {row['parent']:>14.6g} {row['parent_iqr']:>14.6g} {row['change']:>14.6g} "
                    f"{delta:>8} {row['lower']:>3}/{row['pairs']}")
     return "\n".join(out)
 

@@ -25,10 +25,10 @@ carries it, and a blob sealed for one round fails its tag in any other.  The
 caller builds the associated data: ``wire`` packs a packet's header once at
 the sender and slices it from the packet at the receiver, and binds the
 frame type of every packet sent on a key that seals more than one type.
-``wire`` calls ``_channel_tag`` itself, so a packet makes one call here at
-each end; ``seal`` and ``open_sealed`` are the same tag over a standalone
-blob.  The PRF input encodings all live here: ``next_seed``, ``sense_raw``,
-``mac_pair`` and ``_channel_tag`` are the four PRF calls of a data round.
+``wire`` calls ``_channel_tag`` itself, one call at each end of a packet;
+``seal`` and ``open_sealed`` are the same tag over a standalone blob.  Every
+PRF input encoding lives here, in the four calls a data round makes:
+``next_seed``, ``sense_raw``, ``mac_pair`` and ``_channel_tag``.
 Channels only authenticate, so a key and round sealing several blobs
 reveals nothing.  Diffusion conceals.  Every channel plaintext (an AGG
 packet, a probe-response entry, a re-aggregation reply) is a ring sum of

@@ -66,9 +66,10 @@ stay as reference code:
 included.  A sensor hands it the AGG frame whole and it reads the header,
 sender and absent count, once: a packet that names no child, names a child
 already kept, or does not open leaves nothing behind.  ``open_packet`` opens
-a packet on a known channel, as the station does a probe answer's.  ``fold_packets`` is the one aggregation
-step: ring-add the kept packets' pairs, gather their absent lists and XOR
-their tags as one integer; a child without a packet is an absent root.
+a packet on a known channel, as the station does a probe answer's.
+``fold_packets`` is the one aggregation step: ring-add the kept packets'
+pairs, gather their absent lists and XOR their tags as one integer; a child
+without a packet is an absent root.
 Every decoder raises ValueError, and nothing else, on a frame that does not
 parse.
 """
@@ -233,13 +234,15 @@ def open_packet(channel: crypto.Keyed, round_no: int, body: bytes, bound: bytes 
     except ValueError as exc:
         raise AuthFailure(f"malformed aggregation packet: {exc}") from exc
     pair = sealed[:16]
-    if not compare_digest(sealed[16:], crypto._channel_tag(channel, round_no, body[: 8 + 4 * len(absent)] + tag + bound, pair)):
+    ad = body[: 8 + 4 * len(absent)] + tag + bound
+    if not compare_digest(sealed[16:], crypto._channel_tag(channel, round_no, ad, pair)):
         raise AuthFailure("channel tag mismatch")
     return _new_packet((sender, absent, *_PAIR.unpack(pair), tag))
 
 
 def keep_child_packet(
-    kept: dict[int, AggPacket], channels: dict[int, crypto.Keyed], round_no: int, data: bytes, at: int, receiver: int
+    kept: dict[int, AggPacket], channels: dict[int, crypto.Keyed], round_no: int,
+    data: bytes, at: int, receiver: int,
 ) -> None:
     """Open the packet that starts at byte ``at`` of data (1 in an AGG frame,
     past its type byte) on the channel of the child it names, for the
@@ -262,7 +265,8 @@ def keep_child_packet(
         log.info("node %d: rejected packet from child %d: malformed aggregation packet", receiver, sender)
         return
     pair = data[pair_at : pair_at + 16]
-    if not compare_digest(data[pair_at + 16 : tag_at], crypto._channel_tag(channel, round_no, data[at:pair_at] + tag, pair)):
+    expected = crypto._channel_tag(channel, round_no, data[at:pair_at] + tag, pair)
+    if not compare_digest(data[pair_at + 16 : tag_at], expected):
         log.info("node %d: rejected packet from child %d: channel tag mismatch", receiver, sender)
         return
     absent = struct.unpack_from(f">{count}I", data, at + 8) if count else ()

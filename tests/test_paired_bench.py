@@ -22,6 +22,7 @@ def test_summary_reports_medians_the_median_pair_change_and_lower_pairs():
     change = [_line(t=9.0, m=5.0), _line(t=12.6, m=5.0), _line(t=7.2, m=5.0)]
     t, m = paired_bench.summarize(parent, change, ["t", "m"])
     assert t["metric"] == "t" and (t["parent"], t["change"]) == (10.0, 9.0)
+    assert t["parent_iqr"] == pytest.approx(4.0)  # quartiles 8 and 12 of 8, 10, 12
     # Per-pair changes -10%, +5%, -10%: their median, and two lower pairs.
     assert t["delta"] == pytest.approx(-0.1)
     assert (t["lower"], t["pairs"]) == (2, 3)
@@ -32,7 +33,7 @@ def test_summary_reports_medians_the_median_pair_change_and_lower_pairs():
 
 def test_summary_of_a_zero_parent_reading_has_no_relative_change():
     [row] = paired_bench.summarize([_line(f=0.0)], [_line(f=1.0)], ["f"])
-    assert row["delta"] is None and row["lower"] == 0
+    assert row["delta"] is None and row["lower"] == 0 and row["parent_iqr"] == 0.0
     assert "n/a" in paired_bench.format_rows([row])
 
 
