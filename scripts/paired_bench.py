@@ -2,14 +2,14 @@
 """Paired benchmark runs of two source trees, summarized per gated metric.
 
     python3 scripts/paired_bench.py PARENT CHANGE --workload honest_path \
-        [--seconds 15] [--seed 2] [--pairs 10] [--out FILE]
+        [--seconds S] [--seed 2] [--pairs 10]
 
-Each pair runs ``benchmarks/run.py --workload W --seconds S --seed K`` once
-from each tree, one after the other, alternating which tree runs first so
-that a host that slows down or speeds up during a pair charges both sides
-alike.  Each run's last line of standard output is its result line (a JSON
-object with a ``metrics`` table); ``--out`` appends every result line, tagged
-with its tree and pair, to FILE.  For each end-to-end metric that the
+Each pair runs ``benchmarks/run.py --workload W --seed K`` once from each
+tree, one after the other, alternating which tree runs first so that a host
+that slows down or speeds up during a pair charges both sides alike.  The
+benchmark sets the run length; ``--seconds S`` is passed on only when given.
+Each run's last line of standard output is its result line (a JSON object
+with a ``metrics`` table).  For each end-to-end metric that the
 change tree's BENCHMARK.json gates, the script then prints the parent's and
 the change's medians, the distance between the quartiles of the parent's
 runs, the median of the per-pair relative changes (change / parent - 1), and
@@ -26,13 +26,13 @@ import sys
 from pathlib import Path
 
 
-def run_once(tree: Path, workload: str, seconds: float, seed: int) -> str:
-    """The result line of one benchmark run from a source tree."""
-    proc = subprocess.run(
-        [sys.executable, str(tree / "benchmarks" / "run.py"), "--workload", workload,
-         "--seconds", str(seconds), "--seed", str(seed)],
-        cwd=tree, stdout=subprocess.PIPE, text=True, check=False,
-    )
+def run_once(tree: Path, workload: str, seconds: float | None, seed: int) -> str:
+    """The result line of one benchmark run from a source tree; seconds None
+    leaves the run length to the benchmark."""
+    command = [sys.executable, str(tree / "benchmarks" / "run.py"), "--workload", workload, "--seed", str(seed)]
+    if seconds is not None:
+        command += "--seconds", str(seconds)
+    proc = subprocess.run(command, cwd=tree, stdout=subprocess.PIPE, text=True, check=False)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{tree}: benchmark run failed (exit status {proc.returncode})")
@@ -84,24 +84,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("parent", type=Path, help="source tree of the parent commit")
     parser.add_argument("change", type=Path, help="source tree of the change")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seconds", type=float, default=15.0)
+    parser.add_argument("--seconds", type=float, help="run length; the benchmark's own when not given")
     parser.add_argument("--seed", type=int, default=2)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--out", type=Path, help="append every result line, tagged, to this file")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     lines: dict[str, list[str]] = {"parent": [], "change": []}
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            line = run_once(trees[side], args.workload, args.seconds, args.seed)
-            lines[side].append(line)
-            if args.out:
-                with args.out.open("a", encoding="utf-8") as fh:
-                    fh.write(json.dumps({"tree": side, "pair": pair, "workload": args.workload,
-                                         "result": json.loads(line)}) + "\n")
+            lines[side].append(run_once(trees[side], args.workload, args.seconds, args.seed))
         print(f"pair {pair + 1}/{args.pairs} done", file=sys.stderr, flush=True)
-    print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s runs, seed {args.seed}")
+    length = "benchmark-length" if args.seconds is None else f"{args.seconds:g} s"
+    print(f"{args.workload}: {args.pairs} pairs of {length} runs, seed {args.seed}")
     print(format_rows(summarize(lines["parent"], lines["change"], gated_metrics(trees["change"]))))
     return 0
 

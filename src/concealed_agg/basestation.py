@@ -55,8 +55,7 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
-from operator import and_, rshift
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 from . import crypto, wire
@@ -180,14 +179,13 @@ class BaseStation:
         if round_no < self._ledger_round:
             raise ValueError(f"seed ledger cannot rewind to round {round_no}")
         next_seed = crypto.next_seed
+        mask = crypto.MASK
         while self._ledger_round < round_no:
             self._ledger_round += 1
             r = self._ledger_round
             self._seeds = seeds = [next_seed(k, pair, r) for k, pair in zip(self._chains, self._seeds)]
-            self._prefix_d = prefix_d = list(accumulate(map(rshift, seeds, repeat(64)), initial=0))
-            self._prefix_dp = prefix_dp = list(accumulate(map(and_, seeds, repeat(crypto.MASK)), initial=0))
-            prefix_d.insert(0, 0)  # the station, at tour position 0, has no seed
-            prefix_dp.insert(0, 0)
+            self._prefix_d = [0, 0, *accumulate([pair >> 64 for pair in seeds])]
+            self._prefix_dp = [0, 0, *accumulate([pair & mask for pair in seeds])]
             # Seeds regenerated, two per node, though they cost one PRF call.
             self.counters["seed_regens"] += 2 * len(seeds)
 

@@ -176,7 +176,6 @@ class World:
             else:
                 adjacency = star_graph(scenario.n)
             self.tree: Tree = build_tree(adjacency)
-            self._depth = self.tree.depth  # read by the bus on every frame
             del adjacency  # released before the nodes and their keyed states are built
         except (DisconnectedGraph, ValueError) as exc:
             raise ScenarioInvalid(f"{scenario.source}: {exc}") from exc
@@ -226,7 +225,7 @@ class World:
         """Carry one frame from src to dst, a node and one of its ancestors:
         the frame as it arrives, or None if it is lost.  Charges one message
         and len(payload) bytes per link between the two."""
-        depth = self._depth
+        depth = self.tree.depth
         links = abs(depth[src] - depth[dst])
         rm = self._rm
         rm.messages += links

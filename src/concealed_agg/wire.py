@@ -25,7 +25,8 @@ both the associated data and the body; a receiver authenticates the header
 bytes it parsed, sliced from the packet, so each packet is packed once and
 parsed once and nothing is rebuilt in between.  Both ends call the channel
 tag, ``crypto._channel_tag``, themselves, which keeps its input encoding in
-``crypto``: a packet crosses ``crypto`` in one call each way.
+``crypto``: a packet crosses ``crypto`` in one call each way, and one opener
+checks each tag.
 Every payload on the simulator fabric is a one-byte message type, which
 receivers read from byte 0, followed by the body, and every type crosses a
 link: no frame tells a node to emit, it emits when the simulator finds its
@@ -213,31 +214,42 @@ def seal_packet(
     plaintext view and body, the bytes ``encode_agg_body`` gives.  The
     header is packed once, for both the associated data and the body."""
     mask = crypto.MASK
-    head = sender.to_bytes(4, "big") + (_absent_field(absent) if absent else _NO_ABSENT)
+    head = sender.to_bytes(4, "big") + _absent_field(absent)
     pair = _PAIR.pack(dsum & mask, dsum_prime & mask)
     sealed = pair + crypto._channel_tag(channel, round_no, head + tag + bound, pair)
     return _new_packet((sender, absent, dsum, dsum_prime, tag)), head + sealed + tag
 
 
-def open_packet(channel: crypto.Keyed, round_no: int, body: bytes, bound: bytes = b"") -> AggPacket:
-    """Parse and unseal an aggregation packet received on a channel in a
-    round.  The associated data is the header as it arrived, sliced from the
-    body, followed by the tag and ``bound``: the bytes ``seal_packet`` packs
-    at the sender.  Bytes past the packet's end are ignored.
+def _open_at(
+    channel: crypto.Keyed, round_no: int, data: bytes, at: int, sender: int, count: int, bound: bytes = b""
+) -> AggPacket:
+    """Unseal the packet at byte ``at`` of data, whose sender and absent count
+    the caller has read: the one check of a channel tag.  The associated data
+    is the header as it arrived, sliced from data, then the tag and ``bound``,
+    as ``seal_packet`` packs them.  AuthFailure on a cut packet or a bad tag."""
+    pair_at = at + 8 + 4 * count
+    tag_at = pair_at + SEALED_PAIR_LEN
+    tag = data[tag_at : tag_at + crypto.TAG_LEN]
+    if len(tag) < crypto.TAG_LEN:
+        raise AuthFailure("malformed aggregation packet: truncated aggregation packet")
+    pair = data[pair_at : pair_at + 16]
+    expected = crypto._channel_tag(channel, round_no, data[at:pair_at] + tag + bound, pair)
+    if not compare_digest(data[pair_at + 16 : tag_at], expected):
+        raise AuthFailure("channel tag mismatch")
+    absent = struct.unpack_from(f">{count}I", data, at + 8) if count else ()
+    return _new_packet((sender, absent, *_PAIR.unpack(pair), tag))
 
-    Raises AuthFailure on a body that does not parse, and from the channel
-    on bad traffic: a header or ``bound`` bytes other than those sealed, or a
-    packet sealed for another round.
-    """
+
+def open_packet(channel: crypto.Keyed, round_no: int, body: bytes, bound: bytes = b"") -> AggPacket:
+    """Parse and unseal (``_open_at``) a packet received on a channel in a
+    round, ignoring bytes past its end.  Raises AuthFailure on a body that
+    does not parse, and on bad traffic: a header or ``bound`` bytes other
+    than those sealed, or a packet sealed for another round."""
     try:
-        sender, absent, sealed, tag = decode_agg_body(body)
+        sender, absent, _, _ = decode_agg_body(body)
     except ValueError as exc:
         raise AuthFailure(f"malformed aggregation packet: {exc}") from exc
-    pair = sealed[:16]
-    ad = body[: 8 + 4 * len(absent)] + tag + bound
-    if not compare_digest(sealed[16:], crypto._channel_tag(channel, round_no, ad, pair)):
-        raise AuthFailure("channel tag mismatch")
-    return _new_packet((sender, absent, *_PAIR.unpack(pair), tag))
+    return _open_at(channel, round_no, body, 0, sender, len(absent), bound)
 
 
 def keep_child_packet(
@@ -246,31 +258,20 @@ def keep_child_packet(
 ) -> None:
     """Open the packet that starts at byte ``at`` of data (1 in an AGG frame,
     past its type byte) on the channel of the child it names, for the
-    receiver's round, and keep it: ``open_packet`` with the header read
-    once.  One too short to hold a header names no child.  One that names no
-    child or a child already kept, or does not open, is ignored with a log
-    line and leaves nothing behind."""
+    receiver's round, and keep it; its header is read once, for ``_open_at``.
+    One too short for a header names no child.  One that names no child or a
+    child already kept, or does not open, is ignored with a log line."""
     sender, count = _HEADER.unpack_from(data, at) if len(data) >= at + 8 else (None, 0)
     channel = channels.get(sender)
     if channel is None:
         log.info("node %d: packet from non-child %s ignored", receiver, sender)
-        return
-    if sender in kept:
+    elif sender in kept:
         log.info("node %d: duplicate packet from child %d ignored", receiver, sender)
-        return
-    pair_at = at + 8 + 4 * count
-    tag_at = pair_at + SEALED_PAIR_LEN
-    tag = data[tag_at : tag_at + crypto.TAG_LEN]
-    if len(tag) < crypto.TAG_LEN:
-        log.info("node %d: rejected packet from child %d: malformed aggregation packet", receiver, sender)
-        return
-    pair = data[pair_at : pair_at + 16]
-    expected = crypto._channel_tag(channel, round_no, data[at:pair_at] + tag, pair)
-    if not compare_digest(data[pair_at + 16 : tag_at], expected):
-        log.info("node %d: rejected packet from child %d: channel tag mismatch", receiver, sender)
-        return
-    absent = struct.unpack_from(f">{count}I", data, at + 8) if count else ()
-    kept[sender] = _new_packet((sender, absent, *_PAIR.unpack(pair), tag))
+    else:
+        try:
+            kept[sender] = _open_at(channel, round_no, data, at, sender, count)
+        except AuthFailure as exc:
+            log.info("node %d: rejected packet from child %d: %s", receiver, sender, exc)
 
 
 # === Queries, probes, reaggregation requests ================================

@@ -712,7 +712,8 @@ def test_every_cut_frame_raises_value_error():
         (wire.encode_query(3, "mean"), wire.decode_query, None),
         (wire.frame(wire.AGG, agg_body), wire.decode_agg_body, 4),
         (wire.encode_probe(3), wire.decode_probe, None),
-        (resp, decode_probe_entry, 0),  # cut anywhere, in its child packets too
+        (resp, wire.decode_probe_resp, 0),  # the entry walker: cut anywhere, in its child packets too
+        (resp, decode_probe_entry, 0),  # the reference codec
         (wire.encode_reagg(3, (4, 8)), wire.decode_reagg, 8),
         (
             wire.encode_reagg_resp(3, True, agg_body),
@@ -748,8 +749,9 @@ def test_every_cut_frame_raises_value_error():
     # So does an entry with a child packet's absent count overstated.
     body = bytearray(wire.parse_frame(resp)[1])
     body[4 + 32 + 4 : 4 + 32 + 8] = b"\xff" * 4  # the second child's
-    with pytest.raises(ValueError):
-        decode_probe_entry(bytes(body))
+    for decode in (wire.decode_probe_resp, decode_probe_entry):
+        with pytest.raises(ValueError):
+            decode(bytes(body))
 
 
 def test_cut_probe_bundle_keeps_the_entries_before_the_cut():
