@@ -19,17 +19,17 @@ the whole branch.
 
 Attestation traffic is probes, each a synchronous request and answer,
 ``World.ask``, over the bus: it happens strictly after the round's data
-traffic has drained.  The walk sends one request per tree depth, naming
-every node it probes there, to the station, which relays it first.  A relay
-asks each target that is its child over one link, and forwards the targets
-further below in one request per child subtree that holds any, straight to
-the deepest node that leads to all of them: a chain of single-child links is
-one frame.  Each relay sends the answers back up as one bundle, walking each
-answer's entries to their ends and forwarding those that parse as the bytes
-that arrived, so a fault on one branch loses only that branch's entries.
-Each link so carries one request down and one bundle up per depth at most,
-and the station's own hop crosses no link.  No node is ever asked to
-re-aggregate.
+traffic has drained.  The station is the walk's first relay: for each tree
+depth it probes, it fans the depth's targets out over its own links and
+walks each link's answer itself.  A relay asks each target that is its child
+over one link, and forwards the targets further below in one request per
+child subtree that holds any, straight to the deepest node that leads to all
+of them: a chain of single-child links is one frame.  Each relay below the
+station sends the answers back up as one bundle, walking each answer's
+entries to their ends and forwarding those that parse as the bytes that
+arrived, so a fault on one branch loses only that branch's entries.  Each
+link so carries one request down and one bundle up per depth at most.  No
+node is ever asked to re-aggregate.
 """
 
 from __future__ import annotations
@@ -243,7 +243,7 @@ class World:
 
     def _answer(self, nid: int, request: bytes) -> bytes | None:
         """nid's answer to a probe.  A probe that names targets is relayed
-        (``_relay_probe``): nid sends back one bundle of the answers' entries
+        (``_fan_out``): nid sends back one bundle of the answers' entries
         that parse, as they arrived, or nothing if none does.  The station
         only relays, and a request that is no probe gets no answer."""
         if not request or request[0] != wire.PROBE:
@@ -253,7 +253,7 @@ class World:
         except ValueError:  # a probe that does not parse gets no answer
             return None
         if targets:
-            return self._relay_probe(nid, round_no, targets)
+            return wire.bundle_probe_answers(self._fan_out(nid, round_no, targets))
         node = self.nodes.get(nid)
         if node is None:
             return None
@@ -262,12 +262,12 @@ class World:
         except ProtocolError:
             return None
 
-    def _relay_probe(self, relay: int, round_no: int, targets: tuple[int, ...]) -> bytes | None:
+    def _fan_out(self, relay: int, round_no: int, targets: tuple[int, ...]) -> list[bytes | None]:
         """The relay asks each target that is its child over one link, and
         each of its child subtrees holding targets below that with one
         request, sent to the deepest node that leads to all of them; targets
-        outside its subtree get nothing.  It sends up one bundle of the
-        answers (``wire.bundle_probe_answers``), in tour order."""
+        outside its subtree get nothing.  The answers as they arrived, None
+        for each that was lost, in tour order."""
         tree = self.tree
         pos, size, parent = tree.pos, tree.size, tree.parent
         start = pos[relay]
@@ -297,7 +297,7 @@ class World:
             group = tuple(sorted(t for _, t in below[i:j]))
             answers.append(self.ask(relay, up, wire.encode_probe(round_no, group)))
             i = j
-        return wire.bundle_probe_answers(answers)
+        return answers
 
     def _run_data_phase(self, round_no: int, queries: list[tuple[int, bytes]]) -> None:
         stack = [(BS_ID, dst, payload) for dst, payload in reversed(queries)]
@@ -342,7 +342,7 @@ class World:
 
         dsum, dsum_prime, claim = bs.finalize(round_no)
         participants = kept = bs.participants(claim)
-        ask = partial(self.ask, BS_ID, BS_ID)  # the station relays each of the walk's requests first
+        ask = partial(self._fan_out, BS_ID)  # the station is the walk's first relay
         integrity, raw_sum, report = "rejected", None, None
         if participants:
             verdict = bs.ipet_check((dsum, dsum_prime), claim, round_no)

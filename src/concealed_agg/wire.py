@@ -386,14 +386,14 @@ def bundle_probe_answers(answers: list[bytes | None]) -> bytes | None:
     return encode_probe_resp(entries) if entries else None
 
 
-def probe_entry_spans(body: bytes) -> list[tuple[int, int, int, list[AggPacket]]]:
-    """Where each probe-response entry that parses starts, where its packet
-    starts, where it ends, and its child packets, in order.  Entries carry
-    no length: each ends where its packet's absent count says.  So parsing
-    stops at the first entry that does not parse, and it and the rest are
-    lost, as if dropped on the way.  Raises ValueError when not even one
-    entry parses."""
-    spans = _entry_spans(body)
+def probe_entry_spans(body: bytes, offset: int = 0) -> list[tuple[int, int, int, list[AggPacket]]]:
+    """Where each probe-response entry from offset that parses starts, where
+    its packet starts, where it ends, and its child packets, in order.
+    Entries carry no length: each ends where its packet's absent count says.
+    So parsing stops at the first entry that does not parse, and it and the
+    rest are lost, as if dropped on the way.  Raises ValueError when not
+    even one entry parses."""
+    spans = _entry_spans(body, offset)
     if not spans:
         raise ValueError("truncated probe response")
     return [(start, at, stop, _child_packets(body, start, at)) for start, at, stop in spans]

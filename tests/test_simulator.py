@@ -303,6 +303,24 @@ def test_station_answers_only_as_a_relay():
         assert world.ask(0, 0, request) is None
 
 
+def test_attested_round_sends_no_frame_from_a_node_to_itself():
+    # The station fans each walk request out over its own links and reads
+    # each link's answer itself: no frame goes from the station to itself.
+    world = World(Scenario(seed=3, n=20, generator="recursive",
+                           compromises=(CompromiseSpec(6, "forge_children", (12345,)),)))
+    ends = []
+
+    def recording(src, dst, payload):
+        ends.append((src, dst, payload[0]))
+        return payload
+
+    on_links(world, recording)
+    result = world.run_round(1)
+    assert result.integrity == "attested" and result.report.probes > 0
+    assert any(t == wire.PROBE_RESP for _, _, t in ends)
+    assert all(src != dst for src, dst, _ in ends)
+
+
 def _two_parse_bundle(answers: list[bytes]) -> bytes | None:
     """The bundle of a relay that decodes every answer and re-frames the
     entries of those that parse; None when none does."""
@@ -588,13 +606,14 @@ SWEEP_COMBINED = "09b804fa6d335f2762c3dd238f7816377d561ad7e9498430f40621bba41c8b
 SWEEP_BYTES = "a9cba896cb66cbf62006dcc291b3e1ceb3f47deea49be0dd7faa9eb6810bdec7"
 # The order of the frames on the bus over the same 40 worlds, each frame's
 # ends, type and length, pinned from the same walk, which sends one request
-# per tree depth, relayed by the station first.
-SWEEP_FRAMES = "bb04e668a43053ac7ccd926ef1c754fb1a998430be3109bb43bc3d7c1a7ee694"
+# per tree depth down each station link that leads to any target: the
+# station sends no frame to itself.
+SWEEP_FRAMES = "4b1a708c3ca20e6dd0bc1e08fb79f0b6da302a9046069403f0a762675932cd8c"
 # Every byte of those frames, with their ends, in the same order: the wire
 # format itself.  Pinned from the wire whose probe entries carry each kept
 # child's packet, and the same walk; a change that keeps the wire and the
 # frame order must keep it.
-SWEEP_CONTENTS = "349b4a9606d08b8023bc1d68b20f6b5fbcc728996ca28fe6d131af9c0e524aa9"
+SWEEP_CONTENTS = "ad31f88191bda2401e9637c69b090051ede79ce16852f1a0da39bc2287885919"
 # The reports, participants and transcripts of the same 40 worlds run again
 # behind a keyless attacker on AGG frames (drops, cuts, flips past the sender
 # field, retypes).  The attacker draws its faults from the frames' lengths,
@@ -776,8 +795,9 @@ def test_each_node_that_opens_the_round_emits_once_after_its_subtree():
 # bytes, and the attacker draws from the frames' lengths, so the pin moves
 # with the wire and the frame order: pinned from the walk that sends one
 # request per tree depth and first probes only the station's children whose
-# packet fails.
-WALK_FAULTS = "4bf17468cd63dd6815f5ee26f1d0694489bc7ecfa91cdbd15886f6ad5ebbd096"
+# packet fails, with no frame from the station to itself, which no link
+# attacker could reach.
+WALK_FAULTS = "f01160e2ab37b133b5bddc249db5afbf1f96da68ebefce0a272aeab41b74eae4"
 
 
 def test_walk_under_keyless_faults_is_pinned():
