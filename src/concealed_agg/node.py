@@ -117,9 +117,10 @@ class SensorNode:
     def emit(self) -> Send:
         """Build, seal, and retain this round's single upward packet: the kept
         child packets folded (``wire.fold_packets``) with the own pair, tagged
-        with the own MAC XORed into the fold's child tags.  Emission closes
-        the round: a child without a kept packet is left out as an absent
-        root, and a packet that arrives later is ignored."""
+        with the own MAC XORed into the fold's child tags (the own MAC as it
+        is when no packet was kept).  Emission closes the round: a child
+        without a kept packet is left out as an absent root, and a packet
+        that arrives later is ignored."""
         state = self.state
         if state is None:
             raise NoSuchRound(f"node {self.node_id}: no active round")
@@ -129,8 +130,9 @@ class SensorNode:
         dsum, dsum_prime, absent, tags = wire.fold_packets(state.child_packets, self.children, state.own_d, state.own_dp)
         if behavior is not None:
             dsum, dsum_prime = behavior.pair((dsum, dsum_prime), round_no)
-        own = int.from_bytes(crypto.mac_pair(self.mac_key, dsum, dsum_prime), "big")
-        tag = (own ^ tags).to_bytes(crypto.TAG_LEN, "big")
+        tag = crypto.mac_pair(self.mac_key, dsum, dsum_prime)
+        if tags:
+            tag = (int.from_bytes(tag, "big") ^ tags).to_bytes(crypto.TAG_LEN, "big")
         state.emitted, body = wire.seal_packet(self.up_channel, round_no, self.node_id, absent, dsum, dsum_prime, tag)
         payload = _AGG_TYPE + body
         if behavior is not None:
@@ -179,7 +181,7 @@ class SensorNode:
             log.info("node %d: ignored message of type %s", self.node_id, msg_type)
             return []
         try:
-            round_no, _ = wire.decode_query(payload[1:])
+            round_no, _ = wire.decode_query(payload, 1)
         except ValueError as exc:
             log.info("node %d: ignored query: %s", self.node_id, exc)
             return []
@@ -194,7 +196,7 @@ class SensorNode:
         self.state = RoundState(round_no, (seeds >> 64) + raw & mask, (seeds & mask) + raw & mask)
         # decode_query accepts only the 9-byte body encode_query writes, so
         # relaying the frame as it arrived equals re-encoding it.
-        return [(cid, payload) for cid in self.children]
+        return [(cid, payload) for cid in self.children] if self.children else []
 
     def handle_reagg_request(self, body: bytes) -> bytes | None:
         """A re-aggregation request, which no round sends: the station

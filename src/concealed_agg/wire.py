@@ -106,6 +106,7 @@ _NO_ABSENT = bytes(4)  # the absent count of a packet that names no one
 _QUERY = struct.Struct(">QB")  # round, function code
 _PAIR = struct.Struct(">QQ")  # dsum, dsum_prime: K chain first
 _PAIR_TAG = struct.Struct(f">QQ{crypto.TAG_LEN}s")  # a child packet's pair and tag in a probe entry
+_SEALED_TAIL = struct.Struct(f">QQ{crypto.CHANNEL_TAG_LEN}s{crypto.TAG_LEN}s")  # a packet's pair, channel tag, tag
 _CHILD_PACKET_LEN = 8 + _PAIR_TAG.size  # a probe entry's child packet without absent ids
 _PROBE_RESP_TYPE = bytes([PROBE_RESP])
 
@@ -132,8 +133,12 @@ def fold_packets(
     """Fold the packets of the given children, in their (ascending id) order;
     a child without a packet is an absent root.  Returns one layer of packets
     folded together: the ring sum of their pairs and the given one (dsum,
-    dsum_prime), the ids of the absent subtree roots below the folding node,
-    ascending, and the XOR of the packets' tags as one big-endian integer."""
+    dsum_prime, each below M), the ids of the absent subtree roots below the
+    folding node, ascending, and the XOR of the packets' tags as one
+    big-endian integer.  With no packet kept that is the given pair, the
+    children tuple itself and a tag of 0."""
+    if not packets:
+        return dsum, dsum_prime, children, 0
     tag = 0
     absent: list[int] = []
     for child in children:
@@ -224,20 +229,19 @@ def _open_at(
     channel: crypto.Keyed, round_no: int, data: bytes, at: int, sender: int, count: int, bound: bytes = b""
 ) -> AggPacket:
     """Unseal the packet at byte ``at`` of data, whose sender and absent count
-    the caller has read: the one check of a channel tag.  The associated data
-    is the header as it arrived, sliced from data, then the tag and ``bound``,
-    as ``seal_packet`` packs them.  AuthFailure on a cut packet or a bad tag."""
+    the caller has read: the one check of a channel tag.  Its pair, channel
+    tag and tag are read in one unpack.  The associated data is the header as
+    it arrived, sliced from data, then the tag and ``bound``, as
+    ``seal_packet`` packs them.  AuthFailure on a cut packet or a bad tag."""
     pair_at = at + 8 + 4 * count
-    tag_at = pair_at + SEALED_PAIR_LEN
-    tag = data[tag_at : tag_at + crypto.TAG_LEN]
-    if len(tag) < crypto.TAG_LEN:
+    if len(data) < pair_at + _SEALED_TAIL.size:
         raise AuthFailure("malformed aggregation packet: truncated aggregation packet")
-    pair = data[pair_at : pair_at + 16]
-    expected = crypto._channel_tag(channel, round_no, data[at:pair_at] + tag + bound, pair)
-    if not compare_digest(data[pair_at + 16 : tag_at], expected):
+    dsum, dsum_prime, sealed_tag, tag = _SEALED_TAIL.unpack_from(data, pair_at)
+    expected = crypto._channel_tag(channel, round_no, data[at:pair_at] + tag + bound, data[pair_at : pair_at + 16])
+    if not compare_digest(sealed_tag, expected):
         raise AuthFailure("channel tag mismatch")
     absent = struct.unpack_from(f">{count}I", data, at + 8) if count else ()
-    return _new_packet((sender, absent, *_PAIR.unpack(pair), tag))
+    return _new_packet((sender, absent, dsum, dsum_prime, tag))
 
 
 def open_packet(channel: crypto.Keyed, round_no: int, body: bytes, bound: bytes = b"") -> AggPacket:
@@ -281,10 +285,12 @@ def encode_query(round_no: int, function: str) -> bytes:
     return frame(QUERY, _QUERY.pack(round_no, FUNC_CODES[function]))
 
 
-def decode_query(body: bytes) -> tuple[int, str]:
-    if len(body) != 9:
-        raise ValueError(f"query body of {len(body)} bytes, not 9")
-    round_no, code = _QUERY.unpack(body)
+def decode_query(body: bytes, at: int = 0) -> tuple[int, str]:
+    """Round and function of the query body that starts at byte ``at`` of
+    body (1 in a QUERY frame, past its type byte) and runs to its end."""
+    if len(body) - at != 9:
+        raise ValueError(f"query body of {len(body) - at} bytes, not 9")
+    round_no, code = _QUERY.unpack_from(body, at)
     if code not in FUNC_NAMES:
         raise ValueError(f"unknown function code {code}")
     return round_no, FUNC_NAMES[code]

@@ -262,18 +262,28 @@ def test_emit_twice_raises():
         leaf.emit()
 
 
-def test_timeout_expires_pending_children():
+@pytest.mark.parametrize("nid, reporting", [(1, (2, 3)), (1, ()), (2, ())])
+def test_timeout_expires_pending_children(nid, reporting):
+    # The node emits with what it kept: its silent children are its absent
+    # roots.  A node that kept no packet, a leaf or an interior node whose
+    # children all fell silent, sends its own MAC over its pair as the tag.
     world = cluster_world()
-    agg = world.nodes[1]
-    agg.open_round(1)
-    for cid in (2, 3):
+    node = world.nodes[nid]
+    node.open_round(1)
+    for cid in reporting:
         world.nodes[cid].open_round(1)
-        agg.aggregate_child(child_body(world, cid))
-    assert set(agg.state.child_packets) == {2, 3}  # still waiting on 4
-    assert agg.state.round == 1 and agg.state.emitted is None
-    assert agg.emit()[0] == 0
-    assert agg.state.emitted is not None and set(agg.state.child_packets) == {2, 3}
-    assert agg.state.emitted.absent == (4,)
+        node.aggregate_child(child_body(world, cid))
+    assert set(node.state.child_packets) == set(reporting)  # still waiting on the rest
+    assert node.state.round == 1 and node.state.emitted is None
+    dst, payload = node.emit()
+    assert dst == world.tree.parent[nid]
+    assert node.state.emitted is not None and set(node.state.child_packets) == set(reporting)
+    pkt = wire.open_packet(_channel(world.prov.edge_keys[nid]), 1, wire.parse_frame(payload)[1])
+    assert pkt == node.state.emitted
+    assert pkt.absent == tuple(cid for cid in world.tree.children[nid] if cid not in reporting)
+    if not reporting:
+        mac_key = crypto.mac_key(world.prov.node_keys[nid][0])
+        assert pkt.tag == crypto.mac_pair(mac_key, pkt.dsum, pkt.dsum_prime)
 
 
 def test_packet_after_timeout_emission_is_an_unknown_childs(caplog):
@@ -526,6 +536,17 @@ def test_agg_packet_roundtrip_binds_header():
         wire.open_packet(_channel(key), 2, body, b"bound")
 
 
+def _variants(body):
+    """The body, the body with trailing bytes, every cut of it and every
+    single-bit flip of it."""
+    variants = [body, body + b"trailing", *(body[:cut] for cut in range(len(body)))]
+    for bit in range(8 * len(body)):
+        flipped = bytearray(body)
+        flipped[bit // 8] ^= 1 << bit % 8
+        variants.append(bytes(flipped))
+    return variants
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     sender=st.integers(0, 2**32 - 1),
@@ -579,6 +600,17 @@ def _outcome(open_, *args):
         return type(exc)
 
 
+def _variants(body):
+    """The body, the body with trailing bytes, every cut of it and every
+    single-bit flip of it."""
+    variants = [body, body + b"trailing", *(body[:cut] for cut in range(len(body)))]
+    for bit in range(8 * len(body)):
+        flipped = bytearray(body)
+        flipped[bit // 8] ^= 1 << bit % 8
+        variants.append(bytes(flipped))
+    return variants
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     sender=st.integers(0, 2**32 - 1),
@@ -603,15 +635,23 @@ def test_seal_and_open_packet_match_the_reference_codec(sender, absent, pair, ta
     assert ad == header_ad(sender, absent, tag) + bound
     assert body == wire.encode_agg_body(sender, absent, crypto.seal(key, 2, plaintext, ad), tag)
     assert pkt == (sender, absent, *pair, tag)
-    variants = [body, body + b"trailing", *(body[:cut] for cut in range(len(body)))]
-    for bit in range(8 * len(body)):
-        flipped = bytearray(body)
-        flipped[bit // 8] ^= 1 << bit % 8
-        variants.append(bytes(flipped))
-    for variant in variants:
+    for variant in _variants(body):
         want = _outcome(_reference_open, key, 2, variant, bound)
         assert _outcome(wire.open_packet, key, 2, variant, bound) == want
     assert _outcome(wire.open_packet, key, 2, body, bound) == pkt
+    # The intake, which binds no extra bytes, keeps a packet at either offset
+    # (a bare body at 0, an AGG frame at 1) exactly when the reference opens
+    # it, with the same fields.
+    _, body = wire.seal_packet(key, 2, sender, absent, *pair, tag)
+    for variant in _variants(body):
+        want = _outcome(_reference_open, key, 2, variant, b"")
+        for at in (0, 1):
+            kept = {}
+            wire.keep_child_packet(kept, {sender: key}, 2, bytes([wire.AGG]) * at + variant, at, 0)
+            assert kept == ({sender: want} if isinstance(want, wire.AggPacket) else {})
+    kept = {}
+    wire.keep_child_packet(kept, {sender: key}, 2, body, 0, 0)
+    assert kept == {sender: pkt}
 
 
 _IDS = st.integers(1, 2**32 - 1)
@@ -626,20 +666,22 @@ _PACKET_FIELDS = st.tuples(
 @settings(max_examples=100, deadline=None)
 @given(children=st.sets(_IDS, max_size=12).map(sorted).map(tuple), data=st.data())
 def test_fold_packets_matches_a_plain_reference_fold(children, data):
-    # Random kept-packet sets with children missing, and a packet from a
-    # non-child that must not fold: the fold's integer tag is combine_macs
-    # over the kept packets' tags, and its pair and absent roots are a plain
-    # reference fold's.
+    # Random kept-packet sets with children missing, none kept included, a
+    # packet from a non-child that must not fold, or none, and a given pair
+    # to fold into: the fold's integer tag is combine_macs over the kept
+    # packets' tags, and its pair and absent roots are a plain reference fold's.
     kept = {
         cid: wire.AggPacket(cid, *data.draw(_PACKET_FIELDS))
         for cid in children if data.draw(st.booleans())
     }
-    stray = wire.AggPacket(0, *data.draw(_PACKET_FIELDS))
-    dsum, dsum_prime, absent, tag = wire.fold_packets({**kept, 0: stray}, children)
+    packets = {**kept, 0: wire.AggPacket(0, *data.draw(_PACKET_FIELDS))} if data.draw(st.booleans()) else kept
+    own = data.draw(st.tuples(st.integers(0, M - 1), st.integers(0, M - 1)))
+    dsum, dsum_prime, absent, tag = wire.fold_packets(packets, children, *own)
     folded = [kept[cid] for cid in children if cid in kept]
     assert tag.to_bytes(crypto.TAG_LEN, "big") == combine_macs(
         crypto.ZERO_TAG, [pkt.tag for pkt in folded])
-    assert (dsum, dsum_prime) == (sum(p.dsum for p in folded) % M, sum(p.dsum_prime for p in folded) % M)
+    assert (dsum, dsum_prime) == (
+        (own[0] + sum(p.dsum for p in folded)) % M, (own[1] + sum(p.dsum_prime for p in folded)) % M)
     missing = [cid for cid in children if cid not in kept]
     assert absent == tuple(sorted(missing + [a for pkt in folded for a in pkt.absent]))
 
@@ -710,6 +752,7 @@ def test_every_cut_frame_raises_value_error():
     resp = wire.seal_probe_resp(_channel(bytes(16)), 3, 7, (9, 12), 5, 6, b"\x11" * 8, CHILD_PACKETS)
     cases = (  # (payload, decoder of its body, offset of its count field)
         (wire.encode_query(3, "mean"), wire.decode_query, None),
+        (wire.encode_query(3, "mean"), lambda body: wire.decode_query(wire.frame(wire.QUERY, body), 1), None),
         (wire.frame(wire.AGG, agg_body), wire.decode_agg_body, 4),
         (wire.encode_probe(3), wire.decode_probe, None),
         (resp, wire.decode_probe_resp, 0),  # the entry walker: cut anywhere, in its child packets too
