@@ -11,8 +11,15 @@ from __future__ import annotations
 import hashlib
 import random
 
+from hypothesis import settings
+
 from concealed_agg import crypto
 from concealed_agg.simulator import Scenario, World
+
+# A property without a budget of its own runs the active profile's: tier-1
+# runs hypothesis' default, and CI runs the walk's reference property again
+# with --hypothesis-profile=ci.
+settings.register_profile("ci", max_examples=1500, deadline=None)
 
 
 def sensed_raw(world: World, nid: int, round_no: int) -> int:
