@@ -21,15 +21,18 @@ Attestation traffic is probes, each a synchronous request and answer,
 ``World.ask``, over the bus: it happens strictly after the round's data
 traffic has drained.  The station is the walk's first relay: for each tree
 depth it probes, it fans the depth's targets out over its own links and
-walks each link's answer itself.  A relay asks each target that is its child
-over one link, and forwards the targets further below in one request per
-child subtree that holds any, straight to the deepest node that leads to all
-of them: a chain of single-child links is one frame.  Each relay below the
-station sends the answers back up as one bundle, walking each answer's
-entries to their ends and forwarding those that parse as the bytes that
-arrived, so a fault on one branch loses only that branch's entries.  Each
-link so carries one request down and one bundle up per depth at most.  No
-node is ever asked to re-aggregate.
+walks each link's answer itself.  Below each of its children, a relay asks
+a lone target for itself, with one probe without targets over every link to
+it and the target's own answer back, and forwards two or more targets in
+one request, straight to the deepest node that leads to all of them: a
+chain of single-child links is one frame.  A child that is a target is
+asked for itself too.  So a request that names targets reaches a relay only
+where they branch.  Each relay below the station sends the answers back up
+as one bundle, walking each answer's entries to their ends and forwarding
+those that parse as the bytes that arrived, so a fault on one branch loses
+only that branch's entries.  Each link so carries one request down and one
+answer or bundle up per depth at most.  No node is ever asked to
+re-aggregate.
 """
 
 from __future__ import annotations
@@ -263,11 +266,11 @@ class World:
             return None
 
     def _fan_out(self, relay: int, round_no: int, targets: tuple[int, ...]) -> list[bytes | None]:
-        """The relay asks each target that is its child over one link, and
-        each of its child subtrees holding targets below that with one
-        request, sent to the deepest node that leads to all of them; targets
-        outside its subtree get nothing.  The answers as they arrived, None
-        for each that was lost, in tour order."""
+        """The relay asks each target that is its child for itself, and
+        below each child a lone target for itself too, over every link to
+        it, or two or more with one request, sent to the deepest node that
+        leads to all of them; targets outside its subtree get nothing.  The
+        answers as they arrived, None for each that was lost, in tour order."""
         tree = self.tree
         pos, size, parent = tree.pos, tree.size, tree.parent
         start = pos[relay]
@@ -281,22 +284,24 @@ class World:
         while i < len(below):
             at, target = below[i]
             up = parent[target]
-            if up == relay:
-                answers.append(self.ask(relay, target, probe))
-                i += 1
-                continue
-            # The targets in the subtree of the relay's child that holds this
-            # one are the next ones in tour order, below[i:j]; the deepest
-            # node that leads to all of them is the lowest ancestor of this
-            # one's parent whose span reaches the last of them.
-            kid = kids[bisect_right(kid_pos, at) - 1]
-            j = bisect_left(below, (pos[kid] + size[kid],), i)
-            last = below[j - 1][0]
-            while pos[up] + size[up] <= last:
-                up = parent[up]
-            group = tuple(sorted(t for _, t in below[i:j]))
-            answers.append(self.ask(relay, up, wire.encode_probe(round_no, group)))
-            i = j
+            if up != relay:
+                # The targets in the subtree of the relay's child that holds
+                # this one are the next ones in tour order, below[i:j]; the
+                # deepest node that leads to all of them is the lowest
+                # ancestor of this one's parent whose span reaches the last.
+                kid = kids[bisect_right(kid_pos, at) - 1]
+                j = bisect_left(below, (pos[kid] + size[kid],), i)
+                if j > i + 1:
+                    last = below[j - 1][0]
+                    while pos[up] + size[up] <= last:
+                        up = parent[up]
+                    group = tuple(sorted(t for _, t in below[i:j]))
+                    answers.append(self.ask(relay, up, wire.encode_probe(round_no, group)))
+                    i = j
+                    continue
+            # The relay's child, or the one target below its child.
+            answers.append(self.ask(relay, target, probe))
+            i += 1
         return answers
 
     def _run_data_phase(self, round_no: int, queries: list[tuple[int, bytes]]) -> None:

@@ -42,9 +42,10 @@ Attestation probes name their targets and travel through relays:
     child packet  sender (4B BE) || absent-count (4B BE)
                   || absent ids (4B BE each) || pair (16B) || tag (8B)
 
-A probe with targets goes to a relay, which asks the targets that are its
-children with a probe without targets, one that asks its addressee to answer
-for itself, and forwards the others below it.  A response carries one entry
+A probe with targets goes to a relay.  The relay asks its children among
+them, and each target alone below one of its children, with a probe without
+targets, one that asks its addressee to answer for itself, and forwards the
+others below it.  A response carries one entry
 per node that answered: the packets of the children the node kept, ascending
 by id, as it received them less their edge channel tags, then its own packet
 sealed on its direct channel to the station, with that child block, count
@@ -297,7 +298,7 @@ def decode_query(body: bytes, at: int = 0) -> tuple[int, str]:
 
 
 def encode_probe(round_no: int, targets: tuple[int, ...] = ()) -> bytes:
-    """A probe; with targets (ascending ids) it is addressed to their parent,
+    """A probe; with targets (ascending ids) it is addressed to a relay,
     which fans it out, and without them its addressee answers for itself."""
     return frame(PROBE, struct.pack(f">Q{len(targets)}I", round_no, *targets))
 

@@ -168,29 +168,29 @@ def test_truncated_probe_response_counts_as_silence():
 def test_attested_round_charges_each_sibling_group_once():
     # Station 0 -> 1 -> {2, 3}, 2 -> {4, 5}; 2 forges.  The station probes
     # its child 1, which fails; of the packets 1 reports only 2's fails, so
-    # 2 alone is probed below 1, and both packets 2 reports pass.  A sibling
-    # group under parent p costs the request (9 B + 4 B per target) over
-    # depth(p) links, each target's 9 B probe and its answer over one link,
-    # and the bundle of the answers over depth(p) links.  An answer is its
-    # type byte, a 4 B child count, 32 B per leaf child packet and the
-    # node's own 48 B packet; a bundle is one type byte and the answers'
-    # entries.
+    # 2 alone is probed below 1, and both packets 2 reports pass.  A target
+    # alone below one of the station's links is asked for itself: its 9 B
+    # probe and its answer each cross every link between it and the
+    # station.  An answer is its type byte, a 4 B child count, 32 B per
+    # leaf child packet and the node's own 48 B packet.  A request that
+    # names targets (9 B + 4 B per target) and a relay's bundle of the
+    # answers (one type byte and their entries) are charged below.
     world = World(Scenario(seed=5, edges=((0, 1), (1, 2), (1, 3), (2, 4), (2, 5)),
                            compromises=(CompromiseSpec(2, "forge_children", (12345,)),)))
     result = world.run_round(1)
     assert result.integrity == "attested" and result.report.outliers == frozenset({2})
     assert [nid for nid, _, _ in result.report.transcript] == [1, 2]
     data = (10, 5 * (10 + 49))  # a query down and a 49 B packet up per node
-    groups = (  # (messages, bytes): request, probes, answers, bundle
-        (0 + 1 + 1 + 0, 0 + 9 + 117 + 0),  # (1,) under the station, depth 0
-        (1 + 1 + 1 + 1, 13 + 9 + 117 + 117),  # (2,) under 1
+    groups = (  # (messages, bytes): a probe down and an answer up
+        (1 + 1, 9 + 117),  # (1,), over the link 0-1
+        (2 + 2, 2 * 9 + 2 * 117),  # (2,), over the links 0-1 and 1-2
     )
     # Exoneration sends nothing: the station clears 1 on 1's answer less
     # the packet 1 reports for 2.  Node 2 has no failing child, and the
     # attested value is built at the station.
     messages = data[0] + sum(g[0] for g in groups)
     sent = data[1] + sum(g[1] for g in groups)
-    assert (messages, sent) == (16, 677)
+    assert (messages, sent) == (16, 673)
     rm = world.metrics.rounds[0]
     assert (rm.messages, rm.bytes, rm.probes) == (messages, sent, 2)
     # A group none of whose targets answers sends nothing back up, and a
@@ -222,6 +222,8 @@ def test_one_request_per_depth_shares_the_links_of_its_groups():
     # byte, a 4 B child count, 32 B per reported child packet (none has
     # absent ids) and the node's own 48 B packet; a bundle is a type byte
     # and the entries it carries.  The station's own hop crosses no link.
+    # A target alone below a relay's child is asked by the relay itself,
+    # its probe and answer each crossing every link between them.
     world = _shared_paths_world()
     result = world.run_round(1)
     assert result.integrity == "attested" and result.report.outliers == frozenset({4, 6})
@@ -233,41 +235,41 @@ def test_one_request_per_depth_shares_the_links_of_its_groups():
         # (2, 3) forwarded to 1; 1 asks 2 and 3; their 117 B answers; 1's
         # 233 B bundle.
         (1 + 2 + 2 + 1, 17 + 2 * 9 + 2 * 117 + 233),
-        # (4, 6) forwarded to 1 once, then (4,) to 2 and (6,) to 3; 2 asks
-        # 4 and 3 asks 6; their 53 B answers; 2's and 3's 53 B bundles; 1's
-        # 105 B bundle.  Link 0-1 carries one request and one bundle where
-        # a request and a bundle per group would put two of each on it:
+        # (4, 6) forwarded to 1 once; 1 asks 4 and 6 over two links each;
+        # their 53 B answers back over the same two links; 1's 105 B
+        # bundle.  Link 0-1 carries one request and one bundle where a
+        # request and a bundle per target would put two of each on it:
         # 2 messages and 13 + 13 + 53 + 53 - 17 - 105 = 10 B more.
-        (1 + 2 + 2 + 2 + 2 + 1, 17 + 2 * 13 + 2 * 9 + 2 * 53 + 2 * 53 + 105),
+        (1 + 2 * 2 + 2 * 2 + 1, 17 + 4 * 9 + 4 * 53 + 105),
     )
     messages = data[0] + sum(d[0] for d in depths)
     sent = data[1] + sum(d[1] for d in depths)
-    assert (messages, sent) == (32, 1419)
+    assert (messages, sent) == (32, 1411)
     rm = world.metrics.rounds[0]
     assert (rm.messages, rm.bytes, rm.probes) == (messages, sent, 5)
 
 
 @pytest.mark.parametrize("fault", ["cut", "flip"])
 def test_fault_on_one_branchs_bundle_spares_the_other_branch(fault):
-    # Node 2's bundle of 4's answer is cut to 5 bytes, or has the top bit of
-    # 4's child count flipped, on the link 2->1.  Relay 1 walks it, drops
-    # it, and still forwards 6's entry from 3's bundle, which comes after it
-    # in tour order: 4 counts as silent, 6 is judged on its answer.
+    # Node 4's answer is cut to 5 bytes, or has the top bit of its child
+    # count flipped, on its way up to relay 1, which asked it over the links
+    # 1-2 and 2-4.  Relay 1 walks it, drops it, and still forwards 6's
+    # answer, which comes after it in tour order: 4 counts as silent, 6 is
+    # judged on its answer.
     world = _shared_paths_world()
     frames = []
 
     def faulty(src, dst, payload):
-        if (src, dst) == (2, 1) and payload[0] == wire.PROBE_RESP:
+        if (src, dst) == (4, 1) and payload[0] == wire.PROBE_RESP:
             frames.append(payload)
-            if len(frames) == 2:  # 2's own answer went up first, at depth 2
-                if fault == "cut":
-                    return payload[:5]
-                return payload[:1] + bytes([payload[1] ^ 0x80]) + payload[2:]
+            if fault == "cut":
+                return payload[:5]
+            return payload[:1] + bytes([payload[1] ^ 0x80]) + payload[2:]
         return payload
 
     on_links(world, faulty)
     result = world.run_round(1)
-    assert len(frames) == 2
+    assert len(frames) == 1
     transcript = {nid: (committed, ok) for nid, committed, ok in result.report.transcript}
     assert transcript[4] == (False, False) and transcript[6] == (True, False)
     assert result.integrity == "attested" and result.report.outliers == frozenset({4, 6})
@@ -275,22 +277,83 @@ def test_fault_on_one_branchs_bundle_spares_the_other_branch(fault):
 
 
 def test_relay_forwards_a_probe_for_a_node_below_its_children():
-    # Node 1 is asked about 4, its grandchild: it forwards (4,) to 2, 4's
-    # parent, which asks 4, and the bundle comes back through both relays.
-    # Six frames cross one link each: the request to 1 and on to 2 (13 B
-    # each), 4's probe (9 B), and its answer and each bundle of it (53 B).
-    # Node 2 asked about 3, outside its subtree, asks no one and sends
-    # nothing back.
+    # Node 1 is asked about 4 and 5, children of its child 2: it forwards
+    # (4, 5) to 2, which asks both, and the bundle comes back through both
+    # relays.  Eight frames cross one link each: the request to 1 and on to
+    # 2 (17 B each), 4's and 5's probes (9 B), their answers (53 B) and each
+    # bundle of them (105 B).
     world = _shared_paths_world()
     world.run_round(1)
     rm = world.metrics.rounds[0]
+    sent = []
+    on_links(world, lambda src, dst, payload: sent.append((src, dst)) or payload)
+    before = (rm.messages, rm.bytes)
+    bundle = world.ask(0, 1, wire.encode_probe(1, (4, 5)))
+    answers = [world.nodes[v].respond_attestation(1) for v in (4, 5)]
+    assert bundle == wire.encode_probe_resp([answer[1:] for answer in answers])
+    assert sent == [(0, 1), (1, 2), (2, 4), (4, 2), (2, 5), (5, 2), (2, 1), (1, 0)]
+    assert (rm.messages - before[0], rm.bytes - before[1]) == (8, 2 * 17 + 2 * 9 + 2 * 53 + 2 * 105)
+    # Asked about 4 alone, node 1 asks 4 for itself over both links, and
+    # its bundle holds 4's answer: 9 B down and 53 B up over two links each.
+    sent.clear()
     before = (rm.messages, rm.bytes)
     bundle = world.ask(0, 1, wire.encode_probe(1, (4,)))
     assert bundle == world.nodes[4].respond_attestation(1)
-    assert (rm.messages - before[0], rm.bytes - before[1]) == (6, 2 * 13 + 9 + 3 * 53)
+    assert sent == [(0, 1), (1, 4), (4, 1), (1, 0)]
+    assert (rm.messages - before[0], rm.bytes - before[1]) == (6, 13 + 2 * 9 + 2 * 53 + 53)
+    # Node 2 asked about 3, outside its subtree, asks no one and sends
+    # nothing back.
     before = (rm.messages, rm.bytes)
     assert world.ask(0, 2, wire.encode_probe(1, (3,))) is None
     assert (rm.messages - before[0], rm.bytes - before[1]) == (2, 2 * 13)
+
+
+def test_relay_asks_a_lone_target_for_itself_over_every_link_to_it():
+    # A 12-node path with a bottom forger: each depth's one target is alone
+    # below the station's one link, so the station asks it for itself, and
+    # the walk is one target-less probe down to each node and its answer
+    # back, 24 frames, where a request to each target's parent and a
+    # bundle of its answer took 46.  Each still crosses every link between
+    # its ends: 2 * (1 + ... + 12) = 156 links on top of the data phase's
+    # 24 messages.  Bytes: the data phase's 12 * (10 + 49); a 9 B probe per
+    # link; node v's answer, its 48 B packet after a type byte, a 4 B child
+    # count and its child's 32 B packet (none for leaf 12), over v links.
+    # The request naming the target and the bundle cost 264 B more.
+    world = World(Scenario(seed=3, n=12, generator="path",
+                           compromises=(CompromiseSpec(12, "forge_children", (12345,)),)))
+    walk = []
+
+    def recording(src, dst, payload):
+        if payload[0] in (wire.PROBE, wire.PROBE_RESP):
+            walk.append((src, dst, payload[0]))
+        return payload
+
+    on_links(world, recording)
+    result = world.run_round(1)
+    assert result.integrity == "attested" and result.report.outliers == frozenset({12})
+    assert walk == [frame for v in range(1, 13) for frame in ((0, v, wire.PROBE), (v, 0, wire.PROBE_RESP))]
+    rm = world.metrics.rounds[0]
+    walk_bytes = 9 * 78 + 85 * sum(range(1, 12)) + 53 * 12
+    assert (rm.messages, rm.bytes, rm.probes) == (24 + 156, 12 * 59 + walk_bytes, 12) == (180, 7656, 12)
+
+
+def test_request_names_targets_only_where_they_branch():
+    # The walk probes 4 and 6 at depth 3, below 2 and 3.  Their paths from
+    # the station branch at node 1: the station forwards the request (4, 6)
+    # to 1 only, and 1 asks each of them for itself, over two links, so no
+    # request reaches 2 or 3.  Depth 2's targets 2 and 3 branch at 1 too.
+    world = _shared_paths_world()
+    requests = []
+
+    def recording(src, dst, payload):
+        if payload[0] == wire.PROBE:
+            requests.append((src, dst, wire.decode_probe(payload[1:])[1]))
+        return payload
+
+    on_links(world, recording)
+    result = world.run_round(1)
+    assert result.report.outliers == frozenset({4, 6})
+    assert requests == [(0, 1, ()), (0, 1, (2, 3)), (1, 2, ()), (1, 3, ()), (0, 1, (4, 6)), (1, 4, ()), (1, 6, ())]
 
 
 def test_station_answers_only_as_a_relay():
@@ -341,9 +404,11 @@ def test_relay_forwards_what_a_two_parse_relay_would(data):
     # Each target's answer cut, bit-flipped, retyped or followed by bytes of
     # another answer: the bundle the relay sends up equals the one a relay
     # that decoded each answer and re-framed its entries would send.  Asked
-    # through an ancestor of the targets' parent, the answers pass through
-    # two relays: the ancestor forwards the request to the parent and
-    # re-bundles the parent's bundle.
+    # through an ancestor of the targets' parent, two or more answers pass
+    # through two relays: the ancestor forwards the request to the parent
+    # and re-bundles the parent's bundle.  The ancestor asks a lone target
+    # for itself, and bundles its answer once, which a second re-framing
+    # leaves as it is.
     world = World(Scenario(seed=3, n=20, generator="recursive"))
     world.run_round(1)
     children = world.tree.children
@@ -422,9 +487,9 @@ def test_query_moved_to_another_round_opens_no_marker():
 
 def test_cut_probe_entry_of_a_forgers_parent_counts_as_silence():
     # Non-committed forger 6 sits below 4 and 1.  The packet 1 reports for 4
-    # fails, so 4 is probed through 1, and its answer is cut to 5 bytes on
-    # the link 4->1: 4 counts as silent, so both its children are probed,
-    # and 6 is still localized.  Node 1 is cleared on its answer less the
+    # fails, so 4 is probed, alone below the station's link to 1, and its
+    # answer is cut to 5 bytes on its way up to the station: 4 counts as
+    # silent, so both its children are probed, and 6 is still localized.  Node 1 is cleared on its answer less the
     # packet it reports for 4, so the value is exact over the kept set.
     # Node 4 is honest: blaming it for a cut frame is the keyless-attacker
     # defect of a cut probe counting as non-committed (ROADMAP item 2), and
@@ -435,14 +500,15 @@ def test_cut_probe_entry_of_a_forgers_parent_counts_as_silence():
     cut = []
 
     def cutting(src, dst, payload):
-        if (src, dst) == (4, 1) and payload[0] == wire.PROBE_RESP:
+        if (src, dst) == (4, 0) and payload[0] == wire.PROBE_RESP:
             cut.append(payload)
-            return payload[:5]
+            if len(cut) == 1:  # 4's own answer; its bundle of 6's and 9's comes next
+                return payload[:5]
         return payload
 
     on_links(world, cutting)
     result = world.run_round(1)
-    assert len(cut) == 1
+    assert len(cut) == 2
     transcript = {nid: (committed, ok) for nid, committed, ok in result.report.transcript}
     assert transcript[4] == (False, False) and transcript[9] == (True, True)
     assert result.integrity == "attested"
@@ -603,17 +669,19 @@ SWEEP_PARTS = {
     "statuses": "12401925ebb21c50c3e3baa28a2c22ff542d3efa618b7b4b3f995bf347b7dfdf",
 }
 SWEEP_COMBINED = "09b804fa6d335f2762c3dd238f7816377d561ad7e9498430f40621bba41c8b70"
-SWEEP_BYTES = "a9cba896cb66cbf62006dcc291b3e1ceb3f47deea49be0dd7faa9eb6810bdec7"
+SWEEP_BYTES = "b0fd6bd333f9b93e79c908cc680e2f21539075daaf084fb69f50533c0545301b"
 # The order of the frames on the bus over the same 40 worlds, each frame's
 # ends, type and length, pinned from the same walk, which sends one request
 # per tree depth down each station link that leads to any target: the
-# station sends no frame to itself.
-SWEEP_FRAMES = "4b1a708c3ca20e6dd0bc1e08fb79f0b6da302a9046069403f0a762675932cd8c"
+# station sends no frame to itself, and a relay asks a target alone below
+# one of its children for itself, so a request names targets only where
+# they branch.
+SWEEP_FRAMES = "b9ac7cec934d672264c73001fad1dd0d54f3b1d3fd46cb6e93ebd1a69ef809db"
 # Every byte of those frames, with their ends, in the same order: the wire
 # format itself.  Pinned from the wire whose probe entries carry each kept
 # child's packet, and the same walk; a change that keeps the wire and the
 # frame order must keep it.
-SWEEP_CONTENTS = "ad31f88191bda2401e9637c69b090051ede79ce16852f1a0da39bc2287885919"
+SWEEP_CONTENTS = "5b07db29b04806ea86f8ecc63486940eea2c0e1eb4442609065d7287ef2cdf3b"
 # The reports, participants and transcripts of the same 40 worlds run again
 # behind a keyless attacker on AGG frames (drops, cuts, flips past the sender
 # field, retypes).  The attacker draws its faults from the frames' lengths,
@@ -796,8 +864,8 @@ def test_each_node_that_opens_the_round_emits_once_after_its_subtree():
 # with the wire and the frame order: pinned from the walk that sends one
 # request per tree depth and first probes only the station's children whose
 # packet fails, with no frame from the station to itself, which no link
-# attacker could reach.
-WALK_FAULTS = "f01160e2ab37b133b5bddc249db5afbf1f96da68ebefce0a272aeab41b74eae4"
+# attacker could reach, and whose relays ask a lone target for itself.
+WALK_FAULTS = "340fd2227216446747ae3df7e3b41e6e155905f2eeb1e21ffbc8b998a2a77b4b"
 
 
 def test_walk_under_keyless_faults_is_pinned():
