@@ -131,9 +131,11 @@ def parse_scenario(text: str, source: str = "<scenario>", edges_only: bool = Fal
 
 
 def load_scenario(path: str, edges_only: bool = False) -> Scenario:
+    """The scenario, or the topology, in a UTF-8 file; ScenarioInvalid if the
+    file cannot be read or is not UTF-8 text."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioInvalid(f"{path}: {exc}") from exc
     return parse_scenario(text, source=path, edges_only=edges_only)
 

@@ -103,6 +103,24 @@ def test_run_missing_file_exit_two(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "nope.scn"), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_run_scenario_file_not_utf8_exit_two(tmp_path, capsys):
+    scn = tmp_path / "bad.scn"
+    scn.write_bytes(b"\xff\xfe\x00nodes 3\n")
+    assert cli.main(["run", str(scn), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid scenario: {scn}: ") and "utf-8" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_topology_file_not_utf8_exit_two(tmp_path, capsys):
+    topo = tmp_path / "bad.txt"
+    topo.write_bytes(b"\xff\xfe\x00nodes 3\n")
+    assert cli.main(["run", "--topology", str(topo), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid scenario: {topo}: ") and "utf-8" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_reruns_byte_identical(tmp_path):
     scn = write(tmp_path, "forge.scn", FORGE)
     for d in ("a", "b"):
