@@ -45,11 +45,11 @@ Attestation probes name their targets and travel through relays:
 A probe with targets goes to a relay.  The relay asks its children among
 them, and each target alone below one of its children, with a probe without
 targets, one that asks its addressee to answer for itself, and forwards the
-others below it.  A response carries one entry
-per node that answered: the packets of the children the node kept, ascending
-by id, as it received them less their edge channel tags, then its own packet
-sealed on its direct channel to the station, with that child block, count
-included, bound into the channel tag.  So the station checks each child's
+others below it.  A response carries one entry per node that answered: the
+packets of the children the node kept, ascending by id, as it received them
+less their edge channel tags, then its own packet sealed on its direct
+channel to the station, with that child block, count included, bound into
+the channel tag.  So the station checks each child's
 claim one level down without asking the child, and subtracts a child's
 packet from the node's as the node reported it.  Entries have no length
 prefix: each ends where its last packet's absent count says, so a one-entry

@@ -318,7 +318,8 @@ def test_relay_asks_a_lone_target_for_itself_over_every_link_to_it():
     # 24 messages.  Bytes: the data phase's 12 * (10 + 49); a 9 B probe per
     # link; node v's answer, its 48 B packet after a type byte, a 4 B child
     # count and its child's 32 B packet (none for leaf 12), over v links.
-    # The request naming the target and the bundle cost 264 B more.
+    # A one-target request to each target's parent and a bundle of its
+    # answer would cost 264 B more.
     world = World(Scenario(seed=3, n=12, generator="path",
                            compromises=(CompromiseSpec(12, "forge_children", (12345,)),)))
     walk = []
@@ -489,8 +490,9 @@ def test_cut_probe_entry_of_a_forgers_parent_counts_as_silence():
     # Non-committed forger 6 sits below 4 and 1.  The packet 1 reports for 4
     # fails, so 4 is probed, alone below the station's link to 1, and its
     # answer is cut to 5 bytes on its way up to the station: 4 counts as
-    # silent, so both its children are probed, and 6 is still localized.  Node 1 is cleared on its answer less the
-    # packet it reports for 4, so the value is exact over the kept set.
+    # silent, so both its children are probed, and 6 is still localized.
+    # Node 1 is cleared on its answer less the packet it reports for 4, so
+    # the value is exact over the kept set.
     # Node 4 is honest: blaming it for a cut frame is the keyless-attacker
     # defect of a cut probe counting as non-committed (ROADMAP item 2), and
     # the assertion on it marks that defect.
