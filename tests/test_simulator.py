@@ -653,50 +653,16 @@ def test_leaves_get_no_timeout(monkeypatch):
         assert sorted(seen) == [wire.QUERY] * n + [wire.AGG] * relayed, generator
 
 
-# Hashes of scripts/behaviour_sweep.py over its first 40 worlds (every
-# generator and adversary kind).  The reports and transcripts are pinned from
-# the walk that first probes only the station's children whose packet fails
-# and, below them, only the children whose reported packet fails; the bytes
-# from the wire whose probe entries carry each kept child's packet, sent
-# one request per tree depth.  The statuses, each sensor's
-# liveness, and the combined hash (which also covers message counts) are
-# pinned from the station that reads liveness from absence streaks and keeps
-# no conviction status.  A change
-# meant to keep behaviour must keep them all; a deliberate behaviour or
-# traffic change updates them and says so.
+# scripts/behaviour_sweep_520.txt is the sweep's output over 520 worlds:
+# every generator, adversary kind and audit setting, each world run plainly
+# and again behind the sweep's keyless attacker.  It pins the reports,
+# metrics, transcripts and statuses, their combined hash, the bytes, the
+# frame order, the frames' contents and the faulted runs, and the outcome
+# counts, "ok" included.  A change meant to keep behaviour must keep the
+# file byte for byte; a deliberate behaviour or traffic change regenerates
+# it and says so.  The --diff test sweeps the first SWEEP_WORLDS.
+SWEEP_FILE = Path(__file__).resolve().parents[1] / "scripts" / "behaviour_sweep_520.txt"
 SWEEP_WORLDS = 40
-SWEEP_PARTS = {
-    "reports": "8f65890bfd61ad87ba74fe6435fa1e61e39267b7a9f0dbc5a150c80bfc674492",
-    "transcripts": "c77e817e968ecaa9036355fc22149e833c044885e8c5a01377808686c586bc94",
-    "statuses": "12401925ebb21c50c3e3baa28a2c22ff542d3efa618b7b4b3f995bf347b7dfdf",
-}
-SWEEP_COMBINED = "09b804fa6d335f2762c3dd238f7816377d561ad7e9498430f40621bba41c8b70"
-SWEEP_BYTES = "b0fd6bd333f9b93e79c908cc680e2f21539075daaf084fb69f50533c0545301b"
-# The order of the frames on the bus over the same 40 worlds, each frame's
-# ends, type and length, pinned from the same walk, which sends one request
-# per tree depth down each station link that leads to any target: the
-# station sends no frame to itself, and a relay asks a target alone below
-# one of its children for itself, so a request names targets only where
-# they branch.
-SWEEP_FRAMES = "b9ac7cec934d672264c73001fad1dd0d54f3b1d3fd46cb6e93ebd1a69ef809db"
-# Every byte of those frames, with their ends, in the same order: the wire
-# format itself.  Pinned from the wire whose probe entries carry each kept
-# child's packet, and the same walk; a change that keeps the wire and the
-# frame order must keep it.
-SWEEP_CONTENTS = "5b07db29b04806ea86f8ecc63486940eea2c0e1eb4442609065d7287ef2cdf3b"
-# The reports, participants and transcripts of the same 40 worlds run again
-# behind a keyless attacker on AGG frames (drops, cuts, flips past the sender
-# field, retypes).  The attacker draws its faults from the frames' lengths,
-# so this pin moves with the wire: pinned from the same wire and walk.
-SWEEP_FAULTS = "035273f4dce4dd33728e88b2b78380bb8e5f51c425d2a2d035550544f62e7c0b"
-# The same three parts over the script's default 104 worlds, where every
-# generator meets every adversary kind under every audit setting; reports and
-# transcripts pinned with the 40-world ones, as are the statuses.
-SWEEP_104_PARTS = {
-    "reports": "6b6feaf6799799ed6f13f932e1b4a3418a3e85726c1d473f1d7bd8066dc71f0a",
-    "transcripts": "48f26e501cebac5e3a8be9d6ddc7a085dd648956e4fff1fc3303837a17394425",
-    "statuses": "cebdc3a3f84051032c1207dd99cb5e8e035d9041b8baf49d03524c46b23378c3",
-}
 
 
 def _sweep():
@@ -707,14 +673,9 @@ def _sweep():
     return sweep
 
 
-def test_behaviour_sweep_fingerprint_is_pinned():
-    hashes, outcomes = _sweep().fingerprint(SWEEP_WORLDS)
-    assert outcomes["ok"] == SWEEP_WORLDS
-    assert {part: hashes[part] for part in SWEEP_PARTS} == SWEEP_PARTS
-    assert (hashes["combined"], hashes["bytes"]) == (SWEEP_COMBINED, SWEEP_BYTES)
-    assert hashes["frames"] == SWEEP_FRAMES
-    assert hashes["contents"] == SWEEP_CONTENTS
-    assert hashes["faults"] == SWEEP_FAULTS
+def test_behaviour_sweep_fingerprint_is_pinned(capsys):
+    assert _sweep().main(["520"]) == 0
+    assert capsys.readouterr().out == SWEEP_FILE.read_text(encoding="utf-8")
 
 
 def test_no_round_of_the_sweep_sends_a_reaggregation_frame(monkeypatch):
@@ -737,12 +698,6 @@ def test_no_round_of_the_sweep_sends_a_reaggregation_frame(monkeypatch):
     _, outcomes = sweep.fingerprint(SWEEP_WORLDS)
     assert outcomes["attested"] > 0 and types[wire.PROBE_RESP] > 0
     assert types[wire.REAGG] == types[wire.REAGG_RESP] == 0
-
-
-def test_behaviour_sweep_verdicts_over_104_worlds_are_pinned():
-    hashes, outcomes = _sweep().fingerprint(104)
-    assert outcomes["ok"] == 104
-    assert {part: hashes[part] for part in SWEEP_104_PARTS} == SWEEP_104_PARTS
 
 
 def _rebuild(monkeypatch, kind, change):
