@@ -19,12 +19,15 @@ sends over the bus, ``World.deliver``, in the order it sends them, and
 `contents` hashes the same frames' ends and every byte of each, so a
 change that keeps the wire format byte for byte must keep it.  And
 `faults` runs each world again with a seeded keyless attacker on its AGG
-frames, which drops, cuts, flips a bit past the sender field of, or retypes
-about one in five, and hashes the reports, participants and transcripts of
-that run.  It leaves out sender rewrites: which sibling such a rewrite may
-cost is the parent's intake rule, not a behaviour to pin.  Run it against
-two source trees to check that a refactor left behaviour unchanged: the
-hashes must match.
+frames, which drops, cuts at a field boundary, flips a bit past the sender
+field of, or retypes about one in five, and hashes the reports,
+participants and transcripts of that run.  The attacker is
+``tests/fault_grammar.py``'s: it aims at named fields and draws nothing
+from a frame's length, so a change that only resizes frames keeps `faults`.
+It leaves out sender rewrites: which sibling such a rewrite may cost is the
+parent's intake rule, not a behaviour to pin.  Run it against two source
+trees to check that a refactor left behaviour unchanged: the hashes must
+match.
 
 When they do not, the per-world ledger says where.  `--worlds-out FILE`
 writes one JSON line per world: its index, generator, compromise specs and
@@ -35,13 +38,14 @@ world that differs, the parts whose digests differ and its first differing
 result line, then, for the plain and the faulted runs apart, how many worlds
 differ in each result-line field (integrity, participants, raw sum,
 outliers, non-committed set, probes, transcript), then a summary; it exits
-1 when they differ.  `--world I` runs
-one world and prints its result lines.
+1 when they differ.  `--world I` runs one world and prints its result
+lines, then each fault its faulted run applied: the frame's index on the
+bus, its type, the fault's kind and the field it hit.
 
-`scripts/behaviour_sweep_520.txt` holds the output over 520 worlds, which CI
-diffs against; a change that alters counts or verdicts by design updates it
-and says why.  Any
-exception other than a ProtocolError ends the script with a traceback.
+`scripts/behaviour_sweep_520.txt` holds the output over 520 worlds, which
+the tests compare byte for byte; a change that alters counts or verdicts by
+design regenerates it and says why.  Any exception other than a
+ProtocolError ends the script with a traceback.
 """
 
 from __future__ import annotations
@@ -52,11 +56,18 @@ import itertools
 import json
 import random
 import sys
+from pathlib import Path
 
-from concealed_agg import wire
-from concealed_agg.adversary import KINDS, CompromiseSpec
-from concealed_agg.errors import ProtocolError
-from concealed_agg.simulator import GENERATORS, Scenario, World
+TESTS = str(Path(__file__).resolve().parents[1] / "tests")
+if TESTS not in sys.path:
+    sys.path.insert(0, TESTS)
+
+import fault_grammar  # noqa: E402
+
+from concealed_agg import wire  # noqa: E402
+from concealed_agg.adversary import KINDS, CompromiseSpec  # noqa: E402
+from concealed_agg.errors import ProtocolError  # noqa: E402
+from concealed_agg.simulator import GENERATORS, Scenario, World  # noqa: E402
 
 AUDITS = ({}, {"audit_prob": 1.0}, {"audit_prob": 0.5})
 # The parts the combined hash covers, in its order, and those hashed apart.
@@ -65,6 +76,10 @@ OWN_PARTS = ("bytes", "frames", "faults", "contents")
 PARTS = COMBINED_PARTS + OWN_PARTS
 # The fields of a result line (``_result_line``) after its world and round.
 FIELDS = ("integrity", "participants", "raw_sum", "outliers", "non_committed", "probes", "transcript")
+# The faults of the faulted runs, and the types a retype may write: any but
+# a QUERY's.
+SWEEP_FAULTS = ("drop", "cut", "flip", "retype")
+NOT_QUERY = tuple(t for t in fault_grammar.TYPE_NAMES if t not in (wire.QUERY, wire.AGG))
 
 
 def compromises(rng: random.Random, n: int, kind: str, tree) -> list[CompromiseSpec]:
@@ -104,25 +119,25 @@ def _recording(deliver, frames, contents, world_index: int):
     return recorded
 
 
-def _agg_faults(deliver, rng: random.Random):
-    """deliver behind a keyless attacker that drops, cuts, flips a bit past
-    the sender field of, or retypes about one AGG frame in five.  A retype
-    never makes a QUERY, so every run reaches its verdicts."""
+def _agg_faults(deliver, rng: random.Random, applied: list[str]):
+    """deliver behind a keyless attacker (``fault_grammar``) that drops, cuts,
+    flips a bit past the sender field of, or retypes about one AGG frame in
+    five, adding a line to applied for each fault: the frame's index on the
+    bus, its type, the kind and the field hit.  A retype never makes a
+    QUERY, so every run reaches its verdicts."""
     agg = bytes([wire.AGG])
+    index = itertools.count()
 
     def faulted(src: int, dst: int, payload: bytes) -> bytes | None:
+        at = next(index)
         if payload[:1] == agg and rng.random() < 0.2:
-            fault = rng.randrange(4)
-            if fault == 0:
+            kind = rng.choice(SWEEP_FAULTS)
+            payload, drawn = fault_grammar.fault(
+                rng, kind, payload, flips=fault_grammar.PAST_SENDER, types=NOT_QUERY
+            )
+            applied.append(f"frame {at} AGG {kind} {drawn.hit or '-'}")
+            if payload is None:
                 return None
-            if fault == 1:
-                payload = payload[: rng.randrange(len(payload))]
-            elif fault == 2:
-                flipped = bytearray(payload)
-                flipped[rng.randrange(5, len(payload))] ^= 1 << rng.randrange(8)
-                payload = bytes(flipped)
-            else:
-                payload = bytes([rng.choice((wire.PROBE, wire.REAGG_RESP, 0x7F))]) + payload[1:]
         return deliver(src, dst, payload)
 
     return faulted
@@ -176,8 +191,9 @@ def _world(i: int, totals: dict, outcomes: dict[str, int]) -> dict:
         compromises=tuple(specs), trigger_round=trigger, **audit,
     )
     world, outcome = _run(scenario, lambda deliver: _recording(deliver, h["frames"], h["contents"], i))
+    applied: list[str] = []
     faulted, faulted_outcome = _run(
-        scenario, lambda deliver: _agg_faults(deliver, random.Random(7919 * i + 18))
+        scenario, lambda deliver: _agg_faults(deliver, random.Random(7919 * i + 18), applied)
     )
     h["faults"].update(f"{i}|{faulted_outcome}".encode())
     fault_lines = []
@@ -212,6 +228,7 @@ def _world(i: int, totals: dict, outcomes: dict[str, int]) -> dict:
         "outcome": outcome,
         "lines": lines,
         "fault_lines": fault_lines,
+        "faults": applied,
     }
 
 
@@ -331,7 +348,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.world is not None:
         record = _world(args.world, {name: hashlib.sha256() for name in PARTS}, {})
         faulted = [f"faulted {line}" for line in record["fault_lines"]]
-        print("\n".join([f"outcome {record['outcome']}", *record["lines"], *faulted]))
+        faults = [f"fault {line}" for line in record["faults"]]
+        print("\n".join([f"outcome {record['outcome']}", *record["lines"], *faulted, *faults]))
         return 0
     hashes, outcomes, records = sweep(args.worlds)
     for name, digest in hashes.items():

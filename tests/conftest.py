@@ -9,7 +9,9 @@ output against these independent routes.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import random
+from pathlib import Path
 
 from hypothesis import settings
 
@@ -60,6 +62,15 @@ def honest_world(n: int = 6, seed: int = 1, rounds: int = 1, generator: str = "r
 
 def rng(seed: int = 0) -> random.Random:
     return random.Random(seed)
+
+
+def behaviour_sweep():
+    """scripts/behaviour_sweep.py, loaded afresh as a module."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "behaviour_sweep.py"
+    spec = importlib.util.spec_from_file_location("behaviour_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    return sweep
 
 
 def on_links(world: World, fault) -> None:

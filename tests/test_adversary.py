@@ -5,6 +5,7 @@ import dataclasses
 import logging
 import random
 
+import fault_grammar
 import pytest
 from conftest import on_links, plaintext_sum, seed_at, seed_of, sensed_raw
 from reference_codecs import header_ad
@@ -271,55 +272,31 @@ def test_rewritten_agg_sender_costs_no_sibling():
     assert result.raw_sum == plaintext_sum(world, 1, result.participants)
 
 
-AGG_FAULTS = ("drop", "cut", "flip", "retype", "rewrite")
-
-
-def _agg_fault(kind: str, rng: random.Random, sibling: int | None):
-    """A keyless fault of the given kind on one AGG frame: drop it, cut it,
-    flip a bit past its sender field, retype it, or rewrite its sender to a
-    sibling's id."""
-
-    def fault(payload: bytes) -> bytes | None:
-        if kind == "drop":
-            return None
-        if kind == "cut":
-            return payload[: rng.randrange(len(payload))]
-        if kind == "flip":
-            flipped = bytearray(payload)
-            flipped[rng.randrange(5, len(payload))] ^= 1 << rng.randrange(8)
-            return bytes(flipped)
-        if kind == "retype":
-            other = (wire.QUERY, wire.PROBE, wire.PROBE_RESP, wire.REAGG, wire.REAGG_RESP, 0x7F)
-            return bytes([rng.choice(other)]) + payload[1:]
-        return payload[:1] + sibling.to_bytes(4, "big") + payload[5:]
-
-    return fault
-
-
 def test_one_keyless_agg_fault_costs_only_the_subtree_below_its_link():
-    # One keyless fault on the one AGG frame a chosen sensor sends in round 1,
-    # over seeded worlds of every generator.  Round 1 covers exactly the
-    # sensors outside that sensor's subtree, and is rejected only when none
-    # is left (a path's only station child); round 2, without the fault, is
-    # whole.  A sender rewrite names a sibling, whose own packet must still
-    # fold.  QUERY faults are left out: QUERY frames are not authenticated.
+    # One keyless fault (fault_grammar) on the one AGG frame a chosen sensor
+    # sends in round 1, over seeded worlds of every generator: a drop, a cut,
+    # a flip past the sender field, a retype, or a sender rewrite to a
+    # sibling's id.  Round 1 covers exactly the sensors outside that sensor's
+    # subtree, and is rejected only when none is left (a path's only station
+    # child); round 2, without the fault, is whole.  The sibling's own packet
+    # must still fold.  QUERY faults are left out: QUERY frames are not
+    # authenticated.
     cases = 0
     for seed in range(200):
         rng = random.Random(seed)
         world = World(Scenario(seed=seed, rounds=2, n=rng.randint(1, 40), generator=GENERATORS[seed % 4]))
         tree = world.tree
         victim = rng.choice(tree.sensor_ids)
-        kind = AGG_FAULTS[seed % len(AGG_FAULTS)]
-        siblings = [c for c in tree.children[tree.parent[victim]] if c != victim]
+        kind = fault_grammar.KINDS[seed % len(fault_grammar.KINDS)]
+        siblings = tuple(c for c in tree.children[tree.parent[victim]] if c != victim)
         if kind == "rewrite" and not siblings:
             continue
-        fault = _agg_fault(kind, rng, rng.choice(siblings) if siblings else None)
         faulted = []
 
-        def once(src, dst, payload, fault=fault, victim=victim, faulted=faulted):
+        def once(src, dst, payload, kind=kind, victim=victim, siblings=siblings, faulted=faulted, rng=rng):
             if src == victim and payload[:1] == bytes([wire.AGG]) and not faulted:
                 faulted.append(payload)
-                return fault(payload)
+                return fault_grammar.fault(rng, kind, payload, flips=fault_grammar.PAST_SENDER, senders=siblings)[0]
             return payload
 
         on_links(world, once)

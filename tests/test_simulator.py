@@ -1,14 +1,14 @@
 """Deterministic simulator: depth-first data phase, round flow, metrics, scaling."""
 
 import hashlib
-import importlib.util
 import json
 import random
 from collections import Counter
 from pathlib import Path
 
+import fault_grammar
 import pytest
-from conftest import on_links, plaintext_sum
+from conftest import behaviour_sweep, on_links, plaintext_sum
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -665,23 +665,15 @@ SWEEP_FILE = Path(__file__).resolve().parents[1] / "scripts" / "behaviour_sweep_
 SWEEP_WORLDS = 40
 
 
-def _sweep():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "behaviour_sweep.py"
-    spec = importlib.util.spec_from_file_location("behaviour_sweep", path)
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
-    return sweep
-
-
 def test_behaviour_sweep_fingerprint_is_pinned(capsys):
-    assert _sweep().main(["520"]) == 0
+    assert behaviour_sweep().main(["520"]) == 0
     assert capsys.readouterr().out == SWEEP_FILE.read_text(encoding="utf-8")
 
 
 def test_no_round_of_the_sweep_sends_a_reaggregation_frame(monkeypatch):
     # Over the sweep's worlds, plain runs, no REAGG or REAGG_RESP frame
     # crosses the bus, though the walks probe and exonerate.
-    sweep = _sweep()
+    sweep = behaviour_sweep()
     types = Counter()
     recording = sweep._recording
 
@@ -728,7 +720,7 @@ def _drop_child_keeps_its_child(monkeypatch):
 def test_behaviour_sweep_diff_names_the_worlds_a_change_reaches(change, monkeypatch, tmp_path, capsys):
     # A change that only worlds with one kind of compromise can see: the
     # ledger diff names exactly those worlds.
-    sweep = _sweep()
+    sweep = behaviour_sweep()
     base, changed = tmp_path / "base.jsonl", tmp_path / "changed.jsonl"
     assert sweep.main([str(SWEEP_WORLDS), "--worlds-out", str(base)]) == 0
     reaches = change(monkeypatch)
@@ -745,30 +737,32 @@ def test_behaviour_sweep_diff_names_the_worlds_a_change_reaches(change, monkeypa
     assert capsys.readouterr().out == f"0 of {SWEEP_WORLDS} worlds differ; worlds by part: -\n"
 
 
-def _keyless(rng: random.Random):
-    """A keyless attacker on every link: it drops, cuts, flips a bit of, or
-    rewrites the sender of some frames.  It never flips a QUERY's round,
-    which would make the receiver replay its seed chains that far."""
-    query = bytes([wire.QUERY])
+# Every field of a QUERY but its round: flipping a round bit asks the
+# receiver to replay its seed chains that far (ROADMAP item 13).
+QUERY_FLIPS = ("type", "function")
 
-    def fault(src, dst, payload):
+
+def _keyless(rng: random.Random):
+    """A keyless attacker (fault_grammar) on every link: it drops 8% of the
+    frames, cuts 4%, flips a bit of 4%, and rewrites the sender of 6% of the
+    AGG frames.  It never flips a QUERY's round."""
+
+    def attack(src, dst, payload):
         r = rng.random()
         if r < 0.08:
-            return None
-        if r < 0.12:
-            return payload[: rng.randrange(len(payload) + 1)]
-        if r < 0.16:
-            lo = 9 if payload[:1] == query else 0
-            if lo >= len(payload):
-                return payload
-            flipped = bytearray(payload)
-            flipped[rng.randrange(lo, len(payload))] ^= 1 << rng.randrange(8)
-            return bytes(flipped)
-        if r < 0.22 and payload[:1] == bytes([wire.AGG]) and len(payload) >= 5:
-            return payload[:1] + rng.randrange(64).to_bytes(4, "big") + payload[5:]
-        return payload
+            kind = "drop"
+        elif r < 0.12:
+            kind = "cut"
+        elif r < 0.16:
+            kind = "flip"
+        elif r < 0.22 and payload[:1] == bytes([wire.AGG]):
+            kind = "rewrite"
+        else:
+            return payload
+        flips = QUERY_FLIPS if payload[:1] == bytes([wire.QUERY]) else None
+        return fault_grammar.fault(rng, kind, payload, flips=flips)[0]
 
-    return fault
+    return attack
 
 
 def test_each_node_that_opens_the_round_emits_once_after_its_subtree():
@@ -776,7 +770,7 @@ def test_each_node_that_opens_the_round_emits_once_after_its_subtree():
     # sweep's forgers: every node whose QUERY opened the round sends exactly
     # one AGG, any other node sends none, and that AGG crosses the bus after
     # every data frame its subtree sent.
-    sweep = _sweep()
+    sweep = behaviour_sweep()
     data_types = {wire.QUERY, wire.AGG}
     for i in range(60):
         rng = random.Random(i)
@@ -816,26 +810,30 @@ def test_each_node_that_opens_the_round_emits_once_after_its_subtree():
 # round of 60 small worlds whose every round is walked (audit_prob=1.0),
 # behind the keyless attacker above on every link: PROBE and PROBE_RESP
 # frames included, which no sweep hash faults.  A round that raises a
-# ProtocolError is recorded by its class name.  The metrics row carries the
-# bytes, and the attacker draws from the frames' lengths, so the pin moves
-# with the wire and the frame order: pinned from the walk that sends one
-# request per tree depth and first probes only the station's children whose
-# packet fails, with no frame from the station to itself, which no link
-# attacker could reach, and whose relays ask a lone target for itself.
-WALK_FAULTS = "340fd2227216446747ae3df7e3b41e6e155905f2eeb1e21ffbc8b998a2a77b4b"
+# ProtocolError is recorded by its class name.  The attacker aims at named
+# fields and draws nothing from a frame's length, but the metrics row
+# carries the bytes, so the pin still moves with the wire: pinned from the
+# fault grammar, the walk that sends one request per tree depth and first
+# probes only the station's children whose packet fails, with no frame
+# from the station to itself, and whose relays ask a lone target for itself.
+WALK_FAULTS = "76ff5c1e676cb760f222d5825f155df760751b9ad575aa7768efbba83359e30f"
+BLAMED_HONEST = 183
 
 
 def test_walk_under_keyless_faults_is_pinned():
-    sweep = _sweep()
+    sweep = behaviour_sweep()
     digest = hashlib.sha256()
+    blamed = 0  # honest nodes in outliers, summed over every round
     for i in range(60):
         rng = random.Random(500 + i)
         generator, kind = GENERATORS[i % 4], sweep.KINDS[(i // 4) % 5]
         n = rng.randint(2, 40)
         tree = World(Scenario(seed=500 + i, n=n, generator=generator)).tree
+        specs = tuple(sweep.compromises(rng, n, kind, tree))
         world = World(Scenario(seed=500 + i, rounds=3, n=n, generator=generator, audit_prob=1.0,
-                               compromises=tuple(sweep.compromises(rng, n, kind, tree)),
+                               compromises=specs,
                                trigger_round=2 if kind == "replay" else rng.randint(1, 2)))
+        compromised = {spec.node_id for spec in specs}
         on_links(world, _keyless(rng))
         for round_no in (1, 2, 3):
             try:
@@ -846,7 +844,13 @@ def test_walk_under_keyless_faults_is_pinned():
             rep, rm = result.report, world.metrics.rounds[-1]
             walk = "-" if rep is None else f"{rep.transcript}|{sorted(rep.non_committed)}"
             digest.update(f"{i}|{format_report_line(result)}|{walk}|{rm}".encode())
+            if rep is not None:
+                blamed += len(rep.outliers - compromised)
     assert digest.hexdigest() == WALK_FAULTS
+    # ROADMAP item 2: the walk convicts a node whose answer a keyless fault
+    # lost or spoiled.  Until that is fixed, this many honest nodes land in
+    # outliers; the fix brings it to 0.
+    assert blamed == BLAMED_HONEST
 
 
 @pytest.fixture(scope="module")
