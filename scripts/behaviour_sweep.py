@@ -79,7 +79,7 @@ FIELDS = ("integrity", "participants", "raw_sum", "outliers", "non_committed", "
 # The faults of the faulted runs, and the types a retype may write: any but
 # a QUERY's.
 SWEEP_FAULTS = ("drop", "cut", "flip", "retype")
-NOT_QUERY = tuple(t for t in fault_grammar.TYPE_NAMES if t not in (wire.QUERY, wire.AGG))
+NOT_QUERY = tuple(t for t in fault_grammar.TYPES if t not in (wire.QUERY, wire.AGG))
 
 
 def compromises(rng: random.Random, n: int, kind: str, tree) -> list[CompromiseSpec]:

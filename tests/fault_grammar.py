@@ -38,12 +38,8 @@ from reference_codecs import decode_probe_entry
 from concealed_agg import wire
 
 KINDS = ("drop", "cut", "flip", "retype", "rewrite")
-UNKNOWN = 0x7F  # a message type no receiver knows
-
-TYPE_NAMES = {
-    wire.QUERY: "QUERY", wire.AGG: "AGG", wire.PROBE: "PROBE", wire.PROBE_RESP: "PROBE_RESP",
-    wire.REAGG: "REAGG", wire.REAGG_RESP: "REAGG_RESP", UNKNOWN: "UNKNOWN",
-}
+# The message types a retype may write: the package's, and one no receiver knows.
+TYPES = (wire.QUERY, wire.AGG, wire.PROBE, wire.PROBE_RESP, wire.REAGG, wire.REAGG_RESP, 0x7F)
 
 _PACKET = ("sender", "absent count", "absent ids", "pair", "channel tag", "tag")
 _CHILD_PACKET = ("child sender", "child absent count", "child absent ids", "child pair", "child tag")
@@ -136,7 +132,7 @@ def fault(
     """The frame after a fault of the given kind, or None if it is lost, and
     the fault.  flips scopes a flip to some of the frame type's fields
     (default: all of them), types are those a retype may write (default:
-    every other one in ``TYPE_NAMES``), and senders the ids a rewrite may
+    every other one in ``TYPES``), and senders the ids a rewrite may
     write."""
     if kind == "drop":
         return None, Fault(kind, "", 0, 0, "")
@@ -152,7 +148,7 @@ def fault(
         field, at, value = rng.choice(names), rng.getrandbits(32), rng.getrandbits(32)
         aimed = _aim([span for span in spans if span[2] > span[1]], names, field, at)
     elif kind == "retype":
-        field, value = "type", rng.choice(types or tuple(t for t in TYPE_NAMES if t != frame_type))
+        field, value = "type", rng.choice(types or tuple(t for t in TYPES if t != frame_type))
         aimed = spans[0] if spans else None
     elif kind == "rewrite":
         field, at, value = "sender", rng.getrandbits(32), rng.choice(senders)

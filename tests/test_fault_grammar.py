@@ -1,6 +1,7 @@
 """The keyless fault grammar: its field map against the package's decoders,
 and draws that do not depend on a frame's length."""
 
+import hashlib
 import random
 from collections import defaultdict
 
@@ -10,13 +11,8 @@ from fault_grammar import FIELDS, KINDS, PAST_SENDER, fault, field_map
 from concealed_agg import wire
 
 
-def _ints(payload: bytes, span: tuple[str, int, int]) -> list[int]:
-    _, start, end = span
-    return [int.from_bytes(payload[at : at + 4], "big") for at in range(start, end, 4)]
-
-
-def _sweep_frames(monkeypatch, worlds: int) -> list[bytes]:
-    """Every frame the sweep's first worlds put on the bus, plain runs."""
+def _sweep_frames(monkeypatch, worlds) -> list[bytes]:
+    """Every frame the given sweep worlds put on the bus, plain runs."""
     sweep = behaviour_sweep()
     frames = []
     recording = sweep._recording
@@ -31,35 +27,38 @@ def _sweep_frames(monkeypatch, worlds: int) -> list[bytes]:
         return kept
 
     monkeypatch.setattr(sweep, "_recording", keeping)
-    sweep.fingerprint(worlds)
+    for i in worlds:
+        sweep._world(i, {name: hashlib.sha256() for name in sweep.PARTS}, {})
     return frames
 
 
 def test_field_map_tiles_every_frame_the_sweep_sends_and_reads_what_wire_reads(monkeypatch):
-    # Over the first 40 sweep worlds, each frame's fields run end to end from
-    # byte 0 to its last byte, and the senders, rounds and targets they hold
-    # are those the package's decoders read.  A flip turns one bit inside the
-    # field it hit, and a cut ends where that field starts.
+    # Over the first 40 sweep worlds, and world 229, the first whose walk
+    # sends a request that names targets and gets a bundle back, each frame's
+    # fields run end to end from byte 0 to its last byte, and the senders,
+    # rounds and targets they hold are those the package's decoders read.
+    # Every field of every type is met, at least a byte wide.  A flip turns
+    # one bit inside the field it hit, and a cut ends where that field starts.
     rng = random.Random(0)
-    types = set()
-    for payload in _sweep_frames(monkeypatch, 40):
+    met = defaultdict(set)
+    for payload in _sweep_frames(monkeypatch, [*range(40), 229]):
         spans = field_map(payload)
-        types.add(payload[0])
+        met[payload[0]] |= {name for name, start, end in spans if end > start}
         assert [start for _, start, _ in spans] == [0] + [end for _, _, end in spans[:-1]]
         assert spans[-1][2] == len(payload)
         assert {name for name, _, _ in spans} <= set(FIELDS[payload[0]])
-        read = defaultdict(list)
-        for span in spans:
-            read[span[0]] += _ints(payload, span) if span[0] in ("targets", "sender", "child sender") else [span]
+        read = defaultdict(list)  # what the rounds, targets and senders hold
+        for name, start, end in spans:
+            width = 8 if name == "round" else 4
+            if name in ("round", "targets", "sender", "child sender"):
+                read[name] += [int.from_bytes(payload[at : at + width], "big") for at in range(start, end, width)]
         body = payload[1:]
         if payload[0] == wire.AGG:
             assert read["sender"] == [wire.decode_agg_body(body)[0]]
         elif payload[0] == wire.QUERY:
-            (_, start, end), = read["round"]
-            assert int.from_bytes(payload[start:end], "big") == wire.decode_query(payload, 1)[0]
+            assert read["round"] == [wire.decode_query(payload, 1)[0]]
         elif payload[0] == wire.PROBE:
-            (_, start, end), = read["round"]
-            assert (int.from_bytes(payload[start:end], "big"), tuple(read["targets"])) == wire.decode_probe(body)
+            assert (*read["round"], tuple(read["targets"])) == wire.decode_probe(body)
         else:
             entries = wire.probe_entry_spans(body)
             assert read["sender"] == [wire.packet_sender(body, at) for _, at, _, _ in entries]
@@ -71,7 +70,7 @@ def test_field_map_tiles_every_frame_the_sweep_sends_and_reads_what_wire_reads(m
         assert any(name == drawn.hit and start <= at < end for name, start, end in spans)
         cut, drawn = fault(rng, "cut", payload)
         assert any(name == drawn.hit and start == len(cut) for name, start, _ in spans)
-    assert types == set(FIELDS)
+    assert met == {frame_type: set(names) for frame_type, names in FIELDS.items()}
 
 
 def test_a_frames_length_moves_no_draw():
@@ -92,5 +91,5 @@ def test_a_frames_length_moves_no_draw():
             )
             assert drawn[:4] == other[:4] == pad[:4], (seed, kind)
             assert drawn == pad
-            assert p == h if kind in ("drop", "cut") else p == h + bytes(4)
+            assert p == (h if kind in ("drop", "cut") else h + bytes(4))
         assert rngs[0].getstate() == rngs[1].getstate() == rngs[2].getstate()
