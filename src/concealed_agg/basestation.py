@@ -43,12 +43,11 @@ without them, and no node is ever asked for one: a keyed node that
 misreports a child's packet gets no more than it could by lying in its own
 answer.
 
-The station is the root of the aggregation tree and takes in its children's
-packets with the same ``wire.keep_child_packet`` and ``wire.fold_packets``
-every sensor runs.  The attested value costs no further exchange: the
-station folds its children that did not fail, then adds back, top-down, each
-exonerated node whose parent was added, using the re-aggregate packet that
-cleared it.
+The station is the root of the aggregation tree and folds in its children's
+packets with the same ``wire.keep_child_packet`` every sensor runs.  The
+attested value costs no further exchange: the station subtracts its failing
+children from its fold, then adds back, top-down, each exonerated node whose
+parent was added, using the re-aggregate packet that cleared it.
 """
 
 from __future__ import annotations
@@ -169,7 +168,7 @@ class BaseStation:
         self._prefix_d = self._prefix_dp = [0, 0, *accumulate(origins)]
         self._ledger_round = 0
         self._absent_streak: dict[int, int] = {}  # absent rounds in a row, of nodes absent last round
-        self._round_packets: dict[int, wire.AggPacket] = {}
+        self._fold = wire.Fold()  # the station's children's packets this round
         # The re-aggregates that exonerated nodes in this round's walk.
         self._cleared: dict[int, wire.AggPacket] = {}
         self._last_round = 0
@@ -224,21 +223,21 @@ class BaseStation:
         self._last_round = round_no
         self.counters = dict.fromkeys(self.counters, 0)
         self.advance_ledger(round_no)
-        self._round_packets = {}
+        self._fold = wire.Fold()
         self._cleared = {}
         query = wire.encode_query(round_no, function)
         return [(cid, query) for cid in self.tree.children[BS_ID]]
 
     def receive_packet(self, body: bytes) -> None:
-        """Keep a child's packet for the current round through the intake
+        """Fold a child's packet into the current round through the intake
         every parent runs."""
-        wire.keep_child_packet(self._round_packets, self._child_channels, self._last_round, body, 0, BS_ID)
+        wire.keep_child_packet(self._fold, self._child_channels, self._last_round, body, 0, BS_ID)
 
     def finalize(self, round_no: int) -> tuple[int, int, Claim]:
-        """Fold the children's packets into the final pair and the round's
-        claim: the whole tree less the silent children and every absent root
-        the packets name."""
-        dsum, dsum_prime, absent, _ = wire.fold_packets(self._round_packets, self.tree.children[BS_ID])
+        """Close the fold of the children's packets: the final pair and the
+        round's claim, the whole tree less the silent children and every
+        absent root the packets name."""
+        dsum, dsum_prime, absent, _ = self._fold.close(self.tree.children[BS_ID])
         return dsum, dsum_prime, Claim(BS_ID, absent)
 
     def participants(self, claim: Claim) -> frozenset[int]:
@@ -374,7 +373,7 @@ class BaseStation:
         The outliers are the failed nodes it does not clear.
         """
         self.advance_ledger(round_no)  # once for the walk: a no-op at the round, or raises
-        packets, children = self._round_packets, self.tree.children
+        packets, children = self._fold.child_packets, self.tree.children  # parsed once per walk
         verdicts: dict[int, tuple[bool, bool]] = {}  # node -> (committed, ipet_ok)
         # The tag each probed node must resend, as an integer: the one in the
         # packet the station holds from it, or the one its parent reported.
@@ -435,18 +434,17 @@ class BaseStation:
 
     def reaggregate_final(self, outliers: frozenset[int]) -> tuple[tuple[int, int], Claim]:
         """The final pair and claim less the outlier subtrees, from what the
-        walk holds, with no further exchange.  The station's children that did
-        not fail keep their packets; then each exonerated node whose parent
-        was added, in tour order, is added through its re-aggregate (which
-        left out its failing children): its pair, and its absent roots in
-        place of its own id."""
+        walk holds, with no further exchange.  The station's closed fold less
+        its children that failed, by ``_subtract``; then each exonerated node
+        whose parent was added, in tour order, is added through its
+        re-aggregate (which left out its failing children): its pair, and its
+        absent roots in place of its own id."""
         cleared = self._cleared
-        kept = {
-            cid: pkt for cid, pkt in self._round_packets.items()
-            if cid not in outliers and cid not in cleared
-        }
-        dsum, dsum_prime, absent, _ = wire.fold_packets(kept, self.tree.children[BS_ID])
-        absent = list(absent)
+        dsum, dsum_prime, absent, _ = self._fold.close(self.tree.children[BS_ID])
+        failing = [pkt for cid, pkt in self._fold.child_packets.items() if cid in outliers or cid in cleared]
+        # Never None: the fold gathered every absent root its children listed.
+        rest = _subtract(wire.AggPacket(BS_ID, absent, dsum, dsum_prime, crypto.ZERO_TAG), failing)
+        dsum, dsum_prime, absent = rest.dsum, rest.dsum_prime, list(rest.absent)
         added = {BS_ID}
         parent = self.tree.parent
         for nid in sorted(cleared, key=self.tree.pos.__getitem__):

@@ -47,11 +47,11 @@ of a key share one: both ends of an edge, and a node and the station's
 seed ledger for K || K'.
 
 Tags fold as integers, read big-endian and written back at their length: the
-bytes a per-byte XOR gives.  ``wire.fold_packets`` XORs a node's child tags
-into one integer, the node XORs in its own MAC and writes the tag once.  The
-functions here are pure and safe to call from any number of threads, a keyed
-state included, because calls only copy it; a ``SeedState`` holds a
-position and belongs to one endpoint.
+bytes a per-byte XOR gives.  ``wire.keep_child_packet`` XORs each child tag
+into a running integer as the packet opens, the node XORs in its own MAC and
+writes the tag once.  The functions here are pure and safe to call from any
+number of threads, a keyed state included, because calls only copy it; a
+``SeedState`` holds a position and belongs to one endpoint.
 """
 
 from __future__ import annotations

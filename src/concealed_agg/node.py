@@ -2,36 +2,36 @@
 
 Per round a node: receives the query exactly once, relays it to its children
 as it arrived, advances both seed chains with one keyed PRF call, senses one
-reading and diffuses it under both chains' seeds, and keeps each child's
-authenticated packet.  Each frame crosses the node in one call,
+reading and diffuses it under both chains' seeds, and folds in each child's
+authenticated packet as it opens.  Each frame crosses the node in one call,
 ``handle_message``, which goes by the frame's type, byte 0: a QUERY opens
 the round and fans out, and an AGG goes, whole, to ``wire.keep_child_packet``,
-the intake the station runs too: a packet that names no child, names a
-child already kept, or does not open leaves nothing behind, so the child's
-genuine packet still folds.  ``open_round`` and ``aggregate_child`` drive
-the same path by hand.  The node's keyed-PRF calls are ``crypto``'s own:
-``next_seed`` and ``sense_raw`` at the QUERY, ``mac_pair`` at emission, and
-the channel tag inside ``wire``.  The node emits, ``emit``, once the
-simulator finds its subtree drained: it folds the kept packets with
-``wire.fold_packets`` (the dual sums component-wise mod M, the child tags
-XORed as one integer, and an absent list: the children that did not report
-plus the absent lists of those that did), adds its own pair, and sends
-exactly one packet upward.  An honest round's packets name no one, so they
-have the same size at every depth.  The emitted tag is its own MAC over the
-final aggregated pair XORed with all child tags, so the tag of any subtree
-equals the XOR of the own-MACs of every node inside it.
+the intake and fold the station runs too: it adds the packet to the round's
+running pair, tag and absent ids, which start from the node's own pair, and
+keeps it as bytes.  A packet that names no child, names a child already
+kept, or does not open folds nothing, so the child's genuine packet still
+folds.  ``open_round`` and ``aggregate_child`` drive the same path by hand.
+The node's keyed-PRF calls are ``crypto``'s own: ``next_seed`` and
+``sense_raw`` at the QUERY, ``mac_pair`` at emission, and the channel tag
+inside ``wire``.  The node emits, ``emit``, once the simulator finds its
+subtree drained: it closes the fold, its silent children joining the absent
+ids, XORs its own MAC into the running tag, and sends exactly one packet
+upward.  An honest round's packets name no one, so they have the same size
+at every depth.  The emitted tag is its own MAC over the final aggregated
+pair XORed with all child tags, so the tag of any subtree equals the XOR of
+the own-MACs of every node inside it.
 
 The node also answers attestation probes: on a direct logical channel to the
 base station it resends what it committed to, together with the packet of
-each child it kept, as it received it.  The station checks those child
-packets itself and takes a child's packet out of the node's aggregate by
-subtraction, so no node is ever asked to re-aggregate.
+each child it kept, as it received it: the kept bytes, joined.  The station
+checks those child packets itself and takes a child's packet out of the
+node's aggregate by subtraction, so no node is ever asked to re-aggregate.
 
 A compromised node carries an ``adversary.Behavior``: one hook per protocol
 step (the reading, each child packet kept, the folded pair, the probe
 answer and the emitted frame), each given the honest value and the round
-and returning the value the node uses.  An honest node has none and skips
-every hook.
+and returning the value the node uses; packets reach a hook parsed.  An
+honest node has none and skips every hook.
 """
 
 from __future__ import annotations
@@ -48,18 +48,26 @@ Send = tuple[int, bytes]  # (destination node id, fabric payload)
 _AGG_TYPE = wire.frame(wire.AGG)  # an AGG frame's type byte, prepended to its body
 
 
-class RoundState:
-    """A node's open round: its own diffused pair, the child packets kept,
-    and the packet it emitted, once it has."""
+class RoundState(wire.Fold):
+    """A node's open round: the fold of its child packets, from its own
+    diffused pair, and the packet body it emitted, once it has."""
 
-    __slots__ = ("round", "own_d", "own_dp", "child_packets", "emitted")
+    __slots__ = ("round", "own_d", "own_dp", "body")
 
     def __init__(self, round_no: int, own_d: int, own_dp: int):
+        # Every slot set here, the fold's too: one call per node and round.
         self.round = round_no
-        self.own_d = own_d
-        self.own_dp = own_dp
-        self.child_packets: dict[int, wire.AggPacket] = {}
-        self.emitted: wire.AggPacket | None = None
+        self.own_d = self.dsum = own_d
+        self.own_dp = self.dsum_prime = own_dp
+        self.tag = 0
+        self.absent: list[int] = []
+        self.kept: dict[int, bytes] = {}
+        self.body: bytes | None = None
+
+    @property
+    def emitted(self) -> wire.AggPacket | None:
+        """The emitted packet parsed, None before emission: a read-only view."""
+        return None if self.body is None else wire.packet_view(self.body)
 
 
 class SensorNode:
@@ -110,30 +118,29 @@ class SensorNode:
         self.handle_message(wire.encode_query(round_no, "sum"))
 
     def aggregate_child(self, body: bytes) -> None:
-        """Keep one child's packet body for the fold at emission, as its AGG
-        frame does (``handle_message``)."""
+        """Fold one child's packet body in, as its AGG frame does
+        (``handle_message``)."""
         self.handle_message(_AGG_TYPE + body)
 
     def emit(self) -> Send:
-        """Build, seal, and retain this round's single upward packet: the kept
-        child packets folded (``wire.fold_packets``) with the own pair, tagged
-        with the own MAC XORed into the fold's child tags (the own MAC as it
-        is when no packet was kept).  Emission closes the round: a child
-        without a kept packet is left out as an absent root, and a packet
-        that arrives later is ignored."""
+        """Close the fold, then seal and keep this round's single upward
+        packet body, tagged with the own MAC XORed into the running child
+        tag (the own MAC as it is when no packet was kept).  Emission closes
+        the round: a child without a kept packet is left out as an absent
+        root, and a packet that arrives later is ignored."""
         state = self.state
         if state is None:
             raise NoSuchRound(f"node {self.node_id}: no active round")
-        if state.emitted is not None:
+        if state.body is not None:
             raise AlreadyEmitted(f"node {self.node_id}: round {state.round}")
         round_no, behavior = state.round, self.behavior
-        dsum, dsum_prime, absent, tags = wire.fold_packets(state.child_packets, self.children, state.own_d, state.own_dp)
+        dsum, dsum_prime, absent, tags = state.close(self.children)
         if behavior is not None:
             dsum, dsum_prime = behavior.pair((dsum, dsum_prime), round_no)
         tag = crypto.mac_pair(self.mac_key, dsum, dsum_prime)
         if tags:
             tag = (int.from_bytes(tag, "big") ^ tags).to_bytes(crypto.TAG_LEN, "big")
-        state.emitted, body = wire.seal_packet(self.up_channel, round_no, self.node_id, absent, dsum, dsum_prime, tag)
+        state.body = body = wire.seal_packet(self.up_channel, round_no, self.node_id, absent, dsum, dsum_prime, tag)
         payload = _AGG_TYPE + body
         if behavior is not None:
             payload = behavior.payload(payload, round_no)
@@ -142,16 +149,18 @@ class SensorNode:
     # === Attestation ========================================================
 
     def respond_attestation(self, round_no: int) -> bytes:
-        """Resend the committed packet on the direct base-station channel,
-        with the packets of the children it folded bound into the channel tag."""
+        """Resend the committed packet, read from the emitted body, on the
+        direct base-station channel, with the kept child packets, joined,
+        bound into the channel tag; an ``answer`` hook's are encoded anew."""
         state = self.state
-        if state is None or state.round != round_no or state.emitted is None:
+        if state is None or state.round != round_no or state.body is None:
             raise NoSuchRound(f"node {self.node_id}: no emitted packet for round {round_no}")
         pkt = state.emitted
-        absent, pair, child_packets = pkt.absent, (pkt.dsum, pkt.dsum_prime), state.child_packets
+        absent, pair, kept = pkt.absent, (pkt.dsum, pkt.dsum_prime), state.kept
         if self.behavior is not None:
-            absent, pair, child_packets = self.behavior.answer((absent, pair, child_packets), round_no)
-        return wire.seal_probe_resp(self.bs_channel, round_no, self.node_id, absent, *pair, pkt.tag, child_packets)
+            absent, pair, child_packets = self.behavior.answer((absent, pair, state.child_packets), round_no)
+            kept = {cid: wire.encode_child_packet(cid, child) for cid, child in child_packets.items()}
+        return wire.seal_probe_resp(self.bs_channel, round_no, self.node_id, absent, *pair, pkt.tag, kept)
 
     # === Fabric dispatch ====================================================
 
@@ -168,14 +177,14 @@ class SensorNode:
         msg_type = payload[0] if payload else None
         if msg_type == wire.AGG:
             state = self.state
-            if state is None or state.emitted is not None:
+            if state is None or state.body is not None:
                 log.info("node %d: packet outside an open round ignored", self.node_id)
                 return []
             if self.behavior is not None:
                 payload = self.behavior.keeps(payload, state.round)
                 if payload is None:
                     return []
-            wire.keep_child_packet(state.child_packets, self.child_channels, state.round, payload, 1, self.node_id)
+            wire.keep_child_packet(state, self.child_channels, state.round, payload, 1, self.node_id)
             return []
         if msg_type != wire.QUERY:
             log.info("node %d: ignored message of type %s", self.node_id, msg_type)

@@ -65,13 +65,13 @@ stay as reference code:
     REAGG_RESP  round (8B BE) || ok (1B) || aggregation packet, if ok
 
 ``keep_child_packet`` is the one intake every parent runs, the station
-included.  A sensor hands it the AGG frame whole and it reads the header,
-sender and absent count, once: a packet that names no child, names a child
-already kept, or does not open leaves nothing behind.  ``open_packet`` opens
-a packet on a known channel, as the station does a probe answer's.
-``fold_packets`` is the one aggregation step: ring-add the kept packets'
-pairs, gather their absent lists and XOR their tags as one integer; a child
-without a packet is an absent root.
+included, and the one fold: a packet that opens is added to the receiver's
+``Fold`` at once and kept as the bytes a probe answer carries; one that
+names no child, names a child already kept, or does not open folds nothing.
+A sensor hands it the AGG frame whole and it reads the header once.
+``Fold.close`` ends the fold: a child without a packet is an absent root.
+``open_packet`` opens a packet on a known channel, as the station does a
+probe answer's.
 Every decoder raises ValueError, and nothing else, on a frame that does not
 parse.
 """
@@ -128,31 +128,33 @@ class AggPacket(NamedTuple):
 _new_packet = partial(tuple.__new__, AggPacket)  # AggPacket from a field tuple, built in C
 
 
-def fold_packets(
-    packets: dict[int, AggPacket], children: tuple[int, ...], dsum: int = 0, dsum_prime: int = 0
-) -> tuple[int, int, tuple[int, ...], int]:
-    """Fold the packets of the given children, in their (ascending id) order;
-    a child without a packet is an absent root.  Returns one layer of packets
-    folded together: the ring sum of their pairs and the given one (dsum,
-    dsum_prime, each below M), the ids of the absent subtree roots below the
-    folding node, ascending, and the XOR of the packets' tags as one
-    big-endian integer.  With no packet kept that is the given pair, the
-    children tuple itself and a tag of 0."""
-    if not packets:
-        return dsum, dsum_prime, children, 0
-    tag = 0
-    absent: list[int] = []
-    for child in children:
-        pkt = packets.get(child)
-        if pkt is None:
-            absent.append(child)
-            continue
-        absent += pkt.absent
-        dsum += pkt.dsum
-        dsum_prime += pkt.dsum_prime
-        tag ^= int.from_bytes(pkt.tag, "big")
-    mask = crypto.MASK
-    return dsum & mask, dsum_prime & mask, tuple(sorted(absent)) if absent else (), tag
+class Fold:
+    """A receiver's running fold of the child packets the intake kept: the
+    sum of their pairs and a starting one, unreduced; their absent ids; the
+    XOR of their tags as one integer; and each packet, by sender, as the
+    bytes a probe entry carries (``encode_child_packet``)."""
+
+    __slots__ = ("dsum", "dsum_prime", "tag", "absent", "kept")
+
+    def __init__(self):
+        self.dsum = self.dsum_prime = self.tag = 0
+        self.absent: list[int] = []
+        self.kept: dict[int, bytes] = {}
+
+    @property
+    def child_packets(self) -> dict[int, AggPacket]:
+        """The kept packets parsed, by sender: a read-only view."""
+        return {cid: packet_view(body, sealed=False) for cid, body in self.kept.items()}
+
+    def close(self, children: tuple[int, ...]) -> tuple[int, int, tuple[int, ...], int]:
+        """The fold over the receiver's children: its pair mod M, the absent
+        subtree roots below the receiver, ascending (the children it kept no
+        packet from and every id the kept ones listed), and its tag integer."""
+        absent, kept = self.absent, self.kept
+        if len(kept) < len(children):
+            absent = absent + [cid for cid in children if cid not in kept]
+        mask = crypto.MASK
+        return self.dsum & mask, self.dsum_prime & mask, tuple(sorted(absent)) if absent else (), self.tag
 
 
 def _need(body: bytes, length: int, what: str) -> None:
@@ -214,25 +216,23 @@ def seal_packet(
     dsum_prime: int,
     tag: bytes,
     bound: bytes = b"",
-) -> tuple[AggPacket, bytes]:
+) -> bytes:
     """Seal a pair on the given channel for a round, binding the header, the
     tag and any extra ``bound`` bytes into the channel tag; returns the
-    plaintext view and body, the bytes ``encode_agg_body`` gives.  The
-    header is packed once, for both the associated data and the body."""
+    body, the bytes ``encode_agg_body`` gives.  The header is packed once,
+    for both the associated data and the body."""
     mask = crypto.MASK
     head = sender.to_bytes(4, "big") + _absent_field(absent)
     pair = _PAIR.pack(dsum & mask, dsum_prime & mask)
-    sealed = pair + crypto._channel_tag(channel, round_no, head + tag + bound, pair)
-    return _new_packet((sender, absent, dsum, dsum_prime, tag)), head + sealed + tag
+    return head + pair + crypto._channel_tag(channel, round_no, head + tag + bound, pair) + tag
 
 
-def _open_at(
-    channel: crypto.Keyed, round_no: int, data: bytes, at: int, sender: int, count: int, bound: bytes = b""
-) -> AggPacket:
-    """Unseal the packet at byte ``at`` of data, whose sender and absent count
-    the caller has read: the one check of a channel tag.  Its pair, channel
-    tag and tag are read in one unpack.  The associated data is the header as
-    it arrived, sliced from data, then the tag and ``bound``, as
+def _unseal(
+    channel: crypto.Keyed, round_no: int, data: bytes, at: int, count: int, bound: bytes = b""
+) -> tuple[int, int, bytes]:
+    """The pair and tag of the packet at byte ``at`` of data, whose absent
+    count the caller has read, once its channel tag checks: the one check of
+    a channel tag, over the header as it arrived, the tag and ``bound``, as
     ``seal_packet`` packs them.  AuthFailure on a cut packet or a bad tag."""
     pair_at = at + 8 + 4 * count
     if len(data) < pair_at + _SEALED_TAIL.size:
@@ -241,12 +241,11 @@ def _open_at(
     expected = crypto._channel_tag(channel, round_no, data[at:pair_at] + tag + bound, data[pair_at : pair_at + 16])
     if not compare_digest(sealed_tag, expected):
         raise AuthFailure("channel tag mismatch")
-    absent = struct.unpack_from(f">{count}I", data, at + 8) if count else ()
-    return _new_packet((sender, absent, dsum, dsum_prime, tag))
+    return dsum, dsum_prime, tag
 
 
 def open_packet(channel: crypto.Keyed, round_no: int, body: bytes, bound: bytes = b"") -> AggPacket:
-    """Parse and unseal (``_open_at``) a packet received on a channel in a
+    """Parse and unseal (``_unseal``) a packet received on a channel in a
     round, ignoring bytes past its end.  Raises AuthFailure on a body that
     does not parse, and on bad traffic: a header or ``bound`` bytes other
     than those sealed, or a packet sealed for another round."""
@@ -254,29 +253,52 @@ def open_packet(channel: crypto.Keyed, round_no: int, body: bytes, bound: bytes 
         sender, absent, _, _ = decode_agg_body(body)
     except ValueError as exc:
         raise AuthFailure(f"malformed aggregation packet: {exc}") from exc
-    return _open_at(channel, round_no, body, 0, sender, len(absent), bound)
+    return _new_packet((sender, absent, *_unseal(channel, round_no, body, 0, len(absent), bound)))
+
+
+def packet_view(data: bytes, at: int = 0, sealed: bool = True) -> AggPacket:
+    """The plaintext view of the packet at byte ``at`` of data, a sealed one
+    or, with sealed false, a child packet as a probe entry carries it; no
+    channel tag is checked."""
+    sender, count = _HEADER.unpack_from(data, at)
+    absent = struct.unpack_from(f">{count}I", data, at + 8) if count else ()
+    fields = (_SEALED_TAIL if sealed else _PAIR_TAG).unpack_from(data, at + 8 + 4 * count)
+    return _new_packet((sender, absent, fields[0], fields[1], fields[-1]))
+
+
+def encode_child_packet(sender: int, pkt: AggPacket) -> bytes:
+    """A child packet as a probe entry carries it, its channel tag left out:
+    the bytes the intake keeps of a packet that opens."""
+    return sender.to_bytes(4, "big") + _absent_field(pkt.absent) + _PAIR_TAG.pack(pkt.dsum, pkt.dsum_prime, pkt.tag)
 
 
 def keep_child_packet(
-    kept: dict[int, AggPacket], channels: dict[int, crypto.Keyed], round_no: int,
-    data: bytes, at: int, receiver: int,
+    fold: Fold, channels: dict[int, crypto.Keyed], round_no: int, data: bytes, at: int, receiver: int
 ) -> None:
     """Open the packet that starts at byte ``at`` of data (1 in an AGG frame,
     past its type byte) on the channel of the child it names, for the
-    receiver's round, and keep it; its header is read once, for ``_open_at``.
-    One too short for a header names no child.  One that names no child or a
-    child already kept, or does not open, is ignored with a log line."""
+    receiver's round, and fold it in at once, keeping it less its channel
+    tag; its header is read once, for ``_unseal``.  One too short for a
+    header names no child.  One that names no child or a child already
+    kept, or does not open, folds nothing and is ignored with a log line."""
     sender, count = _HEADER.unpack_from(data, at) if len(data) >= at + 8 else (None, 0)
     channel = channels.get(sender)
     if channel is None:
         log.info("node %d: packet from non-child %s ignored", receiver, sender)
-    elif sender in kept:
+    elif sender in fold.kept:
         log.info("node %d: duplicate packet from child %d ignored", receiver, sender)
     else:
         try:
-            kept[sender] = _open_at(channel, round_no, data, at, sender, count)
+            dsum, dsum_prime, tag = _unseal(channel, round_no, data, at, count)
         except AuthFailure as exc:
             log.info("node %d: rejected packet from child %d: %s", receiver, sender, exc)
+            return
+        fold.dsum += dsum
+        fold.dsum_prime += dsum_prime
+        fold.tag ^= int.from_bytes(tag, "big")
+        if count:
+            fold.absent += struct.unpack_from(f">{count}I", data, at + 8)
+        fold.kept[sender] = data[at : at + 24 + 4 * count] + tag
 
 
 # === Queries, probes, reaggregation requests ================================
@@ -316,25 +338,16 @@ def decode_probe(body: bytes) -> tuple[int, tuple[int, ...]]:
     return round_no, targets
 
 
-def _child_block(packets: dict[int, AggPacket]) -> bytes:
-    """A probe entry's child block: the count, then each child's packet by
-    ascending id, its channel tag left out."""
-    parts = [len(packets).to_bytes(4, "big")]
-    for cid in sorted(packets):
-        pkt = packets[cid]
-        parts += cid.to_bytes(4, "big"), _absent_field(pkt.absent), _PAIR_TAG.pack(pkt.dsum, pkt.dsum_prime, pkt.tag)
-    return b"".join(parts)
-
-
 def seal_probe_resp(
     channel: crypto.Keyed, round_no: int, sender: int, absent: tuple[int, ...],
-    dsum: int, dsum_prime: int, tag: bytes, child_packets: dict[int, AggPacket],
+    dsum: int, dsum_prime: int, tag: bytes, kept: dict[int, bytes],
 ) -> bytes:
     """A node's probe answer for a round, a one-entry PROBE_RESP frame: the
-    child packets it folded, by id, then its own packet sealed on the
-    channel with that child block bound into the channel tag."""
-    block = _child_block(child_packets)
-    return _PROBE_RESP_TYPE + block + seal_packet(channel, round_no, sender, absent, dsum, dsum_prime, tag, block)[1]
+    child block, the count and each kept child packet (``Fold.kept``) by
+    ascending id, joined as kept, then its own packet sealed on the channel
+    with that child block bound into the channel tag."""
+    block = len(kept).to_bytes(4, "big") + b"".join([kept[cid] for cid in sorted(kept)])
+    return _PROBE_RESP_TYPE + block + seal_packet(channel, round_no, sender, absent, dsum, dsum_prime, tag, block)
 
 
 def _entry_spans(body: bytes, offset: int = 0) -> list[tuple[int, int, int]]:
@@ -368,10 +381,8 @@ def _child_packets(body: bytes, start: int, at: int) -> list[AggPacket]:
     children = []
     offset = start + 4
     while offset < at:
-        sender, count = _HEADER.unpack_from(body, offset)
-        absent = struct.unpack_from(f">{count}I", body, offset + 8) if count else ()
-        offset += _CHILD_PACKET_LEN + 4 * count
-        children.append(_new_packet((sender, absent, *_PAIR_TAG.unpack_from(body, offset - _PAIR_TAG.size))))
+        children.append(pkt := packet_view(body, offset, sealed=False))
+        offset += _CHILD_PACKET_LEN + 4 * len(pkt.absent)
     return children
 
 

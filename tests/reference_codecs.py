@@ -26,6 +26,18 @@ def combine_macs(own: bytes, children: list[bytes]) -> bytes:
     return out
 
 
+def encode_child_packet(pkt: wire.AggPacket) -> bytes:
+    """A child packet as a probe entry carries it: sender, absent count,
+    absent ids, pair and tag, packed field by field."""
+    return struct.pack(f">II{len(pkt.absent)}IQQ{crypto.TAG_LEN}s", pkt.sender, len(pkt.absent), *pkt.absent,
+                       pkt.dsum, pkt.dsum_prime, pkt.tag)
+
+
+def encode_child_block(packets: list[wire.AggPacket]) -> bytes:
+    """A probe entry's child block: the count, then each packet in turn."""
+    return struct.pack(">I", len(packets)) + b"".join(encode_child_packet(pkt) for pkt in packets)
+
+
 def decode_probe_entry(body: bytes, offset: int = 0) -> tuple[list[wire.AggPacket], int, int]:
     """The child packets of the probe-response entry at offset, in the order
     they came, where its own packet starts (its child block, what that

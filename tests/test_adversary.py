@@ -178,7 +178,7 @@ def test_replay_kinds_old_frame_is_refused_and_the_genuine_packet_folds(caplog):
     assert agg.state.child_packets == {}
     assert "rejected packet from child 2: channel tag mismatch" in caplog.text
     pkt = leaf.state.emitted  # the packet leaf 2 sealed before its hook replaced the frame
-    _, genuine = wire.seal_packet(leaf.up_channel, 2, 2, pkt.absent, pkt.dsum, pkt.dsum_prime, pkt.tag)
+    genuine = wire.seal_packet(leaf.up_channel, 2, 2, pkt.absent, pkt.dsum, pkt.dsum_prime, pkt.tag)
     agg.aggregate_child(genuine)
     assert agg.state.child_packets == {2: pkt}
 
@@ -490,9 +490,9 @@ def test_keyless_link_eavesdropper_sees_only_the_edge_key_holders_view(monkeypat
         opened[body] = pkt = honest_open(channel, round_no, body, bound)
         return pkt
 
-    def recording_keep(kept, channels, round_no, data, at, receiver):
-        honest_keep(kept, channels, round_no, data, at, receiver)
-        opened[data[at:]] = kept[wire.packet_sender(data, at)]
+    def recording_keep(fold, channels, round_no, data, at, receiver):
+        honest_keep(fold, channels, round_no, data, at, receiver)
+        opened[data[at:]] = fold.child_packets[wire.packet_sender(data, at)]
 
     monkeypatch.setattr(wire, "open_packet", recording_open)
     monkeypatch.setattr(wire, "keep_child_packet", recording_keep)

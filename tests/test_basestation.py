@@ -72,12 +72,12 @@ def test_finalize_single_child_and_union():
     dsum, dsum_prime, claim = world.bs.finalize(1)
     assert claim == (0, ())
     assert world.bs.participants(claim) == frozenset(range(1, 6))
-    kids = world.bs._round_packets
+    kids = world.bs._fold.child_packets
     assert dsum == sum(p.dsum for p in kids.values()) % M
     assert dsum_prime == sum(p.dsum_prime for p in kids.values()) % M
     one = World(Scenario(seed=42, n=4, generator="path"))
     one.run_round(1)
-    pkt = one.bs._round_packets[1]
+    pkt = one.bs._fold.child_packets[1]
     assert one.bs.finalize(1)[:2] == (pkt.dsum, pkt.dsum_prime)
 
 
@@ -92,7 +92,7 @@ def test_absent_list_outside_sender_subtree_forces_walk():
     def lying_emit(honest=node.emit):
         dst, _ = honest()
         pkt = node.state.emitted
-        _, body = wire.seal_packet(node.up_channel, 1, 1, (2,), pkt.dsum, pkt.dsum_prime, pkt.tag)
+        body = wire.seal_packet(node.up_channel, 1, 1, (2,), pkt.dsum, pkt.dsum_prime, pkt.tag)
         return dst, wire.frame(wire.AGG, body)
 
     node.emit = lying_emit
@@ -119,11 +119,11 @@ def test_receive_packet_ignores_non_child_and_duplicates():
     # Path 0-1-2-3: only 1 is a station child.  Both bodies are fresh and
     # authentic on their senders' up-links, so only the guards keep them out.
     world, _ = run_one(Scenario(seed=44, n=3, generator="path"))
-    before = dict(world.bs._round_packets)
+    before = dict(world.bs._fold.child_packets)
     for nid in (1, 2):
-        _, body = wire.seal_packet(world.nodes[nid].up_channel, 1, nid, (), 5, 6, crypto.ZERO_TAG)
+        body = wire.seal_packet(world.nodes[nid].up_channel, 1, nid, (), 5, 6, crypto.ZERO_TAG)
         world.bs.receive_packet(body)
-    assert world.bs._round_packets == before  # nothing changed
+    assert world.bs._fold.child_packets == before  # nothing changed
 
 
 # === Pair-equality test ======================================================
@@ -424,7 +424,8 @@ def test_final_reaggregation_skips_a_cleared_node_whose_parent_was_not_added():
     # out even though 1 lists it, and the pair is 1's alone.
     world = World(Scenario(seed=43, edges=((0, 1), (1, 2), (2, 3))))
     bs = world.bs
-    bs._round_packets = {1: wire.AggPacket(1, (3,), 11, 22, bytes(crypto.TAG_LEN))}
+    bs.disseminate(1, "sum")
+    bs.receive_packet(wire.seal_packet(world.nodes[1].up_channel, 1, 1, (3,), 11, 22, bytes(crypto.TAG_LEN)))
     bs._cleared = {3: wire.AggPacket(3, (), 5, 7, bytes(crypto.TAG_LEN))}
     pair, claim = bs.reaggregate_final(frozenset({2}))
     assert claim.absent == (3,)

@@ -227,7 +227,7 @@ def test_pair_bytes_layout():
         blob = dsum.to_bytes(8, "big") + dsum_prime.to_bytes(8, "big")
         direct = hashlib.blake2b(blob, digest_size=crypto.TAG_LEN, key=key, person=b"diff.mac").digest()
         assert crypto.mac_pair(crypto.mac_key(key), dsum, dsum_prime) == direct
-        _, body = wire.seal_packet(crypto.channel_key(key), 1, 7, (), dsum, dsum_prime, crypto.ZERO_TAG)
+        body = wire.seal_packet(crypto.channel_key(key), 1, 7, (), dsum, dsum_prime, crypto.ZERO_TAG)
         assert wire.decode_agg_body(body)[2][:16] == blob
 
 

@@ -10,7 +10,7 @@ from unittest import mock
 
 import pytest
 from conftest import plaintext_sum, seed_of, sensed_raw
-from reference_codecs import combine_macs, decode_probe_entry, header_ad
+from reference_codecs import combine_macs, decode_probe_entry, encode_child_block, encode_child_packet, header_ad
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -207,7 +207,7 @@ def test_packet_opens_only_in_the_round_it_was_sealed_for(sealed_for, offset):
     world.nodes[1].open_round(sealed_for)
     world.bs.disseminate(opened_in, "sum")
     world.bs.receive_packet(child_body(world, 1))
-    assert (1 in world.bs._round_packets) == (offset == 0)
+    assert (1 in world.bs._fold.child_packets) == (offset == 0)
 
 
 def test_aggregate_malformed_packet_marks_unresponsive(caplog):
@@ -339,6 +339,23 @@ def test_attestation_resends_committed_fields():
     # Each kept child's packet as the node received it, ascending by id.
     kept = world.nodes[1].state.child_packets
     assert children == [kept[2], kept[3], kept[4]]
+
+
+def test_honest_answer_child_block_is_its_kept_packets_packed():
+    # An honest node's answer joins the bytes it kept: its child block is the
+    # field-by-field encoding of its kept packets, parsed, by ascending id,
+    # and those are the packets its children emitted.
+    world = World(Scenario(seed=34, n=30, generator="recursive"))
+    world.run_round(1)
+    interior = 0
+    for node in world.nodes.values():
+        body = wire.parse_frame(node.respond_attestation(1))[1]
+        _, at, _ = decode_probe_entry(body)
+        kept = node.state.child_packets
+        assert body[:at] == encode_child_block([kept[cid] for cid in sorted(kept)])
+        assert kept == {cid: world.nodes[cid].state.emitted for cid in node.children}
+        interior += bool(node.children)
+    assert interior > 1
 
 
 def test_answer_binds_its_child_packets():
@@ -518,7 +535,8 @@ def test_agg_packet_roundtrip_binds_header():
     # and rewriting any clear header field (sender, absent list, tag) or the
     # bound bytes, or opening it in another round, fails authentication.
     key = bytes(range(16))
-    pkt, body = wire.seal_packet(_channel(key), 1, 7, (9, 12), 5, 6, b"\x11" * 8, b"bound")
+    body = wire.seal_packet(_channel(key), 1, 7, (9, 12), 5, 6, b"\x11" * 8, b"bound")
+    pkt = wire.packet_view(body)
     assert wire.open_packet(_channel(key), 1, body, b"bound") == pkt
     assert pkt.absent == (9, 12)
     sender, absent, sealed, tag = wire.decode_agg_body(body)
@@ -628,13 +646,13 @@ def test_seal_and_open_packet_match_the_reference_codec(sender, absent, pair, ta
     # its end: the same packet, or the same refusal.
     key = crypto.channel_key(bytes(range(crypto.KEY_LEN)))
     with mock.patch.object(crypto, "_channel_tag", wraps=crypto._channel_tag) as sealed:
-        pkt, body = wire.seal_packet(key, 2, sender, absent, *pair, tag, bound)
+        body = wire.seal_packet(key, 2, sender, absent, *pair, tag, bound)
     [(_, round_no, ad, plaintext)] = [call.args for call in sealed.call_args_list]
     assert round_no == 2
     assert plaintext == struct.pack(">QQ", *pair)
     assert ad == header_ad(sender, absent, tag) + bound
     assert body == wire.encode_agg_body(sender, absent, crypto.seal(key, 2, plaintext, ad), tag)
-    assert pkt == (sender, absent, *pair, tag)
+    assert (pkt := wire.packet_view(body)) == (sender, absent, *pair, tag)
     for variant in _variants(body):
         want = _outcome(_reference_open, key, 2, variant, bound)
         assert _outcome(wire.open_packet, key, 2, variant, bound) == want
@@ -642,16 +660,16 @@ def test_seal_and_open_packet_match_the_reference_codec(sender, absent, pair, ta
     # The intake, which binds no extra bytes, keeps a packet at either offset
     # (a bare body at 0, an AGG frame at 1) exactly when the reference opens
     # it, with the same fields.
-    _, body = wire.seal_packet(key, 2, sender, absent, *pair, tag)
+    body = wire.seal_packet(key, 2, sender, absent, *pair, tag)
     for variant in _variants(body):
         want = _outcome(_reference_open, key, 2, variant, b"")
         for at in (0, 1):
-            kept = {}
-            wire.keep_child_packet(kept, {sender: key}, 2, bytes([wire.AGG]) * at + variant, at, 0)
-            assert kept == ({sender: want} if isinstance(want, wire.AggPacket) else {})
-    kept = {}
-    wire.keep_child_packet(kept, {sender: key}, 2, body, 0, 0)
-    assert kept == {sender: pkt}
+            fold = wire.Fold()
+            wire.keep_child_packet(fold, {sender: key}, 2, bytes([wire.AGG]) * at + variant, at, 0)
+            assert fold.child_packets == ({sender: want} if isinstance(want, wire.AggPacket) else {})
+    fold = wire.Fold()
+    wire.keep_child_packet(fold, {sender: key}, 2, body, 0, 0)
+    assert fold.child_packets == {sender: pkt}
 
 
 _IDS = st.integers(1, 2**32 - 1)
@@ -665,18 +683,38 @@ _PACKET_FIELDS = st.tuples(
 
 @settings(max_examples=100, deadline=None)
 @given(children=st.sets(_IDS, max_size=12).map(sorted).map(tuple), data=st.data())
-def test_fold_packets_matches_a_plain_reference_fold(children, data):
-    # Random kept-packet sets with children missing, none kept included, a
-    # packet from a non-child that must not fold, or none, and a given pair
-    # to fold into: the fold's integer tag is combine_macs over the kept
-    # packets' tags, and its pair and absent roots are a plain reference fold's.
-    kept = {
-        cid: wire.AggPacket(cid, *data.draw(_PACKET_FIELDS))
-        for cid in children if data.draw(st.booleans())
-    }
-    packets = {**kept, 0: wire.AggPacket(0, *data.draw(_PACKET_FIELDS))} if data.draw(st.booleans()) else kept
+def test_intake_fold_matches_a_plain_reference_fold(children, data):
+    # Packets reach the intake in random order: none, one or two from each
+    # child, some sealed for another round or with a bit flipped, so that
+    # they do not open, and some from a non-child.  Only the first packet of
+    # each child that opens may fold; duplicates, non-children's packets and
+    # packets that do not open fold nothing.  The closed fold's integer tag
+    # is combine_macs over the kept packets' tags, its pair and absent roots
+    # are a plain reference fold's from a given pair, and each kept packet is
+    # kept as the bytes a probe entry carries.
+    channels = {cid: _channel(cid.to_bytes(crypto.KEY_LEN, "big")) for cid in children}
+    arrivals = []  # (body, the packet it carries if it opens on its sender's channel)
+    for cid in children:
+        for _ in range(data.draw(st.integers(0, 2))):
+            pkt = wire.AggPacket(cid, *data.draw(_PACKET_FIELDS))
+            fault = data.draw(st.sampled_from((None, "round", "flip")))
+            body = wire.seal_packet(channels[cid], 3 if fault == "round" else 2, *pkt)
+            if fault == "flip":
+                bit = data.draw(st.integers(0, 8 * len(body) - 1))
+                body = body[: bit // 8] + bytes([body[bit // 8] ^ 1 << bit % 8]) + body[bit // 8 + 1 :]
+            arrivals.append((body, None if fault else pkt))
+    for _ in range(data.draw(st.integers(0, 2))):
+        arrivals.append((wire.seal_packet(_channel(bytes(16)), 2, 0, *data.draw(_PACKET_FIELDS)), None))
     own = data.draw(st.tuples(st.integers(0, M - 1), st.integers(0, M - 1)))
-    dsum, dsum_prime, absent, tag = wire.fold_packets(packets, children, *own)
+    fold = wire.Fold()
+    fold.dsum, fold.dsum_prime = own
+    kept: dict[int, wire.AggPacket] = {}
+    for body, pkt in data.draw(st.permutations(arrivals)):
+        wire.keep_child_packet(fold, channels, 2, body, 0, 0)
+        if pkt is not None:
+            kept.setdefault(pkt.sender, pkt)
+    assert fold.kept == {cid: encode_child_packet(pkt) for cid, pkt in kept.items()}
+    dsum, dsum_prime, absent, tag = fold.close(children)
     folded = [kept[cid] for cid in children if cid in kept]
     assert tag.to_bytes(crypto.TAG_LEN, "big") == combine_macs(
         crypto.ZERO_TAG, [pkt.tag for pkt in folded])
@@ -737,19 +775,20 @@ def test_query_probe_reagg_roundtrip():
 
 
 # Two child packets as a probe entry reports them: a leaf, and a node
-# with an absent root below it.
+# with an absent root below it; and the same as a node keeps them.
 CHILD_PACKETS = {
     9: wire.AggPacket(9, (), 1, 2, b"\x22" * 8),
     12: wire.AggPacket(12, (13,), 3, 4, b"\x33" * 8),
 }
+KEPT = {cid: wire.encode_child_packet(cid, pkt) for cid, pkt in CHILD_PACKETS.items()}
 
 
 def test_every_cut_frame_raises_value_error():
     # Every frame type that crosses a link, cut at every shorter length or
     # with its count field overstated, fails to decode with ValueError and
     # nothing else: callers catch ValueError, never struct.error.
-    _, agg_body = wire.seal_packet(_channel(bytes(16)), 3, 7, (9, 12), 5, 6, b"\x11" * 8)
-    resp = wire.seal_probe_resp(_channel(bytes(16)), 3, 7, (9, 12), 5, 6, b"\x11" * 8, CHILD_PACKETS)
+    agg_body = wire.seal_packet(_channel(bytes(16)), 3, 7, (9, 12), 5, 6, b"\x11" * 8)
+    resp = wire.seal_probe_resp(_channel(bytes(16)), 3, 7, (9, 12), 5, 6, b"\x11" * 8, KEPT)
     cases = (  # (payload, decoder of its body, offset of its count field)
         (wire.encode_query(3, "mean"), wire.decode_query, None),
         (wire.encode_query(3, "mean"), lambda body: wire.decode_query(wire.frame(wire.QUERY, body), 1), None),
@@ -804,7 +843,7 @@ def test_cut_probe_bundle_keeps_the_entries_before_the_cut():
     # been dropped on the way.
     channel = _channel(bytes(16))
     entries = [  # each answer's entry, past its type
-        wire.seal_probe_resp(channel, 3, 7, (9, 12), 5, 6, b"\x11" * 8, CHILD_PACKETS)[1:],
+        wire.seal_probe_resp(channel, 3, 7, (9, 12), 5, 6, b"\x11" * 8, KEPT)[1:],
         wire.seal_probe_resp(channel, 3, 8, (), 1, 2, b"\x44" * 8, {})[1:],
     ]
     bundle = wire.encode_probe_resp(entries)

@@ -61,7 +61,7 @@ def test_walk_decides_as_the_plain_walk_does(scenario):
         result = world.run_round(round_no)
         # The station's packets from its children are the walk's input: the
         # data phase, not the walk, decides them.
-        want = reference_walk.run(world, round_no, world.bs._round_packets, audited=True)
+        want = reference_walk.run(world, round_no, world.bs._fold.child_packets, audited=True)
         assert (result.integrity, result.raw_sum) == (want.integrity, want.raw_sum), round_no
         if want.walk is None:
             assert result.report is None, round_no
