@@ -87,7 +87,8 @@ def build_tree(adjacency: Mapping[int, Iterable[int]]) -> Tree:
         # Scanning each level in ascending id order makes the first (and thus
         # recorded) parent of any newly discovered node the smallest-id one.
         for u in sorted(level):
-            found[u] = fresh = sorted(set(adjacency.get(u, ())).difference(depth))
+            near = adjacency.get(u, ())  # a set is read as it is, any other iterable copied
+            found[u] = fresh = sorted((near if isinstance(near, (set, frozenset)) else set(near)).difference(depth))
             below = depth[u] + 1
             for v in fresh:
                 depth[v] = below
