@@ -25,7 +25,11 @@ modulo the field's width.  So a frame's length never shifts the random
 stream, and a change that only resizes frames moves no fault.  A fault aimed
 at a field the frame lacks, or a flip aimed at one it leaves empty (an
 honest packet's absent ids), goes to the next field of its scope, in
-order, that the frame has.
+order, that the frame has.  A probe response's flip is the exception: a
+leaf's entry has no child packet, and passing on would pile the five child
+fields onto the entry's sender, so a flip aimed at a field the response
+lacks or leaves empty is reduced over those it has, as an occurrence is:
+its rank among the names the response lacks, modulo their count.
 """
 
 from __future__ import annotations
@@ -125,6 +129,17 @@ def _aim(spans, names: tuple[str, ...], field: str, at: int) -> tuple[str, int, 
     return None
 
 
+def _reduce_field(spans, names: tuple[str, ...], field: str) -> str:
+    """The field drawn if spans has it, else the draw reduced over the
+    fields spans has, in order: its rank among the names spans lacks,
+    modulo their count."""
+    have = {span[0] for span in spans}
+    present = [name for name in names if name in have]
+    if field in have or not present:
+        return field
+    return present[[name for name in names if name not in have].index(field) % len(present)]
+
+
 def fault(
     rng: random.Random, kind: str, payload: bytes, *,
     flips: tuple[str, ...] | None = None, types: tuple[int, ...] | None = None, senders=SENDERS,
@@ -146,7 +161,8 @@ def fault(
     elif kind == "flip":
         names = flips or names
         field, at, value = rng.choice(names), rng.getrandbits(32), rng.getrandbits(32)
-        aimed = _aim([span for span in spans if span[2] > span[1]], names, field, at)
+        spans = [span for span in spans if span[2] > span[1]]
+        aimed = _aim(spans, names, _reduce_field(spans, names, field) if frame_type == wire.PROBE_RESP else field, at)
     elif kind == "retype":
         field, value = "type", rng.choice(types or tuple(t for t in TYPES if t != frame_type))
         aimed = spans[0] if spans else None

@@ -3,12 +3,13 @@ and draws that do not depend on a frame's length."""
 
 import hashlib
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 from conftest import behaviour_sweep
 from fault_grammar import FIELDS, KINDS, PAST_SENDER, fault, field_map
 
 from concealed_agg import wire
+from concealed_agg.simulator import Scenario, World
 
 
 def _sweep_frames(monkeypatch, worlds) -> list[bytes]:
@@ -93,3 +94,20 @@ def test_a_frames_length_moves_no_draw():
             assert drawn == pad
             assert p == (h if kind in ("drop", "cut") else h + bytes(4))
         assert rngs[0].getstate() == rngs[1].getstate() == rngs[2].getstate()
+
+
+def test_probe_resp_flips_spread_over_a_leaf_entrys_fields():
+    # A leaf's one-entry answer has no child packet and no absent ids: the
+    # flips aimed at those fields are reduced over the fields it has, so
+    # seeded flips hit every non-empty field, none more than twice its
+    # uniform share (passed on to the next field, they hit the sender 46%
+    # of the time).
+    world = World(Scenario(seed=21, n=4, edges=((0, 1), (1, 2), (1, 3), (1, 4))))
+    world.run_round(1)
+    answer = world.nodes[2].respond_attestation(1)
+    fields = {name for name, start, end in field_map(answer) if end > start}
+    assert not any(name.startswith("child ") and name != "child count" for name in fields)
+    draws = 1300
+    hits = Counter(fault(random.Random(seed), "flip", answer)[1].hit for seed in range(draws))
+    assert set(hits) == fields
+    assert max(hits.values()) <= 2 * draws / len(fields)
