@@ -298,7 +298,7 @@ def keep_child_packet(
         fold.tag ^= int.from_bytes(tag, "big")
         if count:
             fold.absent += struct.unpack_from(f">{count}I", data, at + 8)
-        fold.kept[sender] = data[at : at + 24 + 4 * count] + tag
+        fold.kept[sender] = data[at : at + 8 + 4 * count + 16] + tag  # its header, ids and pair, then its tag
 
 
 # === Queries, probes, reaggregation requests ================================
