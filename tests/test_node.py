@@ -536,7 +536,7 @@ def test_agg_packet_roundtrip_binds_header():
     # bound bytes, or opening it in another round, fails authentication.
     key = bytes(range(16))
     body = wire.seal_packet(_channel(key), 1, 7, (9, 12), 5, 6, b"\x11" * 8, b"bound")
-    pkt = wire.packet_view(body)
+    pkt = wire.AggPacket(7, (9, 12), 5, 6, b"\x11" * 8)
     assert wire.open_packet(_channel(key), 1, body, b"bound") == pkt
     assert pkt.absent == (9, 12)
     sender, absent, sealed, tag = wire.decode_agg_body(body)
@@ -774,13 +774,12 @@ def test_query_probe_reagg_roundtrip():
     assert (r, ok, rest) == (3, False, b"")
 
 
-# Two child packets as a probe entry reports them: a leaf, and a node
-# with an absent root below it; and the same as a node keeps them.
-CHILD_PACKETS = {
-    9: wire.AggPacket(9, (), 1, 2, b"\x22" * 8),
-    12: wire.AggPacket(12, (13,), 3, 4, b"\x33" * 8),
+# Two child packets as a probe entry reports them, and a node keeps them: a
+# leaf, and a node with an absent root below it.
+KEPT = {
+    9: wire.encode_child_packet(9, wire.AggPacket(9, (), 1, 2, b"\x22" * 8)),
+    12: wire.encode_child_packet(12, wire.AggPacket(12, (13,), 3, 4, b"\x33" * 8)),
 }
-KEPT = {cid: wire.encode_child_packet(cid, pkt) for cid, pkt in CHILD_PACKETS.items()}
 
 
 def test_every_cut_frame_raises_value_error():

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -73,7 +74,8 @@ def test_honest_round_message_count_is_2n():
         assert world.metrics.rounds[0].messages == 2 * n, generator
 
 
-@pytest.mark.skipif(gc.get_threshold() != (700, 10, 10), reason="CPython's default collector thresholds")
+@pytest.mark.skipif(sys.implementation.name != "cpython" or gc.get_threshold() != (700, 10, 10),
+                    reason="counts CPython's collections at its default thresholds")
 def test_honest_path_rounds_leave_the_collector_idle():
     # A node folds each child packet in as it opens and keeps bytes, so an
     # honest round leaves no container per hop behind: each round's states
