@@ -18,36 +18,31 @@ from n=64 to n=16384); a malformed claim fails the test.  The station derives
 a round's participant set once, from its final absent roots; ledger
 maintenance is the only per-round work linear in n.
 
-When the final pair fails the identical-pair equality test (or an operator
-forces an audit), the station walks the tree top-down, starting with its own
-children whose packet fails IPET at the station; when none fails, the round
-passed and is audited, and it starts with all of them.  Each probed node
-must recommit to the packet it emitted: its resent tag must match the tag
-pinned for it, and the XOR of its own recomputed MAC with the tags of the
-child packets it reports must reproduce it.  Its resent pair must pass IPET
-over its own claim.  Its answer carries the packet of each child it kept, as
-it received it, so below a failing node that answered the station IPETs each
-reported child packet itself and probes only the children whose packet
-fails, each pinned to the tag reported for it; a silent node's children are
-all probed, unpinned.  The walk probes one tree depth at a time, with one
-request naming every node it probes there and one bundle of their answers
-back, each answer still sealed on its own node's direct channel.  Only tree
-children of a failing node are probed, so every probed node's parent is the
-station or a failing probed node.
+The station is the root of the aggregation tree: it folds in its children's
+packets with the same ``wire.keep_child_packet`` every sensor runs.  It is
+the root of the attestation walk too, which it runs when the final pair
+fails the identical-pair equality test (or an operator forces an audit):
+it starts as a node that answered, with its closed fold and kept packets.
+Below it and every failing node that answered, one rule selects the
+children to probe: those whose reported packet fails IPET at the station,
+each pinned to the tag reported for it.  A silent node's children are all
+probed, unpinned, and the station probes all of its own when none fails
+(an audit).  A probed node must recommit to the packet it emitted: its
+resent tag must match its pin and the XOR of its own recomputed MAC with
+the tags of the child packets it reports, and its resent pair must pass
+IPET over its own claim.  The walk probes one tree depth at a time, with
+one request naming every node it probes there and one bundle of their
+answers back, each answer still sealed on its own node's direct channel.
 
-A committed node that failed only IPET, and has failing children, gets one
-chance to be exonerated: its answer less the failing children's packets as
-it reported them, its pair less theirs and its absent roots less theirs plus
-their ids.  For an honest node that is exactly its own re-aggregation
+Every node that answered and committed, the station included, is then
+re-aggregated alike: its answer less its failing children's packets as it
+reported them.  For an honest node that is exactly its own re-aggregation
 without them, and no node is ever asked for one: a keyed node that
 misreports a child's packet gets no more than it could by lying in its own
-answer.
-
-The station is the root of the aggregation tree and folds in its children's
-packets with the same ``wire.keep_child_packet`` every sensor runs.  The
-attested value costs no further exchange: the station subtracts its failing
-children from its fold, then adds back, top-down, each exonerated node whose
-parent was added, using the re-aggregate packet that cleared it.
+answer.  A probed node whose re-aggregate passes IPET is exonerated.  The
+attested value is the station's re-aggregate plus, top-down, each
+exonerated one whose parent was added; the report carries it, and nothing
+of the walk stays on the station.
 """
 
 from __future__ import annotations
@@ -60,7 +55,7 @@ from itertools import accumulate, chain
 from typing import NamedTuple
 
 from . import crypto, wire
-from .errors import AuthFailure, StaleRound
+from .errors import AuthFailure, NoSuchRound, StaleRound
 from .topology import BS_ID, Tree, Provisioning
 
 log = logging.getLogger(__name__)
@@ -90,6 +85,8 @@ class AttestationReport:
     non_committed: frozenset[int]
     probes: int
     transcript: tuple[tuple[int, bool, bool], ...]
+    pair: tuple[int, int]  # the round's pair and claim without the outliers
+    claim: Claim
 
 
 @dataclass(frozen=True)
@@ -168,9 +165,7 @@ class BaseStation:
         self._prefix_d = self._prefix_dp = [0, 0, *accumulate(origins)]
         self._ledger_round = 0
         self._absent_streak: dict[int, int] = {}  # absent rounds in a row, of nodes absent last round
-        self._fold = wire.Fold()  # the station's children's packets this round
-        # The re-aggregates that exonerated nodes in this round's walk.
-        self._cleared: dict[int, wire.AggPacket] = {}
+        self._fold = wire.Fold()  # the station's children's packets in the last round disseminated
         self._last_round = 0
         # Cost counters of the current round, reset when it is disseminated.
         self.counters: dict[str, int] = {"seed_regens": 0, "verify_ops": 0}
@@ -224,7 +219,6 @@ class BaseStation:
         self.counters = dict.fromkeys(self.counters, 0)
         self.advance_ledger(round_no)
         self._fold = wire.Fold()
-        self._cleared = {}
         query = wire.encode_query(round_no, function)
         return [(cid, query) for cid in self.tree.children[BS_ID]]
 
@@ -236,7 +230,10 @@ class BaseStation:
     def finalize(self, round_no: int) -> tuple[int, int, Claim]:
         """Close the fold of the children's packets: the final pair and the
         round's claim, the whole tree less the silent children and every
-        absent root the packets name."""
+        absent root the packets name.  NoSuchRound for any round but the
+        last one disseminated (round 0 never is)."""
+        if round_no != self._last_round or not round_no:
+            raise NoSuchRound(f"base station: round {round_no} is not the last disseminated ({self._last_round})")
         dsum, dsum_prime, absent, _ = self._fold.close(self.tree.children[BS_ID])
         return dsum, dsum_prime, Claim(BS_ID, absent)
 
@@ -306,15 +303,24 @@ class BaseStation:
             sd, sdp = self._prefix_d[end] - self._prefix_d[start], self._prefix_dp[end] - self._prefix_dp[start]
         return dsum - sd & crypto.MASK == dsum_prime - sdp & crypto.MASK
 
+    def _failing_children(self, nid: int, kids: dict[int, wire.AggPacket]) -> list[int]:
+        """The walk's child-selection rule: nid's children, ascending, whose
+        packet as nid reports it fails IPET here.  Other ids it reports are
+        neither checked nor probed."""
+        return [cid for cid in self.tree.children[nid] if cid in kids and not self._fits(cid, kids[cid])]
+
     def _probe_level(
-        self, round_no: int, targets: tuple[int, ...], ask, pinned: dict[int, int]
+        self, round_no: int, targets: tuple[int, ...], ask, answered: dict[int, tuple[wire.AggPacket, dict]]
     ) -> dict[int, tuple[wire.AggPacket, tuple[bool, bool], list[wire.AggPacket]]]:
         """Probe one tree depth's targets, one request per link that leads to
         any, and check each answer as it opens; by node, its packet, verdict
         and reported child packets.  A node's entry, matched by the sender it
         names, opens only on its own direct channel and for the round asked
-        about, so whoever relays it can drop it, not forge or replay it."""
+        about, so whoever relays it can drop it, not forge or replay it.  A
+        node whose parent answered is pinned to the tag its parent reported
+        for it; a silent parent reports nothing, so its children have no pin."""
         wanted = set(targets)
+        parent = self.tree.parent
         answers: dict[int, tuple[wire.AggPacket, tuple[bool, bool], list[wire.AggPacket]]] = {}
         for raw in ask(round_no, targets):
             if not raw or raw[0] != wire.PROBE_RESP:
@@ -339,54 +345,56 @@ class BaseStation:
                 calc = int.from_bytes(crypto.mac_pair(mac, pkt.dsum, pkt.dsum_prime), "big")
                 for child in reported:
                     calc ^= int.from_bytes(child.tag, "big")
-                tag = int.from_bytes(pkt.tag, "big")
-                answers[nid] = pkt, (calc == tag == pinned.get(nid, tag), self._fits(nid, pkt)), reported
+                up = answered.get(parent[nid])
+                committed = calc == int.from_bytes(pkt.tag, "big") and (up is None or up[1][nid].tag == pkt.tag)
+                answers[nid] = pkt, (committed, self._fits(nid, pkt)), reported
         return answers
 
     def com_att(self, round_no: int, ask, participants: frozenset[int]) -> AttestationReport:
-        """Walk the tree localizing outliers (the divide-and-conquer audit).
+        """Walk the tree localizing outliers (the divide-and-conquer audit),
+        then re-aggregate the round without them; NoSuchRound, as from
+        ``finalize``, for any round but the last one disseminated.
 
         ask(round_no, targets) must send the station's probe of the targets
         down its child links, as their first relay does, and return each
         link's answer as it arrived, None for each that was lost: a bundle
-        of the entries of the nodes it names.  The walk probes one tree
-        depth at a time, with one request naming every node it probes
-        there: first the station's children whose packet fails IPET here,
-        or all of them when none does (an audit of a passing round), then
-        the children it selects below the nodes of one depth that fail.
-        Only the round's participants are probed below the station's
-        children.
+        of the entries of the nodes it names.
+
+        The walk's root is the station, a node that answered with its closed
+        fold and kept packets.  It probes one tree depth at a time, with one
+        request naming every node it probes there: below the station and
+        each failing node that answered, the children ``_failing_children``
+        selects, each pinned to the tag reported for it; below a silent
+        node, all its children.  The station alone probes all its children
+        when none fails (an audit), and only below its children must a
+        probed node be a participant.
 
         The walk keeps one record, each probed node's verdict in probe order:
         whether it committed (its resent tag matches its own MAC folded with
-        the tags of the child packets it reports, and the tag pinned for it,
-        if any) and whether its pair passes IPET.  A node fails unless both
-        hold, and then its children are probed: all of them if it was
-        silent, else those whose reported packet fails IPET here, each pinned
-        to the tag reported for it.  Within a depth the record lists the
-        children of each failing node in turn, in the order those nodes
-        were recorded, each node's ascending.  The report's sets and
-        transcript are read off that record once the walk ends.
+        the tags of the child packets it reports, and its pin, if any) and
+        whether its pair passes IPET; it fails unless both hold.  Within a
+        depth the record lists the children of each failing node in turn, in
+        the order those nodes were recorded, each node's ascending.
 
-        Exoneration then tries each committed node that failed only IPET on
-        its answer less its failing children's packets as it reported them.
-        The outliers are the failed nodes it does not clear.
+        Exoneration re-aggregates each node that answered and committed, the
+        station included, less its failing children's packets as it
+        reported them.  A probed node whose re-aggregate passes IPET is
+        cleared; the outliers are the failed nodes not cleared.  The report
+        carries the sets and transcript read off the record, and
+        ``reaggregate_final``'s pair and claim.
         """
+        dsum, dsum_prime, (_, absent) = self.finalize(round_no)
         self.advance_ledger(round_no)  # once for the walk: a no-op at the round, or raises
-        packets, children = self._fold.child_packets, self.tree.children  # parsed once per walk
+        children, packets = self.tree.children, self._fold.child_packets  # parsed once per walk
+        # The station and each failing node that answered: its packet and
+        # its reported child packets, by id.
+        answered = {BS_ID: (wire.AggPacket(BS_ID, absent, dsum, dsum_prime, crypto.ZERO_TAG), packets)}
         verdicts: dict[int, tuple[bool, bool]] = {}  # node -> (committed, ipet_ok)
-        # The tag each probed node must resend, as an integer: the one in the
-        # packet the station holds from it, or the one its parent reported.
-        # A silent node reports nothing, so its children have no pin.
-        pinned = {cid: int.from_bytes(pkt.tag, "big") for cid, pkt in packets.items()}
-        # Each failing node that answered: its packet and its reported child packets, by id.
-        answered: dict[int, tuple[wire.AggPacket, dict[int, wire.AggPacket]]] = {}
         # The nodes of one depth in probe order; each is listed once, by its
-        # parent, so probes go top-down.  First the station's children whose
-        # packet fails IPET here, or all of them when none fails: an audit.
-        level = [cid for cid in sorted(packets) if not self._fits(cid, packets[cid])] or sorted(packets)
+        # parent, so probes go top-down.
+        level = self._failing_children(BS_ID, packets) or sorted(packets)
         while level:
-            answers = self._probe_level(round_no, tuple(sorted(level)), ask, pinned)
+            answers = self._probe_level(round_no, tuple(sorted(level)), ask, answered)
             next_level: list[int] = []
             for nid in level:
                 answer = answers.get(nid)
@@ -398,13 +406,9 @@ class BaseStation:
                     pkt, verdicts[nid], reported = answer
                     if verdicts[nid] == (True, True):
                         continue
-                    # An id it reports that is not its child entered its MAC
-                    # check, but is neither checked nor probed.
                     kids = {child.sender: child for child in reported}
                     answered[nid] = pkt, kids
-                    below = [cid for cid in children[nid] if cid in kids and not self._fits(cid, kids[cid])]
-                    for cid in below:
-                        pinned[cid] = int.from_bytes(kids[cid].tag, "big")
+                    below = self._failing_children(nid, kids)
                 next_level += filter(participants.__contains__, below)
             level = next_level
 
@@ -412,47 +416,42 @@ class BaseStation:
         non_committed = frozenset(nid for nid, (committed, _) in verdicts.items() if not committed)
 
         # Exoneration pass.  Non-committed nodes are dishonest outright and get
-        # no second chance, and a node with no failing child would only
-        # reproduce the pair that just failed.  A failing child was probed
-        # because its reported packet failed, so the node reported it.
-        for nid, (committed, ipet_ok) in verdicts.items():
-            if not committed or ipet_ok:
+        # no second chance.  A failing child was probed because its parent
+        # reported it; a node with none reproduces the pair that failed.  The
+        # station's re-aggregate is never None (its fold gathered every absent
+        # root its children listed); the round's final IPET checks it.
+        reaggregates: dict[int, wire.AggPacket] = {}
+        for nid, (pkt, kids) in answered.items():
+            if nid in non_committed:
                 continue
-            pkt, kids = answered[nid]
-            failing = [kids[cid] for cid in children[nid] if cid in suspects]
-            if failing:
-                reagg = _subtract(pkt, failing)
-                if reagg is not None and self._fits(nid, reagg):
-                    self._cleared[nid] = reagg
-
+            reagg = _subtract(pkt, [kids[cid] for cid in children[nid] if cid in suspects])
+            if reagg is not None and (nid == BS_ID or self._fits(nid, reagg)):
+                reaggregates[nid] = reagg
+        pair, claim = self.reaggregate_final(reaggregates)
         return AttestationReport(
-            outliers=frozenset(suspects.difference(self._cleared)),
+            outliers=frozenset(suspects.difference(reaggregates)),
             non_committed=non_committed,
             probes=len(verdicts),
             transcript=tuple((nid, *verdict) for nid, verdict in verdicts.items()),
+            pair=pair,
+            claim=claim,
         )
 
-    def reaggregate_final(self, outliers: frozenset[int]) -> tuple[tuple[int, int], Claim]:
-        """The final pair and claim less the outlier subtrees, from what the
-        walk holds, with no further exchange.  The station's closed fold less
-        its children that failed, by ``_subtract``; then each exonerated node
-        whose parent was added, in tour order, is added through its
-        re-aggregate (which left out its failing children): its pair, and its
-        absent roots in place of its own id."""
-        cleared = self._cleared
-        dsum, dsum_prime, absent, _ = self._fold.close(self.tree.children[BS_ID])
-        failing = [pkt for cid, pkt in self._fold.child_packets.items() if cid in outliers or cid in cleared]
-        # Never None: the fold gathered every absent root its children listed.
-        rest = _subtract(wire.AggPacket(BS_ID, absent, dsum, dsum_prime, crypto.ZERO_TAG), failing)
-        dsum, dsum_prime, absent = rest.dsum, rest.dsum_prime, list(rest.absent)
+    def reaggregate_final(self, reaggregates: dict[int, wire.AggPacket]) -> tuple[tuple[int, int], Claim]:
+        """The attested pair and claim from the walk's re-aggregates by node,
+        with no further exchange: the station's; then, in tour order, each
+        cleared node whose parent was added, through its re-aggregate: its
+        pair, and its absent roots in place of its own id."""
+        root = reaggregates[BS_ID]
+        dsum, dsum_prime, absent = root.dsum, root.dsum_prime, list(root.absent)
         added = {BS_ID}
         parent = self.tree.parent
-        for nid in sorted(cleared, key=self.tree.pos.__getitem__):
+        for nid in sorted(reaggregates, key=self.tree.pos.__getitem__)[1:]:  # the station is first
             # A parent's re-aggregate that did not list nid as absent already
             # holds nid's subtree; adding it again would count it twice.
             if parent[nid] not in added or nid not in absent:
                 continue
-            reagg = cleared[nid]
+            reagg = reaggregates[nid]
             added.add(nid)
             dsum = crypto.add_mod(dsum, reagg.dsum)
             dsum_prime = crypto.add_mod(dsum_prime, reagg.dsum_prime)

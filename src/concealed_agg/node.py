@@ -52,13 +52,13 @@ class RoundState(wire.Fold):
     """A node's open round: the fold of its child packets, from its own
     diffused pair, and the packet body it emitted, once it has."""
 
-    __slots__ = ("round", "own_d", "own_dp", "body")
+    __slots__ = ("round", "body")
 
     def __init__(self, round_no: int, own_d: int, own_dp: int):
         # Every slot set here, the fold's too: one call per node and round.
         self.round = round_no
-        self.own_d = self.dsum = own_d
-        self.own_dp = self.dsum_prime = own_dp
+        self.dsum = own_d
+        self.dsum_prime = own_dp
         self.tag = 0
         self.absent: list[int] = []
         self.kept: dict[int, bytes] = {}

@@ -358,10 +358,9 @@ class World:
                     report = bs.com_att(round_no, ask, participants)
             else:
                 report = bs.com_att(round_no, ask, participants)
-                pair, kept_claim = bs.reaggregate_final(report.outliers)
-                kept = bs.participants(kept_claim)
+                kept = bs.participants(report.claim)
                 if kept:
-                    fresh = bs.ipet_check(pair, kept_claim, round_no, count_ops=False)
+                    fresh = bs.ipet_check(report.pair, report.claim, round_no, count_ops=False)
                     if fresh.equal:
                         integrity, raw_sum = "attested", fresh.sum_raw
         value = None if raw_sum is None else bs.decode_value(function, raw_sum, kept)

@@ -87,6 +87,21 @@ def on_links(world: World, fault) -> None:
     world.deliver = deliver
 
 
+def record_reaggregates(world: World) -> list[dict]:
+    """Record, walk by walk, the re-aggregates by node that the station's
+    walk hands to ``reaggregate_final``: the station's and each cleared
+    node's.  The wrapper shadows the method on the instance and calls the
+    class's, as looked up at call time."""
+    bs, walks = world.bs, []
+
+    def recording(reaggregates):
+        walks.append(reaggregates)
+        return type(bs).reaggregate_final(bs, reaggregates)
+
+    bs.reaggregate_final = recording
+    return walks
+
+
 # Edge lines the scenario parser must reject, in a scenario or topology file:
 # (file text, offending line number, reason in the diagnostic).
 BAD_EDGE_LINES = (

@@ -34,11 +34,12 @@ from concealed_agg.topology import BS_ID
 
 
 class Walk(NamedTuple):
-    """The walk's decisions, as sets: the nodes judged, those that did not
-    commit, those cleared by exoneration (each with the re-aggregate that
-    cleared it) and the outliers."""
+    """The walk's decisions: each judged node's verdict (committed, IPET
+    passed), and as sets those that did not commit, those cleared by
+    exoneration (each with the re-aggregate that cleared it) and the
+    outliers."""
 
-    judged: frozenset[int]
+    verdicts: dict[int, tuple[bool, bool]]
     non_committed: frozenset[int]
     cleared: dict[int, wire.AggPacket]
     outliers: frozenset[int]
@@ -160,7 +161,7 @@ def walk(world: World, round_no: int, packets: dict[int, wire.AggPacket], member
             if reagg is not None and passes(world, nid, reagg, round_no):
                 cleared[nid] = reagg
     return Walk(
-        judged=frozenset(verdicts),
+        verdicts=verdicts,
         non_committed=frozenset(nid for nid, (committed, _) in verdicts.items() if not committed),
         cleared=cleared,
         outliers=frozenset(failed - set(cleared)),

@@ -10,15 +10,17 @@ from collections import Counter
 
 import pytest
 import reference_ipet
-from conftest import on_links, plaintext_sum, sensed_raw
+import reference_walk
+from conftest import on_links, plaintext_sum, record_reaggregates, sensed_raw
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concealed_agg import crypto, wire
 from concealed_agg.basestation import Claim, IpetVerdict, _subtract
-from concealed_agg.errors import StaleRound
+from concealed_agg.errors import NoSuchRound, StaleRound
 from concealed_agg.adversary import Behavior, CompromiseSpec
 from concealed_agg.simulator import GENERATORS, Scenario, World
+from concealed_agg.topology import BS_ID
 
 M = crypto.MODULUS
 
@@ -55,6 +57,25 @@ def test_stale_round_rejected_by_station():
     world.run_round(1)
     with pytest.raises(StaleRound):
         world.bs.disseminate(1, "sum")
+
+
+def test_station_answers_only_for_the_last_round_disseminated():
+    # The station holds one round's fold, the last one disseminated: for
+    # any other round, or any before the first, finalize and the walk raise.
+    world = World(Scenario(seed=41, n=3, generator="star"))
+
+    def ask(round_no, targets):
+        pytest.fail("the walk probed for another round")
+
+    with pytest.raises(NoSuchRound):
+        world.bs.finalize(0)
+    result = world.run_round(1)
+    assert world.bs.finalize(1)[2] == (0, ())
+    for round_no in (0, 2, 99):
+        with pytest.raises(NoSuchRound):
+            world.bs.finalize(round_no)
+        with pytest.raises(NoSuchRound):
+            world.bs.com_att(round_no, ask, result.participants)
 
 
 def test_refused_round_books_no_metrics_row():
@@ -393,10 +414,15 @@ def _refold_without(node, children: set[int]) -> tuple[int, int, tuple[int, ...]
     """A node's own pair plus the pairs of the child packets it kept, less
     the given children, each of which becomes an absent root with its
     subtree; and the absent roots: the children it did not keep or that are
-    left out, plus the roots its kept children listed."""
-    kept = {cid: pkt for cid, pkt in node.state.child_packets.items() if cid not in children}
-    dsum = (node.state.own_d + sum(pkt.dsum for pkt in kept.values())) % M
-    dsum_prime = (node.state.own_dp + sum(pkt.dsum_prime for pkt in kept.values())) % M
+    left out, plus the roots its kept children listed.  Its own pair is its
+    unreduced running sum less every packet it kept."""
+    state = node.state
+    packets = state.child_packets
+    own_d = state.dsum - sum(pkt.dsum for pkt in packets.values())
+    own_dp = state.dsum_prime - sum(pkt.dsum_prime for pkt in packets.values())
+    kept = {cid: pkt for cid, pkt in packets.items() if cid not in children}
+    dsum = (own_d + sum(pkt.dsum for pkt in kept.values())) % M
+    dsum_prime = (own_dp + sum(pkt.dsum_prime for pkt in kept.values())) % M
     absent = [cid for cid in node.children if cid not in kept]
     for pkt in kept.values():
         absent += pkt.absent
@@ -409,9 +435,13 @@ def test_station_subtraction_is_the_nodes_own_reaggregation():
     cleared = 0
     for scenario in _two_forger_worlds("forge_children") + _two_forger_worlds("noncommit"):
         world = World(scenario)
+        walks = record_reaggregates(world)
         result = world.run_round(1)
         failing = {nid for nid, committed, ok in result.report.transcript if not (committed and ok)}
-        for nid, reagg in world.bs._cleared.items():
+        [reaggregates] = walks
+        for nid, reagg in reaggregates.items():
+            if nid == BS_ID:
+                continue
             children = {c for c in world.tree.children[nid] if c in failing}
             assert _refold_without(world.nodes[nid], children) == (reagg.dsum, reagg.dsum_prime, reagg.absent)
             cleared += 1
@@ -419,15 +449,14 @@ def test_station_subtraction_is_the_nodes_own_reaggregation():
 
 
 def test_final_reaggregation_skips_a_cleared_node_whose_parent_was_not_added():
-    # Path 0-1-2-3: station child 1 reports 3 as an absent root, 2 is an
-    # outlier, and 3 was cleared.  3's parent was never added, so 3 stays
-    # out even though 1 lists it, and the pair is 1's alone.
+    # Path 0-1-2-3: the station's re-aggregate is station child 1's packet,
+    # which reports 3 as an absent root; 2 is an outlier, and 3 was cleared.
+    # 3's parent was never added, so 3 stays out even though 1 lists it, and
+    # the pair is 1's alone.
     world = World(Scenario(seed=43, edges=((0, 1), (1, 2), (2, 3))))
-    bs = world.bs
-    bs.disseminate(1, "sum")
-    bs.receive_packet(wire.seal_packet(world.nodes[1].up_channel, 1, 1, (3,), 11, 22, bytes(crypto.TAG_LEN)))
-    bs._cleared = {3: wire.AggPacket(3, (), 5, 7, bytes(crypto.TAG_LEN))}
-    pair, claim = bs.reaggregate_final(frozenset({2}))
+    tag = bytes(crypto.TAG_LEN)
+    reaggregates = {BS_ID: wire.AggPacket(BS_ID, (3,), 11, 22, tag), 3: wire.AggPacket(3, (), 5, 7, tag)}
+    pair, claim = world.bs.reaggregate_final(reaggregates)
     assert claim.absent == (3,)
     assert pair == (11, 22)
 
@@ -603,6 +632,36 @@ def test_vouched_non_child_is_not_probed():
     assert result.report.non_committed == frozenset({1})
     assert result.report.outliers == frozenset({1, 3})
     assert result.integrity == "attested" and result.participants == frozenset({5})
+
+
+def test_two_failing_nodes_below_one_relay_share_a_probe_and_a_bundle():
+    # Edges 0-1, 1-2, 1-3, 2-4, 3-5 with forging leaves 4 and 5: 2 and 3
+    # both fail below 1, so one probe through 1 names both and one bundle
+    # brings both answers back; then the same for 4 and 5.  The round ends
+    # as the plain walk's does.
+    world = World(Scenario(seed=58, edges=((0, 1), (1, 2), (1, 3), (2, 4), (3, 5)),
+                           compromises=(CompromiseSpec(4, "forge_children", (4321,)),
+                                        CompromiseSpec(5, "forge_children", (8765,)))))
+    targets, entries = [], []
+
+    def recording(src, dst, payload):
+        if payload[0] == wire.PROBE:
+            targets.append(wire.decode_probe(payload[1:])[1])
+        elif payload[0] == wire.PROBE_RESP:
+            entries.append(len(wire.probe_entry_spans(payload, 1)))
+        return payload
+
+    on_links(world, recording)
+    result = world.run_round(1)
+    assert [group for group in targets if len(group) > 1] == [(2, 3), (4, 5)]
+    assert entries.count(2) == 2
+    want = reference_walk.run(world, 1, world.bs._fold.child_packets, audited=False)
+    report = result.report
+    assert result.integrity == want.integrity == "attested" and result.raw_sum == want.raw_sum
+    assert report.outliers == want.walk.outliers == frozenset({4, 5})
+    assert {nid: (committed, ok) for nid, committed, ok in report.transcript} == want.walk.verdicts
+    assert [nid for nid, _, _ in report.transcript] == [1, 2, 3, 4, 5]
+    assert result.raw_sum == plaintext_sum(world, 1, result.participants)
 
 
 def test_walk_record_is_consistent_over_small_worlds():

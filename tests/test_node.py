@@ -87,7 +87,7 @@ def test_sense_and_diffuse_definition():
     world = cluster_world()
     node = world.nodes[3]
     node.open_round(1)
-    d, dp = node.state.own_d, node.state.own_dp
+    d, dp = node.state.dsum, node.state.dsum_prime  # a leaf's running pair is its own
     m = sensed_raw(world, 3, 1)
     assert d == (seed_of(world, 3, 1) + m) % crypto.MODULUS
     assert dp == (seed_of(world, 3, 1, prime=True) + m) % crypto.MODULUS
@@ -101,7 +101,7 @@ def test_leaf_emitted_tag_matches_independent_mac():
     world = cluster_world()
     node = world.nodes[3]
     node.open_round(1)
-    d, dp = node.state.own_d, node.state.own_dp
+    d, dp = node.state.dsum, node.state.dsum_prime  # a leaf's running pair is its own
     _, payload = node.emit()
     pkt = wire.open_packet(_channel(world.prov.edge_keys[3]), 1, wire.parse_frame(payload)[1])
     key = world.prov.node_keys[3][0]

@@ -3,21 +3,24 @@
 The station's walk goes through relays, bundles and prefix sums, so a change
 to its transport moves every frame; the decisions must not move.  Over
 fault-free worlds of every generator, with one to three compromises of
-every kind and every round audited, both walks must judge the same nodes,
-find the same non-committed ones, clear the same ones and convict the same
-outliers, and the round must reach the same integrity and raw sum.  The
-example budget is the hypothesis profile's (``conftest``): tier-1 runs the
-default one, and CI runs this module again under the larger ``ci`` one.
+every kind and every round audited, both walks must judge the same nodes
+alike, find the same non-committed ones, clear the same ones with the same
+re-aggregates and convict the same outliers, and the round must reach the
+same integrity and raw sum.  The example budget is the hypothesis profile's
+(``conftest``): tier-1 runs the default one, and CI runs this module again
+under the larger ``ci`` one.
 """
 
 from __future__ import annotations
 
 import reference_walk
+from conftest import record_reaggregates
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concealed_agg.adversary import KINDS, CompromiseSpec
 from concealed_agg.simulator import GENERATORS, Scenario, World
+from concealed_agg.topology import BS_ID
 
 ROUNDS = 3
 
@@ -57,7 +60,9 @@ def attacked_worlds(draw) -> Scenario:
 @given(attacked_worlds())
 def test_walk_decides_as_the_plain_walk_does(scenario):
     world = World(scenario)
+    walks = record_reaggregates(world)
     for round_no in range(1, ROUNDS + 1):
+        walks.clear()
         result = world.run_round(round_no)
         # The station's packets from its children are the walk's input: the
         # data phase, not the walk, decides them.
@@ -67,8 +72,10 @@ def test_walk_decides_as_the_plain_walk_does(scenario):
             assert result.report is None, round_no
             continue
         report = result.report
-        judged = frozenset(nid for nid, _, _ in report.transcript)
-        assert judged == want.walk.judged, round_no
+        verdicts = {nid: (committed, ok) for nid, committed, ok in report.transcript}
+        assert len(verdicts) == len(report.transcript) and verdicts == want.walk.verdicts, round_no
         assert report.non_committed == want.walk.non_committed, round_no
-        assert set(world.bs._cleared) == set(want.walk.cleared), round_no
+        [reaggregates] = walks
+        cleared = {nid: reagg for nid, reagg in reaggregates.items() if nid != BS_ID}
+        assert cleared == want.walk.cleared, round_no
         assert report.outliers == want.walk.outliers, round_no
