@@ -13,7 +13,9 @@ with a ``metrics`` table).  For each end-to-end metric that the
 change tree's BENCHMARK.json gates, the script then prints the parent's and
 the change's medians, the distance between the quartiles of the parent's
 runs, the median of the per-pair relative changes (change / parent - 1), and
-in how many pairs the change read lower than the parent.
+in how many pairs the change read lower than the parent.  Beside that table
+it prints each tree's ``src/`` line count, by the rule of the benchmark's
+own ``src_lines``: the lines of every ``*.py`` under ``src/``.
 """
 
 from __future__ import annotations
@@ -42,6 +44,11 @@ def run_once(tree: Path, workload: str, seconds: float | None, seed: int) -> str
 def gated_metrics(tree: Path) -> list[str]:
     spec = json.loads((tree / "BENCHMARK.json").read_text(encoding="utf-8"))
     return [metric["name"] for metric in spec["end_to_end"]]
+
+
+def src_lines(tree: Path) -> int:
+    """The lines of every ``*.py`` file under the tree's ``src/``."""
+    return sum(len(path.read_text(encoding="utf-8").splitlines()) for path in (tree / "src").rglob("*.py"))
 
 
 def summarize(parent_lines: list[str], change_lines: list[str], metrics: list[str]) -> list[dict]:
@@ -98,6 +105,7 @@ def main(argv: list[str] | None = None) -> int:
     length = "benchmark-length" if args.seconds is None else f"{args.seconds:g} s"
     print(f"{args.workload}: {args.pairs} pairs of {length} runs, seed {args.seed}")
     print(format_rows(summarize(lines["parent"], lines["change"], gated_metrics(trees["change"]))))
+    print(f"src/ lines: parent {src_lines(trees['parent'])}, change {src_lines(trees['change'])}")
     return 0
 
 

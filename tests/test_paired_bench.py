@@ -47,3 +47,12 @@ def test_gated_metrics_are_the_benchmarks_end_to_end_list():
     names = paired_bench.gated_metrics(root)
     spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
     assert names == [m["name"] for m in spec["end_to_end"]] and "round_norm_p50" in names
+
+
+def test_src_lines_count_every_python_file_under_src(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "top.py").write_text("a = 1\nb = 2\n\n", encoding="utf-8")
+    (tmp_path / "src" / "pkg" / "mod.py").write_text("def f():\n    return 1", encoding="utf-8")
+    (tmp_path / "src" / "pkg" / "notes.txt").write_text("not code\n", encoding="utf-8")
+    (tmp_path / "setup.py").write_text("outside src\n", encoding="utf-8")
+    assert paired_bench.src_lines(tmp_path) == 5
